@@ -1,0 +1,241 @@
+//! Trainer digests: one golden file pinning what every single-device
+//! trainer produces at tiny scale — `train_pipad`, the four
+//! `BaselineKind`s and `train_esdg`, for T-GCN and MPNN-LSTM.
+//!
+//! Per run: per-epoch loss bits, per-epoch simulated time, and the CRC-32
+//! of the full exported Chrome trace. PiPAD and PyGT-R run with a
+//! `CheckpointPolicy`, and additionally pin CRC-32 + length of the newest
+//! checkpoint *file* — both of an uninterrupted run and of a run killed
+//! mid-steady-epoch and resumed (the two must agree: a resumed run
+//! continues the original's statistics).
+//!
+//! The golden was recorded before the trainers were folded onto the shared
+//! epoch driver; it is the gate that the refactor moved no loss bit, no
+//! trace byte and no checkpoint byte. Rerun with `UPDATE_GOLDEN=1` only
+//! for an intentional behaviour change, and review the diff.
+
+use pipad::{train_pipad, PipadConfig};
+use pipad_ckpt::{crc32, latest_checkpoint, CheckpointPolicy};
+use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
+use pipad_gpu_sim::{
+    export_chrome_trace, CrashCounter, CrashPoint, DeviceConfig, DeviceFault, FaultPlan, Gpu,
+};
+use pipad_models::{ModelKind, TrainReport, TrainingConfig};
+use pipad_repro::baselines::{train_baseline, train_baseline_resumable, train_esdg, BaselineKind};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+const HIDDEN: usize = 8;
+
+fn cfg() -> TrainingConfig {
+    TrainingConfig {
+        window: 8,
+        epochs: 4,
+        preparing_epochs: 2,
+        lr: 0.01,
+        seed: 7,
+    }
+}
+
+/// A checkpoint directory unique per call (pid + process-wide counter),
+/// removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "pipad-trainer-digests-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The single-device trainers, one variant per public entry point (the
+/// baseline kinds share `train_baseline`).
+#[derive(Clone, Copy)]
+enum Trainer {
+    Pipad,
+    Baseline(BaselineKind),
+    Esdg,
+}
+
+impl Trainer {
+    const ALL: [Trainer; 6] = [
+        Trainer::Pipad,
+        Trainer::Baseline(BaselineKind::Pygt),
+        Trainer::Baseline(BaselineKind::PygtA),
+        Trainer::Baseline(BaselineKind::PygtR),
+        Trainer::Baseline(BaselineKind::PygtG),
+        Trainer::Esdg,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Trainer::Pipad => "PiPAD",
+            Trainer::Baseline(k) => k.name(),
+            Trainer::Esdg => "ESDG-diff",
+        }
+    }
+
+    /// PiPAD and PyGT-R exercise the checkpoint codec (the latter with
+    /// its optional `reuse_cpu` section).
+    fn checkpoints(self) -> bool {
+        matches!(
+            self,
+            Trainer::Pipad | Trainer::Baseline(BaselineKind::PygtR)
+        )
+    }
+
+    fn run(
+        self,
+        gpu: &mut Gpu,
+        model: ModelKind,
+        graph: &DynamicGraph,
+        policy: Option<&CheckpointPolicy>,
+    ) -> Result<TrainReport, DeviceFault> {
+        match self {
+            Trainer::Pipad => {
+                let pcfg = PipadConfig {
+                    checkpoint: policy.cloned(),
+                    ..Default::default()
+                };
+                train_pipad(gpu, model, graph, HIDDEN, &cfg(), &pcfg)
+            }
+            Trainer::Baseline(kind) => match policy {
+                Some(p) => {
+                    train_baseline_resumable(gpu, kind, model, graph, HIDDEN, &cfg(), Some(p))
+                }
+                None => train_baseline(gpu, kind, model, graph, HIDDEN, &cfg()).map_err(Into::into),
+            },
+            Trainer::Esdg => train_esdg(gpu, model, graph, HIDDEN, &cfg()).map_err(Into::into),
+        }
+    }
+}
+
+/// `"<crc>, <len>"` of the newest checkpoint file. The CRC covers the file
+/// *without* its trailing 4-byte `file_crc`: CRC-32 of a message followed
+/// by its own CRC is the constant residue 0x2144DF1C for every file, which
+/// would pin nothing.
+fn newest_checkpoint_digest(policy: &CheckpointPolicy) -> String {
+    let (_, path) = latest_checkpoint(&policy.dir)
+        .expect("checkpoint dir readable")
+        .expect("at least one checkpoint written");
+    let bytes = std::fs::read(path).expect("read checkpoint");
+    format!("{}, {}", crc32(&bytes[..bytes.len() - 4]), bytes.len())
+}
+
+/// One golden line for `trainer` × `model`.
+fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
+    let dir = TempDir::new();
+    let policy = trainer
+        .checkpoints()
+        .then(|| CheckpointPolicy::new(dir.0.join("ref"), 2));
+    let mut gpu = Gpu::new(DeviceConfig::v100());
+    let report = trainer
+        .run(&mut gpu, model, graph, policy.as_ref())
+        .unwrap_or_else(|e| panic!("{} {}: {e}", trainer.name(), model.name()));
+    assert_eq!(report.trainer, trainer.name());
+
+    let join = |it: &mut dyn Iterator<Item = String>| it.collect::<Vec<_>>().join(", ");
+    let mut line = format!(
+        "  \"{}/{}\": {{\"loss_bits\": [{}], \"sim_ns\": [{}], \"trace_crc\": {}",
+        model.name(),
+        trainer.name(),
+        join(
+            &mut report
+                .epochs
+                .iter()
+                .map(|e| e.mean_loss.to_bits().to_string())
+        ),
+        join(
+            &mut report
+                .epochs
+                .iter()
+                .map(|e| e.sim_time.as_nanos().to_string())
+        ),
+        crc32(export_chrome_trace(gpu.trace(), 0).as_bytes()),
+    );
+
+    if let Some(policy) = &policy {
+        write!(
+            line,
+            ", \"ckpt_crc_len\": [{}]",
+            newest_checkpoint_digest(policy)
+        )
+        .unwrap();
+
+        // Kill at ~70 % of the launch stream (mid steady epoch), resume in
+        // a fresh "process" from the killed run's newest checkpoint.
+        let killed = CheckpointPolicy::new(dir.0.join("killed"), 2);
+        let mut g2 = Gpu::new(DeviceConfig::v100());
+        g2.install_faults(FaultPlan {
+            crash: Some(CrashPoint {
+                counter: CrashCounter::Launches,
+                at: gpu.op_counters().launches * 7 / 10,
+            }),
+            ..Default::default()
+        });
+        let err = trainer
+            .run(&mut g2, model, graph, Some(&killed))
+            .expect_err("crash fault must abort the run");
+        assert!(matches!(err, DeviceFault::Crash(_)), "{err}");
+        let mut g3 = Gpu::new(DeviceConfig::v100());
+        let resumed = trainer
+            .run(&mut g3, model, graph, Some(&killed))
+            .expect("resumed run");
+        write!(
+            line,
+            ", \"resumed_loss_bits\": [{}], \"resumed_ckpt_crc_len\": [{}]",
+            join(
+                &mut resumed
+                    .epochs
+                    .iter()
+                    .map(|e| e.mean_loss.to_bits().to_string())
+            ),
+            newest_checkpoint_digest(&killed)
+        )
+        .unwrap();
+    }
+    line.push('}');
+    line
+}
+
+#[test]
+fn every_trainer_matches_its_recorded_digest() {
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let mut lines = Vec::new();
+    for model in [ModelKind::TGcn, ModelKind::MpnnLstm] {
+        for trainer in Trainer::ALL {
+            lines.push(digest(trainer, model, &graph));
+        }
+    }
+    let got = format!("{{\n{}\n}}\n", lines.join(",\n"));
+    pipad_gpu_sim::validate_json(&got).expect("well-formed");
+
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/trainer_digests.json"
+        );
+        std::fs::write(path, &got).expect("write golden");
+        return;
+    }
+    let want = include_str!("golden/trainer_digests.json");
+    assert_eq!(
+        got, want,
+        "a trainer's losses, simulated timeline, trace bytes or checkpoint \
+         bytes moved (tests/golden/trainer_digests.json); if intentional, \
+         rerun with UPDATE_GOLDEN=1 and review the diff"
+    );
+}
