@@ -12,13 +12,13 @@
 //! argument for why ESDG "blunders away the chance of fulfilling further
 //! acceleration".
 
+use pipad::{run_epochs, CkptExtra, EpochPolicy, RunCx};
 use pipad_autograd::{AggregationKernel, Tape, Var};
-use pipad_dyngraph::{DynamicGraph, FrameIter};
-use pipad_gpu_sim::{ArgValue, Event, Gpu, Lane, OomError, SimNanos, StreamId, TraceKind};
+use pipad_dyngraph::{DynamicGraph, Frame};
+use pipad_gpu_sim::{DeviceFault, Event, Gpu, OomError, SimNanos, StreamId};
 use pipad_kernels::{DeviceCsr, DeviceMatrix};
 use pipad_models::{
-    build_model, normalize_snapshot, EpochReport, GnnExecutor, HostAllocStats, ModelKind,
-    NormalizedAdj, TrainReport, TrainingConfig,
+    normalize_snapshot, GnnExecutor, ModelKind, NormalizedAdj, TrainReport, TrainingConfig,
 };
 use pipad_sparse::graph_diff;
 use std::collections::HashMap;
@@ -39,12 +39,6 @@ struct ResidentWindow {
 }
 
 impl ResidentWindow {
-    fn new() -> Self {
-        ResidentWindow {
-            snapshots: HashMap::new(),
-        }
-    }
-
     /// Make snapshot `idx` resident. The first snapshot of a run ships its
     /// full topology; later ones ship the delta against the latest resident
     /// predecessor (the device applies it in place — modeled as a fresh
@@ -171,6 +165,60 @@ impl GnnExecutor for EsdgExecutor<'_> {
     }
 }
 
+/// ESDG as a policy of [`run_epochs`].
+struct EsdgPolicy {
+    window: ResidentWindow,
+    preparing: usize,
+}
+
+/// The window is rebuilt from snapshot 0 every epoch, so ESDG carries
+/// nothing across an epoch boundary beyond the common checkpoint sections.
+impl CkptExtra for EsdgPolicy {}
+
+impl EpochPolicy for EsdgPolicy {
+    fn trainer(&self) -> &'static str {
+        "ESDG-diff"
+    }
+
+    fn preparing(&self) -> usize {
+        self.preparing
+    }
+
+    fn ckpt(&mut self) -> &mut dyn CkptExtra {
+        self
+    }
+
+    fn frame(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        _epoch: usize,
+        _fi: usize,
+        frame: &Frame<'_>,
+    ) -> Result<f32, DeviceFault> {
+        for i in 0..frame.len() {
+            let idx = frame.global_index(i);
+            self.window
+                .admit(cx.gpu, cx.copy, cx.graph, idx, &mut cx.host_cursor)?;
+        }
+        let mut exec = EsdgExecutor {
+            window: &self.window,
+            frame_start: frame.start,
+            frame_len: frame.len(),
+            compute: cx.compute,
+        };
+        let loss = cx.step(&mut exec, frame)?;
+        self.window.retire_below(cx.gpu, frame.start + 1);
+        Ok(loss)
+    }
+
+    /// Epoch boundary: the window restarts at snapshot 0, so the resident
+    /// set is rebuilt (the first admit of the next epoch ships a full
+    /// topology again, then deltas).
+    fn end_epoch(&mut self, cx: &mut RunCx<'_>, _epoch: usize) {
+        self.window.clear(cx.gpu);
+    }
+}
+
 /// Train with ESDG-style difference transfers (single simulated GPU).
 pub fn train_esdg(
     gpu: &mut Gpu,
@@ -179,91 +227,13 @@ pub fn train_esdg(
     hidden: usize,
     cfg: &TrainingConfig,
 ) -> Result<TrainReport, OomError> {
-    let compute = gpu.default_stream();
-    let copy = gpu.create_stream();
-    let model = build_model(gpu, model_kind, graph.feature_dim(), hidden, cfg.seed)?;
-    let mut window = ResidentWindow::new();
-    let mut host_cursor = SimNanos::ZERO;
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    let run_t0 = gpu.synchronize();
-    let mut steady_t0 = SimNanos::ZERO;
-    let mut steady_snap = None;
-    let preparing = cfg.preparing_epochs.min(cfg.epochs - 1);
-
-    for epoch in 0..cfg.epochs {
-        let t0 = gpu.synchronize().max(host_cursor);
-        let alloc0 = HostAllocStats::capture();
-        if epoch == preparing {
-            steady_snap = Some(gpu.profiler().snapshot());
-            steady_t0 = t0;
-        }
-        let mut losses = Vec::new();
-        for frame in FrameIter::new(graph, cfg.window) {
-            for i in 0..frame.len() {
-                window.admit(gpu, copy, graph, frame.global_index(i), &mut host_cursor)?;
-            }
-            let mut exec = EsdgExecutor {
-                window: &window,
-                frame_start: frame.start,
-                frame_len: frame.len(),
-                compute,
-            };
-            let mut tape = Tape::new(compute);
-            let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
-            let target = graph.target_for(frame.last_index());
-            losses.push(tape.mse_loss(gpu, out.pred, target));
-            tape.backward_mse(gpu, out.pred, target)?;
-            out.binder.apply_sgd(gpu, compute, &tape, cfg.lr);
-            tape.finish(gpu);
-            window.retire_below(gpu, frame.start + 1);
-        }
-        // epoch boundary: the window restarts at snapshot 0, so the resident
-        // set is rebuilt (the first admit of the next epoch ships a full
-        // topology again, then deltas).
-        window.clear(gpu);
-        let t1 = gpu.synchronize().max(host_cursor);
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        let epoch_peak = gpu.mem().peak();
-        // Same epoch-span schema as the PiPAD trainer, so the pipeline
-        // analyzer (pipad-metrics) can window ESDG runs identically.
-        gpu.trace_mut().span(
-            "epoch",
-            TraceKind::Span,
-            Lane::Control,
-            t0,
-            t1,
-            vec![
-                ("epoch", ArgValue::U64(epoch as u64)),
-                ("preparing", ArgValue::Bool(epoch < preparing)),
-                ("mean_loss", ArgValue::F64(mean_loss as f64)),
-                ("sim_time_ns", ArgValue::U64((t1 - t0).as_nanos())),
-                ("peak_mem", ArgValue::U64(epoch_peak)),
-            ],
-        );
-        epochs.push(EpochReport {
-            epoch,
-            mean_loss,
-            sim_time: t1 - t0,
-            alloc: HostAllocStats::capture().since(&alloc0),
-        });
-    }
-    window.clear(gpu);
-    let run_t1 = gpu.synchronize().max(host_cursor);
-    let steady_snap = steady_snap.unwrap_or_else(|| gpu.profiler().snapshot());
-    let steady = gpu.profiler().window(steady_snap);
-    let steady_epochs = (cfg.epochs - preparing).max(1);
-    Ok(TrainReport {
-        trainer: "ESDG-diff".to_string(),
-        model: model_kind,
-        dataset: graph.name.clone(),
-        epochs,
-        total_time: run_t1 - run_t0,
-        steady_epoch_time: SimNanos::from_nanos(
-            (run_t1 - steady_t0).as_nanos() / steady_epochs as u64,
-        ),
-        steady,
-        peak_mem: gpu.mem().peak(),
+    run_epochs(gpu, model_kind, graph, hidden, cfg, None, |_| EsdgPolicy {
+        window: ResidentWindow {
+            snapshots: HashMap::new(),
+        },
+        preparing: cfg.preparing_epochs.min(cfg.epochs - 1),
     })
+    .map_err(crate::trainer::expect_oom)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! uses pageable copies that stall the device — reproducing the §3.1
 //! bottleneck.
 
-use crate::reuse::ReuseCache;
+use pipad::CpuAggStore;
 use pipad_autograd::{AggregationKernel, Tape, Var};
 use pipad_gpu_sim::{Event, Gpu, KernelCategory, OomError, SimNanos, StreamId};
 use pipad_kernels::{upload_coo, upload_csr_with_csc, upload_matrix, DeviceCsr, DeviceMatrix};
@@ -46,7 +46,7 @@ pub struct StageOptions {
 pub struct BaselineExecutor<'c> {
     slots: Vec<Slot>,
     kernel: AggregationKernel,
-    reuse: Option<&'c mut ReuseCache>,
+    reuse: Option<&'c mut CpuAggStore>,
     compute: StreamId,
 }
 
@@ -59,7 +59,7 @@ impl<'c> BaselineExecutor<'c> {
         gpu: &mut Gpu,
         frame: &[(usize, &Csr, &Matrix)],
         opts: StageOptions,
-        mut reuse: Option<&'c mut ReuseCache>,
+        mut reuse: Option<&'c mut CpuAggStore>,
         compute: StreamId,
         copy: StreamId,
         host_cursor: &mut SimNanos,
@@ -285,7 +285,7 @@ mod tests {
             .enumerate()
             .map(|(i, (a, f))| (i, a, f))
             .collect();
-        let mut cache = ReuseCache::new();
+        let mut cache = CpuAggStore::new();
         let mut host = SimNanos::ZERO;
 
         // pass 1: populate
@@ -341,7 +341,7 @@ mod tests {
             .enumerate()
             .map(|(i, (a, f))| (i, a, f))
             .collect();
-        let mut cache = ReuseCache::new();
+        let mut cache = CpuAggStore::new();
         for (i, (a, f)) in data.iter().enumerate() {
             let norm = normalize_snapshot(a);
             let _ = (norm, f);

@@ -13,19 +13,16 @@
 //!
 //! All four follow the canonical **one-snapshot-at-a-time** paradigm: every
 //! snapshot of every frame is shipped and aggregated individually, which is
-//! exactly the redundancy PiPAD removes.
+//! exactly the redundancy PiPAD removes. They are policies of PiPAD's own
+//! epoch driver ([`pipad::run_epochs`]) — the preparing→steady schedule,
+//! checkpoint/restore and failure rollback are shared, only the per-frame
+//! body differs — and PyGT-R/G's reuse store is PiPAD's CPU tier
+//! ([`pipad::CpuAggStore`]) without the GPU tier above it.
 
-mod checkpoint;
 mod esdg;
 mod executor;
-mod reuse;
 mod trainer;
 
-pub use checkpoint::{
-    baseline_fingerprint, encode_baseline_checkpoint, restore_baseline_checkpoint,
-    BaselineCkptInputs, BaselineRestoredState,
-};
 pub use esdg::train_esdg;
 pub use executor::BaselineExecutor;
-pub use reuse::ReuseCache;
 pub use trainer::{train_baseline, train_baseline_resumable, BaselineKind};

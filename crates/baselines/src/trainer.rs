@@ -1,18 +1,13 @@
-//! End-to-end training loops for the PyGT baseline family.
+//! The PyGT baseline family: four per-frame policies of the shared epoch
+//! driver ([`pipad::run_epochs`]).
 
-use crate::checkpoint::{
-    baseline_fingerprint, encode_baseline_checkpoint, restore_baseline_checkpoint,
-    BaselineCkptInputs,
-};
 use crate::executor::{BaselineExecutor, StageOptions};
-use crate::reuse::ReuseCache;
-use pipad_autograd::{AggregationKernel, Tape};
-use pipad_ckpt::{latest_checkpoint, write_checkpoint, Checkpoint, CheckpointPolicy};
-use pipad_dyngraph::{DynamicGraph, FrameIter};
-use pipad_gpu_sim::{ArgValue, DeviceFault, Gpu, Lane, OomError, SimNanos, TraceKind};
-use pipad_models::{
-    build_model, EpochReport, HostAllocStats, ModelKind, TrainReport, TrainingConfig,
-};
+use pipad::{run_epochs, CkptExtra, CpuAggStore, EpochPolicy, RunCx};
+use pipad_autograd::AggregationKernel;
+use pipad_ckpt::CheckpointPolicy;
+use pipad_dyngraph::{DynamicGraph, Frame};
+use pipad_gpu_sim::{DeviceFault, Gpu, OomError};
+use pipad_models::{ModelKind, TrainReport, TrainingConfig};
 use pipad_sparse::Csr;
 use pipad_tensor::Matrix;
 
@@ -47,25 +42,6 @@ impl BaselineKind {
         BaselineKind::PygtR,
         BaselineKind::PygtG,
     ];
-
-    fn async_transfer(self) -> bool {
-        !matches!(self, BaselineKind::Pygt)
-    }
-
-    fn has_reuse(self) -> bool {
-        matches!(self, BaselineKind::PygtR | BaselineKind::PygtG)
-    }
-
-    fn kernel(self) -> AggregationKernel {
-        match self {
-            BaselineKind::PygtG => AggregationKernel::GeSpmm,
-            _ => AggregationKernel::CooScatter,
-        }
-    }
-
-    fn with_csc(self) -> bool {
-        matches!(self, BaselineKind::PygtG)
-    }
 }
 
 /// Train `model_kind` on `graph` with the chosen baseline and return the
@@ -78,10 +54,16 @@ pub fn train_baseline(
     hidden: usize,
     cfg: &TrainingConfig,
 ) -> Result<TrainReport, OomError> {
-    train_baseline_resumable(gpu, kind, model_kind, graph, hidden, cfg, None).map_err(|e| match e {
+    train_baseline_resumable(gpu, kind, model_kind, graph, hidden, cfg, None).map_err(expect_oom)
+}
+
+/// The non-resumable entry points promise `OomError`: without a fault plan
+/// on the device nothing else can come out of the epoch driver.
+pub(crate) fn expect_oom(fault: DeviceFault) -> OomError {
+    match fault {
         DeviceFault::Oom(oom) => oom,
         other => panic!("baseline trainer without a fault plan raised {other}"),
-    })
+    }
 }
 
 /// [`train_baseline`] with checkpoint/restore: when `checkpoint` is set,
@@ -89,8 +71,9 @@ pub fn train_baseline(
 /// directory (if any) before the epoch loop and writes one every
 /// `every_epochs` epochs. A run killed by an injected `crash` fault and
 /// resumed this way produces bit-identical losses to an uninterrupted
-/// run — the same contract `train_pipad` holds, minus the trace clause
-/// (baselines keep the device's kernel/transfer trace only).
+/// run — the same contract `train_pipad` holds (both run on
+/// [`pipad::run_epochs`]), minus the trace clause (baselines keep the
+/// device's kernel/transfer trace only).
 pub fn train_baseline_resumable(
     gpu: &mut Gpu,
     kind: BaselineKind,
@@ -100,180 +83,87 @@ pub fn train_baseline_resumable(
     cfg: &TrainingConfig,
     checkpoint: Option<&CheckpointPolicy>,
 ) -> Result<TrainReport, DeviceFault> {
-    let compute = gpu.default_stream();
-    let copy = gpu.create_stream();
-    let model = build_model(gpu, model_kind, graph.feature_dim(), hidden, cfg.seed)?;
-    let mut reuse = if kind.has_reuse() {
-        Some(ReuseCache::new())
-    } else {
-        None
-    };
-    let opts = StageOptions {
-        async_transfer: kind.async_transfer(),
-        with_csc: kind.with_csc(),
-        kernel: kind.kernel(),
-        needs_adjacency_when_cached: model.needs_hidden_aggregation(),
-    };
-
-    let mut host_cursor = SimNanos::ZERO;
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut steady_snap = None;
-    let mut steady_t0 = SimNanos::ZERO;
-    let run_t0 = gpu.synchronize();
-
-    // ---- restore-on-start --------------------------------------------------
-    // Same scheme as `train_pipad`: the prologue above rebuilt the model
-    // deterministically; restore overwrites parameter values in place,
-    // refills the CPU reuse cache, then rewinds the device clock + host
-    // cursor so resumed epochs land on the original simulated timeline.
-    let fingerprint = baseline_fingerprint(kind, model_kind, &graph.name, hidden, cfg);
-    let mut start_epoch = 0usize;
-    if let Some(policy) = checkpoint {
-        if let Some((ck_epoch, path)) =
-            latest_checkpoint(&policy.dir).expect("checkpoint directory unreadable")
-        {
-            let ckpt = Checkpoint::read(&path)
-                .unwrap_or_else(|e| panic!("checkpoint {} is unreadable: {e}", path.display()));
-            let restored =
-                restore_baseline_checkpoint(&ckpt, &fingerprint, model.as_ref(), reuse.as_mut())
-                    .unwrap_or_else(|e| {
-                        panic!("checkpoint {} failed to restore: {e}", path.display())
-                    });
-            steady_t0 = restored.steady_t0;
-            epochs = restored.epochs_done;
-            start_epoch = restored.next_epoch;
-            let t = gpu.now().max(host_cursor);
-            gpu.trace_mut().instant(
-                "checkpoint_restore",
-                Lane::Control,
-                t,
-                vec![
-                    ("epoch", ArgValue::U64(ck_epoch as u64)),
-                    ("next_epoch", ArgValue::U64(start_epoch as u64)),
-                ],
-            );
-            gpu.restore_clock(&restored.clock);
-            host_cursor = restored.host_cursor;
+    // §5.1: each variant switches on one more mechanism than the last.
+    let gespmm = kind == BaselineKind::PygtG;
+    let has_reuse = gespmm || kind == BaselineKind::PygtR;
+    run_epochs(gpu, model_kind, graph, hidden, cfg, checkpoint, |cx| {
+        BaselinePolicy {
+            kind,
+            preparing: cfg.preparing_epochs.min(cfg.epochs - 1),
+            opts: StageOptions {
+                async_transfer: kind != BaselineKind::Pygt,
+                // GE-SpMM's backward needs the CSC copy resident too.
+                with_csc: gespmm,
+                kernel: if gespmm {
+                    AggregationKernel::GeSpmm
+                } else {
+                    AggregationKernel::CooScatter
+                },
+                needs_adjacency_when_cached: cx.model.needs_hidden_aggregation(),
+            },
+            reuse: has_reuse.then(CpuAggStore::new),
         }
-    }
-
-    for epoch in start_epoch..cfg.epochs {
-        let t0 = gpu.synchronize().max(host_cursor);
-        let alloc0 = HostAllocStats::capture();
-        if epoch == cfg.preparing_epochs.min(cfg.epochs - 1) {
-            steady_snap = Some(gpu.profiler().snapshot());
-            steady_t0 = t0;
-        }
-        let mut losses = Vec::new();
-        for frame in FrameIter::new(graph, cfg.window) {
-            let frame_slots: Vec<(usize, &Csr, &Matrix)> = frame
-                .snapshots()
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (frame.global_index(i), &s.adj, &s.features))
-                .collect();
-            let mut exec = BaselineExecutor::stage(
-                gpu,
-                &frame_slots,
-                opts,
-                reuse.as_mut(),
-                compute,
-                copy,
-                &mut host_cursor,
-            )?;
-            let mut tape = Tape::new(compute);
-            let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
-            let target = graph.target_for(frame.last_index());
-            losses.push(tape.mse_loss(gpu, out.pred, target));
-            tape.backward_mse(gpu, out.pred, target)?;
-            out.binder.apply_sgd(gpu, compute, &tape, cfg.lr);
-            tape.finish(gpu);
-            exec.finish(gpu);
-            if let Some(c) = gpu.take_crash() {
-                return Err(DeviceFault::Crash(c));
-            }
-        }
-        let t1 = gpu.synchronize().max(host_cursor);
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        let epoch_peak = gpu.mem().peak();
-        // Same epoch-span schema as the PiPAD trainer, so the pipeline
-        // analyzer (pipad-metrics) can window baseline runs identically.
-        gpu.trace_mut().span(
-            "epoch",
-            TraceKind::Span,
-            Lane::Control,
-            t0,
-            t1,
-            vec![
-                ("epoch", ArgValue::U64(epoch as u64)),
-                (
-                    "preparing",
-                    ArgValue::Bool(epoch < cfg.preparing_epochs.min(cfg.epochs - 1)),
-                ),
-                ("mean_loss", ArgValue::F64(mean_loss as f64)),
-                ("sim_time_ns", ArgValue::U64((t1 - t0).as_nanos())),
-                ("peak_mem", ArgValue::U64(epoch_peak)),
-            ],
-        );
-        epochs.push(EpochReport {
-            epoch,
-            mean_loss,
-            sim_time: t1 - t0,
-            alloc: HostAllocStats::capture().since(&alloc0),
-        });
-
-        if let Some(policy) = checkpoint {
-            if policy.should_write(epoch) {
-                let writer = encode_baseline_checkpoint(&BaselineCkptInputs {
-                    fingerprint: &fingerprint,
-                    next_epoch: epoch + 1,
-                    steady_t0,
-                    clock: gpu.clock(),
-                    host_cursor,
-                    model: model.as_ref(),
-                    reuse: reuse.as_ref(),
-                    fault_stats: gpu.fault_stats(),
-                    epochs_done: &epochs,
-                    gen_config: policy.gen_config.as_ref(),
-                });
-                let (_, bytes) = write_checkpoint(&policy.dir, epoch, writer, policy.keep)
-                    .expect("checkpoint write failed");
-                gpu.trace_mut().instant(
-                    "checkpoint_write",
-                    Lane::Control,
-                    t1,
-                    vec![
-                        ("epoch", ArgValue::U64(epoch as u64)),
-                        ("bytes", ArgValue::U64(bytes)),
-                    ],
-                );
-            }
-        }
-    }
-
-    let run_t1 = gpu.synchronize().max(host_cursor);
-    let steady_snap = steady_snap.unwrap_or_else(|| gpu.profiler().snapshot());
-    let steady = gpu.profiler().window(steady_snap);
-    let steady_epochs = (cfg.epochs - cfg.preparing_epochs.min(cfg.epochs - 1)).max(1);
-    Ok(TrainReport {
-        trainer: kind.name().to_string(),
-        model: model_kind,
-        dataset: graph.name.clone(),
-        epochs,
-        total_time: run_t1 - run_t0,
-        steady_epoch_time: SimNanos::from_nanos(
-            (run_t1 - steady_t0).as_nanos() / steady_epochs as u64,
-        ),
-        steady,
-        peak_mem: gpu.mem().peak(),
     })
+}
+
+/// The PyGT family as a policy of [`run_epochs`]: one snapshot at a time,
+/// no per-frame recovery, no epoch-boundary work.
+struct BaselinePolicy {
+    kind: BaselineKind,
+    preparing: usize,
+    opts: StageOptions,
+    /// Layer-1 aggregation store (PyGT-R / PyGT-G): results stay in CPU
+    /// memory, so a hit skips the aggregation kernel but the cached matrix
+    /// still crosses PCIe each time (§4.4).
+    reuse: Option<CpuAggStore>,
+}
+
+impl EpochPolicy for BaselinePolicy {
+    fn trainer(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    fn preparing(&self) -> usize {
+        self.preparing
+    }
+
+    fn ckpt(&mut self) -> &mut dyn CkptExtra {
+        &mut self.reuse
+    }
+
+    fn frame(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        _epoch: usize,
+        _fi: usize,
+        frame: &Frame<'_>,
+    ) -> Result<f32, DeviceFault> {
+        let frame_slots: Vec<(usize, &Csr, &Matrix)> = frame
+            .snapshots()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (frame.global_index(i), &s.adj, &s.features))
+            .collect();
+        let mut exec = BaselineExecutor::stage(
+            cx.gpu,
+            &frame_slots,
+            self.opts,
+            self.reuse.as_mut(),
+            cx.compute,
+            cx.copy,
+            &mut cx.host_cursor,
+        )?;
+        let loss = cx.step(&mut exec, frame)?;
+        exec.finish(cx.gpu);
+        Ok(loss)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pipad_dyngraph::{DatasetId, Scale};
-    use pipad_gpu_sim::DeviceConfig;
+    use pipad_gpu_sim::{DeviceConfig, SimNanos};
 
     fn tiny_graph() -> DynamicGraph {
         DatasetId::Covid19England.gen_config(Scale::Tiny).generate()

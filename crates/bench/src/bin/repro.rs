@@ -15,7 +15,6 @@
 //!   fig11    parallel-GNN detailed analysis + thread utilization
 //!   fig12    sliced-CSR load balance + ablation speedup
 //!   ablation hardware-sensitivity + per-mechanism ablations (extension)
-//!   host_parallel  serial-vs-pool wall-clock of the host numerics layer
 //!   trace    Chrome-trace timeline of one pipelined run (Perfetto-loadable)
 //!   chaos    deterministic fault injection + recovery demonstration
 //!   resume   kill-and-resume determinism (checkpoint/restore bit-identity)
@@ -35,8 +34,8 @@
 //! (default `results/`).
 
 use pipad_bench::{
-    ablation, alloc, breakdown, chaos, fig11, fig12, fig5, fig9, grid, host_parallel, multigpu,
-    profile, resume, serve, table1, trace, RunScale,
+    ablation, alloc, breakdown, chaos, fig11, fig12, fig5, fig9, grid, multigpu, profile, resume,
+    serve, table1, trace, RunScale,
 };
 use pipad_tensor::CountingAllocator;
 
@@ -153,22 +152,6 @@ fn main() {
         }
         "fig12" => emit(&args.out_dir, "fig12", &fig12::run(args.scale)),
         "ablation" => emit(&args.out_dir, "ablation", &ablation::run(args.scale)),
-        "host_parallel" => {
-            let nodes = match args.scale {
-                RunScale::Tiny => 512,
-                RunScale::Laptop => 4096,
-            };
-            let rows = host_parallel::measure(nodes);
-            emit(
-                &args.out_dir,
-                "host_parallel",
-                &host_parallel::render(&rows),
-            );
-            fs::create_dir_all(&args.out_dir).ok();
-            let path = args.out_dir.join("host_parallel.json");
-            fs::write(&path, host_parallel::render_json(&rows)).expect("write host_parallel.json");
-            eprintln!("[repro] wrote {}", path.display());
-        }
         "trace" => {
             let art = trace::run(args.scale);
             emit(&args.out_dir, "trace_fig11", &art.summary);

@@ -37,7 +37,6 @@ pub mod fig12;
 pub mod fig5;
 pub mod fig9;
 pub mod grid;
-pub mod host_parallel;
 pub mod multigpu;
 pub mod profile;
 pub mod resume;

@@ -36,6 +36,7 @@ use pipad_serve::{
 };
 use pipad_tensor::with_pool_enabled;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hidden dimension for every leg.
 const HIDDEN: usize = 16;
@@ -235,7 +236,15 @@ fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
 fn serve_leg(reg: &mut MetricsRegistry, scale: RunScale) {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config(scale);
-    let dir = std::env::temp_dir().join(format!("pipad-profile-{}", std::process::id()));
+    // Keyed by pid *and* a process-wide counter: two measurements running
+    // on parallel test threads of one process must not share (and delete)
+    // each other's checkpoint directory.
+    static NEXT_DIR: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pipad-profile-{}-{}",
+        std::process::id(),
+        NEXT_DIR.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut tg = Gpu::new(DeviceConfig::v100());

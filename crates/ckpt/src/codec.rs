@@ -141,6 +141,28 @@ impl<'a> Reader<'a> {
 
 // ---- typed codecs ---------------------------------------------------------
 
+/// Encode a counted list: the length (`u64`), then every item via `put`.
+pub fn put_list<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u64(buf, items.len() as u64);
+    for item in items {
+        put(buf, item);
+    }
+}
+
+/// Decode a [`put_list`] payload. The length comes from the file, so the
+/// up-front reservation is capped by the bytes actually left to read.
+pub fn get_list<T>(
+    r: &mut Reader<'_>,
+    mut get: impl FnMut(&mut Reader<'_>) -> Result<T, CkptError>,
+) -> Result<Vec<T>, CkptError> {
+    let n = r.get_usize()?;
+    let mut items = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        items.push(get(r)?);
+    }
+    Ok(items)
+}
+
 /// Encode a dense matrix: `rows`, `cols` (`u64` each) then row-major raw
 /// `f32` bits.
 pub fn put_matrix(buf: &mut Vec<u8>, m: &Matrix) {

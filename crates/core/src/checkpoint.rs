@@ -1,41 +1,49 @@
-//! Checkpoint assembly for the PiPAD trainer (§3.14 of DESIGN.md).
+//! The checkpoint codec shared by every single-device trainer (§3.14 of
+//! DESIGN.md).
 //!
-//! A PiPAD checkpoint captures everything the trainer needs to continue a
-//! run *on the same simulated timeline*: model parameters, the dynamic
-//! tuner's decisions and profiling inputs, both tiers of the inter-frame
-//! reuse state, fault-recovery flags, the per-epoch loss history, the
-//! device clock (lane cursors + op counters) and the trainer's host
-//! cursor. Restoring replays none of the computation — parameters and
-//! cache entries are stored back in place, the analyzer/catalog are
-//! recomputed deterministically by the prologue, and the final
-//! [`pipad_gpu_sim::Gpu::restore_clock`] erases the prologue's timestamp
-//! and counter perturbations. The result: a killed-and-resumed run emits
-//! bit-identical losses and byte-identical steady-epoch trace windows.
+//! A checkpoint captures everything a trainer needs to continue a run *on
+//! the same simulated timeline*: model parameters, the per-epoch loss
+//! history, the device clock (lane cursors + op counters), the trainer's
+//! host cursor — written here, once, for all trainers — plus whatever the
+//! trainer itself carries across epochs, contributed through
+//! [`CkptExtra`]: PiPAD's tuner decisions, recovery flags and both reuse
+//! tiers; PyGT-R/G's CPU aggregation store. Restoring replays none of the
+//! computation — parameters and cache entries are stored back in place,
+//! one-off preparation is recomputed deterministically by the prologue,
+//! and the final [`pipad_gpu_sim::Gpu::restore_clock`] erases the
+//! prologue's timestamp and counter perturbations. The result: a
+//! killed-and-resumed run emits bit-identical losses and byte-identical
+//! steady-epoch trace windows.
 //!
-//! Section layout (all encoded with [`pipad_ckpt::codec`]):
+//! Section layout, in file order (all encoded with [`pipad_ckpt::codec`]):
 //!
-//! | section     | contents                                                  |
-//! |-------------|-----------------------------------------------------------|
-//! | `meta`      | run fingerprint, next epoch, recovery flags, cache stats  |
-//! | `clock`     | [`DeviceClock`] + host cursor                             |
-//! | `params`    | named parameter matrices (raw f32 bits)                   |
-//! | `tuner`     | `S_per` decisions, frame profiles, straggler baselines    |
-//! | `reuse_cpu` | CPU-tier aggregation store (snapshot → matrix)            |
-//! | `reuse_gpu` | GPU-tier cache contents (snapshot → matrix)               |
-//! | `faults`    | [`FaultStats`] observed so far (provenance)               |
-//! | `epochs`    | per-epoch (index, loss bits, simulated time)              |
-//! | `gen_config`| dataset generator provenance (optional)                   |
+//! | section     | written by | contents                                        |
+//! |-------------|------------|-------------------------------------------------|
+//! | `meta`      | codec      | run fingerprint, next epoch, steady-phase `t0`  |
+//! |             | + PiPAD    | … recovery flags, GPU-tier budget and counters  |
+//! |             | + PyGT-*   | … CPU-store hit/miss counters (zeros w/o reuse) |
+//! | `clock`     | codec      | [`DeviceClock`] + host cursor                   |
+//! | `params`    | codec      | named parameter matrices (raw f32 bits)         |
+//! | `tuner`     | PiPAD      | `S_per` decisions, frame profiles, straggler baselines |
+//! | `reuse_cpu` | PiPAD, PyGT-R/G | CPU-tier aggregation store (snapshot → matrix) |
+//! | `reuse_gpu` | PiPAD      | GPU-tier cache contents (snapshot → matrix)     |
+//! | `faults`    | codec      | [`pipad_gpu_sim::FaultStats`] so far (provenance)  |
+//! | `epochs`    | codec      | per-epoch (index, loss bits, simulated time)    |
+//! | `gen_config`| codec      | dataset generator provenance (optional)         |
 
-use crate::reuse::InterFrameReuse;
+use crate::driver::RunCx;
+use crate::reuse::{CpuAggStore, InterFrameReuse};
+use crate::trainer::PipadState;
 use crate::tuner::FrameProfile;
 use pipad_ckpt::codec::{
-    get_device_clock, get_fault_stats, get_gen_config, get_matrix, put_bool, put_device_clock,
-    put_fault_stats, put_gen_config, put_matrix, put_str, put_u32, put_u64, Reader,
+    get_device_clock, get_fault_stats, get_gen_config, get_list, get_matrix, put_bool,
+    put_device_clock, put_fault_stats, put_gen_config, put_list, put_matrix, put_str, put_u32,
+    put_u64, Reader,
 };
 pub use pipad_ckpt::RunFingerprint;
 use pipad_ckpt::{Checkpoint, CheckpointWriter, CkptError};
 use pipad_dyngraph::GenConfig;
-use pipad_gpu_sim::{DeviceClock, FaultStats, Gpu, SimNanos};
+use pipad_gpu_sim::{DeviceClock, Gpu, SimNanos};
 use pipad_models::{DgnnModel, EpochReport, ModelKind, TrainingConfig};
 
 /// Fingerprint of a run of `trainer` on `dataset` with these
@@ -60,185 +68,251 @@ pub fn run_fingerprint(
     }
 }
 
-/// Borrowed view of the trainer's state at an epoch boundary — everything
-/// [`encode_checkpoint`] serializes.
-pub struct CkptInputs<'a> {
-    /// Run identity.
-    pub fingerprint: &'a RunFingerprint,
-    /// First epoch a resumed run executes (the checkpointed epoch + 1).
-    pub next_epoch: usize,
-    /// Timestamp of the first steady epoch (zero while still preparing).
-    pub steady_t0: SimNanos,
-    /// Permanent sequential fallback tripped?
-    pub sequential_mode: bool,
-    /// Consecutive straggling frames seen.
-    pub slow_frames: u32,
-    /// Optimizer steps skipped by NaN-recovery.
-    pub skipped_steps: u64,
-    /// Device timeline (cursors + op counters).
-    pub clock: DeviceClock,
-    /// Host-side preparation cursor.
-    pub host_cursor: SimNanos,
-    /// The model whose parameters are saved.
-    pub model: &'a dyn DgnnModel,
-    /// Both tiers of inter-frame reuse state.
-    pub reuse: &'a InterFrameReuse,
-    /// Tuner decisions (empty while preparing).
-    pub decisions: &'a [usize],
-    /// Preparing-epoch frame profiles.
-    pub frame_profiles: &'a [FrameProfile],
-    /// First-steady-epoch frame wall times (straggler baselines).
-    pub frame_walls: &'a [SimNanos],
-    /// Fault-injection statistics observed so far.
-    pub fault_stats: FaultStats,
-    /// Completed epochs.
-    pub epochs_done: &'a [EpochReport],
-    /// Dataset generator provenance.
-    pub gen_config: Option<&'a GenConfig>,
+/// Trainer state checkpointed on top of the common sections. Every method
+/// defaults to "nothing to add"; the encode and restore halves must mirror
+/// each other field for field.
+pub trait CkptExtra {
+    /// Append trainer fields to the `meta` section, after the common
+    /// prefix (fingerprint, next epoch, steady-phase `t0`).
+    fn put_meta(&self, _meta: &mut Vec<u8>) {}
+
+    /// Write the trainer's own sections (they land between `params` and
+    /// `faults`).
+    fn put_sections(&self, _w: &mut CheckpointWriter) {}
+
+    /// Read back what [`CkptExtra::put_meta`] appended.
+    fn get_meta(&mut self, _r: &mut Reader<'_>) -> Result<(), CkptError> {
+        Ok(())
+    }
+
+    /// Read back what [`CkptExtra::put_sections`] wrote. Device-resident
+    /// state is re-uploaded via the same allocation path the live run used.
+    fn get_sections(&mut self, _gpu: &mut Gpu, _ckpt: &Checkpoint) -> Result<(), CkptError> {
+        Ok(())
+    }
 }
 
-/// Serialize the trainer state into a [`CheckpointWriter`]. Section
-/// staging buffers are sized exactly, so in a steady-state epoch every
-/// buffer comes from (and returns to) the byte pool without heap growth.
-pub fn encode_checkpoint(inputs: &CkptInputs<'_>) -> CheckpointWriter {
+fn put_cpu_store(w: &mut CheckpointWriter, store: &CpuAggStore) {
+    let entries = store.entries_sorted();
+    let cap: usize = 8 + entries
+        .iter()
+        .map(|(_, m)| 24 + m.bytes() as usize)
+        .sum::<usize>();
+    put_list(w.section_sized("reuse_cpu", cap), &entries, |s, &(k, m)| {
+        put_u64(s, k as u64);
+        put_matrix(s, m);
+    });
+}
+
+fn get_cpu_store(ckpt: &Checkpoint, store: &mut CpuAggStore) -> Result<(), CkptError> {
+    let mut r = Reader::new(ckpt.require("reuse_cpu")?);
+    for (snapshot, m) in get_list(&mut r, |r| Ok((r.get_usize()?, get_matrix(r)?)))? {
+        store.insert(snapshot, m);
+    }
+    r.finish()
+}
+
+/// The PyGT family: an optional CPU aggregation store (`Some` for
+/// PyGT-R / PyGT-G) and its lookup counters.
+impl CkptExtra for Option<CpuAggStore> {
+    fn put_meta(&self, meta: &mut Vec<u8>) {
+        put_u64(meta, self.as_ref().map_or(0, CpuAggStore::hits));
+        put_u64(meta, self.as_ref().map_or(0, CpuAggStore::misses));
+    }
+
+    fn put_sections(&self, w: &mut CheckpointWriter) {
+        if let Some(store) = self {
+            put_cpu_store(w, store);
+        }
+    }
+
+    fn get_meta(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
+        let (hits, misses) = (r.get_u64()?, r.get_u64()?);
+        if let Some(store) = self {
+            store.restore_counters(hits, misses);
+        }
+        Ok(())
+    }
+
+    fn get_sections(&mut self, _gpu: &mut Gpu, ckpt: &Checkpoint) -> Result<(), CkptError> {
+        match self {
+            Some(store) => get_cpu_store(ckpt, store),
+            None => Ok(()),
+        }
+    }
+}
+
+/// PiPAD: recovery flags and GPU-tier statistics in `meta`, then the
+/// `tuner`, `reuse_cpu` and `reuse_gpu` sections.
+impl CkptExtra for PipadState {
+    fn put_meta(&self, meta: &mut Vec<u8>) {
+        put_bool(meta, self.sequential_mode);
+        put_u32(meta, self.slow_frames);
+        put_u64(meta, self.skipped_steps);
+        put_u64(meta, self.reuse.gpu_cache.budget());
+        put_u64(meta, self.reuse.gpu_cache.hits());
+        put_u64(meta, self.reuse.gpu_cache.misses());
+    }
+
+    fn put_sections(&self, w: &mut CheckpointWriter) {
+        let tuner = w.section_sized(
+            "tuner",
+            24 + 8 * self.decisions.len()
+                + 24 * self.frame_profiles.len()
+                + 8 * self.frame_walls.len(),
+        );
+        put_list(tuner, &self.decisions, |s, &d| put_u64(s, d as u64));
+        put_list(tuner, &self.frame_profiles, |s, p| {
+            put_u64(s, p.peak_mem_one_snapshot);
+            put_u64(s, p.compute_time.as_nanos());
+            put_u64(s, p.transfer_bytes);
+        });
+        put_list(tuner, &self.frame_walls, |s, w| put_u64(s, w.as_nanos()));
+
+        put_cpu_store(w, &self.reuse.cpu);
+
+        let gpu_cache = &self.reuse.gpu_cache;
+        let s = w.section_sized(
+            "reuse_gpu",
+            8 + gpu_cache.used() as usize + 24 * gpu_cache.len(),
+        );
+        put_u64(s, gpu_cache.len() as u64);
+        gpu_cache.for_each_host(|snapshot, m| {
+            put_u64(s, snapshot as u64);
+            put_matrix(s, m);
+        });
+    }
+
+    fn get_meta(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
+        self.sequential_mode = r.get_bool()?;
+        self.slow_frames = r.get_u32()?;
+        self.skipped_steps = r.get_u64()?;
+        self.reuse.gpu_cache.set_budget(r.get_u64()?);
+        let (hits, misses) = (r.get_u64()?, r.get_u64()?);
+        self.reuse.gpu_cache.restore_counters(hits, misses);
+        Ok(())
+    }
+
+    fn get_sections(&mut self, gpu: &mut Gpu, ckpt: &Checkpoint) -> Result<(), CkptError> {
+        let mut r = Reader::new(ckpt.require("tuner")?);
+        self.decisions = get_list(&mut r, |r| r.get_usize())?;
+        self.frame_profiles = get_list(&mut r, |r| {
+            Ok(FrameProfile {
+                peak_mem_one_snapshot: r.get_u64()?,
+                compute_time: SimNanos::from_nanos(r.get_u64()?),
+                transfer_bytes: r.get_u64()?,
+            })
+        })?;
+        self.frame_walls = get_list(&mut r, |r| Ok(SimNanos::from_nanos(r.get_u64()?)))?;
+        r.finish()?;
+
+        get_cpu_store(ckpt, &mut self.reuse.cpu)?;
+
+        let mut r = Reader::new(ckpt.require("reuse_gpu")?);
+        let n = r.get_usize()?;
+        for _ in 0..n {
+            let snapshot = r.get_usize()?;
+            let m = get_matrix(&mut r)?;
+            let kept = self
+                .reuse
+                .gpu_cache
+                .put(gpu, snapshot, m)
+                .map_err(|_| CkptError::Malformed("device OOM while restoring reuse cache"))?;
+            if !kept {
+                return Err(CkptError::Malformed("reuse entry exceeds restored budget"));
+            }
+        }
+        r.finish()
+    }
+}
+
+/// Serialize the run `cx` at the end of epoch `next_epoch - 1` into a
+/// [`CheckpointWriter`]: the common sections from the run itself, the
+/// trainer's own through `extra`. Section staging buffers are sized
+/// exactly, so in a steady-state epoch every buffer comes from (and
+/// returns to) the byte pool without heap growth.
+pub(crate) fn encode_checkpoint(
+    cx: &RunCx<'_>,
+    fingerprint: &RunFingerprint,
+    next_epoch: usize,
+    steady_t0: SimNanos,
+    epochs_done: &[EpochReport],
+    gen_config: Option<&GenConfig>,
+    extra: &dyn CkptExtra,
+) -> CheckpointWriter {
     let mut w = CheckpointWriter::new();
 
-    let meta = w.section_sized("meta", 64 + inputs.fingerprint.encoded_len());
-    inputs.fingerprint.put(meta);
-    put_u64(meta, inputs.next_epoch as u64);
-    put_u64(meta, inputs.steady_t0.as_nanos());
-    put_bool(meta, inputs.sequential_mode);
-    put_u32(meta, inputs.slow_frames);
-    put_u64(meta, inputs.skipped_steps);
-    put_u64(meta, inputs.reuse.gpu_cache.budget());
-    put_u64(meta, inputs.reuse.gpu_cache.hits());
-    put_u64(meta, inputs.reuse.gpu_cache.misses());
+    let meta = w.section_sized("meta", 64 + fingerprint.encoded_len());
+    fingerprint.put(meta);
+    put_u64(meta, next_epoch as u64);
+    put_u64(meta, steady_t0.as_nanos());
+    extra.put_meta(meta);
 
-    let clock = w.section_sized("clock", 48 + 8 * inputs.clock.streams.len());
-    put_device_clock(clock, &inputs.clock);
-    put_u64(clock, inputs.host_cursor.as_nanos());
+    let clock = cx.gpu.clock();
+    let s = w.section_sized("clock", 48 + 8 * clock.streams.len());
+    put_device_clock(s, &clock);
+    put_u64(s, cx.host_cursor.as_nanos());
 
-    let params = inputs.model.params();
+    let params = cx.model.params();
     let cap: usize = 8 + params
         .iter()
         .map(|p| 4 + p.name.len() + 16 + p.value.borrow().bytes() as usize)
         .sum::<usize>();
-    let s = w.section_sized("params", cap);
-    put_u64(s, params.len() as u64);
-    for p in &params {
+    put_list(w.section_sized("params", cap), &params, |s, p| {
         put_str(s, &p.name);
-        let dm = p.value.borrow();
-        put_matrix(s, dm.host());
-    }
-
-    let tuner = w.section_sized(
-        "tuner",
-        24 + 8 * inputs.decisions.len()
-            + 24 * inputs.frame_profiles.len()
-            + 8 * inputs.frame_walls.len(),
-    );
-    put_u64(tuner, inputs.decisions.len() as u64);
-    for &d in inputs.decisions {
-        put_u64(tuner, d as u64);
-    }
-    put_u64(tuner, inputs.frame_profiles.len() as u64);
-    for p in inputs.frame_profiles {
-        put_u64(tuner, p.peak_mem_one_snapshot);
-        put_u64(tuner, p.compute_time.as_nanos());
-        put_u64(tuner, p.transfer_bytes);
-    }
-    put_u64(tuner, inputs.frame_walls.len() as u64);
-    for &wall in inputs.frame_walls {
-        put_u64(tuner, wall.as_nanos());
-    }
-
-    let cpu_entries = inputs.reuse.cpu.entries_sorted();
-    let cap: usize = 8 + cpu_entries
-        .iter()
-        .map(|(_, m)| 24 + m.bytes() as usize)
-        .sum::<usize>();
-    let s = w.section_sized("reuse_cpu", cap);
-    put_u64(s, cpu_entries.len() as u64);
-    for (snapshot, m) in cpu_entries {
-        put_u64(s, snapshot as u64);
-        put_matrix(s, m);
-    }
-
-    let cap = 8 + inputs.reuse.gpu_cache.used() as usize + 24 * inputs.reuse.gpu_cache.len();
-    let s = w.section_sized("reuse_gpu", cap);
-    put_u64(s, inputs.reuse.gpu_cache.len() as u64);
-    inputs.reuse.gpu_cache.for_each_host(|snapshot, m| {
-        put_u64(s, snapshot as u64);
-        put_matrix(s, m);
+        put_matrix(s, p.value.borrow().host());
     });
 
-    let faults = w.section_sized("faults", 40);
-    put_fault_stats(faults, &inputs.fault_stats);
+    extra.put_sections(&mut w);
 
-    let s = w.section_sized("epochs", 8 + 20 * inputs.epochs_done.len());
-    put_u64(s, inputs.epochs_done.len() as u64);
-    for e in inputs.epochs_done {
+    put_fault_stats(w.section_sized("faults", 40), &cx.gpu.fault_stats());
+
+    let s = w.section_sized("epochs", 8 + 20 * epochs_done.len());
+    put_list(s, epochs_done, |s, e| {
         // HostAllocStats are deliberately NOT encoded: heap counters vary
         // with `PIPAD_THREADS` and allocator state, and the resume
         // contract is thread-invariant. Restored epochs report zeros.
         put_u64(s, e.epoch as u64);
         put_u32(s, e.mean_loss.to_bits());
         put_u64(s, e.sim_time.as_nanos());
-    }
+    });
 
-    if let Some(g) = inputs.gen_config {
+    if let Some(g) = gen_config {
         let s = w.section_sized("gen_config", 80 + g.name.len());
         put_gen_config(s, g);
     }
     w
 }
 
-/// Trainer state handed back by [`restore_checkpoint`] — the loop
-/// variables `train_pipad` seeds itself with before entering the epoch
-/// loop at `next_epoch`.
+/// The trainer-independent state a restore hands back — what the epoch
+/// driver seeds itself with before entering the loop at `next_epoch`.
 pub struct RestoredState {
     /// First epoch to execute.
     pub next_epoch: usize,
     /// Timestamp of the first steady epoch.
     pub steady_t0: SimNanos,
-    /// Sequential fallback already tripped?
-    pub sequential_mode: bool,
-    /// Consecutive straggling frames.
-    pub slow_frames: u32,
-    /// Optimizer steps skipped so far.
-    pub skipped_steps: u64,
     /// Device timeline to restore *after* the prologue finishes.
     pub clock: DeviceClock,
     /// Host cursor to restore together with the clock.
     pub host_cursor: SimNanos,
-    /// Tuner decisions.
-    pub decisions: Vec<usize>,
-    /// Preparing-epoch frame profiles.
-    pub frame_profiles: Vec<FrameProfile>,
-    /// Straggler baselines.
-    pub frame_walls: Vec<SimNanos>,
     /// Completed epochs (alloc counters zeroed — see encoding note).
     pub epochs_done: Vec<EpochReport>,
-    /// Fault statistics at checkpoint time (provenance only).
-    pub fault_stats: FaultStats,
-    /// Dataset provenance, if the policy embedded one.
-    pub gen_config: Option<GenConfig>,
 }
 
-/// Restore a checkpoint into a freshly built model and empty reuse state.
+/// Restore a checkpoint into a freshly built model and a fresh `extra`.
 ///
-/// Parameters are stored back in place (no kernels, no transfers), cache
-/// entries are re-uploaded via the same allocation path the live run
-/// used, and counters/cursors are returned in [`RestoredState`] for the
-/// caller to apply via [`Gpu::restore_clock`] once the prologue is done.
-/// Fails with a typed [`CkptError`] on fingerprint mismatch, unknown
-/// parameter names, or shape mismatches — never panics on foreign files.
-pub fn restore_checkpoint(
+/// Parameters are stored back in place (no kernels, no transfers), the
+/// trainer's own state goes through `extra`, and counters/cursors are
+/// returned in [`RestoredState`] for the caller to apply via
+/// [`Gpu::restore_clock`] once the prologue is done. Fails with a typed
+/// [`CkptError`] on fingerprint mismatch, unknown parameter names, or
+/// shape mismatches — never panics on foreign files.
+pub(crate) fn restore_run(
     gpu: &mut Gpu,
     ckpt: &Checkpoint,
     expect: &RunFingerprint,
     model: &dyn DgnnModel,
-    reuse: &mut InterFrameReuse,
+    extra: &mut dyn CkptExtra,
 ) -> Result<RestoredState, CkptError> {
     let mut r = Reader::new(ckpt.require("meta")?);
     let fingerprint = RunFingerprint::get(&mut r)?;
@@ -249,12 +323,7 @@ pub fn restore_checkpoint(
     }
     let next_epoch = r.get_usize()?;
     let steady_t0 = SimNanos::from_nanos(r.get_u64()?);
-    let sequential_mode = r.get_bool()?;
-    let slow_frames = r.get_u32()?;
-    let skipped_steps = r.get_u64()?;
-    let gpu_cache_budget = r.get_u64()?;
-    let gpu_cache_hits = r.get_u64()?;
-    let gpu_cache_misses = r.get_u64()?;
+    extra.get_meta(&mut r)?;
     r.finish()?;
 
     let mut r = Reader::new(ckpt.require("clock")?);
@@ -285,95 +354,52 @@ pub fn restore_checkpoint(
     }
     r.finish()?;
 
-    let mut r = Reader::new(ckpt.require("tuner")?);
-    let n = r.get_usize()?;
-    let mut decisions = Vec::with_capacity(n);
-    for _ in 0..n {
-        decisions.push(r.get_usize()?);
-    }
-    let n = r.get_usize()?;
-    let mut frame_profiles = Vec::with_capacity(n);
-    for _ in 0..n {
-        frame_profiles.push(FrameProfile {
-            peak_mem_one_snapshot: r.get_u64()?,
-            compute_time: SimNanos::from_nanos(r.get_u64()?),
-            transfer_bytes: r.get_u64()?,
-        });
-    }
-    let n = r.get_usize()?;
-    let mut frame_walls = Vec::with_capacity(n);
-    for _ in 0..n {
-        frame_walls.push(SimNanos::from_nanos(r.get_u64()?));
-    }
-    r.finish()?;
+    extra.get_sections(gpu, ckpt)?;
 
-    let mut r = Reader::new(ckpt.require("reuse_cpu")?);
-    let n = r.get_usize()?;
-    for _ in 0..n {
-        let snapshot = r.get_usize()?;
-        reuse.cpu.insert(snapshot, get_matrix(&mut r)?);
-    }
-    r.finish()?;
-
-    reuse.gpu_cache.set_budget(gpu_cache_budget);
-    let mut r = Reader::new(ckpt.require("reuse_gpu")?);
-    let n = r.get_usize()?;
-    for _ in 0..n {
-        let snapshot = r.get_usize()?;
-        let m = get_matrix(&mut r)?;
-        let kept = reuse
-            .gpu_cache
-            .put(gpu, snapshot, m)
-            .map_err(|_| CkptError::Malformed("device OOM while restoring reuse cache"))?;
-        if !kept {
-            return Err(CkptError::Malformed("reuse entry exceeds restored budget"));
-        }
-    }
-    r.finish()?;
-    reuse
-        .gpu_cache
-        .restore_counters(gpu_cache_hits, gpu_cache_misses);
-
+    // Provenance sections: nothing to apply, but a malformed one is still
+    // a typed error.
     let mut r = Reader::new(ckpt.require("faults")?);
-    let fault_stats = get_fault_stats(&mut r)?;
+    get_fault_stats(&mut r)?;
     r.finish()?;
+    if let Some(b) = ckpt.section("gen_config") {
+        let mut r = Reader::new(b);
+        get_gen_config(&mut r)?;
+        r.finish()?;
+    }
 
     let mut r = Reader::new(ckpt.require("epochs")?);
-    let n = r.get_usize()?;
-    let mut epochs_done = Vec::with_capacity(n);
-    for _ in 0..n {
-        epochs_done.push(EpochReport {
+    let epochs_done = get_list(&mut r, |r| {
+        Ok(EpochReport {
             epoch: r.get_usize()?,
             mean_loss: f32::from_bits(r.get_u32()?),
             sim_time: SimNanos::from_nanos(r.get_u64()?),
             alloc: Default::default(),
-        });
-    }
+        })
+    })?;
     r.finish()?;
-
-    let gen_config = match ckpt.section("gen_config") {
-        Some(b) => {
-            let mut r = Reader::new(b);
-            let g = get_gen_config(&mut r)?;
-            r.finish()?;
-            Some(g)
-        }
-        None => None,
-    };
 
     Ok(RestoredState {
         next_epoch,
         steady_t0,
-        sequential_mode,
-        slow_frames,
-        skipped_steps,
         clock,
         host_cursor,
-        decisions,
-        frame_profiles,
-        frame_walls,
         epochs_done,
-        fault_stats,
-        gen_config,
     })
+}
+
+/// Restore a PiPAD checkpoint for *serving*: parameters into `model`, both
+/// reuse tiers into `reuse`. The tuner and recovery state a resumed
+/// training run would continue from is validated, then dropped.
+pub fn restore_checkpoint(
+    gpu: &mut Gpu,
+    ckpt: &Checkpoint,
+    expect: &RunFingerprint,
+    model: &dyn DgnnModel,
+    reuse: &mut InterFrameReuse,
+) -> Result<RestoredState, CkptError> {
+    let mut state = PipadState::default();
+    std::mem::swap(&mut state.reuse, reuse);
+    let restored = restore_run(gpu, ckpt, expect, model, &mut state);
+    std::mem::swap(&mut state.reuse, reuse);
+    restored
 }

@@ -21,7 +21,9 @@
 //! * **Inter-frame reuse** ([`reuse`]) — layer-1 aggregation results are
 //!   cached CPU-side and in a budgeted GPU-side buffer keyed by next-use
 //!   order, eliminating redundant transfer *and* computation (§4.4).
-//! * **Pipeline execution** ([`trainer`]) — CPU preparation, PCIe transfer
+//! * **Pipeline execution** ([`driver`] + [`trainer`]) — one epoch driver
+//!   shared with the baseline trainers runs the preparing→steady schedule
+//!   and PiPAD plugs in as its policy: CPU preparation, PCIe transfer
 //!   and GPU compute advance on separate lanes; partition *k+1* is prepared
 //!   and shipped while partition *k* computes (Figure 8), with the non-GNN
 //!   kernel sequences launched in CUDA-graph mode.
@@ -56,6 +58,7 @@
 
 pub mod analyzer;
 pub mod checkpoint;
+pub mod driver;
 pub mod exec;
 pub mod multigpu;
 pub mod prep;
@@ -65,9 +68,9 @@ pub mod tuner;
 
 pub use analyzer::GraphAnalyzer;
 pub use checkpoint::{
-    encode_checkpoint, restore_checkpoint, run_fingerprint, CkptInputs, RestoredState,
-    RunFingerprint,
+    restore_checkpoint, run_fingerprint, CkptExtra, RestoredState, RunFingerprint,
 };
+pub use driver::{run_epochs, EpochPolicy, RunCx};
 pub use exec::PipadExecutor;
 pub use multigpu::{partition_rows, train_data_parallel, MultiGpuConfig, MultiTrainReport};
 pub use prep::{PartitionCatalog, PartitionPlan};

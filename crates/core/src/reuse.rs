@@ -124,6 +124,13 @@ impl CpuAggStore {
         v
     }
 
+    /// Overwrite the hit/miss counters (checkpoint restore: the resumed
+    /// run continues the original run's statistics).
+    pub fn restore_counters(&mut self, hits: u64, misses: u64) {
+        self.hits.set(hits);
+        self.misses.set(misses);
+    }
+
     /// Debug-build invariant: the tracked byte total must equal the sum of
     /// the stored entry sizes after every mutation.
     fn debug_check_bytes(&self) {
@@ -136,6 +143,7 @@ impl CpuAggStore {
 }
 
 /// GPU-side aggregation buffer with a byte budget.
+#[derive(Default)]
 pub struct GpuAggCache {
     entries: BTreeMap<usize, SharedParam>,
     budget_bytes: u64,
@@ -299,6 +307,7 @@ impl GpuAggCache {
 }
 
 /// Combined two-level reuse state.
+#[derive(Default)]
 pub struct InterFrameReuse {
     /// Unbounded CPU-side aggregation store.
     pub cpu: CpuAggStore,

@@ -1,6 +1,7 @@
 //! The PiPAD trainer: pipeline controller (component ❺ of Figure 7) tying
 //! together the analyzer, partition catalog, dynamic tuner, inter-frame
-//! reuse and the partition-parallel executor.
+//! reuse and the partition-parallel executor — as the PiPAD policy of the
+//! shared epoch driver ([`crate::driver`]).
 //!
 //! Execution follows Figure 8:
 //!
@@ -16,19 +17,18 @@
 //!   compute on separate lanes.
 
 use crate::analyzer::GraphAnalyzer;
-use crate::checkpoint::{self, CkptInputs};
+use crate::checkpoint::CkptExtra;
+use crate::driver::{run_epochs, EpochPolicy, RunCx};
 use crate::exec::{ExecOptions, PipadExecutor};
 use crate::prep::PartitionCatalog;
 use crate::reuse::InterFrameReuse;
 use crate::tuner::{DynamicTuner, FrameProfile, OfflineTable};
 use pipad_autograd::Tape;
-use pipad_ckpt::{latest_checkpoint, write_checkpoint, Checkpoint, CheckpointPolicy};
-use pipad_dyngraph::{DynamicGraph, FrameIter};
+use pipad_ckpt::CheckpointPolicy;
+use pipad_dyngraph::{DynamicGraph, Frame};
 use pipad_gpu_sim::{ArgValue, DeviceFault, Gpu, Lane, OomError, SimNanos, TraceKind};
-use pipad_models::{
-    build_model, EpochReport, HostAllocStats, ModelKind, TrainReport, TrainingConfig,
-};
-use pipad_tensor::Matrix;
+use pipad_models::{ModelKind, TrainReport, TrainingConfig};
+use pipad_tensor::{Matrix, PoolStats};
 
 /// PiPAD-specific knobs (the defaults reproduce the paper's setup).
 #[derive(Clone, Debug)]
@@ -79,13 +79,36 @@ const STRAGGLER_FACTOR: u64 = 3;
 /// This many straggling frames in a row trip the sequential fallback.
 const STRAGGLER_CONSECUTIVE: u32 = 2;
 
+/// What the PiPAD trainer carries across epochs — and therefore into a
+/// checkpoint, beyond the sections every trainer shares (see
+/// [`crate::checkpoint`]). `Default` is the state of a run that has not
+/// started.
+#[derive(Default)]
+pub(crate) struct PipadState {
+    /// Both tiers of inter-frame reuse state.
+    pub reuse: InterFrameReuse,
+    /// Tuner decisions, `S_per` per frame (empty while preparing).
+    pub decisions: Vec<usize>,
+    /// Per-frame profiles from the last preparing epoch (the tuner's inputs).
+    pub frame_profiles: Vec<FrameProfile>,
+    /// First-steady-epoch frame wall times (straggler baselines).
+    pub frame_walls: Vec<SimNanos>,
+    /// Sequential fallback tripped? Permanent once set, matching a real
+    /// deployment that stops trusting an unstable pipeline.
+    pub sequential_mode: bool,
+    /// Consecutive straggling frames seen.
+    pub slow_frames: u32,
+    /// Optimizer steps skipped by NaN-recovery.
+    pub skipped_steps: u64,
+}
+
 /// Train `model_kind` on `graph` with the full PiPAD framework.
 ///
 /// Device faults (injected via [`pipad_gpu_sim::FaultPlan`] or genuine
 /// capacity pressure) are recovered per frame: the first OOM evicts the
 /// GPU-side reuse cache and retries, further OOMs walk `S_per` down the
 /// tuner ladder before giving up; transfer faults surviving the copy-layer
-/// retry budget roll the frame's allocations back and propagate; sustained
+/// retry budget roll the run's allocations back and propagate; sustained
 /// stragglers drop the pipeline into sequential mode; a NaN/Inf loss skips
 /// that frame's optimizer step and purges its reuse deposits. Every
 /// recovery decision lands in the trace as a `recovery` instant on the
@@ -98,451 +121,325 @@ pub fn train_pipad(
     cfg: &TrainingConfig,
     pcfg: &PipadConfig,
 ) -> Result<TrainReport, DeviceFault> {
-    let compute = gpu.default_stream();
-    let copy = gpu.create_stream();
-    let model = build_model(gpu, model_kind, graph.feature_dim(), hidden, cfg.seed)?;
-    let mut host_cursor = SimNanos::ZERO;
-    let run_t0 = gpu.synchronize();
-    let pool_run0 = pipad_tensor::pool_stats();
+    run_epochs(
+        gpu,
+        model_kind,
+        graph,
+        hidden,
+        cfg,
+        pcfg.checkpoint.as_ref(),
+        |cx| PipadPolicy::prepare(cx, pcfg),
+    )
+}
 
-    // ---- one-off preparation (first preparing epoch) ----------------------
-    let analyzer = GraphAnalyzer::run(gpu, graph, &mut host_cursor);
-    let catalog = PartitionCatalog::build(gpu, &analyzer, &mut host_cursor);
+/// The pipeline controller's share of the epoch loop: PiPAD as a policy of
+/// [`run_epochs`].
+struct PipadPolicy<'a> {
+    pcfg: &'a PipadConfig,
+    preparing: usize,
+    analyzer: GraphAnalyzer,
+    catalog: PartitionCatalog,
+    state: PipadState,
+    /// Buffer-pool counters at run start (for the trace-meta delta).
+    pool_run0: PoolStats,
+}
 
-    let mut reuse = InterFrameReuse::new(0);
-    let n_frames = FrameIter::count_frames(graph, cfg.window);
-    let mut frame_profiles: Vec<FrameProfile> = Vec::with_capacity(n_frames);
-    let mut frame_walls: Vec<SimNanos> = Vec::with_capacity(n_frames);
-    let mut decisions: Vec<usize> = Vec::new();
-    let mut epochs = Vec::with_capacity(cfg.epochs);
-    let mut steady_t0 = SimNanos::ZERO;
-    let mut steady_snap = None;
-    let preparing = cfg.preparing_epochs.clamp(1, cfg.epochs);
-    // Fault-recovery state (persists across epochs: the sequential fallback
-    // is permanent once tripped, matching a real deployment that stops
-    // trusting an unstable pipeline).
-    let mut sequential_mode = false;
-    let mut slow_frames: u32 = 0;
-    let mut skipped_steps: u64 = 0;
-
-    // ---- restore-on-start --------------------------------------------------
-    // The prologue above rebuilt the model, analyzer and catalog exactly as
-    // the original run did (all deterministic in the seed and the graph).
-    // Restoring overwrites parameter values in place, re-populates both
-    // reuse tiers, seeds the loop state, and finally rewinds the device
-    // clock + host cursor — erasing the prologue's only side effects on the
-    // timeline (alloc-counter advances and early-timestamp events), so the
-    // resumed epochs land on the original run's exact simulated timeline.
-    let fingerprint = checkpoint::run_fingerprint("PiPAD", model_kind, &graph.name, hidden, cfg);
-    let mut start_epoch = 0usize;
-    if let Some(policy) = &pcfg.checkpoint {
-        if let Some((ck_epoch, path)) =
-            latest_checkpoint(&policy.dir).expect("checkpoint directory unreadable")
-        {
-            let ckpt = Checkpoint::read(&path)
-                .unwrap_or_else(|e| panic!("checkpoint {} is unreadable: {e}", path.display()));
-            let restored = checkpoint::restore_checkpoint(
-                gpu,
-                &ckpt,
-                &fingerprint,
-                model.as_ref(),
-                &mut reuse,
-            )
-            .unwrap_or_else(|e| panic!("checkpoint {} failed to restore: {e}", path.display()));
-            decisions = restored.decisions;
-            frame_profiles = restored.frame_profiles;
-            frame_walls = restored.frame_walls;
-            sequential_mode = restored.sequential_mode;
-            slow_frames = restored.slow_frames;
-            skipped_steps = restored.skipped_steps;
-            steady_t0 = restored.steady_t0;
-            epochs = restored.epochs_done;
-            start_epoch = restored.next_epoch;
-            // Emitted at the *prologue* timestamp, i.e. before the clock
-            // rewind below: the marker stays outside every epoch's trace
-            // window, keeping windowed exports comparable across runs.
-            let t = gpu.now().max(host_cursor);
-            gpu.trace_mut().instant(
-                "checkpoint_restore",
-                Lane::Control,
-                t,
-                vec![
-                    ("epoch", ArgValue::U64(ck_epoch as u64)),
-                    ("next_epoch", ArgValue::U64(start_epoch as u64)),
-                ],
-            );
-            gpu.restore_clock(&restored.clock);
-            host_cursor = restored.host_cursor;
+impl<'a> PipadPolicy<'a> {
+    /// One-off preparation (first preparing epoch): graph slicing and
+    /// overlap extraction run here, once for all.
+    fn prepare(cx: &mut RunCx<'_>, pcfg: &'a PipadConfig) -> Self {
+        let pool_run0 = pipad_tensor::pool_stats();
+        let analyzer = GraphAnalyzer::run(cx.gpu, cx.graph, &mut cx.host_cursor);
+        let catalog = PartitionCatalog::build(cx.gpu, &analyzer, &mut cx.host_cursor);
+        PipadPolicy {
+            pcfg,
+            preparing: cx.cfg.preparing_epochs.clamp(1, cx.cfg.epochs),
+            analyzer,
+            catalog,
+            state: PipadState::default(),
+            pool_run0,
         }
     }
 
-    for epoch in start_epoch..cfg.epochs {
-        let t0 = gpu.synchronize().max(host_cursor);
-        let alloc0 = HostAllocStats::capture();
-        let is_preparing = epoch < preparing;
-        if epoch == preparing {
-            steady_snap = Some(gpu.profiler().snapshot());
-            steady_t0 = t0;
-            gpu.trace_mut()
+    fn recovery(
+        cx: &mut RunCx<'_>,
+        t: SimNanos,
+        policy: &str,
+        epoch: usize,
+        fi: usize,
+        extra: Option<(&'static str, u64)>,
+    ) {
+        let mut args = vec![
+            ("policy", ArgValue::Str(policy.to_string())),
+            ("epoch", ArgValue::U64(epoch as u64)),
+            ("frame", ArgValue::U64(fi as u64)),
+        ];
+        args.extend(extra.map(|(k, v)| (k, ArgValue::U64(v))));
+        cx.gpu
+            .trace_mut()
+            .instant("recovery", Lane::Control, t, args);
+    }
+}
+
+impl EpochPolicy for PipadPolicy<'_> {
+    fn trainer(&self) -> &'static str {
+        "PiPAD"
+    }
+
+    fn preparing(&self) -> usize {
+        self.preparing
+    }
+
+    fn ckpt(&mut self) -> &mut dyn CkptExtra {
+        &mut self.state
+    }
+
+    fn begin_epoch(&mut self, cx: &mut RunCx<'_>, epoch: usize, t0: SimNanos) {
+        if epoch == self.preparing {
+            cx.gpu
+                .trace_mut()
                 .instant("steady_phase_begin", Lane::Control, t0, vec![]);
         }
         // Fresh GPU-side cache per epoch (the sliding window restarts).
-        reuse.gpu_cache.clear(gpu);
+        self.state.reuse.gpu_cache.clear(cx.gpu);
+    }
 
-        let mut losses = Vec::new();
-        for (fi, frame) in FrameIter::new(graph, cfg.window).enumerate() {
-            let feats: Vec<&Matrix> = frame.snapshots().iter().map(|s| &s.features).collect();
-            let mut s_per_eff = if is_preparing {
-                1
-            } else {
-                pcfg.force_s_per.unwrap_or(decisions[fi])
+    fn frame(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        epoch: usize,
+        fi: usize,
+        frame: &Frame<'_>,
+    ) -> Result<f32, DeviceFault> {
+        let (pcfg, preparing) = (self.pcfg, self.preparing);
+        let st = &mut self.state;
+        let is_preparing = epoch < preparing;
+        let feats: Vec<&Matrix> = frame.snapshots().iter().map(|s| &s.features).collect();
+        let mut s_per_eff = if is_preparing {
+            1
+        } else {
+            pcfg.force_s_per.unwrap_or(st.decisions[fi])
+        };
+        let frame_t0 = cx.gpu.now().max(cx.host_cursor);
+        let mut attempt: u32 = 0;
+        // Per-frame recovery ladder: the first OOM evicts the GPU reuse
+        // cache and retries; later OOMs shrink `S_per` one tuner step at
+        // a time; at the floor the fault propagates. Transfer faults
+        // already exhausted the copy layer's bounded retries, so they
+        // propagate straight away (the driver rolls the device back).
+        let (s_per, frame_snap, loss, stepped) = loop {
+            let s_per = s_per_eff;
+            let sequential_mode = st.sequential_mode;
+            let use_graph = !is_preparing && pcfg.cuda_graph && !sequential_mode;
+            let opts = ExecOptions {
+                s_per,
+                needs_adjacency_when_cached: cx.model.needs_hidden_aggregation(),
+                weight_reuse: !is_preparing && cx.model.supports_weight_reuse(),
+                inter_frame_reuse: pcfg.inter_frame_reuse,
+                use_sliced: pcfg.use_sliced,
             };
-            let frame_t0 = gpu.now().max(host_cursor);
-            let mut attempt: u32 = 0;
-            // Per-frame recovery ladder: the first OOM evicts the GPU reuse
-            // cache and retries; later OOMs shrink `S_per` one tuner step at
-            // a time; at the floor the fault propagates. Transfer faults
-            // already exhausted the copy layer's bounded retries, so here
-            // they only roll back and propagate.
-            let (s_per, frame_snap, loss, stepped) = loop {
-                let s_per = s_per_eff;
-                let use_graph = !is_preparing && pcfg.cuda_graph && !sequential_mode;
-                let opts = ExecOptions {
-                    s_per,
-                    needs_adjacency_when_cached: model.needs_hidden_aggregation(),
-                    weight_reuse: !is_preparing && model.supports_weight_reuse(),
-                    inter_frame_reuse: pcfg.inter_frame_reuse,
-                    use_sliced: pcfg.use_sliced,
-                };
-                gpu.reset_peak_mem();
-                let frame_snap = gpu.profiler().snapshot();
-                let mark = gpu.mem_mark();
-                let result = (|| -> Result<(f32, bool), DeviceFault> {
-                    let mut exec = PipadExecutor::stage(
-                        gpu,
-                        &analyzer,
-                        &catalog,
-                        &feats,
-                        frame.start,
-                        opts,
-                        pcfg.inter_frame_reuse.then_some(&mut reuse),
-                        compute,
-                        copy,
-                        &mut host_cursor,
-                    )?;
-                    if sequential_mode {
-                        // Sequential fallback: join the copy lanes before
-                        // compute so nothing overlaps (the plain path below
-                        // also skips CUDA-graph capture).
-                        gpu.synchronize();
-                    }
-                    let mut tape = Tape::new(compute);
-                    let target = graph.target_for(frame.last_index());
-                    let loss;
-                    let stepped;
-                    if use_graph {
-                        let out = gpu.graph_scope(compute, |gpu| -> Result<_, OomError> {
-                            let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
-                            tape.backward_mse(gpu, out.pred, target)?;
-                            Ok(out)
-                        })?;
-                        loss = tape.mse_loss(gpu, out.pred, target);
-                        stepped = loss.is_finite();
-                        if stepped {
-                            out.binder.apply_sgd(gpu, compute, &tape, cfg.lr);
-                        }
-                    } else {
+            cx.gpu.reset_peak_mem();
+            let frame_snap = cx.gpu.profiler().snapshot();
+            let mark = cx.gpu.mem_mark();
+            let result = (|| -> Result<(f32, bool), DeviceFault> {
+                let (gpu, model, compute) = (&mut *cx.gpu, cx.model.as_ref(), cx.compute);
+                let mut exec = PipadExecutor::stage(
+                    gpu,
+                    &self.analyzer,
+                    &self.catalog,
+                    &feats,
+                    frame.start,
+                    opts,
+                    pcfg.inter_frame_reuse.then_some(&mut st.reuse),
+                    compute,
+                    cx.copy,
+                    &mut cx.host_cursor,
+                )?;
+                if sequential_mode {
+                    // Sequential fallback: join the copy lanes before
+                    // compute so nothing overlaps (the plain path below
+                    // also skips CUDA-graph capture).
+                    gpu.synchronize();
+                }
+                let mut tape = Tape::new(compute);
+                let target = cx.graph.target_for(frame.last_index());
+                let loss;
+                let binder;
+                if use_graph {
+                    let out = gpu.graph_scope(compute, |gpu| -> Result<_, OomError> {
                         let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
-                        loss = tape.mse_loss(gpu, out.pred, target);
                         tape.backward_mse(gpu, out.pred, target)?;
-                        stepped = loss.is_finite();
-                        if stepped {
-                            out.binder.apply_sgd(gpu, compute, &tape, cfg.lr);
-                        }
-                    }
-                    tape.finish(gpu);
-                    exec.finish(gpu);
-                    Ok((loss, stepped))
-                })();
-                match result {
-                    Ok((loss, stepped)) => break (s_per, frame_snap, loss, stepped),
-                    Err(DeviceFault::Oom(e)) => {
-                        gpu.release_since(mark);
-                        let t = gpu.now().max(host_cursor);
-                        if attempt == 0 {
-                            reuse.gpu_cache.clear(gpu);
-                            gpu.trace_mut().instant(
-                                "recovery",
-                                Lane::Control,
-                                t,
-                                vec![
-                                    ("policy", ArgValue::Str("oom_evict_retry".to_string())),
-                                    ("epoch", ArgValue::U64(epoch as u64)),
-                                    ("frame", ArgValue::U64(fi as u64)),
-                                ],
-                            );
-                        } else {
-                            let down = DynamicTuner::downshift(s_per_eff);
-                            if down == s_per_eff {
-                                return Err(DeviceFault::Oom(e));
-                            }
-                            s_per_eff = down;
-                            if fi < decisions.len() {
-                                decisions[fi] = down;
-                            }
-                            gpu.trace_mut().instant(
-                                "recovery",
-                                Lane::Control,
-                                t,
-                                vec![
-                                    ("policy", ArgValue::Str("tuner_downshift".to_string())),
-                                    ("epoch", ArgValue::U64(epoch as u64)),
-                                    ("frame", ArgValue::U64(fi as u64)),
-                                    ("s_per", ArgValue::U64(down as u64)),
-                                ],
-                            );
-                        }
-                        attempt += 1;
-                    }
-                    Err(fault @ (DeviceFault::Transfer(_) | DeviceFault::Crash(_))) => {
-                        gpu.release_since(mark);
-                        return Err(fault);
-                    }
-                }
-            };
-            // Crash faults model a process kill: polled at the frame
-            // boundary, the run is abandoned as-is — no cleanup, no
-            // checkpoint — and recovery is a fresh process restoring the
-            // newest on-disk checkpoint.
-            if let Some(c) = gpu.take_crash() {
-                return Err(DeviceFault::Crash(c));
-            }
-            losses.push(loss);
-
-            // Entries below the next frame's start have left the window.
-            reuse.gpu_cache.retire_below(gpu, frame.start + 1);
-
-            if !stepped {
-                // NaN/Inf loss: the optimizer step was skipped (params are
-                // untouched); purge whatever the poisoned frame deposited
-                // into the CPU reuse store so the poison cannot be re-served
-                // on later frames.
-                skipped_steps += 1;
-                for s in frame.start..frame.start + frame.snapshots().len() {
-                    if let Some(m) = reuse.cpu.remove(s) {
-                        m.recycle();
-                    }
-                }
-                let t = gpu.now().max(host_cursor);
-                gpu.trace_mut().instant(
-                    "recovery",
-                    Lane::Control,
-                    t,
-                    vec![
-                        ("policy", ArgValue::Str("nan_skip".to_string())),
-                        ("epoch", ArgValue::U64(epoch as u64)),
-                        ("frame", ArgValue::U64(fi as u64)),
-                        ("skipped_total", ArgValue::U64(skipped_steps)),
-                    ],
-                );
-            }
-
-            let frame_t1 = gpu.now().max(host_cursor);
-            gpu.trace_mut().span(
-                "frame",
-                TraceKind::Span,
-                Lane::Control,
-                frame_t0,
-                frame_t1,
-                vec![
-                    ("epoch", ArgValue::U64(epoch as u64)),
-                    ("frame", ArgValue::U64(fi as u64)),
-                    ("s_per", ArgValue::U64(s_per as u64)),
-                    ("loss", ArgValue::F64(loss as f64)),
-                ],
-            );
-
-            // Straggler watch: a steady frame whose wall time blows past the
-            // same frame's first-steady-epoch wall time is being slow-rolled
-            // by the device; two in a row and the pipelined schedule is
-            // abandoned. The first steady epoch only records the baseline
-            // (the preparing epochs run unpipelined and are an order of
-            // magnitude slower, so they cannot serve as one).
-            if !is_preparing && epoch == preparing && frame_walls.len() == fi {
-                frame_walls.push(frame_t1 - frame_t0);
-            }
-            if !is_preparing && epoch > preparing && !sequential_mode && fi < frame_walls.len() {
-                let expected = frame_walls[fi].as_nanos();
-                if (frame_t1 - frame_t0).as_nanos() > expected.saturating_mul(STRAGGLER_FACTOR) {
-                    slow_frames += 1;
-                    if slow_frames >= STRAGGLER_CONSECUTIVE {
-                        sequential_mode = true;
-                        gpu.trace_mut().instant(
-                            "recovery",
-                            Lane::Control,
-                            frame_t1,
-                            vec![
-                                ("policy", ArgValue::Str("sequential_fallback".to_string())),
-                                ("epoch", ArgValue::U64(epoch as u64)),
-                                ("frame", ArgValue::U64(fi as u64)),
-                            ],
-                        );
-                    }
+                        Ok(out)
+                    })?;
+                    loss = tape.mse_loss(gpu, out.pred, target);
+                    binder = out.binder;
                 } else {
-                    slow_frames = 0;
+                    let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
+                    loss = tape.mse_loss(gpu, out.pred, target);
+                    tape.backward_mse(gpu, out.pred, target)?;
+                    binder = out.binder;
+                }
+                let stepped = loss.is_finite();
+                if stepped {
+                    binder.apply_sgd(gpu, compute, &tape, cx.cfg.lr);
+                }
+                tape.finish(gpu);
+                exec.finish(gpu);
+                Ok((loss, stepped))
+            })();
+            match result {
+                Ok((loss, stepped)) => break (s_per, frame_snap, loss, stepped),
+                Err(DeviceFault::Oom(e)) => {
+                    cx.gpu.release_since(mark);
+                    let t = cx.gpu.now().max(cx.host_cursor);
+                    if attempt == 0 {
+                        st.reuse.gpu_cache.clear(cx.gpu);
+                        Self::recovery(cx, t, "oom_evict_retry", epoch, fi, None);
+                    } else {
+                        let down = DynamicTuner::downshift(s_per_eff);
+                        if down == s_per_eff {
+                            return Err(DeviceFault::Oom(e));
+                        }
+                        s_per_eff = down;
+                        if fi < st.decisions.len() {
+                            st.decisions[fi] = down;
+                        }
+                        let s_per = Some(("s_per", down as u64));
+                        Self::recovery(cx, t, "tuner_downshift", epoch, fi, s_per);
+                    }
+                    attempt += 1;
+                }
+                Err(fault) => return Err(fault),
+            }
+        };
+
+        // Entries below the next frame's start have left the window.
+        st.reuse.gpu_cache.retire_below(cx.gpu, frame.start + 1);
+
+        if !stepped {
+            // NaN/Inf loss: the optimizer step was skipped (params are
+            // untouched); purge whatever the poisoned frame deposited
+            // into the CPU reuse store so the poison cannot be re-served
+            // on later frames.
+            st.skipped_steps += 1;
+            for s in frame.start..frame.start + frame.snapshots().len() {
+                if let Some(m) = st.reuse.cpu.remove(s) {
+                    m.recycle();
                 }
             }
-
-            if is_preparing && epoch == preparing - 1 {
-                // Last preparing epoch: record the tuner's inputs.
-                let w = gpu.profiler().window(frame_snap);
-                frame_profiles.push(FrameProfile {
-                    peak_mem_one_snapshot: gpu.mem().peak(),
-                    compute_time: w.compute_total,
-                    transfer_bytes: w.h2d_bytes + w.d2h_bytes,
-                });
-            }
+            let t = cx.gpu.now().max(cx.host_cursor);
+            let skipped = Some(("skipped_total", st.skipped_steps));
+            Self::recovery(cx, t, "nan_skip", epoch, fi, skipped);
         }
 
-        if is_preparing && epoch == preparing - 1 {
-            // Decide S_per per frame, once, and size the GPU reuse buffer.
-            let max_peak = frame_profiles
-                .iter()
-                .map(|p| p.peak_mem_one_snapshot)
-                .max()
-                .unwrap_or(0);
-            let headroom = gpu
-                .cfg()
-                .capacity_bytes
-                .saturating_sub(gpu.mem().in_use())
-                .saturating_sub(max_peak.saturating_mul(2));
-            reuse
-                .gpu_cache
-                .set_budget((headroom as f64 * pcfg.gpu_cache_headroom_frac) as u64);
-            let tuner = DynamicTuner::new(
-                pcfg.offline_table.clone(),
-                gpu.cfg().capacity_bytes.saturating_sub(gpu.mem().in_use()),
-                gpu.cfg().pcie_pinned_bytes_per_us,
-                graph.feature_dim(),
-            );
-            let full: Vec<_> = frame_profiles
-                .iter()
-                .enumerate()
-                .map(|(fi, p)| tuner.decide(p, &catalog, fi, cfg.window))
-                .collect();
-            let t_decide = gpu.now().max(host_cursor);
-            for (fi, d) in full.iter().enumerate() {
-                gpu.trace_mut().instant(
-                    "tuner_decision",
-                    Lane::Control,
-                    t_decide,
-                    d.trace_args(fi),
-                );
-            }
-            decisions = full.iter().map(|d| d.s_per).collect();
-        }
-
-        let t1 = gpu.synchronize().max(host_cursor);
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        let epoch_peak = gpu.mem().peak();
-        gpu.trace_mut().span(
-            "epoch",
+        let frame_t1 = cx.gpu.now().max(cx.host_cursor);
+        cx.gpu.trace_mut().span(
+            "frame",
             TraceKind::Span,
             Lane::Control,
-            t0,
-            t1,
+            frame_t0,
+            frame_t1,
             vec![
                 ("epoch", ArgValue::U64(epoch as u64)),
-                ("preparing", ArgValue::Bool(is_preparing)),
-                ("mean_loss", ArgValue::F64(mean_loss as f64)),
-                ("sim_time_ns", ArgValue::U64((t1 - t0).as_nanos())),
-                ("peak_mem", ArgValue::U64(epoch_peak)),
+                ("frame", ArgValue::U64(fi as u64)),
+                ("s_per", ArgValue::U64(s_per as u64)),
+                ("loss", ArgValue::F64(loss as f64)),
             ],
         );
-        epochs.push(EpochReport {
-            epoch,
-            mean_loss,
-            sim_time: t1 - t0,
-            alloc: HostAllocStats::capture().since(&alloc0),
-        });
 
-        if let Some(policy) = &pcfg.checkpoint {
-            if policy.should_write(epoch) {
-                let writer = checkpoint::encode_checkpoint(&CkptInputs {
-                    fingerprint: &fingerprint,
-                    next_epoch: epoch + 1,
-                    steady_t0,
-                    sequential_mode,
-                    slow_frames,
-                    skipped_steps,
-                    clock: gpu.clock(),
-                    host_cursor,
-                    model: model.as_ref(),
-                    reuse: &reuse,
-                    decisions: &decisions,
-                    frame_profiles: &frame_profiles,
-                    frame_walls: &frame_walls,
-                    fault_stats: gpu.fault_stats(),
-                    epochs_done: &epochs,
-                    gen_config: policy.gen_config.as_ref(),
-                });
-                let (_, bytes) = write_checkpoint(&policy.dir, epoch, writer, policy.keep)
-                    .expect("checkpoint write failed");
-                // `bytes` is deterministic (every encoded field is), so the
-                // instant survives byte-exact trace comparison across
-                // uninterrupted and resumed runs.
-                gpu.trace_mut().instant(
-                    "checkpoint_write",
-                    Lane::Control,
-                    t1,
-                    vec![
-                        ("epoch", ArgValue::U64(epoch as u64)),
-                        ("bytes", ArgValue::U64(bytes)),
-                    ],
-                );
+        // Straggler watch: a steady frame whose wall time blows past the
+        // same frame's first-steady-epoch wall time is being slow-rolled
+        // by the device; two in a row and the pipelined schedule is
+        // abandoned. The first steady epoch only records the baseline
+        // (the preparing epochs run unpipelined and are an order of
+        // magnitude slower, so they cannot serve as one).
+        if epoch == preparing && st.frame_walls.len() == fi {
+            st.frame_walls.push(frame_t1 - frame_t0);
+        }
+        if epoch > preparing && !st.sequential_mode && fi < st.frame_walls.len() {
+            let expected = st.frame_walls[fi].as_nanos();
+            if (frame_t1 - frame_t0).as_nanos() > expected.saturating_mul(STRAGGLER_FACTOR) {
+                st.slow_frames += 1;
+                if st.slow_frames >= STRAGGLER_CONSECUTIVE {
+                    st.sequential_mode = true;
+                    Self::recovery(cx, frame_t1, "sequential_fallback", epoch, fi, None);
+                }
+            } else {
+                st.slow_frames = 0;
             }
+        }
+
+        if epoch + 1 == preparing {
+            // Last preparing epoch: record the tuner's inputs.
+            let w = cx.gpu.profiler().window(frame_snap);
+            st.frame_profiles.push(FrameProfile {
+                peak_mem_one_snapshot: cx.gpu.mem().peak(),
+                compute_time: w.compute_total,
+                transfer_bytes: w.h2d_bytes + w.d2h_bytes,
+            });
+        }
+        Ok(loss)
+    }
+
+    fn end_epoch(&mut self, cx: &mut RunCx<'_>, epoch: usize) {
+        if epoch + 1 != self.preparing {
+            return;
+        }
+        // Last preparing epoch done: decide S_per per frame, once ("we only
+        // perform this procedure once and stick to the generated
+        // configurations"), and size the GPU reuse buffer.
+        let st = &mut self.state;
+        let free = cx
+            .gpu
+            .cfg()
+            .capacity_bytes
+            .saturating_sub(cx.gpu.mem().in_use());
+        let max_peak = st
+            .frame_profiles
+            .iter()
+            .map(|p| p.peak_mem_one_snapshot)
+            .max()
+            .unwrap_or(0);
+        let headroom = free.saturating_sub(max_peak.saturating_mul(2));
+        st.reuse
+            .gpu_cache
+            .set_budget((headroom as f64 * self.pcfg.gpu_cache_headroom_frac) as u64);
+        let tuner = DynamicTuner::new(
+            self.pcfg.offline_table.clone(),
+            free,
+            cx.gpu.cfg().pcie_pinned_bytes_per_us,
+            cx.graph.feature_dim(),
+        );
+        let t_decide = cx.gpu.now().max(cx.host_cursor);
+        st.decisions.clear();
+        for (fi, p) in st.frame_profiles.iter().enumerate() {
+            let d = tuner.decide(p, &self.catalog, fi, cx.cfg.window);
+            cx.gpu
+                .trace_mut()
+                .instant("tuner_decision", Lane::Control, t_decide, d.trace_args(fi));
+            st.decisions.push(d.s_per);
         }
     }
 
-    reuse.gpu_cache.clear(gpu);
-    let run_t1 = gpu.synchronize().max(host_cursor);
-    // Buffer-pool counters for this run. Deterministic (all pooled traffic
-    // is on this thread, independent of PIPAD_THREADS) and surfaced only in
-    // the text summary — the pinned Chrome JSON never carries them.
-    let pool = pipad_tensor::pool_stats().since(&pool_run0);
-    let tr = gpu.trace_mut();
-    tr.set_meta("pool_hits", pool.hits);
-    tr.set_meta("pool_misses", pool.misses);
-    tr.set_meta("pool_recycled_bytes", pool.recycled_bytes);
-    tr.set_meta("pool_reused_bytes", pool.reused_bytes);
-    // Reuse-tier hit rates (§4.4): pure functions of the deterministic
-    // lookup sequence, so safe in trace meta and metrics exports.
-    tr.set_meta("reuse_cpu_hits", reuse.cpu.hits());
-    tr.set_meta("reuse_cpu_misses", reuse.cpu.misses());
-    tr.set_meta("reuse_gpu_hits", reuse.gpu_cache.hits());
-    tr.set_meta("reuse_gpu_misses", reuse.gpu_cache.misses());
-    // The trace and the profiler record the same timeline through different
-    // code paths; debug builds cross-check them after every run so the two
-    // observability layers can never silently diverge.
-    #[cfg(debug_assertions)]
-    gpu.profiler()
-        .consistency_check(gpu.trace())
-        .expect("profiler and trace diverged over this training run");
-    let steady_snap = steady_snap.unwrap_or_else(|| gpu.profiler().snapshot());
-    let steady = gpu.profiler().window(steady_snap);
-    let steady_epochs = (cfg.epochs - preparing).max(1);
-    Ok(TrainReport {
-        trainer: "PiPAD".to_string(),
-        model: model_kind,
-        dataset: graph.name.clone(),
-        epochs,
-        total_time: run_t1 - run_t0,
-        steady_epoch_time: SimNanos::from_nanos(
-            (run_t1 - steady_t0).as_nanos() / steady_epochs as u64,
-        ),
-        steady,
-        peak_mem: gpu.mem().peak(),
-    })
+    fn finish(&mut self, cx: &mut RunCx<'_>) {
+        let reuse = &mut self.state.reuse;
+        reuse.gpu_cache.clear(cx.gpu);
+        // Buffer-pool counters for this run. Deterministic (all pooled traffic
+        // is on this thread, independent of PIPAD_THREADS) and surfaced only in
+        // the text summary — the pinned Chrome JSON never carries them.
+        let pool = pipad_tensor::pool_stats().since(&self.pool_run0);
+        let tr = cx.gpu.trace_mut();
+        tr.set_meta("pool_hits", pool.hits);
+        tr.set_meta("pool_misses", pool.misses);
+        tr.set_meta("pool_recycled_bytes", pool.recycled_bytes);
+        tr.set_meta("pool_reused_bytes", pool.reused_bytes);
+        // Reuse-tier hit rates (§4.4): pure functions of the deterministic
+        // lookup sequence, so safe in trace meta and metrics exports.
+        tr.set_meta("reuse_cpu_hits", reuse.cpu.hits());
+        tr.set_meta("reuse_cpu_misses", reuse.cpu.misses());
+        tr.set_meta("reuse_gpu_hits", reuse.gpu_cache.hits());
+        tr.set_meta("reuse_gpu_misses", reuse.gpu_cache.misses());
+    }
 }
 
 #[cfg(test)]
@@ -685,24 +582,6 @@ mod tests {
             &PipadConfig::default(),
         );
         assert!(r.is_ok(), "tuner must avoid OOM: {:?}", r.err());
-    }
-
-    #[test]
-    fn impossible_capacity_errors_cleanly() {
-        // A device too small even for the model parameters must surface an
-        // OomError, never panic or corrupt state.
-        let g = tiny_graph();
-        let mut gpu = Gpu::new(DeviceConfig::with_capacity(64));
-        let r = train_pipad(
-            &mut gpu,
-            ModelKind::MpnnLstm,
-            &g,
-            32,
-            &tiny_cfg(),
-            &PipadConfig::default(),
-        );
-        assert!(r.is_err());
-        assert_eq!(gpu.mem().in_use(), 0, "failed setup must not leak");
     }
 
     #[test]

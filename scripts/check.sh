@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the determinism contracts.
 #
-# Builds the workspace, lints it, runs the full test suite, then re-runs
+# Builds the workspace, lints it, runs the full test suite (integration
+# tests and every crate's unit tests), then re-runs
 # the determinism suites under forced thread counts (PIPAD_THREADS=1 and
 # =4): the host-parallel bit-exactness contract, the trace-export
 # byte-identity contract (golden Chrome-trace regression), the
@@ -33,8 +34,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
-echo "== cargo test -q =="
-cargo test -q
+# Tier-1 is `cargo test -q` (the facade package's integration tests); the
+# workspace run is a superset that also executes every crate's unit tests
+# (kill-and-resume, executors, reuse stores, simulator, tape, ...).
+echo "== cargo test --workspace -q =="
+cargo test --workspace -q
 
 echo "== bit-exactness @ PIPAD_THREADS=1 =="
 PIPAD_THREADS=1 cargo test -q --test host_parallel_exactness

@@ -13,6 +13,9 @@
 //! epoch driver; it is the gate that the refactor moved no loss bit, no
 //! trace byte and no checkpoint byte. Rerun with `UPDATE_GOLDEN=1` only
 //! for an intentional behaviour change, and review the diff.
+//!
+//! The same trainer table drives the failure contract: a propagated fault
+//! leaves only the model's parameters on the device.
 
 use pipad::{train_pipad, PipadConfig};
 use pipad_ckpt::{crc32, latest_checkpoint, CheckpointPolicy};
@@ -20,8 +23,8 @@ use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
 use pipad_gpu_sim::{
     export_chrome_trace, CrashCounter, CrashPoint, DeviceConfig, DeviceFault, FaultPlan, Gpu,
 };
-use pipad_models::{ModelKind, TrainReport, TrainingConfig};
-use pipad_repro::baselines::{train_baseline, train_baseline_resumable, train_esdg, BaselineKind};
+use pipad_models::{build_model, ModelKind, TrainReport, TrainingConfig};
+use pipad_repro::baselines::{train_baseline_resumable, train_esdg, BaselineKind};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,27 +41,13 @@ fn cfg() -> TrainingConfig {
     }
 }
 
-/// A checkpoint directory unique per call (pid + process-wide counter),
-/// removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new() -> Self {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "pipad-trainer-digests-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// A checkpoint directory unique per call (pid + process-wide counter).
+fn temp_dir() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("pipad-digests-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// The single-device trainers, one variant per public entry point (the
@@ -88,15 +77,6 @@ impl Trainer {
         }
     }
 
-    /// PiPAD and PyGT-R exercise the checkpoint codec (the latter with
-    /// its optional `reuse_cpu` section).
-    fn checkpoints(self) -> bool {
-        matches!(
-            self,
-            Trainer::Pipad | Trainer::Baseline(BaselineKind::PygtR)
-        )
-    }
-
     fn run(
         self,
         gpu: &mut Gpu,
@@ -112,12 +92,9 @@ impl Trainer {
                 };
                 train_pipad(gpu, model, graph, HIDDEN, &cfg(), &pcfg)
             }
-            Trainer::Baseline(kind) => match policy {
-                Some(p) => {
-                    train_baseline_resumable(gpu, kind, model, graph, HIDDEN, &cfg(), Some(p))
-                }
-                None => train_baseline(gpu, kind, model, graph, HIDDEN, &cfg()).map_err(Into::into),
-            },
+            Trainer::Baseline(kind) => {
+                train_baseline_resumable(gpu, kind, model, graph, HIDDEN, &cfg(), policy)
+            }
             Trainer::Esdg => train_esdg(gpu, model, graph, HIDDEN, &cfg()).map_err(Into::into),
         }
     }
@@ -137,10 +114,14 @@ fn newest_checkpoint_digest(policy: &CheckpointPolicy) -> String {
 
 /// One golden line for `trainer` × `model`.
 fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
-    let dir = TempDir::new();
-    let policy = trainer
-        .checkpoints()
-        .then(|| CheckpointPolicy::new(dir.0.join("ref"), 2));
+    // PiPAD and PyGT-R exercise the checkpoint codec (the latter with its
+    // optional `reuse_cpu` section).
+    let checkpoints = matches!(
+        trainer,
+        Trainer::Pipad | Trainer::Baseline(BaselineKind::PygtR)
+    );
+    let dir = temp_dir();
+    let policy = checkpoints.then(|| CheckpointPolicy::new(dir.join("ref"), 2));
     let mut gpu = Gpu::new(DeviceConfig::v100());
     let report = trainer
         .run(&mut gpu, model, graph, policy.as_ref())
@@ -177,7 +158,7 @@ fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
 
         // Kill at ~70 % of the launch stream (mid steady epoch), resume in
         // a fresh "process" from the killed run's newest checkpoint.
-        let killed = CheckpointPolicy::new(dir.0.join("killed"), 2);
+        let killed = CheckpointPolicy::new(dir.join("killed"), 2);
         let mut g2 = Gpu::new(DeviceConfig::v100());
         g2.install_faults(FaultPlan {
             crash: Some(CrashPoint {
@@ -206,6 +187,7 @@ fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
             newest_checkpoint_digest(&killed)
         )
         .unwrap();
+        std::fs::remove_dir_all(&dir).expect("cleanup checkpoints");
     }
     line.push('}');
     line
@@ -238,4 +220,41 @@ fn every_trainer_matches_its_recorded_digest() {
          bytes moved (tests/golden/trainer_digests.json); if intentional, \
          rerun with UPDATE_GOLDEN=1 and review the diff"
     );
+}
+
+/// A fault that propagates out of any trainer leaves exactly the model's
+/// parameters on the device — not the failed frame's staging, not ESDG's
+/// resident window — and a device too small for the model itself leaves
+/// nothing. (Crash faults are the deliberate exception: they model a
+/// process kill and abandon the device as-is.)
+#[test]
+fn propagated_oom_leaves_only_the_model_resident() {
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let model = ModelKind::TGcn;
+    let model_bytes = {
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        build_model(&mut gpu, model, graph.feature_dim(), HIDDEN, cfg().seed).expect("build");
+        gpu.mem().in_use()
+    };
+    // (capacity, bytes resident after the failure)
+    let cases = [(model_bytes + (256 << 10), model_bytes), (64, 0)];
+    for trainer in Trainer::ALL {
+        for (capacity, resident) in cases {
+            let mut gpu = Gpu::new(DeviceConfig::with_capacity(capacity));
+            let err = trainer
+                .run(&mut gpu, model, &graph, None)
+                .expect_err("capacity is too small to train");
+            assert!(
+                matches!(err, DeviceFault::Oom(_)),
+                "{}: {err}",
+                trainer.name()
+            );
+            assert_eq!(
+                gpu.mem().in_use(),
+                resident,
+                "{} at capacity {capacity} leaked device memory",
+                trainer.name()
+            );
+        }
+    }
 }
