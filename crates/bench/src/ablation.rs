@@ -18,30 +18,15 @@ fn run_with_device(
     id: DatasetId,
     model: ModelKind,
     scale: RunScale,
-) -> (Option<TrainReport>, usize) {
+) -> Option<TrainReport> {
     let g = dataset(id, scale);
     let cfg = default_training_config(scale);
     let mut gpu = Gpu::new(device);
-    let Ok(r) = train_pipad(&mut gpu, model, &g, id.hidden_dim(), &cfg, pcfg) else {
-        // A device too small for even a one-snapshot frame (the whole
-        // frame's intermediates must fit) is a legitimate sweep outcome.
-        return (None, 0);
-    };
-    // observed parallelism: the widest parallel aggregation launched
-    let max_sper = gpu
-        .profiler()
-        .samples()
-        .iter()
-        .filter(|s| s.name == "spmm_sliced_parallel")
-        .map(|s| match s.kind {
-            pipad_gpu_sim::SampleKind::Kernel { flops, .. } => flops,
-            _ => 0,
-        })
-        .max()
-        .unwrap_or(0);
-    let _ = max_sper;
+    // A device too small for even a one-snapshot frame (the whole frame's
+    // intermediates must fit) is a legitimate sweep outcome.
+    let r = train_pipad(&mut gpu, model, &g, id.hidden_dim(), &cfg, pcfg).ok()?;
     check_consistency(&gpu);
-    (Some(r), 0)
+    Some(r)
 }
 
 /// PCIe-bandwidth sweep: a slower link should push the tuner toward the
@@ -65,7 +50,7 @@ pub fn pcie_sweep(scale: RunScale) -> String {
         let mut dev = DeviceConfig::v100();
         dev.pcie_pinned_bytes_per_us = gbps * 1_000;
         dev.pcie_pageable_bytes_per_us = gbps * 500;
-        let (r, _) = run_with_device(
+        let r = run_with_device(
             dev,
             &PipadConfig::default(),
             DatasetId::Epinions,
@@ -109,7 +94,7 @@ pub fn capacity_sweep(scale: RunScale) -> String {
     .unwrap();
     for cap_mb in [16_384u64, 512, 64, 16] {
         let dev = DeviceConfig::with_capacity(cap_mb << 20);
-        let (r, _) = run_with_device(
+        let r = run_with_device(
             dev,
             &PipadConfig::default(),
             DatasetId::HepTh,
@@ -188,7 +173,7 @@ pub fn mechanism_ablation(scale: RunScale) -> String {
     .unwrap();
     let mut base = None;
     for (name, pcfg) in variants {
-        let (r, _) = run_with_device(
+        let r = run_with_device(
             DeviceConfig::v100(),
             &pcfg,
             DatasetId::Epinions,
@@ -227,7 +212,7 @@ mod tests {
     #[test]
     fn slow_pcie_increases_transfer_share() {
         let fast = {
-            let (r, _) = run_with_device(
+            let r = run_with_device(
                 DeviceConfig::v100(),
                 &PipadConfig::default(),
                 DatasetId::Epinions,
@@ -241,7 +226,7 @@ mod tests {
             let mut dev = DeviceConfig::v100();
             dev.pcie_pinned_bytes_per_us = 500;
             dev.pcie_pageable_bytes_per_us = 250;
-            let (r, _) = run_with_device(
+            let r = run_with_device(
                 dev,
                 &PipadConfig::default(),
                 DatasetId::Epinions,
@@ -257,7 +242,7 @@ mod tests {
     #[test]
     fn small_capacity_still_completes() {
         let dev = DeviceConfig::with_capacity(8 << 20);
-        let (r, _) = run_with_device(
+        let r = run_with_device(
             dev,
             &PipadConfig::default(),
             DatasetId::Covid19England,

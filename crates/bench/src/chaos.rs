@@ -18,10 +18,13 @@
 //! all-preparing prefix run) yields the deterministic op-counter space, and
 //! faults land at the midpoint of the steady phase. Because injection is
 //! addressed by op index and draws no randomness, the whole artifact is a
-//! pure function of the workload — `run` re-measures under repeated runs
-//! and 1-/4-thread host pools and asserts byte-identical JSON.
+//! pure function of the workload — `run` re-measures in every
+//! [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell and asserts identical
+//! artifacts.
 
-use crate::util::{check_consistency, dataset, default_training_config, RunScale};
+use crate::util::{
+    check_consistency, dataset, default_training_config, host_invariant, Artifact, RunScale,
+};
 use pipad::{train_pipad, PipadConfig};
 use pipad_dyngraph::DatasetId;
 use pipad_gpu_sim::{
@@ -29,17 +32,8 @@ use pipad_gpu_sim::{
     TransferFault,
 };
 use pipad_models::{ModelKind, TrainingConfig};
-use pipad_pool::with_threads;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Everything `repro chaos` produces.
-pub struct ChaosArtifact {
-    /// Machine-readable report (`results/chaos.json`).
-    pub json: String,
-    /// Text summary (`results/chaos.txt`).
-    pub summary: String,
-}
 
 /// Everything observed from one (possibly faulted) training run.
 struct RunObs {
@@ -162,7 +156,7 @@ fn render_obs_json(out: &mut String, o: &RunObs) {
 }
 
 /// Run every probe and scenario once and render both artifacts.
-fn measure(scale: RunScale) -> ChaosArtifact {
+fn measure(scale: RunScale) -> Artifact {
     let cfg = default_training_config(scale);
     let default_pcfg = PipadConfig::default();
     let noreuse_pcfg = PipadConfig {
@@ -418,30 +412,13 @@ fn measure(scale: RunScale) -> ChaosArtifact {
         summary,
         "all four fault kinds recovered at least once; report is deterministic"
     );
-    ChaosArtifact { json, summary }
+    Artifact { json, summary }
 }
 
-/// Run the chaos experiment and verify the determinism contract: the JSON
-/// report must be byte-identical across repeated runs and across host-pool
-/// thread counts.
-pub fn run(scale: RunScale) -> ChaosArtifact {
-    let first = measure(scale);
-    let again = measure(scale);
-    assert_eq!(
-        first.json, again.json,
-        "chaos JSON differs between two identical runs"
-    );
-    let serial = with_threads(1, || measure(scale));
-    let pooled = with_threads(4, || measure(scale));
-    assert_eq!(
-        first.json, serial.json,
-        "chaos JSON differs under a 1-thread host pool"
-    );
-    assert_eq!(
-        first.json, pooled.json,
-        "chaos JSON differs under a 4-thread host pool"
-    );
-    first
+/// Run the chaos experiment (`results/chaos.{json,txt}`) under the
+/// host-determinism contract.
+pub fn run(scale: RunScale) -> Artifact {
+    host_invariant("chaos report", || measure(scale))
 }
 
 #[cfg(test)]

@@ -7,29 +7,20 @@
 //! backward), ring-allreduce bytes and time, and per-device SM utilization
 //! and peak memory. The virtual-shard design makes the loss trajectory a
 //! pure function of the workload — `measure` asserts the final loss is
-//! bit-identical across device counts, and `run` asserts the whole JSON
-//! artifact is byte-identical across repeated runs and host-pool thread
-//! counts.
+//! bit-identical across device counts, and `run` asserts the whole
+//! artifact is identical in every
+//! [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell.
 
-use crate::util::{dataset, default_training_config, RunScale};
+use crate::util::{dataset, default_training_config, host_invariant, Artifact, RunScale};
 use pipad::{train_data_parallel, MultiGpuConfig, MultiTrainReport};
 use pipad_dyngraph::DatasetId;
 use pipad_gpu_sim::validate_json;
 use pipad_models::ModelKind;
-use pipad_pool::with_threads;
 use std::fmt::Write as _;
-
-/// Everything `repro multigpu` produces.
-pub struct MultigpuArtifact {
-    /// Machine-readable report (`results/multigpu.json`).
-    pub json: String,
-    /// Text summary (`results/multigpu.txt`).
-    pub summary: String,
-}
 
 const DEVICE_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn run_one(model: ModelKind, scale: RunScale, n_gpus: usize) -> MultiTrainReport {
+pub(crate) fn run_one(model: ModelKind, scale: RunScale, n_gpus: usize) -> MultiTrainReport {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config(scale);
     train_data_parallel(
@@ -45,7 +36,7 @@ fn run_one(model: ModelKind, scale: RunScale, n_gpus: usize) -> MultiTrainReport
     .expect("multi-GPU training")
 }
 
-fn measure(scale: RunScale) -> MultigpuArtifact {
+fn measure(scale: RunScale) -> Artifact {
     let mut json = String::from("{\"experiment\":\"multigpu\"");
     let _ = write!(json, ",\"scale\":{:?},\"models\":[", scale.label());
     let mut summary = String::new();
@@ -127,7 +118,9 @@ fn measure(scale: RunScale) -> MultigpuArtifact {
                 r.halo_bytes_per_epoch,
                 r.allreduce_bytes_per_epoch,
                 r.allreduce_time_per_epoch.as_nanos(),
-                mean_sm / 10,
+                // per-mille → percent with one decimal: whole percents
+                // print the tiny-scale utilization (1‰) as 0.
+                format!("{}.{}", mean_sm / 10, mean_sm % 10),
             );
         }
         json.push_str("]}");
@@ -143,25 +136,13 @@ fn measure(scale: RunScale) -> MultigpuArtifact {
         summary,
         "loss trajectories are a pure function of the workload (virtual shards)"
     );
-    MultigpuArtifact { json, summary }
+    Artifact { json, summary }
 }
 
-/// Run the scaling experiment and verify the determinism contract: the
-/// JSON report must be byte-identical across repeated runs and host-pool
-/// thread counts.
-pub fn run(scale: RunScale) -> MultigpuArtifact {
-    let first = measure(scale);
-    let serial = with_threads(1, || measure(scale));
-    let pooled = with_threads(4, || measure(scale));
-    assert_eq!(
-        first.json, serial.json,
-        "multigpu JSON differs under a 1-thread host pool"
-    );
-    assert_eq!(
-        first.json, pooled.json,
-        "multigpu JSON differs under a 4-thread host pool"
-    );
-    first
+/// Run the scaling experiment (`results/multigpu.{json,txt}`) under the
+/// host-determinism contract.
+pub fn run(scale: RunScale) -> Artifact {
+    host_invariant("multigpu report", || measure(scale))
 }
 
 #[cfg(test)]

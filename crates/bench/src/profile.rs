@@ -15,33 +15,25 @@
 //!
 //! The registry renders three ways (Prometheus text, JSON, human table) —
 //! all three are pure functions of the simulated clock, and `run` asserts
-//! byte-identity across host-pool thread counts and with the buffer pool
-//! disabled. A small set of key metrics is additionally guarded by a
+//! byte-identity in every [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell.
+//! A small set of key metrics is additionally guarded by a
 //! committed sentinel baseline (`tests/golden/profile_baseline.json`):
 //! `repro profile --baseline <path>` fails when any guarded metric drifts
 //! beyond its per-metric tolerance.
 
-use crate::util::{check_consistency, dataset, default_training_config, Method, RunScale};
-use pipad::{train_data_parallel, train_pipad, MultiGpuConfig, PipadConfig};
-use pipad_ckpt::CheckpointPolicy;
+use crate::experiments::Output;
+use crate::util::{dataset, default_training_config, host_invariant, Method, RunScale, ScratchDir};
 use pipad_dyngraph::DatasetId;
 use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu};
 use pipad_metrics::{
     analyze, to_json, to_prometheus, to_table, Baseline, BaselineEntry, MetricsRegistry,
 };
 use pipad_models::ModelKind;
-use pipad_pool::with_threads;
-use pipad_serve::{
-    serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, ServeEngine, ServeSimConfig,
-};
-use pipad_tensor::with_pool_enabled;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Hidden dimension for every leg.
+/// Hidden dimension of the training leg (the other legs share the
+/// `multigpu` and `serve` experiments' runs, also at 16).
 const HIDDEN: usize = 16;
-/// Checkpoint cadence for the serving leg's training run.
-const EVERY_EPOCHS: usize = 2;
 
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
@@ -77,6 +69,7 @@ const SENTINEL: [(&str, f64, f64); 6] = [
 ];
 
 /// Everything `repro profile` produces.
+#[derive(Debug, PartialEq)]
 pub struct ProfileArtifact {
     /// Metrics-registry JSON export (`results/profile.json`).
     pub json: String,
@@ -89,6 +82,15 @@ pub struct ProfileArtifact {
 }
 
 impl ProfileArtifact {
+    /// The three files `repro profile` writes.
+    pub fn outputs(&self) -> Vec<Output> {
+        vec![
+            Output::new("profile.txt", self.table.clone()),
+            Output::new("profile.json", self.json.clone()),
+            Output::new("profile.prom", self.prom.clone()),
+        ]
+    }
+
     /// Render the sentinel baseline for this run: every guarded metric at
     /// its current value with the standard tolerances. Written by
     /// `UPDATE_BASELINE=1 repro profile --baseline <path>`.
@@ -112,27 +114,6 @@ impl ProfileArtifact {
     /// parse failure; `Ok(v)` lists tolerance violations (empty = pass).
     pub fn check_baseline(&self, src: &str) -> Result<Vec<String>, String> {
         Ok(Baseline::parse(src)?.check(&self.flat))
-    }
-}
-
-fn serve_sim_config(scale: RunScale) -> ServeSimConfig {
-    let n_requests = match scale {
-        RunScale::Tiny => 24,
-        RunScale::Laptop => 96,
-    };
-    ServeSimConfig {
-        batch: BatchPolicy {
-            max_batch: 4,
-            max_delay_ns: 250_000,
-            queue_capacity: 8,
-        },
-        gen: RequestGenConfig {
-            seed: 11,
-            n_requests,
-            mean_interarrival_ns: 150_000,
-            max_targets: 8,
-            snapshot_period_ns: 400_000,
-        },
     }
 }
 
@@ -180,19 +161,7 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: RunScale) {
 
 /// Leg 2: 2-device data parallelism — communication volumes and shares.
 fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
-    let graph = dataset(DatasetId::Covid19England, scale);
-    let cfg = default_training_config(scale);
-    let r = train_data_parallel(
-        ModelKind::TGcn,
-        &graph,
-        HIDDEN,
-        &cfg,
-        &MultiGpuConfig {
-            n_gpus: 2,
-            ..Default::default()
-        },
-    )
-    .expect("profile multigpu leg failed");
+    let r = crate::multigpu::run_one(ModelKind::TGcn, scale, 2);
 
     let labels = [("gpus", "2")];
     reg.inc_counter_with(
@@ -234,39 +203,8 @@ fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
 /// Leg 3: checkpoint → serving engine → open-loop replay; latency
 /// histogram and admission counters.
 fn serve_leg(reg: &mut MetricsRegistry, scale: RunScale) {
-    let graph = dataset(DatasetId::Covid19England, scale);
-    let cfg = default_training_config(scale);
-    // Keyed by pid *and* a process-wide counter: two measurements running
-    // on parallel test threads of one process must not share (and delete)
-    // each other's checkpoint directory.
-    static NEXT_DIR: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pipad-profile-{}-{}",
-        std::process::id(),
-        NEXT_DIR.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut tg = Gpu::new(DeviceConfig::v100());
-    let pcfg = PipadConfig {
-        checkpoint: Some(CheckpointPolicy::new(dir.clone(), EVERY_EPOCHS)),
-        ..PipadConfig::default()
-    };
-    train_pipad(&mut tg, ModelKind::TGcn, &graph, HIDDEN, &cfg, &pcfg)
-        .expect("profile serve-training leg failed");
-    check_consistency(&tg);
-
-    let mut gpu = Gpu::new(DeviceConfig::v100());
-    let ecfg = EngineConfig {
-        hidden: HIDDEN,
-        ..EngineConfig::default()
-    };
-    let mut engine = ServeEngine::from_latest(&mut gpu, &dir, ModelKind::TGcn, &graph, &cfg, &ecfg)
-        .expect("profile serve leg failed to restore the checkpoint");
-    let report = serve_open_loop(&mut gpu, &mut engine, &serve_sim_config(scale))
-        .expect("profile serving run failed");
-    check_consistency(&gpu);
-    std::fs::remove_dir_all(&dir).expect("cleanup checkpoints");
+    let dir = ScratchDir::new("profile");
+    let report = crate::serve::train_and_serve(scale, ModelKind::TGcn, dir.path());
 
     for rec in &report.records {
         if let Some(lat) = rec.latency() {
@@ -309,33 +247,10 @@ pub fn measure(scale: RunScale) -> ProfileArtifact {
     }
 }
 
-/// Run the profile experiment and verify the determinism contract: all
-/// three exports must be byte-identical across host-pool thread counts
-/// and with the host buffer pool disabled.
+/// Run the profile experiment (`results/profile.{txt,json,prom}`) under
+/// the host-determinism contract.
 pub fn run(scale: RunScale) -> ProfileArtifact {
-    let first = measure(scale);
-    let serial = with_threads(1, || measure(scale));
-    let pooled = with_threads(4, || measure(scale));
-    let unpooled = with_pool_enabled(false, || measure(scale));
-    for (name, other) in [
-        ("1-thread", &serial),
-        ("4-thread", &pooled),
-        ("no-pool", &unpooled),
-    ] {
-        assert_eq!(
-            first.json, other.json,
-            "profile JSON differs under the {name} configuration"
-        );
-        assert_eq!(
-            first.prom, other.prom,
-            "profile Prometheus export differs under the {name} configuration"
-        );
-        assert_eq!(
-            first.table, other.table,
-            "profile table differs under the {name} configuration"
-        );
-    }
-    first
+    host_invariant("profile exports", || measure(scale))
 }
 
 #[cfg(test)]

@@ -16,12 +16,15 @@
 //! the PyGT-R baseline (losses + per-epoch simulated time; the baselines
 //! keep no epoch spans to window a trace by).
 //!
-//! Everything is a pure function of the workload: `run` re-measures under
-//! 1-/4-thread host pools and with the host buffer pool disabled, and
-//! asserts byte-identical JSON. Checkpoints live in a per-process temp
-//! directory that never appears in the artifacts.
+//! Everything is a pure function of the workload: `run` re-measures in
+//! every [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell and asserts
+//! identical artifacts. Checkpoints live in a [`ScratchDir`] that never
+//! appears in the artifacts.
 
-use crate::util::{check_consistency, dataset, default_training_config, RunScale};
+use crate::util::{
+    check_consistency, dataset, default_training_config, host_invariant, Artifact, RunScale,
+    ScratchDir,
+};
 use pipad::{train_pipad, PipadConfig};
 use pipad_baselines::{train_baseline_resumable, BaselineKind};
 use pipad_ckpt::{latest_checkpoint, CheckpointPolicy};
@@ -31,8 +34,6 @@ use pipad_gpu_sim::{
     DeviceConfig, DeviceFault, FaultPlan, Gpu,
 };
 use pipad_models::{ModelKind, TrainReport, TrainingConfig};
-use pipad_pool::with_threads;
-use pipad_tensor::with_pool_enabled;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -41,14 +42,6 @@ const EVERY_EPOCHS: usize = 2;
 /// Crash point as a fraction of the reference run's launch stream.
 const CRASH_NUM: u64 = 7;
 const CRASH_DEN: u64 = 10;
-
-/// Everything `repro resume` produces.
-pub struct ResumeArtifact {
-    /// Machine-readable report (`results/resume.json`).
-    pub json: String,
-    /// Text summary (`results/resume.txt`).
-    pub summary: String,
-}
 
 /// One trainer×model row of the report.
 struct Row {
@@ -90,52 +83,84 @@ fn newest_ckpt(dir: &Path) -> (usize, u64) {
     (epoch + 1, bytes)
 }
 
-fn pipad_row(scale: RunScale, model: ModelKind, cfg: &TrainingConfig, base: &Path) -> Row {
-    let graph = dataset(DatasetId::Covid19England, scale);
-    let sub = base.join(model.name());
-    let _ = std::fs::remove_dir_all(&sub);
-    let pcfg_for = |dir: &str| PipadConfig {
-        checkpoint: Some(CheckpointPolicy::new(sub.join(dir), EVERY_EPOCHS)),
-        ..PipadConfig::default()
-    };
+/// The reference / killed / resumed triple every row is built from.
+struct KillAndResume {
+    /// Device and report of the uninterrupted run.
+    reference: (Gpu, TrainReport),
+    /// Device and report of the run resumed from the killed run's newest
+    /// checkpoint.
+    resumed: (Gpu, TrainReport),
+    crash_at: u64,
+    resume_from: usize,
+    ckpt_bytes: u64,
+}
+
+/// Run `train` three times with checkpoints under `dir` — uninterrupted,
+/// killed at ~70% of the reference's launch stream, resumed on a fresh
+/// device — and assert the resumed losses match the reference bit for bit.
+fn kill_and_resume(
+    what: &str,
+    dir: &Path,
+    train: impl Fn(&mut Gpu, CheckpointPolicy) -> Result<TrainReport, DeviceFault>,
+) -> KillAndResume {
+    let policy_for = |sub: &str| CheckpointPolicy::new(dir.join(sub), EVERY_EPOCHS);
 
     let mut g1 = Gpu::new(DeviceConfig::v100());
-    let reference = train_pipad(&mut g1, model, &graph, 16, cfg, &pcfg_for("ref"))
-        .expect("reference run failed");
+    let reference = train(&mut g1, policy_for("ref"))
+        .unwrap_or_else(|e| panic!("{what}: reference run failed: {e}"));
     let crash_at = g1.op_counters().launches * CRASH_NUM / CRASH_DEN;
 
     let mut g2 = Gpu::new(DeviceConfig::v100());
     g2.install_faults(crash_plan(crash_at));
-    let err = train_pipad(&mut g2, model, &graph, 16, cfg, &pcfg_for("killed"))
-        .expect_err("crash fault must abort the run");
-    assert!(matches!(err, DeviceFault::Crash(_)), "{err}");
-    let (resume_from, ckpt_bytes) = newest_ckpt(&sub.join("killed"));
+    let err = train(&mut g2, policy_for("killed")).expect_err("crash fault must abort the run");
+    assert!(matches!(err, DeviceFault::Crash(_)), "{what}: {err}");
+    let (resume_from, ckpt_bytes) = newest_ckpt(&dir.join("killed"));
 
     let mut g3 = Gpu::new(DeviceConfig::v100());
-    let resumed = train_pipad(&mut g3, model, &graph, 16, cfg, &pcfg_for("killed"))
-        .expect("resumed run failed");
+    let resumed = train(&mut g3, policy_for("killed"))
+        .unwrap_or_else(|e| panic!("{what}: resumed run failed: {e}"));
 
-    let losses_match = loss_bits(&reference) == loss_bits(&resumed);
-    assert!(losses_match, "{}: resume changed the losses", model.name());
+    assert!(
+        loss_bits(&reference) == loss_bits(&resumed),
+        "{what}: resume changed the losses"
+    );
+    check_consistency(&g1);
+    check_consistency(&g3);
+    KillAndResume {
+        reference: (g1, reference),
+        resumed: (g3, resumed),
+        crash_at,
+        resume_from,
+        ckpt_bytes,
+    }
+}
 
+fn pipad_row(scale: RunScale, model: ModelKind, cfg: &TrainingConfig, base: &Path) -> Row {
+    let graph = dataset(DatasetId::Covid19England, scale);
+    let k = kill_and_resume(model.name(), &base.join(model.name()), |gpu, policy| {
+        let pcfg = PipadConfig {
+            checkpoint: Some(policy),
+            ..PipadConfig::default()
+        };
+        train_pipad(gpu, model, &graph, 16, cfg, &pcfg)
+    });
+
+    let (g1, g3) = (&k.reference.0, &k.resumed.0);
     let wa = last_span_window(g1.trace(), "epoch").expect("reference has no epoch span");
     let wb = last_span_window(g3.trace(), "epoch").expect("resumed run has no epoch span");
     let ea = export_chrome_trace_window(g1.trace(), 1, wa.0, wa.1);
     let eb = export_chrome_trace_window(g3.trace(), 1, wb.0, wb.1);
     let trace_match = wa == wb && ea == eb;
     assert!(trace_match, "{}: final epoch trace differs", model.name());
-    check_consistency(&g1);
-    check_consistency(&g3);
 
-    std::fs::remove_dir_all(&sub).expect("cleanup checkpoints");
     Row {
         trainer: "PiPAD",
         model: model.name(),
         epochs: cfg.epochs,
-        crash_at_launches: crash_at,
-        resume_from_epoch: resume_from,
-        ckpt_bytes,
-        losses_bitwise_match: losses_match,
+        crash_at_launches: k.crash_at,
+        resume_from_epoch: k.resume_from,
+        ckpt_bytes: k.ckpt_bytes,
+        losses_bitwise_match: true,
         trace_check: "final_epoch_trace_window",
         trace_match,
         trace_window_bytes: ea.len(),
@@ -146,70 +171,23 @@ fn baseline_row(scale: RunScale, cfg: &TrainingConfig, base: &Path) -> Row {
     let graph = dataset(DatasetId::Covid19England, scale);
     let model = ModelKind::TGcn;
     let kind = BaselineKind::PygtR;
-    let sub = base.join(kind.name());
-    let _ = std::fs::remove_dir_all(&sub);
-    let policy_for = |dir: &str| CheckpointPolicy::new(sub.join(dir), EVERY_EPOCHS);
+    let k = kill_and_resume(kind.name(), &base.join(kind.name()), |gpu, policy| {
+        train_baseline_resumable(gpu, kind, model, &graph, 16, cfg, Some(&policy))
+    });
 
-    let mut g1 = Gpu::new(DeviceConfig::v100());
-    let reference = train_baseline_resumable(
-        &mut g1,
-        kind,
-        model,
-        &graph,
-        16,
-        cfg,
-        Some(&policy_for("ref")),
-    )
-    .expect("reference baseline run failed");
-    let crash_at = g1.op_counters().launches * CRASH_NUM / CRASH_DEN;
-
-    let mut g2 = Gpu::new(DeviceConfig::v100());
-    g2.install_faults(crash_plan(crash_at));
-    let err = train_baseline_resumable(
-        &mut g2,
-        kind,
-        model,
-        &graph,
-        16,
-        cfg,
-        Some(&policy_for("killed")),
-    )
-    .expect_err("crash fault must abort the baseline run");
-    assert!(matches!(err, DeviceFault::Crash(_)), "{err}");
-    let (resume_from, ckpt_bytes) = newest_ckpt(&sub.join("killed"));
-
-    let mut g3 = Gpu::new(DeviceConfig::v100());
-    let resumed = train_baseline_resumable(
-        &mut g3,
-        kind,
-        model,
-        &graph,
-        16,
-        cfg,
-        Some(&policy_for("killed")),
-    )
-    .expect("resumed baseline run failed");
-
-    let losses_match = loss_bits(&reference) == loss_bits(&resumed);
-    assert!(losses_match, "baseline resume changed the losses");
-    let times_match = reference
-        .epochs
-        .iter()
-        .zip(&resumed.epochs)
+    let times_match = (k.reference.1.epochs.iter())
+        .zip(&k.resumed.1.epochs)
         .all(|(a, b)| a.sim_time == b.sim_time);
     assert!(times_match, "baseline resume left the simulated timeline");
-    check_consistency(&g1);
-    check_consistency(&g3);
 
-    std::fs::remove_dir_all(&sub).expect("cleanup checkpoints");
     Row {
         trainer: kind.name(),
         model: model.name(),
         epochs: cfg.epochs,
-        crash_at_launches: crash_at,
-        resume_from_epoch: resume_from,
-        ckpt_bytes,
-        losses_bitwise_match: losses_match,
+        crash_at_launches: k.crash_at,
+        resume_from_epoch: k.resume_from,
+        ckpt_bytes: k.ckpt_bytes,
+        losses_bitwise_match: true,
         trace_check: "epoch_sim_times",
         trace_match: times_match,
         trace_window_bytes: 0,
@@ -217,21 +195,20 @@ fn baseline_row(scale: RunScale, cfg: &TrainingConfig, base: &Path) -> Row {
 }
 
 /// Run every row once and render both artifacts.
-fn measure(scale: RunScale) -> ResumeArtifact {
+fn measure(scale: RunScale) -> Artifact {
     // 2 preparing + 4 steady epochs → checkpoints at epochs 1, 3, 5; the
     // 70% crash lands mid-steady, past at least one steady checkpoint.
     let cfg = TrainingConfig {
         epochs: 6,
         ..default_training_config(scale)
     };
-    let base = std::env::temp_dir().join(format!("pipad-resume-{}", std::process::id()));
+    let base = ScratchDir::new("resume");
 
     let mut rows = Vec::new();
     for model in [ModelKind::EvolveGcn, ModelKind::MpnnLstm, ModelKind::TGcn] {
-        rows.push(pipad_row(scale, model, &cfg, &base));
+        rows.push(pipad_row(scale, model, &cfg, base.path()));
     }
-    rows.push(baseline_row(scale, &cfg, &base));
-    let _ = std::fs::remove_dir_all(&base);
+    rows.push(baseline_row(scale, &cfg, base.path()));
 
     let mut json = String::from("{\"experiment\":\"resume\"");
     let _ = write!(
@@ -288,30 +265,13 @@ fn measure(scale: RunScale) -> ResumeArtifact {
         summary,
         "all rows reproduce the uninterrupted run bit for bit after kill-and-resume"
     );
-    ResumeArtifact { json, summary }
+    Artifact { json, summary }
 }
 
-/// Run the resume experiment and verify the determinism contract: the JSON
-/// report must be byte-identical across host-pool thread counts and with
-/// the host buffer pool disabled.
-pub fn run(scale: RunScale) -> ResumeArtifact {
-    let first = measure(scale);
-    let serial = with_threads(1, || measure(scale));
-    let pooled = with_threads(4, || measure(scale));
-    let unpooled = with_pool_enabled(false, || measure(scale));
-    assert_eq!(
-        first.json, serial.json,
-        "resume JSON differs under a 1-thread host pool"
-    );
-    assert_eq!(
-        first.json, pooled.json,
-        "resume JSON differs under a 4-thread host pool"
-    );
-    assert_eq!(
-        first.json, unpooled.json,
-        "resume JSON differs with the buffer pool disabled"
-    );
-    first
+/// Run the resume experiment (`results/resume.{json,txt}`) under the
+/// host-determinism contract.
+pub fn run(scale: RunScale) -> Artifact {
+    host_invariant("resume report", || measure(scale))
 }
 
 #[cfg(test)]

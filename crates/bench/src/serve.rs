@@ -10,23 +10,24 @@
 //! A CRC-32 of every served logit's bit pattern pins value determinism
 //! into the report itself.
 //!
-//! Everything is a pure function of the workload: `run` re-measures under
-//! 1-/4-thread host pools and with the host buffer pool disabled, and
-//! asserts byte-identical JSON. Checkpoints live in a per-process temp
-//! directory that never appears in the artifacts.
+//! Everything is a pure function of the workload: `run` re-measures in
+//! every [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell and asserts
+//! identical artifacts. Checkpoints live in a [`ScratchDir`] that never
+//! appears in the artifacts.
 
-use crate::util::{check_consistency, dataset, default_training_config, RunScale};
+use crate::util::{
+    check_consistency, dataset, default_training_config, host_invariant, Artifact, RunScale,
+    ScratchDir,
+};
 use pipad::{train_pipad, PipadConfig};
 use pipad_ckpt::{crc32, CheckpointPolicy};
 use pipad_dyngraph::DatasetId;
 use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu};
 use pipad_models::ModelKind;
-use pipad_pool::with_threads;
 use pipad_serve::{
     serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, ServeEngine, ServeReport,
     ServeSimConfig,
 };
-use pipad_tensor::with_pool_enabled;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -34,36 +35,6 @@ use std::path::Path;
 const EVERY_EPOCHS: usize = 2;
 /// Hidden dimension for every model.
 const HIDDEN: usize = 16;
-
-/// Everything `repro serve` produces.
-pub struct ServeArtifact {
-    /// Machine-readable report (`results/serve.json`).
-    pub json: String,
-    /// Text summary (`results/serve.txt`).
-    pub summary: String,
-}
-
-/// One model row of the report.
-struct Row {
-    model: &'static str,
-    trained_epochs: usize,
-    requests: usize,
-    served: usize,
-    rejected_queue_full: usize,
-    rejected_fault: usize,
-    rejected_poisoned: usize,
-    batches: usize,
-    queue_high_water: usize,
-    p50_ns: u64,
-    p95_ns: u64,
-    p99_ns: u64,
-    max_ns: u64,
-    throughput_rps: f64,
-    histogram: Vec<(usize, usize)>,
-    gpu_reuse_hits: u64,
-    gpu_reuse_misses: u64,
-    logits_crc: u32,
-}
 
 fn sim_config(scale: RunScale) -> ServeSimConfig {
     let n_requests = match scale {
@@ -86,11 +57,13 @@ fn sim_config(scale: RunScale) -> ServeSimConfig {
     }
 }
 
-fn model_row(scale: RunScale, model: ModelKind, base: &Path) -> Row {
+/// Train `model` with checkpointing into `base`, restore the newest
+/// checkpoint into a serving engine on a fresh device and replay the
+/// standard request plan. Shared with `repro profile`'s serving leg.
+pub(crate) fn train_and_serve(scale: RunScale, model: ModelKind, base: &Path) -> ServeReport {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config(scale);
     let dir = base.join(model.name());
-    let _ = std::fs::remove_dir_all(&dir);
 
     let mut tg = Gpu::new(DeviceConfig::v100());
     let pcfg = PipadConfig {
@@ -107,47 +80,20 @@ fn model_row(scale: RunScale, model: ModelKind, base: &Path) -> Row {
     };
     let mut engine = ServeEngine::from_latest(&mut gpu, &dir, model, &graph, &cfg, &ecfg)
         .expect("engine failed to restore the checkpoint");
-    let scfg = sim_config(scale);
-    let report: ServeReport =
-        serve_open_loop(&mut gpu, &mut engine, &scfg).expect("serving run failed");
+    let report =
+        serve_open_loop(&mut gpu, &mut engine, &sim_config(scale)).expect("serving run failed");
     check_consistency(&gpu);
-
-    std::fs::remove_dir_all(&dir).expect("cleanup checkpoints");
-    Row {
-        model: model.name(),
-        trained_epochs: report.trained_epochs,
-        requests: report.records.len(),
-        served: report.served,
-        rejected_queue_full: report.rejected_queue_full,
-        rejected_fault: report.rejected_fault,
-        rejected_poisoned: report.rejected_poisoned,
-        batches: report.batches,
-        queue_high_water: report.queue_high_water,
-        p50_ns: report.latency.p50.as_nanos(),
-        p95_ns: report.latency.p95.as_nanos(),
-        p99_ns: report.latency.p99.as_nanos(),
-        max_ns: report.latency.max.as_nanos(),
-        throughput_rps: report.throughput_rps,
-        histogram: report
-            .batch_size_histogram
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect(),
-        gpu_reuse_hits: report.gpu_reuse_hits,
-        gpu_reuse_misses: report.gpu_reuse_misses,
-        logits_crc: crc32(&report.served_logit_bytes()),
-    }
+    report
 }
 
 /// Run every row once and render both artifacts.
-fn measure(scale: RunScale) -> ServeArtifact {
-    let base = std::env::temp_dir().join(format!("pipad-serve-{}", std::process::id()));
+fn measure(scale: RunScale) -> Artifact {
+    let base = ScratchDir::new("serve");
     let scfg = sim_config(scale);
-    let rows: Vec<Row> = ModelKind::ALL
+    let rows: Vec<(ModelKind, ServeReport)> = ModelKind::ALL
         .iter()
-        .map(|&m| model_row(scale, m, &base))
+        .map(|&m| (m, train_and_serve(scale, m, base.path())))
         .collect();
-    let _ = std::fs::remove_dir_all(&base);
 
     let mut json = String::from("{\"experiment\":\"serve\"");
     let _ = write!(
@@ -170,32 +116,33 @@ fn measure(scale: RunScale) -> ServeArtifact {
         scfg.batch.max_delay_ns / 1000,
         scfg.batch.queue_capacity,
     );
-    for (i, r) in rows.iter().enumerate() {
+    for (i, (model, r)) in rows.iter().enumerate() {
         if i > 0 {
             json.push(',');
         }
+        let logits_crc = crc32(&r.served_logit_bytes());
         let _ = write!(
             json,
             "{{\"model\":{:?},\"trained_epochs\":{},\"requests\":{},\"served\":{},\
              \"rejected_queue_full\":{},\"rejected_fault\":{},\"rejected_poisoned\":{},\
              \"batches\":{},\"queue_high_water\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
              \"max_ns\":{},\"throughput_rps\":{:.3},\"batch_size_histogram\":{{",
-            r.model,
+            model.name(),
             r.trained_epochs,
-            r.requests,
+            r.records.len(),
             r.served,
             r.rejected_queue_full,
             r.rejected_fault,
             r.rejected_poisoned,
             r.batches,
             r.queue_high_water,
-            r.p50_ns,
-            r.p95_ns,
-            r.p99_ns,
-            r.max_ns,
+            r.latency.p50.as_nanos(),
+            r.latency.p95.as_nanos(),
+            r.latency.p99.as_nanos(),
+            r.latency.max.as_nanos(),
             r.throughput_rps,
         );
-        for (j, (size, count)) in r.histogram.iter().enumerate() {
+        for (j, (size, count)) in r.batch_size_histogram.iter().enumerate() {
             if j > 0 {
                 json.push(',');
             }
@@ -204,10 +151,10 @@ fn measure(scale: RunScale) -> ServeArtifact {
         let _ = write!(
             json,
             "}},\"gpu_reuse_hits\":{},\"gpu_reuse_misses\":{},\"logits_crc\":{}}}",
-            r.gpu_reuse_hits, r.gpu_reuse_misses, r.logits_crc,
+            r.gpu_reuse_hits, r.gpu_reuse_misses, logits_crc,
         );
         let hist: Vec<String> = r
-            .histogram
+            .batch_size_histogram
             .iter()
             .map(|(size, count)| format!("{size}x{count}"))
             .collect();
@@ -215,18 +162,18 @@ fn measure(scale: RunScale) -> ServeArtifact {
             summary,
             "  {:<10} served {:>3}/{:<3} in {:>2} batches [{}]: p50 {:>7} ns, p99 {:>7} ns, \
              {:>8.2} req/s, queue hw {}, reuse {}/{} hits, crc {:08x}",
-            r.model,
+            model.name(),
             r.served,
-            r.requests,
+            r.records.len(),
             r.batches,
             hist.join(" "),
-            r.p50_ns,
-            r.p99_ns,
+            r.latency.p50.as_nanos(),
+            r.latency.p99.as_nanos(),
             r.throughput_rps,
             r.queue_high_water,
             r.gpu_reuse_hits,
             r.gpu_reuse_hits + r.gpu_reuse_misses,
-            r.logits_crc,
+            logits_crc,
         );
     }
     json.push_str("]}");
@@ -235,30 +182,13 @@ fn measure(scale: RunScale) -> ServeArtifact {
         summary,
         "served logits are bit-identical to the training forward (gated by tests/serve_equivalence.rs)"
     );
-    ServeArtifact { json, summary }
+    Artifact { json, summary }
 }
 
-/// Run the serving experiment and verify the determinism contract: the
-/// JSON report must be byte-identical across host-pool thread counts and
-/// with the host buffer pool disabled.
-pub fn run(scale: RunScale) -> ServeArtifact {
-    let first = measure(scale);
-    let serial = with_threads(1, || measure(scale));
-    let pooled = with_threads(4, || measure(scale));
-    let unpooled = with_pool_enabled(false, || measure(scale));
-    assert_eq!(
-        first.json, serial.json,
-        "serve JSON differs under a 1-thread host pool"
-    );
-    assert_eq!(
-        first.json, pooled.json,
-        "serve JSON differs under a 4-thread host pool"
-    );
-    assert_eq!(
-        first.json, unpooled.json,
-        "serve JSON differs with the buffer pool disabled"
-    );
-    first
+/// Run the serving experiment (`results/serve.{json,txt}`) under the
+/// host-determinism contract.
+pub fn run(scale: RunScale) -> Artifact {
+    host_invariant("serve report", || measure(scale))
 }
 
 #[cfg(test)]

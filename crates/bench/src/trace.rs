@@ -6,29 +6,23 @@
 //! "process" per simulated GPU, one "thread" per stream / copy engine /
 //! controller lane. Because every timestamp is simulated nanoseconds,
 //! the exported bytes are a pure function of the workload — the command
-//! re-runs the workload and re-exports under `PIPAD_THREADS`-style
-//! serial and 4-thread pools to prove byte-identity before writing.
+//! re-runs the workload and re-exports in every
+//! [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell to prove byte-identity
+//! before writing.
 
-use crate::util::{check_consistency, dataset, default_training_config, RunScale};
+use crate::util::{
+    check_consistency, dataset, default_training_config, host_invariant, Artifact, RunScale,
+};
 use pipad::{train_pipad, PipadConfig};
 use pipad_dyngraph::DatasetId;
 use pipad_gpu_sim::{export_chrome_trace, trace_text_summary, validate_json, DeviceConfig, Gpu};
 use pipad_models::ModelKind;
-use pipad_pool::with_threads;
 use std::fmt::Write as _;
-
-/// Everything `repro trace` produces.
-pub struct TraceArtifact {
-    /// Chrome-trace-format JSON (`results/trace_fig11.json`).
-    pub json: String,
-    /// Compact text summary (`results/trace_fig11.txt`).
-    pub summary: String,
-}
 
 /// One trace-producing pipeline run; returns the exported JSON and the
 /// text summary. The exported trace is checked against the profiler's
 /// independent accounting before being returned.
-fn run_once(scale: RunScale) -> TraceArtifact {
+fn run_once(scale: RunScale) -> Artifact {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config(scale);
     let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -62,30 +56,25 @@ fn run_once(scale: RunScale) -> TraceArtifact {
         report.steady_epoch_time.as_nanos()
     );
     summary.push_str(&trace_text_summary(gpu.trace()));
-    TraceArtifact { json, summary }
+    Artifact { json, summary }
 }
 
-/// Run the trace experiment: produce the artifact and verify the
-/// determinism contract (byte-identical across repeated runs and across
-/// host-pool thread counts) before handing it to the caller.
-pub fn run(scale: RunScale) -> TraceArtifact {
-    let first = run_once(scale);
-    let again = run_once(scale);
-    assert_eq!(
-        first.json, again.json,
-        "trace JSON differs between two identical runs"
-    );
-    let serial = with_threads(1, || run_once(scale));
-    let pooled = with_threads(4, || run_once(scale));
-    assert_eq!(
-        first.json, serial.json,
-        "trace JSON differs under a 1-thread host pool"
-    );
-    assert_eq!(
-        first.json, pooled.json,
-        "trace JSON differs under a 4-thread host pool"
-    );
-    first
+/// The one artifact compared on its JSON alone: the text summary prints
+/// the run's buffer-pool hit counters by design (DESIGN §3.13), and those
+/// are zero in the pool-off cell.
+#[derive(Debug)]
+struct JsonOnly(Artifact);
+
+impl PartialEq for JsonOnly {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.json == other.0.json
+    }
+}
+
+/// Run the trace experiment (`results/trace_fig11.{json,txt}`) under the
+/// host-determinism contract.
+pub fn run(scale: RunScale) -> Artifact {
+    host_invariant("trace export", || JsonOnly(run_once(scale))).0
 }
 
 #[cfg(test)]

@@ -5,6 +5,11 @@ use pipad_baselines::{train_baseline, BaselineKind};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
 use pipad_gpu_sim::{DeviceConfig, Gpu};
 use pipad_models::{ModelKind, TrainReport, TrainingConfig};
+use pipad_pool::with_threads;
+use pipad_tensor::with_pool_enabled;
+use std::fmt::Debug;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Dataset scale for a harness run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,10 +111,75 @@ impl Method {
                 train_baseline(gpu, kind, model, graph, hidden, cfg).expect("baseline run failed")
             }
         };
-        gpu.profiler()
-            .consistency_check(gpu.trace())
-            .expect("profiler and trace diverged over a harness run");
+        check_consistency(gpu);
         report
+    }
+}
+
+/// The host-determinism contract, stated once: every artifact is a pure
+/// function of the workload, identical in each `(threads, pool)` cell —
+/// host worker-pool band budget × host buffer pool on/off. Three cells
+/// cover both axes. The overrides are scoped and total (they shadow
+/// `PIPAD_THREADS` / `PIPAD_NO_POOL`), and results depend on the band
+/// budget only through `pipad_pool::band_range`, never on how many OS
+/// workers execute the bands — so an in-process sweep proves what an
+/// env-var re-run of the whole process would.
+pub const HOST_MATRIX: [(usize, bool); 3] = [(1, true), (4, true), (4, false)];
+
+/// Evaluate `f` in every [`HOST_MATRIX`] cell, assert each result equals
+/// the first cell's (naming the cell that differs), and return the first.
+pub fn host_invariant<T: PartialEq + Debug>(what: &str, f: impl Fn() -> T) -> T {
+    let mut cells = HOST_MATRIX.iter().map(|&(threads, pool)| {
+        let got = with_threads(threads, || with_pool_enabled(pool, &f));
+        (threads, pool, got)
+    });
+    let (threads0, pool0, first) = cells.next().expect("HOST_MATRIX is non-empty");
+    for (threads, pool, got) in cells {
+        assert_eq!(
+            got, first,
+            "{what} at threads={threads} pool={pool} differs from threads={threads0} pool={pool0}"
+        );
+    }
+    first
+}
+
+/// The two renderings most experiments produce: `<name>.json` and the
+/// `<name>.txt` summary.
+#[derive(Debug, PartialEq)]
+pub struct Artifact {
+    /// Machine-readable report.
+    pub json: String,
+    /// Text summary.
+    pub summary: String,
+}
+
+/// A private temp directory for an experiment's checkpoints, removed on
+/// drop — so also when an assertion unwinds. Keyed by pid *and* a
+/// process-wide counter: two measurements on parallel test threads of one
+/// process must not share (and delete) each other's directory.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    pub fn new(tag: &str) -> ScratchDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "pipad-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -172,6 +242,45 @@ mod tests {
     fn methods_cover_figure_10_legend() {
         let names: Vec<&str> = Method::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(names, vec!["PyGT", "PyGT-A", "PyGT-R", "PyGT-G", "PiPAD"]);
+    }
+
+    #[test]
+    fn host_invariant_visits_every_cell_and_returns_the_first() {
+        let seen = std::cell::RefCell::new(Vec::new());
+        let got = host_invariant("constant", || {
+            seen.borrow_mut()
+                .push((pipad_pool::current_threads(), pipad_tensor::pool_enabled()));
+            7
+        });
+        assert_eq!(got, 7);
+        assert_eq!(seen.into_inner(), HOST_MATRIX);
+    }
+
+    #[test]
+    #[should_panic(expected = "threads=4 pool=true differs from threads=1 pool=true")]
+    fn host_invariant_catches_a_thread_dependent_result() {
+        host_invariant("band budget", pipad_pool::current_threads);
+    }
+
+    #[test]
+    #[should_panic(expected = "threads=4 pool=false differs")]
+    fn host_invariant_catches_a_pool_dependent_result() {
+        host_invariant("pool switch", pipad_tensor::pool_enabled);
+    }
+
+    #[test]
+    fn scratch_dirs_are_distinct_and_removed_on_unwind() {
+        let a = ScratchDir::new("util-test");
+        let b = ScratchDir::new("util-test");
+        assert_ne!(a.path(), b.path());
+        let kept = a.path().to_path_buf();
+        let unwound = std::panic::catch_unwind(move || {
+            let _guard = a;
+            panic!("assertion fired mid-measurement");
+        });
+        assert!(unwound.is_err());
+        assert!(!kept.exists(), "scratch dir leaked by an unwinding panic");
+        assert!(b.path().is_dir());
     }
 
     #[test]

@@ -95,18 +95,6 @@ impl Default for MultiGpuConfig {
     }
 }
 
-/// Contiguous vertex ranges, one per device (uniform row split; the
-/// trainer itself uses the nnz-balanced
-/// [`pipad_sparse::partition_rows_balanced`]).
-pub fn partition_rows(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    assert!(parts >= 1);
-    let per = n.div_ceil(parts);
-    (0..parts)
-        .map(|p| (p * per, ((p + 1) * per).min(n)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
 /// Report of a data-parallel run.
 #[derive(Clone, Debug)]
 pub struct MultiTrainReport {
@@ -844,16 +832,6 @@ mod tests {
                 seed: 5,
             },
         )
-    }
-
-    #[test]
-    fn partition_covers_all_rows() {
-        let parts = partition_rows(10, 3);
-        assert_eq!(parts, vec![(0, 4), (4, 8), (8, 10)]);
-        // degenerate: more devices than rows → empty ranges dropped
-        let tiny = partition_rows(4, 8);
-        assert_eq!(tiny.len(), 4);
-        assert!(tiny.iter().all(|&(lo, hi)| hi == lo + 1));
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub use config::DeviceConfig;
 pub use cost::{feature_row_access, AccessShape, KernelCategory, KernelCost, VectorWidth};
 pub use device::{DeviceClock, Event, Gpu, StreamId, TransferDir};
 pub use faults::{
-    CrashCounter, CrashError, CrashPoint, DeviceFault, FaultPlan, FaultPlanParseError, FaultStats,
-    OpCounters, StragglerRange, TransferError, TransferFault,
+    CrashCounter, CrashError, CrashPoint, DeviceFault, FaultPlan, FaultStats, OpCounters,
+    StragglerRange, TransferError, TransferFault,
 };
 pub use graph_exec::{CudaGraph, GraphBuilder};
 pub use memory::{BufferId, DeviceMemory, OomError};

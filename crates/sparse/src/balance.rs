@@ -53,9 +53,9 @@ pub fn csr_row_work(csr: &Csr) -> Vec<u64> {
 ///
 /// Guarantees: ranges are disjoint, contiguous, cover every row, and each
 /// is nonempty (degenerate inputs with fewer rows than parts yield fewer
-/// ranges — mirroring `partition_rows`). The worst-case overshoot of any
-/// part is half the largest single row's work, so for graphs whose hubs
-/// are small relative to `total/parts` the imbalance factor stays tight.
+/// ranges). The worst-case overshoot of any part is half the largest
+/// single row's work, so for graphs whose hubs are small relative to
+/// `total/parts` the imbalance factor stays tight.
 ///
 /// Stability: the split is a pure function of `row_work`, so callers that
 /// sum work over *all* snapshots of a dynamic graph get one partition for

@@ -1,15 +1,16 @@
 //! Kill-and-resume equivalence gate (the checkpoint subsystem's headline
 //! contract).
 //!
-//! For every paper model, and with the host buffer pool both enabled and
-//! disabled, a PiPAD run killed mid-steady-epoch by an injected `crash`
-//! fault and resumed from its newest checkpoint must reproduce the
-//! uninterrupted run **bit for bit**: identical loss bits for every epoch
-//! and a byte-identical Chrome-trace export of the final steady epoch's
-//! window. `scripts/check.sh` runs this binary under `PIPAD_THREADS=1`
-//! and `=4`, completing the thread axis of the contract.
+//! For every paper model, in every `pipad_bench::HOST_MATRIX` cell (host
+//! threads × buffer pool on/off), a PiPAD run killed mid-steady-epoch by
+//! an injected `crash` fault and resumed from its newest checkpoint must
+//! reproduce the uninterrupted run **bit for bit**: identical loss bits
+//! for every epoch and a byte-identical Chrome-trace export of the final
+//! steady epoch's window — and both must be the same in every cell.
 
 use pipad::{train_pipad, PipadConfig};
+use pipad_bench::host_invariant;
+use pipad_bench::util::ScratchDir;
 use pipad_repro::ckpt::CheckpointPolicy;
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
@@ -17,7 +18,6 @@ use pipad_repro::gpu_sim::{
     DeviceFault, FaultPlan, Gpu,
 };
 use pipad_repro::models::{ModelKind, TrainingConfig};
-use pipad_repro::tensor::with_pool_enabled;
 use std::path::Path;
 
 fn cfg() -> TrainingConfig {
@@ -32,13 +32,13 @@ fn cfg() -> TrainingConfig {
     }
 }
 
-fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) {
+/// Returns what the resumed run reproduced (loss bits, final-epoch trace
+/// export) so the caller can also compare it across host configurations.
+fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) -> (Vec<u32>, String) {
     let g = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
     let cfg = cfg();
-    let sub = base.join(model.name());
-    let _ = std::fs::remove_dir_all(&sub);
     let pcfg_for = |dir: &str| PipadConfig {
-        checkpoint: Some(CheckpointPolicy::new(sub.join(dir), 2)),
+        checkpoint: Some(CheckpointPolicy::new(base.join(dir), 2)),
         ..PipadConfig::default()
     };
 
@@ -77,22 +77,15 @@ fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) {
     let ea = export_chrome_trace_window(g1.trace(), 1, wa.0, wa.1);
     let eb = export_chrome_trace_window(g3.trace(), 1, wb.0, wb.1);
     assert_eq!(ea, eb, "{}: final epoch trace window differs", model.name());
-
-    std::fs::remove_dir_all(&sub).expect("cleanup checkpoints");
+    (b, eb)
 }
 
 #[test]
 fn kill_and_resume_is_bit_identical_for_all_models_pool_on_and_off() {
-    let base =
-        std::env::temp_dir().join(format!("pipad-resume-equivalence-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
     for model in [ModelKind::EvolveGcn, ModelKind::MpnnLstm, ModelKind::TGcn] {
-        with_pool_enabled(true, || {
-            assert_kill_and_resume_is_invisible(model, &base.join("pool"))
-        });
-        with_pool_enabled(false, || {
-            assert_kill_and_resume_is_invisible(model, &base.join("nopool"))
+        host_invariant(model.name(), || {
+            let dir = ScratchDir::new("resume-equivalence");
+            assert_kill_and_resume_is_invisible(model, dir.path())
         });
     }
-    let _ = std::fs::remove_dir_all(&base);
 }

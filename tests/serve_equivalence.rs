@@ -4,13 +4,12 @@
 //! For every paper model, a checkpoint-restored serving engine must emit
 //! logits that are **bit-identical** to the train-time forward for the
 //! same frame with the same parameters — batched through the dynamic
-//! micro-batcher or served one request at a time, with the host buffer
-//! pool on or off. The reference forward is rebuilt here from the public
+//! micro-batcher or served one request at a time, in every
+//! `pipad_bench::HOST_MATRIX` cell (host threads × buffer pool on/off),
+//! and the served bytes must be the same in every cell. The reference forward is rebuilt here from the public
 //! training machinery ([`GraphAnalyzer`], [`PartitionCatalog`],
 //! [`PipadExecutor`], the model's own `forward_frame`) rather than
 //! through `pipad-serve`, so the two sides cannot share a bug.
-//! `scripts/check.sh` runs this binary under `PIPAD_THREADS=1` and `=4`,
-//! completing the thread axis of the contract.
 //!
 //! A second gate pins checkpoint rotation: restoring an *older* rotated
 //! checkpoint serves that epoch's exact parameter bits, not the newest
@@ -22,6 +21,8 @@ use pipad::{
     PartitionCatalog, PipadConfig,
 };
 use pipad_autograd::Tape;
+use pipad_bench::host_invariant;
+use pipad_bench::util::ScratchDir;
 use pipad_ckpt::{latest_checkpoint, list_checkpoints, Checkpoint, CheckpointPolicy};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
 use pipad_gpu_sim::{DeviceConfig, Gpu, SimNanos};
@@ -30,7 +31,7 @@ use pipad_repro::serve::{
     serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, RequestOutcome, ServeEngine,
     ServeReport, ServeSimConfig,
 };
-use pipad_tensor::{with_pool_enabled, Matrix};
+use pipad_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -193,7 +194,9 @@ fn assert_report_matches_reference(
     }
 }
 
-fn assert_serving_matches_training(model: ModelKind, base: &Path) {
+/// Returns the served logit bytes so the caller can also compare them
+/// across host configurations.
+fn assert_serving_matches_training(model: ModelKind, base: &Path) -> Vec<u8> {
     let graph = graph();
     let cfg = cfg(4);
     let dir = base.join(model.name());
@@ -221,39 +224,29 @@ fn assert_serving_matches_training(model: ModelKind, base: &Path) {
 
     // ...and both with the independently rebuilt train-time forward.
     assert_report_matches_reference(&batched, &latest, model, &graph, &cfg);
-
-    std::fs::remove_dir_all(&dir).expect("cleanup checkpoints");
+    batched.served_logit_bytes()
 }
 
-fn for_both_pool_modes(model: ModelKind) {
-    let base = std::env::temp_dir().join(format!(
-        "pipad-serve-equivalence-{}-{}",
-        model.name(),
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&base);
-    with_pool_enabled(true, || {
-        assert_serving_matches_training(model, &base.join("pool"))
+fn in_every_host_cell(model: ModelKind) {
+    host_invariant(model.name(), || {
+        let dir = ScratchDir::new("serve-equivalence");
+        assert_serving_matches_training(model, dir.path())
     });
-    with_pool_enabled(false, || {
-        assert_serving_matches_training(model, &base.join("nopool"))
-    });
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
 fn served_logits_match_training_forward_evolvegcn() {
-    for_both_pool_modes(ModelKind::EvolveGcn);
+    in_every_host_cell(ModelKind::EvolveGcn);
 }
 
 #[test]
 fn served_logits_match_training_forward_mpnn_lstm() {
-    for_both_pool_modes(ModelKind::MpnnLstm);
+    in_every_host_cell(ModelKind::MpnnLstm);
 }
 
 #[test]
 fn served_logits_match_training_forward_tgcn() {
-    for_both_pool_modes(ModelKind::TGcn);
+    in_every_host_cell(ModelKind::TGcn);
 }
 
 /// Restoring an older rotated checkpoint must serve *that* epoch's exact
@@ -264,8 +257,8 @@ fn rotated_checkpoint_serves_that_epochs_exact_bits() {
     let model = ModelKind::TGcn;
     let graph = graph();
     let cfg = cfg(6); // checkpoints rotate at epochs 1, 3, 5
-    let base = std::env::temp_dir().join(format!("pipad-serve-rotated-{}", std::process::id()));
-    let dir = base.join(model.name());
+    let base = ScratchDir::new("serve-rotated");
+    let dir = base.path().join(model.name());
     train_into(&dir, model, &graph, &cfg);
 
     let ckpts = list_checkpoints(&dir).expect("scan checkpoint dir");
@@ -305,6 +298,4 @@ fn rotated_checkpoint_serves_that_epochs_exact_bits() {
         latest_report.served_logit_bytes(),
         "epoch-{old_epoch} and epoch-{new_epoch} checkpoints served identical logits"
     );
-
-    let _ = std::fs::remove_dir_all(&base);
 }
