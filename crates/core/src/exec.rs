@@ -300,10 +300,8 @@ impl<'r> PipadExecutor<'r> {
         gpu: &mut Gpu,
         tape: &mut Tape,
         part: &PartitionState,
-        compute: StreamId,
         xs: &[Var],
     ) -> Result<Vec<Var>, OomError> {
-        let _ = compute;
         let size = xs.len();
         let agg = KernelCategory::Aggregation;
         if !part.csr_adjs.is_empty() {
@@ -401,7 +399,7 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
                 .collect();
             let aggs = {
                 let part = &self.partitions[pi];
-                Self::aggregate_partition(gpu, tape, part, self.compute, &xs)?
+                Self::aggregate_partition(gpu, tape, part, &xs)?
             };
             // Deposit into the reuse caches for later frames/epochs.
             if let Some(reuse) = self.reuse.as_mut() {
@@ -442,13 +440,7 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
                 !part.adj_dev.is_empty() || !part.adj_dev_csr.is_empty(),
                 "hidden aggregation requires resident adjacency"
             );
-            out.extend(Self::aggregate_partition(
-                gpu,
-                tape,
-                part,
-                self.compute,
-                member_xs,
-            )?);
+            out.extend(Self::aggregate_partition(gpu, tape, part, member_xs)?);
             off += part.slots.len();
         }
         Ok(out)

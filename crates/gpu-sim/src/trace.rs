@@ -307,52 +307,80 @@ impl Tracer {
 /// Escape a string for a JSON string literal (quotes not included).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
+    push_json_escaped(&mut out, s);
+    out
+}
+
+// The exporter writes hundreds of bytes per event for up to millions of
+// events, so every piece below appends to the one output string instead of
+// returning a temporary.
+
+/// Append `s` escaped for a JSON string literal (quotes not included).
+fn push_json_escaped(out: &mut String, s: &str) {
+    // Copy unescaped runs whole; everything escaped is one byte long.
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        if !matches!(c, '"' | '\\' | '\0'..='\x1f') {
+            continue;
+        }
+        out.push_str(&s[run..i]);
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+            c => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
-/// Render nanoseconds as Chrome-trace microseconds with a fixed three
-/// decimal places (`1500` ns → `"1.500"`). Fixed-width fractions keep the
+/// Append nanoseconds as Chrome-trace microseconds with a fixed three
+/// decimal places (`1500` ns → `1.500`). Fixed-width fractions keep the
 /// output byte-stable; exact because 1 us = 1000 ns.
-pub fn fmt_micros(ns: SimNanos) -> String {
-    format!("{}.{:03}", ns.as_nanos() / 1_000, ns.as_nanos() % 1_000)
+fn push_micros(out: &mut String, ns: SimNanos) {
+    let _ = write!(
+        out,
+        "{}.{:03}",
+        ns.as_nanos() / 1_000,
+        ns.as_nanos() % 1_000
+    );
 }
 
-fn fmt_arg(v: &ArgValue) -> String {
-    match v {
-        ArgValue::U64(x) => format!("{x}"),
-        ArgValue::I64(x) => format!("{x}"),
+fn push_arg(out: &mut String, v: &ArgValue) {
+    let _ = match v {
+        ArgValue::U64(x) => write!(out, "{x}"),
+        ArgValue::I64(x) => write!(out, "{x}"),
         // `{:?}` is Rust's shortest round-trip form: deterministic, and
         // valid JSON for finite values (`1.0`, exponents as `1e-10`).
-        ArgValue::F64(x) if x.is_finite() => format!("{x:?}"),
-        ArgValue::F64(_) => "null".to_string(),
-        ArgValue::Bool(b) => format!("{b}"),
-        ArgValue::Str(s) => format!("\"{}\"", json_escape(s)),
-    }
+        ArgValue::F64(x) if x.is_finite() => write!(out, "{x:?}"),
+        ArgValue::F64(_) => write!(out, "null"),
+        ArgValue::Bool(b) => write!(out, "{b}"),
+        ArgValue::Str(s) => {
+            out.push('"');
+            push_json_escaped(out, s);
+            out.push('"');
+            Ok(())
+        }
+    };
 }
 
-fn fmt_args(args: &[(&'static str, ArgValue)]) -> String {
-    let mut out = String::from("{");
+fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
+    out.push('{');
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", json_escape(k), fmt_arg(v));
+        out.push('"');
+        push_json_escaped(out, k);
+        out.push_str("\":");
+        push_arg(out, v);
     }
     out.push('}');
-    out
 }
 
 /// Export a tracer's events as Chrome-trace-format JSON ("JSON Object"
@@ -390,7 +418,18 @@ pub fn export_chrome_trace_window(tracer: &Tracer, pid: u64, t0: SimNanos, t1: S
 }
 
 fn export_sorted_events(sorted: &[&TraceEvent], pid: u64) -> String {
-    let mut out = String::with_capacity(128 + sorted.len() * 96);
+    // Sized from the events (fixed keys and numbers ≈ 96 B, ≈ 12 B per
+    // argument beyond its key: about 1.15× what the benchmark's traces
+    // need), so a multi-hundred-MB export is allocated once instead of
+    // regrown by doubling.
+    let estimate: usize = sorted
+        .iter()
+        .map(|e| {
+            let args: usize = e.args.iter().map(|(k, _)| k.len() + 12).sum();
+            96 + e.name.len() + args
+        })
+        .sum();
+    let mut out = String::with_capacity(256 + estimate);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let _ = write!(
         out,
@@ -404,38 +443,34 @@ fn export_sorted_events(sorted: &[&TraceEvent], pid: u64) -> String {
     for (tid, lane) in &lanes {
         let _ = write!(
             out,
-            ",\n{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&lane.label())
+            ",\n{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\""
         );
+        push_json_escaped(&mut out, &lane.label());
+        out.push_str("\"}}");
     }
     for e in sorted {
-        let name = json_escape(e.name);
+        out.push_str(",\n{\"name\":\"");
+        push_json_escaped(&mut out, e.name);
         let cat = e.kind.category();
         let tid = e.lane.tid();
-        let ts = fmt_micros(e.ts);
-        match e.kind {
-            k if k.is_span() => {
-                let _ = write!(
-                    out,
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{}",
-                    fmt_micros(e.dur)
-                );
-            }
-            TraceKind::Counter => {
-                let _ = write!(
-                    out,
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}"
-                );
-            }
-            _ => {
-                let _ = write!(
-                    out,
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}"
-                );
-            }
+        let span = e.kind.is_span();
+        let ph = match e.kind {
+            _ if span => "\"X\"",
+            TraceKind::Counter => "\"C\"",
+            _ => "\"i\",\"s\":\"t\"",
+        };
+        let _ = write!(
+            out,
+            "\",\"cat\":\"{cat}\",\"ph\":{ph},\"pid\":{pid},\"tid\":{tid},\"ts\":"
+        );
+        push_micros(&mut out, e.ts);
+        if span {
+            out.push_str(",\"dur\":");
+            push_micros(&mut out, e.dur);
         }
         if !e.args.is_empty() {
-            let _ = write!(out, ",\"args\":{}", fmt_args(&e.args));
+            out.push_str(",\"args\":");
+            push_args(&mut out, &e.args);
         }
         out.push('}');
     }
@@ -711,28 +746,42 @@ mod tests {
         assert_eq!(json_escape("ünïcødé"), "ünïcødé");
     }
 
+    /// What an appender writes into an empty string.
+    fn pushed(f: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        f(&mut out);
+        out
+    }
+
     #[test]
     fn micros_formatting_is_fixed_width_fraction() {
-        assert_eq!(fmt_micros(SimNanos(0)), "0.000");
-        assert_eq!(fmt_micros(SimNanos(1)), "0.001");
-        assert_eq!(fmt_micros(SimNanos(1_500)), "1.500");
-        assert_eq!(fmt_micros(SimNanos(12_030_007)), "12030.007");
+        let micros = |ns| pushed(|o| push_micros(o, SimNanos(ns)));
+        assert_eq!(micros(0), "0.000");
+        assert_eq!(micros(1), "0.001");
+        assert_eq!(micros(1_500), "1.500");
+        assert_eq!(micros(12_030_007), "12030.007");
     }
 
     #[test]
     fn arg_values_render_as_valid_json() {
-        assert_eq!(fmt_arg(&ArgValue::U64(7)), "7");
-        assert_eq!(fmt_arg(&ArgValue::I64(-7)), "-7");
-        assert_eq!(fmt_arg(&ArgValue::Bool(true)), "true");
-        assert_eq!(fmt_arg(&ArgValue::F64(0.5)), "0.5");
-        assert_eq!(fmt_arg(&ArgValue::F64(3.0)), "3.0");
-        assert_eq!(fmt_arg(&ArgValue::F64(f64::NAN)), "null");
-        assert_eq!(fmt_arg(&ArgValue::F64(f64::INFINITY)), "null");
-        assert_eq!(fmt_arg(&ArgValue::Str("x\"y".into())), "\"x\\\"y\"");
+        let arg = |v: ArgValue| pushed(|o| push_arg(o, &v));
+        assert_eq!(arg(ArgValue::U64(7)), "7");
+        assert_eq!(arg(ArgValue::I64(-7)), "-7");
+        assert_eq!(arg(ArgValue::Bool(true)), "true");
+        assert_eq!(arg(ArgValue::F64(0.5)), "0.5");
+        assert_eq!(arg(ArgValue::F64(3.0)), "3.0");
+        assert_eq!(arg(ArgValue::F64(f64::NAN)), "null");
+        assert_eq!(arg(ArgValue::F64(f64::INFINITY)), "null");
+        assert_eq!(arg(ArgValue::Str("x\"y".into())), "\"x\\\"y\"");
         for v in [
-            fmt_arg(&ArgValue::F64(1e-10)),
-            fmt_arg(&ArgValue::F64(-2.25)),
-            fmt_args(&[("a", ArgValue::U64(1)), ("b", ArgValue::Str("s".into()))]),
+            arg(ArgValue::F64(1e-10)),
+            arg(ArgValue::F64(-2.25)),
+            pushed(|o| {
+                push_args(
+                    o,
+                    &[("a", ArgValue::U64(1)), ("b", ArgValue::Str("s".into()))],
+                )
+            }),
         ] {
             validate_json(&v).unwrap();
         }

@@ -80,8 +80,11 @@ pub fn gemm_nt_device(
 }
 
 /// `C = A × B` with the weight `B` kept resident in shared memory across
-/// all of `A`'s row tiles — the cost shape of the stacked weight-reuse
-/// update (one launch for a whole partition's vertically stacked features).
+/// all of `A`'s row tiles — PiPAD's locality-optimized weight reuse (§4.2):
+/// one launch over a whole partition's vertically stacked features
+/// ([`crate::concat_rows`]) pays the weight's global-memory traffic once
+/// instead of once per snapshot. Not applicable to EvolveGCN, whose weights
+/// evolve along the timeline.
 pub fn gemm_device_weight_resident(
     gpu: &mut Gpu,
     stream: StreamId,
@@ -96,40 +99,10 @@ pub fn gemm_device_weight_resident(
     DeviceMatrix::alloc(gpu, gemm(a.host(), b.host()))
 }
 
-/// Locality-optimized weight reuse (§4.2): one fused launch computes
-/// `X_i × W` for every snapshot of a partition while each weight tile stays
-/// resident in shared memory across snapshots — the weight's global-memory
-/// traffic is paid once instead of once per snapshot.
-///
-/// Not applicable to EvolveGCN, whose weights evolve along the timeline.
-pub fn gemm_weight_reuse(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    xs: &[&DeviceMatrix],
-    w: &DeviceMatrix,
-) -> Result<Vec<DeviceMatrix>, OomError> {
-    assert!(!xs.is_empty(), "weight reuse over an empty partition");
-    let k = w.rows() as u64;
-    let n = w.cols() as u64;
-    let m_total: u64 = xs.iter().map(|x| x.rows() as u64).sum();
-    // Weight loaded once (weight_loads = 1) for the whole partition.
-    let cost = gemm_cost(
-        "gemm_weight_reuse",
-        KernelCategory::Update,
-        m_total,
-        k,
-        n,
-        1,
-    );
-    gpu.launch(stream, cost);
-    xs.iter()
-        .map(|x| DeviceMatrix::alloc(gpu, gemm(x.host(), w.host())))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elementwise::concat_rows;
     use crate::transfer::upload_matrix;
     use pipad_gpu_sim::DeviceConfig;
     use pipad_tensor::{seeded_rng, uniform, Matrix};
@@ -159,42 +132,24 @@ mod tests {
     }
 
     #[test]
-    fn weight_reuse_matches_separate_gemms() {
-        let mut g = gpu();
-        let s = g.default_stream();
-        let w = uniform(&mut seeded_rng(3), 6, 4, 1.0);
-        let dw = upload_matrix(&mut g, s, &w, true).unwrap();
-        let xs: Vec<Matrix> = (0..3)
-            .map(|i| uniform(&mut seeded_rng(10 + i), 20, 6, 1.0))
-            .collect();
-        let dxs: Vec<DeviceMatrix> = xs
-            .iter()
-            .map(|x| upload_matrix(&mut g, s, x, true).unwrap())
-            .collect();
-        let refs: Vec<&DeviceMatrix> = dxs.iter().collect();
-        let ys = gemm_weight_reuse(&mut g, s, &refs, &dw).unwrap();
-        for (y, x) in ys.iter().zip(&xs) {
-            assert!(y.host().approx_eq(&gemm(x, &w), 1e-4));
-        }
-    }
-
-    #[test]
     fn weight_reuse_moves_fewer_weight_bytes() {
-        let mut g1 = gpu();
-        let s1 = g1.default_stream();
         let w = uniform(&mut seeded_rng(4), 32, 32, 1.0);
         let xs: Vec<Matrix> = (0..8)
             .map(|i| uniform(&mut seeded_rng(20 + i), 64, 32, 1.0))
             .collect();
 
         // Baseline: one GEMM per snapshot (weight re-read every time).
+        let mut g1 = gpu();
+        let s1 = g1.default_stream();
         let dw1 = upload_matrix(&mut g1, s1, &w, true).unwrap();
+        let mut separate = Vec::new();
         for x in &xs {
             let dx = upload_matrix(&mut g1, s1, x, true).unwrap();
-            gemm_device(&mut g1, s1, &dx, &dw1, KernelCategory::Update).unwrap();
+            separate.push(gemm_device(&mut g1, s1, &dx, &dw1, KernelCategory::Update).unwrap());
         }
         let base = g1.profiler().full();
 
+        // The live path: stack the partition, one weight-resident launch.
         let mut g2 = gpu();
         let s2 = g2.default_stream();
         let dw2 = upload_matrix(&mut g2, s2, &w, true).unwrap();
@@ -203,12 +158,18 @@ mod tests {
             .map(|x| upload_matrix(&mut g2, s2, x, true).unwrap())
             .collect();
         let refs: Vec<&DeviceMatrix> = dxs.iter().collect();
-        gemm_weight_reuse(&mut g2, s2, &refs, &dw2).unwrap();
-        let fused = g2.profiler().full();
+        let stacked = concat_rows(&mut g2, s2, &refs, KernelCategory::Update).unwrap();
+        let fused =
+            gemm_device_weight_resident(&mut g2, s2, &stacked, &dw2, KernelCategory::Update)
+                .unwrap();
+        let prof = g2.profiler().full();
 
-        assert!(fused.gmem_transactions < base.gmem_transactions);
-        assert_eq!(fused.kernel_launches, 1);
+        // Stacking rows reorders nothing within a row: same bits.
+        let separate: Vec<&Matrix> = separate.iter().map(|y| y.host()).collect();
+        assert_eq!(fused.host(), &Matrix::concat_rows(&separate));
+        assert!(prof.gmem_transactions < base.gmem_transactions);
+        assert_eq!(prof.kernel_launches, 1);
         assert_eq!(base.kernel_launches, 8);
-        assert!(fused.compute_total < base.compute_total);
+        assert!(prof.compute_total < base.compute_total);
     }
 }

@@ -39,9 +39,7 @@ pub use elementwise::{
     sigmoid_grad_from_out, slice_cols, slice_rows, split_cols, sse_loss, sub, tanh_act,
     tanh_grad_from_out,
 };
-pub use gemm::{
-    gemm_device, gemm_device_weight_resident, gemm_nt_device, gemm_tn_device, gemm_weight_reuse,
-};
+pub use gemm::{gemm_device, gemm_device_weight_resident, gemm_nt_device, gemm_tn_device};
 pub use spmm::{
     pipad_access_plan, spmm_coo_scatter, spmm_gespmm, spmm_sliced_parallel, PipadAccessPlan,
 };

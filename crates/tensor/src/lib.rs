@@ -6,10 +6,11 @@
 //! accounts for *cost*; this crate produces the actual *values*, so training
 //! genuinely converges.
 //!
-//! Matrices are row-major `Vec<f32>` with `rows × cols` shape. GEMM is
-//! cache-blocked and splits disjoint output-row bands across the
-//! persistent `pipad-pool` workers for large shapes; results are
-//! bit-identical at every thread count (see `PIPAD_THREADS`).
+//! Matrices are row-major `Vec<f32>` with `rows × cols` shape. GEMM is one
+//! register-tiled micro-kernel behind `gemm`/`gemm_tn`/`gemm_nt` and splits
+//! disjoint output-row bands across the persistent `pipad-pool` workers for
+//! large shapes; every output element keeps one fixed accumulation order,
+//! so results are bit-identical at every thread count (see `PIPAD_THREADS`).
 
 mod bufpool;
 mod count_alloc;

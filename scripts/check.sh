@@ -43,6 +43,19 @@ sentinel_rejects_seeded_drift() {
     grep -q "drifted" "$scratch_dir/sentinel_neg.log"
 }
 
+# The one release-profile test gate. Allocation budget under the counting
+# allocator: steady-state epochs must stay ≥95% below the preparing epochs'
+# hot-path heap allocations, under a pinned budget. Trainer digests and GEMM
+# bits: the benchmark, `repro` and every committed result run `--release`,
+# and the GEMM micro-kernel is exactly the code whose codegen differs
+# between the profiles, so its oracle and the digests it feeds are checked
+# here as well as at dev `opt-level` in the workspace run.
+release_profile_tests() {
+    cargo test -q --release --test alloc_budget --test multigpu_alloc \
+        --test trainer_digests --test host_parallel_exactness
+    cargo test -q --release -p pipad-tensor
+}
+
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace -- -D warnings
@@ -51,10 +64,7 @@ gate cargo clippy --workspace -- -D warnings
 # (kill-and-resume, executors, reuse stores, simulator, tape, every
 # HOST_MATRIX-carrying `repro` experiment at tiny scale, ...).
 gate cargo test --workspace -q
-# Allocation budget under the counting allocator: steady-state epochs must
-# stay ≥95% below the preparing epochs' hot-path heap allocations, under a
-# pinned budget.
-gate cargo test -q --release --test alloc_budget --test multigpu_alloc
+gate release_profile_tests
 gate sentinel_accepts_committed_baseline
 gate sentinel_rejects_seeded_drift
 gate env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

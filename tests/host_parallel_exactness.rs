@@ -65,14 +65,20 @@ fn assert_bit_identical(label: &str, f: impl Fn() -> Matrix) {
     }
 }
 
-// (m, k, n) GEMM shapes: empty, one row, band-non-divisible, above the
-// FLOP-volume parallel threshold (130·128·128 > 2^20).
-const GEMM_SHAPES: [(usize, usize, usize); 5] = [
+// (m, k, n) GEMM shapes: empty, one row, band-non-divisible, and three
+// above the FLOP-volume parallel threshold (m·k·n > 2^20), where all of
+// `gemm`, `gemm_tn` and `gemm_nt` really split into bands: square
+// (130·128·128), `n` off every tile width with uneven bands (1001·70·23),
+// and the skinny weight-gradient shape of the sparse workload (6 output
+// rows, inner dimension 12 000).
+const GEMM_SHAPES: [(usize, usize, usize); 7] = [
     (0, 0, 0),
     (1, 5, 3),
     (13, 7, 5),
     (64, 33, 17),
     (130, 128, 128),
+    (1001, 70, 23),
+    (6, 12_000, 18),
 ];
 
 #[test]
