@@ -20,10 +20,18 @@
 //!   GE-SpMM instead keeps a CSC copy resident (see
 //!   `pipad_kernels::upload_csr_with_csc`), matching the paper's note that
 //!   this costs PyGT-G extra transfer volume.
+//! * The recurrent gate algebra is four fused ops — [`Tape::lstm_cell`],
+//!   [`Tape::gru_cell`], [`Tape::sigmoid_add`], [`Tape::gru_blend`] — one
+//!   pointwise launch forward and one backward each, bit-identical to the
+//!   one-op chains they replaced (the `rnn_oracle` tests keep those chains
+//!   as the reference). Gradients are reference-counted so one buffer can
+//!   be several parents' gradient without a copy launch.
 //! * [`Tape::finish`] frees every device allocation the tape made; leaked
 //!   simulated memory would corrupt the tuner's peak statistics, so tests
 //!   assert the device returns to its pre-tape footprint.
 
+#[cfg(test)]
+mod rnn_oracle;
 mod tape;
 
 pub use tape::{AggregationKernel, SharedParam, Tape, Var};

@@ -122,11 +122,48 @@ enum Op {
         x: Var,
         from: usize,
     },
+    /// Fused LSTM gate algebra ([`Tape::lstm_cell`]). This node is `h′`;
+    /// `c′` is the [`Op::CellState`] node `c_out` pushed right after it,
+    /// whose gradient this node's backward consumes.
+    LstmCell {
+        gx: Var,
+        gh: Var,
+        b: Var,
+        c: Var,
+        c_out: Var,
+        /// `[i | f | g | o | tanh(c′)]`, saved by the forward launch.
+        saved: DeviceMatrix,
+    },
+    /// Second output of the [`Op::LstmCell`] node just before it.
+    CellState,
+    /// Fused GRU gate algebra ([`Tape::gru_cell`]).
+    GruCell {
+        gx: Var,
+        gh: Var,
+        b: Var,
+        h: Var,
+        /// `[r | z | n]`, saved by the forward launch.
+        saved: DeviceMatrix,
+    },
+    /// `σ(a + b)` ([`Tape::sigmoid_add`]).
+    SigmoidAdd(Var, Var),
+    /// GRU tail ([`Tape::gru_blend`]).
+    GruBlend {
+        z: Var,
+        nx: Var,
+        nh: Var,
+        h: Var,
+        /// The candidate `tanh(nx + nh)`, saved by the forward launch.
+        n: DeviceMatrix,
+    },
 }
 
 struct Node {
     value: Value,
-    grad: Option<DeviceMatrix>,
+    /// Shared so one gradient buffer can be several parents' gradient
+    /// (an LSTM's `dgx` and `dgh` are the same matrix); whoever drops the
+    /// last handle frees the device allocation.
+    grad: Option<Rc<DeviceMatrix>>,
     op: Op,
     requires_grad: bool,
     category: KernelCategory,
@@ -173,7 +210,8 @@ impl Tape {
         self.nodes[v.0].requires_grad
     }
 
-    fn shape(&self, v: Var) -> (usize, usize) {
+    /// `(rows, cols)` of a node's value.
+    pub fn shape(&self, v: Var) -> (usize, usize) {
         self.dev(v).host().shape()
     }
 
@@ -223,8 +261,7 @@ impl Tape {
         category: KernelCategory,
     ) -> Var {
         if gpu.take_poison_pending() {
-            let (r, c) = value.host().shape();
-            value.store(Matrix::full(r, c, f32::NAN));
+            nan_fill(&mut value);
         }
         self.push_owned(value, op, requires_grad, category)
     }
@@ -769,6 +806,111 @@ impl Tape {
         Ok(self.push_computed(gpu, out, Op::SliceCols { x, from }, rg, category))
     }
 
+    // ---- fused recurrent cells ---------------------------------------------
+
+    /// Fused LSTM gate algebra, `(h′, c′)` in one launch: `gx = x·Wx` and
+    /// `gh = h·Wh` are the gate pre-activation halves (`n × 4h`, order
+    /// `[i, f, g, o]`), `b` the `1 × 4h` bias, `c` the previous cell state.
+    /// Bit-identical to composing `add`, `add_bias`, `slice_cols`,
+    /// `sigmoid`, `tanh` and `hadamard`, forward and backward.
+    pub fn lstm_cell(
+        &mut self,
+        gpu: &mut Gpu,
+        gx: Var,
+        gh: Var,
+        b: Var,
+        c: Var,
+        category: KernelCategory,
+    ) -> Result<(Var, Var), OomError> {
+        let mut out = {
+            let (dgx, dgh, db, dc) = (self.dev(gx), self.dev(gh), self.dev(b), self.dev(c));
+            k::lstm_cell(gpu, self.stream, &dgx, &dgh, &db, &dc, category)?
+        };
+        if gpu.take_poison_pending() {
+            nan_fill(&mut out.h);
+            nan_fill(&mut out.c);
+        }
+        let rg = [gx, gh, b, c].iter().any(|&v| self.requires(v));
+        let c_out = Var(self.nodes.len() + 1);
+        let op = Op::LstmCell {
+            gx,
+            gh,
+            b,
+            c,
+            c_out,
+            saved: out.saved,
+        };
+        let h2 = self.push_owned(out.h, op, rg, category);
+        let c2 = self.push_owned(out.c, Op::CellState, rg, category);
+        debug_assert_eq!(c2, c_out);
+        Ok((h2, c2))
+    }
+
+    /// Fused GRU gate algebra in one launch: `gx = x·Wx` and `gh = h·Wh`
+    /// (`n × 3h`, order `[r, z, n]`), `b` the `1 × 3h` bias (added to
+    /// `gx`), `h` the previous hidden state; the candidate is
+    /// `tanh(nx + r ⊙ nh)`. Bit-identical to the composed ops.
+    pub fn gru_cell(
+        &mut self,
+        gpu: &mut Gpu,
+        gx: Var,
+        gh: Var,
+        b: Var,
+        h: Var,
+        category: KernelCategory,
+    ) -> Result<Var, OomError> {
+        let out = {
+            let (dgx, dgh, db, dh) = (self.dev(gx), self.dev(gh), self.dev(b), self.dev(h));
+            k::gru_cell(gpu, self.stream, &dgx, &dgh, &db, &dh, category)?
+        };
+        let rg = [gx, gh, b, h].iter().any(|&v| self.requires(v));
+        let op = Op::GruCell {
+            gx,
+            gh,
+            b,
+            h,
+            saved: out.saved,
+        };
+        Ok(self.push_computed(gpu, out.h, op, rg, category))
+    }
+
+    /// `σ(a + b)` in one launch.
+    pub fn sigmoid_add(
+        &mut self,
+        gpu: &mut Gpu,
+        a: Var,
+        b: Var,
+        category: KernelCategory,
+    ) -> Result<Var, OomError> {
+        self.binary(gpu, a, b, category, k::sigmoid_add, Op::SigmoidAdd(a, b))
+    }
+
+    /// `(1 − z) ⊙ tanh(nx + nh) + z ⊙ h` in one launch — the tail of a GRU
+    /// whose candidate GEMM needs the reset gate first (T-GCN).
+    pub fn gru_blend(
+        &mut self,
+        gpu: &mut Gpu,
+        z: Var,
+        nx: Var,
+        nh: Var,
+        h: Var,
+        category: KernelCategory,
+    ) -> Result<Var, OomError> {
+        let out = {
+            let (dz, dnx, dnh, dh) = (self.dev(z), self.dev(nx), self.dev(nh), self.dev(h));
+            k::gru_blend(gpu, self.stream, &dz, &dnx, &dnh, &dh, category)?
+        };
+        let rg = [z, nx, nh, h].iter().any(|&v| self.requires(v));
+        let op = Op::GruBlend {
+            z,
+            nx,
+            nh,
+            h,
+            n: out.n,
+        };
+        Ok(self.push_computed(gpu, out.h, op, rg, category))
+    }
+
     // ---- loss & backward --------------------------------------------------
 
     /// MSE loss value of `pred` against `target`.
@@ -830,15 +972,17 @@ impl Tape {
         root: Var,
         seed: DeviceMatrix,
     ) -> Result<(), OomError> {
-        let mut stash: Vec<(usize, DeviceMatrix)> = Vec::new();
-        for i in 0..=root.0 {
-            if let Some(g) = self.nodes[i].grad.take() {
+        // Every node, not just those below `root`: an LSTM cell at `root`
+        // reads the gradient of its `c′` node, which sits just above it.
+        let mut stash: Vec<(usize, Rc<DeviceMatrix>)> = Vec::new();
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if let Some(g) = node.grad.take() {
                 stash.push((i, g));
             }
         }
         self.backward_from(gpu, root, seed)?;
         for (i, g) in stash {
-            self.accumulate(gpu, Var(i), g)?;
+            self.accumulate_rc(gpu, Var(i), g)?;
         }
         Ok(())
     }
@@ -852,8 +996,21 @@ impl Tape {
     ) -> Result<(), OomError> {
         self.accumulate(gpu, root, seed)?;
         for i in (0..=root.0).rev() {
-            if self.nodes[i].grad.is_none() || !self.nodes[i].requires_grad {
+            if !self.nodes[i].requires_grad {
                 continue;
+            }
+            if self.nodes[i].grad.is_none() {
+                // An LSTM cell whose `h′` nobody used still owes its inputs
+                // the gradient of `c′`: run its backward with `dh = 0`.
+                let Op::LstmCell { c_out, .. } = self.nodes[i].op else {
+                    continue;
+                };
+                if self.nodes[c_out.0].grad.is_none() {
+                    continue;
+                }
+                let (rows, cols) = self.shape(Var(i));
+                let zero = DeviceMatrix::alloc(gpu, Matrix::zeros_in(rows, cols))?;
+                self.nodes[i].grad = Some(Rc::new(zero));
             }
             self.step_backward(gpu, Var(i))?;
         }
@@ -861,6 +1018,15 @@ impl Tape {
     }
 
     fn accumulate(&mut self, gpu: &mut Gpu, v: Var, g: DeviceMatrix) -> Result<(), OomError> {
+        self.accumulate_rc(gpu, v, Rc::new(g))
+    }
+
+    fn accumulate_rc(
+        &mut self,
+        gpu: &mut Gpu,
+        v: Var,
+        g: Rc<DeviceMatrix>,
+    ) -> Result<(), OomError> {
         debug_assert_eq!(
             self.shape(v),
             (g.rows(), g.cols()),
@@ -871,11 +1037,38 @@ impl Tape {
             Some(prev) => {
                 let cat = self.nodes[v.0].category;
                 let sum = k::add(gpu, self.stream, &prev, &g, cat)?;
-                prev.release(gpu);
-                g.release(gpu);
-                self.nodes[v.0].grad = Some(sum);
+                release_grad(gpu, prev);
+                release_grad(gpu, g);
+                self.nodes[v.0].grad = Some(Rc::new(sum));
             }
         }
+        Ok(())
+    }
+
+    /// Hand `g` to `v` if it carries gradient, free it otherwise.
+    fn deposit(&mut self, gpu: &mut Gpu, v: Var, g: DeviceMatrix) -> Result<(), OomError> {
+        if self.requires(v) {
+            self.accumulate(gpu, v, g)
+        } else {
+            g.release(gpu);
+            Ok(())
+        }
+    }
+
+    /// Hand the one buffer `g` to both parents — no copy, no launch.
+    fn deposit_shared(
+        &mut self,
+        gpu: &mut Gpu,
+        parents: [Var; 2],
+        g: DeviceMatrix,
+    ) -> Result<(), OomError> {
+        let g = Rc::new(g);
+        for p in parents {
+            if self.requires(p) {
+                self.accumulate_rc(gpu, p, Rc::clone(&g))?;
+            }
+        }
+        release_grad(gpu, g);
         Ok(())
     }
 
@@ -912,9 +1105,29 @@ impl Tape {
             Slice(Var, usize),
             ConcatR(Vec<Var>),
             SliceR(Var, usize),
+            LstmCell {
+                gx: Var,
+                gh: Var,
+                b: Var,
+                c: Var,
+                c_out: Var,
+            },
+            GruCell {
+                gx: Var,
+                gh: Var,
+                b: Var,
+                h: Var,
+            },
+            SigmoidAdd(Var, Var),
+            GruBlend {
+                z: Var,
+                nx: Var,
+                nh: Var,
+                h: Var,
+            },
         }
         let plan = match &self.nodes[v.0].op {
-            Op::Input | Op::Param => Plan::None,
+            Op::Input | Op::Param | Op::CellState => Plan::None,
             Op::MatMul(a, b) => Plan::MatMul(*a, *b),
             Op::Spmm { adj, x, kernel } => Plan::Spmm(Rc::clone(adj), *x, *kernel),
             Op::SpmmSliced { adj, x, s_per } => Plan::SpmmSliced(Rc::clone(adj), *x, *s_per),
@@ -960,6 +1173,23 @@ impl Tape {
             Op::SliceCols { x, from } => Plan::Slice(*x, *from),
             Op::ConcatRows(parts) => Plan::ConcatR(parts.clone()),
             Op::SliceRows { x, from } => Plan::SliceR(*x, *from),
+            &Op::LstmCell {
+                gx,
+                gh,
+                b,
+                c,
+                c_out,
+                ..
+            } => Plan::LstmCell {
+                gx,
+                gh,
+                b,
+                c,
+                c_out,
+            },
+            &Op::GruCell { gx, gh, b, h, .. } => Plan::GruCell { gx, gh, b, h },
+            &Op::SigmoidAdd(a, b) => Plan::SigmoidAdd(a, b),
+            &Op::GruBlend { z, nx, nh, h, .. } => Plan::GruBlend { z, nx, nh, h },
         };
 
         match plan {
@@ -1271,6 +1501,74 @@ impl Tape {
                     self.accumulate(gpu, x, dx)?;
                 }
             }
+            Plan::LstmCell {
+                gx,
+                gh,
+                b,
+                c,
+                c_out,
+            } => {
+                let dc_next = self.nodes[c_out.0].grad.take();
+                let grads = {
+                    let Op::LstmCell { saved, .. } = &self.nodes[v.0].op else {
+                        unreachable!("plan was built from this op");
+                    };
+                    let cm = self.dev(c);
+                    let want_dc = self.requires(c);
+                    k::lstm_cell_grad(gpu, s, saved, &cm, &g, dc_next.as_deref(), want_dc, cat)
+                };
+                self.nodes[c_out.0].grad = dc_next;
+                let k::LstmCellGrad { dgates, dc } = grads?;
+                if let Some(dc) = dc {
+                    self.accumulate(gpu, c, dc)?;
+                }
+                if self.requires(b) {
+                    let db = k::col_sums(gpu, s, &dgates, cat)?;
+                    self.accumulate(gpu, b, db)?;
+                }
+                self.deposit_shared(gpu, [gx, gh], dgates)?;
+            }
+            Plan::GruCell { gx, gh, b, h } => {
+                let k::GruCellGrad { dgx, dgh, dh } = {
+                    let Op::GruCell { saved, .. } = &self.nodes[v.0].op else {
+                        unreachable!("plan was built from this op");
+                    };
+                    let (ghm, hm) = (self.dev(gh), self.dev(h));
+                    let want_dh = self.requires(h);
+                    k::gru_cell_grad(gpu, s, saved, &ghm, &hm, &g, want_dh, cat)?
+                };
+                if let Some(dh) = dh {
+                    self.accumulate(gpu, h, dh)?;
+                }
+                if self.requires(b) {
+                    let db = k::col_sums(gpu, s, &dgx, cat)?;
+                    self.accumulate(gpu, b, db)?;
+                }
+                self.deposit(gpu, gx, dgx)?;
+                self.deposit(gpu, gh, dgh)?;
+            }
+            Plan::SigmoidAdd(a, b) => {
+                let d = {
+                    let out = self.dev(v);
+                    k::sigmoid_grad_from_out(gpu, s, &out, &g, cat)?
+                };
+                self.deposit_shared(gpu, [a, b], d)?;
+            }
+            Plan::GruBlend { z, nx, nh, h } => {
+                let k::GruBlendGrad { dz, dn, dh } = {
+                    let Op::GruBlend { n, .. } = &self.nodes[v.0].op else {
+                        unreachable!("plan was built from this op");
+                    };
+                    let (zm, hm) = (self.dev(z), self.dev(h));
+                    let want_dh = self.requires(h);
+                    k::gru_blend_grad(gpu, s, &zm, n, &hm, &g, want_dh, cat)?
+                };
+                self.deposit(gpu, z, dz)?;
+                if let Some(dh) = dh {
+                    self.accumulate(gpu, h, dh)?;
+                }
+                self.deposit_shared(gpu, [nx, nh], dn)?;
+            }
         }
         // Restore the node's gradient (models may read it after backward).
         self.nodes[v.0].grad = Some(g);
@@ -1285,9 +1583,27 @@ impl Tape {
                 m.release(gpu);
             }
             if let Some(g) = node.grad {
-                g.release(gpu);
+                release_grad(gpu, g);
+            }
+            match node.op {
+                Op::LstmCell { saved, .. } | Op::GruCell { saved, .. } => saved.release(gpu),
+                Op::GruBlend { n, .. } => n.release(gpu),
+                _ => {}
             }
         }
+    }
+}
+
+/// Overwrite a kernel output with NaNs — what a corrupted write looks like.
+fn nan_fill(value: &mut DeviceMatrix) {
+    let (r, c) = value.host().shape();
+    value.store(Matrix::full(r, c, f32::NAN));
+}
+
+/// Drop one handle on a gradient buffer; the last one frees it.
+fn release_grad(gpu: &mut Gpu, g: Rc<DeviceMatrix>) {
+    if let Ok(m) = Rc::try_unwrap(g) {
+        m.release(gpu);
     }
 }
 

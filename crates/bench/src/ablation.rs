@@ -172,6 +172,7 @@ pub fn mechanism_ablation(scale: RunScale) -> String {
     )
     .unwrap();
     let mut base = None;
+    let mut slowdowns = Vec::new();
     for (name, pcfg) in variants {
         let r = run_with_device(
             DeviceConfig::v100(),
@@ -184,16 +185,43 @@ pub fn mechanism_ablation(scale: RunScale) -> String {
             .expect("V100 never exhausts memory at this scale")
             .steady_epoch_time;
         let b = *base.get_or_insert(t);
+        let slowdown = t.as_nanos() as f64 / b.as_nanos().max(1) as f64;
         writeln!(
             out,
             "{} {:>14} {:>9.2}x",
             pad(name, 28),
             t.to_string(),
-            t.as_nanos() as f64 / b.as_nanos().max(1) as f64
+            slowdown
+        )
+        .unwrap();
+        if let Some(mechanism) = name.strip_prefix("- ") {
+            slowdowns.push((mechanism, slowdown));
+        }
+    }
+    out.push('\n');
+    out.push_str(&mechanism_verdict(&slowdowns));
+    out.push_str("Numerics are unchanged in all variants (asserted by tests/ablations.rs).\n");
+    out
+}
+
+/// The sentence under Ablation C, derived from the table it sits under:
+/// which mechanisms cost at least 1 % of the steady epoch when removed,
+/// and which do not at this scale.
+fn mechanism_verdict(slowdowns: &[(&str, f64)]) -> String {
+    let (matter, idle): (Vec<_>, Vec<_>) = slowdowns.iter().partition(|(_, s)| *s >= 1.01);
+    let names = |v: &[&(&str, f64)]| v.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ");
+    let mut out = String::new();
+    if !matter.is_empty() {
+        writeln!(
+            out,
+            "Removing costs >= 1 % of the steady epoch: {}.",
+            names(&matter)
         )
         .unwrap();
     }
-    out.push_str("\nEvery mechanism carries weight; numerics are unchanged in all variants\n(asserted by tests/ablations.rs).\n");
+    if !idle.is_empty() {
+        writeln!(out, "Removing costs < 1 % at this scale: {}.", names(&idle)).unwrap();
+    }
     out
 }
 
@@ -208,6 +236,20 @@ pub fn run(scale: RunScale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn verdict_names_only_the_mechanisms_whose_removal_costs_something() {
+        let v = mechanism_verdict(&[("reuse", 1.02), ("graph", 7.7), ("parallelism", 1.0)]);
+        assert_eq!(
+            v,
+            "Removing costs >= 1 % of the steady epoch: reuse, graph.\n\
+             Removing costs < 1 % at this scale: parallelism.\n"
+        );
+        assert_eq!(
+            mechanism_verdict(&[("a", 1.5)]),
+            "Removing costs >= 1 % of the steady epoch: a.\n"
+        );
+    }
 
     #[test]
     fn slow_pcie_increases_transfer_share() {

@@ -38,7 +38,7 @@ const HIDDEN: usize = 16;
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
 /// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 6] = [
+const SENTINEL: [(&str, f64, f64); 7] = [
     // Pipelining quality: compute↔transfer overlap in the steady window
     // (milli-fraction of transfer time hidden under kernels).
     (
@@ -59,6 +59,13 @@ const SENTINEL: [(&str, f64, f64); 6] = [
         "pipad_device_allocs{method=\"PiPAD\",window=\"steady\"}",
         2.0,
         0.10,
+    ),
+    // Kernel launches in the steady window — a deterministic integer, so
+    // exact: launch-count work (fusion, CUDA-graph batching) lands here.
+    (
+        "pipad_kernel_launches{method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
     ),
     // End-to-end steady epoch time.
     ("pipad_steady_epoch_ns{method=\"PiPAD\"}", 0.0, 0.10),

@@ -14,7 +14,7 @@ const HOST_ELEMS_PER_BAND: usize = 1 << 15;
 
 /// Rows per band so each band touches at least [`HOST_ELEMS_PER_BAND`]
 /// elements.
-fn rows_per_band(cols: usize) -> usize {
+pub(crate) fn rows_per_band(cols: usize) -> usize {
     HOST_ELEMS_PER_BAND.div_ceil(cols.max(1)).max(1)
 }
 
@@ -28,10 +28,28 @@ fn streaming_cost(
     elems_written: u64,
     flops_per_elem: u64,
 ) -> KernelCost {
+    streaming_cost_flops(
+        name,
+        category,
+        elems_read,
+        elems_written,
+        elems_written * flops_per_elem,
+    )
+}
+
+/// [`streaming_cost`] with the flop total given outright — for kernels
+/// whose arithmetic is not proportional to the elements they write.
+pub(crate) fn streaming_cost_flops(
+    name: &'static str,
+    category: KernelCategory,
+    elems_read: u64,
+    elems_written: u64,
+    flops: u64,
+) -> KernelCost {
     let bytes = 4 * (elems_read + elems_written);
     let blocks = elems_written.max(1).div_ceil(ELEMS_PER_BLOCK).max(1);
     KernelCost::new(name, category)
-        .flops(elems_written * flops_per_elem)
+        .flops(flops)
         .gmem(bytes.div_ceil(128), bytes.div_ceil(32))
         .uniform_blocks(blocks as usize, ELEMS_PER_BLOCK)
 }
@@ -151,9 +169,14 @@ pub fn sigmoid(
     x: &DeviceMatrix,
     category: KernelCategory,
 ) -> Result<DeviceMatrix, OomError> {
-    unary(gpu, stream, "sigmoid", category, x, 4, |v| {
-        1.0 / (1.0 + (-v).exp())
-    })
+    unary(gpu, stream, "sigmoid", category, x, 4, sigmoid_f)
+}
+
+/// The logistic function as [`sigmoid`] rounds it; the fused recurrent
+/// kernels share it so both paths produce the same bits.
+#[inline]
+pub(crate) fn sigmoid_f(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 /// Hyperbolic tangent.
@@ -208,8 +231,22 @@ pub fn sigmoid_grad_from_out(
         category,
         out,
         upstream,
-        |y, g| g * y * (1.0 - y),
+        sigmoid_grad_f,
     )
+}
+
+/// `dσ` from the forward output `y` and upstream `g`, as
+/// [`sigmoid_grad_from_out`] rounds it: `(g·y)·(1 − y)`.
+#[inline]
+pub(crate) fn sigmoid_grad_f(y: f32, g: f32) -> f32 {
+    g * y * (1.0 - y)
+}
+
+/// `dtanh` from the forward output `y` and upstream `g`, as
+/// [`tanh_grad_from_out`] rounds it: `g·(1 − y·y)`.
+#[inline]
+pub(crate) fn tanh_grad_f(y: f32, g: f32) -> f32 {
+    g * (1.0 - y * y)
 }
 
 /// Backward helper: `g · (1 − tanh(x)²)` given the forward *output*.
@@ -220,9 +257,15 @@ pub fn tanh_grad_from_out(
     upstream: &DeviceMatrix,
     category: KernelCategory,
 ) -> Result<DeviceMatrix, OomError> {
-    binary(gpu, stream, "tanh_grad", category, out, upstream, |y, g| {
-        g * (1.0 - y * y)
-    })
+    binary(
+        gpu,
+        stream,
+        "tanh_grad",
+        category,
+        out,
+        upstream,
+        tanh_grad_f,
+    )
 }
 
 /// Degree normalization: scale row `r` of `x` by `factors[r]` — the mean

@@ -28,6 +28,7 @@ mod attention;
 mod device_data;
 mod elementwise;
 mod gemm;
+mod rnn;
 mod spmm;
 mod transfer;
 
@@ -40,6 +41,10 @@ pub use elementwise::{
     tanh_grad_from_out,
 };
 pub use gemm::{gemm_device, gemm_device_weight_resident, gemm_nt_device, gemm_tn_device};
+pub use rnn::{
+    gru_blend, gru_blend_grad, gru_cell, gru_cell_grad, lstm_cell, lstm_cell_grad, sigmoid_add,
+    GruBlendGrad, GruBlendOut, GruCellGrad, GruCellOut, LstmCellGrad, LstmCellOut,
+};
 pub use spmm::{
     pipad_access_plan, spmm_coo_scatter, spmm_gespmm, spmm_sliced_parallel, PipadAccessPlan,
 };

@@ -63,6 +63,8 @@ pub struct WindowHealth {
     pub backoff_ns: u64,
     /// Count of `device_mem_in_use` increases (device allocations).
     pub device_allocs: u64,
+    /// Count of kernel spans (launches) in the window.
+    pub kernel_launches: u64,
     /// Per-stream overlap accounting, ascending stream index.
     pub per_stream: Vec<StreamHealth>,
     /// Σ duration of accounted host ops by name.
@@ -243,8 +245,9 @@ fn window_health(events: &[TraceEvent], t0: u64, t1: u64, alloc_ts: &[u64]) -> W
         }
     }
     let busy: Vec<(u64, u64)> = kernels.iter().chain(transfers.iter()).copied().collect();
-    let kernel_union = union_intervals(kernels);
     let transfer_union = union_intervals(transfers);
+    out.kernel_launches = kernels.len() as u64;
+    let kernel_union = union_intervals(kernels);
     out.compute_busy_ns = total_ns(&kernel_union);
     out.transfer_busy_ns = total_ns(&transfer_union);
     out.overlap_ns = intersect_ns(&kernel_union, &transfer_union);
@@ -382,6 +385,7 @@ impl PipelineHealth {
             reg.inc_counter_with("pipad_sync_stall_ns", &l, w.sync_stall_ns);
             reg.inc_counter_with("pipad_transfer_backoff_ns", &l, w.backoff_ns);
             reg.inc_counter_with("pipad_device_allocs", &l, w.device_allocs);
+            reg.inc_counter_with("pipad_kernel_launches", &l, w.kernel_launches);
         };
         window(reg, "run", &self.run);
         if let Some(steady) = &self.steady {
@@ -484,6 +488,7 @@ mod tests {
         assert_eq!(h.run.unattributed_bubble_ns(), 33);
         assert_eq!(h.run.sm_utilization_milli(), 500);
         assert_eq!(h.run.device_allocs, 2, "64→128 rise and the first 0→64");
+        assert_eq!(h.run.kernel_launches, 1);
         assert_eq!(h.run.per_stream.len(), 1);
         assert_eq!(h.run.per_stream[0].overlap_ns, 50);
         assert_eq!(h.epochs.len(), 1);

@@ -17,8 +17,6 @@ pub struct LstmCell {
     pub wh: Param,
     /// Fused gate bias (`1 × gates·hidden`).
     pub b: Param,
-    /// Hidden dimension.
-    pub hidden: usize,
 }
 
 impl LstmCell {
@@ -34,7 +32,6 @@ impl LstmCell {
             wx: Param::glorot(gpu, rng, format!("{name}.wx"), input, 4 * hidden)?,
             wh: Param::glorot(gpu, rng, format!("{name}.wh"), hidden, 4 * hidden)?,
             b: Param::zeros_bias(gpu, format!("{name}.b"), 4 * hidden)?,
-            hidden,
         })
     }
 
@@ -48,28 +45,12 @@ impl LstmCell {
         h: Var,
         c: Var,
     ) -> Result<(Var, Var), OomError> {
-        let hd = self.hidden;
         let wx = binder.bind(tape, &self.wx);
         let wh = binder.bind(tape, &self.wh);
         let b = binder.bind(tape, &self.b);
         let gx = tape.matmul(gpu, x, wx, RNN)?;
         let gh = tape.matmul(gpu, h, wh, RNN)?;
-        let gsum = tape.add(gpu, gx, gh, RNN)?;
-        let gates = tape.add_bias(gpu, gsum, b, RNN)?;
-        let i = tape.slice_cols(gpu, gates, 0, hd, RNN)?;
-        let f = tape.slice_cols(gpu, gates, hd, 2 * hd, RNN)?;
-        let g = tape.slice_cols(gpu, gates, 2 * hd, 3 * hd, RNN)?;
-        let o = tape.slice_cols(gpu, gates, 3 * hd, 4 * hd, RNN)?;
-        let i = tape.sigmoid(gpu, i, RNN)?;
-        let f = tape.sigmoid(gpu, f, RNN)?;
-        let g = tape.tanh(gpu, g, RNN)?;
-        let o = tape.sigmoid(gpu, o, RNN)?;
-        let fc = tape.hadamard(gpu, f, c, RNN)?;
-        let ig = tape.hadamard(gpu, i, g, RNN)?;
-        let c2 = tape.add(gpu, fc, ig, RNN)?;
-        let tc = tape.tanh(gpu, c2, RNN)?;
-        let h2 = tape.hadamard(gpu, o, tc, RNN)?;
-        Ok((h2, c2))
+        tape.lstm_cell(gpu, gx, gh, b, c, RNN)
     }
 
     /// The trainable parameters of this component.
@@ -87,8 +68,6 @@ pub struct GruCell {
     pub wh: Param,
     /// Fused gate bias (`1 × gates·hidden`).
     pub b: Param,
-    /// Hidden dimension.
-    pub hidden: usize,
 }
 
 impl GruCell {
@@ -104,7 +83,6 @@ impl GruCell {
             wx: Param::glorot(gpu, rng, format!("{name}.wx"), input, 3 * hidden)?,
             wh: Param::glorot(gpu, rng, format!("{name}.wh"), hidden, 3 * hidden)?,
             b: Param::zeros_bias(gpu, format!("{name}.b"), 3 * hidden)?,
-            hidden,
         })
     }
 
@@ -117,31 +95,12 @@ impl GruCell {
         x: Var,
         h: Var,
     ) -> Result<Var, OomError> {
-        let hd = self.hidden;
         let wx = binder.bind(tape, &self.wx);
         let wh = binder.bind(tape, &self.wh);
         let b = binder.bind(tape, &self.b);
-        let gx0 = tape.matmul(gpu, x, wx, RNN)?;
-        let gx = tape.add_bias(gpu, gx0, b, RNN)?;
+        let gx = tape.matmul(gpu, x, wx, RNN)?;
         let gh = tape.matmul(gpu, h, wh, RNN)?;
-        let rx = tape.slice_cols(gpu, gx, 0, hd, RNN)?;
-        let rh = tape.slice_cols(gpu, gh, 0, hd, RNN)?;
-        let rsum = tape.add(gpu, rx, rh, RNN)?;
-        let r = tape.sigmoid(gpu, rsum, RNN)?;
-        let zx = tape.slice_cols(gpu, gx, hd, 2 * hd, RNN)?;
-        let zh = tape.slice_cols(gpu, gh, hd, 2 * hd, RNN)?;
-        let zsum = tape.add(gpu, zx, zh, RNN)?;
-        let z = tape.sigmoid(gpu, zsum, RNN)?;
-        let nx = tape.slice_cols(gpu, gx, 2 * hd, 3 * hd, RNN)?;
-        let nh = tape.slice_cols(gpu, gh, 2 * hd, 3 * hd, RNN)?;
-        let rnh = tape.hadamard(gpu, r, nh, RNN)?;
-        let nsum = tape.add(gpu, nx, rnh, RNN)?;
-        let n = tape.tanh(gpu, nsum, RNN)?;
-        // h' = (1 − z) ⊙ n + z ⊙ h
-        let omz = tape.affine_const(gpu, z, -1.0, 1.0, RNN)?;
-        let a = tape.hadamard(gpu, omz, n, RNN)?;
-        let bterm = tape.hadamard(gpu, z, h, RNN)?;
-        tape.add(gpu, a, bterm, RNN)
+        tape.gru_cell(gpu, gx, gh, b, h, RNN)
     }
 
     /// The trainable parameters of this component.
@@ -234,16 +193,28 @@ mod tests {
     fn rnn_work_is_billed_to_rnn_category() {
         let (mut gpu, s) = setup();
         let mut rng = seeded_rng(4);
-        let cell = GruCell::new(&mut gpu, &mut rng, "gru", 2, 2).unwrap();
+        let gru = GruCell::new(&mut gpu, &mut rng, "gru", 2, 2).unwrap();
+        let lstm = LstmCell::new(&mut gpu, &mut rng, "lstm", 2, 2).unwrap();
         let snap = gpu.profiler().snapshot();
         let mut tape = Tape::new(s);
         let mut binder = Binder::new();
         let x = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::full(3, 2, 0.1)).unwrap());
         let h = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(3, 2)).unwrap());
-        cell.step(&mut gpu, &mut tape, &mut binder, x, h).unwrap();
+        gru.step(&mut gpu, &mut tape, &mut binder, x, h).unwrap();
+        lstm.step(&mut gpu, &mut tape, &mut binder, x, h, h)
+            .unwrap();
         let w = gpu.profiler().window(snap);
         assert!(w.compute_by_category.contains_key("rnn"));
         assert!(!w.compute_by_category.contains_key("aggregation"));
+        // One step is its two gate GEMMs plus one fused pointwise launch.
+        let launched: Vec<_> = gpu.profiler().samples()[snap.from..]
+            .iter()
+            .map(|sm| sm.name)
+            .collect();
+        assert_eq!(
+            launched,
+            ["gemm", "gemm", "gru_cell", "gemm", "gemm", "lstm_cell"]
+        );
         tape.finish(&mut gpu);
     }
 }

@@ -128,7 +128,7 @@ impl DgnnModel for GatRnn {
                 self.gat.forward(gpu, tape, &mut binder, adj, x)
             })
             .collect::<Result<_, _>>()?;
-        let n = tape.host(embeddings[0]).rows();
+        let n = tape.shape(embeddings[0]).0;
         let mut h = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros(n, self.hidden))?);
         for &e in &embeddings {
             h = self.gru.step(gpu, tape, &mut binder, e, h)?;

@@ -70,7 +70,7 @@ impl DgnnModel for MpnnLstm {
             .update_many(gpu, tape, &mut binder, exec, &agg2, true)?;
 
         // --- temporal phase (sequential over the frame) -------------------
-        let n = tape.host(h2[0]).rows();
+        let n = tape.shape(h2[0]).0;
         // A single zero input serves as every initial hidden/cell state
         // (inputs carry no gradient, so sharing the node is safe).
         let zero = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros(n, self.hidden))?);

@@ -90,29 +90,19 @@ impl DgnnModel for TGcn {
         let ur = binder.bind(tape, &self.u_r);
         let un = binder.bind(tape, &self.u_n);
 
-        let n_vertices = tape.host(zx[0]).rows();
+        let n_vertices = tape.shape(zx[0]).0;
         let mut h = tape.input(DeviceMatrix::alloc(
             gpu,
             Matrix::zeros(n_vertices, self.hidden),
         )?);
         for t in 0..exec.frame_len() {
             let zh = tape.matmul(gpu, h, uz, RNN)?;
-            let zsum = tape.add(gpu, zx[t], zh, RNN)?;
-            let z = tape.sigmoid(gpu, zsum, RNN)?;
-
+            let z = tape.sigmoid_add(gpu, zx[t], zh, RNN)?;
             let rh = tape.matmul(gpu, h, ur, RNN)?;
-            let rsum = tape.add(gpu, rx[t], rh, RNN)?;
-            let r = tape.sigmoid(gpu, rsum, RNN)?;
-
+            let r = tape.sigmoid_add(gpu, rx[t], rh, RNN)?;
             let rh2 = tape.hadamard(gpu, r, h, RNN)?;
             let nh = tape.matmul(gpu, rh2, un, RNN)?;
-            let nsum = tape.add(gpu, nx[t], nh, RNN)?;
-            let n = tape.tanh(gpu, nsum, RNN)?;
-
-            let omz = tape.affine_const(gpu, z, -1.0, 1.0, RNN)?;
-            let a = tape.hadamard(gpu, omz, n, RNN)?;
-            let b = tape.hadamard(gpu, z, h, RNN)?;
-            h = tape.add(gpu, a, b, RNN)?;
+            h = tape.gru_blend(gpu, z, nx[t], nh, h, RNN)?;
         }
         let pred = self
             .head

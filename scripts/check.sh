@@ -49,11 +49,13 @@ sentinel_rejects_seeded_drift() {
 # bits: the benchmark, `repro` and every committed result run `--release`,
 # and the GEMM micro-kernel is exactly the code whose codegen differs
 # between the profiles, so its oracle and the digests it feeds are checked
-# here as well as at dev `opt-level` in the workspace run.
+# here as well as at dev `opt-level` in the workspace run. The same goes for
+# the fused recurrent-cell loops and their `to_bits` oracles in
+# `pipad-kernels` and `pipad-autograd`.
 release_profile_tests() {
     cargo test -q --release --test alloc_budget --test multigpu_alloc \
         --test trainer_digests --test host_parallel_exactness
-    cargo test -q --release -p pipad-tensor
+    cargo test -q --release -p pipad-tensor -p pipad-kernels -p pipad-autograd
 }
 
 gate cargo build --release

@@ -23,16 +23,19 @@ use pipad_tensor::{reset_pool, CountingAllocator};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Generous ceiling on total heap allocator calls per steady epoch for
-/// the workload below (~17k observed; includes the simulator's tracing
-/// and profiling bookkeeping, which the buffer pool does not cover).
-const STEADY_EPOCH_HEAP_ALLOC_BUDGET: u64 = 60_000;
+/// Ceiling on total heap allocator calls per steady epoch for the workload
+/// below: 12 227 observed (dev and `--release`, 1 and 2 pool threads) with
+/// the fused recurrent kernels, so the budget is 1.23× that. The count is
+/// the simulator's tracing and profiling bookkeeping per launch and per
+/// device allocation, which the buffer pool does not cover.
+const STEADY_EPOCH_HEAP_ALLOC_BUDGET: u64 = 15_000;
 
 /// Ceiling for a steady epoch that also writes a checkpoint. Section
 /// staging goes through the byte pool with exact size hints, so after the
 /// first (preparing-epoch) write warms the pool, a checkpointing epoch
-/// costs only file I/O and bookkeeping on top of the plain budget.
-const CKPT_STEADY_EPOCH_HEAP_ALLOC_BUDGET: u64 = 70_000;
+/// costs only file I/O and bookkeeping on top of the plain budget
+/// (12 217 observed).
+const CKPT_STEADY_EPOCH_HEAP_ALLOC_BUDGET: u64 = 15_000;
 
 #[test]
 fn steady_state_epochs_are_allocation_free_on_the_hot_path() {
