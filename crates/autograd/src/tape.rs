@@ -99,7 +99,6 @@ enum Op {
         negative_slope: f32,
     },
     Add(Var, Var),
-    Sub(Var, Var),
     Hadamard(Var, Var),
     AffineConst {
         x: Var,
@@ -112,7 +111,6 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
-    ConcatCols(Vec<Var>),
     SliceCols {
         x: Var,
         from: usize,
@@ -612,17 +610,6 @@ impl Tape {
         self.binary(gpu, a, b, category, k::add, Op::Add(a, b))
     }
 
-    /// Sub.
-    pub fn sub(
-        &mut self,
-        gpu: &mut Gpu,
-        a: Var,
-        b: Var,
-        category: KernelCategory,
-    ) -> Result<Var, OomError> {
-        self.binary(gpu, a, b, category, k::sub, Op::Sub(a, b))
-    }
-
     /// Elementwise product.
     pub fn hadamard(
         &mut self,
@@ -717,23 +704,6 @@ impl Tape {
         category: KernelCategory,
     ) -> Result<Var, OomError> {
         self.unary(gpu, x, category, k::relu, Op::Relu(x))
-    }
-
-    /// Column-wise concatenation (coalescent feature construction).
-    pub fn concat_cols(
-        &mut self,
-        gpu: &mut Gpu,
-        parts: &[Var],
-        category: KernelCategory,
-    ) -> Result<Var, OomError> {
-        assert!(!parts.is_empty());
-        let out = {
-            let guards: Vec<DevRef<'_>> = parts.iter().map(|&p| self.dev(p)).collect();
-            let refs: Vec<&DeviceMatrix> = guards.iter().map(|g| &**g).collect();
-            k::concat_cols(gpu, self.stream, &refs, category)?
-        };
-        let rg = parts.iter().any(|&p| self.requires(p));
-        Ok(self.push_computed(gpu, out, Op::ConcatCols(parts.to_vec()), rg, category))
     }
 
     /// `x × w` with the weight tile kept resident across row tiles — the
@@ -1036,10 +1006,10 @@ impl Tape {
             None => self.nodes[v.0].grad = Some(g),
             Some(prev) => {
                 let cat = self.nodes[v.0].category;
-                let sum = k::add(gpu, self.stream, &prev, &g, cat)?;
+                let sum = k::add(gpu, self.stream, &prev, &g, cat);
                 release_grad(gpu, prev);
                 release_grad(gpu, g);
-                self.nodes[v.0].grad = Some(Rc::new(sum));
+                self.nodes[v.0].grad = Some(Rc::new(sum?));
             }
         }
         Ok(())
@@ -1063,186 +1033,100 @@ impl Tape {
         g: DeviceMatrix,
     ) -> Result<(), OomError> {
         let g = Rc::new(g);
-        for p in parents {
+        let res = parents.into_iter().try_for_each(|p| {
             if self.requires(p) {
-                self.accumulate_rc(gpu, p, Rc::clone(&g))?;
+                self.accumulate_rc(gpu, p, Rc::clone(&g))
+            } else {
+                Ok(())
             }
-        }
+        });
         release_grad(gpu, g);
-        Ok(())
+        res
     }
 
     fn step_backward(&mut self, gpu: &mut Gpu, v: Var) -> Result<(), OomError> {
+        // Detach this node's gradient and op for the duration of the step
+        // (children never alias their own parents in a DAG built
+        // forward-only), and put both back whether or not the step failed:
+        // models may read the gradient after backward, and `finish` frees
+        // the gradient and the op's saved tensors.
+        let node = &mut self.nodes[v.0];
+        let g = node.grad.take().expect("grad present");
+        let op = std::mem::replace(&mut node.op, Op::Input);
+        let res = self.backward_op(gpu, v, &op, &g);
+        let node = &mut self.nodes[v.0];
+        node.op = op;
+        node.grad = Some(g);
+        res
+    }
+
+    /// Deposit into the inputs of `op` (node `v`'s, detached) the gradients
+    /// that follow from `g`, the gradient of `v`.
+    fn backward_op(
+        &mut self,
+        gpu: &mut Gpu,
+        v: Var,
+        op: &Op,
+        g: &DeviceMatrix,
+    ) -> Result<(), OomError> {
         let cat = self.nodes[v.0].category;
         let s = self.stream;
-        // Detach this node's gradient for the duration of the step (children
-        // never alias their own parents in a DAG built forward-only).
-        let g = self.nodes[v.0].grad.take().expect("grad present");
-
-        enum Plan {
-            None,
-            MatMul(Var, Var),
-            Spmm(Rc<Csr>, Var, AggregationKernel),
-            SpmmSliced(Rc<SlicedCsr>, Var, usize),
-            SpmmSlicedRect(Rc<SlicedCsr>, Var),
-            SpmmPartition(
-                Option<Rc<SlicedCsr>>,
-                Vec<Rc<SlicedCsr>>,
-                Vec<Var>,
-                Vec<Rc<Vec<f32>>>,
-            ),
-            RowScale(Var, Rc<Vec<f32>>),
-            Gat(Rc<Csr>, Var, Var, Var, Rc<Vec<f32>>, Rc<Vec<f32>>, f32),
-            Add(Var, Var),
-            Sub(Var, Var),
-            Hadamard(Var, Var),
-            AffineConst(Var, f32),
-            AddBias(Var, Var),
-            Sigmoid(Var),
-            Tanh(Var),
-            Relu(Var),
-            Concat(Vec<Var>),
-            Slice(Var, usize),
-            ConcatR(Vec<Var>),
-            SliceR(Var, usize),
-            LstmCell {
-                gx: Var,
-                gh: Var,
-                b: Var,
-                c: Var,
-                c_out: Var,
-            },
-            GruCell {
-                gx: Var,
-                gh: Var,
-                b: Var,
-                h: Var,
-            },
-            SigmoidAdd(Var, Var),
-            GruBlend {
-                z: Var,
-                nx: Var,
-                nh: Var,
-                h: Var,
-            },
-        }
-        let plan = match &self.nodes[v.0].op {
-            Op::Input | Op::Param | Op::CellState => Plan::None,
-            Op::MatMul(a, b) => Plan::MatMul(*a, *b),
-            Op::Spmm { adj, x, kernel } => Plan::Spmm(Rc::clone(adj), *x, *kernel),
-            Op::SpmmSliced { adj, x, s_per } => Plan::SpmmSliced(Rc::clone(adj), *x, *s_per),
-            Op::SpmmSlicedRect { adj_t, x, .. } => Plan::SpmmSlicedRect(Rc::clone(adj_t), *x),
-            Op::SpmmPartition {
-                overlap,
-                exclusives,
-                xs,
-                inv_degs,
-            } => Plan::SpmmPartition(
-                overlap.clone(),
-                exclusives.clone(),
-                xs.clone(),
-                inv_degs.clone(),
-            ),
-            Op::RowScale { x, factors } => Plan::RowScale(*x, Rc::clone(factors)),
-            Op::GatAggregate {
-                adj,
-                x,
-                l,
-                r,
-                alpha,
-                raw,
-                negative_slope,
-            } => Plan::Gat(
-                Rc::clone(adj),
-                *x,
-                *l,
-                *r,
-                Rc::clone(alpha),
-                Rc::clone(raw),
-                *negative_slope,
-            ),
-            Op::Add(a, b) => Plan::Add(*a, *b),
-            Op::Sub(a, b) => Plan::Sub(*a, *b),
-            Op::Hadamard(a, b) => Plan::Hadamard(*a, *b),
-            Op::AffineConst { x, mul } => Plan::AffineConst(*x, *mul),
-            Op::AddBias { x, b } => Plan::AddBias(*x, *b),
-            Op::Sigmoid(x) => Plan::Sigmoid(*x),
-            Op::Tanh(x) => Plan::Tanh(*x),
-            Op::Relu(x) => Plan::Relu(*x),
-            Op::ConcatCols(parts) => Plan::Concat(parts.clone()),
-            Op::SliceCols { x, from } => Plan::Slice(*x, *from),
-            Op::ConcatRows(parts) => Plan::ConcatR(parts.clone()),
-            Op::SliceRows { x, from } => Plan::SliceR(*x, *from),
-            &Op::LstmCell {
-                gx,
-                gh,
-                b,
-                c,
-                c_out,
-                ..
-            } => Plan::LstmCell {
-                gx,
-                gh,
-                b,
-                c,
-                c_out,
-            },
-            &Op::GruCell { gx, gh, b, h, .. } => Plan::GruCell { gx, gh, b, h },
-            &Op::SigmoidAdd(a, b) => Plan::SigmoidAdd(a, b),
-            &Op::GruBlend { z, nx, nh, h, .. } => Plan::GruBlend { z, nx, nh, h },
-        };
-
-        match plan {
-            Plan::None => {}
-            Plan::MatMul(a, b) => {
+        match op {
+            Op::Input | Op::Param | Op::CellState => {}
+            &Op::MatMul(a, b) => {
                 if self.requires(a) {
                     let da = {
                         let bm = self.dev(b);
-                        k::gemm_nt_device(gpu, s, &g, &bm, cat)?
+                        k::gemm_nt_device(gpu, s, g, &bm, cat)?
                     };
                     self.accumulate(gpu, a, da)?;
                 }
                 if self.requires(b) {
                     let db = {
                         let am = self.dev(a);
-                        k::gemm_tn_device(gpu, s, &am, &g, cat)?
+                        k::gemm_tn_device(gpu, s, &am, g, cat)?
                     };
                     self.accumulate(gpu, b, db)?;
                 }
             }
-            Plan::Spmm(adj, x, kernel) => {
+            &Op::Spmm { ref adj, x, kernel } => {
                 if self.requires(x) {
                     // Symmetric adjacency: dX = Aᵀ g = A g.
-                    let handle = k::DeviceCsr::resident(adj);
+                    let handle = k::DeviceCsr::resident(Rc::clone(adj));
                     let dx = match kernel {
-                        AggregationKernel::CooScatter => k::spmm_coo_scatter(gpu, s, &handle, &g)?,
-                        AggregationKernel::GeSpmm => k::spmm_gespmm(gpu, s, &handle, &g)?,
+                        AggregationKernel::CooScatter => k::spmm_coo_scatter(gpu, s, &handle, g)?,
+                        AggregationKernel::GeSpmm => k::spmm_gespmm(gpu, s, &handle, g)?,
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::SpmmSliced(adj, x, s_per) => {
+            &Op::SpmmSliced { ref adj, x, s_per } => {
                 if self.requires(x) {
-                    let handle = k::DeviceSliced::resident(adj);
-                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, &g, s_per)?;
+                    let handle = k::DeviceSliced::resident(Rc::clone(adj));
+                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, g, s_per)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::SpmmSlicedRect(adj_t, x) => {
+            &Op::SpmmSlicedRect { ref adj_t, x } => {
                 if self.requires(x) {
                     // dX = adjᵀ g via the stored transpose — no symmetry
                     // assumption for rectangular slices.
-                    let handle = k::DeviceSliced::resident(adj_t);
-                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, &g, 1)?;
+                    let handle = k::DeviceSliced::resident(Rc::clone(adj_t));
+                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, g, 1)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::SpmmPartition(overlap, exclusives, xs, inv_degs) => {
+            Op::SpmmPartition {
+                overlap,
+                exclusives,
+                xs,
+                inv_degs,
+            } => {
                 // d/d(raw) = per-member scaled upstream; then the symmetric
                 // adjacency maps it back: one parallel pass over the overlap
                 // plus per-member exclusive passes.
                 let size = xs.len();
-                let g_scaled = k::row_scale_multi(gpu, s, &g, &inv_degs, cat)?;
+                let g_scaled = k::row_scale_multi(gpu, s, g, inv_degs, cat)?;
                 let over_grad = if let Some(ov) = overlap.as_ref().filter(|_| size > 1) {
                     let handle = k::DeviceSliced::resident(Rc::clone(ov));
                     Some(k::spmm_sliced_parallel(gpu, s, &handle, &g_scaled, size)?)
@@ -1296,13 +1180,21 @@ impl Tape {
                 }
                 g_scaled.release(gpu);
             }
-            Plan::RowScale(x, factors) => {
+            &Op::RowScale { x, ref factors } => {
                 if self.requires(x) {
-                    let dx = k::row_scale(gpu, s, &g, &factors, cat)?;
+                    let dx = k::row_scale(gpu, s, g, factors, cat)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::Gat(adj, x, l, r, alpha, raw, slope) => {
+            &Op::GatAggregate {
+                ref adj,
+                x,
+                l,
+                r,
+                ref alpha,
+                ref raw,
+                negative_slope: slope,
+            } => {
                 // dX: transposed weighted aggregation. The adjacency is
                 // structurally symmetric but the attention values are not —
                 // transpose the weighted matrix.
@@ -1316,7 +1208,7 @@ impl Tape {
                 let weighted_t = weighted.transpose();
                 if self.requires(x) {
                     let handle = k::DeviceCsr::resident(Rc::new(weighted_t.clone()));
-                    let dx = k::spmm_weighted(gpu, s, &handle, weighted_t.values(), &g)?;
+                    let dx = k::spmm_weighted(gpu, s, &handle, weighted_t.values(), g)?;
                     self.accumulate(gpu, x, dx)?;
                 }
                 if self.requires(l) || self.requires(r) {
@@ -1377,109 +1269,88 @@ impl Tape {
                     pipad_tensor::recycle_buf(dalpha);
                 }
             }
-            Plan::Add(a, b) => {
+            &Op::Add(a, b) => {
                 for p in [a, b] {
                     if self.requires(p) {
-                        let dp = k::scale(gpu, s, &g, 1.0, cat)?;
+                        let dp = k::scale(gpu, s, g, 1.0, cat)?;
                         self.accumulate(gpu, p, dp)?;
                     }
                 }
             }
-            Plan::Sub(a, b) => {
-                if self.requires(a) {
-                    let da = k::scale(gpu, s, &g, 1.0, cat)?;
-                    self.accumulate(gpu, a, da)?;
-                }
-                if self.requires(b) {
-                    let db = k::scale(gpu, s, &g, -1.0, cat)?;
-                    self.accumulate(gpu, b, db)?;
-                }
-            }
-            Plan::Hadamard(a, b) => {
+            &Op::Hadamard(a, b) => {
                 if self.requires(a) {
                     let da = {
                         let bm = self.dev(b);
-                        k::hadamard(gpu, s, &g, &bm, cat)?
+                        k::hadamard(gpu, s, g, &bm, cat)?
                     };
                     self.accumulate(gpu, a, da)?;
                 }
                 if self.requires(b) {
                     let db = {
                         let am = self.dev(a);
-                        k::hadamard(gpu, s, &g, &am, cat)?
+                        k::hadamard(gpu, s, g, &am, cat)?
                     };
                     self.accumulate(gpu, b, db)?;
                 }
             }
-            Plan::AffineConst(x, mul) => {
+            &Op::AffineConst { x, mul } => {
                 if self.requires(x) {
-                    let dx = k::scale(gpu, s, &g, mul, cat)?;
+                    let dx = k::scale(gpu, s, g, mul, cat)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::AddBias(x, b) => {
+            &Op::AddBias { x, b } => {
                 if self.requires(x) {
-                    let dx = k::scale(gpu, s, &g, 1.0, cat)?;
+                    let dx = k::scale(gpu, s, g, 1.0, cat)?;
                     self.accumulate(gpu, x, dx)?;
                 }
                 if self.requires(b) {
-                    let db = k::col_sums(gpu, s, &g, cat)?;
+                    let db = k::col_sums(gpu, s, g, cat)?;
                     self.accumulate(gpu, b, db)?;
                 }
             }
-            Plan::Sigmoid(x) => {
+            &Op::Sigmoid(x) => {
                 if self.requires(x) {
                     let dx = {
                         let out = self.dev(v);
-                        k::sigmoid_grad_from_out(gpu, s, &out, &g, cat)?
+                        k::sigmoid_grad_from_out(gpu, s, &out, g, cat)?
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::Tanh(x) => {
+            &Op::Tanh(x) => {
                 if self.requires(x) {
                     let dx = {
                         let out = self.dev(v);
-                        k::tanh_grad_from_out(gpu, s, &out, &g, cat)?
+                        k::tanh_grad_from_out(gpu, s, &out, g, cat)?
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::Relu(x) => {
+            &Op::Relu(x) => {
                 if self.requires(x) {
                     let dx = {
                         let xin = self.dev(x);
-                        k::relu_grad_mask(gpu, s, &xin, &g, cat)?
+                        k::relu_grad_mask(gpu, s, &xin, g, cat)?
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::Concat(parts) => {
+            Op::ConcatRows(parts) => {
                 let mut off = 0;
-                for p in parts {
-                    let w = self.shape(p).1;
-                    if self.requires(p) {
-                        let dp = k::slice_cols(gpu, s, &g, off, off + w, cat)?;
-                        self.accumulate(gpu, p, dp)?;
-                    }
-                    off += w;
-                }
-            }
-            Plan::ConcatR(parts) => {
-                let mut off = 0;
-                for p in parts {
+                for &p in parts {
                     let h = self.shape(p).0;
                     if self.requires(p) {
-                        let dp = k::slice_rows(gpu, s, &g, off, off + h, cat)?;
+                        let dp = k::slice_rows(gpu, s, g, off, off + h, cat)?;
                         self.accumulate(gpu, p, dp)?;
                     }
                     off += h;
                 }
             }
-            Plan::SliceR(x, from) => {
+            &Op::SliceRows { x, from } => {
                 if self.requires(x) {
                     // View gradient: scatter into a zero parent (no kernel —
-                    // the forward was a view; see kernels' concat_cols docs).
+                    // the forward was a view; see kernels' `slice_cols` docs).
                     let (rows, cols) = self.shape(x);
                     let mut padded = Matrix::zeros_in(rows, cols);
                     for r in 0..g.rows() {
@@ -1489,7 +1360,7 @@ impl Tape {
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::Slice(x, from) => {
+            &Op::SliceCols { x, from } => {
                 if self.requires(x) {
                     // View gradient (no kernel).
                     let (rows, cols) = self.shape(x);
@@ -1501,41 +1372,45 @@ impl Tape {
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            Plan::LstmCell {
+            &Op::LstmCell {
                 gx,
                 gh,
                 b,
                 c,
                 c_out,
+                ref saved,
             } => {
                 let dc_next = self.nodes[c_out.0].grad.take();
                 let grads = {
-                    let Op::LstmCell { saved, .. } = &self.nodes[v.0].op else {
-                        unreachable!("plan was built from this op");
-                    };
                     let cm = self.dev(c);
                     let want_dc = self.requires(c);
-                    k::lstm_cell_grad(gpu, s, saved, &cm, &g, dc_next.as_deref(), want_dc, cat)
+                    k::lstm_cell_grad(gpu, s, saved, &cm, g, dc_next.as_deref(), want_dc, cat)
                 };
                 self.nodes[c_out.0].grad = dc_next;
                 let k::LstmCellGrad { dgates, dc } = grads?;
-                if let Some(dc) = dc {
-                    self.accumulate(gpu, c, dc)?;
+                let mut res = dc.map_or(Ok(()), |dc| self.accumulate(gpu, c, dc));
+                if res.is_ok() && self.requires(b) {
+                    res = k::col_sums(gpu, s, &dgates, cat)
+                        .and_then(|db| self.accumulate(gpu, b, db));
                 }
-                if self.requires(b) {
-                    let db = k::col_sums(gpu, s, &dgates, cat)?;
-                    self.accumulate(gpu, b, db)?;
+                if let Err(e) = res {
+                    // `dgates` belongs to no node yet, so `finish` cannot.
+                    dgates.release(gpu);
+                    return Err(e);
                 }
                 self.deposit_shared(gpu, [gx, gh], dgates)?;
             }
-            Plan::GruCell { gx, gh, b, h } => {
+            &Op::GruCell {
+                gx,
+                gh,
+                b,
+                h,
+                ref saved,
+            } => {
                 let k::GruCellGrad { dgx, dgh, dh } = {
-                    let Op::GruCell { saved, .. } = &self.nodes[v.0].op else {
-                        unreachable!("plan was built from this op");
-                    };
                     let (ghm, hm) = (self.dev(gh), self.dev(h));
                     let want_dh = self.requires(h);
-                    k::gru_cell_grad(gpu, s, saved, &ghm, &hm, &g, want_dh, cat)?
+                    k::gru_cell_grad(gpu, s, saved, &ghm, &hm, g, want_dh, cat)?
                 };
                 if let Some(dh) = dh {
                     self.accumulate(gpu, h, dh)?;
@@ -1547,21 +1422,24 @@ impl Tape {
                 self.deposit(gpu, gx, dgx)?;
                 self.deposit(gpu, gh, dgh)?;
             }
-            Plan::SigmoidAdd(a, b) => {
+            &Op::SigmoidAdd(a, b) => {
                 let d = {
                     let out = self.dev(v);
-                    k::sigmoid_grad_from_out(gpu, s, &out, &g, cat)?
+                    k::sigmoid_grad_from_out(gpu, s, &out, g, cat)?
                 };
                 self.deposit_shared(gpu, [a, b], d)?;
             }
-            Plan::GruBlend { z, nx, nh, h } => {
+            &Op::GruBlend {
+                z,
+                nx,
+                nh,
+                h,
+                ref n,
+            } => {
                 let k::GruBlendGrad { dz, dn, dh } = {
-                    let Op::GruBlend { n, .. } = &self.nodes[v.0].op else {
-                        unreachable!("plan was built from this op");
-                    };
                     let (zm, hm) = (self.dev(z), self.dev(h));
                     let want_dh = self.requires(h);
-                    k::gru_blend_grad(gpu, s, &zm, n, &hm, &g, want_dh, cat)?
+                    k::gru_blend_grad(gpu, s, &zm, n, &hm, g, want_dh, cat)?
                 };
                 self.deposit(gpu, z, dz)?;
                 if let Some(dh) = dh {
@@ -1570,8 +1448,6 @@ impl Tape {
                 self.deposit_shared(gpu, [nx, nh], dn)?;
             }
         }
-        // Restore the node's gradient (models may read it after backward).
-        self.nodes[v.0].grad = Some(g);
         Ok(())
     }
 
@@ -1742,20 +1618,19 @@ mod tests {
         let (mut gpu, s) = setup();
         let csr = Csr::from_edges(4, 4, &[(0, 1), (1, 0), (1, 3), (3, 1), (2, 2)]);
         let sliced = Rc::new(SlicedCsr::from_csr(&csr));
-        let x_host = uniform(&mut seeded_rng(20), 4, 2, 1.0);
-        let w = shared(&mut gpu, uniform(&mut seeded_rng(21), 2, 2, 1.0));
+        // coalescent input features of a 2-snapshot partition
+        let x_host = Matrix::concat_cols(&[
+            &uniform(&mut seeded_rng(20), 4, 2, 1.0),
+            &uniform(&mut seeded_rng(23), 4, 2, 1.0),
+        ]);
+        let w = shared(&mut gpu, uniform(&mut seeded_rng(21), 4, 4, 1.0));
         let target = uniform(&mut seeded_rng(22), 4, 4, 1.0);
 
         let run = |gpu: &mut Gpu, w: &SharedParam, want_grad: bool| {
             let mut tape = Tape::new(s);
             let x = tape.input(DeviceMatrix::alloc(gpu, x_host.clone()).unwrap());
             let wv = tape.param(w);
-            let xa = tape.matmul(gpu, x, wv, KernelCategory::Update).unwrap();
-            let xb = tape.tanh(gpu, xa, KernelCategory::Update).unwrap();
-            // coalescent features of a 2-snapshot partition
-            let co = tape
-                .concat_cols(gpu, &[xa, xb], KernelCategory::Other)
-                .unwrap();
+            let co = tape.matmul(gpu, x, wv, KernelCategory::Update).unwrap();
             let agg = tape.spmm_sliced(gpu, Rc::clone(&sliced), co, 2).unwrap();
             let loss = tape.mse_loss(gpu, agg, &target);
             let grad = if want_grad {
@@ -2069,18 +1944,16 @@ mod tests {
     }
 
     #[test]
-    fn concat_slice_round_trip_gradients() {
+    fn slice_cols_gradients_match_numeric() {
         let (mut gpu, s) = setup();
         let a_host = uniform(&mut seeded_rng(11), 3, 2, 1.0);
-        let w = shared(&mut gpu, uniform(&mut seeded_rng(12), 3, 2, 1.0));
+        let w = shared(&mut gpu, uniform(&mut seeded_rng(12), 2, 4, 1.0));
         let target = uniform(&mut seeded_rng(13), 3, 2, 1.0);
         let run = |gpu: &mut Gpu, w: &SharedParam, want: bool| {
             let mut tape = Tape::new(s);
             let a = tape.input(DeviceMatrix::alloc(gpu, a_host.clone()).unwrap());
             let wv = tape.param(w);
-            let cat = tape
-                .concat_cols(gpu, &[a, wv], KernelCategory::Other)
-                .unwrap();
+            let cat = tape.matmul(gpu, a, wv, KernelCategory::Other).unwrap();
             let right = tape
                 .slice_cols(gpu, cat, 2, 4, KernelCategory::Other)
                 .unwrap();
@@ -2117,6 +1990,55 @@ mod tests {
         assert!(gpu.mem().in_use() > baseline);
         tape.finish(&mut gpu);
         assert_eq!(gpu.mem().in_use(), baseline, "tape must free everything");
+    }
+
+    #[test]
+    fn finish_frees_everything_after_a_failed_backward() {
+        let (mut gpu, s) = setup();
+        let (n, d, hd) = (4, 2, 3);
+        let wx = shared(&mut gpu, uniform(&mut seeded_rng(30), d, 4 * hd, 1.0));
+        let wh = shared(&mut gpu, uniform(&mut seeded_rng(31), hd, 4 * hd, 1.0));
+        let b = shared(&mut gpu, uniform(&mut seeded_rng(32), 1, 4 * hd, 1.0));
+        let target = uniform(&mut seeded_rng(33), n, hd, 1.0);
+        let baseline = gpu.mem().in_use();
+
+        // Forward of a two-step LSTM chain on a fresh tape.
+        let chain = |gpu: &mut Gpu| {
+            let cat = KernelCategory::Rnn;
+            let mut tape = Tape::new(s);
+            let (wxv, whv, bv) = (tape.param(&wx), tape.param(&wh), tape.param(&b));
+            let mut h = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros(n, hd)).unwrap());
+            let mut c = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros(n, hd)).unwrap());
+            for t in 0..2 {
+                let x = uniform(&mut seeded_rng(40 + t), n, d, 1.0);
+                let x = tape.input(DeviceMatrix::alloc(gpu, x).unwrap());
+                let gx = tape.matmul(gpu, x, wxv, cat).unwrap();
+                let gh = tape.matmul(gpu, h, whv, cat).unwrap();
+                (h, c) = tape.lstm_cell(gpu, gx, gh, bv, c, cat).unwrap();
+            }
+            (tape, h)
+        };
+
+        // Fault-free probe: how many allocations the reverse sweep makes.
+        let (mut tape, h) = chain(&mut gpu);
+        let before = gpu.op_counters().allocs;
+        tape.backward_mse(&mut gpu, h, &target).unwrap();
+        let sweep_allocs = gpu.op_counters().allocs - before;
+        tape.finish(&mut gpu);
+        assert_eq!(gpu.mem().in_use(), baseline);
+        assert!(sweep_allocs > 8, "two cell steps and their GEMMs");
+
+        // Fail each of them in turn.
+        for k in 0..sweep_allocs {
+            let (mut tape, h) = chain(&mut gpu);
+            gpu.install_faults(pipad_gpu_sim::FaultPlan {
+                oom_at_alloc: vec![gpu.op_counters().allocs + k],
+                ..Default::default()
+            });
+            assert!(tape.backward_mse(&mut gpu, h, &target).is_err(), "k={k}");
+            tape.finish(&mut gpu);
+            assert_eq!(gpu.mem().in_use(), baseline, "leak when alloc {k} fails");
+        }
     }
 
     #[test]

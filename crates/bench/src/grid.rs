@@ -124,8 +124,8 @@ pub fn render_table2(g: &GridResults) -> String {
     out
 }
 
-/// Machine-readable dump of the grid (JSON, hand-rolled — the report types
-/// carry interval maps that serde would need mirrors for).
+/// Machine-readable dump of the grid (JSON, hand-rolled like every emitter
+/// in the workspace).
 pub fn render_json(g: &GridResults) -> String {
     let mut out = String::from("{\n  \"scale\": \"");
     out.push_str(g.scale.label());

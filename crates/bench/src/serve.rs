@@ -74,10 +74,7 @@ pub(crate) fn train_and_serve(scale: RunScale, model: ModelKind, base: &Path) ->
     check_consistency(&tg);
 
     let mut gpu = Gpu::new(DeviceConfig::v100());
-    let ecfg = EngineConfig {
-        hidden: HIDDEN,
-        ..EngineConfig::default()
-    };
+    let ecfg = EngineConfig { hidden: HIDDEN };
     let mut engine = ServeEngine::from_latest(&mut gpu, &dir, model, &graph, &cfg, &ecfg)
         .expect("engine failed to restore the checkpoint");
     let report =

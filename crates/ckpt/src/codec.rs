@@ -8,7 +8,6 @@
 //! included) round-trip bit-exactly.
 
 use crate::format::CkptError;
-use pipad_dyngraph::GenConfig;
 use pipad_gpu_sim::{DeviceClock, FaultStats, OpCounters, SimNanos};
 use pipad_tensor::Matrix;
 
@@ -191,33 +190,6 @@ pub fn get_matrix(r: &mut Reader<'_>) -> Result<Matrix, CkptError> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-/// Encode the dataset generator configuration (checkpoint provenance: the
-/// exact synthetic dataset the run trained on).
-pub fn put_gen_config(buf: &mut Vec<u8>, g: &GenConfig) {
-    put_str(buf, &g.name);
-    put_u64(buf, g.n_vertices as u64);
-    put_u64(buf, g.edges_per_snapshot as u64);
-    put_u64(buf, g.n_snapshots as u64);
-    put_u64(buf, g.feature_dim as u64);
-    put_f64(buf, g.change_rate);
-    put_f64(buf, g.skew);
-    put_u64(buf, g.seed);
-}
-
-/// Decode a [`put_gen_config`] payload.
-pub fn get_gen_config(r: &mut Reader<'_>) -> Result<GenConfig, CkptError> {
-    Ok(GenConfig {
-        name: r.get_str()?.to_string(),
-        n_vertices: r.get_usize()?,
-        edges_per_snapshot: r.get_usize()?,
-        n_snapshots: r.get_usize()?,
-        feature_dim: r.get_usize()?,
-        change_rate: r.get_f64()?,
-        skew: r.get_f64()?,
-        seed: r.get_u64()?,
-    })
-}
-
 /// Encode the device's monotonic op counters.
 pub fn put_op_counters(buf: &mut Vec<u8>, c: &OpCounters) {
     put_u64(buf, c.allocs);
@@ -340,18 +312,7 @@ mod tests {
 
     #[test]
     fn typed_state_round_trips() {
-        let g = GenConfig {
-            name: "England-COVID".to_string(),
-            n_vertices: 129,
-            edges_per_snapshot: 1000,
-            n_snapshots: 61,
-            feature_dim: 8,
-            change_rate: 0.3,
-            skew: 1.2,
-            seed: 17,
-        };
         let mut buf = Vec::new();
-        put_gen_config(&mut buf, &g);
         let clock = DeviceClock {
             compute: SimNanos::from_nanos(10),
             h2d: SimNanos::from_nanos(20),
@@ -373,11 +334,6 @@ mod tests {
         };
         put_fault_stats(&mut buf, &stats);
         let mut r = Reader::new(&buf);
-        let g2 = get_gen_config(&mut r).unwrap();
-        assert_eq!(
-            (g2.name.as_str(), g2.n_vertices, g2.seed),
-            ("England-COVID", 129, 17)
-        );
         assert_eq!(get_device_clock(&mut r).unwrap(), clock);
         assert_eq!(get_fault_stats(&mut r).unwrap(), stats);
         r.finish().unwrap();

@@ -2,11 +2,8 @@
 
 use std::path::PathBuf;
 
-use pipad_dyngraph::GenConfig;
-
-/// Checkpointing schedule for a training run: directory, cadence,
-/// retention, and optional dataset provenance stored alongside the model
-/// state so a resumed run can verify (or regenerate) its dataset.
+/// Checkpointing schedule for a training run: directory, cadence and
+/// retention.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointPolicy {
     /// Directory holding `ckpt-<epoch:08>.pipad` files.
@@ -16,9 +13,6 @@ pub struct CheckpointPolicy {
     pub every_epochs: usize,
     /// Keep this many newest checkpoints (`0` = keep all).
     pub keep: usize,
-    /// Generator config of the dataset being trained on, embedded in each
-    /// checkpoint as provenance.
-    pub gen_config: Option<GenConfig>,
 }
 
 impl CheckpointPolicy {
@@ -29,14 +23,7 @@ impl CheckpointPolicy {
             dir: dir.into(),
             every_epochs,
             keep: 2,
-            gen_config: None,
         }
-    }
-
-    /// Attach dataset provenance.
-    pub fn with_gen_config(mut self, g: GenConfig) -> Self {
-        self.gen_config = Some(g);
-        self
     }
 
     /// Should a checkpoint be written at the *end* of `epoch`

@@ -29,20 +29,17 @@
 //! | `reuse_gpu` | PiPAD      | GPU-tier cache contents (snapshot → matrix)     |
 //! | `faults`    | codec      | [`pipad_gpu_sim::FaultStats`] so far (provenance)  |
 //! | `epochs`    | codec      | per-epoch (index, loss bits, simulated time)    |
-//! | `gen_config`| codec      | dataset generator provenance (optional)         |
 
 use crate::driver::RunCx;
 use crate::reuse::{CpuAggStore, InterFrameReuse};
 use crate::trainer::PipadState;
 use crate::tuner::FrameProfile;
 use pipad_ckpt::codec::{
-    get_device_clock, get_fault_stats, get_gen_config, get_list, get_matrix, put_bool,
-    put_device_clock, put_fault_stats, put_gen_config, put_list, put_matrix, put_str, put_u32,
-    put_u64, Reader,
+    get_device_clock, get_fault_stats, get_list, get_matrix, put_bool, put_device_clock,
+    put_fault_stats, put_list, put_matrix, put_str, put_u32, put_u64, Reader,
 };
 pub use pipad_ckpt::RunFingerprint;
 use pipad_ckpt::{Checkpoint, CheckpointWriter, CkptError};
-use pipad_dyngraph::GenConfig;
 use pipad_gpu_sim::{DeviceClock, Gpu, SimNanos};
 use pipad_models::{DgnnModel, EpochReport, ModelKind, TrainingConfig};
 
@@ -237,7 +234,6 @@ pub(crate) fn encode_checkpoint(
     next_epoch: usize,
     steady_t0: SimNanos,
     epochs_done: &[EpochReport],
-    gen_config: Option<&GenConfig>,
     extra: &dyn CkptExtra,
 ) -> CheckpointWriter {
     let mut w = CheckpointWriter::new();
@@ -276,11 +272,6 @@ pub(crate) fn encode_checkpoint(
         put_u32(s, e.mean_loss.to_bits());
         put_u64(s, e.sim_time.as_nanos());
     });
-
-    if let Some(g) = gen_config {
-        let s = w.section_sized("gen_config", 80 + g.name.len());
-        put_gen_config(s, g);
-    }
     w
 }
 
@@ -356,16 +347,11 @@ pub(crate) fn restore_run(
 
     extra.get_sections(gpu, ckpt)?;
 
-    // Provenance sections: nothing to apply, but a malformed one is still
+    // Provenance section: nothing to apply, but a malformed one is still
     // a typed error.
     let mut r = Reader::new(ckpt.require("faults")?);
     get_fault_stats(&mut r)?;
     r.finish()?;
-    if let Some(b) = ckpt.section("gen_config") {
-        let mut r = Reader::new(b);
-        get_gen_config(&mut r)?;
-        r.finish()?;
-    }
 
     let mut r = Reader::new(ckpt.require("epochs")?);
     let epochs_done = get_list(&mut r, |r| {

@@ -245,7 +245,6 @@ pub fn run_epochs<P: EpochPolicy>(
                 epoch + 1,
                 steady_t0,
                 &epochs,
-                ck.gen_config.as_ref(),
                 policy.ckpt(),
             );
             let (_, bytes) =

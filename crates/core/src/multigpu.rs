@@ -78,9 +78,6 @@ pub struct MultiGpuConfig {
     pub p2p_bytes_per_us: u64,
     /// Per-device profile.
     pub device: DeviceConfig,
-    /// Cache layer-1 aggregation blocks CPU-side between frames/epochs
-    /// (PiPAD's §4.4 reuse, sharded).
-    pub reuse: bool,
 }
 
 impl Default for MultiGpuConfig {
@@ -90,7 +87,6 @@ impl Default for MultiGpuConfig {
             virtual_shards: 4,
             p2p_bytes_per_us: 40_000,
             device: DeviceConfig::v100(),
-            reuse: true,
         }
     }
 }
@@ -473,8 +469,8 @@ pub fn train_data_parallel(
                 let mut slots = Vec::with_capacity(nslots);
                 for i in 0..nslots {
                     let g_idx = frame.global_index(i);
-                    let all_cached = mcfg.reuse
-                        && (0..shards).all(|s| store.contains(shard_key(g_idx, s, shards)));
+                    let all_cached =
+                        (0..shards).all(|s| store.contains(shard_key(g_idx, s, shards)));
                     slots.push(if all_cached {
                         let blocks: Vec<&Matrix> = (0..shards)
                             .map(|s| store.get(shard_key(g_idx, s, shards)).unwrap())
@@ -523,7 +519,7 @@ pub fn train_data_parallel(
                     host_cursors[p] = he;
                     gpu.stream_wait_host(copy, he);
                     let key = shard_key(g_idx, s, shards);
-                    let agg = if mcfg.reuse && store.contains(key) {
+                    let agg = if store.contains(key) {
                         // cached normalized block arrives over PCIe
                         let block = store.get(key).unwrap().clone_in();
                         upload_matrix(gpu, copy, &block, true)?.release(gpu);
@@ -613,11 +609,7 @@ pub fn train_data_parallel(
                 tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
                 t_local.recycle();
                 for (slot, m) in exec.computed_aggs.drain(..) {
-                    if mcfg.reuse {
-                        store.insert(shard_key(frame.global_index(slot), s, shards), m);
-                    } else {
-                        m.recycle();
-                    }
+                    store.insert(shard_key(frame.global_index(slot), s, shards), m);
                 }
                 tapes.push(tape);
                 binders.push(out.binder);

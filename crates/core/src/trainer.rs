@@ -42,9 +42,6 @@ pub struct PipadConfig {
     pub inter_frame_reuse: bool,
     /// Launch the per-frame kernel stream in CUDA-graph mode.
     pub cuda_graph: bool,
-    /// Fraction of post-peak device headroom granted to the GPU-side reuse
-    /// buffer.
-    pub gpu_cache_headroom_frac: f64,
     /// Use sliced CSR + the parallel kernel (default). `false` runs the
     /// Figure 12 ablation: plain CSR with the GE-SpMM kernel, everything
     /// else unchanged.
@@ -63,12 +60,15 @@ impl Default for PipadConfig {
             force_s_per: None,
             inter_frame_reuse: true,
             cuda_graph: true,
-            gpu_cache_headroom_frac: 0.5,
             use_sliced: true,
             checkpoint: None,
         }
     }
 }
+
+/// Fraction of post-peak device headroom granted to the GPU-side reuse
+/// buffer.
+const GPU_CACHE_HEADROOM_FRAC: f64 = 0.5;
 
 /// Steady-state frames whose wall time exceeds `STRAGGLER_FACTOR ×` the
 /// same frame's wall time in the *first* steady epoch count as straggling.
@@ -403,7 +403,7 @@ impl EpochPolicy for PipadPolicy<'_> {
         let headroom = free.saturating_sub(max_peak.saturating_mul(2));
         st.reuse
             .gpu_cache
-            .set_budget((headroom as f64 * self.pcfg.gpu_cache_headroom_frac) as u64);
+            .set_budget((headroom as f64 * GPU_CACHE_HEADROOM_FRAC) as u64);
         let tuner = DynamicTuner::new(
             self.pcfg.offline_table.clone(),
             free,

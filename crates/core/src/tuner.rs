@@ -15,7 +15,6 @@
 
 use crate::prep::{PartitionCatalog, S_PER_OPTIONS};
 use pipad_gpu_sim::{ArgValue, SimNanos};
-use serde::{Deserialize, Serialize};
 
 /// Overlap-rate bucket edges (lower bounds).
 pub const OR_BUCKETS: [f64; 5] = [0.0, 0.3, 0.5, 0.7, 0.85];
@@ -26,7 +25,7 @@ pub const DIM_BUCKETS: [usize; 3] = [0, 8, 33];
 /// columns: overlap-rate bucket; entries already ≥ 1.0. `dim_scale`
 /// adjusts for the feature-dimension regime (small dims gain the most from
 /// coalescing; very large dims are already bandwidth-saturated).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OfflineTable {
     /// `speedup[s_idx][or_bucket]` for `S_PER_OPTIONS[s_idx]`.
     pub speedup: [[f64; 5]; 3],

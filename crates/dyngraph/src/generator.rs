@@ -11,11 +11,10 @@ use pipad_sparse::Csr;
 use pipad_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Parameters of one synthetic dynamic graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GenConfig {
     /// Human-readable name.
     pub name: String,
@@ -165,7 +164,7 @@ fn symmetric_csr(n: usize, undirected: &[(u32, u32)]) -> Csr {
 }
 
 /// Structural statistics of a generated dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetStats {
     /// Human-readable name.
     pub name: String,

@@ -1,13 +1,11 @@
 //! Device parameterization. The default profile mirrors the NVIDIA Tesla
 //! V100 (16 GB HBM2) used by the paper's testbed, with PCIe 3.0 x16.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware parameters of the simulated GPU and its host link.
 ///
 /// All bandwidths use bytes-per-microsecond so that timeline math stays in
 /// exact integer nanoseconds (see [`crate::SimNanos::from_bytes`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceConfig {
     /// Human-readable device name (reporting only).
     pub name: String,
@@ -84,21 +82,6 @@ impl DeviceConfig {
         }
     }
 
-    /// An A100-class profile (108 SMs, ~1.9 TB/s HBM2e, 40 GiB, PCIe 4.0):
-    /// useful for sensitivity studies against a newer part.
-    pub fn a100() -> Self {
-        DeviceConfig {
-            name: "sim-a100-40gb".to_string(),
-            num_sms: 108,
-            hbm_bytes_per_us: 1_900_000,
-            flops_per_ns: 19_500,
-            capacity_bytes: 40 << 30,
-            pcie_pinned_bytes_per_us: 24_000,
-            pcie_pageable_bytes_per_us: 12_000,
-            ..Self::v100()
-        }
-    }
-
     /// A deliberately small device for out-of-memory tests: same ratios as
     /// [`DeviceConfig::v100`] but with the given capacity.
     pub fn with_capacity(capacity_bytes: u64) -> Self {
@@ -150,18 +133,6 @@ mod tests {
         let cfg = DeviceConfig::with_capacity(1 << 20);
         assert_eq!(cfg.capacity_bytes, 1 << 20);
         assert_eq!(cfg.num_sms, 80);
-    }
-
-    #[test]
-    fn a100_is_strictly_faster_than_v100() {
-        let (a, v) = (DeviceConfig::a100(), DeviceConfig::v100());
-        assert!(a.hbm_bytes_per_us > v.hbm_bytes_per_us);
-        assert!(a.flops_per_ns > v.flops_per_ns);
-        assert!(a.capacity_bytes > v.capacity_bytes);
-        assert!(a.pcie_pinned_bytes_per_us > v.pcie_pinned_bytes_per_us);
-        // identical micro-architecture constants
-        assert_eq!(a.transaction_bytes, v.transaction_bytes);
-        assert_eq!(a.max_request_bytes, v.max_request_bytes);
     }
 
     #[test]

@@ -217,21 +217,6 @@ impl KernelCost {
     pub fn gmem_bytes(&self, cfg: &DeviceConfig) -> u64 {
         self.gmem_transactions * cfg.transaction_bytes as u64
     }
-
-    /// Merge another cost into this one (used by fused/graph launches).
-    pub fn absorb(&mut self, other: &KernelCost) {
-        let my_w = self.flops.max(self.gmem_transactions).max(1);
-        let other_w = other.flops.max(other.gmem_transactions).max(1);
-        self.flops += other.flops;
-        self.gmem_requests += other.gmem_requests;
-        self.gmem_transactions += other.gmem_transactions;
-        self.smem_transactions += other.smem_transactions;
-        // Work-weighted warp efficiency.
-        self.warp_efficiency_milli = ((self.warp_efficiency_milli as u64 * my_w
-            + other.warp_efficiency_milli as u64 * other_w)
-            / (my_w + other_w)) as u32;
-        self.block_work.extend_from_slice(&other.block_work);
-    }
 }
 
 #[cfg(test)]
@@ -300,23 +285,18 @@ mod tests {
     }
 
     #[test]
-    fn cost_builder_and_absorb() {
-        let mut a = KernelCost::new("a", KernelCategory::Aggregation)
+    fn cost_builder() {
+        let a = KernelCost::new("a", KernelCategory::Aggregation)
             .flops(100)
             .gmem(10, 20)
             .warp_efficiency(0.5)
             .uniform_blocks(2, 7);
-        let b = KernelCost::new("b", KernelCategory::Update)
-            .flops(300)
-            .gmem(5, 6)
-            .warp_efficiency(1.0)
-            .blocks(vec![3]);
-        a.absorb(&b);
-        assert_eq!(a.flops, 400);
-        assert_eq!(a.gmem_requests, 15);
-        assert_eq!(a.gmem_transactions, 26);
-        assert_eq!(a.block_work, vec![7, 7, 3]);
-        // weighted between 500 and 1000, closer to b's because b is heavier.
-        assert!(a.warp_efficiency_milli > 750 && a.warp_efficiency_milli < 1000);
+        assert_eq!(
+            (a.flops, a.gmem_requests, a.gmem_transactions),
+            (100, 10, 20)
+        );
+        assert_eq!(a.warp_efficiency_milli, 500);
+        assert_eq!(a.block_work, vec![7, 7]);
+        assert_eq!(a.gmem_bytes(&cfg()), 20 * 32);
     }
 }

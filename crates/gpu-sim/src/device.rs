@@ -97,11 +97,6 @@ impl Gpu {
         self.faults = Some(FaultSession::new(plan));
     }
 
-    /// The installed (normalized) fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
-    }
-
     /// Counts of faults injected so far (all zero when no plan installed).
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
@@ -352,11 +347,19 @@ impl Gpu {
         }
     }
 
-    fn enqueue_kernel(&mut self, stream: StreamId, cost: &KernelCost, overhead: SimNanos) -> Event {
+    /// Launch a kernel. Outside graph mode this pays the full per-launch
+    /// driver overhead; inside a [`Gpu::graph_scope`] it pays the amortized
+    /// CUDA-graph per-kernel cost instead.
+    pub fn launch(&mut self, stream: StreamId, cost: KernelCost) -> Event {
+        let overhead = SimNanos::from_nanos(if self.graph_mode {
+            self.cfg.graph_kernel_ns
+        } else {
+            self.cfg.kernel_launch_ns
+        });
         let launch_index = self.launches;
         self.launches += 1;
         self.check_crash_counter(CrashCounter::Launches, launch_index, self.now());
-        let (mut busy, balanced, (imb_num, imb_den)) = self.kernel_busy_ratio(cost);
+        let (mut busy, balanced, (imb_num, imb_den)) = self.kernel_busy_ratio(&cost);
         let mut straggler_milli = None;
         let mut poisoned = false;
         if let Some(f) = self.faults.as_mut() {
@@ -434,18 +437,6 @@ impl Gpu {
         Event(end)
     }
 
-    /// Launch a kernel. Outside graph mode this pays the full per-launch
-    /// driver overhead; inside a [`Gpu::graph_scope`] it pays the amortized
-    /// CUDA-graph per-kernel cost instead.
-    pub fn launch(&mut self, stream: StreamId, cost: KernelCost) -> Event {
-        let overhead = if self.graph_mode {
-            SimNanos::from_nanos(self.cfg.graph_kernel_ns)
-        } else {
-            SimNanos::from_nanos(self.cfg.kernel_launch_ns)
-        };
-        self.enqueue_kernel(stream, &cost, overhead)
-    }
-
     /// Run `f` with CUDA-graph launch semantics on `stream`: one fixed
     /// whole-graph replay overhead up front, then every `launch` inside pays
     /// only the per-kernel graph cost. Models §4.2's "launch these kernels
@@ -453,35 +444,23 @@ impl Gpu {
     pub fn graph_scope<R>(&mut self, stream: StreamId, f: impl FnOnce(&mut Gpu) -> R) -> R {
         let was = self.graph_mode;
         if !was {
-            self.charge_graph_launch(stream);
+            let start = self.streams[stream.0].max(self.compute_cursor);
+            let end = start + SimNanos::from_nanos(self.cfg.graph_launch_ns);
+            self.streams[stream.0] = end;
+            self.compute_cursor = end;
+            self.tracer.span(
+                "cuda_graph_launch",
+                TraceKind::Span,
+                Lane::Stream(stream.0),
+                start,
+                end,
+                vec![],
+            );
         }
         self.graph_mode = true;
         let r = f(self);
         self.graph_mode = was;
         r
-    }
-
-    /// Launch a kernel as part of a captured CUDA graph (reduced overhead).
-    /// Usually reached through [`crate::CudaGraph::replay`].
-    pub fn launch_graphed(&mut self, stream: StreamId, cost: &KernelCost) -> Event {
-        let overhead = SimNanos::from_nanos(self.cfg.graph_kernel_ns);
-        self.enqueue_kernel(stream, cost, overhead)
-    }
-
-    /// Charge the fixed whole-graph replay overhead on a stream.
-    pub(crate) fn charge_graph_launch(&mut self, stream: StreamId) {
-        let start = self.streams[stream.0].max(self.compute_cursor);
-        let end = start + SimNanos::from_nanos(self.cfg.graph_launch_ns);
-        self.streams[stream.0] = end;
-        self.compute_cursor = end;
-        self.tracer.span(
-            "cuda_graph_launch",
-            TraceKind::Span,
-            Lane::Stream(stream.0),
-            start,
-            end,
-            vec![],
-        );
     }
 
     // ---- transfers ------------------------------------------------------
@@ -826,11 +805,11 @@ mod tests {
 
         let mut g2 = gpu();
         let s2 = g2.default_stream();
-        g2.charge_graph_launch(s2);
-        for _ in 0..50 {
-            let k = small_kernel();
-            g2.launch_graphed(s2, &k);
-        }
+        g2.graph_scope(s2, |g| {
+            for _ in 0..50 {
+                g.launch(s2, small_kernel());
+            }
+        });
         let graphed = g2.now();
         assert!(graphed < individual, "graphed={graphed} ind={individual}");
     }

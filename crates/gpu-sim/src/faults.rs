@@ -229,8 +229,7 @@ impl FaultPlan {
         self.poison_launches.dedup();
     }
 
-    /// Serialize as deterministic JSON (the `compat/serde` stand-in does no
-    /// real serialization, so this is hand-rolled like the trace exporter).
+    /// Serialize as deterministic JSON, hand-rolled like the trace exporter.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         let _ = write!(out, "\"seed\":{}", self.seed);
@@ -345,7 +344,6 @@ pub(crate) struct FaultSession {
     /// Set when the crash point fires; consumed by the trainer via
     /// `Gpu::take_crash`.
     pub(crate) crash_armed: Option<CrashError>,
-    plan: FaultPlan,
 }
 
 impl FaultSession {
@@ -360,7 +358,7 @@ impl FaultSession {
                 .filter(|f| f.failures > 0)
                 .map(|f| (f.op, f.failures))
                 .collect(),
-            straggler_ranges: plan.straggler_ranges.clone(),
+            straggler_ranges: plan.straggler_ranges,
             poison_pending_launches: plan.poison_launches.iter().copied().collect(),
             max_transfer_retries: plan.max_transfer_retries,
             transfer_backoff_ns: plan.transfer_backoff_ns,
@@ -368,13 +366,7 @@ impl FaultSession {
             poison_armed: false,
             crash_pending: plan.crash,
             crash_armed: None,
-            plan,
         }
-    }
-
-    /// The (normalized) plan this session was installed from.
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Should allocation attempt `index` (which would leave `in_use +
@@ -584,9 +576,9 @@ mod tests {
     fn json_is_well_formed() {
         for seed in 0..16u64 {
             let plan = FaultPlan::seeded(seed);
-            crate::trace::validate_json(&plan.to_json()).unwrap();
+            crate::validate_json(&plan.to_json()).unwrap();
         }
-        crate::trace::validate_json(&FaultPlan::none().to_json()).unwrap();
+        crate::validate_json(&FaultPlan::none().to_json()).unwrap();
         let crashing = FaultPlan {
             crash: Some(CrashPoint {
                 counter: CrashCounter::CopyOps,
@@ -595,7 +587,7 @@ mod tests {
             ..FaultPlan::default()
         }
         .to_json();
-        crate::trace::validate_json(&crashing).unwrap();
+        crate::validate_json(&crashing).unwrap();
         assert!(
             crashing
                 .ends_with(",\"crash\":{\"counter\":\"copy_ops\",\"at\":18446744073709551615}}"),

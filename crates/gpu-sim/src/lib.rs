@@ -52,7 +52,7 @@ mod config;
 mod cost;
 mod device;
 mod faults;
-mod graph_exec;
+mod json;
 mod memory;
 mod profiler;
 mod schedule;
@@ -66,12 +66,12 @@ pub use faults::{
     CrashCounter, CrashError, CrashPoint, DeviceFault, FaultPlan, FaultStats, OpCounters,
     StragglerRange, TransferError, TransferFault,
 };
-pub use graph_exec::{CudaGraph, GraphBuilder};
+pub use json::{validate_json, Json};
 pub use memory::{BufferId, DeviceMemory, OomError};
 pub use profiler::{Breakdown, ProfSnapshot, Profiler, Sample, SampleKind};
 pub use schedule::{ratio_milli, schedule_blocks, BalanceReport};
 pub use time::SimNanos;
 pub use trace::{
     export_chrome_trace, export_chrome_trace_window, json_escape, last_span_window,
-    trace_text_summary, validate_json, ArgValue, Lane, TraceEvent, TraceKind, Tracer,
+    trace_text_summary, ArgValue, Lane, TraceEvent, TraceKind, Tracer,
 };

@@ -67,11 +67,6 @@ impl Sample {
     pub fn is_kernel(&self) -> bool {
         matches!(self.kind, SampleKind::Kernel { .. })
     }
-
-    /// Whether this sample records a PCIe transfer.
-    pub fn is_transfer(&self) -> bool {
-        matches!(self.kind, SampleKind::Transfer { .. })
-    }
 }
 
 /// Marker into the sample log; analyses run over `[snapshot.from..]` or
@@ -314,15 +309,6 @@ impl Profiler {
         }
         Ok(())
     }
-
-    /// Wall-clock end of the last sample (ZERO when empty).
-    pub fn end_time(&self) -> SimNanos {
-        self.samples
-            .iter()
-            .map(|s| s.end)
-            .max()
-            .unwrap_or(SimNanos::ZERO)
-    }
 }
 
 /// Total covered time of a set of (start, end) intervals.
@@ -459,7 +445,6 @@ mod tests {
         let b = p.full();
         assert_eq!(b.span, SimNanos::ZERO);
         assert_eq!(b.compute_total, SimNanos::ZERO);
-        assert_eq!(p.end_time(), SimNanos::ZERO);
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //! * [`trace_text_summary`] — a compact per-name aggregation for logs.
 //!
 //! The serializer is hand-rolled (no external deps) with fixed, locale-free
-//! formatting; [`validate_json`] is a minimal in-tree well-formedness
-//! checker used by the test suite to keep the exporter honest.
+//! formatting; [`crate::validate_json`] keeps the exporter honest.
 
 use crate::time::SimNanos;
 use std::collections::BTreeMap;
@@ -520,221 +519,10 @@ pub fn trace_text_summary(tracer: &Tracer) -> String {
     out
 }
 
-// ---- minimal JSON well-formedness checker -------------------------------
-
-struct JsonLint<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-/// Check that `s` is one syntactically well-formed JSON value (objects,
-/// arrays, strings with escapes, numbers, `true`/`false`/`null`) with
-/// nothing but whitespace after it. In-tree stand-in for a JSON parser so
-/// exporter tests need no external dependency.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = JsonLint {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.ws();
-    p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
-    Ok(())
-}
-
-impl JsonLint<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.i
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value()?;
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(format!("bad \\u escape at byte {}", self.i)),
-                                }
-                            }
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                }
-                c if c < 0x20 => {
-                    return Err(format!("raw control byte {c:#x} in string at {}", self.i))
-                }
-                _ => self.i += 1,
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("number with no digits at byte {}", self.i));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(format!("number with empty fraction at byte {}", self.i));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(format!("number with empty exponent at byte {}", self.i));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate_json;
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {
@@ -960,19 +748,5 @@ mod tests {
         let s = trace_text_summary(&t);
         assert!(s.contains("high-water device_mem_in_use: 7"), "{s}");
         assert!(s.contains("high-water queue_depth: 3"), "{s}");
-    }
-
-    #[test]
-    fn json_lint_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3,1e-4,true,null,\"s\\n\"]}").unwrap();
-        validate_json("  [ ]  ").unwrap();
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("{\"a\" 1}").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("01x").is_err());
-        assert!(validate_json("{}extra").is_err());
-        assert!(validate_json("1.").is_err());
-        assert!(validate_json("1e").is_err());
     }
 }

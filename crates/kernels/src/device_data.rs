@@ -132,11 +132,6 @@ impl DeviceCsr {
         Rc::clone(&self.csr)
     }
 
-    /// Has csc.
-    pub fn has_csc(&self) -> bool {
-        self.csc_buf.is_some()
-    }
-
     /// Device bytes occupied (doubled when the CSC copy is resident).
     pub fn bytes(&self) -> u64 {
         self.csr.bytes() * if self.csc_buf.is_some() { 2 } else { 1 }
@@ -225,7 +220,6 @@ mod tests {
         let used_single = gpu.mem().in_use();
         let double = DeviceCsr::alloc(&mut gpu, Rc::clone(&csr), true).unwrap();
         assert_eq!(gpu.mem().in_use() - used_single, used_single * 2);
-        assert!(double.has_csc());
         assert_eq!(double.bytes(), 2 * single.bytes());
         single.free(&mut gpu);
         double.free(&mut gpu);

@@ -93,17 +93,6 @@ pub fn add(
     binary(gpu, stream, "add", category, a, b, |x, y| x + y)
 }
 
-/// `a - b`.
-pub fn sub(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    a: &DeviceMatrix,
-    b: &DeviceMatrix,
-    category: KernelCategory,
-) -> Result<DeviceMatrix, OomError> {
-    binary(gpu, stream, "sub", category, a, b, |x, y| x - y)
-}
-
 /// Elementwise product.
 pub fn hadamard(
     gpu: &mut Gpu,
@@ -301,41 +290,6 @@ pub fn row_scale(
     DeviceMatrix::alloc(gpu, out)
 }
 
-/// Concatenate matrices column-wise (builds PiPAD's coalescent features).
-///
-/// **View semantics**: no kernel is launched and no traffic is charged —
-/// on the real device the consuming kernel's thread mapping reads the
-/// member matrices interleaved (the paper's slice-group layout); charging
-/// a separate packing pass would double-count the bytes the consumer
-/// already pays for. Only the result's device allocation is accounted.
-pub fn concat_cols(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    parts: &[&DeviceMatrix],
-    category: KernelCategory,
-) -> Result<DeviceMatrix, OomError> {
-    let _ = (stream, category);
-    let mats: Vec<&Matrix> = parts.iter().map(|p| p.host()).collect();
-    DeviceMatrix::alloc(gpu, Matrix::concat_cols(&mats))
-}
-
-/// Split a coalescent matrix back into `n_parts` equal-width matrices
-/// (view semantics — see [`concat_cols`]).
-pub fn split_cols(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    x: &DeviceMatrix,
-    n_parts: usize,
-    category: KernelCategory,
-) -> Result<Vec<DeviceMatrix>, OomError> {
-    let _ = (stream, category);
-    x.host()
-        .split_cols(n_parts)
-        .into_iter()
-        .map(|m| DeviceMatrix::alloc(gpu, m))
-        .collect()
-}
-
 /// Per-member degree normalization over a coalescent matrix: member `k`'s
 /// column block (width `cols / factors.len()`) has row `r` scaled by
 /// `factors[k][r]`. One streaming pass — the normalization epilogue of the
@@ -424,7 +378,13 @@ pub fn sgd_step(gpu: &mut Gpu, stream: StreamId, param: &mut DeviceMatrix, grad:
     param.store(updated);
 }
 
-/// Column range copy `[from, to)` (view semantics — see [`concat_cols`]).
+/// Column range copy `[from, to)` (a member's view of a coalescent matrix).
+///
+/// **View semantics**: no kernel is launched and no traffic is charged —
+/// on the real device the consuming kernel's thread mapping reads the
+/// member matrices interleaved (the paper's slice-group layout); charging
+/// a separate packing pass would double-count the bytes the consumer
+/// already pays for. Only the result's device allocation is accounted.
 pub fn slice_cols(
     gpu: &mut Gpu,
     stream: StreamId,
@@ -556,13 +516,6 @@ mod tests {
             20.0
         );
         assert_eq!(
-            sub(&mut g, s, &a, &b, KernelCategory::Elementwise)
-                .unwrap()
-                .host()
-                .sum(),
-            4.0
-        );
-        assert_eq!(
             hadamard(&mut g, s, &a, &b, KernelCategory::Elementwise)
                 .unwrap()
                 .host()
@@ -615,15 +568,11 @@ mod tests {
     }
 
     #[test]
-    fn concat_split_round_trip() {
+    fn slice_cols_copies_the_column_range() {
         let (mut g, s) = setup();
-        let a = dev(&mut g, s, Matrix::full(2, 2, 1.0));
-        let b = dev(&mut g, s, Matrix::full(2, 2, 2.0));
-        let cat = concat_cols(&mut g, s, &[&a, &b], KernelCategory::Elementwise).unwrap();
-        assert_eq!(cat.host().shape(), (2, 4));
-        let parts = split_cols(&mut g, s, &cat, 2, KernelCategory::Elementwise).unwrap();
-        assert_eq!(parts[0].host(), a.host());
-        assert_eq!(parts[1].host(), b.host());
+        let a = Matrix::full(2, 2, 1.0);
+        let b = Matrix::full(2, 2, 2.0);
+        let cat = dev(&mut g, s, Matrix::concat_cols(&[&a, &b]));
         let sl = slice_cols(&mut g, s, &cat, 1, 3, KernelCategory::Elementwise).unwrap();
         assert_eq!(sl.host().row(0), &[1.0, 2.0]);
     }

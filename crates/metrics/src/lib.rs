@@ -41,6 +41,7 @@ pub mod summary;
 pub use analyze::{analyze, EpochHealth, KernelAgg, PipelineHealth, StreamHealth, WindowHealth};
 pub use export::{to_json, to_prometheus, to_table};
 pub use hist::{bucket_index, bucket_lower_bound, bucket_upper_bound, Log2Histogram, LOG2_BUCKETS};
+pub use pipad_gpu_sim::Json;
 pub use registry::{MetricKey, MetricsRegistry};
-pub use sentinel::{Baseline, BaselineEntry, Json};
+pub use sentinel::{Baseline, BaselineEntry};
 pub use summary::{percentile_nearest_rank, Percentiles};

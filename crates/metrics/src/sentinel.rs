@@ -16,9 +16,10 @@
 //! A key present in the baseline but missing from the current run is a
 //! failure (a silently vanished metric is itself a regression); extra
 //! current keys are ignored so the profile can grow without churning the
-//! baseline. Parsing is done by a minimal in-tree JSON reader — the same
-//! no-external-deps policy as the trace exporter.
+//! baseline. Parsing goes through the workspace's one JSON reader,
+//! [`pipad_gpu_sim::Json`].
 
+use pipad_gpu_sim::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -130,231 +131,6 @@ impl Baseline {
     }
 }
 
-/// Minimal JSON value for the baseline reader.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number, as f64.
-    Num(f64),
-    /// String (escapes decoded).
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse one JSON document (nothing but whitespace may follow).
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: src.as_bytes(),
-            i: 0,
-        };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("json: trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (None on non-objects or missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("json: expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("json: unexpected byte {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("json: bad literal at byte {}", self.i))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        self.ws();
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let k = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            fields.push((k, self.value()?));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("json: expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        self.ws();
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("json: expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("json: unterminated string".to_string()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("json: truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "json: non-ascii \\u escape".to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("json: bad \\u escape at byte {}", self.i))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("json: bad escape at byte {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(format!("json: raw control byte at {}", self.i));
-                }
-                Some(_) => {
-                    // Advance over one UTF-8 scalar, copying its bytes.
-                    let start = self.i;
-                    self.i += 1;
-                    while self.i < self.b.len() && (self.b[self.i] & 0xC0) == 0x80 {
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.b[start..self.i])
-                            .map_err(|_| "json: invalid utf-8".to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("json: bad number `{text}` at byte {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,26 +181,6 @@ mod tests {
         let fails = b.check(&cur);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("missing"), "{fails:?}");
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let v = Json::parse("{\"a\\n\":[1,-2.5,3e2,true,null,\"x\\u0041\"]}").unwrap();
-        let arr = v.get("a\n").unwrap();
-        match arr {
-            Json::Arr(items) => {
-                assert_eq!(items[0], Json::Num(1.0));
-                assert_eq!(items[1], Json::Num(-2.5));
-                assert_eq!(items[2], Json::Num(300.0));
-                assert_eq!(items[3], Json::Bool(true));
-                assert_eq!(items[4], Json::Null);
-                assert_eq!(items[5], Json::Str("xA".to_string()));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-        assert!(Json::parse("{\"a\":1,}").is_err());
-        assert!(Json::parse("[1 2]").is_err());
-        assert!(Json::parse("{}garbage").is_err());
     }
 
     #[test]

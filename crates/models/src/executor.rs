@@ -65,7 +65,6 @@ pub trait GnnExecutor {
 pub struct DirectExecutor {
     norms: Vec<NormalizedAdj>,
     features: Vec<Matrix>,
-    kernel: AggregationKernel,
 }
 
 impl DirectExecutor {
@@ -77,14 +76,7 @@ impl DirectExecutor {
                 .map(|(a, _)| normalize_snapshot(a))
                 .collect(),
             features: snapshots.iter().map(|(_, f)| (*f).clone()).collect(),
-            kernel: AggregationKernel::CooScatter,
         }
-    }
-
-    /// With kernel.
-    pub fn with_kernel(mut self, kernel: AggregationKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 }
 
@@ -123,7 +115,8 @@ impl GnnExecutor for DirectExecutor {
         xs.iter()
             .zip(&self.norms)
             .map(|(&x, norm)| {
-                let agg = tape.spmm(gpu, std::rc::Rc::clone(&norm.adj_hat), x, self.kernel)?;
+                let adj = std::rc::Rc::clone(&norm.adj_hat);
+                let agg = tape.spmm(gpu, adj, x, AggregationKernel::CooScatter)?;
                 tape.row_scale(gpu, agg, std::rc::Rc::clone(&norm.inv_deg))
             })
             .collect()

@@ -26,7 +26,6 @@
 //! mirrors the paper's claim that PiPAD is a pure performance optimization.
 
 mod cells;
-mod eval;
 mod evolve_gcn;
 mod executor;
 mod gat;
@@ -37,7 +36,6 @@ mod tgcn;
 mod training;
 
 pub use cells::{GruCell, LstmCell};
-pub use eval::{evaluate_forecast, ForecastMetrics};
 pub use evolve_gcn::EvolveGcn;
 pub use executor::{DirectExecutor, GnnExecutor};
 pub use gat::{GatLayer, GatRnn};

@@ -107,11 +107,6 @@ impl Binder {
         &self.bindings
     }
 
-    /// Consume the binder, yielding the bindings.
-    pub fn into_bindings(self) -> Vec<ParamBinding> {
-        self.bindings
-    }
-
     /// Apply one SGD step per bound parameter from the tape's gradients.
     pub fn apply_sgd(&self, gpu: &mut Gpu, stream: StreamId, tape: &Tape, lr: f32) {
         for b in &self.bindings {

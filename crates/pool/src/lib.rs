@@ -363,32 +363,6 @@ impl<'a, T> DisjointMut<'a, T> {
     }
 }
 
-/// Parallel loop over the rows of a dense row-major buffer: calls
-/// `f(row_index, row_slice)` for every row, partitioning rows into bands
-/// of at least `min_rows_per_band`. Row traversal order within a band is
-/// ascending, identical to the serial loop.
-pub fn par_rows_mut<T: Send>(
-    data: &mut [T],
-    row_len: usize,
-    min_rows_per_band: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    if row_len == 0 || data.is_empty() {
-        return;
-    }
-    debug_assert_eq!(data.len() % row_len, 0);
-    let n_rows = data.len() / row_len;
-    let shared = DisjointMut::new(data);
-    parallel_for(n_rows, min_rows_per_band, |rows| {
-        for r in rows {
-            // SAFETY: bands own disjoint row ranges, rows are disjoint
-            // `row_len` windows.
-            let row = unsafe { shared.slice(r * row_len..(r + 1) * row_len) };
-            f(r, row);
-        }
-    });
-}
-
 /// Parallel map over a slice, preserving order. Falls back to a plain
 /// serial map when the band math says one band (few items, or
 /// single-threaded config).
@@ -501,22 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn par_rows_mut_matches_serial() {
-        for t in [1usize, 2, 7] {
-            with_threads(t, || {
-                let mut m = vec![1.0f32; 13 * 5];
-                par_rows_mut(&mut m, 5, 1, |r, row| {
-                    for (c, v) in row.iter_mut().enumerate() {
-                        *v = (r * 5 + c) as f32;
-                    }
-                });
-                let expect: Vec<f32> = (0..13 * 5).map(|i| i as f32).collect();
-                assert_eq!(m, expect);
-            });
-        }
-    }
-
-    #[test]
     fn par_map_preserves_order() {
         for t in [1usize, 2, 7] {
             with_threads(t, || {
@@ -531,7 +489,6 @@ mod tests {
     fn empty_and_tiny_inputs() {
         with_threads(7, || {
             parallel_for(0, 1, |_| panic!("must not run"));
-            par_rows_mut::<f32>(&mut [], 4, 1, |_, _| panic!("must not run"));
             let out: Vec<u32> = par_map(&[], |_: &u32| 1);
             assert!(out.is_empty());
         });

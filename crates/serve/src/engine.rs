@@ -29,31 +29,26 @@ use pipad_models::{build_model, DgnnModel, ModelKind, TrainingConfig};
 use pipad_tensor::Matrix;
 use std::path::Path;
 
-/// Serving-engine knobs.
+/// What the serving engine must be told about the checkpointed model.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Hidden dimension the checkpointed model was trained with (part of
     /// the fingerprint — a mismatch is a typed restore error).
     pub hidden: usize,
-    /// Snapshots-per-partition for the staged forward.
-    pub s_per: usize,
-    /// Consult/populate the two-tier inter-frame reuse.
-    pub inter_frame_reuse: bool,
-    /// Byte budget granted to the GPU reuse tier on top of whatever the
-    /// checkpoint restored (the tier's budget only grows).
-    pub gpu_cache_budget: u64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            hidden: 16,
-            s_per: 4,
-            inter_frame_reuse: true,
-            gpu_cache_budget: 8 << 20,
-        }
+        EngineConfig { hidden: 16 }
     }
 }
+
+/// Snapshots-per-partition of the staged forward.
+const S_PER: usize = 4;
+
+/// Byte budget granted to the GPU reuse tier on top of whatever the
+/// checkpoint restored (the tier's budget only grows).
+const GPU_CACHE_BUDGET: u64 = 8 << 20;
 
 /// A loaded model ready to serve frames of one dynamic graph.
 pub struct ServeEngine<'g> {
@@ -63,8 +58,6 @@ pub struct ServeEngine<'g> {
     catalog: PartitionCatalog,
     pub(crate) reuse: InterFrameReuse,
     window: usize,
-    s_per: usize,
-    inter_frame_reuse: bool,
     compute: StreamId,
     copy: StreamId,
     pub(crate) host_cursor: SimNanos,
@@ -112,7 +105,7 @@ impl<'g> ServeEngine<'g> {
         let catalog = PartitionCatalog::build(gpu, &analyzer, &mut host_cursor);
         let mut reuse = InterFrameReuse::new(0);
         let restored = restore_checkpoint(gpu, &ckpt, &fingerprint, model.as_ref(), &mut reuse)?;
-        reuse.gpu_cache.set_budget(ecfg.gpu_cache_budget);
+        reuse.gpu_cache.set_budget(GPU_CACHE_BUDGET);
         // Serving runs on its own timeline: the clock is NOT rewound to the
         // training run's — requests arrive on a fresh device.
         Ok(ServeEngine {
@@ -122,8 +115,6 @@ impl<'g> ServeEngine<'g> {
             catalog,
             reuse,
             window: train_cfg.window,
-            s_per: ecfg.s_per.max(1),
-            inter_frame_reuse: ecfg.inter_frame_reuse,
             compute: gpu.default_stream(),
             copy: gpu.create_stream(),
             host_cursor,
@@ -182,18 +173,16 @@ impl<'g> ServeEngine<'g> {
         // Entries below the stream's current window never recur (frames
         // only advance): retire them before staging so the budget serves
         // live snapshots.
-        if self.inter_frame_reuse {
-            self.reuse.gpu_cache.retire_below(gpu, frame_start);
-        }
+        self.reuse.gpu_cache.retire_below(gpu, frame_start);
         let feats: Vec<&Matrix> = self.graph.snapshots[frame_start..frame_start + self.window]
             .iter()
             .map(|s| &s.features)
             .collect();
         let opts = ExecOptions {
-            s_per: self.s_per,
+            s_per: S_PER,
             needs_adjacency_when_cached: self.model.needs_hidden_aggregation(),
             weight_reuse: self.model.supports_weight_reuse(),
-            inter_frame_reuse: self.inter_frame_reuse,
+            inter_frame_reuse: true,
             use_sliced: true,
         };
         let mut exec = PipadExecutor::stage(
@@ -203,7 +192,7 @@ impl<'g> ServeEngine<'g> {
             &feats,
             frame_start,
             opts,
-            self.inter_frame_reuse.then_some(&mut self.reuse),
+            Some(&mut self.reuse),
             self.compute,
             self.copy,
             &mut self.host_cursor,
@@ -217,19 +206,17 @@ impl<'g> ServeEngine<'g> {
         // Promote this frame's CPU-tier deposits to the GPU tier. Values
         // are identical either way (the CPU store is write-once), so the
         // promotion policy cannot perturb served bits — only PCIe traffic.
-        if self.inter_frame_reuse {
-            for g in frame_start..frame_start + self.window {
-                if self.reuse.gpu_cache.contains(g) {
-                    continue;
-                }
-                let Some(m) = self.reuse.cpu.get(g).map(Matrix::clone_in) else {
-                    continue;
-                };
-                match self.reuse.gpu_cache.put(gpu, g, m) {
-                    Ok(_) => {}
-                    // Best-effort: a full device just stops promoting.
-                    Err(_) => break,
-                }
+        for g in frame_start..frame_start + self.window {
+            if self.reuse.gpu_cache.contains(g) {
+                continue;
+            }
+            let Some(m) = self.reuse.cpu.get(g).map(Matrix::clone_in) else {
+                continue;
+            };
+            match self.reuse.gpu_cache.put(gpu, g, m) {
+                Ok(_) => {}
+                // Best-effort: a full device just stops promoting.
+                Err(_) => break,
             }
         }
         Ok(pred)

@@ -452,10 +452,7 @@ mod tests {
         train_pipad(&mut tg, ModelKind::TGcn, &graph, 8, &cfg, &pcfg).unwrap();
 
         let mut gpu = Gpu::new(DeviceConfig::v100());
-        let ecfg = EngineConfig {
-            hidden: 8,
-            ..Default::default()
-        };
+        let ecfg = EngineConfig { hidden: 8 };
         let mut engine =
             ServeEngine::from_latest(&mut gpu, &dir, ModelKind::TGcn, &graph, &cfg, &ecfg).unwrap();
         let scfg = ServeSimConfig {

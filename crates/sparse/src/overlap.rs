@@ -26,16 +26,6 @@ impl OverlapSplit {
         Csr::from_edges(self.overlap.n_rows(), self.overlap.n_cols(), &edges)
     }
 
-    /// Fraction of a snapshot's edges covered by the overlap part.
-    pub fn coverage(&self, i: usize) -> f64 {
-        let total = self.overlap.nnz() + self.exclusives[i].nnz();
-        if total == 0 {
-            1.0
-        } else {
-            self.overlap.nnz() as f64 / total as f64
-        }
-    }
-
     /// Bytes to transfer the whole split (overlap once + all exclusives).
     pub fn transfer_bytes(&self) -> u64 {
         self.overlap.bytes() + self.exclusives.iter().map(Csr::bytes).sum::<u64>()
@@ -214,7 +204,6 @@ mod tests {
         let (a, b) = (snap(&ea), snap(&eb));
         let split = extract_overlap(&[&a, &b]);
         assert!(split.transfer_bytes() < a.bytes() + b.bytes());
-        assert!(split.coverage(0) > 0.5);
     }
 
     #[test]

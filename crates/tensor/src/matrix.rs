@@ -74,18 +74,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// [`Matrix::from_fn`] into a pooled buffer; every element is
-    /// written by the push loop before the matrix is exposed.
-    pub fn from_fn_in(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = bufpool::take_buf(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// Copy `src` (row-major, `rows * cols` elements) into a pooled
     /// buffer.
     pub fn from_slice_in(rows: usize, cols: usize, src: &[f32]) -> Self {
@@ -163,11 +151,6 @@ impl Matrix {
     /// Row mut.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Immutable bands of whole rows, for threaded kernels.
-    pub fn row_chunks(&self, rows_per_chunk: usize) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks(rows_per_chunk * self.cols)
     }
 
     /// Transposed copy. Written scatter-style straight into the spare
@@ -250,18 +233,6 @@ impl Matrix {
             let dst = unsafe { shared.slice(range.clone()) };
             for (a, b) in dst.iter_mut().zip(&src[range]) {
                 *a += b;
-            }
-        });
-    }
-
-    /// In-place scale.
-    pub fn scale_assign(&mut self, s: f32) {
-        let shared = pool::DisjointMut::new(&mut self.data);
-        pool::parallel_for(shared.len(), ELEMS_PER_BAND, |range| {
-            // SAFETY: bands own disjoint element ranges.
-            let dst = unsafe { shared.slice(range) };
-            for a in dst {
-                *a *= s;
             }
         });
     }
@@ -500,8 +471,6 @@ mod tests {
         let mut c = a.clone();
         c.add_assign(&b);
         assert_eq!(c.sum(), 20.0);
-        c.scale_assign(0.5);
-        assert_eq!(c.sum(), 10.0);
     }
 
     #[test]
@@ -531,17 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn row_chunks_cover_the_matrix() {
-        let m = Matrix::from_fn(5, 2, |r, c| (r * 2 + c) as f32);
-        let chunks: Vec<&[f32]> = m.row_chunks(2).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 4);
-        assert_eq!(chunks[2].len(), 2); // remainder
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, m.len());
-    }
-
-    #[test]
     #[should_panic(expected = "row slice out of range")]
     fn bad_row_slice_panics() {
         let _ = Matrix::zeros(2, 2).slice_rows(1, 4);
@@ -565,8 +523,6 @@ mod tests {
             dirty.recycle();
             assert_eq!(Matrix::zeros_in(3, 4), Matrix::zeros(3, 4));
             let f = |r: usize, c: usize| (r * 7 + c) as f32;
-            Matrix::from_fn(3, 5, f).recycle();
-            assert_eq!(Matrix::from_fn_in(3, 5, f), Matrix::from_fn(3, 5, f));
             let m = Matrix::from_fn(2, 6, f);
             assert_eq!(m.clone_in(), m);
             assert_eq!(

@@ -18,9 +18,9 @@ use pipad_repro::models::{ModelKind, TrainingConfig};
 use pipad_repro::pipad::{train_data_parallel, MultiGpuConfig};
 
 fn main() {
-    let graph = DatasetId::Epinions.gen_config(Scale::Tiny).generate();
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
     println!(
-        "Epinions analogue: {} vertices, {} snapshots — vertex-partitioned\n",
+        "Covid19-England analogue: {} vertices, {} snapshots — vertex-partitioned\n",
         graph.n(),
         graph.len()
     );

@@ -58,17 +58,79 @@ release_profile_tests() {
     cargo test -q --release -p pipad-tensor -p pipad-kernels -p pipad-autograd
 }
 
+# Every key under `[dependencies]` of every crate must be named somewhere in
+# that crate's sources (`name::`, `use name;`, `name as`): an edge nothing
+# links fails here instead of lingering in a manifest.
+unused_deps() {
+    local manifest dir section line dep name bad=0
+    for manifest in crates/*/Cargo.toml; do
+        dir=$(dirname "$manifest")
+        section=""
+        while IFS= read -r line; do
+            case $line in
+                "["*) section=$line ;;
+                [a-z]*)
+                    [[ $section == "[dependencies]" ]] || continue
+                    dep=${line%%[. =]*}
+                    name=${dep//-/_}
+                    if ! grep -rqE "\b$name(::|;| as)" "$dir/src"; then
+                        echo "ERROR: $dir depends on $dep but never names it" >&2
+                        bad=1
+                    fi
+                    ;;
+            esac
+        done < "$manifest"
+    done
+    return "$bad"
+}
+
+# `benchmark/` is a workspace of its own that path-depends on the crates and
+# is frozen by BENCHMARK.json: it must keep compiling, unedited, against
+# whatever this tree's public API now is. Building it rewrites its stale
+# lock file, so the lock is copied aside and put back.
+benchmark_compiles() {
+    local status=0
+    cp benchmark/Cargo.lock "$scratch_dir/benchmark.lock"
+    cargo check --offline --quiet --manifest-path benchmark/Cargo.toml \
+        --target-dir benchmark/target || status=$?
+    cp "$scratch_dir/benchmark.lock" benchmark/Cargo.lock
+    return "$status"
+}
+
+# The examples are the only end-to-end runs through the facade's re-exports
+# (and `attention_dgnn` the only `ModelKind::GatRnn` run through
+# `train_pipad`); the workspace test run has already built them.
+examples_run() {
+    local ex
+    for ex in examples/*.rs; do
+        cargo run -q --example "$(basename "$ex" .rs)" > /dev/null
+    done
+}
+
+gate unused_deps
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace -- -D warnings
+gate benchmark_compiles
 # Tier-1 is `cargo test -q` (the facade package's integration tests); the
 # workspace run is a superset that also executes every crate's unit tests
 # (kill-and-resume, executors, reuse stores, simulator, tape, every
 # HOST_MATRIX-carrying `repro` experiment at tiny scale, ...).
 gate cargo test --workspace -q
+gate examples_run
 gate release_profile_tests
 gate sentinel_accepts_committed_baseline
 gate sentinel_rejects_seeded_drift
 gate env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== all checks passed in $(($(date +%s) - t_start))s =="
+# Wall-time budget: twice the warm total (48 s with nothing to recompile, on
+# the 2-core sandbox), so the cost of the gates cannot creep back up
+# unnoticed. A run that had to compile does not fit; run it again.
+budget_s=96
+total_s=$(($(date +%s) - t_start))
+if ((total_s > budget_s)); then
+    echo "ERROR: all checks passed, but in ${total_s}s: over the ${budget_s}s wall-time budget" >&2
+    echo "       (warm runs only: if this one compiled, run it again)" >&2
+    exit 1
+fi
+echo "== all checks passed in ${total_s}s (budget ${budget_s}s) =="

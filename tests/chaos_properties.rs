@@ -97,10 +97,7 @@ fn serve_once(
     let cfg = serve_cfg();
     let mut gpu = Gpu::new(DeviceConfig::v100());
     gpu.install_faults(plan.clone());
-    let ecfg = EngineConfig {
-        hidden: 8,
-        ..EngineConfig::default()
-    };
+    let ecfg = EngineConfig { hidden: 8 };
     let scfg = ServeSimConfig {
         batch: BatchPolicy {
             max_batch: 4,

@@ -130,10 +130,7 @@ fn serve(
     max_batch: usize,
 ) -> ServeReport {
     let mut gpu = Gpu::new(DeviceConfig::v100());
-    let ecfg = EngineConfig {
-        hidden: HIDDEN,
-        ..EngineConfig::default()
-    };
+    let ecfg = EngineConfig { hidden: HIDDEN };
     let mut engine = ServeEngine::from_latest(&mut gpu, dir, model, graph, cfg, &ecfg)
         .unwrap_or_else(|e| panic!("{}: engine restore failed: {e}", model.name()));
     serve_open_loop(&mut gpu, &mut engine, &sim_cfg(max_batch))
@@ -273,10 +270,7 @@ fn rotated_checkpoint_serves_that_epochs_exact_bits() {
 
     let serve_from = |path: &Path| -> ServeReport {
         let mut gpu = Gpu::new(DeviceConfig::v100());
-        let ecfg = EngineConfig {
-            hidden: HIDDEN,
-            ..EngineConfig::default()
-        };
+        let ecfg = EngineConfig { hidden: HIDDEN };
         let mut engine =
             ServeEngine::from_checkpoint_path(&mut gpu, path, model, &graph, &cfg, &ecfg)
                 .expect("engine restore failed");

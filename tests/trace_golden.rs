@@ -150,10 +150,7 @@ fn micro_serve_gpu(dir: &std::path::Path) -> Gpu {
     train_pipad(&mut tg, ModelKind::TGcn, &graph, 4, &cfg, &pcfg).expect("train micro graph");
 
     let mut gpu = Gpu::new(DeviceConfig::v100());
-    let ecfg = EngineConfig {
-        hidden: 4,
-        ..EngineConfig::default()
-    };
+    let ecfg = EngineConfig { hidden: 4 };
     let mut engine = ServeEngine::from_latest(&mut gpu, dir, ModelKind::TGcn, &graph, &cfg, &ecfg)
         .expect("restore micro checkpoint");
     let scfg = ServeSimConfig {
