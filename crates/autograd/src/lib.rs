@@ -26,12 +26,19 @@
 //!   one-op chains they replaced (the `rnn_oracle` tests keep those chains
 //!   as the reference). Gradients are reference-counted so one buffer can
 //!   be several parents' gradient without a copy launch.
+//! * [`Tape::split_rows`] / [`Tape::split_cols`] hand a stacked or
+//!   coalescent result back per snapshot as free views, and their backward
+//!   is concat — one gather launch per split over the gradients present,
+//!   whatever the number of parts (the `split_oracle` tests keep the
+//!   zero-padded sum it replaced as the reference).
 //! * [`Tape::finish`] frees every device allocation the tape made; leaked
 //!   simulated memory would corrupt the tuner's peak statistics, so tests
 //!   assert the device returns to its pre-tape footprint.
 
 #[cfg(test)]
 mod rnn_oracle;
+#[cfg(test)]
+mod split_oracle;
 mod tape;
 
 pub use tape::{AggregationKernel, SharedParam, Tape, Var};

@@ -31,10 +31,8 @@ fn lstm_gates_composed(gpu: &mut Gpu, tape: &mut Tape, [gx, gh, b, c]: [Var; 4])
     let hd = tape.shape(c).1;
     let gsum = tape.add(gpu, gx, gh, RNN).unwrap();
     let gates = tape.add_bias(gpu, gsum, b, RNN).unwrap();
-    let i = tape.slice_cols(gpu, gates, 0, hd, RNN).unwrap();
-    let f = tape.slice_cols(gpu, gates, hd, 2 * hd, RNN).unwrap();
-    let g = tape.slice_cols(gpu, gates, 2 * hd, 3 * hd, RNN).unwrap();
-    let o = tape.slice_cols(gpu, gates, 3 * hd, 4 * hd, RNN).unwrap();
+    let gates = tape.split_cols(gpu, gates, &[hd; 4], RNN).unwrap();
+    let [i, f, g, o]: [Var; 4] = gates.try_into().unwrap();
     let i = tape.sigmoid(gpu, i, RNN).unwrap();
     let f = tape.sigmoid(gpu, f, RNN).unwrap();
     let g = tape.tanh(gpu, g, RNN).unwrap();
@@ -66,16 +64,20 @@ fn lstm_step(
 /// The GRU gate algebra after `gx = gx0 + b` and `gh`.
 fn gru_gates_composed(gpu: &mut Gpu, tape: &mut Tape, [gx, gh, h]: [Var; 3]) -> Var {
     let hd = tape.shape(h).1;
-    let rx = tape.slice_cols(gpu, gx, 0, hd, RNN).unwrap();
-    let rh = tape.slice_cols(gpu, gh, 0, hd, RNN).unwrap();
+    let [rx, zx, nx]: [Var; 3] = tape
+        .split_cols(gpu, gx, &[hd; 3], RNN)
+        .unwrap()
+        .try_into()
+        .unwrap();
+    let [rh, zh, nh]: [Var; 3] = tape
+        .split_cols(gpu, gh, &[hd; 3], RNN)
+        .unwrap()
+        .try_into()
+        .unwrap();
     let rsum = tape.add(gpu, rx, rh, RNN).unwrap();
     let r = tape.sigmoid(gpu, rsum, RNN).unwrap();
-    let zx = tape.slice_cols(gpu, gx, hd, 2 * hd, RNN).unwrap();
-    let zh = tape.slice_cols(gpu, gh, hd, 2 * hd, RNN).unwrap();
     let zsum = tape.add(gpu, zx, zh, RNN).unwrap();
     let z = tape.sigmoid(gpu, zsum, RNN).unwrap();
-    let nx = tape.slice_cols(gpu, gx, 2 * hd, 3 * hd, RNN).unwrap();
-    let nh = tape.slice_cols(gpu, gh, 2 * hd, 3 * hd, RNN).unwrap();
     let rnh = tape.hadamard(gpu, r, nh, RNN).unwrap();
     let nsum = tape.add(gpu, nx, rnh, RNN).unwrap();
     let n = tape.tanh(gpu, nsum, RNN).unwrap();
@@ -142,7 +144,7 @@ fn tgcn_step(
 
 /// Random operand; with `specials`, every 7th element is a signed zero, a
 /// subnormal, an infinity or a NaN.
-fn operand(seed: u64, rows: usize, cols: usize, specials: bool) -> Matrix {
+pub(crate) fn operand(seed: u64, rows: usize, cols: usize, specials: bool) -> Matrix {
     let mut m = uniform(&mut seeded_rng(seed), rows, cols, 1.5);
     if specials {
         for (k, v) in m.as_mut_slice().iter_mut().enumerate().step_by(7) {
@@ -153,11 +155,11 @@ fn operand(seed: u64, rows: usize, cols: usize, specials: bool) -> Matrix {
 }
 
 /// Builds one graph on a fresh tape: leaf constructors plus what to check.
-struct Graph<'a> {
-    gpu: &'a mut Gpu,
-    tape: Tape,
+pub(crate) struct Graph<'a> {
+    pub(crate) gpu: &'a mut Gpu,
+    pub(crate) tape: Tape,
     /// Values compared after forward.
-    outs: Vec<Var>,
+    pub(crate) outs: Vec<Var>,
     /// Leaves whose gradients are compared after backward.
     leaves: Vec<Var>,
     /// Device bytes that outlive the tape (parameters).
@@ -166,7 +168,7 @@ struct Graph<'a> {
 
 impl Graph<'_> {
     /// A gradient-carrying data leaf.
-    fn leaf(&mut self, m: Matrix) -> Var {
+    pub(crate) fn leaf(&mut self, m: Matrix) -> Var {
         let v = self
             .tape
             .input_grad(DeviceMatrix::alloc(self.gpu, m).unwrap());
@@ -174,7 +176,7 @@ impl Graph<'_> {
         v
     }
     /// A trainable parameter (gradients accumulate across steps).
-    fn param(&mut self, m: Matrix) -> Var {
+    pub(crate) fn param(&mut self, m: Matrix) -> Var {
         self.param_bytes += m.bytes();
         let p: SharedParam = Rc::new(RefCell::new(DeviceMatrix::alloc(self.gpu, m).unwrap()));
         let v = self.tape.param(&p);
@@ -189,10 +191,22 @@ impl Graph<'_> {
 
 /// Forward, seed `root` with `seed`, backward; returns the checked values
 /// followed by the leaf gradients, and the launches by kernel name.
-fn evaluate(
+pub(crate) fn evaluate(
     threads: usize,
     seed: &Matrix,
     build: impl FnOnce(&mut Graph<'_>) -> Var,
+) -> (Vec<Option<Matrix>>, Vec<&'static str>) {
+    evaluate_sweeps(threads, build, |gpu, tape, root| {
+        let seed = DeviceMatrix::alloc(gpu, seed.clone()).unwrap();
+        tape.backward_from(gpu, root, seed).unwrap();
+    })
+}
+
+/// [`evaluate`] with the reverse sweeps spelled out by the caller.
+pub(crate) fn evaluate_sweeps<R>(
+    threads: usize,
+    build: impl FnOnce(&mut Graph<'_>) -> R,
+    sweeps: impl FnOnce(&mut Gpu, &mut Tape, R),
 ) -> (Vec<Option<Matrix>>, Vec<&'static str>) {
     pool::with_threads(threads, || {
         let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -203,7 +217,7 @@ fn evaluate(
             leaves: Vec::new(),
             param_bytes: 0,
         };
-        let root = build(&mut g);
+        let roots = build(&mut g);
         let Graph {
             mut tape,
             outs,
@@ -211,8 +225,7 @@ fn evaluate(
             param_bytes,
             ..
         } = g;
-        let seed = DeviceMatrix::alloc(&mut gpu, seed.clone()).unwrap();
-        tape.backward_from(&mut gpu, root, seed).unwrap();
+        sweeps(&mut gpu, &mut tape, roots);
         let mut got: Vec<_> = outs.iter().map(|&v| Some(tape.host(v))).collect();
         got.extend(leaves.iter().map(|&v| tape.grad(v)));
         tape.finish(&mut gpu);

@@ -2,7 +2,7 @@
 
 use pipad_gpu_sim::{Gpu, KernelCategory, OomError, StreamId};
 use pipad_kernels as k;
-use pipad_kernels::DeviceMatrix;
+use pipad_kernels::{Axis, DeviceMatrix};
 use pipad_pool as pool;
 use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
@@ -111,13 +111,25 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
-    SliceCols {
-        x: Var,
-        from: usize,
-    },
     ConcatRows(Vec<Var>),
-    SliceRows {
+    /// First of the `parts` views [`Tape::split_rows`] / [`Tape::split_cols`]
+    /// cut `x` into along `axis`; the others are the [`Op::SplitPart`] nodes
+    /// pushed right after it, whose gradients this node's backward gathers
+    /// with its own.
+    Split {
         x: Var,
+        axis: Axis,
+        parts: usize,
+    },
+    /// A later view of the [`Op::Split`] group just before it.
+    SplitPart,
+    /// The one-view op the split replaced, whose backward zero-pads the
+    /// gradient to the parent's shape: the reference the `split_oracle`
+    /// tests fold against.
+    #[cfg(test)]
+    SlicePadded {
+        x: Var,
+        axis: Axis,
         from: usize,
     },
     /// Fused LSTM gate algebra ([`Tape::lstm_cell`]). This node is `h′`;
@@ -418,7 +430,7 @@ impl Tape {
     /// * `inv_degs[k]`: member `k`'s `1/(deg+1)` normalization factors.
     ///
     /// Adjacency must be symmetric (see [`Tape::spmm`]). Returns the
-    /// coalescent `n × (s·d)` Var; per-member views via [`Tape::slice_cols`].
+    /// coalescent `n × (s·d)` Var; per-member views via [`Tape::split_cols`].
     pub fn spmm_partition(
         &mut self,
         gpu: &mut Gpu,
@@ -709,7 +721,7 @@ impl Tape {
     /// `x × w` with the weight tile kept resident across row tiles — the
     /// stacked form of PiPAD's locality-optimized weight reuse: callers
     /// stack a partition's features with [`Tape::concat_rows`], multiply
-    /// once, then [`Tape::slice_rows`] the results apart.
+    /// once, then [`Tape::split_rows`] the results apart.
     pub fn matmul_weight_resident(
         &mut self,
         gpu: &mut Gpu,
@@ -742,38 +754,105 @@ impl Tape {
         Ok(self.push_computed(gpu, out, Op::ConcatRows(parts.to_vec()), rg, category))
     }
 
-    /// Row range `[from, to)` extraction.
-    pub fn slice_rows(
+    /// Views of consecutive row blocks of `x`, `heights[k]` rows each (the
+    /// inverse of [`Tape::concat_rows`]). Free forward, like the
+    /// `pipad_kernels::slice_rows` views it is made of, and one gather
+    /// launch backward however many parts there are.
+    pub fn split_rows(
         &mut self,
         gpu: &mut Gpu,
         x: Var,
-        from: usize,
-        to: usize,
+        heights: &[usize],
         category: KernelCategory,
-    ) -> Result<Var, OomError> {
-        let out = {
-            let dx = self.dev(x);
-            k::slice_rows(gpu, self.stream, &dx, from, to, category)?
-        };
-        let rg = self.requires(x);
-        Ok(self.push_computed(gpu, out, Op::SliceRows { x, from }, rg, category))
+    ) -> Result<Vec<Var>, OomError> {
+        self.split(gpu, x, Axis::Rows, heights, category)
     }
 
-    /// Column range `[from, to)` extraction.
-    pub fn slice_cols(
+    /// Views of consecutive column blocks of `x`, `widths[k]` columns each
+    /// (a coalescent matrix's members). Costs as [`Tape::split_rows`].
+    pub fn split_cols(
         &mut self,
         gpu: &mut Gpu,
         x: Var,
+        widths: &[usize],
+        category: KernelCategory,
+    ) -> Result<Vec<Var>, OomError> {
+        self.split(gpu, x, Axis::Cols, widths, category)
+    }
+
+    fn split(
+        &mut self,
+        gpu: &mut Gpu,
+        x: Var,
+        axis: Axis,
+        extents: &[usize],
+        category: KernelCategory,
+    ) -> Result<Vec<Var>, OomError> {
+        assert!(!extents.is_empty(), "split into nothing");
+        assert_eq!(
+            extents.iter().sum::<usize>(),
+            axis.extent(self.shape(x)),
+            "the parts of a split cover their parent"
+        );
+        // All views or none: the group's first node records how many follow.
+        let mut views = Vec::with_capacity(extents.len());
+        let mut from = 0;
+        for &extent in extents {
+            match self.view(gpu, x, axis, from, from + extent, category) {
+                Ok(view) => views.push(view),
+                Err(e) => {
+                    views.into_iter().for_each(|v| v.release(gpu));
+                    return Err(e);
+                }
+            }
+            from += extent;
+        }
+        let rg = self.requires(x);
+        let parts = views.len();
+        let vars = views.into_iter().enumerate().map(|(k, view)| {
+            let op = if k == 0 {
+                Op::Split { x, axis, parts }
+            } else {
+                Op::SplitPart
+            };
+            self.push_computed(gpu, view, op, rg, category)
+        });
+        Ok(vars.collect())
+    }
+
+    /// The `[from, to)` view of `x` along `axis` (no launch; `k::slice_*`).
+    fn view(
+        &self,
+        gpu: &mut Gpu,
+        x: Var,
+        axis: Axis,
         from: usize,
         to: usize,
         category: KernelCategory,
-    ) -> Result<Var, OomError> {
-        let out = {
-            let dx = self.dev(x);
-            k::slice_cols(gpu, self.stream, &dx, from, to, category)?
-        };
+    ) -> Result<DeviceMatrix, OomError> {
+        let dx = self.dev(x);
+        match axis {
+            Axis::Rows => k::slice_rows(gpu, self.stream, &dx, from, to, category),
+            Axis::Cols => k::slice_cols(gpu, self.stream, &dx, from, to, category),
+        }
+    }
+
+    /// The op [`Tape::split`] replaced: one view, its gradient zero-padded
+    /// to the parent's shape and summed in with an `add` per view.
+    #[cfg(test)]
+    pub(crate) fn slice_padded(
+        &mut self,
+        gpu: &mut Gpu,
+        x: Var,
+        axis: Axis,
+        from: usize,
+        to: usize,
+        category: KernelCategory,
+    ) -> Var {
+        let out = self.view(gpu, x, axis, from, to, category).unwrap();
         let rg = self.requires(x);
-        Ok(self.push_computed(gpu, out, Op::SliceCols { x, from }, rg, category))
+        let op = Op::SlicePadded { x, axis, from };
+        self.push_computed(gpu, out, op, rg, category)
     }
 
     // ---- fused recurrent cells ---------------------------------------------
@@ -781,7 +860,7 @@ impl Tape {
     /// Fused LSTM gate algebra, `(h′, c′)` in one launch: `gx = x·Wx` and
     /// `gh = h·Wh` are the gate pre-activation halves (`n × 4h`, order
     /// `[i, f, g, o]`), `b` the `1 × 4h` bias, `c` the previous cell state.
-    /// Bit-identical to composing `add`, `add_bias`, `slice_cols`,
+    /// Bit-identical to composing `add`, `add_bias`, `split_cols`,
     /// `sigmoid`, `tanh` and `hadamard`, forward and backward.
     pub fn lstm_cell(
         &mut self,
@@ -943,7 +1022,8 @@ impl Tape {
         seed: DeviceMatrix,
     ) -> Result<(), OomError> {
         // Every node, not just those below `root`: an LSTM cell at `root`
-        // reads the gradient of its `c′` node, which sits just above it.
+        // reads the gradient of its `c′` node, which sits just above it, and
+        // a split's first part gathers those of the parts above it.
         let mut stash: Vec<(usize, Rc<DeviceMatrix>)> = Vec::new();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             if let Some(g) = node.grad.take() {
@@ -967,6 +1047,12 @@ impl Tape {
         self.accumulate(gpu, root, seed)?;
         for i in (0..=root.0).rev() {
             if !self.nodes[i].requires_grad {
+                continue;
+            }
+            if let Op::Split { x, axis, parts } = self.nodes[i].op {
+                // Every part sits above this one, so the sweep is past them
+                // all — whether or not this one has a gradient itself.
+                self.split_backward(gpu, x, axis, i..i + parts)?;
                 continue;
             }
             if self.nodes[i].grad.is_none() {
@@ -1044,6 +1130,108 @@ impl Tape {
         res
     }
 
+    /// Hand each gradient to its parent in turn, carrying on from `so_far`.
+    /// Once a step has failed the rest are freed instead: they belong to
+    /// no node yet, so [`Tape::finish`] could not.
+    fn deposit_each(
+        &mut self,
+        gpu: &mut Gpu,
+        so_far: Result<(), OomError>,
+        grads: impl IntoIterator<Item = (Var, DeviceMatrix)>,
+    ) -> Result<(), OomError> {
+        let mut res = so_far;
+        for (p, g) in grads {
+            if res.is_ok() {
+                res = self.deposit(gpu, p, g);
+            } else {
+                g.release(gpu);
+            }
+        }
+        res
+    }
+
+    /// Per-member half of [`Op::SpmmPartition`]'s backward: map
+    /// each live member's block of the scaled upstream `g_scaled` through
+    /// its exclusive adjacency and add its block of the overlap pass.
+    fn partition_members_backward(
+        &mut self,
+        gpu: &mut Gpu,
+        cat: KernelCategory,
+        exclusives: &[Rc<SlicedCsr>],
+        xs: &[Var],
+        g_scaled: &DeviceMatrix,
+        over_grad: Option<&DeviceMatrix>,
+    ) -> Result<(), OomError> {
+        let s = self.stream;
+        let mut col = 0;
+        for (excl, &x) in exclusives.iter().zip(xs) {
+            let (rows, width) = self.shape(x);
+            let cols = col..col + width;
+            col += width;
+            if !self.requires(x) {
+                continue;
+            }
+            // Dead-member pruning: a member whose output never fed
+            // the loss has an all-zero upstream slice; launching its
+            // backward kernels would be pure waste (the unfused
+            // one-snapshot path skips them by graph reachability).
+            let gh = g_scaled.host();
+            if (0..gh.rows()).all(|r| gh.row(r)[cols.clone()].iter().all(|&v| v == 0.0)) {
+                continue;
+            }
+            // member slice of the upstream (view)
+            let g_k = k::slice_cols(gpu, s, g_scaled, cols.start, cols.end, cat)?;
+            let dx = if excl.nnz() > 0 || over_grad.is_none() {
+                let handle = k::DeviceSliced::resident(Rc::clone(excl));
+                k::spmm_sliced_parallel(gpu, s, &handle, &g_k, 1)
+            } else {
+                DeviceMatrix::alloc(gpu, Matrix::zeros_in(rows, width))
+            };
+            g_k.release(gpu);
+            let mut dx = dx?;
+            if let Some(og) = over_grad {
+                // accumulate the overlap contribution (atomic adds —
+                // already charged by the parallel kernel's outputs)
+                let slice = og.host().slice_cols(cols.start, cols.end);
+                let mut merged = dx.host().clone_in();
+                merged.add_assign(&slice);
+                slice.recycle();
+                dx.store(merged);
+            }
+            self.accumulate(gpu, x, dx)?;
+        }
+        Ok(())
+    }
+
+    /// Backward of a whole [`Op::Split`] group (nodes `parts`, views of `x`
+    /// along `axis`): one gather of the gradients present — concat is
+    /// split's adjoint — instead of a parent-sized zero-padded matrix and
+    /// a parent-sized `add` per part.
+    fn split_backward(
+        &mut self,
+        gpu: &mut Gpu,
+        x: Var,
+        axis: Axis,
+        parts: std::ops::Range<usize>,
+    ) -> Result<(), OomError> {
+        let cat = self.nodes[parts.start].category;
+        let dx = {
+            let mut placed = Vec::with_capacity(parts.len());
+            let mut from = 0;
+            for p in parts {
+                if let Some(g) = &self.nodes[p].grad {
+                    placed.push((from, &**g));
+                }
+                from += axis.extent(self.shape(Var(p)));
+            }
+            if placed.is_empty() {
+                return Ok(());
+            }
+            k::gather(gpu, self.stream, axis, self.shape(x), &placed, cat)?
+        };
+        self.accumulate(gpu, x, dx)
+    }
+
     fn step_backward(&mut self, gpu: &mut Gpu, v: Var) -> Result<(), OomError> {
         // Detach this node's gradient and op for the duration of the step
         // (children never alias their own parents in a DAG built
@@ -1067,12 +1255,13 @@ impl Tape {
         gpu: &mut Gpu,
         v: Var,
         op: &Op,
-        g: &DeviceMatrix,
+        g: &Rc<DeviceMatrix>,
     ) -> Result<(), OomError> {
         let cat = self.nodes[v.0].category;
         let s = self.stream;
         match op {
-            Op::Input | Op::Param | Op::CellState => {}
+            // (`backward_from` gathers a split's parts without coming here.)
+            Op::Input | Op::Param | Op::CellState | Op::Split { .. } | Op::SplitPart => {}
             &Op::MatMul(a, b) => {
                 if self.requires(a) {
                     let da = {
@@ -1125,60 +1314,28 @@ impl Tape {
                 // d/d(raw) = per-member scaled upstream; then the symmetric
                 // adjacency maps it back: one parallel pass over the overlap
                 // plus per-member exclusive passes.
-                let size = xs.len();
                 let g_scaled = k::row_scale_multi(gpu, s, g, inv_degs, cat)?;
-                let over_grad = if let Some(ov) = overlap.as_ref().filter(|_| size > 1) {
-                    let handle = k::DeviceSliced::resident(Rc::clone(ov));
-                    Some(k::spmm_sliced_parallel(gpu, s, &handle, &g_scaled, size)?)
-                } else {
-                    None
+                let over_grad = match overlap.as_ref().filter(|_| xs.len() > 1) {
+                    Some(ov) => {
+                        let handle = k::DeviceSliced::resident(Rc::clone(ov));
+                        match k::spmm_sliced_parallel(gpu, s, &handle, &g_scaled, xs.len()) {
+                            Ok(og) => Some(og),
+                            Err(e) => {
+                                g_scaled.release(gpu);
+                                return Err(e);
+                            }
+                        }
+                    }
+                    None => None,
                 };
-                let mut col = 0;
-                for (kx, &x) in xs.iter().enumerate() {
-                    let width = self.shape(x).1;
-                    if !self.requires(x) {
-                        col += width;
-                        continue;
-                    }
-                    // Dead-member pruning: a member whose output never fed
-                    // the loss has an all-zero upstream slice; launching its
-                    // backward kernels would be pure waste (the unfused
-                    // one-snapshot path skips them by graph reachability).
-                    let member_is_zero = {
-                        let gh = g_scaled.host();
-                        (0..gh.rows())
-                            .all(|r| gh.row(r)[col..col + width].iter().all(|&v| v == 0.0))
-                    };
-                    if member_is_zero {
-                        col += width;
-                        continue;
-                    }
-                    // member slice of the upstream (view)
-                    let g_k = k::slice_cols(gpu, s, &g_scaled, col, col + width, cat)?;
-                    let excl = &exclusives[kx];
-                    let mut dx = if excl.nnz() > 0 || over_grad.is_none() {
-                        let handle = k::DeviceSliced::resident(Rc::clone(excl));
-                        k::spmm_sliced_parallel(gpu, s, &handle, &g_k, 1)?
-                    } else {
-                        DeviceMatrix::alloc(gpu, Matrix::zeros_in(self.shape(x).0, width))?
-                    };
-                    g_k.release(gpu);
-                    if let Some(og) = &over_grad {
-                        // accumulate the overlap contribution (atomic adds —
-                        // already charged by the parallel kernel's outputs)
-                        let slice = og.host().slice_cols(col, col + width);
-                        let mut merged = dx.host().clone_in();
-                        merged.add_assign(&slice);
-                        slice.recycle();
-                        dx.store(merged);
-                    }
-                    self.accumulate(gpu, x, dx)?;
-                    col += width;
-                }
+                let over = over_grad.as_ref();
+                let res =
+                    self.partition_members_backward(gpu, cat, exclusives, xs, &g_scaled, over);
                 if let Some(og) = over_grad {
                     og.release(gpu);
                 }
                 g_scaled.release(gpu);
+                res?;
             }
             &Op::RowScale { x, ref factors } => {
                 if self.requires(x) {
@@ -1270,10 +1427,10 @@ impl Tape {
                 }
             }
             &Op::Add(a, b) => {
+                // d(a + b) is `g` itself for both: share the buffer.
                 for p in [a, b] {
                     if self.requires(p) {
-                        let dp = k::scale(gpu, s, g, 1.0, cat)?;
-                        self.accumulate(gpu, p, dp)?;
+                        self.accumulate_rc(gpu, p, Rc::clone(g))?;
                     }
                 }
             }
@@ -1301,8 +1458,7 @@ impl Tape {
             }
             &Op::AddBias { x, b } => {
                 if self.requires(x) {
-                    let dx = k::scale(gpu, s, g, 1.0, cat)?;
-                    self.accumulate(gpu, x, dx)?;
+                    self.accumulate_rc(gpu, x, Rc::clone(g))?;
                 }
                 if self.requires(b) {
                     let db = k::col_sums(gpu, s, g, cat)?;
@@ -1347,26 +1503,19 @@ impl Tape {
                     off += h;
                 }
             }
-            &Op::SliceRows { x, from } => {
+            #[cfg(test)]
+            &Op::SlicePadded { x, axis, from } => {
                 if self.requires(x) {
-                    // View gradient: scatter into a zero parent (no kernel —
-                    // the forward was a view; see kernels' `slice_cols` docs).
                     let (rows, cols) = self.shape(x);
                     let mut padded = Matrix::zeros_in(rows, cols);
                     for r in 0..g.rows() {
-                        padded.row_mut(from + r).copy_from_slice(g.host().row(r));
-                    }
-                    let dx = DeviceMatrix::alloc(gpu, padded)?;
-                    self.accumulate(gpu, x, dx)?;
-                }
-            }
-            &Op::SliceCols { x, from } => {
-                if self.requires(x) {
-                    // View gradient (no kernel).
-                    let (rows, cols) = self.shape(x);
-                    let mut padded = Matrix::zeros_in(rows, cols);
-                    for r in 0..rows {
-                        padded.row_mut(r)[from..from + g.cols()].copy_from_slice(g.host().row(r));
+                        let src = g.host().row(r);
+                        match axis {
+                            Axis::Rows => padded.row_mut(from + r).copy_from_slice(src),
+                            Axis::Cols => {
+                                padded.row_mut(r)[from..from + g.cols()].copy_from_slice(src)
+                            }
+                        }
                     }
                     let dx = DeviceMatrix::alloc(gpu, padded)?;
                     self.accumulate(gpu, x, dx)?;
@@ -1412,15 +1561,11 @@ impl Tape {
                     let want_dh = self.requires(h);
                     k::gru_cell_grad(gpu, s, saved, &ghm, &hm, g, want_dh, cat)?
                 };
-                if let Some(dh) = dh {
-                    self.accumulate(gpu, h, dh)?;
+                let mut res = dh.map_or(Ok(()), |dh| self.accumulate(gpu, h, dh));
+                if res.is_ok() && self.requires(b) {
+                    res = k::col_sums(gpu, s, &dgx, cat).and_then(|db| self.accumulate(gpu, b, db));
                 }
-                if self.requires(b) {
-                    let db = k::col_sums(gpu, s, &dgx, cat)?;
-                    self.accumulate(gpu, b, db)?;
-                }
-                self.deposit(gpu, gx, dgx)?;
-                self.deposit(gpu, gh, dgh)?;
+                self.deposit_each(gpu, res, [(gx, dgx), (gh, dgh)])?;
             }
             &Op::SigmoidAdd(a, b) => {
                 let d = {
@@ -1441,9 +1586,10 @@ impl Tape {
                     let want_dh = self.requires(h);
                     k::gru_blend_grad(gpu, s, &zm, n, &hm, g, want_dh, cat)?
                 };
-                self.deposit(gpu, z, dz)?;
-                if let Some(dh) = dh {
-                    self.accumulate(gpu, h, dh)?;
+                let first = [Some((z, dz)), dh.map(|dh| (h, dh))];
+                if let Err(e) = self.deposit_each(gpu, Ok(()), first.into_iter().flatten()) {
+                    dn.release(gpu);
+                    return Err(e);
                 }
                 self.deposit_shared(gpu, [nx, nh], dn)?;
             }
@@ -1944,7 +2090,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_cols_gradients_match_numeric() {
+    fn split_cols_gradients_match_numeric() {
         let (mut gpu, s) = setup();
         let a_host = uniform(&mut seeded_rng(11), 3, 2, 1.0);
         let w = shared(&mut gpu, uniform(&mut seeded_rng(12), 2, 4, 1.0));
@@ -1954,9 +2100,10 @@ mod tests {
             let a = tape.input(DeviceMatrix::alloc(gpu, a_host.clone()).unwrap());
             let wv = tape.param(w);
             let cat = tape.matmul(gpu, a, wv, KernelCategory::Other).unwrap();
+            // Only the second part feeds the loss: the first has no gradient.
             let right = tape
-                .slice_cols(gpu, cat, 2, 4, KernelCategory::Other)
-                .unwrap();
+                .split_cols(gpu, cat, &[2, 2], KernelCategory::Other)
+                .unwrap()[1];
             let loss = tape.mse_loss(gpu, right, &target);
             let g = if want {
                 tape.backward_mse(gpu, right, &target).unwrap();
@@ -1992,53 +2139,187 @@ mod tests {
         assert_eq!(gpu.mem().in_use(), baseline, "tape must free everything");
     }
 
+    /// Build `graph` on a fresh tape, count the allocations its reverse
+    /// sweep makes, then fail each of them in turn: whatever the failed
+    /// step had in hand, `finish` must bring the device back to `baseline`
+    /// (the parameters). Returns the number of allocations swept.
+    fn fail_every_sweep_alloc(
+        gpu: &mut Gpu,
+        baseline: u64,
+        graph: impl Fn(&mut Gpu, &mut Tape) -> Var,
+    ) -> u64 {
+        let run = |gpu: &mut Gpu, fail_at: Option<u64>| {
+            let mut tape = Tape::new(gpu.default_stream());
+            let root = graph(gpu, &mut tape);
+            let target = Matrix::zeros(tape.shape(root).0, tape.shape(root).1);
+            let before = gpu.op_counters().allocs;
+            if let Some(k) = fail_at {
+                gpu.install_faults(pipad_gpu_sim::FaultPlan {
+                    oom_at_alloc: vec![before + k],
+                    ..Default::default()
+                });
+            }
+            let res = tape.backward_mse(gpu, root, &target);
+            assert_eq!(res.is_err(), fail_at.is_some(), "fail_at={fail_at:?}");
+            let allocs = gpu.op_counters().allocs - before;
+            tape.finish(gpu);
+            assert_eq!(
+                gpu.mem().in_use(),
+                baseline,
+                "leak when sweep alloc {fail_at:?} fails"
+            );
+            allocs
+        };
+        let sweep_allocs = run(gpu, None);
+        for k in 0..sweep_allocs {
+            run(gpu, Some(k));
+        }
+        sweep_allocs
+    }
+
     #[test]
     fn finish_frees_everything_after_a_failed_backward() {
-        let (mut gpu, s) = setup();
+        let (mut gpu, _) = setup();
         let (n, d, hd) = (4, 2, 3);
-        let wx = shared(&mut gpu, uniform(&mut seeded_rng(30), d, 4 * hd, 1.0));
-        let wh = shared(&mut gpu, uniform(&mut seeded_rng(31), hd, 4 * hd, 1.0));
-        let b = shared(&mut gpu, uniform(&mut seeded_rng(32), 1, 4 * hd, 1.0));
-        let target = uniform(&mut seeded_rng(33), n, hd, 1.0);
+        let mut seed = 30;
+        let mut param = |gpu: &mut Gpu, rows, cols| {
+            seed += 1;
+            shared(gpu, uniform(&mut seeded_rng(seed), rows, cols, 1.0))
+        };
+        let input = |gpu: &mut Gpu, tape: &mut Tape, m: Matrix| {
+            tape.input(DeviceMatrix::alloc(gpu, m).unwrap())
+        };
+        let data = |gpu: &mut Gpu, tape: &mut Tape, seed, cols| {
+            input(gpu, tape, uniform(&mut seeded_rng(seed), n, cols, 1.0))
+        };
+        let rnn = KernelCategory::Rnn;
+        let upd = KernelCategory::Update;
+
+        // Two-step LSTM and GRU chains: the fused cells' arm-local outputs.
+        let [wx, wh] = [d, hd].map(|rows| param(&mut gpu, rows, 4 * hd));
+        let b = param(&mut gpu, 1, 4 * hd);
+        let [gwx, gwh] = [d, hd].map(|rows| param(&mut gpu, rows, 3 * hd));
+        let gb = param(&mut gpu, 1, 3 * hd);
+        // T-GCN: gate halves from three GEMMs, recurrent halves from three.
+        let ws = [(); 3].map(|()| param(&mut gpu, d, hd));
+        let us = [(); 3].map(|()| param(&mut gpu, hd, hd));
+        // Update: stacked GEMM + bias.
+        let (w0, w1, b1) = (
+            param(&mut gpu, d, hd),
+            param(&mut gpu, hd, hd),
+            param(&mut gpu, 1, hd),
+        );
         let baseline = gpu.mem().in_use();
 
-        // Forward of a two-step LSTM chain on a fresh tape.
-        let chain = |gpu: &mut Gpu| {
-            let cat = KernelCategory::Rnn;
-            let mut tape = Tape::new(s);
+        let lstm = fail_every_sweep_alloc(&mut gpu, baseline, |gpu, tape| {
             let (wxv, whv, bv) = (tape.param(&wx), tape.param(&wh), tape.param(&b));
-            let mut h = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros(n, hd)).unwrap());
-            let mut c = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros(n, hd)).unwrap());
+            let mut h = input(gpu, tape, Matrix::zeros(n, hd));
+            let mut c = h;
             for t in 0..2 {
-                let x = uniform(&mut seeded_rng(40 + t), n, d, 1.0);
-                let x = tape.input(DeviceMatrix::alloc(gpu, x).unwrap());
-                let gx = tape.matmul(gpu, x, wxv, cat).unwrap();
-                let gh = tape.matmul(gpu, h, whv, cat).unwrap();
-                (h, c) = tape.lstm_cell(gpu, gx, gh, bv, c, cat).unwrap();
+                let x = data(gpu, tape, 40 + t, d);
+                let gx = tape.matmul(gpu, x, wxv, rnn).unwrap();
+                let gh = tape.matmul(gpu, h, whv, rnn).unwrap();
+                (h, c) = tape.lstm_cell(gpu, gx, gh, bv, c, rnn).unwrap();
             }
-            (tape, h)
-        };
+            h
+        });
+        assert!(lstm > 8, "two cell steps and their GEMMs");
 
-        // Fault-free probe: how many allocations the reverse sweep makes.
-        let (mut tape, h) = chain(&mut gpu);
-        let before = gpu.op_counters().allocs;
-        tape.backward_mse(&mut gpu, h, &target).unwrap();
-        let sweep_allocs = gpu.op_counters().allocs - before;
-        tape.finish(&mut gpu);
-        assert_eq!(gpu.mem().in_use(), baseline);
-        assert!(sweep_allocs > 8, "two cell steps and their GEMMs");
+        let gru = fail_every_sweep_alloc(&mut gpu, baseline, |gpu, tape| {
+            let (wxv, whv, bv) = (tape.param(&gwx), tape.param(&gwh), tape.param(&gb));
+            let mut h = input(gpu, tape, Matrix::zeros(n, hd));
+            for t in 0..2 {
+                let x = data(gpu, tape, 50 + t, d);
+                let gx = tape.matmul(gpu, x, wxv, rnn).unwrap();
+                let gh = tape.matmul(gpu, h, whv, rnn).unwrap();
+                h = tape.gru_cell(gpu, gx, gh, bv, h, rnn).unwrap();
+            }
+            h
+        });
+        assert!(gru > 8, "two cell steps and their GEMMs");
 
-        // Fail each of them in turn.
-        for k in 0..sweep_allocs {
-            let (mut tape, h) = chain(&mut gpu);
-            gpu.install_faults(pipad_gpu_sim::FaultPlan {
-                oom_at_alloc: vec![gpu.op_counters().allocs + k],
-                ..Default::default()
+        // (a) two-step T-GCN chain: sigmoid_add + hadamard + gru_blend.
+        let tgcn = fail_every_sweep_alloc(&mut gpu, baseline, |gpu, tape| {
+            let [wz, wr, wn] = ws.each_ref().map(|w| tape.param(w));
+            let [uz, ur, un] = us.each_ref().map(|u| tape.param(u));
+            let mut h = input(gpu, tape, Matrix::zeros(n, hd));
+            let mut states = Vec::new();
+            for t in 0..2 {
+                let x = data(gpu, tape, 60 + t, d);
+                let [zx, rx, nx] = [wz, wr, wn].map(|w| tape.matmul(gpu, x, w, rnn).unwrap());
+                let zh = tape.matmul(gpu, h, uz, rnn).unwrap();
+                let z = tape.sigmoid_add(gpu, zx, zh, rnn).unwrap();
+                let rh = tape.matmul(gpu, h, ur, rnn).unwrap();
+                let r = tape.sigmoid_add(gpu, rx, rh, rnn).unwrap();
+                let rh2 = tape.hadamard(gpu, r, h, rnn).unwrap();
+                let nh = tape.matmul(gpu, rh2, un, rnn).unwrap();
+                h = tape.gru_blend(gpu, z, nx, nh, h, rnn).unwrap();
+                states.push(h);
+            }
+            // Both states feed the loss, so the second blend's `dh` meets a
+            // gradient already there and its deposit allocates.
+            tape.add(gpu, states[0], states[1], rnn).unwrap()
+        });
+        assert!(tgcn > 20, "two steps of six GEMMs and three pointwise ops");
+
+        // (b) a two-member partition aggregation whose column views both
+        // carry gradient.
+        let shared_edges = [(0u32, 1u32), (1, 0), (2, 3), (3, 2)];
+        let snapshots = [[(1, 2), (2, 1)], [(0, 3), (3, 0)]].map(|own| {
+            let edges: Vec<_> = shared_edges.iter().copied().chain(own).collect();
+            Csr::from_edges(n, n, &edges)
+        });
+        let overlap_split = pipad_sparse::extract_overlap(&[&snapshots[0], &snapshots[1]]);
+        let overlap = Rc::new(SlicedCsr::from_csr(&overlap_split.overlap));
+        let exclusives: Vec<_> = overlap_split
+            .exclusives
+            .iter()
+            .map(|e| Rc::new(SlicedCsr::from_csr(e)))
+            .collect();
+        let inv = vec![Rc::new(vec![0.5; n]), Rc::new(vec![0.25; n])];
+        let partition = fail_every_sweep_alloc(&mut gpu, baseline, |gpu, tape| {
+            let x = data(gpu, tape, 70, d);
+            let w = tape.param(&w0);
+            let h = tape.matmul(gpu, x, w, upd).unwrap();
+            let h2 = tape.tanh(gpu, h, upd).unwrap();
+            let members = vec![h, h2];
+            let agg = tape
+                .spmm_partition(
+                    gpu,
+                    Some(Rc::clone(&overlap)),
+                    exclusives.clone(),
+                    members,
+                    inv.clone(),
+                )
+                .unwrap();
+            let views = tape
+                .split_cols(gpu, agg, &[hd, hd], KernelCategory::Aggregation)
+                .unwrap();
+            tape.add(gpu, views[0], views[1], upd).unwrap()
+        });
+        assert!(
+            partition > 6,
+            "gather, scaled upstream, overlap, two members"
+        );
+
+        // (c) the weight-resident update: concat_rows → GEMM → add_bias →
+        // split_rows.
+        let update = fail_every_sweep_alloc(&mut gpu, baseline, |gpu, tape| {
+            let (w0v, w1v, b1v) = (tape.param(&w0), tape.param(&w1), tape.param(&b1));
+            let xs = [80, 81].map(|seed| {
+                let x = data(gpu, tape, seed, d);
+                tape.matmul(gpu, x, w0v, upd).unwrap()
             });
-            assert!(tape.backward_mse(&mut gpu, h, &target).is_err(), "k={k}");
-            tape.finish(&mut gpu);
-            assert_eq!(gpu.mem().in_use(), baseline, "leak when alloc {k} fails");
-        }
+            let stacked = tape.concat_rows(gpu, &xs, upd).unwrap();
+            let h = tape.matmul_weight_resident(gpu, stacked, w1v, upd).unwrap();
+            let h = tape.add_bias(gpu, h, b1v, upd).unwrap();
+            let views = tape.split_rows(gpu, h, &[n, n], upd).unwrap();
+            tape.add(gpu, views[0], views[1], upd).unwrap()
+        });
+        assert!(
+            update > 6,
+            "gather, bias sum, GEMM pair, two views, GEMM pair"
+        );
     }
 
     #[test]

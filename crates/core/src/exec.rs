@@ -302,11 +302,10 @@ impl<'r> PipadExecutor<'r> {
         part: &PartitionState,
         xs: &[Var],
     ) -> Result<Vec<Var>, OomError> {
-        let size = xs.len();
         let agg = KernelCategory::Aggregation;
         if !part.csr_adjs.is_empty() {
             // Figure 12 ablation: row-granular CSR kernel per member.
-            let mut outs = Vec::with_capacity(size);
+            let mut outs = Vec::with_capacity(xs.len());
             for ((&x, slot), adj) in xs.iter().zip(&part.slots).zip(&part.csr_adjs) {
                 let a = tape.spmm(
                     gpu,
@@ -330,14 +329,8 @@ impl<'r> PipadExecutor<'r> {
             xs.to_vec(),
             inv_degs,
         )?;
-        let mut outs = Vec::with_capacity(size);
-        let mut col = 0;
-        for &x in xs {
-            let w = tape.with_value(x, |m| m.cols());
-            outs.push(tape.slice_cols(gpu, coalesced, col, col + w, agg)?);
-            col += w;
-        }
-        Ok(outs)
+        let widths: Vec<usize> = xs.iter().map(|&x| tape.shape(x).1).collect();
+        tape.split_cols(gpu, coalesced, &widths, agg)
     }
 }
 
@@ -469,13 +462,8 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
         let stacked = tape.concat_rows(gpu, xs, cat)?;
         let h = tape.matmul_weight_resident(gpu, stacked, w, cat)?;
         let h = tape.add_bias(gpu, h, b, cat)?;
-        let mut out = Vec::with_capacity(xs.len());
-        let mut row = 0;
-        for &x in xs {
-            let rows = tape.with_value(x, |m| m.rows());
-            out.push(tape.slice_rows(gpu, h, row, row + rows, cat)?);
-            row += rows;
-        }
+        let heights: Vec<usize> = xs.iter().map(|&x| tape.shape(x).0).collect();
+        let out = tape.split_rows(gpu, h, &heights, cat)?;
         let done = gpu.record_event(self.compute).time();
         gpu.trace_mut().instant(
             "pipeline_stage",

@@ -1,5 +1,6 @@
 //! Pointwise and reshaping device kernels: activations, arithmetic,
-//! degree normalization, concat/split, and the MSE loss pair.
+//! degree normalization, concat/slice views and their gather, and the MSE
+//! loss pair.
 //!
 //! All of these are bandwidth-bound streaming kernels: `reads + writes`
 //! bytes at full warp efficiency, uniformly distributed across blocks.
@@ -397,6 +398,74 @@ pub fn slice_cols(
     DeviceMatrix::alloc(gpu, x.host().slice_cols(from, to))
 }
 
+/// The axis a matrix is cut into views along, and gathered back along.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Axis {
+    /// Parts stacked vertically ([`slice_rows`] views).
+    Rows,
+    /// Parts side by side ([`slice_cols`] views).
+    Cols,
+}
+
+impl Axis {
+    /// How far a `(rows, cols)` shape reaches along this axis.
+    pub fn extent(self, (rows, cols): (usize, usize)) -> usize {
+        match self {
+            Axis::Rows => rows,
+            Axis::Cols => cols,
+        }
+    }
+}
+
+/// Adjoint of cutting a `rows × cols` matrix into [`slice_rows`] /
+/// [`slice_cols`] views: every `(from, block)` of `placed` lands at offset
+/// `from` along `axis`, and whatever no block covers is zero.
+///
+/// One streaming launch over the **placed** elements, each read once and
+/// written once. The zero fill of the uncovered rest is a memset, which this
+/// simulator bills nowhere (zero-initialised device buffers are allocated
+/// without a launch throughout), so gathering one block of sixteen costs
+/// one block.
+///
+/// Elements are written as `v + 0.0`: the sum of zero-padded blocks this
+/// replaces turned `−0.0` into `+0.0`, and so does this (DESIGN §3.9).
+pub fn gather(
+    gpu: &mut Gpu,
+    stream: StreamId,
+    axis: Axis,
+    (rows, cols): (usize, usize),
+    placed: &[(usize, &DeviceMatrix)],
+    category: KernelCategory,
+) -> Result<DeviceMatrix, OomError> {
+    let n: u64 = placed.iter().map(|(_, b)| b.host().len() as u64).sum();
+    gpu.launch(stream, streaming_cost("gather", category, n, n, 1));
+    let mut out = Matrix::zeros_in(rows, cols);
+    let shared = pool::DisjointMut::new(out.as_mut_slice());
+    for &(from, block) in placed {
+        let (row0, col0) = match axis {
+            Axis::Rows => (from, 0),
+            Axis::Cols => (0, from),
+        };
+        let width = block.cols();
+        assert!(
+            row0 + block.rows() <= rows && col0 + width <= cols,
+            "gathered block out of range"
+        );
+        let src = block.host();
+        pool::parallel_for(block.rows(), rows_per_band(width), |band| {
+            for r in band {
+                let at = (row0 + r) * cols + col0;
+                // SAFETY: bands own disjoint rows of this block's window.
+                let dst = unsafe { shared.slice(at..at + width) };
+                for (d, &v) in dst.iter_mut().zip(src.row(r)) {
+                    *d = v + 0.0;
+                }
+            }
+        });
+    }
+    DeviceMatrix::alloc(gpu, out)
+}
+
 /// Column-wise sum reduction into a `1 × cols` row vector — the bias
 /// gradient (`Σ_rows dY`).
 pub fn col_sums(
@@ -575,6 +644,31 @@ mod tests {
         let cat = dev(&mut g, s, Matrix::concat_cols(&[&a, &b]));
         let sl = slice_cols(&mut g, s, &cat, 1, 3, KernelCategory::Elementwise).unwrap();
         assert_eq!(sl.host().row(0), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn gather_places_blocks_zero_fills_the_rest_and_bills_only_what_it_moves() {
+        let (mut g, s) = setup();
+        let a = dev(&mut g, s, Matrix::from_vec(2, 2, vec![1.0, -0.0, 3.0, 4.0]));
+        let b = dev(&mut g, s, Matrix::from_vec(1, 2, vec![5.0, 6.0]));
+        let cat = KernelCategory::Elementwise;
+
+        let snap = g.profiler().snapshot();
+        let cols = gather(&mut g, s, Axis::Cols, (2, 6), &[(3, &a)], cat).unwrap();
+        assert_eq!(cols.host().row(0), &[0.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        assert_eq!(cols.host().row(1), &[0.0, 0.0, 0.0, 3.0, 4.0, 0.0]);
+        // `−0.0` leaves as `+0.0`, as it left the padded sum.
+        assert_eq!(cols.host()[(0, 4)].to_bits(), 0.0f32.to_bits());
+        let w = g.profiler().window(snap);
+        assert_eq!(w.kernel_launches, 1);
+        // 4 elements read + 4 written = 32 bytes: one 32-byte sector.
+        assert_eq!(w.gmem_transactions, 1);
+
+        let rows = gather(&mut g, s, Axis::Rows, (4, 2), &[(0, &b), (2, &a)], cat).unwrap();
+        assert_eq!(
+            rows.host().as_slice(),
+            &[5.0, 6.0, 0.0, 0.0, 1.0, 0.0, 3.0, 4.0]
+        );
     }
 
     #[test]
