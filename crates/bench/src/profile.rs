@@ -9,7 +9,8 @@
 //!    duration histograms, device-allocation counts and reuse-tier hit
 //!    rates, labeled by `method`.
 //! 2. **multigpu** — 2-device data-parallel run; halo and ring-allreduce
-//!    traffic, the allreduce time fraction and per-device SM utilization.
+//!    traffic, the allreduce time fraction and, per device, the analyzer's
+//!    steady-window bubble, overlap and SM utilization.
 //! 3. **serve** — checkpoint-restore into the serving engine and an
 //!    open-loop replay; per-request latencies land in a log2 histogram.
 //!
@@ -38,7 +39,7 @@ const HIDDEN: usize = 16;
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
 /// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 8] = [
+const SENTINEL: [(&str, f64, f64); 9] = [
     // Pipelining quality: compute↔transfer overlap in the steady window
     // (milli-fraction of transfer time hidden under kernels).
     (
@@ -83,8 +84,10 @@ const SENTINEL: [(&str, f64, f64); 8] = [
     ("pipad_steady_epoch_ns{method=\"PiPAD\"}", 0.0, 0.0),
     // Serving tail latency (log2-bucket p95, simulated ns).
     ("pipad_serve_latency_ns_p95", 0.0, 0.0),
-    // Multi-GPU communication share: allreduce time per steady epoch.
-    ("pipad_mgpu_allreduce_fraction_milli{gpus=\"2\"}", 50.0, 0.0),
+    // The data-parallel extension on the same engine: its steady epoch and
+    // the ring-allreduce time inside it, both exact.
+    ("pipad_mgpu_steady_epoch_ns{gpus=\"2\"}", 0.0, 0.0),
+    ("pipad_mgpu_allreduce_ns_per_epoch{gpus=\"2\"}", 0.0, 0.0),
 ];
 
 /// Everything `repro profile` produces.
@@ -178,9 +181,10 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: RunScale) {
     }
 }
 
-/// Leg 2: 2-device data parallelism — communication volumes and shares.
+/// Leg 2: 2-device data parallelism — communication volumes and shares,
+/// and each device's steady window next to the single-device ones.
 fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
-    let r = crate::multigpu::run_one(ModelKind::TGcn, scale, 2);
+    let (r, gpus) = crate::multigpu::run_one(ModelKind::TGcn, scale, 2);
 
     let labels = [("gpus", "2")];
     reg.inc_counter_with(
@@ -209,12 +213,24 @@ fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
         (r.allreduce_time_per_epoch.as_nanos() * 1000 / r.steady_epoch_time.as_nanos().max(1))
             as f64,
     );
-    for (i, util) in r.per_device_sm_util.iter().enumerate() {
+    for (i, gpu) in gpus.iter().enumerate() {
         let device = i.to_string();
+        let labels = [("gpus", "2"), ("device", device.as_str())];
+        let health = analyze(gpu.trace(), gpu.profiler());
+        let steady = health
+            .steady
+            .expect("the device trace carries steady epoch spans");
+        reg.inc_counter_with("pipad_mgpu_bubble_ns", &labels, steady.bubble_ns);
+        reg.inc_counter_with("pipad_mgpu_overlap_ns", &labels, steady.overlap_ns);
+        reg.set_gauge_with(
+            "pipad_mgpu_overlap_fraction_milli",
+            &labels,
+            steady.overlap_fraction_milli() as f64,
+        );
         reg.set_gauge_with(
             "pipad_mgpu_sm_utilization_milli",
-            &[("gpus", "2"), ("device", device.as_str())],
-            (util * 1000.0).round(),
+            &labels,
+            (r.per_device_sm_util[i] * 1000.0).round(),
         );
     }
 }

@@ -72,7 +72,9 @@ pub use checkpoint::{
 };
 pub use driver::{run_epochs, EpochPolicy, RunCx};
 pub use exec::PipadExecutor;
-pub use multigpu::{train_data_parallel, MultiGpuConfig, MultiTrainReport};
+pub use multigpu::{
+    train_data_parallel, train_data_parallel_devices, MultiGpuConfig, MultiTrainReport,
+};
 pub use prep::{PartitionCatalog, PartitionPlan};
 pub use reuse::{shard_key, CpuAggStore, GpuAggCache, InterFrameReuse};
 pub use trainer::{train_pipad, PipadConfig};

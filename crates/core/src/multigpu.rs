@@ -44,11 +44,17 @@
 //! steady-state epochs upload cached blocks over PCIe instead of
 //! re-aggregating (and, for input-only-aggregation models, move no input
 //! halo at all).
+//!
+//! Preparing epochs launch eagerly and join every lane per frame. Steady
+//! epochs run on the single-device trainer's engine: a shard's forward +
+//! sweep 1, its sweep 2 and a device's optimiser step are CUDA-graph
+//! replays, and the loader stages frame f+1 under frame f (DESIGN §3.15).
 
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
 use pipad_gpu_sim::{
-    export_chrome_trace, DeviceConfig, Event, Gpu, KernelCategory, OomError, SimNanos, StreamId,
+    export_chrome_trace, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError,
+    SimNanos, StreamId, TraceKind,
 };
 use pipad_kernels::{upload_matrix, upload_sliced, DeviceMatrix};
 use pipad_models::{
@@ -109,7 +115,7 @@ pub struct MultiTrainReport {
     pub allreduce_time_per_epoch: SimNanos,
     /// Peak device memory per device.
     pub per_device_peak: Vec<u64>,
-    /// Kernel-time SM utilization per device.
+    /// Kernel-time SM utilization per device over the steady epochs.
     pub per_device_sm_util: Vec<f64>,
     /// Chrome-trace JSON per device (`pid` = device index).
     pub traces: Vec<String>,
@@ -319,6 +325,23 @@ struct ShardNorm {
     halo_cols: u64,
 }
 
+/// Run `f` as one CUDA-graph replay on `stream` in steady epochs (§4.2),
+/// launch by launch in preparing ones.
+fn replay<R>(gpu: &mut Gpu, stream: StreamId, steady: bool, f: impl FnOnce(&mut Gpu) -> R) -> R {
+    if steady {
+        gpu.graph_scope(stream, f)
+    } else {
+        f(gpu)
+    }
+}
+
+/// Join every lane of every device, no earlier than the loader lanes.
+fn join_all(gpus: &mut [Gpu], host_cursors: &[SimNanos]) -> SimNanos {
+    let devices = gpus.iter_mut().map(|g| g.synchronize());
+    let joined = devices.chain(host_cursors.iter().copied()).max();
+    joined.expect("at least one device")
+}
+
 /// Train `model_kind` data-parallel over `mcfg.n_gpus` simulated devices.
 ///
 /// Loss trajectories are bit-identical for every `n_gpus` up to
@@ -330,6 +353,18 @@ pub fn train_data_parallel(
     cfg: &TrainingConfig,
     mcfg: &MultiGpuConfig,
 ) -> Result<MultiTrainReport, OomError> {
+    train_data_parallel_devices(model_kind, graph, hidden, cfg, mcfg).map(|(report, _)| report)
+}
+
+/// [`train_data_parallel`], also handing back the devices it ran on: their
+/// tracers and profilers are what `pipad_metrics::analyze` windows.
+pub fn train_data_parallel_devices(
+    model_kind: ModelKind,
+    graph: &DynamicGraph,
+    hidden: usize,
+    cfg: &TrainingConfig,
+    mcfg: &MultiGpuConfig,
+) -> Result<(MultiTrainReport, Vec<Gpu>), OomError> {
     assert!(mcfg.n_gpus >= 1);
     assert!(
         mcfg.n_gpus <= mcfg.virtual_shards,
@@ -438,27 +473,37 @@ pub fn train_data_parallel(
     drop(norms);
 
     let mut store = CpuAggStore::new();
+    // The loader lane of each device (`mgpu_prep`, the forward halo
+    // gather). Preparing frames lift it to the allreduce's end; steady
+    // frames never do, so it stages the next frame under this one. The
+    // gradient scatter and the allreduce are timed off the compute streams.
     let mut host_cursors = vec![SimNanos::ZERO; parts];
+    // Per device, the compute events of the two frames before the one being
+    // staged: a steady frame's staging starts no earlier than the older one
+    // (two staging buffers, so one frame of prefetch, epoch to epoch too).
+    let mut fence = vec![[SimNanos::ZERO; 2]; parts];
     let mut epochs = Vec::with_capacity(cfg.epochs);
     let mut halo_bytes_epoch = 0u64;
     let mut allreduce_bytes_epoch = 0u64;
     let mut allreduce_time_total = SimNanos::ZERO;
     let preparing = cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1));
-    let mut steady_t0 = SimNanos::ZERO;
+    let (mut steady_t0, mut t_end) = (SimNanos::ZERO, SimNanos::ZERO);
+    let mut steady_snaps: Vec<_> = gpus.iter().map(|g| g.profiler().snapshot()).collect();
 
     for epoch in 0..cfg.epochs {
-        let t0 = gpus
-            .iter_mut()
-            .map(|g| g.synchronize())
-            .max()
-            .unwrap()
-            .max(*host_cursors.iter().max().unwrap());
+        let steady = epoch >= preparing;
+        let t0 = join_all(&mut gpus, &host_cursors);
         let alloc0 = HostAllocStats::capture();
         if epoch == preparing {
             steady_t0 = t0;
             halo_bytes_epoch = 0;
             allreduce_bytes_epoch = 0;
             allreduce_time_total = SimNanos::ZERO;
+            for (g, snap) in gpus.iter_mut().zip(&mut steady_snaps) {
+                *snap = g.profiler().snapshot();
+                g.trace_mut()
+                    .instant("steady_phase_begin", Lane::Control, t0, vec![]);
+            }
         }
         let mut losses = Vec::new();
         for frame in FrameIter::new(graph, cfg.window) {
@@ -509,6 +554,9 @@ pub fn train_data_parallel(
                 let (compute, copy) = streams[p];
                 let gpu = &mut gpus[p];
                 let (lo, hi) = shard_ranges[s];
+                if steady {
+                    host_cursors[p] = host_cursors[p].max(fence[p][0]);
+                }
                 let mut slots = Vec::with_capacity(nslots);
                 let mut hplans = Vec::new();
                 for i in 0..nslots {
@@ -597,16 +645,23 @@ pub fn train_data_parallel(
             let mut tapes: Vec<Tape> = Vec::with_capacity(shards);
             let mut binders = Vec::with_capacity(shards);
             let mut frame_sse = 0.0f32;
+            // Sweep-1 completion per shard: what its halo gradients wait on.
+            let mut swept = Vec::with_capacity(shards);
             for s in 0..shards {
                 let p = owner[s];
+                let (compute, _) = streams[p];
                 let gpu = &mut gpus[p];
                 let mut exec = execs[s].take().unwrap();
-                let mut tape = Tape::new(streams[p].0);
-                let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
+                let mut tape = Tape::new(compute);
                 let (lo, hi) = shard_ranges[s];
                 let t_local = target_full.slice_rows(lo, hi);
+                let out = replay(gpu, compute, steady, |gpu| -> Result<_, OomError> {
+                    let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
+                    tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
+                    Ok(out)
+                })?;
                 frame_sse += tape.sse_loss(gpu, out.pred, &t_local);
-                tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
+                swept.push(gpu.record_event(compute).time());
                 t_local.recycle();
                 for (slot, m) in exec.computed_aggs.drain(..) {
                     store.insert(shard_key(frame.global_index(slot), s, shards), m);
@@ -621,18 +676,22 @@ pub fn train_data_parallel(
             // gradients peers deposited at their leaves holding q's H1
             // block (ascending producer order) and inject at q's own H1.
             // The mirrored scatter moves the same aggregate volume as the
-            // forward gather; it is charged per shard by its forward halo.
+            // forward gather; it is charged per shard by its forward halo,
+            // in the consumer's compute stream, once every producer's sweep
+            // 1 has finished. One shard's injections are one replay.
             if hidden_agg {
                 for q in 0..shards {
+                    let (compute, _) = streams[owner[q]];
+                    let gpu = &mut gpus[owner[q]];
+                    let mut seeds = Vec::new();
                     for i in 0..nslots {
                         let mut seed: Option<Matrix> = None;
-                        for src in 0..shards {
-                            if src == q {
-                                continue;
-                            }
+                        let mut produced = SimNanos::ZERO;
+                        for src in (0..shards).filter(|&src| src != q) {
                             let leaves = &execs[src].as_ref().unwrap().halo_leaves[q];
                             if let Some(&(_, leaf)) = leaves.iter().find(|&&(slot, _)| slot == i) {
                                 if let Some(g) = tapes[src].grad(leaf) {
+                                    produced = produced.max(swept[src]);
                                     match seed.as_mut() {
                                         None => seed = Some(g),
                                         Some(acc) => {
@@ -643,27 +702,28 @@ pub fn train_data_parallel(
                                 }
                             }
                         }
-                        if let Some(seed) = seed {
-                            let p = owner[q];
-                            let (compute, _) = streams[p];
-                            let gpu = &mut gpus[p];
-                            let bytes =
-                                shard_norms[q][frame.global_index(i)].halo_cols * hidden as u64 * 4;
-                            if bytes > 0 {
-                                let dur = SimNanos::from_bytes(bytes, mcfg.p2p_bytes_per_us);
-                                let (_, he) = gpu.host_op("p2p_halo", host_cursors[p], dur);
-                                host_cursors[p] = he;
-                                gpu.stream_wait_host(compute, he);
-                                frame_halo += bytes;
-                            }
-                            let root = execs[q].as_ref().unwrap().hidden_vars[i];
+                        let Some(seed) = seed else { continue };
+                        let bytes =
+                            shard_norms[q][frame.global_index(i)].halo_cols * hidden as u64 * 4;
+                        if bytes > 0 {
+                            let dur = SimNanos::from_bytes(bytes, mcfg.p2p_bytes_per_us);
+                            let after = gpu.record_event(compute).time().max(produced);
+                            let (_, he) = gpu.host_op("p2p_halo_grad", after, dur);
+                            gpu.stream_wait_host(compute, he);
+                            frame_halo += bytes;
+                        }
+                        seeds.push((execs[q].as_ref().unwrap().hidden_vars[i], seed));
+                    }
+                    replay(gpu, compute, steady && !seeds.is_empty(), |gpu| {
+                        for (root, seed) in seeds {
                             let dm = DeviceMatrix::alloc(gpu, seed)?;
                             tapes[q].backward_seed_only(gpu, root, dm)?;
                         }
-                    }
+                        Ok::<_, OomError>(())
+                    })?;
                 }
             }
-            if epoch >= preparing {
+            if steady {
                 halo_bytes_epoch += frame_halo;
             }
 
@@ -694,19 +754,30 @@ pub fn train_data_parallel(
                 0
             };
             let dur = SimNanos::from_bytes(allreduce_bytes, mcfg.p2p_bytes_per_us);
-            let sync_base = gpus
-                .iter_mut()
-                .map(|g| g.synchronize())
-                .max()
-                .unwrap()
-                .max(*host_cursors.iter().max().unwrap());
+            // A steady frame's barrier is an event on each compute stream:
+            // the copy stream and the loader lane keep staging the next
+            // frame under this one's allreduce. Preparing frames join all.
+            for p in 0..parts {
+                fence[p] = [fence[p][1], gpus[p].record_event(streams[p].0).time()];
+            }
+            let sync_base = if steady {
+                fence
+                    .iter()
+                    .map(|f| f[1])
+                    .max()
+                    .expect("at least one device")
+            } else {
+                join_all(&mut gpus, &host_cursors)
+            };
             let sync_point = sync_base + dur;
             if parts > 1 {
                 for p in 0..parts {
                     let (_, e) = gpus[p].host_op("allreduce", sync_base, dur);
-                    host_cursors[p] = e;
+                    if !steady {
+                        host_cursors[p] = e;
+                    }
                 }
-                if epoch >= preparing {
+                if steady {
                     allreduce_bytes_epoch += allreduce_bytes * parts as u64;
                     allreduce_time_total += dur;
                 }
@@ -715,11 +786,13 @@ pub fn train_data_parallel(
                 let (compute, _) = streams[p];
                 let gpu = &mut gpus[p];
                 gpu.stream_wait_host(compute, sync_point);
-                for param in models[p].params() {
-                    if let Some(g) = summed.get(&param.name) {
-                        param.sgd_step(gpu, compute, g, cfg.lr);
+                replay(gpu, compute, steady, |gpu| {
+                    for param in models[p].params() {
+                        if let Some(g) = summed.get(&param.name) {
+                            param.sgd_step(gpu, compute, g, cfg.lr);
+                        }
                     }
-                }
+                });
             }
             if let Some((sg, smodel)) = scratch.as_mut() {
                 let stream = sg.default_stream();
@@ -757,26 +830,29 @@ pub fn train_data_parallel(
             }
             losses.push(frame_sse / denom_u as f32);
         }
-        let t1 = gpus
-            .iter_mut()
-            .map(|g| g.synchronize())
-            .max()
-            .unwrap()
-            .max(*host_cursors.iter().max().unwrap());
+        t_end = join_all(&mut gpus, &host_cursors);
+        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
+        // The single-device driver's `epoch` span, on every device, so the
+        // pipeline analyzer windows a device trace the same way.
+        for g in gpus.iter_mut() {
+            let args = vec![
+                ("epoch", ArgValue::U64(epoch as u64)),
+                ("preparing", ArgValue::Bool(!steady)),
+                ("mean_loss", ArgValue::F64(mean_loss as f64)),
+                ("sim_time_ns", ArgValue::U64((t_end - t0).as_nanos())),
+                ("peak_mem", ArgValue::U64(g.mem().peak())),
+            ];
+            g.trace_mut()
+                .span("epoch", TraceKind::Span, Lane::Control, t0, t_end, args);
+        }
         epochs.push(EpochReport {
             epoch,
-            mean_loss: losses.iter().sum::<f32>() / losses.len().max(1) as f32,
-            sim_time: t1 - t0,
+            mean_loss,
+            sim_time: t_end - t0,
             alloc: HostAllocStats::capture().since(&alloc0),
         });
     }
 
-    let t_end = gpus
-        .iter_mut()
-        .map(|g| g.synchronize())
-        .max()
-        .unwrap()
-        .max(*host_cursors.iter().max().unwrap());
     let steady_epochs = (cfg.epochs - preparing).max(1);
     #[cfg(debug_assertions)]
     for (i, g) in gpus.iter().enumerate() {
@@ -784,7 +860,7 @@ pub fn train_data_parallel(
             .consistency_check(g.trace())
             .unwrap_or_else(|e| panic!("device {i}: profiler and trace diverged: {e}"));
     }
-    Ok(MultiTrainReport {
+    let report = MultiTrainReport {
         n_gpus: parts,
         epochs,
         steady_epoch_time: SimNanos::from_nanos(
@@ -798,14 +874,16 @@ pub fn train_data_parallel(
         per_device_peak: gpus.iter().map(|g| g.mem().peak()).collect(),
         per_device_sm_util: gpus
             .iter()
-            .map(|g| g.profiler().full().sm_utilization())
+            .zip(steady_snaps)
+            .map(|(g, snap)| g.profiler().window(snap).sm_utilization())
             .collect(),
         traces: gpus
             .iter()
             .enumerate()
             .map(|(i, g)| export_chrome_trace(g.trace(), i as u64))
             .collect(),
-    })
+    };
+    Ok((report, gpus))
 }
 
 #[cfg(test)]

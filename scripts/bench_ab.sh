@@ -5,7 +5,7 @@
 #
 #   scripts/bench_ab.sh PARENT_ROOT CHANGE_ROOT [--pairs 10] [--seed 1]
 #       [--fresh-seed N [--fresh-pairs 4]] [--workloads a,b,...]
-#       [--out results/bench_ab] [--title TEXT]
+#       [--out results/bench_ab] [--title TEXT] [--claim METRIC:WORKLOAD]
 #
 # Builds nothing: each root must already hold its own
 # `benchmark/target/release/pipad-benchmark` (`bash benchmark/run.sh
@@ -17,11 +17,21 @@
 # untraced pairs on a seed that was not used while the change was written.
 # Writes OUT.txt and OUT.json; every run made is in the JSON.
 #
+# Every end-to-end row carries the verdict the guide's rule reaches (§6.5,
+# §8; direction and bound from BENCHMARK.json): `improved` (the change wins
+# at least 9/10 of the pairs, ties counting for neither, and the medians
+# differ by more than the distance between the parent's quartiles),
+# `regressed` (the change's median is worse by more than the bound),
+# `unresolved` (either side's quartiles are further apart than the bound and
+# not every change run beats every parent run), else `no worse`. With
+# `--claim` the script exits 1 unless that row is `improved` on every seed
+# run and no row is `regressed`.
+#
 # Run it on an otherwise idle machine: no cargo, no tests beside it.
 set -euo pipefail
 
 usage() {
-    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -29,7 +39,7 @@ usage() {
 parent_root=$(cd "$1" && pwd)
 change_root=$(cd "$2" && pwd)
 shift 2
-pairs=10 seed=1 fresh_seed="" fresh_pairs=4 out=results/bench_ab title="" workloads=""
+pairs=10 seed=1 fresh_seed="" fresh_pairs=4 out=results/bench_ab title="" workloads="" claim=""
 while [[ $# -gt 0 ]]; do
     [[ $# -ge 2 ]] || usage
     case $1 in
@@ -40,6 +50,7 @@ while [[ $# -gt 0 ]]; do
         --workloads) workloads=${2//,/ } ;;
         --out) out=$2 ;;
         --title) title=$2 ;;
+        --claim) claim=$2 ;;
         *) usage ;;
     esac
     shift 2
@@ -96,13 +107,17 @@ mkdir -p "$(dirname "$out")"
 python3 - "$runs_dir" "$out" "$title" "$seed" "$fresh_seed" \
     "$(git -C "$parent_root" rev-parse HEAD)" \
     "$(git -C "$change_root" rev-parse HEAD)$(git -C "$change_root" diff --quiet HEAD || echo +uncommitted)" \
-    "$change_root/BENCHMARK.json" "$(nproc)" $workloads << 'PY'
+    "$change_root/BENCHMARK.json" "$(nproc)" "$claim" $workloads << 'PY'
 import json, os, re, statistics, sys
 
-runs_dir, out, title, seed, fresh_seed, parent_commit, change_commit, contract, cores = sys.argv[1:10]
-workloads = sys.argv[10:]
+(runs_dir, out, title, seed, fresh_seed, parent_commit, change_commit, contract, cores,
+ claim) = sys.argv[1:11]
+workloads = sys.argv[11:]
 contract = json.load(open(contract))
 end_to_end = [(m["name"], m["bound"]) for m in contract["end_to_end"]]
+# +1 where lower reads better, -1 where higher does: `sign * (a - b) > 0`
+# means b reads better than a.
+sign = {m["name"]: 1 if m["better"] == "lower" else -1 for m in contract["end_to_end"]}
 LINE = re.compile(r"^([\w.+\-]+) (\S+) (\S+)$")
 
 
@@ -137,6 +152,21 @@ def fmt(x):
     return f"{x:.10g}" if x == int(x) and abs(x) < 1e15 else f"{x:.4g}"
 
 
+def verdict(r):
+    """The rule of choosing-metrics sections 6.5 and 8 for one finished row."""
+    k, bound = sign[r["metric"]], r["bound_pct"] / 100 * abs(r["parent_median"])
+    parent_iqr = r["parent_q3"] - r["parent_q1"]
+    if (10 * r["change_wins"] >= 9 * r["pairs"]
+            and k * (r["parent_median"] - r["change_median"]) > parent_iqr):
+        return "improved"
+    if k * (r["change_median"] - r["parent_median"]) > bound:
+        return "regressed"
+    separated = all(k * (a - b) > 0 for a in r["parent_runs"] for b in r["change_runs"])
+    if max(parent_iqr, r["change_q3"] - r["change_q1"]) > bound and not separated:
+        return "unresolved"
+    return "no worse"
+
+
 def untraced_rows(s):
     rows = []
     for w in workloads:
@@ -150,30 +180,36 @@ def untraced_rows(s):
                 "parent_q1": pq1, "parent_median": pm, "parent_q3": pq3,
                 "change_q1": cq1, "change_median": cm, "change_q3": cq3,
                 "delta_pct": pct(pm, cm), "bound_pct": bound * 100,
-                "change_wins": sum(b < a for a, b in zip(pv, cv)),
+                "change_wins": sum(sign[metric] * (a - b) > 0 for a, b in zip(pv, cv)),
                 "ties": sum(a == b for a, b in zip(pv, cv)),
                 "all_correct": all(r["correct"] for r in p + c),
                 "failed_ops": sum(r["failed"] for r in p + c),
                 "parent_runs": pv, "change_runs": cv,
             })
+            rows[-1]["verdict"] = verdict(rows[-1])
     return rows
 
 
 def table(rows):
     lines = [f"{'workload':<20} {'metric':<18} {'parent med [q1..q3]':<36} "
-             f"{'change med [q1..q3]':<36} {'delta':>8}  wins"]
+             f"{'change med [q1..q3]':<36} {'delta':>8}  {'wins':<6} verdict"]
     for r in rows:
         side = lambda k: f"{fmt(r[k + '_median'])} [{fmt(r[k + '_q1'])}..{fmt(r[k + '_q3'])}]"
         lines.append(f"{r['workload']:<20} {r['metric']:<18} {side('parent'):<36} "
                      f"{side('change'):<36} {r['delta_pct']:>+7.1f}%  "
-                     f"{r['change_wins']}/{r['pairs']}")
+                     f"{str(r['change_wins']) + '/' + str(r['pairs']):<6} {r['verdict']}")
     return lines
 
 
 method = ("each root's own pipad-benchmark (release, built beforehand), run from its root as "
           "`--workload W --seed N --seconds 20 "
           "--trace 0|1` with PIPAD_THREADS=2, parent and change alternating which runs first; "
-          f"{cores}-core sandbox; quartiles inclusive; wins = pairs where the change reads lower")
+          f"{cores}-core sandbox; quartiles inclusive; wins = pairs where the change reads "
+          "better; verdict = improved (wins >= 9/10 of the pairs and the medians differ by more "
+          "than the distance between the parent's quartiles), regressed (change median worse "
+          "than the parent's by more than the bound), unresolved (either side's quartiles "
+          "further apart than the bound and not every change run better than every parent run), "
+          "else no worse")
 doc = {"title": title, "parent_commit": parent_commit, "change_commit": change_commit,
        "method": method}
 text = [title or f"A/B: parent {parent_commit[:7]} vs change {change_commit[:7]}",
@@ -226,7 +262,22 @@ text += ["", f"final_loss equal between the sides on every workload, seed and pa
          "Bounds (BENCHMARK.json): " + ", ".join(f"{m} +{b * 100:.0f} %" for m, b in end_to_end)
          + "."]
 
+claim_met = True
+if claim:
+    metric, workload = claim.split(":")
+    every_row = [r for k, rows in doc.items() if k.startswith("end_to_end_seed") for r in rows]
+    claimed = [r for r in every_row if (r["metric"], r["workload"]) == (metric, workload)]
+    regressed = [r for r in every_row if r["verdict"] == "regressed"]
+    claim_met = bool(claimed) and all(r["verdict"] == "improved" for r in claimed) \
+        and not regressed
+    doc["claim"] = {"metric": metric, "workload": workload, "met": claim_met}
+    text += [f"Claim {metric} on {workload}: " + ", ".join(
+        f"seed {r['seed']} {r['verdict']}" for r in claimed) + "; rows regressed: "
+        + (", ".join(f"{r['metric']} on {r['workload']} (seed {r['seed']})" for r in regressed)
+           or "none") + f" -> claim {'met' if claim_met else 'NOT met'}."]
+
 open(out + ".txt", "w").write("\n".join(text) + "\n")
 json.dump(doc, open(out + ".json", "w"), indent=1)
 print("\n".join(text))
+sys.exit(0 if claim_met else 1)
 PY

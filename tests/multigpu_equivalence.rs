@@ -7,10 +7,17 @@
 //! {2, 4}` run must equal the single-GPU run **bit for bit** — with the
 //! host buffer pool on or off — and the per-device Chrome traces must be
 //! byte-identical across host-pool thread counts.
+//!
+//! The same file gates that the extension runs on the engine it extends:
+//! one device with one shard tracks `train_pipad`'s steady epoch, and
+//! steady epochs replay CUDA graphs and stage the next frame under the
+//! current one on every device.
 
-use pipad::{train_data_parallel, MultiGpuConfig, MultiTrainReport};
-use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
-use pipad_gpu_sim::validate_json;
+use pipad::{
+    train_data_parallel, train_data_parallel_devices, train_pipad, MultiGpuConfig, MultiTrainReport,
+};
+use pipad_dyngraph::{DatasetId, DynamicGraph, FrameIter, Scale};
+use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu, TraceEvent, TraceKind};
 use pipad_models::{ModelKind, TrainingConfig};
 use pipad_pool::with_threads;
 use pipad_tensor::{reset_pool, with_pool_enabled};
@@ -91,5 +98,138 @@ fn per_device_traces_are_thread_invariant() {
             loss_bits(&four),
             "{model:?}: losses diverged across thread counts"
         );
+    }
+}
+
+/// `repro multigpu`'s configuration at tiny scale.
+const HIDDEN: usize = 16;
+
+fn wide_cfg() -> TrainingConfig {
+    TrainingConfig {
+        window: 16,
+        ..cfg()
+    }
+}
+
+/// The gate that would have caught "two GPUs are 24.7x slower than one":
+/// with one device and one shard the data-parallel trainer does the
+/// single-device trainer's work, so its steady epoch must stay within 2x
+/// of `train_pipad`'s (at 303dbcd: 11.45x / 8.97x / 6.90x). What is left
+/// is one `mgpu_prep` per slot on the loader lane.
+#[test]
+fn one_shard_tracks_the_single_device_trainer() {
+    let g = graph();
+    let one_shard = MultiGpuConfig {
+        n_gpus: 1,
+        virtual_shards: 1,
+        ..Default::default()
+    };
+    for model in ModelKind::ALL {
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let single = train_pipad(
+            &mut gpu,
+            model,
+            &g,
+            HIDDEN,
+            &wide_cfg(),
+            &Default::default(),
+        )
+        .expect("train_pipad")
+        .steady_epoch_time;
+        let sharded = train_data_parallel(model, &g, HIDDEN, &wide_cfg(), &one_shard)
+            .expect("train_data_parallel")
+            .steady_epoch_time;
+        assert!(
+            sharded.as_nanos() <= 2 * single.as_nanos(),
+            "{model:?}: one shard on one device takes {sharded} per steady epoch, \
+             more than twice train_pipad's {single}"
+        );
+    }
+}
+
+/// Both steady-epoch mechanisms engage on every device, read off its trace:
+/// graph replay (one `cuda_graph_launch` per shard's forward + sweep 1, at
+/// most one per shard's sweep 2, one for the optimiser step; none while
+/// preparing) and cross-frame staging (a frame's first `mgpu_prep` starts
+/// before the previous frame's sweeps have finished).
+#[test]
+fn steady_epochs_replay_and_pipeline() {
+    let g = graph();
+    let cfg = wide_cfg();
+    let frames = FrameIter::new(&g, cfg.window).count();
+    let steady_frames = (frames * (cfg.epochs - cfg.preparing_epochs)) as u64;
+    for model in ModelKind::ALL {
+        for n_gpus in [1usize, 2, 4] {
+            let mcfg = MultiGpuConfig {
+                n_gpus,
+                ..Default::default()
+            };
+            let (r, gpus) =
+                train_data_parallel_devices(model, &g, HIDDEN, &cfg, &mcfg).expect("train");
+            let what = format!("{model:?} on {n_gpus} devices");
+            let last_preparing = r.epochs[cfg.preparing_epochs - 1].sim_time;
+            assert!(
+                4 * r.steady_epoch_time.as_nanos() <= last_preparing.as_nanos(),
+                "{what}: steady epoch {} against preparing epoch {last_preparing}",
+                r.steady_epoch_time
+            );
+            for gpu in &gpus {
+                let events = gpu.trace().sorted();
+                let steady_t0 = events
+                    .iter()
+                    .find(|e| e.name == "steady_phase_begin")
+                    .expect("steady_phase_begin instant")
+                    .ts;
+                let (prep, steady): (Vec<&TraceEvent>, Vec<&TraceEvent>) =
+                    events.iter().partition(|e| e.ts < steady_t0);
+                let count = |evs: &[&TraceEvent], name: &str| {
+                    evs.iter().filter(|e| e.name == name).count() as u64
+                };
+                assert_eq!(
+                    count(&prep, "cuda_graph_launch"),
+                    0,
+                    "{what}: eager preparing"
+                );
+
+                // One `sse_loss` per shard and frame gives the shard count.
+                let shards = count(&steady, "sse_loss") / steady_frames;
+                let sweeps2 = if model == ModelKind::TGcn { 0 } else { shards };
+                let replays = count(&steady, "cuda_graph_launch");
+                assert!(
+                    ((shards + 1) * steady_frames..=(shards + sweeps2 + 1) * steady_frames)
+                        .contains(&replays),
+                    "{what}: {replays} replays over {steady_frames} steady frames of {shards} shards"
+                );
+
+                // Over the whole run: a frame's sweeps end with the last
+                // kernel ahead of its optimiser step, and its staging is
+                // `shards x window` loader ops.
+                let kernels: Vec<&TraceEvent> = events
+                    .iter()
+                    .copied()
+                    .filter(|e| e.kind == TraceKind::Kernel)
+                    .collect();
+                let sweeps_end: Vec<_> = kernels
+                    .windows(2)
+                    .filter(|w| w[0].name != "sgd_step" && w[1].name == "sgd_step")
+                    .map(|w| w[0].end())
+                    .collect();
+                let staging_start: Vec<_> = events
+                    .iter()
+                    .filter(|e| e.name == "mgpu_prep")
+                    .step_by(shards as usize * cfg.window)
+                    .map(|e| e.ts)
+                    .collect();
+                assert_eq!(sweeps_end.len(), frames * cfg.epochs, "{what}");
+                assert_eq!(staging_start.len(), frames * cfg.epochs, "{what}");
+                let prefetched = (frames * cfg.preparing_epochs + 1..frames * cfg.epochs)
+                    .filter(|&f| staging_start[f] < sweeps_end[f - 1])
+                    .count();
+                assert!(
+                    prefetched > 0,
+                    "{what}: no frame was staged under its predecessor"
+                );
+            }
+        }
     }
 }

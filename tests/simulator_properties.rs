@@ -3,11 +3,15 @@
 //! §3.2 access-shape laws, exercised through the public APIs the trainers
 //! use.
 
+use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
-    feature_row_access, DeviceConfig, Gpu, KernelCategory, KernelCost, SimNanos, VectorWidth,
+    feature_row_access, DeviceConfig, Gpu, KernelCategory, KernelCost, SimNanos, TraceEvent,
+    TraceKind, VectorWidth,
 };
+use pipad_repro::models::{ModelKind, TrainingConfig};
 use pipad_repro::pipad::{
-    DynamicTuner, FrameProfile, GraphAnalyzer, OfflineTable, PartitionCatalog,
+    train_data_parallel_devices, DynamicTuner, FrameProfile, GraphAnalyzer, MultiGpuConfig,
+    OfflineTable, PartitionCatalog,
 };
 use proptest::prelude::*;
 
@@ -291,5 +295,77 @@ proptest! {
             prop_assert!(steps <= 4, "ladder 8->4->2->1 has at most 3 rungs");
         }
         prop_assert_eq!(DynamicTuner::downshift(1), 1, "the floor maps to itself");
+    }
+}
+
+/// Causality of the backward halo scatter in the data-parallel trainer: a
+/// `p2p_halo_grad` span carries gradients that the producing devices'
+/// first backward sweep deposited, so it starts no earlier than the end of
+/// that sweep on every device (its last per-shard `sse_loss`), and the
+/// consumer's next kernel — the injection — starts no earlier than its end.
+/// At 303dbcd the span sat at the end of *staging*, before any producer had
+/// launched a kernel, and the consumer's wait on it was a no-op.
+#[test]
+fn halo_gradients_are_scattered_after_they_exist() {
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let cfg = TrainingConfig {
+        window: 8,
+        epochs: 3,
+        preparing_epochs: 1,
+        lr: 0.01,
+        seed: 7,
+    };
+    let two = MultiGpuConfig {
+        n_gpus: 2,
+        ..Default::default()
+    };
+    for model in [ModelKind::EvolveGcn, ModelKind::MpnnLstm] {
+        let (_, gpus) = train_data_parallel_devices(model, &graph, 8, &cfg, &two).expect("train");
+        let traces: Vec<Vec<&TraceEvent>> = gpus.iter().map(|g| g.trace().sorted()).collect();
+        // The allreduce is one interval on every device; a frame's sweeps
+        // lie between the previous frame's and its own.
+        let barriers = traces[0].iter().filter(|e| e.name == "allreduce");
+        let mut scatters = 0;
+        let mut frame_t0 = SimNanos::ZERO;
+        for barrier in barriers {
+            let in_frame = |e: &&&TraceEvent| e.ts >= frame_t0 && e.end() <= barrier.ts;
+            let swept = traces
+                .iter()
+                .flat_map(|t| t.iter().filter(in_frame))
+                .filter(|e| e.name == "sse_loss")
+                .map(|e| e.end())
+                .max()
+                .expect("every frame computes a loss");
+            for t in &traces {
+                for g in t
+                    .iter()
+                    .filter(in_frame)
+                    .filter(|e| e.name == "p2p_halo_grad")
+                {
+                    scatters += 1;
+                    assert!(
+                        g.ts >= swept,
+                        "{model:?}: gradients scattered at {} before sweep 1 ended at {swept}",
+                        g.ts
+                    );
+                    let next = t
+                        .iter()
+                        .find(|e| e.kind == TraceKind::Kernel && e.ts >= g.ts);
+                    let next = next.expect("the injection follows the scatter");
+                    assert!(
+                        next.ts >= g.end(),
+                        "{model:?}: {} launched at {} under the scatter ending at {}",
+                        next.name,
+                        next.ts,
+                        g.end()
+                    );
+                }
+            }
+            frame_t0 = barrier.ts;
+        }
+        assert!(
+            scatters > 0,
+            "{model:?}: no gradient scatter on the timeline"
+        );
     }
 }

@@ -14,10 +14,14 @@
 //! trace byte and no checkpoint byte. Rerun with `UPDATE_GOLDEN=1` only
 //! for an intentional behaviour change, and review the diff.
 //!
+//! `train_data_parallel` has its own rows, `<model>/DP-<devices>` for the
+//! three paper models at 1, 2 and 4 devices over the default four virtual
+//! shards: the same loss bits and epoch times, one trace CRC per device.
+//!
 //! The same trainer table drives the failure contract: a propagated fault
 //! leaves only the model's parameters on the device.
 
-use pipad::{train_pipad, PipadConfig};
+use pipad::{train_data_parallel, train_pipad, MultiGpuConfig, PipadConfig};
 use pipad_ckpt::{crc32, latest_checkpoint, CheckpointPolicy};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
 use pipad_gpu_sim::{
@@ -193,6 +197,30 @@ fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
     line
 }
 
+/// One golden line for the data-parallel trainer on `n_gpus` devices.
+fn dp_digest(model: ModelKind, n_gpus: usize, graph: &DynamicGraph) -> String {
+    let mcfg = MultiGpuConfig {
+        n_gpus,
+        ..Default::default()
+    };
+    let report = train_data_parallel(model, graph, HIDDEN, &cfg(), &mcfg)
+        .unwrap_or_else(|e| panic!("DP-{n_gpus} {}: {e}", model.name()));
+    let join = |it: &mut dyn Iterator<Item = String>| it.collect::<Vec<_>>().join(", ");
+    let epochs = report.epochs.iter();
+    format!(
+        "  \"{}/DP-{n_gpus}\": {{\"loss_bits\": [{}], \"sim_ns\": [{}], \"trace_crc\": [{}]}}",
+        model.name(),
+        join(&mut epochs.clone().map(|e| e.mean_loss.to_bits().to_string())),
+        join(&mut epochs.map(|e| e.sim_time.as_nanos().to_string())),
+        join(
+            &mut report
+                .traces
+                .iter()
+                .map(|t| crc32(t.as_bytes()).to_string())
+        ),
+    )
+}
+
 #[test]
 fn every_trainer_matches_its_recorded_digest() {
     let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
@@ -200,6 +228,11 @@ fn every_trainer_matches_its_recorded_digest() {
     for model in [ModelKind::TGcn, ModelKind::MpnnLstm] {
         for trainer in Trainer::ALL {
             lines.push(digest(trainer, model, &graph));
+        }
+    }
+    for model in [ModelKind::TGcn, ModelKind::MpnnLstm, ModelKind::EvolveGcn] {
+        for n_gpus in [1, 2, 4] {
+            lines.push(dp_digest(model, n_gpus, &graph));
         }
     }
     let got = format!("{{\n{}\n}}\n", lines.join(",\n"));
