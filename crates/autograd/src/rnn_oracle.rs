@@ -398,7 +398,7 @@ fn stacked_lstm_chain_matches_composed_bit_for_bit() {
 #[test]
 fn gru_chain_matches_composed_bit_for_bit_also_when_x_is_h() {
     // (6, 6) and (2, 6) with x == h: EvolveGCN's weight evolver, whose
-    // evolved weights are also consumed downstream; (170, 16): GAT-GRU.
+    // evolved weights are also consumed downstream; (170, 16): distinct x.
     for (n, hd, x_is_h) in [(6, 6, true), (2, 6, true), (170, 16, false), (1, 1, true)] {
         check(
             &format!("gru chain {n}x{hd} x_is_h={x_is_h}"),

@@ -84,20 +84,6 @@ enum Op {
         x: Var,
         factors: Rc<Vec<f32>>,
     },
-    /// GAT-style attention aggregation: `out[u] = Σ_v α_uv · x[v]` with
-    /// `α = row_softmax(leaky_relu(l[u] + r[v]))`. Fully differentiable
-    /// w.r.t. `x`, `l` and `r`.
-    GatAggregate {
-        adj: Rc<Csr>,
-        x: Var,
-        l: Var,
-        r: Var,
-        /// Softmax-normalized coefficients per nonzero (forward cache).
-        alpha: Rc<Vec<f32>>,
-        /// Raw pre-activation logits per nonzero (for the leaky-relu mask).
-        raw: Rc<Vec<f32>>,
-        negative_slope: f32,
-    },
     Add(Var, Var),
     Hadamard(Var, Var),
     AffineConst {
@@ -512,55 +498,6 @@ impl Tape {
                 exclusives,
                 xs,
                 inv_degs,
-            },
-            rg,
-            cat,
-        ))
-    }
-
-    /// GAT attention aggregation (the paper's §1 generalization target):
-    /// computes per-edge attention from the `l`/`r` projections (n×1 each),
-    /// row-softmaxes them, and aggregates `x` with the resulting weights.
-    /// Gradients flow into `x`, `l` and `r` (through the softmax and the
-    /// leaky-relu). `adj` must be structurally symmetric, as for
-    /// [`Tape::spmm`].
-    pub fn gat_aggregate(
-        &mut self,
-        gpu: &mut Gpu,
-        adj: Rc<Csr>,
-        x: Var,
-        l: Var,
-        r: Var,
-        negative_slope: f32,
-    ) -> Result<Var, OomError> {
-        let cat = KernelCategory::Aggregation;
-        let s = self.stream;
-        let (scores, alpha, out) = {
-            let handle = k::DeviceCsr::resident(Rc::clone(&adj));
-            let (dl, dr) = (self.dev(l), self.dev(r));
-            let scores = k::edge_scores(gpu, s, &handle, &dl, &dr, negative_slope);
-            drop(dl);
-            drop(dr);
-            let alpha = k::edge_softmax(gpu, s, &handle, &scores);
-            let dx = self.dev(x);
-            let out = k::spmm_weighted(gpu, s, &handle, &alpha, &dx)?;
-            (scores, alpha, out)
-        };
-        // cache the *raw* (pre-softmax, post-leaky) logits to recover the
-        // leaky-relu mask in backward: raw > 0 ⇔ pre-activation > 0 when
-        // negative_slope > 0.
-        let rg = self.requires(x) || self.requires(l) || self.requires(r);
-        Ok(self.push_computed(
-            gpu,
-            out,
-            Op::GatAggregate {
-                adj,
-                x,
-                l,
-                r,
-                alpha: Rc::new(alpha),
-                raw: Rc::new(scores),
-                negative_slope,
             },
             rg,
             cat,
@@ -1343,89 +1280,6 @@ impl Tape {
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            &Op::GatAggregate {
-                ref adj,
-                x,
-                l,
-                r,
-                ref alpha,
-                ref raw,
-                negative_slope: slope,
-            } => {
-                // dX: transposed weighted aggregation. The adjacency is
-                // structurally symmetric but the attention values are not —
-                // transpose the weighted matrix.
-                let weighted = Csr::from_parts(
-                    adj.n_rows(),
-                    adj.n_cols(),
-                    adj.row_offsets().to_vec(),
-                    adj.col_indices().to_vec(),
-                    alpha.as_ref().clone(),
-                );
-                let weighted_t = weighted.transpose();
-                if self.requires(x) {
-                    let handle = k::DeviceCsr::resident(Rc::new(weighted_t.clone()));
-                    let dx = k::spmm_weighted(gpu, s, &handle, weighted_t.values(), g)?;
-                    self.accumulate(gpu, x, dx)?;
-                }
-                if self.requires(l) || self.requires(r) {
-                    // dα_k = g[u] · x[v] — an SDDMM pass (charge like
-                    // edge_scores with feature-width gathers).
-                    let x_host = self.host(x);
-                    let fdim = x_host.cols() as u64;
-                    let nnz = adj.nnz() as u64;
-                    let cost = pipad_gpu_sim::KernelCost::new("gat_sddmm_grad", cat)
-                        .flops(2 * nnz * fdim)
-                        .gmem(2 * nnz, 2 * nnz * fdim.div_ceil(8).max(1))
-                        .uniform_blocks(nnz.div_ceil(128).max(1) as usize, 128);
-                    gpu.launch(s, cost);
-                    let g_host = g.host();
-                    let mut dalpha = pipad_tensor::take_buf(adj.nnz());
-                    dalpha.resize(adj.nnz(), 0.0);
-                    let mut kidx = 0usize;
-                    for u in 0..adj.n_rows() {
-                        for &v in adj.row(u) {
-                            let gu = g_host.row(u);
-                            let xv = x_host.row(v as usize);
-                            dalpha[kidx] = gu.iter().zip(xv).map(|(a, b)| a * b).sum();
-                            kidx += 1;
-                        }
-                    }
-                    // softmax backward per row, then leaky-relu mask; one
-                    // more streaming pass over the edge arrays.
-                    let cost = pipad_gpu_sim::KernelCost::new("gat_softmax_grad", cat)
-                        .flops(4 * nnz)
-                        .gmem((12 * nnz).div_ceil(128), (12 * nnz).div_ceil(32))
-                        .uniform_blocks(nnz.div_ceil(128).max(1) as usize, 128);
-                    gpu.launch(s, cost);
-                    let offsets = adj.row_offsets();
-                    let mut dl_host = Matrix::zeros_in(adj.n_rows(), 1);
-                    let mut dr_host = Matrix::zeros_in(adj.n_cols(), 1);
-                    for u in 0..adj.n_rows() {
-                        let (a, b) = (offsets[u] as usize, offsets[u + 1] as usize);
-                        if a == b {
-                            continue;
-                        }
-                        let dot: f32 = (a..b).map(|kk| alpha[kk] * dalpha[kk]).sum();
-                        for kk in a..b {
-                            let dsoft = alpha[kk] * (dalpha[kk] - dot);
-                            let de = if raw[kk] > 0.0 { dsoft } else { slope * dsoft };
-                            dl_host[(u, 0)] += de;
-                            let v = adj.row(u)[kk - a] as usize;
-                            dr_host[(v, 0)] += de;
-                        }
-                    }
-                    if self.requires(l) {
-                        let dl = DeviceMatrix::alloc(gpu, dl_host)?;
-                        self.accumulate(gpu, l, dl)?;
-                    }
-                    if self.requires(r) {
-                        let dr = DeviceMatrix::alloc(gpu, dr_host)?;
-                        self.accumulate(gpu, r, dr)?;
-                    }
-                    pipad_tensor::recycle_buf(dalpha);
-                }
-            }
             &Op::Add(a, b) => {
                 // d(a + b) is `g` itself for both: share the buffer.
                 for p in [a, b] {
@@ -1973,78 +1827,6 @@ mod tests {
         let gw = gw.unwrap();
         let nw = numeric_grad(&mut gpu, &w, |gpu| run(gpu, &w, false).0);
         assert!(gw.approx_eq(&nw, 2e-2), "analytic {gw:?} numeric {nw:?}");
-    }
-
-    #[test]
-    fn gat_aggregate_gradients_match_numeric() {
-        let (mut gpu, s) = setup();
-        let adj = Rc::new(Csr::from_edges(
-            4,
-            4,
-            &[
-                (0, 1),
-                (1, 0),
-                (1, 2),
-                (2, 1),
-                (2, 3),
-                (3, 2),
-                (0, 0),
-                (1, 1),
-                (2, 2),
-                (3, 3),
-            ],
-        ));
-        let x_host = uniform(&mut seeded_rng(40), 4, 3, 1.0);
-        let w = shared_param_helper(&mut gpu, uniform(&mut seeded_rng(41), 3, 3, 1.0));
-        let al = shared_param_helper(&mut gpu, uniform(&mut seeded_rng(42), 3, 1, 1.0));
-        let ar = shared_param_helper(&mut gpu, uniform(&mut seeded_rng(43), 3, 1, 1.0));
-        let target = uniform(&mut seeded_rng(44), 4, 3, 1.0);
-
-        let run = |gpu: &mut Gpu, want: bool| {
-            let mut tape = Tape::new(s);
-            let xv = tape.input(DeviceMatrix::alloc(gpu, x_host.clone()).unwrap());
-            let wv = tape.param(&w);
-            let alv = tape.param(&al);
-            let arv = tape.param(&ar);
-            let h = tape.matmul(gpu, xv, wv, KernelCategory::Update).unwrap();
-            let lproj = tape
-                .matmul(gpu, h, alv, KernelCategory::Aggregation)
-                .unwrap();
-            let rproj = tape
-                .matmul(gpu, h, arv, KernelCategory::Aggregation)
-                .unwrap();
-            let out = tape
-                .gat_aggregate(gpu, Rc::clone(&adj), h, lproj, rproj, 0.2)
-                .unwrap();
-            let loss = tape.mse_loss(gpu, out, &target);
-            let grads = if want {
-                tape.backward_mse(gpu, out, &target).unwrap();
-                Some((
-                    tape.grad(wv).unwrap(),
-                    tape.grad(alv).unwrap(),
-                    tape.grad(arv).unwrap(),
-                ))
-            } else {
-                None
-            };
-            tape.finish(gpu);
-            (loss, grads)
-        };
-
-        let (_, grads) = run(&mut gpu, true);
-        let (gw, gal, gar) = grads.unwrap();
-        let nw = numeric_grad(&mut gpu, &w, |gpu| run(gpu, false).0);
-        assert!(gw.approx_eq(&nw, 3e-2), "W: analytic {gw:?} numeric {nw:?}");
-        let nal = numeric_grad(&mut gpu, &al, |gpu| run(gpu, false).0);
-        assert!(
-            gal.approx_eq(&nal, 3e-2),
-            "a_l: analytic {gal:?} numeric {nal:?}"
-        );
-        let nar = numeric_grad(&mut gpu, &ar, |gpu| run(gpu, false).0);
-        assert!(
-            gar.approx_eq(&nar, 3e-2),
-            "a_r: analytic {gar:?} numeric {nar:?}"
-        );
     }
 
     fn shared_param_helper(gpu: &mut Gpu, m: Matrix) -> SharedParam {

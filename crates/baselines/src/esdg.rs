@@ -120,11 +120,7 @@ struct EsdgExecutor<'w> {
     compute: StreamId,
 }
 
-impl GnnExecutor for EsdgExecutor<'_> {
-    fn frame_len(&self) -> usize {
-        self.frame_len
-    }
-
+impl EsdgExecutor<'_> {
     fn inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
         (0..self.frame_len)
             .map(|i| {
@@ -135,6 +131,12 @@ impl GnnExecutor for EsdgExecutor<'_> {
                 Ok(tape.input(dm))
             })
             .collect()
+    }
+}
+
+impl GnnExecutor for EsdgExecutor<'_> {
+    fn frame_len(&self) -> usize {
+        self.frame_len
     }
 
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
@@ -231,7 +233,7 @@ pub fn train_esdg(
         window: ResidentWindow {
             snapshots: HashMap::new(),
         },
-        preparing: cfg.preparing_epochs.min(cfg.epochs - 1),
+        preparing: cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1)),
     })
     .map_err(crate::trainer::expect_oom)
 }

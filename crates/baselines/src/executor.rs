@@ -144,23 +144,6 @@ impl GnnExecutor for BaselineExecutor<'_> {
         self.slots.len()
     }
 
-    fn adjacency(&self, slot: usize) -> Option<Rc<Csr>> {
-        Some(Rc::clone(&self.slots[slot].norm.adj_hat))
-    }
-
-    fn inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in &mut self.slots {
-            gpu.wait_event(self.compute, slot.ready);
-            let f = slot
-                .features
-                .take()
-                .expect("raw features requested twice or replaced by reuse");
-            out.push(tape.input(f));
-        }
-        Ok(out)
-    }
-
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
         let mut out = Vec::with_capacity(self.slots.len());
         for slot in &mut self.slots {

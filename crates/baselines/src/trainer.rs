@@ -89,7 +89,7 @@ pub fn train_baseline_resumable(
     run_epochs(gpu, model_kind, graph, hidden, cfg, checkpoint, |cx| {
         BaselinePolicy {
             kind,
-            preparing: cfg.preparing_epochs.min(cfg.epochs - 1),
+            preparing: cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1)),
             opts: StageOptions {
                 async_transfer: kind != BaselineKind::Pygt,
                 // GE-SpMM's backward needs the CSC copy resident too.

@@ -87,7 +87,6 @@ pub fn render_fig10(g: &GridResults) -> String {
                 ModelKind::EvolveGcn => "4.71x",
                 ModelKind::MpnnLstm => "3.98x",
                 ModelKind::TGcn => "5.18x",
-                ModelKind::GatRnn => "n/a (extension)",
             }
         )
         .unwrap();

@@ -70,8 +70,9 @@ pub trait EpochPolicy {
     fn trainer(&self) -> &'static str;
 
     /// Index of the first steady epoch. PiPAD needs at least one profiling
-    /// epoch (`clamp(1, epochs)`); the one-snapshot trainers only need the
-    /// steady window to be non-empty (`min(epochs - 1)`).
+    /// epoch (`max(1).min(epochs)`); the one-snapshot trainers only need the
+    /// steady window to be non-empty (`min(epochs.saturating_sub(1))`).
+    /// Both are 0 for a run of zero epochs.
     fn preparing(&self) -> usize;
 
     /// Trainer state saved on top of the common sections. Only consulted
@@ -276,7 +277,7 @@ pub fn run_epochs<P: EpochPolicy>(
         .expect("profiler and trace diverged over this training run");
     let steady_snap = steady_snap.unwrap_or_else(|| gpu.profiler().snapshot());
     let steady = gpu.profiler().window(steady_snap);
-    let steady_epochs = (cfg.epochs - preparing).max(1);
+    let steady_epochs = cfg.epochs.saturating_sub(preparing).max(1);
     Ok(TrainReport {
         trainer: policy.trainer().to_string(),
         model: model_kind,

@@ -29,9 +29,6 @@ use std::rc::Rc;
 struct SlotState {
     global: usize,
     inv_deg: Rc<Vec<f32>>,
-    /// Full `Â` (self-looped) adjacency, for models that run their own
-    /// aggregation ops (GAT). Shares the analyzer's Rc — no extra copy.
-    adj_hat: Rc<pipad_sparse::Csr>,
     /// Raw features on device (absent when a reuse hit covers this slot).
     features: Option<DeviceMatrix>,
     /// Layer-1 aggregation shipped from the CPU store.
@@ -248,7 +245,6 @@ impl<'r> PipadExecutor<'r> {
                 staged_slots.push(SlotState {
                     global,
                     inv_deg: Rc::clone(&snap.norm.inv_deg),
-                    adj_hat: Rc::clone(&snap.norm.adj_hat),
                     features: features_dev,
                     cpu_agg,
                     gpu_agg,
@@ -337,32 +333,6 @@ impl<'r> PipadExecutor<'r> {
 impl pipad_models::GnnExecutor for PipadExecutor<'_> {
     fn frame_len(&self) -> usize {
         self.partitions.iter().map(|p| p.slots.len()).sum()
-    }
-
-    fn adjacency(&self, slot: usize) -> Option<Rc<pipad_sparse::Csr>> {
-        let mut off = 0;
-        for part in &self.partitions {
-            if slot < off + part.slots.len() {
-                return Some(Rc::clone(&part.slots[slot - off].adj_hat));
-            }
-            off += part.slots.len();
-        }
-        None
-    }
-
-    fn inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
-        let mut out = Vec::new();
-        for part in &mut self.partitions {
-            gpu.wait_event(self.compute, part.ready);
-            for slot in &mut part.slots {
-                let f = slot
-                    .features
-                    .take()
-                    .expect("raw features unavailable (covered by reuse)");
-                out.push(tape.input(f));
-            }
-        }
-        Ok(out)
     }
 
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
@@ -709,13 +679,17 @@ mod tests {
         )
         .unwrap();
         let mut tape = Tape::new(compute);
-        let xs = exec.inputs(&mut gpu, &mut tape).unwrap();
+        let xs = exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
         let d = graph.feature_dim();
         let w = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::eye(d)).unwrap());
         let b = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(1, d)).unwrap());
         let hs = exec.update(&mut gpu, &mut tape, &xs, w, b).unwrap();
-        for (h, f) in hs.iter().zip(&feats) {
-            assert!(tape.host(*h).approx_eq(f, 1e-6), "identity update");
+        assert_eq!(hs.len(), feats.len());
+        for (&h, &x) in hs.iter().zip(&xs) {
+            assert!(
+                tape.host(h).approx_eq(&tape.host(x), 1e-6),
+                "identity update"
+            );
         }
         // fused: exactly one GEMM launch for the whole frame
         let gemms = gpu

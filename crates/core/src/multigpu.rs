@@ -70,6 +70,9 @@ use std::rc::Rc;
 
 use crate::reuse::{shard_key, CpuAggStore};
 
+/// Device↔device bandwidth, bytes/µs (NVLink-class: 40 GB/s).
+const P2P_BYTES_PER_US: u64 = 40_000;
+
 /// Multi-GPU setup parameters.
 #[derive(Clone, Debug)]
 pub struct MultiGpuConfig {
@@ -80,8 +83,6 @@ pub struct MultiGpuConfig {
     /// this value, which is what makes runs bit-identical across device
     /// counts.
     pub virtual_shards: usize,
-    /// Device↔device bandwidth, bytes/µs (NVLink-class default: 40 GB/s).
-    pub p2p_bytes_per_us: u64,
     /// Per-device profile.
     pub device: DeviceConfig,
 }
@@ -91,7 +92,6 @@ impl Default for MultiGpuConfig {
         MultiGpuConfig {
             n_gpus: 2,
             virtual_shards: 4,
-            p2p_bytes_per_us: 40_000,
             device: DeviceConfig::v100(),
         }
     }
@@ -167,10 +167,6 @@ struct ShardExecutor {
 impl GnnExecutor for ShardExecutor {
     fn frame_len(&self) -> usize {
         self.slots.len()
-    }
-
-    fn inputs(&mut self, _gpu: &mut Gpu, _tape: &mut Tape) -> Result<Vec<Var>, OomError> {
-        unimplemented!("the sharded trainer serves aggregation-based models only")
     }
 
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
@@ -279,10 +275,6 @@ impl GnnExecutor for CaptureExecutor {
         self.slots.len()
     }
 
-    fn inputs(&mut self, _gpu: &mut Gpu, _tape: &mut Tape) -> Result<Vec<Var>, OomError> {
-        unimplemented!("the capture pass serves aggregation-based models only")
-    }
-
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
         let mut out = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter_mut() {
@@ -372,11 +364,6 @@ pub fn train_data_parallel_devices(
          partition is what keeps runs bit-identical across device counts",
         mcfg.n_gpus,
         mcfg.virtual_shards
-    );
-    assert!(
-        !matches!(model_kind, ModelKind::GatRnn),
-        "the data-parallel trainer serves the aggregation-based models \
-         (T-GCN, MPNN-LSTM, EvolveGCN)"
     );
     let n = graph.n();
     let feat_dim = graph.feature_dim();
@@ -581,7 +568,7 @@ pub fn train_data_parallel_devices(
                         // halo feature rows arrive over the P2P link
                         let bytes = sn.halo_cols * feat_dim as u64 * 4;
                         if bytes > 0 {
-                            let dur = SimNanos::from_bytes(bytes, mcfg.p2p_bytes_per_us);
+                            let dur = SimNanos::from_bytes(bytes, P2P_BYTES_PER_US);
                             let (_, he) = gpu.host_op("p2p_halo", host_cursors[p], dur);
                             host_cursors[p] = he;
                             gpu.stream_wait_host(copy, he);
@@ -608,7 +595,7 @@ pub fn train_data_parallel_devices(
                         // forward gather of peer H1 rows over P2P
                         let hbytes = sn.halo_cols * hidden as u64 * 4;
                         if hbytes > 0 {
-                            let dur = SimNanos::from_bytes(hbytes, mcfg.p2p_bytes_per_us);
+                            let dur = SimNanos::from_bytes(hbytes, P2P_BYTES_PER_US);
                             let (_, he) = gpu.host_op("p2p_halo", host_cursors[p], dur);
                             host_cursors[p] = he;
                             gpu.stream_wait_host(copy, he);
@@ -706,7 +693,7 @@ pub fn train_data_parallel_devices(
                         let bytes =
                             shard_norms[q][frame.global_index(i)].halo_cols * hidden as u64 * 4;
                         if bytes > 0 {
-                            let dur = SimNanos::from_bytes(bytes, mcfg.p2p_bytes_per_us);
+                            let dur = SimNanos::from_bytes(bytes, P2P_BYTES_PER_US);
                             let after = gpu.record_event(compute).time().max(produced);
                             let (_, he) = gpu.host_op("p2p_halo_grad", after, dur);
                             gpu.stream_wait_host(compute, he);
@@ -753,7 +740,7 @@ pub fn train_data_parallel_devices(
             } else {
                 0
             };
-            let dur = SimNanos::from_bytes(allreduce_bytes, mcfg.p2p_bytes_per_us);
+            let dur = SimNanos::from_bytes(allreduce_bytes, P2P_BYTES_PER_US);
             // A steady frame's barrier is an event on each compute stream:
             // the copy stream and the loader lane keep staging the next
             // frame under this one's allreduce. Preparing frames join all.

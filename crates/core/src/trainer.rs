@@ -33,8 +33,6 @@ use pipad_tensor::{Matrix, PoolStats};
 /// PiPAD-specific knobs (the defaults reproduce the paper's setup).
 #[derive(Clone, Debug)]
 pub struct PipadConfig {
-    /// Offline parallel-GNN analysis table feeding the tuner.
-    pub offline_table: OfflineTable,
     /// Override the tuner and force a fixed `S_per` (used by the analysis
     /// harnesses, e.g. Figure 9's sweeps).
     pub force_s_per: Option<usize>,
@@ -56,7 +54,6 @@ pub struct PipadConfig {
 impl Default for PipadConfig {
     fn default() -> Self {
         PipadConfig {
-            offline_table: OfflineTable::default(),
             force_s_per: None,
             inter_frame_reuse: true,
             cuda_graph: true,
@@ -153,7 +150,7 @@ impl<'a> PipadPolicy<'a> {
         let catalog = PartitionCatalog::build(cx.gpu, &analyzer, &mut cx.host_cursor);
         PipadPolicy {
             pcfg,
-            preparing: cx.cfg.preparing_epochs.clamp(1, cx.cfg.epochs),
+            preparing: cx.cfg.preparing_epochs.max(1).min(cx.cfg.epochs),
             analyzer,
             catalog,
             state: PipadState::default(),
@@ -405,7 +402,7 @@ impl EpochPolicy for PipadPolicy<'_> {
             .gpu_cache
             .set_budget((headroom as f64 * GPU_CACHE_HEADROOM_FRAC) as u64);
         let tuner = DynamicTuner::new(
-            self.pcfg.offline_table.clone(),
+            OfflineTable::default(),
             free,
             cx.gpu.cfg().pcie_pinned_bytes_per_us,
             cx.graph.feature_dim(),

@@ -24,7 +24,6 @@
 //! aggregation launch (and, the graphs being symmetric, the backward pass
 //! reuses the forward operator).
 
-mod attention;
 mod device_data;
 mod elementwise;
 mod gemm;
@@ -32,7 +31,6 @@ mod rnn;
 mod spmm;
 mod transfer;
 
-pub use attention::{edge_scores, edge_softmax, spmm_sliced_parallel_values, spmm_weighted};
 pub use device_data::{DeviceCsr, DeviceMatrix, DeviceSliced};
 pub use elementwise::{
     add, add_bias, col_sums, concat_rows, gather, hadamard, mse_grad, mse_grad_denom, mse_loss,

@@ -15,7 +15,7 @@ const WARPS_PER_BLOCK: usize = 4;
 
 /// Minimum `nnz × feature-dim` multiply-add volume before a host-numerics
 /// sparse loop fans out to the pool.
-pub(crate) const HOST_PAR_THRESHOLD: usize = 1 << 16;
+const HOST_PAR_THRESHOLD: usize = 1 << 16;
 
 /// Band the slice index space `[0, n_slices)` into `n_bands` contiguous
 /// parts whose boundaries never split one row's run of slices — slices of
@@ -23,7 +23,7 @@ pub(crate) const HOST_PAR_THRESHOLD: usize = 1 << 16;
 /// let two threads accumulate into the same row. Requires the slice rows
 /// to be non-decreasing (true for `SlicedCsr::from_csr*`); returns `None`
 /// otherwise so callers fall back to the serial loop.
-pub(crate) fn row_aligned_slice_bands(
+fn row_aligned_slice_bands(
     sliced: &SlicedCsr,
     n_bands: usize,
 ) -> Option<Vec<std::ops::Range<usize>>> {

@@ -17,15 +17,6 @@ pub trait GnnExecutor {
     /// Number of snapshots in the current frame.
     fn frame_len(&self) -> usize;
 
-    /// Per-slot adjacency (`Â`, with self-loops) for models that run their
-    /// own aggregation ops (e.g. attention — `GatRnn`). Default: absent.
-    fn adjacency(&self, _slot: usize) -> Option<std::rc::Rc<pipad_sparse::Csr>> {
-        None
-    }
-
-    /// Input feature Vars, one per frame slot, device-resident.
-    fn inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError>;
-
     /// Normalized layer-1 aggregations `D̂⁻¹ Â X_t` of the *raw input
     /// features* for every slot. Time-independent, hence cacheable across
     /// frames and epochs (PiPAD's inter-frame reuse hooks in here).
@@ -78,17 +69,8 @@ impl DirectExecutor {
             features: snapshots.iter().map(|(_, f)| (*f).clone()).collect(),
         }
     }
-}
 
-impl GnnExecutor for DirectExecutor {
-    fn frame_len(&self) -> usize {
-        self.features.len()
-    }
-
-    fn adjacency(&self, slot: usize) -> Option<std::rc::Rc<pipad_sparse::Csr>> {
-        Some(std::rc::Rc::clone(&self.norms[slot].adj_hat))
-    }
-
+    /// Input feature Vars, one per frame slot, device-resident.
     fn inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
         let stream = tape.stream();
         self.features
@@ -98,6 +80,12 @@ impl GnnExecutor for DirectExecutor {
                 Ok(tape.input(dm))
             })
             .collect()
+    }
+}
+
+impl GnnExecutor for DirectExecutor {
+    fn frame_len(&self) -> usize {
+        self.features.len()
     }
 
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {

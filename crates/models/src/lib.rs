@@ -28,7 +28,6 @@
 mod cells;
 mod evolve_gcn;
 mod executor;
-mod gat;
 mod gcn;
 mod mpnn_lstm;
 mod params;
@@ -38,7 +37,6 @@ mod training;
 pub use cells::{GruCell, LstmCell};
 pub use evolve_gcn::EvolveGcn;
 pub use executor::{DirectExecutor, GnnExecutor};
-pub use gat::{GatLayer, GatRnn};
 pub use gcn::{normalize_snapshot, GcnLayer, NormalizedAdj};
 pub use mpnn_lstm::MpnnLstm;
 pub use params::{Binder, Linear, Param, ParamBinding};

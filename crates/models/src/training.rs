@@ -3,7 +3,6 @@
 
 use crate::evolve_gcn::EvolveGcn;
 use crate::executor::GnnExecutor;
-use crate::gat::GatRnn;
 use crate::mpnn_lstm::MpnnLstm;
 use crate::tgcn::TGcn;
 use pipad_autograd::{Tape, Var};
@@ -19,10 +18,6 @@ pub enum ModelKind {
     EvolveGcn,
     /// TGcn.
     TGcn,
-    /// Extension beyond the paper's three: attention aggregation + GRU
-    /// (demonstrates §1's generalization claim). Not part of
-    /// [`ModelKind::ALL`], which mirrors the paper's evaluation set.
-    GatRnn,
 }
 
 impl ModelKind {
@@ -32,20 +27,11 @@ impl ModelKind {
             ModelKind::MpnnLstm => "MPNN-LSTM",
             ModelKind::EvolveGcn => "EvolveGCN",
             ModelKind::TGcn => "T-GCN",
-            ModelKind::GatRnn => "GAT-RNN",
         }
     }
 
     /// The paper's evaluation set (§2.1).
     pub const ALL: [ModelKind; 3] = [ModelKind::EvolveGcn, ModelKind::MpnnLstm, ModelKind::TGcn];
-
-    /// Paper set plus this repository's extensions.
-    pub const ALL_WITH_EXTENSIONS: [ModelKind; 4] = [
-        ModelKind::EvolveGcn,
-        ModelKind::MpnnLstm,
-        ModelKind::TGcn,
-        ModelKind::GatRnn,
-    ];
 }
 
 /// Result of one frame forward: the prediction plus the parameter bindings
@@ -100,7 +86,6 @@ pub fn build_model(
         ModelKind::MpnnLstm => Box::new(MpnnLstm::new(gpu, &mut rng, in_dim, hidden)?),
         ModelKind::EvolveGcn => Box::new(EvolveGcn::new(gpu, &mut rng, in_dim, hidden)?),
         ModelKind::TGcn => Box::new(TGcn::new(gpu, &mut rng, in_dim, hidden)?),
-        ModelKind::GatRnn => Box::new(GatRnn::new(gpu, &mut rng, in_dim, hidden)?),
     })
 }
 
@@ -232,6 +217,22 @@ mod tests {
             assert_eq!(m.kind(), kind);
             assert_eq!(m.out_dim(), 4);
             assert!(!m.params().is_empty());
+        }
+    }
+
+    #[test]
+    fn all_lists_every_variant() {
+        // No wildcard: a new variant does not compile until it has an arm,
+        // and the arm has to name the variant's position in `ALL`.
+        let position = |kind: ModelKind| match kind {
+            ModelKind::EvolveGcn => 0,
+            ModelKind::MpnnLstm => 1,
+            ModelKind::TGcn => 2,
+        };
+        let variants = [ModelKind::EvolveGcn, ModelKind::MpnnLstm, ModelKind::TGcn];
+        assert_eq!(ModelKind::ALL.len(), variants.len());
+        for kind in variants {
+            assert_eq!(ModelKind::ALL.get(position(kind)), Some(&kind));
         }
     }
 

@@ -6,7 +6,7 @@
 //!
 //! The seed implementation spawned fresh OS threads on every large GEMM
 //! via `crossbeam::scope`, and ran every other host-numerics hot path
-//! (SpMM, elementwise, attention, packing) on a single core. Thread spawn
+//! (SpMM, elementwise, packing) on a single core. Thread spawn
 //! costs microseconds-to-milliseconds; kernels at PiPAD's working shapes
 //! run for comparable times, so per-call spawning forfeits most of the
 //! win. Here worker threads are created once, on first parallel call, and

@@ -107,21 +107,9 @@ impl Csr {
     }
 
     #[inline]
-    /// The CSR row-offset array.
-    pub fn row_offsets(&self) -> &[u32] {
-        &self.row_offsets
-    }
-
-    #[inline]
     /// The column-index array.
     pub fn col_indices(&self) -> &[u32] {
         &self.col_indices
-    }
-
-    #[inline]
-    /// The value array.
-    pub fn values(&self) -> &[f32] {
-        &self.values
     }
 
     /// Column indices of row `r`.

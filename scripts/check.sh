@@ -97,9 +97,22 @@ benchmark_compiles() {
     return "$status"
 }
 
-# The examples are the only end-to-end runs through the facade's re-exports
-# (and `attention_dgnn` the only `ModelKind::GatRnn` run through
-# `train_pipad`); the workspace test run has already built them.
+# No executor, kernel or trainer may answer an input with a stub panic:
+# `unimplemented!(` / `todo!(` must not appear in `crates/*/src` above a
+# file's `#[cfg(test)]` module.
+no_panicking_stubs() {
+    find crates/*/src -name '*.rs' -exec awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /unimplemented!\(|todo!\(/ {
+            print "ERROR: panicking stub at " FILENAME ":" FNR > "/dev/stderr"
+            bad = 1
+        }
+        END { exit bad }' {} +
+}
+
+# The examples are the only end-to-end runs through the facade's re-exports;
+# the workspace test run has already built them.
 examples_run() {
     local ex
     for ex in examples/*.rs; do
@@ -108,6 +121,7 @@ examples_run() {
 }
 
 gate unused_deps
+gate no_panicking_stubs
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace -- -D warnings

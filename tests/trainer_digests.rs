@@ -1,6 +1,6 @@
 //! Trainer digests: one golden file pinning what every single-device
 //! trainer produces at tiny scale — `train_pipad`, the four
-//! `BaselineKind`s and `train_esdg`, for T-GCN and MPNN-LSTM.
+//! `BaselineKind`s and `train_esdg`, for every `ModelKind`.
 //!
 //! Per run: per-epoch loss bits, per-epoch simulated time, and the CRC-32
 //! of the full exported Chrome trace. PiPAD and PyGT-R run with a
@@ -86,6 +86,7 @@ impl Trainer {
         gpu: &mut Gpu,
         model: ModelKind,
         graph: &DynamicGraph,
+        cfg: &TrainingConfig,
         policy: Option<&CheckpointPolicy>,
     ) -> Result<TrainReport, DeviceFault> {
         match self {
@@ -94,12 +95,12 @@ impl Trainer {
                     checkpoint: policy.cloned(),
                     ..Default::default()
                 };
-                train_pipad(gpu, model, graph, HIDDEN, &cfg(), &pcfg)
+                train_pipad(gpu, model, graph, HIDDEN, cfg, &pcfg)
             }
             Trainer::Baseline(kind) => {
-                train_baseline_resumable(gpu, kind, model, graph, HIDDEN, &cfg(), policy)
+                train_baseline_resumable(gpu, kind, model, graph, HIDDEN, cfg, policy)
             }
-            Trainer::Esdg => train_esdg(gpu, model, graph, HIDDEN, &cfg()).map_err(Into::into),
+            Trainer::Esdg => train_esdg(gpu, model, graph, HIDDEN, cfg).map_err(Into::into),
         }
     }
 }
@@ -128,7 +129,7 @@ fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
     let policy = checkpoints.then(|| CheckpointPolicy::new(dir.join("ref"), 2));
     let mut gpu = Gpu::new(DeviceConfig::v100());
     let report = trainer
-        .run(&mut gpu, model, graph, policy.as_ref())
+        .run(&mut gpu, model, graph, &cfg(), policy.as_ref())
         .unwrap_or_else(|e| panic!("{} {}: {e}", trainer.name(), model.name()));
     assert_eq!(report.trainer, trainer.name());
 
@@ -172,12 +173,12 @@ fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
             ..Default::default()
         });
         let err = trainer
-            .run(&mut g2, model, graph, Some(&killed))
+            .run(&mut g2, model, graph, &cfg(), Some(&killed))
             .expect_err("crash fault must abort the run");
         assert!(matches!(err, DeviceFault::Crash(_)), "{err}");
         let mut g3 = Gpu::new(DeviceConfig::v100());
         let resumed = trainer
-            .run(&mut g3, model, graph, Some(&killed))
+            .run(&mut g3, model, graph, &cfg(), Some(&killed))
             .expect("resumed run");
         write!(
             line,
@@ -225,12 +226,13 @@ fn dp_digest(model: ModelKind, n_gpus: usize, graph: &DynamicGraph) -> String {
 fn every_trainer_matches_its_recorded_digest() {
     let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
     let mut lines = Vec::new();
-    for model in [ModelKind::TGcn, ModelKind::MpnnLstm] {
+    // `ALL` back to front is the order the rows were first recorded in.
+    for model in ModelKind::ALL.into_iter().rev() {
         for trainer in Trainer::ALL {
             lines.push(digest(trainer, model, &graph));
         }
     }
-    for model in [ModelKind::TGcn, ModelKind::MpnnLstm, ModelKind::EvolveGcn] {
+    for model in ModelKind::ALL.into_iter().rev() {
         for n_gpus in [1, 2, 4] {
             lines.push(dp_digest(model, n_gpus, &graph));
         }
@@ -275,7 +277,7 @@ fn propagated_oom_leaves_only_the_model_resident() {
         for (capacity, resident) in cases {
             let mut gpu = Gpu::new(DeviceConfig::with_capacity(capacity));
             let err = trainer
-                .run(&mut gpu, model, &graph, None)
+                .run(&mut gpu, model, &graph, &cfg(), None)
                 .expect_err("capacity is too small to train");
             assert!(
                 matches!(err, DeviceFault::Oom(_)),
@@ -289,5 +291,26 @@ fn propagated_oom_leaves_only_the_model_resident() {
                 trainer.name()
             );
         }
+    }
+}
+
+/// `epochs: 0` asks for nothing and gets an empty report from every
+/// trainer — the epoch loops already cope with zero iterations (a resume
+/// from the final checkpoint runs none), so the arithmetic around them must.
+#[test]
+fn zero_epochs_is_an_empty_report() {
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let zero = TrainingConfig { epochs: 0, ..cfg() };
+    for model in ModelKind::ALL {
+        for trainer in Trainer::ALL {
+            let mut gpu = Gpu::new(DeviceConfig::v100());
+            let report = trainer
+                .run(&mut gpu, model, &graph, &zero, None)
+                .unwrap_or_else(|e| panic!("{} {}: {e}", trainer.name(), model.name()));
+            assert!(report.epochs.is_empty(), "{}", trainer.name());
+        }
+        let report = train_data_parallel(model, &graph, HIDDEN, &zero, &MultiGpuConfig::default())
+            .unwrap_or_else(|e| panic!("DP {}: {e}", model.name()));
+        assert!(report.epochs.is_empty(), "DP {}", model.name());
     }
 }
