@@ -39,7 +39,7 @@ const HIDDEN: usize = 16;
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
 /// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 9] = [
+const SENTINEL: [(&str, f64, f64); 12] = [
     // Pipelining quality: compute↔transfer overlap in the steady window
     // (milli-fraction of transfer time hidden under kernels).
     (
@@ -77,6 +77,25 @@ const SENTINEL: [(&str, f64, f64); 9] = [
     // also lowers the two ratio gauges above, which are shares of it.
     (
         "pipad_compute_busy_ns{method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
+    ),
+    // The copy lane's two cost terms in the steady window: bytes moved
+    // (reuse, overlap-aware transfer) and copies issued (the fixed
+    // `pcie_latency_ns` each one pays).
+    (
+        "pipad_h2d_bytes{method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
+    ),
+    (
+        "pipad_h2d_copies{method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
+    ),
+    // Gradient accumulations that cost a launch of their own.
+    (
+        "pipad_kernel_launches{family=\"add\",method=\"PiPAD\",window=\"steady\"}",
         0.0,
         0.0,
     ),

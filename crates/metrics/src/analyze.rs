@@ -65,6 +65,13 @@ pub struct WindowHealth {
     pub device_allocs: u64,
     /// Count of kernel spans (launches) in the window.
     pub kernel_launches: u64,
+    /// The same launches by [`launch_family`]; every family of
+    /// [`LAUNCH_FAMILIES`] is present, at zero if nothing launched.
+    pub launches_by_family: BTreeMap<&'static str, u64>,
+    /// Host→device copies (`memcpy_h2d` spans) in the window.
+    pub h2d_copies: u64,
+    /// Σ `bytes` over those copies.
+    pub h2d_bytes: u64,
     /// Per-stream overlap accounting, ascending stream index.
     pub per_stream: Vec<StreamHealth>,
     /// Σ duration of accounted host ops by name.
@@ -143,6 +150,35 @@ pub struct PipelineHealth {
     pub breakdown: Breakdown,
 }
 
+/// The launch census's kernel families (ROADMAP "What still launches").
+pub const LAUNCH_FAMILIES: [&str; 9] = [
+    "add",
+    "aggregation",
+    "bias",
+    "gemm",
+    "hadamard",
+    "loss",
+    "optimizer",
+    "rnn_cell",
+    "other",
+];
+
+/// The [`LAUNCH_FAMILIES`] entry a kernel name is counted under.
+pub fn launch_family(kernel: &str) -> &'static str {
+    match kernel {
+        "add" => "add",
+        "hadamard" => "hadamard",
+        "add_bias" | "col_sums" => "bias",
+        "sgd_step" => "optimizer",
+        "mse_loss" | "mse_grad" | "sse_loss" => "loss",
+        "sigmoid_add" | "sigmoid_grad" => "rnn_cell",
+        k if k.starts_with("gemm") => "gemm",
+        k if k.starts_with("spmm") || k.starts_with("row_scale") => "aggregation",
+        k if k.starts_with("lstm_cell") || k.starts_with("gru_") => "rnn_cell",
+        _ => "other",
+    }
+}
+
 fn arg_u64(e: &TraceEvent, key: &str) -> Option<u64> {
     e.args.iter().find_map(|(k, v)| match v {
         ArgValue::U64(x) if *k == key => Some(*x),
@@ -217,6 +253,7 @@ fn window_health(events: &[TraceEvent], t0: u64, t1: u64, alloc_ts: &[u64]) -> W
     let mut out = WindowHealth {
         start_ns: t0,
         end_ns: t1,
+        launches_by_family: LAUNCH_FAMILIES.iter().map(|&f| (f, 0)).collect(),
         ..WindowHealth::default()
     };
     for e in events {
@@ -227,11 +264,20 @@ fn window_health(events: &[TraceEvent], t0: u64, t1: u64, alloc_ts: &[u64]) -> W
         match e.kind {
             TraceKind::Kernel => {
                 kernels.push((ts, end));
+                *out.launches_by_family
+                    .entry(launch_family(e.name))
+                    .or_insert(0) += 1;
                 if let Lane::Stream(i) = e.lane {
                     per_stream.entry(i).or_default().push((ts, end));
                 }
             }
-            TraceKind::Memcpy => transfers.push((ts, end)),
+            TraceKind::Memcpy => {
+                transfers.push((ts, end));
+                if e.lane == Lane::H2D {
+                    out.h2d_copies += 1;
+                    out.h2d_bytes += arg_u64(e, "bytes").unwrap_or(0);
+                }
+            }
             TraceKind::HostOp => {
                 *out.host_op_ns.entry(e.name).or_insert(0) += end - ts;
             }
@@ -386,6 +432,13 @@ impl PipelineHealth {
             reg.inc_counter_with("pipad_transfer_backoff_ns", &l, w.backoff_ns);
             reg.inc_counter_with("pipad_device_allocs", &l, w.device_allocs);
             reg.inc_counter_with("pipad_kernel_launches", &l, w.kernel_launches);
+            reg.inc_counter_with("pipad_h2d_copies", &l, w.h2d_copies);
+            reg.inc_counter_with("pipad_h2d_bytes", &l, w.h2d_bytes);
+            for (&family, &n) in &w.launches_by_family {
+                let mut by_family = vec![("family", family)];
+                by_family.extend_from_slice(&l);
+                reg.inc_counter_with("pipad_kernel_launches", &by_family, n);
+            }
         };
         window(reg, "run", &self.run);
         if let Some(steady) = &self.steady {
@@ -455,7 +508,7 @@ mod tests {
             Lane::H2D,
             SimNanos(50),
             SimNanos(150),
-            vec![],
+            vec![("bytes", ArgValue::U64(4096))],
         );
         t.instant(
             "wait_event",
@@ -489,6 +542,9 @@ mod tests {
         assert_eq!(h.run.sm_utilization_milli(), 500);
         assert_eq!(h.run.device_allocs, 2, "64→128 rise and the first 0→64");
         assert_eq!(h.run.kernel_launches, 1);
+        assert_eq!(h.run.launches_by_family["aggregation"], 1);
+        assert_eq!(h.run.launches_by_family["add"], 0, "present at zero");
+        assert_eq!((h.run.h2d_copies, h.run.h2d_bytes), (1, 4096));
         assert_eq!(h.run.per_stream.len(), 1);
         assert_eq!(h.run.per_stream[0].overlap_ns, 50);
         assert_eq!(h.epochs.len(), 1);
@@ -533,6 +589,14 @@ mod tests {
         assert_eq!(
             flat["pipad_kernel_ns_count{leg=\"train\",kernel=\"spmm\"}"],
             1.0
+        );
+        assert_eq!(
+            flat["pipad_kernel_launches{family=\"add\",leg=\"train\",window=\"run\"}"],
+            0.0
+        );
+        assert_eq!(
+            flat["pipad_h2d_bytes{leg=\"train\",window=\"run\"}"],
+            4096.0
         );
     }
 }
