@@ -26,6 +26,14 @@
 //!   one-op chains they replaced (the `rnn_oracle` tests keep those chains
 //!   as the reference). Gradients are reference-counted so one buffer can
 //!   be several parents' gradient without a copy launch.
+//! * A second or later contribution to a node's gradient is accumulated
+//!   where it is produced: the four kernels that feed every accumulation in
+//!   the three models (`gemm_nt`, `gemm_tn`, `hadamard`, `col_sums`) take
+//!   the gradient so far as a read-only operand (`D = prev + A·B`) and
+//!   write the sum to a new buffer — bit-identical to the product followed
+//!   by an `add` launch (the `acc_oracle` tests keep that pair as the
+//!   reference). Only a contribution that arrives as an existing shared
+//!   buffer still costs an `add`.
 //! * [`Tape::split_rows`] / [`Tape::split_cols`] hand a stacked or
 //!   coalescent result back per snapshot as free views, and their backward
 //!   is concat — one gather launch per split over the gradients present,
@@ -35,6 +43,8 @@
 //!   simulated memory would corrupt the tuner's peak statistics, so tests
 //!   assert the device returns to its pre-tape footprint.
 
+#[cfg(test)]
+mod acc_oracle;
 #[cfg(test)]
 mod rnn_oracle;
 #[cfg(test)]

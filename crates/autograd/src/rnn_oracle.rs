@@ -499,7 +499,8 @@ fn a_cell_step_is_two_gemms_and_one_pointwise_launch_each_way() {
         let b = g.param(operand(95, 1, 12, false));
         gru_step(g.gpu, &mut g.tape, true, [x, h], [w[0], w[1], b])
     });
-    // h receives the blend's dh and then gh's GEMM gradient: one `add`.
+    // h receives the cell's dh and then gh's GEMM gradient, which takes it
+    // as its accumulate operand: no `add`.
     assert_eq!(
         gru,
         [
@@ -509,7 +510,6 @@ fn a_cell_step_is_two_gemms_and_one_pointwise_launch_each_way() {
             "gru_cell_grad",
             "col_sums",
             "gemm_nt",
-            "add",
             "gemm_tn",
             "gemm_nt",
             "gemm_tn"

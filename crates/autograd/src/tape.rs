@@ -169,6 +169,11 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     stream: StreamId,
+    /// Oracle switch: producers get no accumulate operand, so every second
+    /// contribution is the product followed by an `add` launch — the pair
+    /// the `acc_oracle` tests compare the fused producers against.
+    #[cfg(test)]
+    pub(crate) unfused: bool,
 }
 
 impl Tape {
@@ -177,6 +182,8 @@ impl Tape {
         Tape {
             nodes: Vec::new(),
             stream,
+            #[cfg(test)]
+            unfused: false,
         }
     }
 
@@ -221,9 +228,16 @@ impl Tape {
         f(self.dev(v).host())
     }
 
-    /// Accumulated gradient of a node, if backward reached it.
+    /// Accumulated gradient of a node, if backward reached it (clones the
+    /// host matrix).
     pub fn grad(&self, v: Var) -> Option<Matrix> {
-        self.nodes[v.0].grad.as_ref().map(|g| g.host().clone_in())
+        self.with_grad(v, Matrix::clone_in)
+    }
+
+    /// Apply `f` to a node's accumulated gradient without cloning; `None`
+    /// if backward never reached it.
+    pub fn with_grad<R>(&self, v: Var, f: impl FnOnce(&Matrix) -> R) -> Option<R> {
+        self.nodes[v.0].grad.as_ref().map(|g| f(g.host()))
     }
 
     fn push_owned(
@@ -567,7 +581,10 @@ impl Tape {
         b: Var,
         category: KernelCategory,
     ) -> Result<Var, OomError> {
-        self.binary(gpu, a, b, category, k::hadamard, Op::Hadamard(a, b))
+        let product = |gpu: &mut Gpu, s, a: &DeviceMatrix, b: &DeviceMatrix, cat| {
+            k::hadamard(gpu, s, a, b, None, cat)
+        };
+        self.binary(gpu, a, b, category, product, Op::Hadamard(a, b))
     }
 
     /// `mul · x + add` with scalar constants (e.g. `1 − z` in GRU gates).
@@ -1038,6 +1055,43 @@ impl Tape {
         Ok(())
     }
 
+    /// Detach the gradient `v` holds so far, to be the read-only accumulate
+    /// operand of the kernel producing `v`'s next contribution
+    /// (`D = prev + A·B`); [`Tape::settle`] takes both back.
+    fn take_acc(&mut self, v: Var) -> Option<Rc<DeviceMatrix>> {
+        #[cfg(test)]
+        if self.unfused {
+            return None;
+        }
+        self.nodes[v.0].grad.take()
+    }
+
+    /// Second half of [`Tape::take_acc`]: `sum` already holds `prev`, so it
+    /// replaces it and `prev`'s handle is dropped — out of place, the other
+    /// holders of a shared buffer keep theirs. A failed producer puts
+    /// `prev` back for [`Tape::finish`] to free.
+    fn settle(
+        &mut self,
+        gpu: &mut Gpu,
+        v: Var,
+        prev: Option<Rc<DeviceMatrix>>,
+        sum: Result<DeviceMatrix, OomError>,
+    ) -> Result<(), OomError> {
+        match (sum, prev) {
+            (Ok(sum), None) => self.accumulate(gpu, v, sum),
+            (Ok(sum), Some(prev)) => {
+                debug_assert_eq!(self.shape(v), (sum.rows(), sum.cols()));
+                release_grad(gpu, prev);
+                self.nodes[v.0].grad = Some(Rc::new(sum));
+                Ok(())
+            }
+            (Err(e), prev) => {
+                self.nodes[v.0].grad = prev;
+                Err(e)
+            }
+        }
+    }
+
     /// Hand `g` to `v` if it carries gradient, free it otherwise.
     fn deposit(&mut self, gpu: &mut Gpu, v: Var, g: DeviceMatrix) -> Result<(), OomError> {
         if self.requires(v) {
@@ -1046,6 +1100,19 @@ impl Tape {
             g.release(gpu);
             Ok(())
         }
+    }
+
+    /// The bias gradient `Σ_rows dy`, folded into what `b` holds so far.
+    fn deposit_col_sums(
+        &mut self,
+        gpu: &mut Gpu,
+        b: Var,
+        dy: &DeviceMatrix,
+        cat: KernelCategory,
+    ) -> Result<(), OomError> {
+        let prev = self.take_acc(b);
+        let db = k::col_sums(gpu, self.stream, dy, prev.as_deref(), cat);
+        self.settle(gpu, b, prev, db)
     }
 
     /// Hand the one buffer `g` to both parents — no copy, no launch.
@@ -1201,18 +1268,20 @@ impl Tape {
             Op::Input | Op::Param | Op::CellState | Op::Split { .. } | Op::SplitPart => {}
             &Op::MatMul(a, b) => {
                 if self.requires(a) {
+                    let prev = self.take_acc(a);
                     let da = {
                         let bm = self.dev(b);
-                        k::gemm_nt_device(gpu, s, g, &bm, cat)?
+                        k::gemm_nt_device(gpu, s, g, &bm, prev.as_deref(), cat)
                     };
-                    self.accumulate(gpu, a, da)?;
+                    self.settle(gpu, a, prev, da)?;
                 }
                 if self.requires(b) {
+                    let prev = self.take_acc(b);
                     let db = {
                         let am = self.dev(a);
-                        k::gemm_tn_device(gpu, s, &am, g, cat)?
+                        k::gemm_tn_device(gpu, s, &am, g, prev.as_deref(), cat)
                     };
-                    self.accumulate(gpu, b, db)?;
+                    self.settle(gpu, b, prev, db)?;
                 }
             }
             &Op::Spmm { ref adj, x, kernel } => {
@@ -1289,19 +1358,15 @@ impl Tape {
                 }
             }
             &Op::Hadamard(a, b) => {
-                if self.requires(a) {
-                    let da = {
-                        let bm = self.dev(b);
-                        k::hadamard(gpu, s, g, &bm, cat)?
-                    };
-                    self.accumulate(gpu, a, da)?;
-                }
-                if self.requires(b) {
-                    let db = {
-                        let am = self.dev(a);
-                        k::hadamard(gpu, s, g, &am, cat)?
-                    };
-                    self.accumulate(gpu, b, db)?;
+                for (p, other) in [(a, b), (b, a)] {
+                    if self.requires(p) {
+                        let prev = self.take_acc(p);
+                        let dp = {
+                            let om = self.dev(other);
+                            k::hadamard(gpu, s, g, &om, prev.as_deref(), cat)
+                        };
+                        self.settle(gpu, p, prev, dp)?;
+                    }
                 }
             }
             &Op::AffineConst { x, mul } => {
@@ -1315,8 +1380,7 @@ impl Tape {
                     self.accumulate_rc(gpu, x, Rc::clone(g))?;
                 }
                 if self.requires(b) {
-                    let db = k::col_sums(gpu, s, g, cat)?;
-                    self.accumulate(gpu, b, db)?;
+                    self.deposit_col_sums(gpu, b, g, cat)?;
                 }
             }
             &Op::Sigmoid(x) => {
@@ -1393,8 +1457,7 @@ impl Tape {
                 let k::LstmCellGrad { dgates, dc } = grads?;
                 let mut res = dc.map_or(Ok(()), |dc| self.accumulate(gpu, c, dc));
                 if res.is_ok() && self.requires(b) {
-                    res = k::col_sums(gpu, s, &dgates, cat)
-                        .and_then(|db| self.accumulate(gpu, b, db));
+                    res = self.deposit_col_sums(gpu, b, &dgates, cat);
                 }
                 if let Err(e) = res {
                     // `dgates` belongs to no node yet, so `finish` cannot.
@@ -1417,7 +1480,7 @@ impl Tape {
                 };
                 let mut res = dh.map_or(Ok(()), |dh| self.accumulate(gpu, h, dh));
                 if res.is_ok() && self.requires(b) {
-                    res = k::col_sums(gpu, s, &dgx, cat).and_then(|db| self.accumulate(gpu, b, db));
+                    res = self.deposit_col_sums(gpu, b, &dgx, cat);
                 }
                 self.deposit_each(gpu, res, [(gx, dgx), (gh, dgh)])?;
             }

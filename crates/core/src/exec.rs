@@ -5,7 +5,8 @@
 //!
 //! * staging ships the **overlap** sliced adjacency once plus the small
 //!   per-snapshot exclusives (and only the features that are not already
-//!   covered by a reuse hit), asynchronously from pinned memory;
+//!   covered by a reuse hit), asynchronously from pinned memory, as the
+//!   **one** buffer the host assembled for the partition: one copy;
 //! * layer-1 aggregation runs as **one** `spmm_sliced_parallel` launch over
 //!   the coalescent feature matrix (all members side by side), plus one
 //!   tiny launch per exclusive part; the results are summed, normalized per
@@ -14,14 +15,15 @@
 //!   the weight tile resident (locality-optimized weight reuse) — unless
 //!   the model's weights evolve per snapshot (EvolveGCN).
 
-use crate::analyzer::GraphAnalyzer;
+use crate::analyzer::{AnalyzedSnapshot, GraphAnalyzer};
 use crate::prep::{PartitionCatalog, PartitionPlan};
 use crate::reuse::InterFrameReuse;
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_gpu_sim::{
     ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, SimNanos, StreamId,
 };
-use pipad_kernels::{upload_matrix_checked, upload_sliced_checked, DeviceMatrix, DeviceSliced};
+use pipad_kernels::{upload_staged, DeviceCsr, DeviceMatrix, DeviceSliced};
+use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
 use std::rc::Rc;
 
@@ -42,17 +44,104 @@ struct PartitionState {
     slots: Vec<SlotState>,
     /// Overlap + exclusive adjacency (sliced), present when any aggregation
     /// kernel will run this frame.
-    overlap: Option<Rc<pipad_sparse::SlicedCsr>>,
-    exclusives: Vec<Rc<pipad_sparse::SlicedCsr>>,
+    overlap: Option<Rc<SlicedCsr>>,
+    exclusives: Vec<Rc<SlicedCsr>>,
     /// Owned device allocations backing the adjacency.
     adj_dev: Vec<DeviceSliced>,
     /// CSR-variant allocations (Figure 12 ablation).
-    adj_dev_csr: Vec<pipad_kernels::DeviceCsr>,
+    adj_dev_csr: Vec<DeviceCsr>,
     /// CSR-variant adjacency handles (empty in sliced mode).
-    csr_adjs: Vec<Rc<pipad_sparse::Csr>>,
+    csr_adjs: Vec<Rc<Csr>>,
     /// All members' layer-1 aggregations are covered by reuse.
     layer1_cached: bool,
     ready: Event,
+}
+
+/// One member as reuse lookup left it: global index, analysis, GPU-tier
+/// hit, CPU-tier hit, raw features.
+type LookedUp<'a> = (
+    usize,
+    &'a AnalyzedSnapshot,
+    Option<SharedParam>,
+    Option<Matrix>,
+    &'a Matrix,
+);
+
+impl PartitionState {
+    /// Allocate the partition's device buffers in shipping order: the
+    /// adjacency (overlap then exclusives, or one CSR per member in the
+    /// Figure 12 variant), then each member's features or CPU-cached
+    /// aggregation. On `Err`, what was allocated is in `self` to be freed.
+    fn alloc(
+        &mut self,
+        gpu: &mut Gpu,
+        plan: Option<&PartitionPlan>,
+        members: Vec<LookedUp<'_>>,
+        needs_adj: bool,
+        use_sliced: bool,
+    ) -> Result<(), OomError> {
+        if needs_adj && !use_sliced {
+            for (_, snap, ..) in &members {
+                let adj = &snap.norm.adj_hat;
+                self.adj_dev_csr
+                    .push(DeviceCsr::alloc(gpu, Rc::clone(adj), false)?);
+                self.csr_adjs.push(Rc::clone(adj));
+            }
+        } else if needs_adj {
+            // Without a plan (one member) "overlap" is empty and each
+            // member's full sliced adjacency is its exclusive part.
+            self.overlap = plan.map(|p| Rc::clone(&p.overlap));
+            self.exclusives = match plan {
+                Some(p) => p.exclusives.clone(),
+                None => members
+                    .iter()
+                    .map(|(_, snap, ..)| Rc::clone(&snap.sliced))
+                    .collect(),
+            };
+            for adj in self.overlap.iter().chain(&self.exclusives) {
+                self.adj_dev.push(DeviceSliced::alloc(gpu, Rc::clone(adj))?);
+            }
+        }
+        for (global, snap, gpu_agg, cpu_agg_host, feats) in members {
+            let (features, cpu_agg) = match (&gpu_agg, cpu_agg_host) {
+                (Some(_), _) => (None, None),
+                (None, Some(a)) => {
+                    let dev = DeviceMatrix::alloc_labeled(gpu, a, "cpu_agg_upload")?;
+                    (None, Some(dev))
+                }
+                (None, None) => {
+                    let dev = DeviceMatrix::alloc_labeled(gpu, feats.clone_in(), "feature_upload")?;
+                    (Some(dev), None)
+                }
+            };
+            self.slots.push(SlotState {
+                global,
+                inv_deg: Rc::clone(&snap.norm.inv_deg),
+                features,
+                cpu_agg,
+                gpu_agg,
+            });
+        }
+        Ok(())
+    }
+
+    /// Release the adjacency allocations and unconsumed staging.
+    fn free(self, gpu: &mut Gpu) {
+        for a in self.adj_dev {
+            a.free(gpu);
+        }
+        for a in self.adj_dev_csr {
+            a.free(gpu);
+        }
+        for slot in self.slots {
+            if let Some(f) = slot.features {
+                f.release(gpu);
+            }
+            if let Some(c) = slot.cpu_agg {
+                c.release(gpu);
+            }
+        }
+    }
 }
 
 /// Configuration for staging a PiPAD frame.
@@ -165,96 +254,40 @@ impl<'r> PipadExecutor<'r> {
                     (None, None) => f.bytes(),
                 })
                 .sum();
+            let staged_bytes = adj_bytes + feat_bytes;
             let prep = SimNanos::from_nanos(gpu.cfg().host_op_fixed_ns)
-                + SimNanos::from_bytes(adj_bytes + feat_bytes, gpu.cfg().host_bytes_per_us);
+                + SimNanos::from_bytes(staged_bytes, gpu.cfg().host_bytes_per_us);
             let (_, host_end) = gpu.host_op("partition_prep", *host_cursor, prep);
             *host_cursor = host_end;
             gpu.stream_wait_host(copy, host_end);
 
-            // Transfers (pinned, copy stream).
-            let mut adj_dev = Vec::new();
-            let mut adj_dev_csr = Vec::new();
-            let mut csr_adjs: Vec<Rc<pipad_sparse::Csr>> = Vec::new();
-            let (overlap, exclusives) = if needs_adj && !opts.use_sliced {
-                // Figure 12 ablation: plain CSR per snapshot.
-                for (_, snap, ..) in &slots {
-                    let shared = Rc::clone(&snap.norm.adj_hat);
-                    adj_dev_csr.push(pipad_kernels::upload_csr_checked(
-                        gpu,
-                        copy,
-                        Rc::clone(&shared),
-                        true,
-                    )?);
-                    csr_adjs.push(shared);
-                }
-                (None, Vec::new())
-            } else if needs_adj {
-                match plan {
-                    Some(p) => {
-                        adj_dev.push(upload_sliced_checked(
-                            gpu,
-                            copy,
-                            Rc::clone(&p.overlap),
-                            true,
-                        )?);
-                        for e in &p.exclusives {
-                            adj_dev.push(upload_sliced_checked(gpu, copy, Rc::clone(e), true)?);
-                        }
-                        (Some(Rc::clone(&p.overlap)), p.exclusives.clone())
-                    }
-                    None => {
-                        // size == 1 (or no plan): ship each full sliced
-                        // adjacency; "overlap" degenerates to the first.
-                        let mut ex = Vec::new();
-                        for (_, snap, ..) in &slots {
-                            adj_dev.push(upload_sliced_checked(
-                                gpu,
-                                copy,
-                                Rc::clone(&snap.sliced),
-                                true,
-                            )?);
-                            ex.push(Rc::clone(&snap.sliced));
-                        }
-                        (None, ex)
-                    }
-                }
-            } else {
-                (None, Vec::new())
+            // Device buffers for what the host just assembled, then the one
+            // pinned copy that fills them (§4.1: the partition is the unit
+            // of transfer).
+            let mut part = PartitionState {
+                slots: Vec::with_capacity(size),
+                overlap: None,
+                exclusives: Vec::new(),
+                adj_dev: Vec::new(),
+                adj_dev_csr: Vec::new(),
+                csr_adjs: Vec::new(),
+                layer1_cached,
+                ready: gpu.record_event(copy),
             };
-
-            let mut staged_slots = Vec::with_capacity(size);
-            for (global, snap, gpu_agg, cpu_agg_host, feats) in slots {
-                let (features_dev, cpu_agg) = if gpu_agg.is_some() {
-                    (None, None)
-                } else if let Some(a) = cpu_agg_host {
-                    let dev = upload_matrix_checked(gpu, copy, &a, true, "cpu_agg_upload")?;
-                    a.recycle();
-                    (None, Some(dev))
-                } else {
-                    (
-                        Some(upload_matrix_checked(
-                            gpu,
-                            copy,
-                            feats,
-                            true,
-                            "feature_upload",
-                        )?),
-                        None,
-                    )
-                };
-                staged_slots.push(SlotState {
-                    global,
-                    inv_deg: Rc::clone(&snap.norm.inv_deg),
-                    features: features_dev,
-                    cpu_agg,
-                    gpu_agg,
-                });
+            let shipped = match part.alloc(gpu, plan, slots, needs_adj, opts.use_sliced) {
+                Ok(()) => upload_staged(gpu, copy, staged_bytes).map_err(DeviceFault::from),
+                Err(oom) => Err(oom.into()),
+            };
+            if let Err(fault) = shipped {
+                partitions.push(part);
+                partitions.into_iter().for_each(|p| p.free(gpu));
+                return Err(fault);
             }
-            let ready = gpu.record_event(copy);
+            part.ready = gpu.record_event(copy);
             gpu.trace_mut().instant(
                 "pipeline_stage",
                 Lane::Control,
-                ready.time(),
+                part.ready.time(),
                 vec![
                     ("stage", ArgValue::Str("staged".to_string())),
                     ("partition_start", ArgValue::U64(start as u64)),
@@ -262,16 +295,7 @@ impl<'r> PipadExecutor<'r> {
                     ("layer1_cached", ArgValue::Bool(layer1_cached)),
                 ],
             );
-            partitions.push(PartitionState {
-                slots: staged_slots,
-                overlap,
-                exclusives,
-                adj_dev,
-                adj_dev_csr,
-                csr_adjs,
-                layer1_cached,
-                ready,
-            });
+            partitions.push(part);
             offset += size;
         }
         Ok(PipadExecutor {
@@ -451,22 +475,7 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
 impl PipadExecutor<'_> {
     /// Release the frame's adjacency allocations and unconsumed staging.
     pub fn finish(self, gpu: &mut Gpu) {
-        for part in self.partitions {
-            for a in part.adj_dev {
-                a.free(gpu);
-            }
-            for a in part.adj_dev_csr {
-                a.free(gpu);
-            }
-            for slot in part.slots {
-                if let Some(f) = slot.features {
-                    f.release(gpu);
-                }
-                if let Some(c) = slot.cpu_agg {
-                    c.release(gpu);
-                }
-            }
-        }
+        self.partitions.into_iter().for_each(|p| p.free(gpu));
     }
 }
 
@@ -497,6 +506,98 @@ mod tests {
             inter_frame_reuse: false,
             use_sliced: true,
         }
+    }
+
+    /// `memcpy_h2d` spans recorded since `snap`.
+    fn h2d_copies(gpu: &Gpu, snap: pipad_gpu_sim::ProfSnapshot) -> usize {
+        let since = &gpu.profiler().samples()[snap.from..];
+        since.iter().filter(|s| s.name == "memcpy_h2d").count()
+    }
+
+    #[test]
+    fn a_partition_ships_as_one_copy_of_everything_it_staged() {
+        let (mut gpu, graph, analyzer, catalog) = setup();
+        let compute = gpu.default_stream();
+        let copy = gpu.create_stream();
+        let feats: Vec<&Matrix> = graph.snapshots[0..8].iter().map(|s| &s.features).collect();
+        let feat_bytes: u64 = feats.iter().map(|f| f.bytes()).sum();
+        // What a frame of 8 ships besides its features: overlap + exclusives
+        // per planned partition, every member's own adjacency otherwise.
+        let full = |csr: bool| -> u64 {
+            let adj = |s: &AnalyzedSnapshot| match csr {
+                true => s.norm.adj_hat.bytes(),
+                false => s.sliced.bytes(),
+            };
+            analyzer.snapshots()[0..8].iter().map(adj).sum::<u64>() + feat_bytes
+        };
+        let planned = |s_per: usize| -> u64 {
+            let starts = (0..8).step_by(s_per);
+            let adj = starts.map(|st| catalog.get(s_per, st).unwrap().adjacency_bytes);
+            adj.sum::<u64>() + feat_bytes
+        };
+        for (s_per, use_sliced, bytes) in [
+            (1, true, full(false)),
+            (4, true, planned(4)),
+            (8, true, planned(8)),
+            (4, false, full(true)),
+        ] {
+            let snap = gpu.profiler().snapshot();
+            let mut host = SimNanos::ZERO;
+            let o = ExecOptions {
+                use_sliced,
+                ..opts(s_per)
+            };
+            let exec = PipadExecutor::stage(
+                &mut gpu, &analyzer, &catalog, &feats, 0, o, None, compute, copy, &mut host,
+            )
+            .unwrap();
+            let what = format!("S_per {s_per}, sliced {use_sliced}");
+            assert_eq!(h2d_copies(&gpu, snap), 8 / s_per, "{what}");
+            assert_eq!(gpu.profiler().window(snap).h2d_bytes, bytes, "{what}");
+            exec.finish(&mut gpu);
+        }
+    }
+
+    #[test]
+    fn a_copy_that_fails_for_good_takes_the_staged_frame_with_it() {
+        use pipad_gpu_sim::{FaultPlan, TransferFault};
+        let (mut gpu, graph, analyzer, catalog) = setup();
+        let compute = gpu.default_stream();
+        let copy = gpu.create_stream();
+        let feats: Vec<&Matrix> = graph.snapshots[0..8].iter().map(|s| &s.features).collect();
+        // The second partition's copy never succeeds: by then the first
+        // partition is staged and the second's buffers are allocated.
+        let op = gpu.op_counters().copy_ops + 1;
+        gpu.install_faults(FaultPlan {
+            transfer_faults: vec![TransferFault {
+                op,
+                failures: u32::MAX,
+            }],
+            max_transfer_retries: 2,
+            ..FaultPlan::default()
+        });
+        let (live, in_use) = (gpu.mem().live_buffers(), gpu.mem().in_use());
+        let mut host = SimNanos::ZERO;
+        let staged = PipadExecutor::stage(
+            &mut gpu,
+            &analyzer,
+            &catalog,
+            &feats,
+            0,
+            opts(4),
+            None,
+            compute,
+            copy,
+            &mut host,
+        );
+        match staged.err().expect("the copy fails for good") {
+            DeviceFault::Transfer(t) => assert_eq!((t.op_index, t.attempts), (op, 3)),
+            other => panic!("expected a transfer fault, got {other:?}"),
+        }
+        assert_eq!(
+            (gpu.mem().live_buffers(), gpu.mem().in_use()),
+            (live, in_use)
+        );
     }
 
     #[test]
@@ -650,9 +751,11 @@ mod tests {
             .filter(|s| s.name.starts_with("spmm"))
             .count();
         assert_eq!(spmm_launches, 0, "fully cached frame must skip aggregation");
-        // only the two CPU-tier results crossed PCIe
+        // only the two CPU-tier results crossed PCIe, in their partition's
+        // one copy; the GPU-resident partition shipped nothing at all
         let expect_bytes: u64 = first_vals[2].bytes() + first_vals[3].bytes();
         assert_eq!(w.h2d_bytes, expect_bytes);
+        assert_eq!(h2d_copies(&gpu, snap), 1);
         tape.finish(&mut gpu);
         exec.finish(&mut gpu);
         reuse.gpu_cache.clear(&mut gpu);

@@ -45,10 +45,13 @@
 //! re-aggregating (and, for input-only-aggregation models, move no input
 //! halo at all).
 //!
-//! Preparing epochs launch eagerly and join every lane per frame. Steady
-//! epochs run on the single-device trainer's engine: a shard's forward +
-//! sweep 1, its sweep 2 and a device's optimiser step are CUDA-graph
-//! replays, and the loader stages frame f+1 under frame f (DESIGN §3.15).
+//! Preparing epochs launch eagerly, stage slot by slot and join every lane
+//! per frame. Steady epochs run on the single-device trainer's engine: a
+//! shard's forward + sweep 1, its sweep 2 and a device's optimiser step are
+//! CUDA-graph replays, the loader stages frame f+1 under frame f, and a
+//! shard-frame is staged in partitions of [`S_PER_OPTIONS`] slots — one
+//! host assembly and one copy each — sized by the tuner's memory bound
+//! (DESIGN §3.15).
 
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
@@ -56,7 +59,7 @@ use pipad_gpu_sim::{
     export_chrome_trace, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError,
     SimNanos, StreamId, TraceKind,
 };
-use pipad_kernels::{upload_matrix, upload_sliced, DeviceMatrix};
+use pipad_kernels::DeviceMatrix;
 use pipad_models::{
     build_model, normalize_snapshot, EpochReport, GnnExecutor, HostAllocStats, ModelKind,
     TrainingConfig,
@@ -68,7 +71,9 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+use crate::prep::S_PER_OPTIONS;
 use crate::reuse::{shard_key, CpuAggStore};
+use crate::tuner::DynamicTuner;
 
 /// Device↔device bandwidth, bytes/µs (NVLink-class: 40 GB/s).
 const P2P_BYTES_PER_US: u64 = 40_000;
@@ -327,6 +332,15 @@ fn replay<R>(gpu: &mut Gpu, stream: StreamId, steady: bool, f: impl FnOnce(&mut 
     }
 }
 
+/// Snapshots per staged partition of a steady shard-frame on `gpu`: the
+/// largest candidate that fits the window and the tuner's memory bound, read
+/// off the peak the device reached staging slot by slot.
+fn steady_partition(gpu: &Gpu, window: usize) -> usize {
+    let bound = DynamicTuner::memory_bound(gpu.mem().headroom(), gpu.mem().peak());
+    let fits = |s: &usize| *s <= window.min(bound);
+    S_PER_OPTIONS.iter().rev().copied().find(fits).unwrap_or(1)
+}
+
 /// Join every lane of every device, no earlier than the loader lanes.
 fn join_all(gpus: &mut [Gpu], host_cursors: &[SimNanos]) -> SimNanos {
     let devices = gpus.iter_mut().map(|g| g.synchronize());
@@ -476,12 +490,21 @@ pub fn train_data_parallel_devices(
     let preparing = cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1));
     let (mut steady_t0, mut t_end) = (SimNanos::ZERO, SimNanos::ZERO);
     let mut steady_snaps: Vec<_> = gpus.iter().map(|g| g.profiler().snapshot()).collect();
+    // Per device, slots per staged partition in steady epochs.
+    let mut s_per = vec![1; parts];
 
     for epoch in 0..cfg.epochs {
         let steady = epoch >= preparing;
         let t0 = join_all(&mut gpus, &host_cursors);
         let alloc0 = HostAllocStats::capture();
+        if epoch + 1 == preparing {
+            // The last preparing epoch is each device's one-slot profile.
+            gpus.iter_mut().for_each(Gpu::reset_peak_mem);
+        }
         if epoch == preparing {
+            for (size, g) in s_per.iter_mut().zip(&gpus) {
+                *size = steady_partition(g, cfg.window);
+            }
             steady_t0 = t0;
             halo_bytes_epoch = 0;
             allreduce_bytes_epoch = 0;
@@ -546,25 +569,40 @@ pub fn train_data_parallel_devices(
                 }
                 let mut slots = Vec::with_capacity(nslots);
                 let mut hplans = Vec::new();
+                // Staging is partition-grained, as `PipadExecutor::stage`'s:
+                // one host assembly and one pinned copy for everything a
+                // partition's slots ship — a cached aggregation block each,
+                // or the local adjacency slice and feature rows. Preparing
+                // epochs stage slot by slot.
+                let size = if steady { s_per[p] } else { 1 };
+                let slot_bytes = |i: usize| {
+                    let g_idx = frame.global_index(i);
+                    match store.get(shard_key(g_idx, s, shards)) {
+                        Some(block) => block.bytes(),
+                        None => {
+                            let local_feats = ((hi - lo) * feat_dim * 4) as u64;
+                            shard_norms[s][g_idx].sliced.bytes() + local_feats
+                        }
+                    }
+                };
                 for i in 0..nslots {
                     let g_idx = frame.global_index(i);
                     let sn = &shard_norms[s][g_idx];
-                    let prep = SimNanos::from_nanos(gpu.cfg().host_op_fixed_ns);
-                    let (_, he) = gpu.host_op("mgpu_prep", host_cursors[p], prep);
-                    host_cursors[p] = he;
-                    gpu.stream_wait_host(copy, he);
+                    if i % size == 0 {
+                        let bytes = (i..nslots.min(i + size)).map(slot_bytes).sum();
+                        let prep = SimNanos::from_nanos(gpu.cfg().host_op_fixed_ns)
+                            + SimNanos::from_bytes(bytes, gpu.cfg().host_bytes_per_us);
+                        let (_, he) = gpu.host_op("mgpu_prep", host_cursors[p], prep);
+                        host_cursors[p] = he;
+                        gpu.stream_wait_host(copy, he);
+                        let staging = gpu.alloc_labeled(bytes, "mgpu_staging")?;
+                        gpu.h2d(copy, bytes, true);
+                        gpu.free(staging);
+                    }
                     let key = shard_key(g_idx, s, shards);
-                    let agg = if store.contains(key) {
-                        // cached normalized block arrives over PCIe
-                        let block = store.get(key).unwrap().clone_in();
-                        upload_matrix(gpu, copy, &block, true)?.release(gpu);
-                        AggSource::Cached(Some(block))
+                    let agg = if let Some(block) = store.get(key) {
+                        AggSource::Cached(Some(block.clone_in()))
                     } else {
-                        let d = upload_sliced(gpu, copy, Rc::clone(&sn.sliced), true)?;
-                        d.free(gpu);
-                        let local_feats = graph.snapshots[g_idx].features.slice_rows(lo, hi);
-                        upload_matrix(gpu, copy, &local_feats, true)?.release(gpu);
-                        local_feats.recycle();
                         // halo feature rows arrive over the P2P link
                         let bytes = sn.halo_cols * feat_dim as u64 * 4;
                         if bytes > 0 {
@@ -677,15 +715,12 @@ pub fn train_data_parallel_devices(
                         for src in (0..shards).filter(|&src| src != q) {
                             let leaves = &execs[src].as_ref().unwrap().halo_leaves[q];
                             if let Some(&(_, leaf)) = leaves.iter().find(|&&(slot, _)| slot == i) {
-                                if let Some(g) = tapes[src].grad(leaf) {
+                                let summed = tapes[src].with_grad(leaf, |g| match seed.as_mut() {
+                                    None => seed = Some(g.clone_in()),
+                                    Some(acc) => acc.add_assign(g),
+                                });
+                                if summed.is_some() {
                                     produced = produced.max(swept[src]);
-                                    match seed.as_mut() {
-                                        None => seed = Some(g),
-                                        Some(acc) => {
-                                            acc.add_assign(&g);
-                                            g.recycle();
-                                        }
-                                    }
                                 }
                             }
                         }
@@ -720,17 +755,12 @@ pub fn train_data_parallel_devices(
             let mut summed: HashMap<String, Matrix> = HashMap::new();
             for s in 0..shards {
                 for b in binders[s].bindings() {
-                    if let Some(g) = tapes[s].grad(b.var) {
-                        match summed.entry(b.param.name.clone()) {
-                            Entry::Occupied(mut e) => {
-                                e.get_mut().add_assign(&g);
-                                g.recycle();
-                            }
-                            Entry::Vacant(e) => {
-                                e.insert(g);
-                            }
+                    tapes[s].with_grad(b.var, |g| match summed.entry(b.param.name.clone()) {
+                        Entry::Occupied(mut e) => e.get_mut().add_assign(g),
+                        Entry::Vacant(e) => {
+                            e.insert(g.clone_in());
                         }
-                    }
+                    });
                 }
             }
 
@@ -858,7 +888,7 @@ pub fn train_data_parallel_devices(
         allreduce_time_per_epoch: SimNanos::from_nanos(
             allreduce_time_total.as_nanos() / steady_epochs as u64,
         ),
-        per_device_peak: gpus.iter().map(|g| g.mem().peak()).collect(),
+        per_device_peak: gpus.iter().map(|g| g.mem().peak_ever()).collect(),
         per_device_sm_util: gpus
             .iter()
             .zip(steady_snaps)
@@ -889,6 +919,20 @@ mod tests {
                 seed: 5,
             },
         )
+    }
+
+    #[test]
+    fn steady_partitions_fit_the_window_and_the_memory_bound() {
+        let mut gpu = Gpu::new(DeviceConfig::with_capacity(1000));
+        let slot = gpu.alloc(200).unwrap();
+        gpu.free(slot);
+        // 1000 free over a peak of 200: five slots fit, so four at a time.
+        assert_eq!(steady_partition(&gpu, 16), 4);
+        assert_eq!(steady_partition(&gpu, 2), 2);
+        assert_eq!(steady_partition(&gpu, 1), 1);
+        let slot = gpu.alloc(600).unwrap();
+        gpu.free(slot);
+        assert_eq!(steady_partition(&gpu, 16), 1, "one peak fits, two do not");
     }
 
     #[test]

@@ -138,6 +138,13 @@ impl DynamicTuner {
         }
     }
 
+    /// Factor (1), the memory bound `U` on `S_per`: an N-snapshot peak is at
+    /// most N × the one-snapshot peak, so N is capped at the free capacity
+    /// over that peak.
+    pub fn memory_bound(capacity_budget: u64, peak_one_snapshot: u64) -> usize {
+        ((capacity_budget / peak_one_snapshot.max(1)) as usize).max(1)
+    }
+
     /// Decide `S_per` for the frame starting at `frame_start`.
     pub fn decide(
         &self,
@@ -146,10 +153,7 @@ impl DynamicTuner {
         frame_start: usize,
         window: usize,
     ) -> SperDecision {
-        // (1) memory bound: N-snapshot peak ≤ N × one-snapshot peak, so
-        // cap N at capacity / one-snapshot peak.
-        let peak = profile.peak_mem_one_snapshot.max(1);
-        let memory_bound = ((self.capacity_budget / peak) as usize).max(1);
+        let memory_bound = Self::memory_bound(self.capacity_budget, profile.peak_mem_one_snapshot);
 
         let mut best = SperDecision {
             s_per: 1,

@@ -55,6 +55,22 @@ pub(crate) fn streaming_cost_flops(
         .uniform_blocks(blocks as usize, ELEMS_PER_BLOCK)
 }
 
+/// Elements an accumulate operand adds to its producer's reads (and adds).
+pub(crate) fn acc_elems(acc: Option<&DeviceMatrix>) -> u64 {
+    acc.map_or(0, |m| m.host().len() as u64)
+}
+
+/// The accumulate epilogue of a gradient producer (`D = acc + A·B`, cuBLAS
+/// β = 1): `acc` meets the finished `product` in the same two-operand
+/// `f32` add an [`add`] launch over the pair performs, so the bits are
+/// that pair's; `acc` itself is only read.
+pub(crate) fn fold_acc(mut product: Matrix, acc: Option<&DeviceMatrix>) -> Matrix {
+    if let Some(acc) = acc {
+        product.add_assign(acc.host());
+    }
+    product
+}
+
 fn unary(
     gpu: &mut Gpu,
     stream: StreamId,
@@ -94,15 +110,22 @@ pub fn add(
     binary(gpu, stream, "add", category, a, b, |x, y| x + y)
 }
 
-/// Elementwise product.
+/// Elementwise product, plus `acc` when given (read-only, see
+/// [`crate::gemm_tn_device`]): one more operand read and one more flop
+/// per element in the same launch.
 pub fn hadamard(
     gpu: &mut Gpu,
     stream: StreamId,
     a: &DeviceMatrix,
     b: &DeviceMatrix,
+    acc: Option<&DeviceMatrix>,
     category: KernelCategory,
 ) -> Result<DeviceMatrix, OomError> {
-    binary(gpu, stream, "hadamard", category, a, b, |x, y| x * y)
+    let (n, n_acc) = (a.host().len() as u64, acc_elems(acc));
+    let cost = streaming_cost_flops("hadamard", category, 2 * n + n_acc, n, n + n_acc);
+    gpu.launch(stream, cost);
+    let product = a.host().zip(b.host(), |x, y| x * y);
+    DeviceMatrix::alloc(gpu, fold_acc(product, acc))
 }
 
 /// `a * s` for a scalar.
@@ -467,20 +490,21 @@ pub fn gather(
 }
 
 /// Column-wise sum reduction into a `1 × cols` row vector — the bias
-/// gradient (`Σ_rows dY`).
+/// gradient (`Σ_rows dY`) — plus the `1 × cols` `acc` when given
+/// (read-only, see [`crate::gemm_tn_device`]).
 pub fn col_sums(
     gpu: &mut Gpu,
     stream: StreamId,
     x: &DeviceMatrix,
+    acc: Option<&DeviceMatrix>,
     category: KernelCategory,
 ) -> Result<DeviceMatrix, OomError> {
-    let n = x.host().len() as u64;
-    gpu.launch(
-        stream,
-        streaming_cost("col_sums", category, n, x.cols() as u64, 1),
-    );
+    let (n, cols, n_acc) = (x.host().len() as u64, x.cols() as u64, acc_elems(acc));
+    let cost = streaming_cost_flops("col_sums", category, n + n_acc, cols, cols + n_acc);
+    gpu.launch(stream, cost);
     let sums = x.host().col_sums();
-    DeviceMatrix::alloc(gpu, Matrix::from_vec(1, sums.len(), sums))
+    let sums = Matrix::from_vec(1, sums.len(), sums);
+    DeviceMatrix::alloc(gpu, fold_acc(sums, acc))
 }
 
 /// Mean-squared-error loss (scalar) between prediction and target.
@@ -585,7 +609,7 @@ mod tests {
             20.0
         );
         assert_eq!(
-            hadamard(&mut g, s, &a, &b, KernelCategory::Elementwise)
+            hadamard(&mut g, s, &a, &b, None, KernelCategory::Elementwise)
                 .unwrap()
                 .host()
                 .sum(),

@@ -2,6 +2,7 @@
 //! reuse for the parallel update phase (§4.2).
 
 use crate::device_data::DeviceMatrix;
+use crate::elementwise::{acc_elems, fold_acc};
 use pipad_gpu_sim::{Gpu, KernelCategory, KernelCost, OomError, StreamId};
 use pipad_tensor::{gemm, gemm_nt, gemm_tn};
 
@@ -15,19 +16,21 @@ fn gemm_cost(
     k: u64,
     n: u64,
     weight_loads: u64,
+    acc_elems: u64,
 ) -> KernelCost {
     // Tiled GEMM: A re-read once per output column tile; B (the weight)
     // re-read `weight_loads` times in total (1 after reuse, per-row-tile
-    // otherwise). Output written once.
+    // otherwise). Output written once. An accumulate operand (β = 1) is
+    // read once and costs one add per element on the way out.
     let a_elems = m * k * n.div_ceil(TILE).max(1);
     let b_elems = k * n * weight_loads;
     let out_elems = m * n;
-    let bytes = 4 * (a_elems + b_elems + out_elems);
+    let bytes = 4 * (a_elems + b_elems + out_elems + acc_elems);
     let transactions = bytes.div_ceil(32);
     let requests = bytes.div_ceil(128);
     let blocks = (m.div_ceil(TILE) * n.div_ceil(TILE)).max(1);
     KernelCost::new(name, category)
-        .flops(2 * m * k * n)
+        .flops(2 * m * k * n + acc_elems)
         .gmem(requests, transactions)
         .smem(2 * a_elems.min(b_elems.max(1)))
         .uniform_blocks(blocks as usize, k.max(1))
@@ -44,39 +47,45 @@ pub fn gemm_device(
 ) -> Result<DeviceMatrix, OomError> {
     let (m, k) = (a.rows() as u64, a.cols() as u64);
     let n = b.cols() as u64;
-    let cost = gemm_cost("gemm", category, m, k, n, m.div_ceil(TILE).max(1));
+    let cost = gemm_cost("gemm", category, m, k, n, m.div_ceil(TILE).max(1), 0);
     gpu.launch(stream, cost);
     DeviceMatrix::alloc(gpu, gemm(a.host(), b.host()))
 }
 
-/// `C = Aᵀ × B` (weight gradients in backward).
+/// `C = Aᵀ × B (+ acc)` (weight gradients in backward). `acc` is the
+/// cuBLAS β = 1 operand: read, never written — the sum is a new buffer.
 pub fn gemm_tn_device(
     gpu: &mut Gpu,
     stream: StreamId,
     a: &DeviceMatrix,
     b: &DeviceMatrix,
+    acc: Option<&DeviceMatrix>,
     category: KernelCategory,
 ) -> Result<DeviceMatrix, OomError> {
     let (k, m) = (a.rows() as u64, a.cols() as u64);
     let n = b.cols() as u64;
-    let cost = gemm_cost("gemm_tn", category, m, k, n, m.div_ceil(TILE).max(1));
+    let loads = m.div_ceil(TILE).max(1);
+    let cost = gemm_cost("gemm_tn", category, m, k, n, loads, acc_elems(acc));
     gpu.launch(stream, cost);
-    DeviceMatrix::alloc(gpu, gemm_tn(a.host(), b.host()))
+    DeviceMatrix::alloc(gpu, fold_acc(gemm_tn(a.host(), b.host()), acc))
 }
 
-/// `C = A × Bᵀ` (input gradients in backward).
+/// `C = A × Bᵀ (+ acc)` (input gradients in backward); `acc` as in
+/// [`gemm_tn_device`].
 pub fn gemm_nt_device(
     gpu: &mut Gpu,
     stream: StreamId,
     a: &DeviceMatrix,
     b: &DeviceMatrix,
+    acc: Option<&DeviceMatrix>,
     category: KernelCategory,
 ) -> Result<DeviceMatrix, OomError> {
     let (m, k) = (a.rows() as u64, a.cols() as u64);
     let n = b.rows() as u64;
-    let cost = gemm_cost("gemm_nt", category, m, k, n, m.div_ceil(TILE).max(1));
+    let loads = m.div_ceil(TILE).max(1);
+    let cost = gemm_cost("gemm_nt", category, m, k, n, loads, acc_elems(acc));
     gpu.launch(stream, cost);
-    DeviceMatrix::alloc(gpu, gemm_nt(a.host(), b.host()))
+    DeviceMatrix::alloc(gpu, fold_acc(gemm_nt(a.host(), b.host()), acc))
 }
 
 /// `C = A × B` with the weight `B` kept resident in shared memory across
@@ -94,7 +103,7 @@ pub fn gemm_device_weight_resident(
 ) -> Result<DeviceMatrix, OomError> {
     let (m, k) = (a.rows() as u64, a.cols() as u64);
     let n = b.cols() as u64;
-    let cost = gemm_cost("gemm_weight_resident", category, m, k, n, 1);
+    let cost = gemm_cost("gemm_weight_resident", category, m, k, n, 1, 0);
     gpu.launch(stream, cost);
     DeviceMatrix::alloc(gpu, gemm(a.host(), b.host()))
 }
@@ -123,11 +132,11 @@ mod tests {
         assert!(c.host().approx_eq(&gemm(&a, &b), 1e-4));
 
         let at = upload_matrix(&mut g, s, &a.transpose(), true).unwrap();
-        let c2 = gemm_tn_device(&mut g, s, &at, &db, KernelCategory::Update).unwrap();
+        let c2 = gemm_tn_device(&mut g, s, &at, &db, None, KernelCategory::Update).unwrap();
         assert!(c2.host().approx_eq(&gemm(&a, &b), 1e-4));
 
         let bt = upload_matrix(&mut g, s, &b.transpose(), true).unwrap();
-        let c3 = gemm_nt_device(&mut g, s, &da, &bt, KernelCategory::Update).unwrap();
+        let c3 = gemm_nt_device(&mut g, s, &da, &bt, None, KernelCategory::Update).unwrap();
         assert!(c3.host().approx_eq(&gemm(&a, &b), 1e-4));
     }
 

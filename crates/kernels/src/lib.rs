@@ -46,6 +46,6 @@ pub use spmm::{
     pipad_access_plan, spmm_coo_scatter, spmm_gespmm, spmm_sliced_parallel, PipadAccessPlan,
 };
 pub use transfer::{
-    download_matrix, upload_coo, upload_csr, upload_csr_checked, upload_csr_with_csc,
-    upload_matrix, upload_matrix_checked, upload_sliced, upload_sliced_checked,
+    download_matrix, upload_coo, upload_csr, upload_csr_with_csc, upload_matrix, upload_sliced,
+    upload_staged,
 };

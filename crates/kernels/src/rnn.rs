@@ -510,11 +510,23 @@ mod tests {
 
     use super::*;
     use crate::elementwise::{
-        add, add_bias, hadamard, scale, sigmoid, sigmoid_grad_from_out, slice_cols, tanh_act,
+        add, add_bias, scale, sigmoid, sigmoid_grad_from_out, slice_cols, tanh_act,
         tanh_grad_from_out,
     };
     use pipad_gpu_sim::DeviceConfig;
     use pipad_tensor::{seeded_rng, uniform};
+
+    /// The plain product (no accumulate operand), shaped like the other
+    /// binary one-op kernels.
+    fn hadamard(
+        gpu: &mut Gpu,
+        s: StreamId,
+        a: &DeviceMatrix,
+        b: &DeviceMatrix,
+        cat: KernelCategory,
+    ) -> Result<DeviceMatrix, OomError> {
+        crate::elementwise::hadamard(gpu, s, a, b, None, cat)
+    }
 
     const RNN: KernelCategory = KernelCategory::Rnn;
     /// `(rows, hidden)` the workloads issue, plus the degenerate one.

@@ -1,38 +1,42 @@
 //! PCIe uploads/downloads: allocate device memory and charge the copy on
 //! the simulated H2D/D2H engines.
 //!
-//! The `*_checked` variants are the fault-aware path: they address the
-//! copy through a logical op index (`Gpu::next_copy_op`), retry injected
-//! transient failures with deterministic exponential backoff
-//! ([`pipad_pool::Backoff`]) up to the device's retry budget, and roll the
-//! allocation back when the budget is exhausted. The plain variants keep
-//! their infallible-copy semantics (and `OomError`-only signatures) for
-//! callers outside the recovery ladder.
+//! The `upload_*` functions allocate one structure and charge one
+//! infallible copy for it (`OomError`-only signatures), for callers outside
+//! the recovery ladder. [`upload_staged`] is the fault-aware path: the
+//! caller allocates, the copy is addressed through a logical op index
+//! (`Gpu::next_copy_op`) and retries injected transient failures with
+//! deterministic exponential backoff ([`pipad_pool::Backoff`]) up to the
+//! device's retry budget.
 
 use crate::device_data::{DeviceCsr, DeviceMatrix, DeviceSliced};
-use pipad_gpu_sim::{DeviceFault, Gpu, OomError, StreamId, TransferDir, TransferError};
+use pipad_gpu_sim::{Gpu, OomError, StreamId, TransferDir, TransferError};
 use pipad_pool::Backoff;
 use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
 use std::rc::Rc;
 
-/// One logical copy with bounded retry: each attempt occupies the copy
-/// engine; injected failures back the stream off and try again, sharing
-/// the same logical op index so a fault plan's per-op failure budget can
-/// be exhausted. Fails only past `Gpu::transfer_retry_budget` retries.
-fn checked_copy(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    bytes: u64,
-    pinned: bool,
-    dir: TransferDir,
-) -> Result<(), TransferError> {
+/// Ship `bytes` the host has assembled into one pinned staging buffer —
+/// a partition's adjacency and features back to back — as **one** logical
+/// H2D copy into device buffers the caller has already allocated: one
+/// `pcie_latency_ns`, however many structures the buffer holds. Nothing to
+/// ship is no copy at all.
+///
+/// Each attempt occupies the copy engine; injected failures back the
+/// stream off and try again, sharing the same logical op index so a fault
+/// plan's per-op failure budget can be exhausted. Fails only past
+/// `Gpu::transfer_retry_budget` retries, and then the caller owes the
+/// device its allocations back.
+pub fn upload_staged(gpu: &mut Gpu, stream: StreamId, bytes: u64) -> Result<(), TransferError> {
+    if bytes == 0 {
+        return Ok(());
+    }
     let op = gpu.next_copy_op();
     let budget = gpu.transfer_retry_budget();
     let mut backoff = Backoff::new(gpu.transfer_backoff_ns());
     let mut attempt = 0u32;
     loop {
-        match gpu.try_copy(op, stream, bytes, pinned, dir) {
+        match gpu.try_copy(op, stream, bytes, true, TransferDir::H2D) {
             Ok(_) => return Ok(()),
             Err(mut e) => {
                 if attempt >= budget {
@@ -114,55 +118,6 @@ pub fn upload_sliced(
     Ok(d)
 }
 
-/// Fault-aware [`upload_matrix`]: labeled allocation, logical-op copy with
-/// bounded retry, allocation rolled back if the copy fails for good.
-pub fn upload_matrix_checked(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    m: &Matrix,
-    pinned: bool,
-    label: &'static str,
-) -> Result<DeviceMatrix, DeviceFault> {
-    let dm = DeviceMatrix::alloc_labeled(gpu, m.clone_in(), label)?;
-    if let Err(e) = checked_copy(gpu, stream, m.bytes(), pinned, TransferDir::H2D) {
-        dm.free(gpu);
-        return Err(DeviceFault::Transfer(e));
-    }
-    Ok(dm)
-}
-
-/// Fault-aware [`upload_csr`].
-pub fn upload_csr_checked(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    csr: Rc<Csr>,
-    pinned: bool,
-) -> Result<DeviceCsr, DeviceFault> {
-    let bytes = csr.bytes();
-    let d = DeviceCsr::alloc(gpu, csr, false)?;
-    if let Err(e) = checked_copy(gpu, stream, bytes, pinned, TransferDir::H2D) {
-        d.free(gpu);
-        return Err(DeviceFault::Transfer(e));
-    }
-    Ok(d)
-}
-
-/// Fault-aware [`upload_sliced`].
-pub fn upload_sliced_checked(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    sliced: Rc<SlicedCsr>,
-    pinned: bool,
-) -> Result<DeviceSliced, DeviceFault> {
-    let bytes = sliced.bytes();
-    let d = DeviceSliced::alloc(gpu, sliced)?;
-    if let Err(e) = checked_copy(gpu, stream, bytes, pinned, TransferDir::H2D) {
-        d.free(gpu);
-        return Err(DeviceFault::Transfer(e));
-    }
-    Ok(d)
-}
-
 /// Download a device matrix to the host (frees nothing).
 pub fn download_matrix(gpu: &mut Gpu, stream: StreamId, m: &DeviceMatrix, pinned: bool) -> Matrix {
     gpu.d2h(stream, m.bytes(), pinned);
@@ -238,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_upload_retries_transient_failures_to_success() {
+    fn staged_upload_retries_transient_failures_to_success() {
         use pipad_gpu_sim::{FaultPlan, TransferFault};
         let mut g = gpu();
         g.install_faults(FaultPlan {
@@ -246,11 +201,11 @@ mod tests {
             ..FaultPlan::default()
         });
         let s = g.default_stream();
-        let m = Matrix::zeros(8, 8);
-        let dm = upload_matrix_checked(&mut g, s, &m, true, "feature_frame").unwrap();
-        // 3 attempts on the bus (2 failed + 1 good) plus 2 backoff spans.
+        upload_staged(&mut g, s, 256).unwrap();
+        // 3 attempts on the bus (2 failed + 1 good) plus 2 backoff spans,
+        // all on logical op 0: the next copy is op 1.
         assert_eq!(g.fault_stats().transfer_injected, 2);
-        assert_eq!(g.profiler().full().h2d_bytes, 3 * m.bytes());
+        assert_eq!(g.profiler().full().h2d_bytes, 3 * 256);
         let backoffs = g
             .trace()
             .events()
@@ -258,12 +213,12 @@ mod tests {
             .filter(|e| e.name == "transfer_backoff")
             .count();
         assert_eq!(backoffs, 2);
-        dm.free(&mut g);
+        assert_eq!(g.next_copy_op(), 1);
     }
 
     #[test]
-    fn checked_upload_rolls_back_when_budget_exhausted() {
-        use pipad_gpu_sim::{DeviceFault, FaultPlan, TransferFault};
+    fn staged_upload_gives_up_past_the_retry_budget() {
+        use pipad_gpu_sim::{FaultPlan, TransferFault};
         let mut g = gpu();
         g.install_faults(FaultPlan {
             transfer_faults: vec![TransferFault {
@@ -274,27 +229,25 @@ mod tests {
             ..FaultPlan::default()
         });
         let s = g.default_stream();
-        let err = upload_matrix_checked(&mut g, s, &Matrix::zeros(8, 8), true, "x").unwrap_err();
-        match err {
-            DeviceFault::Transfer(t) => assert_eq!(t.attempts, 3, "1 try + 2 retries"),
-            other => panic!("expected transfer fault, got {other:?}"),
-        }
-        assert_eq!(g.mem().in_use(), 0, "allocation rolled back");
+        let err = upload_staged(&mut g, s, 256).unwrap_err();
+        assert_eq!(err.attempts, 3, "1 try + 2 retries");
+        assert_eq!((err.op_index, err.bytes), (0, 256));
     }
 
     #[test]
-    fn checked_upload_matches_plain_when_no_faults() {
+    fn staged_upload_is_one_plain_copy_when_no_faults_and_none_when_empty() {
         let m = Matrix::full(16, 4, 1.5);
         let mut g1 = gpu();
         let s1 = g1.default_stream();
         let d1 = upload_matrix(&mut g1, s1, &m, true).unwrap();
         let mut g2 = gpu();
         let s2 = g2.default_stream();
-        let d2 = upload_matrix_checked(&mut g2, s2, &m, true, "device_matrix").unwrap();
+        upload_staged(&mut g2, s2, m.bytes()).unwrap();
         assert_eq!(g1.now(), g2.now(), "identical timeline without faults");
-        assert_eq!(d1.host().as_slice(), d2.host().as_slice());
+        upload_staged(&mut g2, s2, 0).unwrap();
+        assert_eq!(g1.now(), g2.now(), "nothing to ship, nothing shipped");
+        assert_eq!(g2.next_copy_op(), 1, "and no logical op spent on it");
         d1.free(&mut g1);
-        d2.free(&mut g2);
     }
 
     #[test]

@@ -110,10 +110,7 @@ impl Binder {
     /// Apply one SGD step per bound parameter from the tape's gradients.
     pub fn apply_sgd(&self, gpu: &mut Gpu, stream: StreamId, tape: &Tape, lr: f32) {
         for b in &self.bindings {
-            if let Some(g) = tape.grad(b.var) {
-                b.param.sgd_step(gpu, stream, &g, lr);
-                g.recycle();
-            }
+            tape.with_grad(b.var, |g| b.param.sgd_step(gpu, stream, g, lr));
         }
     }
 }

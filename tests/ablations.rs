@@ -147,10 +147,15 @@ fn larger_partitions_reduce_aggregation_traffic() {
 fn parallelism_carries_weight() {
     // The title mechanism, on Ablation C's own cell (`repro ablation`:
     // MPNN-LSTM on Epinions, tiny, the harness's training config): forcing
-    // one snapshot per partition must cost at least 1 % of the steady epoch
-    // against the tuner's choice. It read 0.997x while the per-snapshot
-    // views PiPAD's coalescent results are handed back through cost a
-    // parent-sized `add` each in backward.
+    // one snapshot per partition must cost at least 10 % of the steady
+    // epoch against the tuner's choice. Its weight is the copy lane's
+    // per-partition cost: a partition is one host assembly and one PCIe
+    // copy, so sixteen partitions of one pay sixteen of each where two
+    // partitions of eight pay two. (It read 0.997x while the per-snapshot
+    // views cost a parent-sized `add` each in backward, 1.035x once they
+    // did not, and 0.992x in the prototype with the backward `add`s gone but
+    // a copy per shipped structure — 9 + 8 for a partition of eight where
+    // eight partitions of one ship 16.)
     let id = DatasetId::Epinions;
     let g = id.gen_config(Scale::Tiny).generate();
     let cfg = TrainingConfig {
@@ -179,7 +184,7 @@ fn parallelism_carries_weight() {
     });
     let slowdown = tuned.speedup_over(&one_by_one);
     assert!(
-        slowdown >= 1.01,
+        slowdown >= 1.10,
         "S_per = 1 {} vs tuned {}: {slowdown:.3}x",
         one_by_one.steady_epoch_time,
         tuned.steady_epoch_time

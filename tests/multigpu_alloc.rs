@@ -2,7 +2,8 @@
 //! steady-state epochs must stay on the buffer-pool hot path just like the
 //! single-GPU pipeline — halo blocks, capture snapshots, gradient sums and
 //! staging temporaries all recycle through the pool, so pool misses drop
-//! by ≥95% once the preparing epochs have warmed it.
+//! by ≥95% once the preparing epochs have warmed it, and total heap
+//! allocator calls per steady epoch stay under a pinned ceiling.
 //!
 //! This file holds exactly one test: heap counters are process-global,
 //! so the binary must not run unrelated tests concurrently.
@@ -28,7 +29,15 @@ fn multi_gpu_steady_epochs_stay_on_the_pool_hot_path() {
     // MPNN-LSTM exercises the full halo-exchange machinery (capture pass,
     // peer-block slicing, two-sweep backward) — the paths most likely to
     // leak un-pooled allocations.
-    for model in [ModelKind::TGcn, ModelKind::MpnnLstm] {
+    //
+    // Ceilings: 73 436 and 129 428 heap allocator calls per steady epoch
+    // observed (dev and `--release`; 99 015 and 152 989 with an `add` per
+    // second gradient contribution, a prep and a copy or two per slot, and
+    // a gradient clone per parameter per shard).
+    for (model, steady_heap_budget) in [
+        (ModelKind::TGcn, 74_000.0),
+        (ModelKind::MpnnLstm, 130_000.0),
+    ] {
         reset_pool();
         let report = train_data_parallel(
             model,
@@ -73,6 +82,12 @@ fn multi_gpu_steady_epochs_stay_on_the_pool_hot_path() {
             "{model:?}: steady multi-GPU epochs still hit the heap on the hot \
              path: {steady_misses:.0} misses/epoch vs {prep_misses:.0} \
              preparing (need >=95% reduction)"
+        );
+        let steady_allocs = mean(false, &|s| s.heap_allocs);
+        assert!(
+            steady_allocs <= steady_heap_budget,
+            "{model:?}: steady epoch exceeds the allocation budget: \
+             {steady_allocs:.0} > {steady_heap_budget}"
         );
     }
 }

@@ -103,6 +103,9 @@ fn per_device_traces_are_thread_invariant() {
 
 /// `repro multigpu`'s configuration at tiny scale.
 const HIDDEN: usize = 16;
+/// Slots per staged partition in steady epochs: the largest candidate, the
+/// 16 GiB device's memory bound being nowhere near.
+const S_PER: usize = 8;
 
 fn wide_cfg() -> TrainingConfig {
     TrainingConfig {
@@ -113,9 +116,12 @@ fn wide_cfg() -> TrainingConfig {
 
 /// The gate that would have caught "two GPUs are 24.7x slower than one":
 /// with one device and one shard the data-parallel trainer does the
-/// single-device trainer's work, so its steady epoch must stay within 2x
-/// of `train_pipad`'s (at 303dbcd: 11.45x / 8.97x / 6.90x). What is left
-/// is one `mgpu_prep` per slot on the loader lane.
+/// single-device trainer's work, so its steady epoch must stay within
+/// 1.25x of `train_pipad`'s (at 303dbcd: 11.45x / 8.97x / 6.90x; 1.96x /
+/// 1.41x / 1.35x while it paid one `mgpu_prep` and a copy or two per slot).
+/// Both stage a frame in partitions now. (EvolveGCN reads below 1: on one
+/// device nothing lifts the loader lane while preparing, so the run enters
+/// the steady window a frame ahead.)
 #[test]
 fn one_shard_tracks_the_single_device_trainer() {
     let g = graph();
@@ -140,9 +146,9 @@ fn one_shard_tracks_the_single_device_trainer() {
             .expect("train_data_parallel")
             .steady_epoch_time;
         assert!(
-            sharded.as_nanos() <= 2 * single.as_nanos(),
+            4 * sharded.as_nanos() <= 5 * single.as_nanos(),
             "{model:?}: one shard on one device takes {sharded} per steady epoch, \
-             more than twice train_pipad's {single}"
+             more than 1.25x train_pipad's {single}"
         );
     }
 }
@@ -202,8 +208,9 @@ fn steady_epochs_replay_and_pipeline() {
                 );
 
                 // Over the whole run: a frame's sweeps end with the last
-                // kernel ahead of its optimiser step, and its staging is
-                // `shards x window` loader ops.
+                // kernel ahead of its optimiser step, and its staging is one
+                // loader op per shard and slot while preparing, per shard
+                // and partition of `S_PER` slots once steady.
                 let kernels: Vec<&TraceEvent> = events
                     .iter()
                     .copied()
@@ -214,12 +221,26 @@ fn steady_epochs_replay_and_pipeline() {
                     .filter(|w| w[0].name != "sgd_step" && w[1].name == "sgd_step")
                     .map(|w| w[0].end())
                     .collect();
-                let staging_start: Vec<_> = events
+                // (Split by count, not by `steady_t0`: the loader lane runs
+                // free of the epoch boundary.)
+                let preps: Vec<&TraceEvent> = events
                     .iter()
+                    .copied()
                     .filter(|e| e.name == "mgpu_prep")
-                    .step_by(shards as usize * cfg.window)
-                    .map(|e| e.ts)
                     .collect();
+                let slot_preps = frames * cfg.preparing_epochs * shards as usize * cfg.window;
+                let (by_slot, by_partition) = preps.split_at(slot_preps);
+                let frame_starts = |preps: &[&TraceEvent], units: usize| {
+                    let firsts = preps.iter().step_by(shards as usize * units);
+                    firsts.map(|e| e.ts).collect::<Vec<_>>()
+                };
+                let mut staging_start = frame_starts(by_slot, cfg.window);
+                staging_start.extend(frame_starts(by_partition, cfg.window.div_ceil(S_PER)));
+                assert_eq!(
+                    by_partition.len() as u64,
+                    shards * steady_frames * cfg.window.div_ceil(S_PER) as u64,
+                    "{what}: partitions staged"
+                );
                 assert_eq!(sweeps_end.len(), frames * cfg.epochs, "{what}");
                 assert_eq!(staging_start.len(), frames * cfg.epochs, "{what}");
                 let prefetched = (frames * cfg.preparing_epochs + 1..frames * cfg.epochs)

@@ -8,11 +8,13 @@ use pipad_repro::gpu_sim::{
     feature_row_access, DeviceConfig, Gpu, KernelCategory, KernelCost, SimNanos, TraceEvent,
     TraceKind, VectorWidth,
 };
+use pipad_repro::kernels::{self, DeviceMatrix};
 use pipad_repro::models::{ModelKind, TrainingConfig};
 use pipad_repro::pipad::{
     train_data_parallel_devices, DynamicTuner, FrameProfile, GraphAnalyzer, MultiGpuConfig,
     OfflineTable, PartitionCatalog,
 };
+use pipad_repro::tensor::Matrix;
 use proptest::prelude::*;
 
 fn kernel(flops: u64, txns: u64) -> KernelCost {
@@ -125,6 +127,62 @@ proptest! {
         }
         prop_assert_eq!(gpu.mem().in_use(), 0);
         prop_assert_eq!(gpu.mem().peak(), total);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An accumulate operand costs its producer something between nothing
+    /// and the `add` launch it replaces — for each of the four producers,
+    /// over random shapes.
+    #[test]
+    fn an_accumulate_operand_costs_at_most_the_add_it_replaces(
+        m in 1usize..200, k in 1usize..96, n in 1usize..96,
+    ) {
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let s = gpu.default_stream();
+        let cat = KernelCategory::Rnn;
+        let mut dev = |r, c| DeviceMatrix::alloc(&mut gpu, Matrix::zeros(r, c)).unwrap();
+        let (g, w, x) = (dev(m, n), dev(k, n), dev(m, k));
+        let (da, dw, db) = (dev(m, k), dev(k, n), dev(1, n));
+        type Producer<'a> = &'a dyn Fn(&mut Gpu, Option<&DeviceMatrix>) -> DeviceMatrix;
+        let producers: [(Producer<'_>, &DeviceMatrix); 4] = [
+            (&|gpu, acc| kernels::gemm_nt_device(gpu, s, &g, &w, acc, cat).unwrap(), &da),
+            (&|gpu, acc| kernels::gemm_tn_device(gpu, s, &x, &g, acc, cat).unwrap(), &dw),
+            (&|gpu, acc| kernels::hadamard(gpu, s, &g, &g, acc, cat).unwrap(), &g),
+            (&|gpu, acc| kernels::col_sums(gpu, s, &g, acc, cat).unwrap(), &db),
+        ];
+        for (produce, prev) in producers {
+            let snap = gpu.profiler().snapshot();
+            let product = produce(&mut gpu, None);
+            produce(&mut gpu, Some(prev));
+            kernels::add(&mut gpu, s, prev, &product, cat).unwrap();
+            let busy: Vec<u64> = gpu.profiler().samples()[snap.from..]
+                .iter()
+                .map(|l| (l.end - l.start).as_nanos())
+                .collect();
+            let (plain, fused, add) = (busy[0], busy[1], busy[2]);
+            prop_assert!(plain <= fused && fused <= plain + add, "{plain} {fused} {add}");
+        }
+    }
+
+    /// One copy of Σ bytes moves what k copies of the pieces move and ends
+    /// no later: it pays the PCIe latency once.
+    #[test]
+    fn one_copy_of_the_sum_ends_no_later_than_its_pieces(
+        pieces in proptest::collection::vec(1u64..4_000_000, 1..20),
+    ) {
+        let ship = |copies: &[u64]| {
+            let mut gpu = Gpu::new(DeviceConfig::v100());
+            let s = gpu.create_stream();
+            let done = copies.iter().map(|&b| gpu.h2d(s, b, true).time()).max();
+            (done.unwrap(), gpu.profiler().full().h2d_bytes)
+        };
+        let (piecewise, moved) = ship(&pieces);
+        let (at_once, moved_at_once) = ship(&[pieces.iter().sum()]);
+        prop_assert!(at_once <= piecewise, "{at_once} vs {piecewise}");
+        prop_assert_eq!(moved_at_once, moved);
     }
 }
 
