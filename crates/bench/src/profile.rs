@@ -39,25 +39,32 @@ const HIDDEN: usize = 16;
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
 /// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 12] = [
-    // Pipelining quality: compute↔transfer overlap in the steady window
-    // (milli-fraction of transfer time hidden under kernels).
-    (
-        "pipad_overlap_fraction_milli{method=\"PiPAD\",window=\"steady\"}",
-        50.0,
-        0.0,
-    ),
-    // Kernel-time SM utilization of the steady window.
-    (
-        "pipad_sm_utilization_milli{method=\"PiPAD\",window=\"steady\"}",
-        50.0,
-        0.0,
-    ),
-    // The keys below, down to the serving tail, are deterministic integers
-    // of the simulation — byte-identical across `HOST_MATRIX` — so they are
-    // exact: any move is either intended (re-record, show old → new) or a
-    // regression, and a −9 % steady epoch no longer hides inside ±10 %.
+const SENTINEL: [(&str, f64, f64); 14] = [
+    // Every key is a deterministic integer of the simulation —
+    // byte-identical across `HOST_MATRIX` — so every key is exact: any move
+    // is either intended (re-record, show old → new) or a regression, and a
+    // −9 % steady epoch no longer hides inside ±10 %.
     //
+    // Pipelining quality in the steady window: transfer time hidden under
+    // kernels, and the transfer time it is a share of (the numerator and
+    // denominator of `pipad_overlap_fraction_milli`; the SM-utilization
+    // gauge is `pipad_compute_busy_ns` over `pipad_steady_epoch_ns`, both
+    // below).
+    (
+        "pipad_overlap_ns{method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
+    ),
+    (
+        "pipad_transfer_busy_ns{method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
+    ),
+    // Inter-frame reuse (§4.4), whole run: lookups the device-resident
+    // tier answered, and those that fell through to the CPU store and paid
+    // the PCIe trip. A device tier that stops engaging reads 0 here.
+    ("pipad_reuse_hits{method=\"PiPAD\",tier=\"gpu\"}", 0.0, 0.0),
+    ("pipad_reuse_hits{method=\"PiPAD\",tier=\"cpu\"}", 0.0, 0.0),
     // Steady-state device allocations (device_mem_in_use rises), counted
     // identically with the host buffer pool on or off.
     (
@@ -73,8 +80,7 @@ const SENTINEL: [(&str, f64, f64); 12] = [
         0.0,
     ),
     // Union of kernel intervals in the steady window: what the device
-    // actually computes. Falls when wasted kernel time is removed — which
-    // also lowers the two ratio gauges above, which are shares of it.
+    // actually computes. Falls when wasted kernel time is removed.
     (
         "pipad_compute_busy_ns{method=\"PiPAD\",window=\"steady\"}",
         0.0,
