@@ -6,14 +6,15 @@
 //! history, the device clock (lane cursors + op counters), the trainer's
 //! host cursor — written here, once, for all trainers — plus whatever the
 //! trainer itself carries across epochs, contributed through
-//! [`CkptExtra`]: PiPAD's tuner decisions, recovery flags and both reuse
-//! tiers; PyGT-R/G's CPU aggregation store. Restoring replays none of the
-//! computation — parameters and cache entries are stored back in place,
-//! one-off preparation is recomputed deterministically by the prologue,
-//! and the final [`pipad_gpu_sim::Gpu::restore_clock`] erases the
-//! prologue's timestamp and counter perturbations. The result: a
-//! killed-and-resumed run emits bit-identical losses and byte-identical
-//! steady-epoch trace windows.
+//! [`CkptExtra`]: PiPAD's tuner decisions, recovery flags and CPU-tier
+//! reuse store (the device tier lives inside an epoch and is empty at every
+//! boundary a checkpoint is written at); PyGT-R/G's CPU aggregation store.
+//! Restoring replays none of the computation — parameters and cache
+//! entries are stored back in place, one-off preparation is recomputed
+//! deterministically by the prologue, and the final
+//! [`pipad_gpu_sim::Gpu::restore_clock`] erases the prologue's timestamp
+//! and counter perturbations. The result: a killed-and-resumed run emits
+//! bit-identical losses and byte-identical steady-epoch trace windows.
 //!
 //! Section layout, in file order (all encoded with [`pipad_ckpt::codec`]):
 //!
@@ -26,7 +27,6 @@
 //! | `params`    | codec      | named parameter matrices (raw f32 bits)         |
 //! | `tuner`     | PiPAD      | `S_per` decisions, frame profiles, straggler baselines |
 //! | `reuse_cpu` | PiPAD, PyGT-R/G | CPU-tier aggregation store (snapshot → matrix) |
-//! | `reuse_gpu` | PiPAD      | GPU-tier cache contents (snapshot → matrix)     |
 //! | `faults`    | codec      | [`pipad_gpu_sim::FaultStats`] so far (provenance)  |
 //! | `epochs`    | codec      | per-epoch (index, loss bits, simulated time)    |
 
@@ -42,6 +42,7 @@ pub use pipad_ckpt::RunFingerprint;
 use pipad_ckpt::{Checkpoint, CheckpointWriter, CkptError};
 use pipad_gpu_sim::{DeviceClock, Gpu, SimNanos};
 use pipad_models::{DgnnModel, EpochReport, ModelKind, TrainingConfig};
+use pipad_tensor::Matrix;
 
 /// Fingerprint of a run of `trainer` on `dataset` with these
 /// hyper-parameters (see [`RunFingerprint`]).
@@ -82,8 +83,8 @@ pub trait CkptExtra {
         Ok(())
     }
 
-    /// Read back what [`CkptExtra::put_sections`] wrote. Device-resident
-    /// state is re-uploaded via the same allocation path the live run used.
+    /// Read back what [`CkptExtra::put_sections`] wrote. (`gpu` is for
+    /// device-resident state; no trainer checkpoints any today.)
     fn get_sections(&mut self, _gpu: &mut Gpu, _ckpt: &Checkpoint) -> Result<(), CkptError> {
         Ok(())
     }
@@ -101,10 +102,13 @@ fn put_cpu_store(w: &mut CheckpointWriter, store: &CpuAggStore) {
     });
 }
 
-fn get_cpu_store(ckpt: &Checkpoint, store: &mut CpuAggStore) -> Result<(), CkptError> {
+fn get_cpu_store(
+    ckpt: &Checkpoint,
+    mut insert: impl FnMut(usize, Matrix),
+) -> Result<(), CkptError> {
     let mut r = Reader::new(ckpt.require("reuse_cpu")?);
     for (snapshot, m) in get_list(&mut r, |r| Ok((r.get_usize()?, get_matrix(r)?)))? {
-        store.insert(snapshot, m);
+        insert(snapshot, m);
     }
     r.finish()
 }
@@ -133,22 +137,23 @@ impl CkptExtra for Option<CpuAggStore> {
 
     fn get_sections(&mut self, _gpu: &mut Gpu, ckpt: &Checkpoint) -> Result<(), CkptError> {
         match self {
-            Some(store) => get_cpu_store(ckpt, store),
+            Some(store) => get_cpu_store(ckpt, |snapshot, m| store.insert(snapshot, m)),
             None => Ok(()),
         }
     }
 }
 
-/// PiPAD: recovery flags and GPU-tier statistics in `meta`, then the
-/// `tuner`, `reuse_cpu` and `reuse_gpu` sections.
+/// PiPAD: recovery flags and device-tier budget and statistics in `meta`,
+/// then the `tuner` and `reuse_cpu` sections.
 impl CkptExtra for PipadState {
     fn put_meta(&self, meta: &mut Vec<u8>) {
         put_bool(meta, self.sequential_mode);
         put_u32(meta, self.slow_frames);
         put_u64(meta, self.skipped_steps);
-        put_u64(meta, self.reuse.gpu_cache.budget());
-        put_u64(meta, self.reuse.gpu_cache.hits());
-        put_u64(meta, self.reuse.gpu_cache.misses());
+        let reuse = self.reuse.stats();
+        put_u64(meta, reuse.budget_bytes);
+        put_u64(meta, reuse.gpu_hits);
+        put_u64(meta, reuse.gpu_misses);
     }
 
     fn put_sections(&self, w: &mut CheckpointWriter) {
@@ -166,31 +171,23 @@ impl CkptExtra for PipadState {
         });
         put_list(tuner, &self.frame_walls, |s, w| put_u64(s, w.as_nanos()));
 
-        put_cpu_store(w, &self.reuse.cpu);
-
-        let gpu_cache = &self.reuse.gpu_cache;
-        let s = w.section_sized(
-            "reuse_gpu",
-            8 + gpu_cache.used() as usize + 24 * gpu_cache.len(),
-        );
-        put_u64(s, gpu_cache.len() as u64);
-        gpu_cache.for_each_host(|snapshot, m| {
-            put_u64(s, snapshot as u64);
-            put_matrix(s, m);
-        });
+        // Checkpoints are written at epoch boundaries, where the window
+        // restarts and the trainer has evicted the device tier.
+        debug_assert_eq!(self.reuse.stats().device_bytes, 0);
+        put_cpu_store(w, self.reuse.cpu_store());
     }
 
     fn get_meta(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
         self.sequential_mode = r.get_bool()?;
         self.slow_frames = r.get_u32()?;
         self.skipped_steps = r.get_u64()?;
-        self.reuse.gpu_cache.set_budget(r.get_u64()?);
+        self.reuse.grow_budget(r.get_u64()?);
         let (hits, misses) = (r.get_u64()?, r.get_u64()?);
-        self.reuse.gpu_cache.restore_counters(hits, misses);
+        self.reuse.restore_device_counters(hits, misses);
         Ok(())
     }
 
-    fn get_sections(&mut self, gpu: &mut Gpu, ckpt: &Checkpoint) -> Result<(), CkptError> {
+    fn get_sections(&mut self, _gpu: &mut Gpu, ckpt: &Checkpoint) -> Result<(), CkptError> {
         let mut r = Reader::new(ckpt.require("tuner")?);
         self.decisions = get_list(&mut r, |r| r.get_usize())?;
         self.frame_profiles = get_list(&mut r, |r| {
@@ -203,23 +200,7 @@ impl CkptExtra for PipadState {
         self.frame_walls = get_list(&mut r, |r| Ok(SimNanos::from_nanos(r.get_u64()?)))?;
         r.finish()?;
 
-        get_cpu_store(ckpt, &mut self.reuse.cpu)?;
-
-        let mut r = Reader::new(ckpt.require("reuse_gpu")?);
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let snapshot = r.get_usize()?;
-            let m = get_matrix(&mut r)?;
-            let kept = self
-                .reuse
-                .gpu_cache
-                .put(gpu, snapshot, m)
-                .map_err(|_| CkptError::Malformed("device OOM while restoring reuse cache"))?;
-            if !kept {
-                return Err(CkptError::Malformed("reuse entry exceeds restored budget"));
-            }
-        }
-        r.finish()
+        get_cpu_store(ckpt, |snapshot, m| self.reuse.deposit(snapshot, || m))
     }
 }
 
@@ -373,9 +354,10 @@ pub(crate) fn restore_run(
     })
 }
 
-/// Restore a PiPAD checkpoint for *serving*: parameters into `model`, both
-/// reuse tiers into `reuse`. The tuner and recovery state a resumed
-/// training run would continue from is validated, then dropped.
+/// Restore a PiPAD checkpoint for *serving*: parameters into `model`, the
+/// CPU-tier entries and the device tier's budget into `reuse`. The tuner
+/// and recovery state a resumed training run would continue from is
+/// validated, then dropped.
 pub fn restore_checkpoint(
     gpu: &mut Gpu,
     ckpt: &Checkpoint,

@@ -17,7 +17,7 @@
 
 use crate::analyzer::{AnalyzedSnapshot, GraphAnalyzer};
 use crate::prep::{PartitionCatalog, PartitionPlan};
-use crate::reuse::InterFrameReuse;
+use crate::reuse::{Cached, InterFrameReuse};
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_gpu_sim::{
     ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, SimNanos, StreamId,
@@ -33,10 +33,10 @@ struct SlotState {
     inv_deg: Rc<Vec<f32>>,
     /// Raw features on device (absent when a reuse hit covers this slot).
     features: Option<DeviceMatrix>,
-    /// Layer-1 aggregation shipped from the CPU store.
-    cpu_agg: Option<DeviceMatrix>,
-    /// Layer-1 aggregation already resident in the GPU buffer.
-    gpu_agg: Option<SharedParam>,
+    /// Cached layer-1 aggregation shipped with the partition.
+    shipped_agg: Option<DeviceMatrix>,
+    /// Cached layer-1 aggregation that was device-resident already.
+    resident_agg: Option<SharedParam>,
 }
 
 /// One staged partition.
@@ -57,20 +57,15 @@ struct PartitionState {
     ready: Event,
 }
 
-/// One member as reuse lookup left it: global index, analysis, GPU-tier
-/// hit, CPU-tier hit, raw features.
-type LookedUp<'a> = (
-    usize,
-    &'a AnalyzedSnapshot,
-    Option<SharedParam>,
-    Option<Matrix>,
-    &'a Matrix,
-);
+/// One member as reuse lookup left it: global index, analysis, cached
+/// layer-1 aggregation (if the partition is served from cache), raw
+/// features.
+type LookedUp<'a> = (usize, &'a AnalyzedSnapshot, Option<Cached>, &'a Matrix);
 
 impl PartitionState {
     /// Allocate the partition's device buffers in shipping order: the
     /// adjacency (overlap then exclusives, or one CSR per member in the
-    /// Figure 12 variant), then each member's features or CPU-cached
+    /// Figure 12 variant), then each member's features or host-cached
     /// aggregation. On `Err`, what was allocated is in `self` to be freed.
     fn alloc(
         &mut self,
@@ -102,25 +97,25 @@ impl PartitionState {
                 self.adj_dev.push(DeviceSliced::alloc(gpu, Rc::clone(adj))?);
             }
         }
-        for (global, snap, gpu_agg, cpu_agg_host, feats) in members {
-            let (features, cpu_agg) = match (&gpu_agg, cpu_agg_host) {
-                (Some(_), _) => (None, None),
-                (None, Some(a)) => {
-                    let dev = DeviceMatrix::alloc_labeled(gpu, a, "cpu_agg_upload")?;
-                    (None, Some(dev))
-                }
-                (None, None) => {
-                    let dev = DeviceMatrix::alloc_labeled(gpu, feats.clone_in(), "feature_upload")?;
-                    (Some(dev), None)
-                }
-            };
-            self.slots.push(SlotState {
+        for (global, snap, cached, feats) in members {
+            let mut slot = SlotState {
                 global,
                 inv_deg: Rc::clone(&snap.norm.inv_deg),
-                features,
-                cpu_agg,
-                gpu_agg,
-            });
+                features: None,
+                shipped_agg: None,
+                resident_agg: None,
+            };
+            match cached {
+                Some(Cached::Device(p)) => slot.resident_agg = Some(p),
+                Some(Cached::Host(a)) => {
+                    slot.shipped_agg = Some(DeviceMatrix::alloc_labeled(gpu, a, "cpu_agg_upload")?)
+                }
+                None => {
+                    let f = DeviceMatrix::alloc_labeled(gpu, feats.clone_in(), "feature_upload")?;
+                    slot.features = Some(f);
+                }
+            }
+            self.slots.push(slot);
         }
         Ok(())
     }
@@ -137,7 +132,7 @@ impl PartitionState {
             if let Some(f) = slot.features {
                 f.release(gpu);
             }
-            if let Some(c) = slot.cpu_agg {
+            if let Some(c) = slot.shipped_agg {
                 c.release(gpu);
             }
         }
@@ -195,41 +190,19 @@ impl<'r> PipadExecutor<'r> {
             let size = opts.s_per.min(window - offset);
             let start = frame_start + offset;
 
-            // Reuse lookup per member.
-            let mut slots = Vec::with_capacity(size);
-            let mut all_cached = opts.inter_frame_reuse;
-            for k in 0..size {
-                let global = start + k;
-                let snap = analyzer.snapshot(global);
-                let gpu_agg = reuse
-                    .as_mut()
-                    .filter(|_| opts.inter_frame_reuse)
-                    .and_then(|r| r.gpu_cache.get(global));
-                let cpu_agg_host = if gpu_agg.is_none() && opts.inter_frame_reuse {
-                    reuse
-                        .as_ref()
-                        .and_then(|r| r.cpu.get(global).map(Matrix::clone_in))
-                } else {
-                    None
-                };
-                if gpu_agg.is_none() && cpu_agg_host.is_none() {
-                    all_cached = false;
-                }
-                slots.push((global, snap, gpu_agg, cpu_agg_host, features[offset + k]));
-            }
-            let layer1_cached = all_cached;
-            // A partition is served from cache only when EVERY member is
-            // cached: a partially purged store (NaN-skip recovery removes
-            // single snapshots) falls back to staging features for the whole
-            // partition so one aggregation launch can cover it.
-            if !layer1_cached {
-                for (_, _, g, c, _) in &mut slots {
-                    *g = None;
-                    if let Some(m) = c.take() {
-                        m.recycle();
-                    }
-                }
-            }
+            // Reuse lookup: the whole partition from cache, or none of it.
+            let cached = reuse
+                .as_mut()
+                .filter(|_| opts.inter_frame_reuse)
+                .and_then(|r| r.lookup(start..start + size));
+            let layer1_cached = cached.is_some();
+            let mut cached = cached.into_iter().flatten();
+            let slots: Vec<LookedUp<'_>> = (0..size)
+                .map(|k| {
+                    let snap = analyzer.snapshot(start + k);
+                    (start + k, snap, cached.next(), features[offset + k])
+                })
+                .collect();
             let needs_adj = !layer1_cached || opts.needs_adjacency_when_cached;
 
             // Host preparation for the partition (buffer assembly).
@@ -248,10 +221,10 @@ impl<'r> PipadExecutor<'r> {
             };
             let feat_bytes: u64 = slots
                 .iter()
-                .map(|(_, _, g, c, f)| match (g, c) {
-                    (Some(_), _) => 0,
-                    (None, Some(a)) => a.bytes(),
-                    (None, None) => f.bytes(),
+                .map(|(_, _, cached, f)| match cached {
+                    Some(Cached::Device(_)) => 0,
+                    Some(Cached::Host(a)) => a.bytes(),
+                    None => f.bytes(),
                 })
                 .sum();
             let staged_bytes = adj_bytes + feat_bytes;
@@ -366,10 +339,10 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
             if self.partitions[pi].layer1_cached {
                 // Every member covered by reuse: no aggregation kernels.
                 for slot in &mut self.partitions[pi].slots {
-                    if let Some(shared) = slot.gpu_agg.take() {
+                    if let Some(shared) = slot.resident_agg.take() {
                         out.push(tape.input_shared(&shared));
                     } else {
-                        let dm = slot.cpu_agg.take().expect("cpu-cached agg staged");
+                        let dm = slot.shipped_agg.take().expect("cached agg staged");
                         out.push(tape.input(dm));
                     }
                 }
@@ -388,12 +361,9 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
                 let part = &self.partitions[pi];
                 Self::aggregate_partition(gpu, tape, part, &xs)?
             };
-            // Deposit into the reuse caches for later frames/epochs.
             if let Some(reuse) = self.reuse.as_mut() {
                 for (slot, &a) in self.partitions[pi].slots.iter().zip(&aggs) {
-                    if !reuse.cpu.contains(slot.global) {
-                        reuse.cpu.insert(slot.global, tape.host(a));
-                    }
+                    reuse.deposit(slot.global, || tape.host(a));
                 }
             }
             let done = gpu.record_event(self.compute).time();
@@ -717,13 +687,10 @@ mod tests {
         let first_vals: Vec<Matrix> = first.iter().map(|&v| tape.host(v)).collect();
         tape.finish(&mut gpu);
         exec.finish(&mut gpu);
-        assert_eq!(reuse.cpu.len(), 4);
+        assert_eq!(reuse.cpu_store().len(), 4);
 
-        // promote two results into the GPU buffer
-        for g in 0..2usize {
-            let m = reuse.cpu.get(g).unwrap().clone();
-            reuse.gpu_cache.put(&mut gpu, g, m).unwrap();
-        }
+        // keep two results device-resident
+        reuse.slide(&mut gpu, 0..2);
 
         // pass 2: all four covered (2 GPU-resident, 2 via PCIe), no kernels
         let snap = gpu.profiler().snapshot();
@@ -758,7 +725,7 @@ mod tests {
         assert_eq!(h2d_copies(&gpu, snap), 1);
         tape.finish(&mut gpu);
         exec.finish(&mut gpu);
-        reuse.gpu_cache.clear(&mut gpu);
+        reuse.evict_device(&mut gpu);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   aggregation serves all snapshots of a partition (Algorithm 1: thread-
 //!   aware slice coalescing for small dimensions, vector loads for large
 //!   ones), and the FC update runs with locality-optimized weight reuse.
-//! * **Inter-frame reuse** ([`reuse`]) — layer-1 aggregation results are
-//!   cached CPU-side and in a budgeted GPU-side buffer keyed by next-use
-//!   order, eliminating redundant transfer *and* computation (§4.4).
+//! * **Inter-frame reuse** ([`reuse`]) — one store caches layer-1
+//!   aggregation results CPU-side and, for the snapshots the next frames
+//!   share, in a budgeted device-side tier evicted in next-use order,
+//!   eliminating redundant transfer *and* computation (§4.4).
 //! * **Pipeline execution** ([`driver`] + [`trainer`]) — one epoch driver
 //!   shared with the baseline trainers runs the preparing→steady schedule
 //!   and PiPAD plugs in as its policy: CPU preparation, PCIe transfer
@@ -76,6 +77,6 @@ pub use multigpu::{
     train_data_parallel, train_data_parallel_devices, MultiGpuConfig, MultiTrainReport,
 };
 pub use prep::{PartitionCatalog, PartitionPlan};
-pub use reuse::{shard_key, CpuAggStore, GpuAggCache, InterFrameReuse};
+pub use reuse::{shard_key, CpuAggStore, InterFrameReuse};
 pub use trainer::{train_pipad, PipadConfig};
 pub use tuner::{DynamicTuner, FrameProfile, OfflineTable, SperDecision};

@@ -63,10 +63,6 @@ impl Default for PipadConfig {
     }
 }
 
-/// Fraction of post-peak device headroom granted to the GPU-side reuse
-/// buffer.
-const GPU_CACHE_HEADROOM_FRAC: f64 = 0.5;
-
 /// Steady-state frames whose wall time exceeds `STRAGGLER_FACTOR ×` the
 /// same frame's wall time in the *first* steady epoch count as straggling.
 /// The first steady epoch is the baseline (not the preparing epochs —
@@ -82,7 +78,7 @@ const STRAGGLER_CONSECUTIVE: u32 = 2;
 /// started.
 #[derive(Default)]
 pub(crate) struct PipadState {
-    /// Both tiers of inter-frame reuse state.
+    /// The inter-frame reuse store.
     pub reuse: InterFrameReuse,
     /// Tuner decisions, `S_per` per frame (empty while preparing).
     pub decisions: Vec<usize>,
@@ -103,7 +99,7 @@ pub(crate) struct PipadState {
 ///
 /// Device faults (injected via [`pipad_gpu_sim::FaultPlan`] or genuine
 /// capacity pressure) are recovered per frame: the first OOM evicts the
-/// GPU-side reuse cache and retries, further OOMs walk `S_per` down the
+/// reuse store's device tier and retries, further OOMs walk `S_per` down the
 /// tuner ladder before giving up; transfer faults surviving the copy-layer
 /// retry budget roll the run's allocations back and propagate; sustained
 /// stragglers drop the pipeline into sequential mode; a NaN/Inf loss skips
@@ -197,8 +193,6 @@ impl EpochPolicy for PipadPolicy<'_> {
                 .trace_mut()
                 .instant("steady_phase_begin", Lane::Control, t0, vec![]);
         }
-        // Fresh GPU-side cache per epoch (the sliding window restarts).
-        self.state.reuse.gpu_cache.clear(cx.gpu);
     }
 
     fn frame(
@@ -219,8 +213,8 @@ impl EpochPolicy for PipadPolicy<'_> {
         };
         let frame_t0 = cx.gpu.now().max(cx.host_cursor);
         let mut attempt: u32 = 0;
-        // Per-frame recovery ladder: the first OOM evicts the GPU reuse
-        // cache and retries; later OOMs shrink `S_per` one tuner step at
+        // Per-frame recovery ladder: the first OOM evicts the reuse store's
+        // device tier and retries; later OOMs shrink `S_per` one tuner step at
         // a time; at the floor the fault propagates. Transfer faults
         // already exhausted the copy layer's bounded retries, so they
         // propagate straight away (the driver rolls the device back).
@@ -290,7 +284,7 @@ impl EpochPolicy for PipadPolicy<'_> {
                     cx.gpu.release_since(mark);
                     let t = cx.gpu.now().max(cx.host_cursor);
                     if attempt == 0 {
-                        st.reuse.gpu_cache.clear(cx.gpu);
+                        st.reuse.evict_device(cx.gpu);
                         Self::recovery(cx, t, "oom_evict_retry", epoch, fi, None);
                     } else {
                         let down = DynamicTuner::downshift(s_per_eff);
@@ -310,20 +304,16 @@ impl EpochPolicy for PipadPolicy<'_> {
             }
         };
 
-        // Entries below the next frame's start have left the window.
-        st.reuse.gpu_cache.retire_below(cx.gpu, frame.start + 1);
-
-        if !stepped {
+        let window = frame.start..frame.start + feats.len();
+        if stepped {
+            // The next frame shares all but this one's first snapshot.
+            st.reuse.slide(cx.gpu, window.start + 1..window.end);
+        } else {
             // NaN/Inf loss: the optimizer step was skipped (params are
-            // untouched); purge whatever the poisoned frame deposited
-            // into the CPU reuse store so the poison cannot be re-served
-            // on later frames.
+            // untouched); purge the frame from the reuse store so whatever
+            // poison it deposited cannot be re-served on later frames.
             st.skipped_steps += 1;
-            for s in frame.start..frame.start + frame.snapshots().len() {
-                if let Some(m) = st.reuse.cpu.remove(s) {
-                    m.recycle();
-                }
-            }
+            st.reuse.purge(cx.gpu, window);
             let t = cx.gpu.now().max(cx.host_cursor);
             let skipped = Some(("skipped_total", st.skipped_steps));
             Self::recovery(cx, t, "nan_skip", epoch, fi, skipped);
@@ -379,13 +369,17 @@ impl EpochPolicy for PipadPolicy<'_> {
     }
 
     fn end_epoch(&mut self, cx: &mut RunCx<'_>, epoch: usize) {
+        let st = &mut self.state;
+        // The reuse store's device tier lives inside an epoch: the window
+        // restarts at frame 0, and a checkpoint is written with it empty.
+        st.reuse.evict_device(cx.gpu);
         if epoch + 1 != self.preparing {
             return;
         }
         // Last preparing epoch done: decide S_per per frame, once ("we only
         // perform this procedure once and stick to the generated
-        // configurations"), and size the GPU reuse buffer.
-        let st = &mut self.state;
+        // configurations"), and size the reuse store's device tier: half
+        // of what two frame peaks leave free.
         let free = cx
             .gpu
             .cfg()
@@ -398,9 +392,7 @@ impl EpochPolicy for PipadPolicy<'_> {
             .max()
             .unwrap_or(0);
         let headroom = free.saturating_sub(max_peak.saturating_mul(2));
-        st.reuse
-            .gpu_cache
-            .set_budget((headroom as f64 * GPU_CACHE_HEADROOM_FRAC) as u64);
+        st.reuse.grow_budget(headroom / 2);
         let tuner = DynamicTuner::new(
             OfflineTable::default(),
             free,
@@ -419,8 +411,7 @@ impl EpochPolicy for PipadPolicy<'_> {
     }
 
     fn finish(&mut self, cx: &mut RunCx<'_>) {
-        let reuse = &mut self.state.reuse;
-        reuse.gpu_cache.clear(cx.gpu);
+        let reuse = self.state.reuse.stats();
         // Buffer-pool counters for this run. Deterministic (all pooled traffic
         // is on this thread, independent of PIPAD_THREADS) and surfaced only in
         // the text summary — the pinned Chrome JSON never carries them.
@@ -432,10 +423,10 @@ impl EpochPolicy for PipadPolicy<'_> {
         tr.set_meta("pool_reused_bytes", pool.reused_bytes);
         // Reuse-tier hit rates (§4.4): pure functions of the deterministic
         // lookup sequence, so safe in trace meta and metrics exports.
-        tr.set_meta("reuse_cpu_hits", reuse.cpu.hits());
-        tr.set_meta("reuse_cpu_misses", reuse.cpu.misses());
-        tr.set_meta("reuse_gpu_hits", reuse.gpu_cache.hits());
-        tr.set_meta("reuse_gpu_misses", reuse.gpu_cache.misses());
+        tr.set_meta("reuse_cpu_hits", reuse.cpu_hits);
+        tr.set_meta("reuse_cpu_misses", reuse.cpu_misses);
+        tr.set_meta("reuse_gpu_hits", reuse.gpu_hits);
+        tr.set_meta("reuse_gpu_misses", reuse.gpu_misses);
     }
 }
 
@@ -562,23 +553,6 @@ mod tests {
             ours.steady_epoch_time,
             base.steady_epoch_time
         );
-    }
-
-    #[test]
-    fn tiny_capacity_forces_small_partitions_without_oom() {
-        let g = tiny_graph();
-        let cfg = tiny_cfg();
-        // Just enough memory for the model and a couple of snapshots.
-        let mut gpu = Gpu::new(DeviceConfig::with_capacity(3 << 20));
-        let r = train_pipad(
-            &mut gpu,
-            ModelKind::TGcn,
-            &g,
-            8,
-            &cfg,
-            &PipadConfig::default(),
-        );
-        assert!(r.is_ok(), "tuner must avoid OOM: {:?}", r.err());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! checkpoint's fingerprint must match the (trainer, model, dataset,
 //! hyper-parameter) identity this engine was configured for, and any
 //! mismatch surfaces as a typed [`ServeError::Ckpt`] — never a panic.
-//! Restoring also warm-starts both inter-frame reuse tiers from the
+//! Restoring also warm-starts the reuse store's CPU tier from the
 //! checkpoint, so the first requests already skip aggregation work the
-//! training run paid for.
+//! training run paid for (the device tier fills as frames are served).
 
 use crate::ServeError;
 use pipad::exec::{ExecOptions, PipadExecutor};
@@ -46,8 +46,8 @@ impl Default for EngineConfig {
 /// Snapshots-per-partition of the staged forward.
 const S_PER: usize = 4;
 
-/// Byte budget granted to the GPU reuse tier on top of whatever the
-/// checkpoint restored (the tier's budget only grows).
+/// Byte budget granted to the reuse store's device tier on top of whatever
+/// the checkpoint restored (the budget only grows).
 const GPU_CACHE_BUDGET: u64 = 8 << 20;
 
 /// A loaded model ready to serve frames of one dynamic graph.
@@ -105,7 +105,7 @@ impl<'g> ServeEngine<'g> {
         let catalog = PartitionCatalog::build(gpu, &analyzer, &mut host_cursor);
         let mut reuse = InterFrameReuse::new(0);
         let restored = restore_checkpoint(gpu, &ckpt, &fingerprint, model.as_ref(), &mut reuse)?;
-        reuse.gpu_cache.set_budget(GPU_CACHE_BUDGET);
+        reuse.grow_budget(GPU_CACHE_BUDGET);
         // Serving runs on its own timeline: the clock is NOT rewound to the
         // training run's — requests arrive on a fresh device.
         Ok(ServeEngine {
@@ -142,25 +142,11 @@ impl<'g> ServeEngine<'g> {
         self.trained_epochs
     }
 
-    /// Evict the GPU reuse tier (the OOM recovery ladder's first rung).
-    pub(crate) fn evict_gpu_cache(&mut self, gpu: &mut Gpu) {
-        self.reuse.gpu_cache.clear(gpu);
-    }
-
-    /// Purge a frame's CPU-tier deposits (poisoned-output recovery).
-    pub(crate) fn purge_frame_deposits(&mut self, frame_start: usize) {
-        for s in frame_start..frame_start + self.window {
-            if let Some(m) = self.reuse.cpu.remove(s) {
-                m.recycle();
-            }
-        }
-    }
-
     /// One full-frame forward through the training execution path; returns
-    /// the host-side `n × hidden_out` prediction matrix. Deposits fresh
-    /// layer-1 aggregations into the CPU reuse tier and promotes them into
-    /// the GPU tier (budget permitting) so later frames sharing snapshots
-    /// skip both the kernels and the PCIe upload.
+    /// the host-side `n × hidden_out` prediction matrix. Fresh layer-1
+    /// aggregations are deposited in the reuse store, which keeps the
+    /// frame's device-resident (budget permitting) so later frames sharing
+    /// snapshots skip both the kernels and the PCIe upload.
     pub fn forward_frame(
         &mut self,
         gpu: &mut Gpu,
@@ -171,9 +157,9 @@ impl<'g> ServeEngine<'g> {
             "frame {frame_start} out of range"
         );
         // Entries below the stream's current window never recur (frames
-        // only advance): retire them before staging so the budget serves
-        // live snapshots.
-        self.reuse.gpu_cache.retire_below(gpu, frame_start);
+        // only advance): slide to this frame before staging it — nothing to
+        // keep yet — so device memory serves live snapshots.
+        self.reuse.slide(gpu, frame_start..frame_start);
         let feats: Vec<&Matrix> = self.graph.snapshots[frame_start..frame_start + self.window]
             .iter()
             .map(|s| &s.features)
@@ -203,22 +189,10 @@ impl<'g> ServeEngine<'g> {
         tape.finish(gpu);
         exec.finish(gpu);
 
-        // Promote this frame's CPU-tier deposits to the GPU tier. Values
-        // are identical either way (the CPU store is write-once), so the
-        // promotion policy cannot perturb served bits — only PCIe traffic.
-        for g in frame_start..frame_start + self.window {
-            if self.reuse.gpu_cache.contains(g) {
-                continue;
-            }
-            let Some(m) = self.reuse.cpu.get(g).map(Matrix::clone_in) else {
-                continue;
-            };
-            match self.reuse.gpu_cache.put(gpu, g, m) {
-                Ok(_) => {}
-                // Best-effort: a full device just stops promoting.
-                Err(_) => break,
-            }
-        }
+        // The same frame, or one that shares most of it, is what the next
+        // request asks for.
+        self.reuse
+            .slide(gpu, frame_start..frame_start + self.window);
         Ok(pred)
     }
 }

@@ -19,10 +19,12 @@
 //!   mismatch) and runs batched forwards through the same
 //!   [`pipad::PipadExecutor`] + [`pipad_models`] path the trainer uses —
 //!   so served logits are bit-identical to the train-time forward;
-//! * **inter-snapshot reuse** via [`pipad::InterFrameReuse`]: freshly
-//!   computed layer-1 aggregations are deposited in the CPU tier and
-//!   promoted into the budgeted GPU tier, so steady-state requests skip
-//!   both the aggregation kernels and the redundant PCIe uploads.
+//! * **inter-snapshot reuse** via [`pipad::InterFrameReuse`], driven by
+//!   the same calls the trainer makes: a restore warm-starts its CPU tier,
+//!   freshly computed layer-1 aggregations are deposited there, and each
+//!   served frame's stay device-resident inside the store's budget, so
+//!   steady-state requests skip both the aggregation kernels and the
+//!   redundant PCIe uploads.
 //!
 //! The open-loop driver ([`sim`]) stitches these together, emits
 //! `enqueue`/`batch_form`/`serve_forward` trace spans for every request,

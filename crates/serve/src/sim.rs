@@ -3,14 +3,14 @@
 //! latency accounting.
 //!
 //! Faults are recovered per batch, mirroring the trainer's ladder
-//! (DESIGN.md §3.9): the first OOM evicts the GPU reuse tier and retries;
-//! a second OOM or an exhausted-transfer fault rolls the batch's
-//! allocations back and rejects its requests with a typed
+//! (DESIGN.md §3.9): the first OOM evicts the reuse store's device tier
+//! and retries; a second OOM or an exhausted-transfer fault rolls the
+//! batch's allocations back and rejects its requests with a typed
 //! [`RejectReason::DeviceFault`]; non-finite logits reject the batch and
-//! purge both reuse tiers so the poison cannot be re-served; a crash
-//! fault ends the run with a typed [`ServeError`]. Every recovery
-//! decision lands in the trace as a `recovery` instant on the control
-//! lane — serving never panics under a seeded fault plan.
+//! purge its frame from the reuse store so the poison cannot be
+//! re-served; a crash fault ends the run with a typed [`ServeError`].
+//! Every recovery decision lands in the trace as a `recovery` instant on
+//! the control lane — serving never panics under a seeded fault plan.
 
 use crate::batcher::{form_batches, Batch, BatchPolicy};
 use crate::engine::ServeEngine;
@@ -228,6 +228,7 @@ pub fn serve_open_loop(
         .unwrap_or(first_arrival);
     let horizon_ns = (last_completion - first_arrival).as_nanos().max(1);
     let throughput_rps = served as f64 * 1e9 / horizon_ns as f64;
+    let reuse = engine.reuse.stats();
 
     Ok(ServeReport {
         records,
@@ -240,8 +241,8 @@ pub fn serve_open_loop(
         batch_size_histogram: stats.size_histogram,
         latency: LatencySummary::from_latencies(latencies),
         throughput_rps,
-        gpu_reuse_hits: engine.reuse.gpu_cache.hits(),
-        gpu_reuse_misses: engine.reuse.gpu_cache.misses(),
+        gpu_reuse_hits: reuse.gpu_hits,
+        gpu_reuse_misses: reuse.gpu_misses,
         trained_epochs: engine.trained_epochs(),
     })
 }
@@ -306,7 +307,7 @@ fn run_batch(
                     gpu.release_since(mark);
                     let t = gpu.now().max(engine.host_cursor);
                     if attempt == 0 {
-                        engine.evict_gpu_cache(gpu);
+                        engine.reuse.evict_device(gpu);
                         gpu.trace_mut().instant(
                             "recovery",
                             Lane::Control,
@@ -360,11 +361,10 @@ fn run_batch(
                 }
             }
             Ok(_poisoned) => {
-                // Non-finite logits: never serve them. Purge both reuse
-                // tiers (the deposit path may have cached poisoned
-                // aggregations) and reject the group.
-                engine.purge_frame_deposits(frame);
-                engine.evict_gpu_cache(gpu);
+                // Non-finite logits: never serve them. Purge the frame from
+                // the reuse store (the deposit path may have cached
+                // poisoned aggregations) and reject the group.
+                engine.reuse.purge(gpu, frame..frame + engine.window());
                 *rejected_poisoned += group.len();
                 let t = gpu.synchronize().max(engine.host_cursor);
                 gpu.trace_mut().instant(

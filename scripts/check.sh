@@ -31,16 +31,18 @@ sentinel_accepts_committed_baseline() {
     repro_profile tests/golden/profile_baseline.json
 }
 
-# ...and a seeded drift must fail: perturb the first guarded metric's
-# expected value far outside its tolerance band.
+# ...and a seeded drift must fail, naming the key: the regression seeded is
+# the one the baseline's reuse keys exist for — §4.4's device-resident tier
+# silently off, i.e. `pipad_reuse_hits{…tier="gpu"}` reading 0.
 sentinel_rejects_seeded_drift() {
-    sed '2s/"value":[^,]*/"value":123456789.0/' tests/golden/profile_baseline.json \
+    local key='pipad_reuse_hits{method=\\"PiPAD\\",tier=\\"gpu\\"}'
+    sed "/$key/s/\"value\":[^,]*/\"value\":0.0/" tests/golden/profile_baseline.json \
         > "$scratch_dir/bad_baseline.json"
     if repro_profile "$scratch_dir/bad_baseline.json" 2> "$scratch_dir/sentinel_neg.log"; then
         echo "ERROR: sentinel accepted a drifted baseline" >&2
         return 1
     fi
-    grep -q "drifted" "$scratch_dir/sentinel_neg.log"
+    grep -q 'pipad_reuse_hits{method="PiPAD",tier="gpu"}.*drifted' "$scratch_dir/sentinel_neg.log"
 }
 
 # The one release-profile test gate. Allocation budget under the counting

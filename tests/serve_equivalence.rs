@@ -84,7 +84,7 @@ fn reference_forward(
     let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host_cursor);
     let mut reuse = InterFrameReuse::new(0);
     restore_checkpoint(&mut gpu, &ckpt, &fp, m.as_ref(), &mut reuse).expect("restore");
-    reuse.gpu_cache.set_budget(8 << 20);
+    reuse.grow_budget(8 << 20);
     let compute = gpu.default_stream();
     let copy = gpu.create_stream();
     let feats: Vec<&Matrix> = graph.snapshots[frame_start..frame_start + cfg.window]

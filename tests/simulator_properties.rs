@@ -11,8 +11,8 @@ use pipad_repro::gpu_sim::{
 use pipad_repro::kernels::{self, DeviceMatrix};
 use pipad_repro::models::{ModelKind, TrainingConfig};
 use pipad_repro::pipad::{
-    train_data_parallel_devices, DynamicTuner, FrameProfile, GraphAnalyzer, MultiGpuConfig,
-    OfflineTable, PartitionCatalog,
+    train_data_parallel_devices, train_pipad, DynamicTuner, FrameProfile, GraphAnalyzer,
+    MultiGpuConfig, OfflineTable, PartitionCatalog, PipadConfig,
 };
 use pipad_repro::tensor::Matrix;
 use proptest::prelude::*;
@@ -425,5 +425,58 @@ fn halo_gradients_are_scattered_after_they_exist() {
             scatters > 0,
             "{model:?}: no gradient scatter on the timeline"
         );
+    }
+}
+
+/// §4.4's device-resident reuse tier, as a law: with headroom it engages
+/// and takes bytes off the PCIe link, and it can cost neither a loss bit
+/// nor simulated time. The run it is compared with is the same run on a
+/// device with room for its frames and nothing more, where the tier's
+/// budget (half of what two frame peaks leave free) never grows above 0;
+/// `S_per` is forced so that capacity decides nothing else.
+#[test]
+fn the_device_reuse_tier_saves_pcie_bytes_and_costs_neither_bits_nor_time() {
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let cfg = TrainingConfig {
+        window: 8,
+        epochs: 4,
+        preparing_epochs: 2,
+        lr: 0.01,
+        seed: 3,
+    };
+    let pcfg = PipadConfig {
+        force_s_per: Some(4),
+        ..Default::default()
+    };
+    let meta = |gpu: &Gpu, key: &str| gpu.trace().meta().find(|&(k, _)| k == key).unwrap().1;
+    for model in ModelKind::ALL {
+        let mut roomy = Gpu::new(DeviceConfig::v100());
+        let with = train_pipad(&mut roomy, model, &graph, 8, &cfg, &pcfg).expect("roomy run");
+        let mut tight = Gpu::new(DeviceConfig::with_capacity(roomy.mem().peak_ever()));
+        let without = train_pipad(&mut tight, model, &graph, 8, &cfg, &pcfg).expect("tight run");
+        assert_eq!(meta(&tight, "reuse_gpu_hits"), 0, "{model:?}: budget grew");
+        let recovered = tight.trace().events().iter().any(|e| e.name == "recovery");
+        assert!(
+            !recovered,
+            "{model:?}: the tight device changed the schedule"
+        );
+
+        assert!(meta(&roomy, "reuse_gpu_hits") > 0, "{model:?}: tier is off");
+        assert!(
+            with.steady.h2d_bytes < without.steady.h2d_bytes,
+            "{model:?}: steady H2D {} with the tier, {} without",
+            with.steady.h2d_bytes,
+            without.steady.h2d_bytes
+        );
+        for (a, b) in with.epochs.iter().zip(&without.epochs) {
+            assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "{model:?}");
+            assert!(
+                a.sim_time <= b.sim_time,
+                "{model:?} epoch {}: {} with the tier, {} without",
+                a.epoch,
+                a.sim_time,
+                b.sim_time
+            );
+        }
     }
 }

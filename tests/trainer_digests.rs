@@ -18,10 +18,16 @@
 //! three paper models at 1, 2 and 4 devices over the default four virtual
 //! shards: the same loss bits and epoch times, one trace CRC per device.
 //!
+//! Every row's devices also pass `Profiler::consistency_check` against their
+//! trace: the trainers run it themselves only under `debug_assertions`, and
+//! `scripts/check.sh` runs this file `--release` as well.
+//!
 //! The same trainer table drives the failure contract: a propagated fault
 //! leaves only the model's parameters on the device.
 
-use pipad::{train_data_parallel, train_pipad, MultiGpuConfig, PipadConfig};
+use pipad::{
+    train_data_parallel, train_data_parallel_devices, train_pipad, MultiGpuConfig, PipadConfig,
+};
 use pipad_ckpt::{crc32, latest_checkpoint, CheckpointPolicy};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
 use pipad_gpu_sim::{
@@ -117,6 +123,19 @@ fn newest_checkpoint_digest(policy: &CheckpointPolicy) -> String {
     format!("{}, {}", crc32(&bytes[..bytes.len() - 4]), bytes.len())
 }
 
+/// The profiler and the trace record one timeline through two code paths;
+/// they must agree on it in the profile the digests are checked in.
+fn consistent(gpu: &Gpu, trainer: &str, model: ModelKind) {
+    gpu.profiler()
+        .consistency_check(gpu.trace())
+        .unwrap_or_else(|e| {
+            panic!(
+                "{trainer} {}: profiler and trace diverged: {e}",
+                model.name()
+            )
+        });
+}
+
 /// One golden line for `trainer` × `model`.
 fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
     // PiPAD and PyGT-R exercise the checkpoint codec (the latter with its
@@ -132,6 +151,7 @@ fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
         .run(&mut gpu, model, graph, &cfg(), policy.as_ref())
         .unwrap_or_else(|e| panic!("{} {}: {e}", trainer.name(), model.name()));
     assert_eq!(report.trainer, trainer.name());
+    consistent(&gpu, trainer.name(), model);
 
     let join = |it: &mut dyn Iterator<Item = String>| it.collect::<Vec<_>>().join(", ");
     let mut line = format!(
@@ -180,6 +200,7 @@ fn digest(trainer: Trainer, model: ModelKind, graph: &DynamicGraph) -> String {
         let resumed = trainer
             .run(&mut g3, model, graph, &cfg(), Some(&killed))
             .expect("resumed run");
+        consistent(&g3, trainer.name(), model);
         write!(
             line,
             ", \"resumed_loss_bits\": [{}], \"resumed_ckpt_crc_len\": [{}]",
@@ -204,8 +225,9 @@ fn dp_digest(model: ModelKind, n_gpus: usize, graph: &DynamicGraph) -> String {
         n_gpus,
         ..Default::default()
     };
-    let report = train_data_parallel(model, graph, HIDDEN, &cfg(), &mcfg)
+    let (report, gpus) = train_data_parallel_devices(model, graph, HIDDEN, &cfg(), &mcfg)
         .unwrap_or_else(|e| panic!("DP-{n_gpus} {}: {e}", model.name()));
+    gpus.iter().for_each(|g| consistent(g, "DP", model));
     let join = |it: &mut dyn Iterator<Item = String>| it.collect::<Vec<_>>().join(", ");
     let epochs = report.epochs.iter();
     format!(
