@@ -39,7 +39,7 @@ const HIDDEN: usize = 16;
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
 /// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 14] = [
+const SENTINEL: [(&str, f64, f64); 16] = [
     // Every key is a deterministic integer of the simulation —
     // byte-identical across `HOST_MATRIX` — so every key is exact: any move
     // is either intended (re-record, show old → new) or a regression, and a
@@ -102,6 +102,17 @@ const SENTINEL: [(&str, f64, f64); 14] = [
     // Gradient accumulations that cost a launch of their own.
     (
         "pipad_kernel_launches{family=\"add\",method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
+    ),
+    // The frame's tail: optimiser steps and the loss pair.
+    (
+        "pipad_kernel_launches{family=\"optimizer\",method=\"PiPAD\",window=\"steady\"}",
+        0.0,
+        0.0,
+    ),
+    (
+        "pipad_kernel_launches{family=\"loss\",method=\"PiPAD\",window=\"steady\"}",
         0.0,
         0.0,
     ),
