@@ -169,7 +169,7 @@ fn each_producer_matches_its_product_then_add() {
             &prev,
         ),
         (
-            &|g, acc| k::gemm_tn_device(g, s, &at, &w, acc, CAT).unwrap(),
+            &|g, acc| k::gemm_tn_device(g, s, &at, &w, 5, acc, CAT).unwrap(),
             &prev,
         ),
         (

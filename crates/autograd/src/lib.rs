@@ -39,6 +39,10 @@
 //!   is concat — one gather launch per split over the gradients present,
 //!   whatever the number of parts (the `split_oracle` tests keep the
 //!   zero-padded sum it replaced as the reference).
+//! * [`Tape::matmul_segments`] multiplies a frame's stacked timesteps in one
+//!   GEMM; its weight gradient is one split-K launch whose per-timestep
+//!   partials fold in the order one product per timestep accumulated them
+//!   (the `seg_oracle` tests keep that sweep as the reference).
 //! * [`Tape::finish`] frees every device allocation the tape made; leaked
 //!   simulated memory would corrupt the tuner's peak statistics, so tests
 //!   assert the device returns to its pre-tape footprint.
@@ -47,6 +51,8 @@
 mod acc_oracle;
 #[cfg(test)]
 mod rnn_oracle;
+#[cfg(test)]
+mod seg_oracle;
 #[cfg(test)]
 mod split_oracle;
 mod tape;

@@ -51,7 +51,13 @@ impl Deref for DevRef<'_> {
 enum Op {
     Input,
     Param,
-    MatMul(Var, Var),
+    /// `x × w`, `x` stacked from row segments `seg` high (all of `x` for a
+    /// plain product): the weight gradient folds one partial per segment.
+    MatMul {
+        x: Var,
+        w: Var,
+        seg: usize,
+    },
     Spmm {
         adj: Rc<Csr>,
         x: Var,
@@ -235,8 +241,10 @@ impl Tape {
     }
 
     /// Apply `f` to a node's accumulated gradient without cloning; `None`
-    /// if backward never reached it.
-    pub fn with_grad<R>(&self, v: Var, f: impl FnOnce(&Matrix) -> R) -> Option<R> {
+    /// if backward never reached it. The borrow lives as long as the tape's,
+    /// so `|g| g` hands it out (the multi-tensor optimiser step reads every
+    /// gradient of a frame at once).
+    pub fn with_grad<'t, R>(&'t self, v: Var, f: impl FnOnce(&'t Matrix) -> R) -> Option<R> {
         self.nodes[v.0].grad.as_ref().map(|g| f(g.host()))
     }
 
@@ -329,12 +337,31 @@ impl Tape {
         w: Var,
         category: KernelCategory,
     ) -> Result<Var, OomError> {
+        let seg = self.shape(x).0;
+        self.matmul_segments(gpu, x, w, seg, category)
+    }
+
+    /// `x × w` where `x` stacks row segments `seg` high — a frame's
+    /// timesteps, [`Tape::concat_rows`]-ed so a weight is read once per frame
+    /// instead of once per timestep. Forward is one plain GEMM (rows are
+    /// independent). Backward is one `gemm_nt` for `dx` and one split-K
+    /// `gemm_tn` for `dw` whose per-segment partials fold last segment first
+    /// ([`k::gemm_tn_device`]) — bit for bit the weight gradient of one
+    /// [`Tape::matmul`] per segment swept in reverse.
+    pub fn matmul_segments(
+        &mut self,
+        gpu: &mut Gpu,
+        x: Var,
+        w: Var,
+        seg: usize,
+        category: KernelCategory,
+    ) -> Result<Var, OomError> {
         let out = {
             let (a, b) = (self.dev(x), self.dev(w));
             k::gemm_device(gpu, self.stream, &a, &b, category)?
         };
         let rg = self.requires(x) || self.requires(w);
-        Ok(self.push_computed(gpu, out, Op::MatMul(x, w), rg, category))
+        Ok(self.push_computed(gpu, out, Op::MatMul { x, w, seg }, rg, category))
     }
 
     /// Aggregation over a CSR adjacency. `adj` must be structurally
@@ -683,12 +710,13 @@ impl Tape {
         w: Var,
         category: KernelCategory,
     ) -> Result<Var, OomError> {
+        let seg = self.shape(x).0;
         let out = {
             let (a, b) = (self.dev(x), self.dev(w));
             k::gemm_device_weight_resident(gpu, self.stream, &a, &b, category)?
         };
         let rg = self.requires(x) || self.requires(w);
-        Ok(self.push_computed(gpu, out, Op::MatMul(x, w), rg, category))
+        Ok(self.push_computed(gpu, out, Op::MatMul { x, w, seg }, rg, category))
     }
 
     /// Row-wise concatenation (stacks a partition's per-snapshot features).
@@ -1266,22 +1294,22 @@ impl Tape {
         match op {
             // (`backward_from` gathers a split's parts without coming here.)
             Op::Input | Op::Param | Op::CellState | Op::Split { .. } | Op::SplitPart => {}
-            &Op::MatMul(a, b) => {
-                if self.requires(a) {
-                    let prev = self.take_acc(a);
-                    let da = {
-                        let bm = self.dev(b);
-                        k::gemm_nt_device(gpu, s, g, &bm, prev.as_deref(), cat)
+            &Op::MatMul { x, w, seg } => {
+                if self.requires(x) {
+                    let prev = self.take_acc(x);
+                    let dx = {
+                        let wm = self.dev(w);
+                        k::gemm_nt_device(gpu, s, g, &wm, prev.as_deref(), cat)
                     };
-                    self.settle(gpu, a, prev, da)?;
+                    self.settle(gpu, x, prev, dx)?;
                 }
-                if self.requires(b) {
-                    let prev = self.take_acc(b);
-                    let db = {
-                        let am = self.dev(a);
-                        k::gemm_tn_device(gpu, s, &am, g, prev.as_deref(), cat)
+                if self.requires(w) {
+                    let prev = self.take_acc(w);
+                    let dw = {
+                        let xm = self.dev(x);
+                        k::gemm_tn_device(gpu, s, &xm, g, seg, prev.as_deref(), cat)
                     };
-                    self.settle(gpu, b, prev, db)?;
+                    self.settle(gpu, w, prev, dw)?;
                 }
             }
             &Op::Spmm { ref adj, x, kernel } => {

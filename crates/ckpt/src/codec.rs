@@ -197,12 +197,14 @@ pub fn put_op_counters(buf: &mut Vec<u8>, c: &OpCounters) {
     put_u64(buf, c.launches);
 }
 
-/// Decode a [`put_op_counters`] payload.
+/// Decode a [`put_op_counters`] payload. `eager_launches` is not encoded
+/// (no fault plan addresses it): it decodes as 0.
 pub fn get_op_counters(r: &mut Reader<'_>) -> Result<OpCounters, CkptError> {
     Ok(OpCounters {
         allocs: r.get_u64()?,
         copy_ops: r.get_u64()?,
         launches: r.get_u64()?,
+        eager_launches: 0,
     })
 }
 
@@ -322,6 +324,7 @@ mod tests {
                 allocs: 1,
                 copy_ops: 2,
                 launches: u64::MAX,
+                eager_launches: 0,
             },
         };
         put_device_clock(&mut buf, &clock);

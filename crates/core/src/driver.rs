@@ -57,7 +57,7 @@ impl RunCx<'_> {
         let loss = tape.mse_loss(self.gpu, out.pred, target);
         tape.backward_mse(self.gpu, out.pred, target)?;
         out.binder
-            .apply_sgd(self.gpu, self.compute, &tape, self.cfg.lr);
+            .apply_sgd(self.gpu, self.compute, &tape, self.cfg.lr, true);
         tape.finish(self.gpu);
         Ok(loss)
     }

@@ -59,10 +59,10 @@ use pipad_gpu_sim::{
     export_chrome_trace, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError,
     SimNanos, StreamId, TraceKind,
 };
-use pipad_kernels::DeviceMatrix;
+use pipad_kernels::{sgd_step, DeviceMatrix};
 use pipad_models::{
-    build_model, normalize_snapshot, EpochReport, GnnExecutor, HostAllocStats, ModelKind,
-    TrainingConfig,
+    build_model, normalize_snapshot, DgnnModel, EpochReport, GnnExecutor, HostAllocStats,
+    ModelKind, TrainingConfig,
 };
 use pipad_sparse::{csr_row_work, partition_rows_balanced, SlicedCsr};
 use pipad_tensor::Matrix;
@@ -680,12 +680,13 @@ pub fn train_data_parallel_devices(
                 let mut tape = Tape::new(compute);
                 let (lo, hi) = shard_ranges[s];
                 let t_local = target_full.slice_rows(lo, hi);
-                let out = replay(gpu, compute, steady, |gpu| -> Result<_, OomError> {
+                let (out, sse) = replay(gpu, compute, steady, |gpu| -> Result<_, OomError> {
                     let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
                     tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
-                    Ok(out)
+                    let sse = tape.sse_loss(gpu, out.pred, &t_local);
+                    Ok((out, sse))
                 })?;
-                frame_sse += tape.sse_loss(gpu, out.pred, &t_local);
+                frame_sse += sse;
                 swept.push(gpu.record_event(compute).time());
                 t_local.recycle();
                 for (slot, m) in exec.computed_aggs.drain(..) {
@@ -799,25 +800,26 @@ pub fn train_data_parallel_devices(
                     allreduce_time_total += dur;
                 }
             }
+            // One multi-tensor step per replica over the summed gradients.
+            let step = |gpu: &mut Gpu, stream, model: &dyn DgnnModel| {
+                let params = model.params();
+                let pairs: Vec<_> = params
+                    .iter()
+                    .filter_map(|p| summed.get(&p.name).map(|g| (&*p.value, g)))
+                    .collect();
+                sgd_step(gpu, stream, &pairs, cfg.lr, true);
+            };
             for p in 0..parts {
                 let (compute, _) = streams[p];
                 let gpu = &mut gpus[p];
                 gpu.stream_wait_host(compute, sync_point);
                 replay(gpu, compute, steady, |gpu| {
-                    for param in models[p].params() {
-                        if let Some(g) = summed.get(&param.name) {
-                            param.sgd_step(gpu, compute, g, cfg.lr);
-                        }
-                    }
+                    step(gpu, compute, models[p].as_ref())
                 });
             }
             if let Some((sg, smodel)) = scratch.as_mut() {
                 let stream = sg.default_stream();
-                for param in smodel.params() {
-                    if let Some(g) = summed.get(&param.name) {
-                        param.sgd_step(sg, stream, g, cfg.lr);
-                    }
-                }
+                step(sg, stream, smodel.as_ref());
             }
             for (_, g) in summed.drain() {
                 g.recycle();

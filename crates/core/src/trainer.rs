@@ -254,29 +254,30 @@ impl EpochPolicy for PipadPolicy<'_> {
                 }
                 let mut tape = Tape::new(compute);
                 let target = cx.graph.target_for(frame.last_index());
-                let loss;
-                let binder;
-                if use_graph {
-                    let out = gpu.graph_scope(compute, |gpu| -> Result<_, OomError> {
-                        let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
-                        tape.backward_mse(gpu, out.pred, target)?;
-                        Ok(out)
-                    })?;
-                    loss = tape.mse_loss(gpu, out.pred, target);
-                    binder = out.binder;
-                } else {
+                let lr = cx.cfg.lr;
+                // The whole frame — forward, loss, backward, optimiser step —
+                // is one graph replay in steady epochs. A replay cannot branch
+                // on the loss, so its step is always launched and reads the
+                // loss's device-side finite flag; eager frames check on the
+                // host and skip the launch.
+                let mut step = |gpu: &mut Gpu| -> Result<f32, OomError> {
                     let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
-                    loss = tape.mse_loss(gpu, out.pred, target);
+                    let loss = tape.mse_loss(gpu, out.pred, target);
                     tape.backward_mse(gpu, out.pred, target)?;
-                    binder = out.binder;
-                }
-                let stepped = loss.is_finite();
-                if stepped {
-                    binder.apply_sgd(gpu, compute, &tape, cx.cfg.lr);
-                }
+                    if use_graph || loss.is_finite() {
+                        out.binder
+                            .apply_sgd(gpu, compute, &tape, lr, loss.is_finite());
+                    }
+                    Ok(loss)
+                };
+                let loss = if use_graph {
+                    gpu.graph_scope(compute, step)?
+                } else {
+                    step(gpu)?
+                };
                 tape.finish(gpu);
                 exec.finish(gpu);
-                Ok((loss, stepped))
+                Ok((loss, loss.is_finite()))
             })();
             match result {
                 Ok((loss, stepped)) => break (s_per, frame_snap, loss, stepped),

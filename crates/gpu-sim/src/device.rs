@@ -65,6 +65,7 @@ pub struct Gpu {
     alloc_attempts: u64,
     copy_ops: u64,
     launches: u64,
+    eager_launches: u64,
 }
 
 impl Gpu {
@@ -85,6 +86,7 @@ impl Gpu {
             alloc_attempts: 0,
             copy_ops: 0,
             launches: 0,
+            eager_launches: 0,
         }
     }
 
@@ -103,13 +105,15 @@ impl Gpu {
     }
 
     /// Monotonic operation counters (allocation attempts, logical copy
-    /// ops, kernel launches); harnesses probe these on a fault-free run to
-    /// place faults at known fractions of the op stream.
+    /// ops, kernel launches and the eager ones among them); harnesses probe
+    /// these on a fault-free run to place faults at known fractions of the
+    /// op stream.
     pub fn op_counters(&self) -> OpCounters {
         OpCounters {
             allocs: self.alloc_attempts,
             copy_ops: self.copy_ops,
             launches: self.launches,
+            eager_launches: self.eager_launches,
         }
     }
 
@@ -358,6 +362,7 @@ impl Gpu {
         });
         let launch_index = self.launches;
         self.launches += 1;
+        self.eager_launches += u64::from(!self.graph_mode);
         self.check_crash_counter(CrashCounter::Launches, launch_index, self.now());
         let (mut busy, balanced, (imb_num, imb_den)) = self.kernel_busy_ratio(&cost);
         let mut straggler_milli = None;
@@ -702,6 +707,7 @@ impl Gpu {
         self.alloc_attempts = clock.counters.allocs;
         self.copy_ops = clock.counters.copy_ops;
         self.launches = clock.counters.launches;
+        self.eager_launches = clock.counters.eager_launches;
     }
 }
 
@@ -1029,7 +1035,9 @@ mod tests {
         g.h2d(s, 1024, true);
         g.d2h(s, 1024, true);
         let _ = g.alloc(64).unwrap();
+        g.graph_scope(s, |g| g.launch(s, small_kernel()));
         let c = g.op_counters();
-        assert_eq!((c.allocs, c.copy_ops, c.launches), (1, 2, 1));
+        assert_eq!((c.allocs, c.copy_ops, c.launches), (1, 2, 2));
+        assert_eq!(c.eager_launches, 1, "the graphed launch is not eager");
     }
 }

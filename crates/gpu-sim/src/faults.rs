@@ -548,6 +548,10 @@ pub struct OpCounters {
     pub copy_ops: u64,
     /// Kernel launches (plain and graphed).
     pub launches: u64,
+    /// The launches of `launches` made outside any `Gpu::graph_scope`, each
+    /// paying the full driver overhead. Not an index fault plans address,
+    /// and not carried by a checkpoint: a restored device counts from 0.
+    pub eager_launches: u64,
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use crate::device_data::DeviceMatrix;
 use pipad_gpu_sim::{Gpu, KernelCategory, KernelCost, OomError, StreamId};
 use pipad_pool as pool;
 use pipad_tensor::Matrix;
+use std::cell::RefCell;
 
 /// Minimum elements before a row-broadcast kernel fans out to the pool.
 const HOST_ELEMS_PER_BAND: usize = 1 << 15;
@@ -390,16 +391,39 @@ pub fn slice_rows(
     DeviceMatrix::alloc(gpu, x.host().slice_rows(from, to))
 }
 
-/// SGD parameter step: `param ← param − lr · grad`, in place.
-pub fn sgd_step(gpu: &mut Gpu, stream: StreamId, param: &mut DeviceMatrix, grad: &Matrix, lr: f32) {
-    assert_eq!(param.host().shape(), grad.shape(), "sgd shape mismatch");
-    let n = param.host().len() as u64;
+/// Multi-tensor SGD step, `param ← param − lr · grad` in place for every
+/// `(param, grad)` pair, in **one** launch over all of them (PyTorch's
+/// `foreach` SGD, apex's `multi_tensor_apply`). Nothing is launched for an
+/// empty list.
+///
+/// `finite` says whether the loss [`mse_loss`] left in device memory is
+/// finite. A replayed graph cannot branch on a value the host has not read
+/// yet, so a captured step is always launched and reads that flag itself:
+/// `false` makes the launch write nothing (AMP's `found_inf`).
+pub fn sgd_step(
+    gpu: &mut Gpu,
+    stream: StreamId,
+    pairs: &[(&RefCell<DeviceMatrix>, &Matrix)],
+    lr: f32,
+    finite: bool,
+) {
+    if pairs.is_empty() {
+        return;
+    }
+    let n: u64 = pairs.iter().map(|(_, g)| g.len() as u64).sum();
     gpu.launch(
         stream,
         streaming_cost("sgd_step", KernelCategory::Optimizer, 2 * n, n, 2),
     );
-    let updated = param.host().zip(grad, |w, g| w - lr * g);
-    param.store(updated);
+    if !finite {
+        return;
+    }
+    for (param, grad) in pairs {
+        let mut param = param.borrow_mut();
+        assert_eq!(param.host().shape(), grad.shape(), "sgd shape mismatch");
+        let updated = param.host().zip(grad, |w, g| w - lr * g);
+        param.store(updated);
+    }
 }
 
 /// Column range copy `[from, to)` (a member's view of a coalescent matrix).
@@ -507,7 +531,9 @@ pub fn col_sums(
     DeviceMatrix::alloc(gpu, fold_acc(sums, acc))
 }
 
-/// Mean-squared-error loss (scalar) between prediction and target.
+/// Mean-squared-error loss (scalar) between prediction and target. The
+/// scalar is written to device memory, where a captured [`sgd_step`] reads
+/// whether it is finite without a round trip to the host.
 pub fn mse_loss(gpu: &mut Gpu, stream: StreamId, pred: &DeviceMatrix, target: &Matrix) -> f32 {
     assert_eq!(pred.host().shape(), target.shape());
     let n = pred.host().len() as u64;

@@ -4,7 +4,7 @@
 use crate::device_data::DeviceMatrix;
 use crate::elementwise::{acc_elems, fold_acc};
 use pipad_gpu_sim::{Gpu, KernelCategory, KernelCost, OomError, StreamId};
-use pipad_tensor::{gemm, gemm_nt, gemm_tn};
+use pipad_tensor::{gemm, gemm_nt, gemm_tn_rows};
 
 /// Tile edge assumed by the cost model (32×32 output tiles, k-striped).
 const TILE: u64 = 32;
@@ -18,6 +18,25 @@ fn gemm_cost(
     weight_loads: u64,
     acc_elems: u64,
 ) -> KernelCost {
+    split_k_cost(name, category, m, k, n, weight_loads, acc_elems, 1)
+}
+
+/// [`gemm_cost`] with the `k` loop cut into `segments` slices: each slice's
+/// partial `m × n` product but the first spills to a workspace and is read
+/// back once by the fixed-order fold — one write, one read and one add per
+/// element per extra slice, the traffic of the β = 1 chain of per-slice
+/// launches it replaces, in one launch.
+#[allow(clippy::too_many_arguments)]
+fn split_k_cost(
+    name: &'static str,
+    category: KernelCategory,
+    m: u64,
+    k: u64,
+    n: u64,
+    weight_loads: u64,
+    acc_elems: u64,
+    segments: u64,
+) -> KernelCost {
     // Tiled GEMM: A re-read once per output column tile; B (the weight)
     // re-read `weight_loads` times in total (1 after reuse, per-row-tile
     // otherwise). Output written once. An accumulate operand (β = 1) is
@@ -25,12 +44,13 @@ fn gemm_cost(
     let a_elems = m * k * n.div_ceil(TILE).max(1);
     let b_elems = k * n * weight_loads;
     let out_elems = m * n;
-    let bytes = 4 * (a_elems + b_elems + out_elems + acc_elems);
+    let partials = (segments.max(1) - 1) * out_elems;
+    let bytes = 4 * (a_elems + b_elems + out_elems + acc_elems + 2 * partials);
     let transactions = bytes.div_ceil(32);
     let requests = bytes.div_ceil(128);
     let blocks = (m.div_ceil(TILE) * n.div_ceil(TILE)).max(1);
     KernelCost::new(name, category)
-        .flops(2 * m * k * n + acc_elems)
+        .flops(2 * m * k * n + acc_elems + partials)
         .gmem(requests, transactions)
         .smem(2 * a_elems.min(b_elems.max(1)))
         .uniform_blocks(blocks as usize, k.max(1))
@@ -54,20 +74,51 @@ pub fn gemm_device(
 
 /// `C = Aᵀ × B (+ acc)` (weight gradients in backward). `acc` is the
 /// cuBLAS β = 1 operand: read, never written — the sum is a new buffer.
+///
+/// `seg` is the height of the row segments `A` and `B` are stacked from
+/// (`a.rows()` for a plain product): the `k` loop is split at every segment
+/// boundary — a split-K GEMM, one launch — and the partials `Pₜ` are folded
+/// **last segment first**, `P₀ + (P₁ + (… + (P_{W−1} + acc)))`: the chain a
+/// sweep of one β = 1 launch per segment, in reverse, builds.
 pub fn gemm_tn_device(
     gpu: &mut Gpu,
     stream: StreamId,
     a: &DeviceMatrix,
     b: &DeviceMatrix,
+    seg: usize,
     acc: Option<&DeviceMatrix>,
     category: KernelCategory,
 ) -> Result<DeviceMatrix, OomError> {
-    let (k, m) = (a.rows() as u64, a.cols() as u64);
+    let rows = a.rows();
+    let segments = rows.checked_div(seg).unwrap_or(1).max(1);
+    assert_eq!(
+        segments * seg,
+        rows,
+        "segments of {seg} rows must tile {rows}"
+    );
+    let (k, m) = (rows as u64, a.cols() as u64);
     let n = b.cols() as u64;
     let loads = m.div_ceil(TILE).max(1);
-    let cost = gemm_cost("gemm_tn", category, m, k, n, loads, acc_elems(acc));
+    let cost = split_k_cost(
+        "gemm_tn",
+        category,
+        m,
+        k,
+        n,
+        loads,
+        acc_elems(acc),
+        segments as u64,
+    );
     gpu.launch(stream, cost);
-    DeviceMatrix::alloc(gpu, fold_acc(gemm_tn(a.host(), b.host()), acc))
+    let part = |t: usize| gemm_tn_rows(a.host(), b.host(), t * seg..(t + 1) * seg);
+    let last = fold_acc(part(segments - 1), acc);
+    let sum = (0..segments - 1).rev().fold(last, |sum, t| {
+        let mut p = part(t);
+        p.add_assign(&sum);
+        sum.recycle();
+        p
+    });
+    DeviceMatrix::alloc(gpu, sum)
 }
 
 /// `C = A × Bᵀ (+ acc)` (input gradients in backward); `acc` as in
@@ -132,7 +183,7 @@ mod tests {
         assert!(c.host().approx_eq(&gemm(&a, &b), 1e-4));
 
         let at = upload_matrix(&mut g, s, &a.transpose(), true).unwrap();
-        let c2 = gemm_tn_device(&mut g, s, &at, &db, None, KernelCategory::Update).unwrap();
+        let c2 = gemm_tn_device(&mut g, s, &at, &db, 5, None, KernelCategory::Update).unwrap();
         assert!(c2.host().approx_eq(&gemm(&a, &b), 1e-4));
 
         let bt = upload_matrix(&mut g, s, &b.transpose(), true).unwrap();

@@ -4,6 +4,8 @@
 use crate::params::{Binder, Param};
 use pipad_autograd::{Tape, Var};
 use pipad_gpu_sim::{Gpu, KernelCategory, OomError};
+use pipad_kernels::DeviceMatrix;
+use pipad_tensor::Matrix;
 use rand::rngs::StdRng;
 
 const RNN: KernelCategory = KernelCategory::Rnn;
@@ -35,22 +37,40 @@ impl LstmCell {
         })
     }
 
-    /// One step: `(h', c') = lstm(x, h, c)`.
-    pub fn step(
+    /// The whole frame from zero initial states: the hidden state after
+    /// each of `xs` (one `n × input` matrix per timestep).
+    ///
+    /// The input projections do not depend on the recurrence, so they are
+    /// one GEMM per frame (cuDNN's layout): the timesteps stacked with
+    /// [`Tape::concat_rows`], multiplied once by `wx` in segments of `n`
+    /// rows ([`Tape::matmul_segments`]) and cut back apart as free views.
+    /// Only `h·wh` and the fused gate algebra run per timestep.
+    pub fn run(
         &self,
         gpu: &mut Gpu,
         tape: &mut Tape,
         binder: &mut Binder,
-        x: Var,
-        h: Var,
-        c: Var,
-    ) -> Result<(Var, Var), OomError> {
+        xs: &[Var],
+    ) -> Result<Vec<Var>, OomError> {
         let wx = binder.bind(tape, &self.wx);
         let wh = binder.bind(tape, &self.wh);
         let b = binder.bind(tape, &self.b);
-        let gx = tape.matmul(gpu, x, wx, RNN)?;
-        let gh = tape.matmul(gpu, h, wh, RNN)?;
-        tape.lstm_cell(gpu, gx, gh, b, c, RNN)
+        let n = tape.shape(xs[0]).0;
+        let x = tape.concat_rows(gpu, xs, RNN)?;
+        let gx = tape.matmul_segments(gpu, x, wx, n, RNN)?;
+        let gxs = tape.split_rows(gpu, gx, &vec![n; xs.len()], RNN)?;
+        // One zero input is both initial states (inputs carry no gradient,
+        // so sharing the node is safe).
+        let hidden = self.wh.shape().0;
+        let zero = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros_in(n, hidden))?);
+        let (mut h, mut c) = (zero, zero);
+        let mut hs = Vec::with_capacity(xs.len());
+        for gx in gxs {
+            let gh = tape.matmul(gpu, h, wh, RNN)?;
+            (h, c) = tape.lstm_cell(gpu, gx, gh, b, c, RNN)?;
+            hs.push(h);
+        }
+        Ok(hs)
     }
 
     /// The trainable parameters of this component.
@@ -123,23 +143,26 @@ mod tests {
     }
 
     #[test]
-    fn lstm_step_shapes_and_bounds() {
+    fn lstm_run_shapes_and_bounds() {
         let (mut gpu, s) = setup();
         let mut rng = seeded_rng(1);
         let cell = LstmCell::new(&mut gpu, &mut rng, "lstm", 4, 3).unwrap();
         let mut tape = Tape::new(s);
         let mut binder = Binder::new();
-        let x = tape.input(DeviceMatrix::alloc(&mut gpu, uniform(&mut rng, 5, 4, 1.0)).unwrap());
-        let h = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(5, 3)).unwrap());
-        let c = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(5, 3)).unwrap());
-        let (h2, c2) = cell
-            .step(&mut gpu, &mut tape, &mut binder, x, h, c)
-            .unwrap();
-        let hm = tape.host(h2);
-        assert_eq!(hm.shape(), (5, 3));
-        assert_eq!(tape.host(c2).shape(), (5, 3));
-        // h = o ⊙ tanh(c) ∈ (−1, 1)
-        assert!(hm.as_slice().iter().all(|v| v.abs() < 1.0));
+        let xs: Vec<Var> = (0..3)
+            .map(|_| {
+                let x = uniform(&mut rng, 5, 4, 1.0);
+                tape.input(DeviceMatrix::alloc(&mut gpu, x).unwrap())
+            })
+            .collect();
+        let hs = cell.run(&mut gpu, &mut tape, &mut binder, &xs).unwrap();
+        assert_eq!(hs.len(), 3);
+        for h in hs {
+            let hm = tape.host(h);
+            assert_eq!(hm.shape(), (5, 3));
+            // h = o ⊙ tanh(c) ∈ (−1, 1)
+            assert!(hm.as_slice().iter().all(|v| v.abs() < 1.0));
+        }
         tape.finish(&mut gpu);
     }
 
@@ -173,14 +196,10 @@ mod tests {
             let mut tape = Tape::new(s);
             let mut binder = Binder::new();
             let x = tape.input(DeviceMatrix::alloc(&mut gpu, x_host.clone()).unwrap());
-            let h = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(6, 2)).unwrap());
-            let c = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(6, 2)).unwrap());
-            let (h2, _) = cell
-                .step(&mut gpu, &mut tape, &mut binder, x, h, c)
-                .unwrap();
+            let h2 = cell.run(&mut gpu, &mut tape, &mut binder, &[x]).unwrap()[0];
             losses.push(tape.mse_loss(&mut gpu, h2, &target));
             tape.backward_mse(&mut gpu, h2, &target).unwrap();
-            binder.apply_sgd(&mut gpu, s, &tape, 0.5);
+            binder.apply_sgd(&mut gpu, s, &tape, 0.5, true);
             tape.finish(&mut gpu);
         }
         assert!(
@@ -201,19 +220,32 @@ mod tests {
         let x = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::full(3, 2, 0.1)).unwrap());
         let h = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(3, 2)).unwrap());
         gru.step(&mut gpu, &mut tape, &mut binder, x, h).unwrap();
-        lstm.step(&mut gpu, &mut tape, &mut binder, x, h, h)
+        lstm.run(&mut gpu, &mut tape, &mut binder, &[x, x, x])
             .unwrap();
         let w = gpu.profiler().window(snap);
         assert!(w.compute_by_category.contains_key("rnn"));
         assert!(!w.compute_by_category.contains_key("aggregation"));
-        // One step is its two gate GEMMs plus one fused pointwise launch.
+        // A GRU step is its two gate GEMMs plus one fused pointwise launch;
+        // an LSTM frame is one input projection for all its timesteps, then
+        // the recurrent GEMM and the fused cell per timestep.
         let launched: Vec<_> = gpu.profiler().samples()[snap.from..]
             .iter()
             .map(|sm| sm.name)
             .collect();
         assert_eq!(
             launched,
-            ["gemm", "gemm", "gru_cell", "gemm", "gemm", "lstm_cell"]
+            [
+                "gemm",
+                "gemm",
+                "gru_cell",
+                "gemm",
+                "gemm",
+                "lstm_cell",
+                "gemm",
+                "lstm_cell",
+                "gemm",
+                "lstm_cell"
+            ]
         );
         tape.finish(&mut gpu);
     }

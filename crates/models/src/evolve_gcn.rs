@@ -214,7 +214,7 @@ mod tests {
             assert_eq!(tape.host(out.pred).shape(), (4, 2));
             losses.push(tape.mse_loss(&mut gpu, out.pred, &target));
             tape.backward_mse(&mut gpu, out.pred, &target).unwrap();
-            out.binder.apply_sgd(&mut gpu, s, &tape, 0.05);
+            out.binder.apply_sgd(&mut gpu, s, &tape, 0.05, true);
             tape.finish(&mut gpu);
         }
         assert!(

@@ -9,8 +9,6 @@ use crate::params::{Binder, Linear, Param};
 use crate::training::{DgnnModel, ForwardOutput, ModelKind};
 use pipad_autograd::Tape;
 use pipad_gpu_sim::{Gpu, KernelCategory, OomError};
-use pipad_kernels::DeviceMatrix;
-use pipad_tensor::Matrix;
 use rand::rngs::StdRng;
 
 /// The MPNN-LSTM model.
@@ -21,7 +19,6 @@ pub struct MpnnLstm {
     lstm2: LstmCell,
     head: Linear,
     in_dim: usize,
-    hidden: usize,
 }
 
 impl MpnnLstm {
@@ -39,7 +36,6 @@ impl MpnnLstm {
             lstm2: LstmCell::new(gpu, rng, "mpnn.lstm2", hidden, hidden)?,
             head: Linear::new(gpu, rng, "mpnn.head", hidden, in_dim)?,
             in_dim,
-            hidden,
         })
     }
 }
@@ -70,23 +66,15 @@ impl DgnnModel for MpnnLstm {
             .update_many(gpu, tape, &mut binder, exec, &agg2, true)?;
 
         // --- temporal phase (sequential over the frame) -------------------
-        let n = tape.shape(h2[0]).0;
-        // A single zero input serves as every initial hidden/cell state
-        // (inputs carry no gradient, so sharing the node is safe).
-        let zero = tape.input(DeviceMatrix::alloc(gpu, Matrix::zeros(n, self.hidden))?);
-        let (mut h_a, mut c_a) = (zero, zero);
-        let (mut h_b, mut c_b) = (zero, zero);
-        for &emb in &h2 {
-            let (ha, ca) = self.lstm1.step(gpu, tape, &mut binder, emb, h_a, c_a)?;
-            h_a = ha;
-            c_a = ca;
-            let (hb, cb) = self.lstm2.step(gpu, tape, &mut binder, h_a, h_b, c_b)?;
-            h_b = hb;
-            c_b = cb;
-        }
+        // lstm2 reads lstm1's outputs and nothing else of it, so lstm1 can
+        // run the whole frame before lstm2 does: each then projects all its
+        // inputs in one GEMM.
+        let h_a = self.lstm1.run(gpu, tape, &mut binder, &h2)?;
+        let h_b = self.lstm2.run(gpu, tape, &mut binder, &h_a)?;
+        let last = *h_b.last().expect("a frame has at least one snapshot");
         let pred = self
             .head
-            .forward(gpu, tape, &mut binder, h_b, KernelCategory::Update)?;
+            .forward(gpu, tape, &mut binder, last, KernelCategory::Update)?;
         Ok(ForwardOutput { pred, binder })
     }
 
@@ -118,7 +106,7 @@ mod tests {
     use crate::executor::DirectExecutor;
     use pipad_gpu_sim::DeviceConfig;
     use pipad_sparse::Csr;
-    use pipad_tensor::{seeded_rng, uniform};
+    use pipad_tensor::{seeded_rng, uniform, Matrix};
 
     fn frame_data(n: usize, t: usize, d: usize) -> Vec<(Csr, Matrix)> {
         let mut rng = seeded_rng(42);
@@ -161,7 +149,7 @@ mod tests {
             let out = model.forward_frame(&mut gpu, &mut tape, &mut exec).unwrap();
             losses.push(tape.mse_loss(&mut gpu, out.pred, &target));
             tape.backward_mse(&mut gpu, out.pred, &target).unwrap();
-            out.binder.apply_sgd(&mut gpu, s, &tape, 0.1);
+            out.binder.apply_sgd(&mut gpu, s, &tape, 0.1, true);
             tape.finish(&mut gpu);
         }
         assert!(

@@ -57,11 +57,6 @@ impl Param {
     pub fn host(&self) -> Matrix {
         self.value.borrow().host().clone()
     }
-
-    /// In-place SGD update (launches the optimizer kernel).
-    pub fn sgd_step(&self, gpu: &mut Gpu, stream: StreamId, grad: &Matrix, lr: f32) {
-        sgd_step(gpu, stream, &mut self.value.borrow_mut(), grad, lr);
-    }
 }
 
 /// One registration of a parameter on a tape.
@@ -107,11 +102,17 @@ impl Binder {
         &self.bindings
     }
 
-    /// Apply one SGD step per bound parameter from the tape's gradients.
-    pub fn apply_sgd(&self, gpu: &mut Gpu, stream: StreamId, tape: &Tape, lr: f32) {
-        for b in &self.bindings {
-            tape.with_grad(b.var, |g| b.param.sgd_step(gpu, stream, g, lr));
-        }
+    /// One multi-tensor SGD launch over every bound parameter backward
+    /// reached, reading the tape's gradients in place. `finite` is the
+    /// loss's device-side flag ([`sgd_step`]): a step captured in a graph is
+    /// launched whatever the loss and writes nothing when it is `false`.
+    pub fn apply_sgd(&self, gpu: &mut Gpu, stream: StreamId, tape: &Tape, lr: f32, finite: bool) {
+        let pairs: Vec<_> = self
+            .bindings
+            .iter()
+            .filter_map(|b| tape.with_grad(b.var, |g| (&*b.param.value, g)))
+            .collect();
+        sgd_step(gpu, stream, &pairs, lr, finite);
     }
 }
 
@@ -181,16 +182,40 @@ mod tests {
     }
 
     #[test]
-    fn sgd_step_moves_weights_against_gradient() {
+    fn one_sgd_launch_moves_every_bound_weight_against_its_gradient() {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let s = gpu.default_stream();
-        let p = Param::from_matrix(&mut gpu, "w", Matrix::full(2, 2, 1.0)).unwrap();
-        let g = Matrix::full(2, 2, 0.5);
-        p.sgd_step(&mut gpu, s, &g, 0.1);
-        assert!(p.host().approx_eq(&Matrix::full(2, 2, 0.95), 1e-6));
-        // the optimizer kernel was billed
-        let b = gpu.profiler().full();
-        assert!(b.compute_by_category.contains_key("optimizer"));
+        let w = Param::from_matrix(&mut gpu, "w", Matrix::full(2, 2, 1.0)).unwrap();
+        let b = Param::from_matrix(&mut gpu, "b", Matrix::full(1, 2, 1.0)).unwrap();
+        let mut tape = Tape::new(s);
+        let mut binder = Binder::new();
+        let x = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::full(2, 2, 1.0)).unwrap());
+        let (wv, bv) = (binder.bind(&mut tape, &w), binder.bind(&mut tape, &b));
+        let h = tape
+            .matmul(&mut gpu, x, wv, KernelCategory::Update)
+            .unwrap();
+        let y = tape
+            .add_bias(&mut gpu, h, bv, KernelCategory::Update)
+            .unwrap();
+        let seed = DeviceMatrix::alloc(&mut gpu, Matrix::full(2, 2, 0.25)).unwrap();
+        tape.backward_from(&mut gpu, y, seed).unwrap();
+
+        // A non-finite loss: the launch happens, nothing is written.
+        let snap = gpu.profiler().snapshot();
+        binder.apply_sgd(&mut gpu, s, &tape, 0.1, false);
+        assert_eq!(gpu.profiler().window(snap).kernel_launches, 1);
+        assert_eq!(w.host(), Matrix::full(2, 2, 1.0));
+        assert_eq!(b.host(), Matrix::full(1, 2, 1.0));
+
+        let snap = gpu.profiler().snapshot();
+        binder.apply_sgd(&mut gpu, s, &tape, 0.1, true);
+        let window = gpu.profiler().window(snap);
+        assert_eq!(window.kernel_launches, 1, "one launch for both tensors");
+        assert!(window.compute_by_category.contains_key("optimizer"));
+        // dW = xᵀ·0.25 = 0.5 per element, db = column sums = 0.5.
+        assert!(w.host().approx_eq(&Matrix::full(2, 2, 0.95), 1e-6));
+        assert!(b.host().approx_eq(&Matrix::full(1, 2, 0.95), 1e-6));
+        tape.finish(&mut gpu);
     }
 
     #[test]
@@ -211,7 +236,7 @@ mod tests {
                 .unwrap();
             losses.push(tape.mse_loss(&mut gpu, pred, &target));
             tape.backward_mse(&mut gpu, pred, &target).unwrap();
-            binder.apply_sgd(&mut gpu, s, &tape, 0.2);
+            binder.apply_sgd(&mut gpu, s, &tape, 0.2, true);
             tape.finish(&mut gpu);
         }
         assert!(

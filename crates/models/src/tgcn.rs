@@ -171,7 +171,7 @@ mod tests {
             assert_eq!(tape.host(out.pred).shape(), (5, 2));
             losses.push(tape.mse_loss(&mut gpu, out.pred, &target));
             tape.backward_mse(&mut gpu, out.pred, &target).unwrap();
-            out.binder.apply_sgd(&mut gpu, s, &tape, 0.1);
+            out.binder.apply_sgd(&mut gpu, s, &tape, 0.1, true);
             tape.finish(&mut gpu);
         }
         assert!(

@@ -25,4 +25,4 @@ pub use bufpool::{
 pub use count_alloc::{heap_counters, CountingAllocator};
 pub use init::{glorot_uniform, seeded_rng, uniform};
 pub use matrix::Matrix;
-pub use ops::{gemm, gemm_nt, gemm_tn, PAR_THRESHOLD};
+pub use ops::{gemm, gemm_nt, gemm_tn, gemm_tn_rows, PAR_THRESHOLD};

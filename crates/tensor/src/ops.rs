@@ -156,6 +156,13 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
 /// `C = Aᵀ × B` (gradient w.r.t. weights: `X ᵀ dY`). `A` is read in place,
 /// down its columns.
 pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    gemm_tn_rows(a, b, 0..a.rows())
+}
+
+/// [`gemm_tn`] over rows `rows` of both operands, read in place: the same
+/// bits as `gemm_tn` of the two row blocks copied out (one segment of a
+/// split-K weight gradient).
+pub fn gemm_tn_rows(a: &Matrix, b: &Matrix, rows: Range<usize>) -> Matrix {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -163,15 +170,16 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let (k, m) = a.shape();
+    assert!(rows.end <= a.rows(), "gemm_tn row range out of bounds");
+    let m = a.cols();
     let n = b.cols();
     let op = Operands {
-        a: a.as_slice(),
+        a: &a.as_slice()[rows.start * m..rows.end * m],
         a_row: 1,
         a_stride: m,
-        b: b.as_slice(),
+        b: &b.as_slice()[rows.start * n..rows.end * n],
         ldb: n,
-        k,
+        k: rows.len(),
         n,
     };
     run::<true>(m, &op)
@@ -454,6 +462,24 @@ mod tests {
                     assert_same_bits(&label("gemm_tn"), &gemm_tn(&at, &b), &want_tn);
                     assert_same_bits(&label("gemm_nt"), &gemm_nt(&a, &bt), &want_nt);
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_range_is_the_product_of_the_copied_blocks() {
+        for &(m, n, k) in &ORACLE_SHAPES {
+            let (a, b) = oracle_operands(m, n, k);
+            let at = a.transpose();
+            // `at` is k × m, `b` is k × n: cut the shared k rows in three.
+            let cuts = [0, k / 3, k / 3 + k / 2, k];
+            for w in cuts.windows(2) {
+                let want = gemm_tn(&at.slice_rows(w[0], w[1]), &b.slice_rows(w[0], w[1]));
+                for t in [1usize, 2, 7] {
+                    let got = pool::with_threads(t, || gemm_tn_rows(&at, &b, w[0]..w[1]));
+                    let label = format!("gemm_tn_rows m={m} n={n} k={k} {w:?} threads={t}");
+                    assert_same_bits(&label, &got, &want);
+                }
             }
         }
     }

@@ -117,11 +117,21 @@ fn wide_cfg() -> TrainingConfig {
 /// The gate that would have caught "two GPUs are 24.7x slower than one":
 /// with one device and one shard the data-parallel trainer does the
 /// single-device trainer's work, so its steady epoch must stay within
-/// 1.25x of `train_pipad`'s (at 303dbcd: 11.45x / 8.97x / 6.90x; 1.96x /
-/// 1.41x / 1.35x while it paid one `mgpu_prep` and a copy or two per slot).
-/// Both stage a frame in partitions now. (EvolveGCN reads below 1: on one
-/// device nothing lifts the loader lane while preparing, so the run enters
-/// the steady window a frame ahead.)
+/// 1.6x of `train_pipad`'s (EvolveGCN / MPNN-LSTM / T-GCN at 303dbcd:
+/// 11.45x / 8.97x / 6.90x; 1.96x / 1.41x / 1.35x while it paid one
+/// `mgpu_prep` and a copy or two per slot; 0.84x / 1.09x / 1.19x under a
+/// 1.25x bound at a111d52, staging a frame in partitions).
+///
+/// The bound moved because the denominator did: `train_pipad`'s steady
+/// frame became one graph replay and shed an eager tail of about a dozen
+/// 5 µs launches per frame — one optimiser step per parameter and the loss
+/// — that the data-parallel step, graphed from the start, never paid. Now
+/// 1.04x / 1.44x / 1.55x. The sharded steady epoch itself fell (one input
+/// projection per LSTM and frame, one optimiser launch per device and
+/// frame): 947 632 → 907 604, 1 258 212 → 1 043 960 and 1 069 010 →
+/// 1 030 982 ns, and may not rise above the old values again. What is left
+/// of the gap is `ShardExecutor`'s per-slot update, which has no
+/// weight-resident GEMM (ROADMAP item 4).
 #[test]
 fn one_shard_tracks_the_single_device_trainer() {
     let g = graph();
@@ -146,9 +156,18 @@ fn one_shard_tracks_the_single_device_trainer() {
             .expect("train_data_parallel")
             .steady_epoch_time;
         assert!(
-            4 * sharded.as_nanos() <= 5 * single.as_nanos(),
+            5 * sharded.as_nanos() <= 8 * single.as_nanos(),
             "{model:?}: one shard on one device takes {sharded} per steady epoch, \
-             more than 1.25x train_pipad's {single}"
+             more than 1.6x train_pipad's {single}"
+        );
+        let ceiling = match model {
+            ModelKind::EvolveGcn => 947_632,
+            ModelKind::MpnnLstm => 1_258_212,
+            ModelKind::TGcn => 1_069_010,
+        };
+        assert!(
+            sharded.as_nanos() <= ceiling,
+            "{model:?}: one shard's steady epoch rose to {sharded}, above {ceiling} ns"
         );
     }
 }

@@ -5,8 +5,8 @@
 
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
-    feature_row_access, DeviceConfig, Gpu, KernelCategory, KernelCost, SimNanos, TraceEvent,
-    TraceKind, VectorWidth,
+    feature_row_access, DeviceConfig, Gpu, KernelCategory, KernelCost, SimNanos, StreamId,
+    TraceEvent, TraceKind, VectorWidth,
 };
 use pipad_repro::kernels::{self, DeviceMatrix};
 use pipad_repro::models::{ModelKind, TrainingConfig};
@@ -16,6 +16,7 @@ use pipad_repro::pipad::{
 };
 use pipad_repro::tensor::Matrix;
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 fn kernel(flops: u64, txns: u64) -> KernelCost {
     KernelCost::new("k", KernelCategory::Other)
@@ -149,7 +150,7 @@ proptest! {
         type Producer<'a> = &'a dyn Fn(&mut Gpu, Option<&DeviceMatrix>) -> DeviceMatrix;
         let producers: [(Producer<'_>, &DeviceMatrix); 4] = [
             (&|gpu, acc| kernels::gemm_nt_device(gpu, s, &g, &w, acc, cat).unwrap(), &da),
-            (&|gpu, acc| kernels::gemm_tn_device(gpu, s, &x, &g, acc, cat).unwrap(), &dw),
+            (&|gpu, acc| kernels::gemm_tn_device(gpu, s, &x, &g, m, acc, cat).unwrap(), &dw),
             (&|gpu, acc| kernels::hadamard(gpu, s, &g, &g, acc, cat).unwrap(), &g),
             (&|gpu, acc| kernels::col_sums(gpu, s, &g, acc, cat).unwrap(), &db),
         ];
@@ -183,6 +184,101 @@ proptest! {
         let (at_once, moved_at_once) = ship(&[pieces.iter().sum()]);
         prop_assert!(at_once <= piecewise, "{at_once} vs {piecewise}");
         prop_assert_eq!(moved_at_once, moved);
+    }
+}
+
+/// Simulated time of `launches` on a fresh device, eager or as one graph
+/// replay.
+fn elapsed(graphed: bool, launches: impl FnOnce(&mut Gpu, StreamId)) -> SimNanos {
+    let mut gpu = Gpu::new(DeviceConfig::v100());
+    let s = gpu.default_stream();
+    if graphed {
+        gpu.graph_scope(s, |gpu| launches(gpu, s));
+    } else {
+        launches(&mut gpu, s);
+    }
+    gpu.synchronize()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A graph replay costs one fixed launch and a smaller per-kernel
+    /// overhead: whatever is launched, from one kernel up, it is never
+    /// slower than launching the same kernels one by one.
+    #[test]
+    fn a_graph_replay_never_costs_more_than_eager_launches(
+        work in proptest::collection::vec((1u64..2_000_000, 1u64..200_000), 1..40),
+    ) {
+        let launch_all = |gpu: &mut Gpu, s| {
+            for &(flops, txns) in &work {
+                gpu.launch(s, kernel(flops, txns));
+            }
+        };
+        let (graphed, eager) = (elapsed(true, launch_all), elapsed(false, launch_all));
+        prop_assert!(graphed <= eager, "{graphed} graphed vs {eager} eager");
+    }
+
+    /// One multi-tensor `sgd_step` over P tensors costs no more than the P
+    /// launches it replaces, eager or graphed. (Over grids of up to one wave
+    /// of blocks — every model's parameters. Past one wave this simulator
+    /// charges a wave-quantization tail to a merged grid that the pieces,
+    /// each under one wave at full-device throughput, do not pay: ROADMAP
+    /// item 1's partial-occupancy term.)
+    #[test]
+    fn one_multi_tensor_step_costs_no_more_than_one_step_per_tensor(
+        shapes in proptest::collection::vec((1usize..300, 1usize..300), 1..16),
+        graphed in 0usize..2,
+    ) {
+        let step = |per_tensor: bool| {
+            elapsed(graphed == 1, |gpu, s| {
+                let params: Vec<RefCell<DeviceMatrix>> = shapes
+                    .iter()
+                    .map(|&(r, c)| RefCell::new(DeviceMatrix::alloc(gpu, Matrix::zeros(r, c)).unwrap()))
+                    .collect();
+                let grads: Vec<Matrix> = shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect();
+                let pairs: Vec<_> = params.iter().zip(&grads).collect();
+                if per_tensor {
+                    for &pair in &pairs {
+                        kernels::sgd_step(gpu, s, &[pair], 0.1, true);
+                    }
+                } else {
+                    kernels::sgd_step(gpu, s, &pairs, 0.1, true);
+                }
+            })
+        };
+        let (merged, split) = (step(false), step(true));
+        prop_assert!(merged <= split, "{merged} for one launch vs {split} for {}", shapes.len());
+    }
+
+    /// One split-K `gemm_tn` over W stacked segments, launch overhead
+    /// included, costs no more than the W per-segment launches whose β = 1
+    /// chain it folds, eager or graphed (one-wave grids, as above: every
+    /// weight gradient the models produce is at most 64 tiles).
+    #[test]
+    fn one_split_k_weight_gradient_costs_no_more_than_one_per_segment(
+        seg in 1usize..200, m in 1usize..256, n in 1usize..256, w in 1usize..24,
+        graphed in 0usize..2,
+    ) {
+        let cat = KernelCategory::Rnn;
+        let grad = |split_k: bool| {
+            elapsed(graphed == 1, |gpu, s| {
+                let mut dev = |r, c| DeviceMatrix::alloc(gpu, Matrix::zeros(r, c)).unwrap();
+                let (x, g) = (dev(seg * w, m), dev(seg * w, n));
+                let (xs, gs): (Vec<_>, Vec<_>) = (0..w).map(|_| (dev(seg, m), dev(seg, n))).unzip();
+                if split_k {
+                    kernels::gemm_tn_device(gpu, s, &x, &g, seg, None, cat).unwrap();
+                } else {
+                    let mut acc: Option<DeviceMatrix> = None;
+                    for t in (0..w).rev() {
+                        let sum = kernels::gemm_tn_device(gpu, s, &xs[t], &gs[t], seg, acc.as_ref(), cat);
+                        acc = Some(sum.unwrap());
+                    }
+                }
+            })
+        };
+        let (merged, split) = (grad(true), grad(false));
+        prop_assert!(merged <= split, "{merged} for one launch vs {split} for {w}");
     }
 }
 
