@@ -16,16 +16,9 @@
 use pipad_bench::experiments::{find, help};
 use pipad_bench::profile::{self, ProfileArtifact};
 use pipad_bench::{Experiment, Output, RunScale, EXPERIMENTS};
-use pipad_tensor::CountingAllocator;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Count host heap traffic so `repro alloc` (and the per-epoch `alloc`
-/// columns of every report) can attribute allocator calls to preparing
-/// vs steady-state epochs.
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
 
 struct Args {
     experiment: String,

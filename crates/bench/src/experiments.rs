@@ -4,8 +4,7 @@
 
 use crate::util::{Artifact, RunScale};
 use crate::{
-    ablation, alloc, breakdown, chaos, fig11, fig12, fig5, fig9, grid, multigpu, profile, resume,
-    serve, table1, trace,
+    ablation, breakdown, fig11, fig12, fig5, fig9, grid, multigpu, profile, serve, table1, trace,
 };
 use std::fmt::Write as _;
 
@@ -137,33 +136,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         run: |s| report("trace_fig11.txt", "trace_fig11.json", trace::run(s)),
     },
     Experiment {
-        name: "chaos",
-        aliases: &[],
-        about: "extension: deterministic fault injection + recovery demonstration",
-        in_all: false,
-        run: |s| report("chaos.txt", "chaos.json", chaos::run(s)),
-    },
-    Experiment {
-        name: "resume",
-        aliases: &[],
-        about: "extension: kill-and-resume determinism (checkpoint/restore bit-identity)",
-        in_all: false,
-        run: |s| report("resume.txt", "resume.json", resume::run(s)),
-    },
-    Experiment {
-        name: "alloc",
-        aliases: &[],
-        about: "extension: host allocation profile (heap + buffer-pool counters per epoch)",
-        in_all: false,
-        run: |s| {
-            let models = alloc::measure(s);
-            vec![
-                Output::new("alloc.txt", alloc::render(&models)),
-                Output::new("alloc.json", alloc::render_json(&models)),
-            ]
-        },
-    },
-    Experiment {
         name: "multigpu",
         aliases: &[],
         about: "extension: data-parallel scaling — halo traffic, allreduce, SM utilization (§4.5)",
@@ -236,7 +208,7 @@ mod tests {
                 assert_eq!(found.name, e.name, "{name} resolves to the wrong entry");
             }
         }
-        assert_eq!(seen.len(), 18, "the CLI surface is 18 names + `all`");
+        assert_eq!(seen.len(), 15, "the CLI surface is 15 names + `all`");
         assert!(find("nonesuch").is_none());
     }
 

@@ -16,9 +16,7 @@
 //! [`util::host_invariant`] enforces it.
 
 pub mod ablation;
-pub mod alloc;
 pub mod breakdown;
-pub mod chaos;
 pub mod experiments;
 pub mod fig11;
 pub mod fig12;
@@ -27,7 +25,6 @@ pub mod fig9;
 pub mod grid;
 pub mod multigpu;
 pub mod profile;
-pub mod resume;
 pub mod serve;
 pub mod table1;
 pub mod trace;

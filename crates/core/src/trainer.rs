@@ -581,20 +581,41 @@ mod tests {
         let mut g1 = Gpu::new(DeviceConfig::v100());
         let reference =
             train_pipad(&mut g1, ModelKind::TGcn, &g, 8, &cfg, &pcfg_for("ref")).unwrap();
-        let total_launches = g1.op_counters().launches;
 
-        // Kill at ~70% of the reference's launch stream (mid steady epoch).
+        // Kill halfway from the end of a `preparing_epochs + 2` prefix run
+        // (just past the first steady checkpoint) to the end of the full run.
+        let mut g0 = Gpu::new(DeviceConfig::v100());
+        let prefix_cfg = TrainingConfig {
+            epochs: cfg.preparing_epochs + 2,
+            ..cfg.clone()
+        };
+        train_pipad(
+            &mut g0,
+            ModelKind::TGcn,
+            &g,
+            8,
+            &prefix_cfg,
+            &pcfg_for("prefix"),
+        )
+        .unwrap();
         let mut g2 = Gpu::new(DeviceConfig::v100());
         g2.install_faults(FaultPlan {
             crash: Some(CrashPoint {
                 counter: CrashCounter::Launches,
-                at: total_launches * 7 / 10,
+                at: (g0.op_counters().launches + g1.op_counters().launches) / 2,
             }),
             ..Default::default()
         });
         let err = train_pipad(&mut g2, ModelKind::TGcn, &g, 8, &cfg, &pcfg_for("killed"))
             .expect_err("crash fault must abort the run");
         assert!(matches!(err, DeviceFault::Crash(_)), "{err}");
+        let (newest, _) = pipad_ckpt::latest_checkpoint(&base.join("killed"))
+            .unwrap()
+            .expect("the killed run left a checkpoint");
+        assert!(
+            newest >= cfg.preparing_epochs,
+            "resumes from the epoch-{newest} checkpoint, not a steady one"
+        );
 
         // Fresh "process": restore from the killed run's newest checkpoint.
         let mut g3 = Gpu::new(DeviceConfig::v100());

@@ -43,7 +43,6 @@ use crate::device::TransferDir;
 use crate::memory::OomError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// A transient failure on one logical copy-engine operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +79,7 @@ pub enum CrashCounter {
 }
 
 impl CrashCounter {
-    /// Stable lowercase name used by the JSON codec.
+    /// Stable lowercase name, as crash errors print it.
     pub fn name(&self) -> &'static str {
         match self {
             CrashCounter::Allocs => "allocs",
@@ -228,72 +227,6 @@ impl FaultPlan {
         self.poison_launches.sort_unstable();
         self.poison_launches.dedup();
     }
-
-    /// Serialize as deterministic JSON, hand-rolled like the trace exporter.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"seed\":{}", self.seed);
-        let _ = write!(out, ",\"oom_at_alloc\":{}", fmt_u64s(&self.oom_at_alloc));
-        match self.oom_usage_threshold {
-            Some(t) => {
-                let _ = write!(out, ",\"oom_usage_threshold\":{t}");
-            }
-            None => out.push_str(",\"oom_usage_threshold\":null"),
-        }
-        out.push_str(",\"transfer_faults\":[");
-        for (i, f) in self.transfer_faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"op\":{},\"failures\":{}}}", f.op, f.failures);
-        }
-        let _ = write!(
-            out,
-            "],\"max_transfer_retries\":{},\"transfer_backoff_ns\":{}",
-            self.max_transfer_retries, self.transfer_backoff_ns
-        );
-        out.push_str(",\"straggler_ranges\":[");
-        for (i, r) in self.straggler_ranges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"from\":{},\"to\":{},\"multiplier_milli\":{}}}",
-                r.from, r.to, r.multiplier_milli
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"poison_launches\":{}",
-            fmt_u64s(&self.poison_launches)
-        );
-        match self.crash {
-            Some(c) => {
-                let _ = write!(
-                    out,
-                    ",\"crash\":{{\"counter\":\"{}\",\"at\":{}}}",
-                    c.counter.name(),
-                    c.at
-                );
-            }
-            None => out.push_str(",\"crash\":null"),
-        }
-        out.push('}');
-        out
-    }
-}
-
-fn fmt_u64s(v: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, x) in v.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{x}");
-    }
-    out.push(']');
-    out
 }
 
 /// Counts of faults actually injected by an installed plan.
@@ -564,7 +497,6 @@ mod tests {
             let a = FaultPlan::seeded(seed);
             let b = FaultPlan::seeded(seed);
             assert_eq!(a, b);
-            assert_eq!(a.to_json(), b.to_json());
             let mut sorted = a.oom_at_alloc.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -574,29 +506,6 @@ mod tests {
             }
         }
         assert_ne!(FaultPlan::seeded(1), FaultPlan::seeded(2));
-    }
-
-    #[test]
-    fn json_is_well_formed() {
-        for seed in 0..16u64 {
-            let plan = FaultPlan::seeded(seed);
-            crate::validate_json(&plan.to_json()).unwrap();
-        }
-        crate::validate_json(&FaultPlan::none().to_json()).unwrap();
-        let crashing = FaultPlan {
-            crash: Some(CrashPoint {
-                counter: CrashCounter::CopyOps,
-                at: u64::MAX,
-            }),
-            ..FaultPlan::default()
-        }
-        .to_json();
-        crate::validate_json(&crashing).unwrap();
-        assert!(
-            crashing
-                .ends_with(",\"crash\":{\"counter\":\"copy_ops\",\"at\":18446744073709551615}}"),
-            "{crashing}"
-        );
     }
 
     #[test]

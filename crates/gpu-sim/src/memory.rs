@@ -22,7 +22,7 @@ pub struct OomError {
     /// Total capacity in bytes.
     pub capacity: u64,
     /// What the allocation was for (`"device_matrix"`, `"adjacency_csr"`,
-    /// …); empty for unlabeled allocations. Lets chaos reports and trace
+    /// …); empty for unlabeled allocations. Lets error messages and trace
     /// events attribute the OOM to the allocating lane/kernel.
     pub label: &'static str,
 }

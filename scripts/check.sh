@@ -113,6 +113,22 @@ no_panicking_stubs() {
         END { exit bad }' {} +
 }
 
+# Every committed `results/*` artifact must be one that `repro` wrote into
+# `results/repro.log` (the `bench_pr*` A/B tables come from
+# `scripts/bench_ab.sh`): an experiment deleted with its artifact left
+# behind fails here.
+results_have_a_producer() {
+    local file bad=0
+    for file in $(git ls-files results); do
+        case $file in results/bench_pr* | results/repro.log) continue ;; esac
+        if ! grep -qxF "[repro] wrote $file" results/repro.log; then
+            echo "ERROR: $file is committed but no logged repro run wrote it" >&2
+            bad=1
+        fi
+    done
+    return "$bad"
+}
+
 # The examples are the only end-to-end runs through the facade's re-exports;
 # the workspace test run has already built them.
 examples_run() {
@@ -124,6 +140,7 @@ examples_run() {
 
 gate unused_deps
 gate no_panicking_stubs
+gate results_have_a_producer
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace -- -D warnings

@@ -1,18 +1,18 @@
 //! Differential fault-equivalence: a fault plan whose every injected fault
 //! is *fully recovered* must leave the training numerics untouched —
 //! bit-identical per-epoch losses versus the fault-free run — for all
-//! three paper models.
+//! three paper models; and each rung of the recovery ladder (DESIGN §3.12)
+//! must fire on the fault it exists for.
 //!
 //! Fault placement is probed, not guessed: a fault-free run and an
 //! all-preparing prefix run give the deterministic op-counter space, and
-//! the plan lands one recoverable fault of each numerics-neutral kind
-//! (one-shot OOM, transient transfer failure, straggler window) at the
-//! midpoint of the steady phase.
+//! the plans land their faults at the midpoint of the steady phase.
 
 use pipad::{train_pipad, PipadConfig};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
 use pipad_gpu_sim::{
-    DeviceConfig, FaultPlan, FaultStats, Gpu, OpCounters, StragglerRange, TransferFault,
+    ArgValue, DeviceConfig, DeviceFault, FaultPlan, FaultStats, Gpu, OpCounters, StragglerRange,
+    TransferFault,
 };
 use pipad_models::{ModelKind, TrainingConfig};
 
@@ -29,41 +29,59 @@ fn config(epochs: usize) -> TrainingConfig {
 }
 
 struct Obs {
-    loss_bits: Vec<u32>,
+    /// Per-epoch loss bits, or the typed fault the run gave up with.
+    outcome: Result<Vec<u32>, DeviceFault>,
     counters: OpCounters,
+    peak_ever: u64,
     stats: FaultStats,
-    recovery_instants: usize,
+    /// The `policy` argument of every `recovery` instant, in trace order.
+    recoveries: Vec<String>,
     backoff_spans: usize,
 }
 
-fn observe(kind: ModelKind, graph: &DynamicGraph, epochs: usize, plan: Option<&FaultPlan>) -> Obs {
+impl Obs {
+    fn losses(&self, what: &str) -> &[u32] {
+        self.outcome
+            .as_deref()
+            .unwrap_or_else(|e| panic!("{what}: run must complete, got {e}"))
+    }
+}
+
+fn observe(
+    kind: ModelKind,
+    graph: &DynamicGraph,
+    epochs: usize,
+    pcfg: &PipadConfig,
+    plan: Option<&FaultPlan>,
+) -> Obs {
     let mut gpu = Gpu::new(DeviceConfig::v100());
     if let Some(p) = plan {
         gpu.install_faults(p.clone());
     }
-    let report = train_pipad(
-        &mut gpu,
-        kind,
-        graph,
-        HIDDEN,
-        &config(epochs),
-        &PipadConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("{kind:?}: run must complete, got {e}"));
-    let mut recovery_instants = 0;
+    let outcome = train_pipad(&mut gpu, kind, graph, HIDDEN, &config(epochs), pcfg)
+        .map(|r| r.losses().iter().map(|l| l.to_bits()).collect());
+    // Also after a give-up, which the driver's own debug check never sees.
+    gpu.profiler()
+        .consistency_check(gpu.trace())
+        .unwrap_or_else(|e| panic!("{kind:?}: profiler and trace diverged: {e}"));
+    let mut recoveries = Vec::new();
     let mut backoff_spans = 0;
     for e in gpu.trace().events() {
         match e.name {
-            "recovery" => recovery_instants += 1,
+            "recovery" => recoveries.extend(e.args.iter().find_map(|(k, v)| match v {
+                ArgValue::Str(p) if *k == "policy" => Some(p.clone()),
+                _ => None,
+            })),
             "transfer_backoff" => backoff_spans += 1,
             _ => {}
         }
     }
     Obs {
-        loss_bits: report.losses().iter().map(|l| l.to_bits()).collect(),
+        outcome,
         counters: gpu.op_counters(),
+        peak_ever: gpu.mem().peak_ever(),
         stats: gpu.fault_stats(),
-        recovery_instants,
+        recoveries,
         backoff_spans,
     }
 }
@@ -71,13 +89,14 @@ fn observe(kind: ModelKind, graph: &DynamicGraph, epochs: usize, plan: Option<&F
 #[test]
 fn recovered_faults_leave_losses_bit_identical_for_all_models() {
     let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let pcfg = PipadConfig::default();
     for kind in ModelKind::ALL {
-        let free = observe(kind, &graph, 4, None);
+        let free = observe(kind, &graph, 4, &pcfg, None);
         assert!(
-            free.stats.total() == 0 && free.recovery_instants == 0,
+            free.stats.total() == 0 && free.recoveries.is_empty(),
             "{kind:?}: fault-free probe must be clean"
         );
-        let prep = observe(kind, &graph, 2, None);
+        let prep = observe(kind, &graph, 2, &pcfg, None);
 
         // One numerics-neutral fault of each kind, mid-steady-phase:
         // - the one-shot OOM rolls the frame back and retries;
@@ -97,7 +116,7 @@ fn recovered_faults_leave_losses_bit_identical_for_all_models() {
             }],
             ..FaultPlan::default()
         };
-        let faulted = observe(kind, &graph, 4, Some(&plan));
+        let faulted = observe(kind, &graph, 4, &pcfg, Some(&plan));
 
         assert!(
             faulted.stats.oom_injected >= 1,
@@ -115,7 +134,7 @@ fn recovered_faults_leave_losses_bit_identical_for_all_models() {
             faulted.stats
         );
         assert!(
-            faulted.recovery_instants >= 1,
+            !faulted.recoveries.is_empty(),
             "{kind:?}: OOM recovery left no recovery instant in the trace"
         );
         assert!(
@@ -123,8 +142,130 @@ fn recovered_faults_leave_losses_bit_identical_for_all_models() {
             "{kind:?}: transfer retry left no transfer_backoff span in the trace"
         );
         assert_eq!(
-            faulted.loss_bits, free.loss_bits,
+            faulted.losses("faulted"),
+            free.losses("fault-free"),
             "{kind:?}: fully-recovered faults must not perturb the losses"
         );
+    }
+}
+
+/// One rung of the recovery ladder: a probe-placed plan and what the run
+/// must show for it.
+struct Rung {
+    name: &'static str,
+    plan: FaultPlan,
+    inter_frame_reuse: bool,
+    /// The `recovery` policy that must fire; `None` for the give-up rung,
+    /// which must surface a typed, labeled OOM instead.
+    policy: Option<&'static str>,
+    /// Whether the losses must equal the fault-free run's bit for bit.
+    bitwise: bool,
+}
+
+#[test]
+fn each_recovery_rung_fires_on_its_fault() {
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let kind = ModelKind::TGcn;
+    let free = observe(kind, &graph, 4, &PipadConfig::default(), None);
+    let prep = observe(kind, &graph, 2, &PipadConfig::default(), None);
+    let (free_c, prep_c) = (free.counters, prep.counters);
+    let mid_alloc = (prep_c.allocs + free_c.allocs) / 2;
+    let steady_launches = free_c.launches - prep_c.launches;
+
+    let rungs = [
+        Rung {
+            name: "one-shot OOM",
+            plan: FaultPlan {
+                oom_at_alloc: vec![mid_alloc],
+                ..FaultPlan::default()
+            },
+            inter_frame_reuse: true,
+            policy: Some("oom_evict_retry"),
+            bitwise: true,
+        },
+        Rung {
+            // Evict-retry eats the first index; each retry's first
+            // allocation then hits the next one, so the tuner walks down.
+            name: "OOM burst",
+            plan: FaultPlan {
+                oom_at_alloc: vec![mid_alloc, mid_alloc + 1, mid_alloc + 2],
+                ..FaultPlan::default()
+            },
+            inter_frame_reuse: true,
+            policy: Some("tuner_downshift"),
+            bitwise: false,
+        },
+        Rung {
+            // Half the fault-free peak bites while preparing, where `S_per`
+            // is already 1: the ladder has nowhere left to go.
+            name: "usage threshold",
+            plan: FaultPlan {
+                oom_usage_threshold: Some(free.peak_ever / 2),
+                ..FaultPlan::default()
+            },
+            inter_frame_reuse: false,
+            policy: None,
+            bitwise: false,
+        },
+        Rung {
+            // The window covers the second steady epoch: the first is the
+            // wall-time baseline stragglers are measured against. The
+            // multiplier is large because only a frame's busy share scales.
+            name: "straggler window",
+            plan: FaultPlan {
+                straggler_ranges: vec![StragglerRange {
+                    from: prep_c.launches + steady_launches / 2,
+                    to: free_c.launches,
+                    multiplier_milli: 200_000,
+                }],
+                ..FaultPlan::default()
+            },
+            inter_frame_reuse: true,
+            policy: Some("sequential_fallback"),
+            bitwise: true,
+        },
+        Rung {
+            name: "poisoned launch",
+            plan: FaultPlan {
+                poison_launches: vec![(prep_c.launches + free_c.launches) / 2],
+                ..FaultPlan::default()
+            },
+            inter_frame_reuse: true,
+            policy: Some("nan_skip"),
+            bitwise: false,
+        },
+    ];
+
+    for rung in &rungs {
+        let pcfg = PipadConfig {
+            inter_frame_reuse: rung.inter_frame_reuse,
+            ..PipadConfig::default()
+        };
+        let obs = observe(kind, &graph, 4, &pcfg, Some(&rung.plan));
+        let name = rung.name;
+        assert!(obs.stats.total() > 0, "{name}: the plan injected nothing");
+        match rung.policy {
+            Some(policy) => {
+                let losses = obs.losses(name);
+                assert!(
+                    obs.recoveries.iter().any(|p| p == policy),
+                    "{name}: no `{policy}` recovery (got {:?})",
+                    obs.recoveries
+                );
+                if rung.bitwise {
+                    assert_eq!(
+                        losses,
+                        free.losses("fault-free"),
+                        "{name}: recovery must be numerics-neutral"
+                    );
+                }
+            }
+            None => match obs.outcome {
+                Err(DeviceFault::Oom(e)) => {
+                    assert!(!e.label.is_empty(), "{name}: unlabeled OOM: {e}")
+                }
+                other => panic!("{name}: expected a typed OOM, got {other:?}"),
+            },
+        }
     }
 }

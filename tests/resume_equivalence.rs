@@ -11,7 +11,7 @@
 use pipad::{train_pipad, PipadConfig};
 use pipad_bench::host_invariant;
 use pipad_bench::util::ScratchDir;
-use pipad_repro::ckpt::CheckpointPolicy;
+use pipad_repro::ckpt::{latest_checkpoint, CheckpointPolicy};
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
     export_chrome_trace_window, last_span_window, CrashCounter, CrashPoint, DeviceConfig,
@@ -21,8 +21,7 @@ use pipad_repro::models::{ModelKind, TrainingConfig};
 use std::path::Path;
 
 fn cfg() -> TrainingConfig {
-    // 2 preparing + 4 steady epochs → checkpoints at epochs 1, 3, 5; the
-    // 70% crash lands mid-steady, past at least one steady checkpoint.
+    // 2 preparing + 4 steady epochs → checkpoints at epochs 1, 3, 5.
     TrainingConfig {
         window: 8,
         epochs: 6,
@@ -47,9 +46,20 @@ fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) -> (Vec<u3
     let mut g1 = Gpu::new(DeviceConfig::v100());
     let reference = train_pipad(&mut g1, model, &g, 8, &cfg, &pcfg_for("ref"))
         .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", model.name()));
-    let crash_at = g1.op_counters().launches * 7 / 10;
 
-    // Killed: crash at ~70% of the reference's launch stream.
+    // The crash is placed by probe: a prefix run of `preparing_epochs + 2`
+    // epochs ends just after the first steady checkpoint is written, so
+    // halfway from its launch count to the full run's is mid-steady, past
+    // that checkpoint.
+    let prefix_cfg = TrainingConfig {
+        epochs: cfg.preparing_epochs + 2,
+        ..cfg.clone()
+    };
+    let mut g0 = Gpu::new(DeviceConfig::v100());
+    train_pipad(&mut g0, model, &g, 8, &prefix_cfg, &pcfg_for("prefix"))
+        .unwrap_or_else(|e| panic!("{}: prefix run failed: {e}", model.name()));
+    let crash_at = (g0.op_counters().launches + g1.op_counters().launches) / 2;
+
     let mut g2 = Gpu::new(DeviceConfig::v100());
     g2.install_faults(FaultPlan {
         crash: Some(CrashPoint {
@@ -61,6 +71,15 @@ fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) -> (Vec<u3
     let err = train_pipad(&mut g2, model, &g, 8, &cfg, &pcfg_for("killed"))
         .expect_err("crash fault must abort the run");
     assert!(matches!(err, DeviceFault::Crash(_)), "{err}");
+    let (newest, _) = latest_checkpoint(&base.join("killed"))
+        .expect("checkpoint directory readable")
+        .expect("the killed run left a checkpoint");
+    assert!(
+        newest >= cfg.preparing_epochs,
+        "{}: the crash at launch {crash_at} left only the epoch-{newest} checkpoint, \
+         so the steady-state restore path went untested",
+        model.name()
+    );
 
     // Resumed: fresh device, restore from the killed run's checkpoint.
     let mut g3 = Gpu::new(DeviceConfig::v100());
