@@ -584,6 +584,7 @@ mod tests {
 
         // Kill halfway from the end of a `preparing_epochs + 2` prefix run
         // (just past the first steady checkpoint) to the end of the full run.
+        // Checkpoint writes launch nothing, so the probe runs without them.
         let mut g0 = Gpu::new(DeviceConfig::v100());
         let prefix_cfg = TrainingConfig {
             epochs: cfg.preparing_epochs + 2,
@@ -595,7 +596,7 @@ mod tests {
             &g,
             8,
             &prefix_cfg,
-            &pcfg_for("prefix"),
+            &PipadConfig::default(),
         )
         .unwrap();
         let mut g2 = Gpu::new(DeviceConfig::v100());

@@ -1,8 +1,8 @@
 //! Chaos properties: training under an arbitrary *seeded* fault plan
 //! either completes or fails with a typed [`DeviceFault`] — it never
 //! panics — and the entire run, structured trace included, is a pure
-//! function of the plan: byte-identical Chrome exports across repeats and
-//! across host thread counts.
+//! function of the plan: byte-identical Chrome exports across repeats,
+//! across host thread counts and with the buffer pool off.
 //!
 //! Plans come from [`FaultPlan::seeded`], so each proptest case covers a
 //! different random mix of one-shot OOMs, usage thresholds, transient
@@ -23,6 +23,7 @@ use pipad_pool::with_threads;
 use pipad_repro::serve::{
     serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, ServeEngine, ServeSimConfig,
 };
+use pipad_tensor::with_pool_enabled;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -186,13 +187,17 @@ proptest! {
         let (r1, t1) = with_threads(1, || run_once(&plan));
         let (r4, t4) = with_threads(4, || run_once(&plan));
         let (r1b, t1b) = with_threads(1, || run_once(&plan));
+        let (r4off, t4off) = with_pool_enabled(false, || with_threads(4, || run_once(&plan)));
 
-        // Identical plan => byte-identical trace, at 1 or 4 host threads
-        // and across repeats.
+        // Identical plan => byte-identical trace, at 1 or 4 host threads,
+        // across repeats and with the buffer pool off — so recovery's
+        // rollback, eviction and retry recycle buffers invisibly.
         prop_assert_eq!(&r1, &r4, "outcome differs across host thread counts (seed {})", seed);
         prop_assert_eq!(&r1, &r1b, "outcome differs across repeats (seed {})", seed);
+        prop_assert_eq!(&r1, &r4off, "outcome differs with the buffer pool off (seed {})", seed);
         prop_assert_eq!(&t1, &t4, "chrome trace differs across host thread counts (seed {})", seed);
         prop_assert_eq!(&t1, &t1b, "chrome trace differs across repeats (seed {})", seed);
+        prop_assert_eq!(&t1, &t4off, "chrome trace differs with the buffer pool off (seed {})", seed);
 
         match r1 {
             Ok(losses) => prop_assert!(!losses.is_empty(), "completed run must report losses"),

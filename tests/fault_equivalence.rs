@@ -146,6 +146,11 @@ fn recovered_faults_leave_losses_bit_identical_for_all_models() {
             free.losses("fault-free"),
             "{kind:?}: fully-recovered faults must not perturb the losses"
         );
+
+        // The ladder's rungs are model-independent: one model, same probes.
+        if kind == ModelKind::TGcn {
+            assert_each_recovery_rung_fires_on_its_fault(kind, &graph, &free, &prep);
+        }
     }
 }
 
@@ -162,12 +167,14 @@ struct Rung {
     bitwise: bool,
 }
 
-#[test]
-fn each_recovery_rung_fires_on_its_fault() {
-    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
-    let kind = ModelKind::TGcn;
-    let free = observe(kind, &graph, 4, &PipadConfig::default(), None);
-    let prep = observe(kind, &graph, 2, &PipadConfig::default(), None);
+/// Runs one plan per rung, placed from the fault-free (`free`) and
+/// all-preparing (`prep`) probes.
+fn assert_each_recovery_rung_fires_on_its_fault(
+    kind: ModelKind,
+    graph: &DynamicGraph,
+    free: &Obs,
+    prep: &Obs,
+) {
     let (free_c, prep_c) = (free.counters, prep.counters);
     let mid_alloc = (prep_c.allocs + free_c.allocs) / 2;
     let steady_launches = free_c.launches - prep_c.launches;
@@ -241,7 +248,7 @@ fn each_recovery_rung_fires_on_its_fault() {
             inter_frame_reuse: rung.inter_frame_reuse,
             ..PipadConfig::default()
         };
-        let obs = observe(kind, &graph, 4, &pcfg, Some(&rung.plan));
+        let obs = observe(kind, graph, 4, &pcfg, Some(&rung.plan));
         let name = rung.name;
         assert!(obs.stats.total() > 0, "{name}: the plan injected nothing");
         match rung.policy {

@@ -31,9 +31,29 @@ fn cfg() -> TrainingConfig {
     }
 }
 
+/// Launches issued by a prefix run of `preparing_epochs + 2` epochs, which
+/// ends where the full run writes its first steady checkpoint. Checkpoint
+/// writes launch nothing, so the probe runs without them.
+fn first_steady_checkpoint_launches(model: ModelKind) -> u64 {
+    let g = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let cfg = cfg();
+    let prefix_cfg = TrainingConfig {
+        epochs: cfg.preparing_epochs + 2,
+        ..cfg
+    };
+    let mut g0 = Gpu::new(DeviceConfig::v100());
+    train_pipad(&mut g0, model, &g, 8, &prefix_cfg, &PipadConfig::default())
+        .unwrap_or_else(|e| panic!("{}: prefix run failed: {e}", model.name()));
+    g0.op_counters().launches
+}
+
 /// Returns what the resumed run reproduced (loss bits, final-epoch trace
 /// export) so the caller can also compare it across host configurations.
-fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) -> (Vec<u32>, String) {
+fn assert_kill_and_resume_is_invisible(
+    model: ModelKind,
+    prefix_launches: u64,
+    base: &Path,
+) -> (Vec<u32>, String) {
     let g = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
     let cfg = cfg();
     let pcfg_for = |dir: &str| PipadConfig {
@@ -47,18 +67,10 @@ fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) -> (Vec<u3
     let reference = train_pipad(&mut g1, model, &g, 8, &cfg, &pcfg_for("ref"))
         .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", model.name()));
 
-    // The crash is placed by probe: a prefix run of `preparing_epochs + 2`
-    // epochs ends just after the first steady checkpoint is written, so
-    // halfway from its launch count to the full run's is mid-steady, past
-    // that checkpoint.
-    let prefix_cfg = TrainingConfig {
-        epochs: cfg.preparing_epochs + 2,
-        ..cfg.clone()
-    };
-    let mut g0 = Gpu::new(DeviceConfig::v100());
-    train_pipad(&mut g0, model, &g, 8, &prefix_cfg, &pcfg_for("prefix"))
-        .unwrap_or_else(|e| panic!("{}: prefix run failed: {e}", model.name()));
-    let crash_at = (g0.op_counters().launches + g1.op_counters().launches) / 2;
+    // The crash is placed by probe: halfway from the first steady
+    // checkpoint's launch count to the full run's is mid-steady, past that
+    // checkpoint.
+    let crash_at = (prefix_launches + g1.op_counters().launches) / 2;
 
     let mut g2 = Gpu::new(DeviceConfig::v100());
     g2.install_faults(FaultPlan {
@@ -102,9 +114,10 @@ fn assert_kill_and_resume_is_invisible(model: ModelKind, base: &Path) -> (Vec<u3
 #[test]
 fn kill_and_resume_is_bit_identical_for_all_models_pool_on_and_off() {
     for model in [ModelKind::EvolveGcn, ModelKind::MpnnLstm, ModelKind::TGcn] {
+        let prefix_launches = first_steady_checkpoint_launches(model);
         host_invariant(model.name(), || {
             let dir = ScratchDir::new("resume-equivalence");
-            assert_kill_and_resume_is_invisible(model, dir.path())
+            assert_kill_and_resume_is_invisible(model, prefix_launches, dir.path())
         });
     }
 }
