@@ -957,11 +957,8 @@ impl Tape {
         pred: Var,
         target: &Matrix,
     ) -> Result<(), OomError> {
-        let seed = {
-            let dm = self.dev(pred);
-            k::mse_grad(gpu, self.stream, &dm, target)?
-        };
-        self.backward_from(gpu, pred, seed)
+        let denom = target.len() as u64;
+        self.backward_mse_denom(gpu, pred, target, denom)
     }
 
     /// Raw sum-of-squared-error of `pred` against `target` (no divide) —

@@ -339,6 +339,43 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_loss_skips_the_step() {
+        use pipad_gpu_sim::{FaultPlan, SampleKind};
+        let g = tiny_graph();
+        let cfg = TrainingConfig {
+            epochs: 4,
+            ..tiny_cfg()
+        };
+        let run = |plan: FaultPlan| {
+            let mut gpu = Gpu::new(DeviceConfig::v100());
+            gpu.install_faults(plan);
+            let kind = BaselineKind::PygtA;
+            let r = train_baseline(&mut gpu, kind, ModelKind::TGcn, &g, 8, &cfg).unwrap();
+            (gpu, r.losses())
+        };
+        let (clean, clean_losses) = run(FaultPlan::default());
+        let samples = clean.profiler().samples().iter();
+        let kernels = samples.filter(|s| matches!(s.kind, SampleKind::Kernel { .. }));
+        let kernels: Vec<&str> = kernels.map(|s| s.name).collect();
+        let losses: Vec<usize> = (0..kernels.len())
+            .filter(|&i| kernels[i] == "mse_loss")
+            .collect();
+        // Poison the prediction of the first frame of epoch 2: its last
+        // bias add before the loss.
+        let pred = losses[losses.len() / 2] - 1;
+        assert_eq!(kernels[pred], "add_bias");
+        let (_, poisoned) = run(FaultPlan {
+            poison_launches: vec![pred as u64],
+            ..Default::default()
+        });
+        let bits = |l: &[f32]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&poisoned[..2]), bits(&clean_losses[..2]));
+        assert!(poisoned[2].is_nan(), "{poisoned:?}");
+        // Had the NaN gradients been applied, every later loss would be NaN.
+        assert!(poisoned[3].is_finite(), "{poisoned:?}");
+    }
+
+    #[test]
     fn gespmm_variant_ships_more_adjacency_bytes() {
         let g = tiny_graph();
         let cfg = tiny_cfg();

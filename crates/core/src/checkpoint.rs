@@ -40,7 +40,7 @@ use pipad_ckpt::codec::{
 };
 pub use pipad_ckpt::RunFingerprint;
 use pipad_ckpt::{Checkpoint, CheckpointWriter, CkptError};
-use pipad_gpu_sim::{DeviceClock, Gpu, SimNanos};
+use pipad_gpu_sim::{DeviceClock, SimNanos};
 use pipad_models::{DgnnModel, EpochReport, ModelKind, TrainingConfig};
 use pipad_tensor::Matrix;
 
@@ -83,9 +83,8 @@ pub trait CkptExtra {
         Ok(())
     }
 
-    /// Read back what [`CkptExtra::put_sections`] wrote. (`gpu` is for
-    /// device-resident state; no trainer checkpoints any today.)
-    fn get_sections(&mut self, _gpu: &mut Gpu, _ckpt: &Checkpoint) -> Result<(), CkptError> {
+    /// Read back what [`CkptExtra::put_sections`] wrote.
+    fn get_sections(&mut self, _ckpt: &Checkpoint) -> Result<(), CkptError> {
         Ok(())
     }
 }
@@ -135,7 +134,7 @@ impl CkptExtra for Option<CpuAggStore> {
         Ok(())
     }
 
-    fn get_sections(&mut self, _gpu: &mut Gpu, ckpt: &Checkpoint) -> Result<(), CkptError> {
+    fn get_sections(&mut self, ckpt: &Checkpoint) -> Result<(), CkptError> {
         match self {
             Some(store) => get_cpu_store(ckpt, |snapshot, m| store.insert(snapshot, m)),
             None => Ok(()),
@@ -187,7 +186,7 @@ impl CkptExtra for PipadState {
         Ok(())
     }
 
-    fn get_sections(&mut self, _gpu: &mut Gpu, ckpt: &Checkpoint) -> Result<(), CkptError> {
+    fn get_sections(&mut self, ckpt: &Checkpoint) -> Result<(), CkptError> {
         let mut r = Reader::new(ckpt.require("tuner")?);
         self.decisions = get_list(&mut r, |r| r.get_usize())?;
         self.frame_profiles = get_list(&mut r, |r| {
@@ -276,11 +275,10 @@ pub struct RestoredState {
 /// Parameters are stored back in place (no kernels, no transfers), the
 /// trainer's own state goes through `extra`, and counters/cursors are
 /// returned in [`RestoredState`] for the caller to apply via
-/// [`Gpu::restore_clock`] once the prologue is done. Fails with a typed
-/// [`CkptError`] on fingerprint mismatch, unknown parameter names, or
-/// shape mismatches — never panics on foreign files.
+/// [`pipad_gpu_sim::Gpu::restore_clock`] once the prologue is done. Fails
+/// with a typed [`CkptError`] on fingerprint mismatch, unknown parameter
+/// names, or shape mismatches — never panics on foreign files.
 pub(crate) fn restore_run(
-    gpu: &mut Gpu,
     ckpt: &Checkpoint,
     expect: &RunFingerprint,
     model: &dyn DgnnModel,
@@ -326,7 +324,7 @@ pub(crate) fn restore_run(
     }
     r.finish()?;
 
-    extra.get_sections(gpu, ckpt)?;
+    extra.get_sections(ckpt)?;
 
     // Provenance section: nothing to apply, but a malformed one is still
     // a typed error.
@@ -359,7 +357,6 @@ pub(crate) fn restore_run(
 /// and recovery state a resumed training run would continue from is
 /// validated, then dropped.
 pub fn restore_checkpoint(
-    gpu: &mut Gpu,
     ckpt: &Checkpoint,
     expect: &RunFingerprint,
     model: &dyn DgnnModel,
@@ -367,7 +364,7 @@ pub fn restore_checkpoint(
 ) -> Result<RestoredState, CkptError> {
     let mut state = PipadState::default();
     std::mem::swap(&mut state.reuse, reuse);
-    let restored = restore_run(gpu, ckpt, expect, model, &mut state);
+    let restored = restore_run(ckpt, expect, model, &mut state);
     std::mem::swap(&mut state.reuse, reuse);
     restored
 }

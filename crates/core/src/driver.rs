@@ -15,6 +15,8 @@
 //! Not routed through here, on purpose: `multigpu::train_data_parallel`
 //! drives a vector of devices with per-device clocks and one tape per
 //! virtual shard, and `pipad-serve` iterates request batches, not epochs.
+//! The data-parallel loop still closes each epoch with `close_epoch`, so
+//! both write the same `epoch` span and [`EpochReport`].
 
 use crate::checkpoint::{self, CkptExtra};
 use pipad_autograd::Tape;
@@ -46,18 +48,21 @@ pub struct RunCx<'a> {
 
 impl RunCx<'_> {
     /// The canonical training step over a frame `exec` has already staged:
-    /// forward, MSE loss against the frame's target, backward, SGD, tape
-    /// teardown. Returns the loss. (PiPAD's steady path wraps the same
-    /// calls in a CUDA-graph scope and guards the step against NaN, so it
-    /// spells them out itself.)
+    /// forward, MSE loss against the frame's target, backward, SGD (skipped
+    /// when the loss is not finite, as PiPAD's eager frames skip it), tape
+    /// teardown. Returns the loss. (PiPAD's steady path wraps the same calls
+    /// in a CUDA-graph scope, whose step reads the loss's finite flag
+    /// instead, so it spells them out itself.)
     pub fn step(&mut self, exec: &mut dyn GnnExecutor, frame: &Frame<'_>) -> Result<f32, OomError> {
         let mut tape = Tape::new(self.compute);
         let out = self.model.forward_frame(self.gpu, &mut tape, exec)?;
         let target = self.graph.target_for(frame.last_index());
         let loss = tape.mse_loss(self.gpu, out.pred, target);
         tape.backward_mse(self.gpu, out.pred, target)?;
-        out.binder
-            .apply_sgd(self.gpu, self.compute, &tape, self.cfg.lr, true);
+        if loss.is_finite() {
+            out.binder
+                .apply_sgd(self.gpu, self.compute, &tape, self.cfg.lr, true);
+        }
         tape.finish(self.gpu);
         Ok(loss)
     }
@@ -99,6 +104,39 @@ pub trait EpochPolicy {
 
     /// Runs once after the last epoch, before the run's end timestamp.
     fn finish(&mut self, _cx: &mut RunCx<'_>) {}
+}
+
+/// Close the epoch that ran from `t0` to `t1` with these frame `losses`:
+/// write its `epoch` span on every device and return its report. One span
+/// schema for every trainer, so the pipeline analyzer (pipad-metrics)
+/// windows all of them identically.
+pub(crate) fn close_epoch(
+    gpus: &mut [Gpu],
+    epoch: usize,
+    preparing: bool,
+    losses: &[f32],
+    t0: SimNanos,
+    t1: SimNanos,
+    alloc0: HostAllocStats,
+) -> EpochReport {
+    let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
+    for gpu in gpus {
+        let args = vec![
+            ("epoch", ArgValue::U64(epoch as u64)),
+            ("preparing", ArgValue::Bool(preparing)),
+            ("mean_loss", ArgValue::F64(mean_loss as f64)),
+            ("sim_time_ns", ArgValue::U64((t1 - t0).as_nanos())),
+            ("peak_mem", ArgValue::U64(gpu.mem().peak())),
+        ];
+        gpu.trace_mut()
+            .span("epoch", TraceKind::Span, Lane::Control, t0, t1, args);
+    }
+    EpochReport {
+        epoch,
+        mean_loss,
+        sim_time: t1 - t0,
+        alloc: HostAllocStats::capture().since(&alloc0),
+    }
 }
 
 /// Train `model_kind` on `graph` for `cfg.epochs` epochs under `policy`
@@ -157,14 +195,9 @@ pub fn run_epochs<P: EpochPolicy>(
     {
         let ckpt = Checkpoint::read(&path)
             .unwrap_or_else(|e| panic!("checkpoint {} is unreadable: {e}", path.display()));
-        let restored = checkpoint::restore_run(
-            cx.gpu,
-            &ckpt,
-            &fingerprint,
-            cx.model.as_ref(),
-            policy.ckpt(),
-        )
-        .unwrap_or_else(|e| panic!("checkpoint {} failed to restore: {e}", path.display()));
+        let restored =
+            checkpoint::restore_run(&ckpt, &fingerprint, cx.model.as_ref(), policy.ckpt())
+                .unwrap_or_else(|e| panic!("checkpoint {} failed to restore: {e}", path.display()));
         steady_t0 = restored.steady_t0;
         epochs = restored.epochs_done;
         start_epoch = restored.next_epoch;
@@ -214,30 +247,16 @@ pub fn run_epochs<P: EpochPolicy>(
         policy.end_epoch(&mut cx, epoch);
 
         let t1 = cx.gpu.synchronize().max(cx.host_cursor);
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        let epoch_peak = cx.gpu.mem().peak();
-        // One span schema for every trainer, so the pipeline analyzer
-        // (pipad-metrics) windows all of them identically.
-        cx.gpu.trace_mut().span(
-            "epoch",
-            TraceKind::Span,
-            Lane::Control,
+        let gpus = std::slice::from_mut(&mut *cx.gpu);
+        epochs.push(close_epoch(
+            gpus,
+            epoch,
+            epoch < preparing,
+            &losses,
             t0,
             t1,
-            vec![
-                ("epoch", ArgValue::U64(epoch as u64)),
-                ("preparing", ArgValue::Bool(epoch < preparing)),
-                ("mean_loss", ArgValue::F64(mean_loss as f64)),
-                ("sim_time_ns", ArgValue::U64((t1 - t0).as_nanos())),
-                ("peak_mem", ArgValue::U64(epoch_peak)),
-            ],
-        );
-        epochs.push(EpochReport {
-            epoch,
-            mean_loss,
-            sim_time: t1 - t0,
-            alloc: HostAllocStats::capture().since(&alloc0),
-        });
+            alloc0,
+        ));
 
         if let Some(ck) = checkpoint.filter(|p| p.should_write(epoch)) {
             let writer = checkpoint::encode_checkpoint(

@@ -149,8 +149,6 @@ pub struct ExecOptions {
     pub needs_adjacency_when_cached: bool,
     /// Fuse the FC update across the frame (off for EvolveGCN).
     pub weight_reuse: bool,
-    /// Reuse caches are consulted/populated.
-    pub inter_frame_reuse: bool,
     /// Use the sliced-CSR format and parallel kernel (the default). When
     /// false, the Figure 12 ablation variant runs: plain CSR shipped per
     /// snapshot and aggregated with the row-granular GE-SpMM kernel, while
@@ -169,6 +167,8 @@ pub struct PipadExecutor<'r> {
 
 impl<'r> PipadExecutor<'r> {
     /// Stage a frame starting at `frame_start` with `window` snapshots.
+    /// `reuse` is consulted and populated when given; `None` turns
+    /// inter-frame reuse off.
     #[allow(clippy::too_many_arguments)]
     pub fn stage(
         gpu: &mut Gpu,
@@ -191,10 +191,7 @@ impl<'r> PipadExecutor<'r> {
             let start = frame_start + offset;
 
             // Reuse lookup: the whole partition from cache, or none of it.
-            let cached = reuse
-                .as_mut()
-                .filter(|_| opts.inter_frame_reuse)
-                .and_then(|r| r.lookup(start..start + size));
+            let cached = reuse.as_mut().and_then(|r| r.lookup(start..start + size));
             let layer1_cached = cached.is_some();
             let mut cached = cached.into_iter().flatten();
             let slots: Vec<LookedUp<'_>> = (0..size)
@@ -473,7 +470,6 @@ mod tests {
             s_per,
             needs_adjacency_when_cached: true,
             weight_reuse: true,
-            inter_frame_reuse: false,
             use_sliced: true,
         }
     }
@@ -662,7 +658,6 @@ mod tests {
         let feats: Vec<&Matrix> = graph.snapshots[0..4].iter().map(|s| &s.features).collect();
         let mut reuse = InterFrameReuse::new(1 << 26);
         let o = ExecOptions {
-            inter_frame_reuse: true,
             needs_adjacency_when_cached: false,
             ..opts(2)
         };

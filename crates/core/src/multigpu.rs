@@ -25,18 +25,22 @@
 //!
 //! ## Halo exchange for hidden aggregation
 //!
-//! A shard cannot aggregate `H¹` rows it does not own. A *scratch* replica
-//! (kept in weight-lockstep by applying the same summed updates) runs one
-//! value-only capture forward per frame; its `H¹` snapshots supply the peer
-//! blocks, which enter each shard tape as gradient-carrying leaves
-//! ([`Tape::input_grad`]). Forward stacks own + peer blocks
-//! ([`Tape::concat_rows`]) and aggregates through the rectangular local
-//! adjacency slice with an explicit transpose for backward
-//! ([`Tape::spmm_sliced_rect`]). Backward runs in two sweeps: (1) each
-//! shard's loss gradient, which deposits per-peer-block gradients at the
-//! halo leaves; (2) for each shard, the peer-deposited gradients are summed
-//! in ascending producer order and injected at the shard's own `H¹` via
-//! [`Tape::backward_seed_only`] — the mirrored scatter of the forward
+//! A shard cannot aggregate `H¹` rows it does not own, and its peers have
+//! not computed them yet when it needs them. So each frame starts with a
+//! capture on a scratch device: device 0's model runs
+//! [`pipad_models::DgnnModel::hidden_activations`] — its layer 1 and
+//! nothing after — over one shard spanning every vertex, through the
+//! executor a shard runs on. Every device holds the same weights, so no
+//! second copy of the model is kept or stepped.
+//! The captured `H¹` supplies the peer blocks, which enter each shard tape
+//! as gradient-carrying leaves ([`Tape::input_grad`]). Forward stacks own +
+//! peer blocks ([`Tape::concat_rows`]) and aggregates through the
+//! rectangular local adjacency slice with an explicit transpose for
+//! backward ([`Tape::spmm_sliced_rect`]). Backward runs in two sweeps: (1)
+//! each shard's loss gradient, which deposits per-peer-block gradients at
+//! the halo leaves; (2) for each shard, the peer-deposited gradients are
+//! summed in ascending producer order and injected at the shard's own `H¹`
+//! via [`Tape::backward_seed_only`] — the mirrored scatter of the forward
 //! gather, same aggregate byte volume.
 //!
 //! Inter-frame reuse composes: layer-1 aggregation blocks are cached
@@ -56,13 +60,13 @@
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
 use pipad_gpu_sim::{
-    export_chrome_trace, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError,
-    SimNanos, StreamId, TraceKind,
+    export_chrome_trace, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError, SimNanos,
+    StreamId,
 };
 use pipad_kernels::{sgd_step, DeviceMatrix};
 use pipad_models::{
-    build_model, normalize_snapshot, DgnnModel, EpochReport, GnnExecutor, HostAllocStats,
-    ModelKind, TrainingConfig,
+    build_model, normalize_snapshot, EpochReport, GnnExecutor, HostAllocStats, ModelKind,
+    TrainingConfig,
 };
 use pipad_sparse::{csr_row_work, partition_rows_balanced, SlicedCsr};
 use pipad_tensor::Matrix;
@@ -71,6 +75,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+use crate::driver::close_epoch;
 use crate::prep::S_PER_OPTIONS;
 use crate::reuse::{shard_key, CpuAggStore};
 use crate::tuner::DynamicTuner;
@@ -131,33 +136,20 @@ enum AggSource {
     /// Cached block from the [`CpuAggStore`] (PCIe upload, no recompute;
     /// consumed exactly once by `aggregate_inputs`).
     Cached(Option<Matrix>),
-    /// Fresh aggregation: rectangular local adjacency slice × the full
-    /// feature matrix resident once per device.
-    Compute {
-        sliced: Rc<SlicedCsr>,
-        x: SharedParam,
-        inv_deg: Rc<Vec<f32>>,
-    },
+    /// Fresh aggregation: the rectangular local adjacency slice × the full
+    /// feature matrix, resident once per device.
+    Compute(SharedParam),
 }
 
-/// Per-slot operators for the hidden-layer halo aggregation.
-struct HiddenPlan {
-    /// Local rows × global columns slice of `Â`.
-    sliced: Rc<SlicedCsr>,
-    /// Its transpose, for the backward map of [`Tape::spmm_sliced_rect`].
-    sliced_t: Rc<SlicedCsr>,
-    inv_deg: Rc<Vec<f32>>,
-}
-
-/// Per-frame executor over one virtual shard's vertex range.
-struct ShardExecutor {
+/// Per-frame executor over one vertex range: a virtual shard's, or the
+/// whole graph's for the halo capture.
+struct ShardExecutor<'a> {
     shard: usize,
-    shard_ranges: Rc<Vec<(usize, usize)>>,
-    slots: Vec<AggSource>,
-    /// One per slot for hidden-aggregation models, empty otherwise.
-    hidden: Vec<HiddenPlan>,
-    /// Capture-pass `H¹` per slot (full vertex set); empty when unused.
-    captured: Rc<Vec<Matrix>>,
+    shard_ranges: &'a [(usize, usize)],
+    /// Per slot: the range's operators and its layer-1 block's source.
+    slots: Vec<(&'a ShardNorm, AggSource)>,
+    /// The halo capture's `H¹` per slot (full vertex set); empty when unused.
+    captured: &'a [Matrix],
     /// `halo_leaves[producer][k] = (slot, leaf)`: gradient-carrying leaf
     /// vars holding `producer`'s `H¹` block, read by this shard.
     halo_leaves: Vec<Vec<(usize, Var)>>,
@@ -169,7 +161,30 @@ struct ShardExecutor {
     compute: StreamId,
 }
 
-impl GnnExecutor for ShardExecutor {
+impl<'a> ShardExecutor<'a> {
+    fn new(
+        shard: usize,
+        shard_ranges: &'a [(usize, usize)],
+        slots: Vec<(&'a ShardNorm, AggSource)>,
+        captured: &'a [Matrix],
+        ready: Event,
+        compute: StreamId,
+    ) -> Self {
+        ShardExecutor {
+            shard,
+            shard_ranges,
+            slots,
+            captured,
+            halo_leaves: shard_ranges.iter().map(|_| Vec::new()).collect(),
+            hidden_vars: Vec::new(),
+            computed_aggs: Vec::new(),
+            ready,
+            compute,
+        }
+    }
+}
+
+impl GnnExecutor for ShardExecutor<'_> {
     fn frame_len(&self) -> usize {
         self.slots.len()
     }
@@ -177,19 +192,19 @@ impl GnnExecutor for ShardExecutor {
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
         gpu.wait_event(self.compute, self.ready);
         let mut out = Vec::with_capacity(self.slots.len());
-        for i in 0..self.slots.len() {
-            let v = match &mut self.slots[i] {
+        for (i, (sn, source)) in self.slots.iter_mut().enumerate() {
+            let v = match source {
                 AggSource::Cached(m) => {
                     let m = m.take().expect("aggregation slot consumed once");
                     tape.input(DeviceMatrix::alloc(gpu, m)?)
                 }
-                AggSource::Compute { sliced, x, inv_deg } => {
+                AggSource::Compute(x) => {
                     // x carries no gradient, so the (symmetric-only)
                     // backward of spmm_sliced never runs on this
                     // rectangular slice.
                     let xv = tape.input_shared(x);
-                    let agg = tape.spmm_sliced(gpu, Rc::clone(sliced), xv, 1)?;
-                    let norm = tape.row_scale(gpu, agg, Rc::clone(inv_deg))?;
+                    let agg = tape.spmm_sliced(gpu, Rc::clone(&sn.sliced), xv, 1)?;
+                    let norm = tape.row_scale(gpu, agg, Rc::clone(&sn.inv_deg))?;
                     self.computed_aggs.push((i, tape.host(norm)));
                     norm
                 }
@@ -205,9 +220,8 @@ impl GnnExecutor for ShardExecutor {
         tape: &mut Tape,
         xs: &[Var],
     ) -> Result<Vec<Var>, OomError> {
-        assert_eq!(xs.len(), self.hidden.len(), "one hidden plan per slot");
+        assert_eq!(xs.len(), self.slots.len(), "one H1 per slot");
         self.hidden_vars = xs.to_vec();
-        let shards = self.shard_ranges.len();
         let mut out = Vec::with_capacity(xs.len());
         for (i, &own) in xs.iter().enumerate() {
             #[cfg(debug_assertions)]
@@ -226,12 +240,11 @@ impl GnnExecutor for ShardExecutor {
                     "capture-pass H1 block must bitwise match the shard tape"
                 );
             }
-            let mut blocks = Vec::with_capacity(shards);
-            for q in 0..shards {
+            let mut blocks = Vec::with_capacity(self.shard_ranges.len());
+            for (q, &(lo, hi)) in self.shard_ranges.iter().enumerate() {
                 if q == self.shard {
                     blocks.push(own);
                 } else {
-                    let (lo, hi) = self.shard_ranges[q];
                     let block = self.captured[i].slice_rows(lo, hi);
                     let leaf = tape.input_grad(DeviceMatrix::alloc(gpu, block)?);
                     self.halo_leaves[q].push((i, leaf));
@@ -239,76 +252,14 @@ impl GnnExecutor for ShardExecutor {
                 }
             }
             let stacked = tape.concat_rows(gpu, &blocks, KernelCategory::Aggregation)?;
-            let plan = &self.hidden[i];
-            let agg = tape.spmm_sliced_rect(
-                gpu,
-                Rc::clone(&plan.sliced),
-                Rc::clone(&plan.sliced_t),
-                stacked,
-            )?;
-            out.push(tape.row_scale(gpu, agg, Rc::clone(&plan.inv_deg))?);
+            let sn = self.slots[i].0;
+            let sliced_t = sn.sliced_t.as_ref();
+            let sliced_t = sliced_t.expect("transpose precomputed for hidden-agg models");
+            let agg =
+                tape.spmm_sliced_rect(gpu, Rc::clone(&sn.sliced), Rc::clone(sliced_t), stacked)?;
+            out.push(tape.row_scale(gpu, agg, Rc::clone(&sn.inv_deg))?);
         }
         Ok(out)
-    }
-}
-
-/// Where the capture pass sources one slot's full normalized aggregation.
-enum CaptureSource {
-    /// All shard blocks cached → host-concat reconstructs the full matrix
-    /// bitwise (blocks were recorded from the identical shard computation).
-    Cached(Option<Matrix>),
-    /// Recompute over the full graph (row-identical to the shard slices:
-    /// the sliced kernel accumulates each output row in slice order).
-    Compute {
-        sliced: Rc<SlicedCsr>,
-        x: Option<Matrix>,
-        inv_deg: Rc<Vec<f32>>,
-    },
-}
-
-/// Value-only executor for the scratch replica: runs the forward far enough
-/// to snapshot the full `H¹`, then hands the (unused) remainder dummy
-/// values. Costs and traces accrue on the scratch simulator and are
-/// discarded.
-struct CaptureExecutor {
-    slots: Vec<CaptureSource>,
-    captured: Vec<Matrix>,
-}
-
-impl GnnExecutor for CaptureExecutor {
-    fn frame_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter_mut() {
-            let v = match slot {
-                CaptureSource::Cached(m) => {
-                    let m = m.take().expect("capture slot consumed once");
-                    tape.input(DeviceMatrix::alloc(gpu, m)?)
-                }
-                CaptureSource::Compute { sliced, x, inv_deg } => {
-                    let x = x.take().expect("capture slot consumed once");
-                    let xv = tape.input(DeviceMatrix::alloc(gpu, x)?);
-                    let agg = tape.spmm_sliced(gpu, Rc::clone(sliced), xv, 1)?;
-                    tape.row_scale(gpu, agg, Rc::clone(inv_deg))?
-                }
-            };
-            out.push(v);
-        }
-        Ok(out)
-    }
-
-    fn aggregate_hidden(
-        &mut self,
-        _gpu: &mut Gpu,
-        tape: &mut Tape,
-        xs: &[Var],
-    ) -> Result<Vec<Var>, OomError> {
-        self.captured = xs.iter().map(|&x| tape.host(x)).collect();
-        // Dummy continuation: shapes stay valid, values are never read.
-        Ok(xs.to_vec())
     }
 }
 
@@ -320,6 +271,14 @@ struct ShardNorm {
     inv_deg: Rc<Vec<f32>>,
     /// Out-of-range columns referenced by the local slice.
     halo_cols: u64,
+}
+
+/// Free a device matrix the frame's tapes shared, once they are finished.
+fn release_shared(gpu: &mut Gpu, x: SharedParam) {
+    match Rc::try_unwrap(x) {
+        Ok(cell) => cell.into_inner().release(gpu),
+        Err(_) => unreachable!("tapes finished; shared X uniquely owned"),
+    }
 }
 
 /// Run `f` as one CUDA-graph replay on `stream` in steady epochs (§4.2),
@@ -394,7 +353,7 @@ pub fn train_data_parallel_devices(
             row_work[r] += w;
         }
     }
-    let shard_ranges = Rc::new(partition_rows_balanced(&row_work, mcfg.virtual_shards));
+    let shard_ranges = partition_rows_balanced(&row_work, mcfg.virtual_shards);
     let shards = shard_ranges.len();
     assert!(shards >= 1, "graph has no vertices");
 
@@ -410,7 +369,7 @@ pub fn train_data_parallel_devices(
         owner[glo..ghi].fill(p);
     }
 
-    // Per-device state: simulator, model replica (identical seed → identical
+    // Per-device state: simulator, model (identical seed → identical
     // weights), streams, host lane.
     let mut gpus: Vec<Gpu> = (0..parts).map(|_| Gpu::new(mcfg.device.clone())).collect();
     let mut models = Vec::with_capacity(parts);
@@ -433,27 +392,25 @@ pub fn train_data_parallel_devices(
         })
         .sum();
 
-    // Scratch replica for the value-only capture pass, kept in weight
-    // lockstep by applying the same summed updates each frame.
-    let mut scratch = if hidden_agg {
-        let mut g = Gpu::new(mcfg.device.clone());
-        let m = build_model(&mut g, model_kind, feat_dim, hidden, cfg.seed)?;
-        Some((g, m))
-    } else {
-        None
-    };
+    // The halo capture's device (module docs); its costs and trace are
+    // discarded.
+    let mut scratch = hidden_agg.then(|| Gpu::new(mcfg.device.clone()));
+    let whole_graph = [(0, n)];
 
     // ---- per-shard per-snapshot local operators --------------------------
     let mut shard_norms: Vec<Vec<ShardNorm>> = (0..shards)
         .map(|_| Vec::with_capacity(graph.len()))
         .collect();
-    let mut full_norms: Vec<(Rc<SlicedCsr>, Rc<Vec<f32>>)> = Vec::new();
+    // The capture's one shard, per snapshot.
+    let mut full_norms = Vec::new();
     for nm in &norms {
         if hidden_agg {
-            full_norms.push((
-                Rc::new(SlicedCsr::from_csr(&nm.adj_hat)),
-                Rc::clone(&nm.inv_deg),
-            ));
+            full_norms.push(ShardNorm {
+                sliced: Rc::new(SlicedCsr::from_csr(&nm.adj_hat)),
+                sliced_t: None,
+                inv_deg: Rc::clone(&nm.inv_deg),
+                halo_cols: 0,
+            });
         }
         for (s, &(lo, hi)) in shard_ranges.iter().enumerate() {
             let local = nm.adj_hat.slice_row_range(lo, hi);
@@ -519,37 +476,45 @@ pub fn train_data_parallel_devices(
         for frame in FrameIter::new(graph, cfg.window) {
             let nslots = frame.len();
 
-            // --- capture pass: full H1 values from the scratch replica ----
-            let captured: Rc<Vec<Matrix>> = if let Some((sg, smodel)) = scratch.as_mut() {
+            // --- halo capture: every vertex's H1, device 0's weights ------
+            // From the shards' cached blocks when all are cached (their
+            // concatenation is the full aggregation bit for bit), else
+            // recomputed over the whole graph (row-identical to the shard
+            // slices: the sliced kernel accumulates each row in slice order).
+            let mut captured = Vec::new();
+            if let Some(sg) = scratch.as_mut() {
+                let stream = sg.default_stream();
                 let mut slots = Vec::with_capacity(nslots);
                 for i in 0..nslots {
                     let g_idx = frame.global_index(i);
-                    let all_cached =
-                        (0..shards).all(|s| store.contains(shard_key(g_idx, s, shards)));
-                    slots.push(if all_cached {
-                        let blocks: Vec<&Matrix> = (0..shards)
-                            .map(|s| store.get(shard_key(g_idx, s, shards)).unwrap())
-                            .collect();
-                        CaptureSource::Cached(Some(Matrix::concat_rows(&blocks)))
-                    } else {
-                        CaptureSource::Compute {
-                            sliced: Rc::clone(&full_norms[g_idx].0),
-                            x: Some(graph.snapshots[g_idx].features.clone_in()),
-                            inv_deg: Rc::clone(&full_norms[g_idx].1),
+                    let blocks: Option<Vec<&Matrix>> = (0..shards)
+                        .map(|s| store.get(shard_key(g_idx, s, shards)))
+                        .collect();
+                    let source = match blocks {
+                        Some(blocks) => AggSource::Cached(Some(Matrix::concat_rows(&blocks))),
+                        None => {
+                            let x = graph.snapshots[g_idx].features.clone_in();
+                            AggSource::Compute(Rc::new(RefCell::new(DeviceMatrix::alloc(sg, x)?)))
                         }
-                    });
+                    };
+                    slots.push((&full_norms[g_idx], source));
                 }
-                let mut cexec = CaptureExecutor {
-                    slots,
-                    captured: Vec::new(),
-                };
-                let mut ctape = Tape::new(sg.default_stream());
-                let _ = smodel.forward_frame(sg, &mut ctape, &mut cexec)?;
-                ctape.finish(sg);
-                Rc::new(cexec.captured)
-            } else {
-                Rc::new(Vec::new())
-            };
+                let ready = sg.record_event(stream);
+                let mut exec = ShardExecutor::new(0, &whole_graph, slots, &[], ready, stream);
+                let mut tape = Tape::new(stream);
+                let h1 = models[0].hidden_activations(sg, &mut tape, &mut exec)?;
+                let h1 = h1.expect("a model that aggregates hidden features returns its H1");
+                captured = h1.iter().map(|&h| tape.host(h)).collect();
+                tape.finish(sg);
+                for (_, m) in exec.computed_aggs {
+                    m.recycle();
+                }
+                for (_, source) in exec.slots {
+                    if let AggSource::Compute(x) = source {
+                        release_shared(sg, x);
+                    }
+                }
+            }
 
             // --- staging: uploads + halo spans, per-shard ready events ----
             // All shards of a device stage before any compute: shard k's
@@ -568,7 +533,6 @@ pub fn train_data_parallel_devices(
                     host_cursors[p] = host_cursors[p].max(fence[p][0]);
                 }
                 let mut slots = Vec::with_capacity(nslots);
-                let mut hplans = Vec::new();
                 // Staging is partition-grained, as `PipadExecutor::stage`'s:
                 // one host assembly and one pinned copy for everything a
                 // partition's slots ship — a cached aggregation block each,
@@ -622,13 +586,9 @@ pub fn train_data_parallel_devices(
                                 Rc::clone(e.insert(Rc::new(RefCell::new(dm))))
                             }
                         };
-                        AggSource::Compute {
-                            sliced: Rc::clone(&sn.sliced),
-                            x,
-                            inv_deg: Rc::clone(&sn.inv_deg),
-                        }
+                        AggSource::Compute(x)
                     };
-                    slots.push(agg);
+                    slots.push((sn, agg));
                     if hidden_agg {
                         // forward gather of peer H1 rows over P2P
                         let hbytes = sn.halo_cols * hidden as u64 * 4;
@@ -639,30 +599,11 @@ pub fn train_data_parallel_devices(
                             gpu.stream_wait_host(copy, he);
                             frame_halo += hbytes;
                         }
-                        hplans.push(HiddenPlan {
-                            sliced: Rc::clone(&sn.sliced),
-                            sliced_t: Rc::clone(
-                                sn.sliced_t
-                                    .as_ref()
-                                    .expect("transpose precomputed for hidden-agg models"),
-                            ),
-                            inv_deg: Rc::clone(&sn.inv_deg),
-                        });
                     }
                 }
                 let ready = gpu.record_event(copy);
-                execs[s] = Some(ShardExecutor {
-                    shard: s,
-                    shard_ranges: Rc::clone(&shard_ranges),
-                    slots,
-                    hidden: hplans,
-                    captured: Rc::clone(&captured),
-                    halo_leaves: (0..shards).map(|_| Vec::new()).collect(),
-                    hidden_vars: Vec::new(),
-                    computed_aggs: Vec::new(),
-                    ready,
-                    compute,
-                });
+                let exec = ShardExecutor::new(s, &shard_ranges, slots, &captured, ready, compute);
+                execs[s] = Some(exec);
             }
 
             // --- forward + sweep-1 backward, ascending shard order --------
@@ -765,7 +706,7 @@ pub fn train_data_parallel_devices(
                 }
             }
 
-            // --- ring allreduce + identical update on every replica -------
+            // --- ring allreduce + identical update on every device --------
             let allreduce_bytes = if parts > 1 {
                 2 * (parts as u64 - 1) * param_bytes / parts as u64
             } else {
@@ -800,26 +741,19 @@ pub fn train_data_parallel_devices(
                     allreduce_time_total += dur;
                 }
             }
-            // One multi-tensor step per replica over the summed gradients.
-            let step = |gpu: &mut Gpu, stream, model: &dyn DgnnModel| {
-                let params = model.params();
-                let pairs: Vec<_> = params
-                    .iter()
-                    .filter_map(|p| summed.get(&p.name).map(|g| (&*p.value, g)))
-                    .collect();
-                sgd_step(gpu, stream, &pairs, cfg.lr, true);
-            };
+            // One multi-tensor step per device over the summed gradients.
             for p in 0..parts {
                 let (compute, _) = streams[p];
                 let gpu = &mut gpus[p];
                 gpu.stream_wait_host(compute, sync_point);
+                let params = models[p].params();
+                let pairs: Vec<_> = params
+                    .iter()
+                    .filter_map(|param| summed.get(&param.name).map(|g| (&*param.value, g)))
+                    .collect();
                 replay(gpu, compute, steady, |gpu| {
-                    step(gpu, compute, models[p].as_ref())
+                    sgd_step(gpu, compute, &pairs, cfg.lr, true)
                 });
-            }
-            if let Some((sg, smodel)) = scratch.as_mut() {
-                let stream = sg.default_stream();
-                step(sg, stream, smodel.as_ref());
             }
             for (_, g) in summed.drain() {
                 g.recycle();
@@ -833,43 +767,18 @@ pub fn train_data_parallel_devices(
             execs.clear();
             for (p, map) in x_shared.iter_mut().enumerate() {
                 while let Some((_, x)) = map.pop_first() {
-                    match Rc::try_unwrap(x) {
-                        Ok(cell) => cell.into_inner().release(&mut gpus[p]),
-                        Err(_) => unreachable!("tapes finished; shared X uniquely owned"),
-                    }
+                    release_shared(&mut gpus[p], x);
                 }
             }
-            match Rc::try_unwrap(captured) {
-                Ok(blocks) => {
-                    for m in blocks {
-                        m.recycle();
-                    }
-                }
-                Err(_) => unreachable!("executors dropped; capture blocks uniquely owned"),
+            for m in captured {
+                m.recycle();
             }
             losses.push(frame_sse / denom_u as f32);
         }
         t_end = join_all(&mut gpus, &host_cursors);
-        let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-        // The single-device driver's `epoch` span, on every device, so the
-        // pipeline analyzer windows a device trace the same way.
-        for g in gpus.iter_mut() {
-            let args = vec![
-                ("epoch", ArgValue::U64(epoch as u64)),
-                ("preparing", ArgValue::Bool(!steady)),
-                ("mean_loss", ArgValue::F64(mean_loss as f64)),
-                ("sim_time_ns", ArgValue::U64((t_end - t0).as_nanos())),
-                ("peak_mem", ArgValue::U64(g.mem().peak())),
-            ];
-            g.trace_mut()
-                .span("epoch", TraceKind::Span, Lane::Control, t0, t_end, args);
-        }
-        epochs.push(EpochReport {
-            epoch,
-            mean_loss,
-            sim_time: t_end - t0,
-            alloc: HostAllocStats::capture().since(&alloc0),
-        });
+        epochs.push(close_epoch(
+            &mut gpus, epoch, !steady, &losses, t0, t_end, alloc0,
+        ));
     }
 
     let steady_epochs = (cfg.epochs - preparing).max(1);

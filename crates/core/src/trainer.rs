@@ -226,7 +226,6 @@ impl EpochPolicy for PipadPolicy<'_> {
                 s_per,
                 needs_adjacency_when_cached: cx.model.needs_hidden_aggregation(),
                 weight_reuse: !is_preparing && cx.model.supports_weight_reuse(),
-                inter_frame_reuse: pcfg.inter_frame_reuse,
                 use_sliced: pcfg.use_sliced,
             };
             cx.gpu.reset_peak_mem();

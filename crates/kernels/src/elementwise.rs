@@ -535,34 +535,7 @@ pub fn col_sums(
 /// scalar is written to device memory, where a captured [`sgd_step`] reads
 /// whether it is finite without a round trip to the host.
 pub fn mse_loss(gpu: &mut Gpu, stream: StreamId, pred: &DeviceMatrix, target: &Matrix) -> f32 {
-    assert_eq!(pred.host().shape(), target.shape());
-    let n = pred.host().len() as u64;
-    gpu.launch(
-        stream,
-        streaming_cost("mse_loss", KernelCategory::Loss, 2 * n, 1, 3),
-    );
-    let diff = pred.host().zip(target, |a, b| a - b);
-    let loss = diff.norm_sq() / n.max(1) as f32;
-    diff.recycle();
-    loss
-}
-
-/// Gradient of [`mse_loss`] w.r.t. the prediction: `2 (pred − target) / n`.
-pub fn mse_grad(
-    gpu: &mut Gpu,
-    stream: StreamId,
-    pred: &DeviceMatrix,
-    target: &Matrix,
-) -> Result<DeviceMatrix, OomError> {
-    let n = pred.host().len() as u64;
-    gpu.launch(
-        stream,
-        streaming_cost("mse_grad", KernelCategory::Loss, 2 * n, n, 2),
-    );
-    let g = pred
-        .host()
-        .zip(target, |a, b| 2.0 * (a - b) / n.max(1) as f32);
-    DeviceMatrix::alloc(gpu, g)
+    squared_error(gpu, stream, "mse_loss", pred, target) / pred.host().len().max(1) as f32
 }
 
 /// Raw sum of squared errors (no normalization) between prediction and
@@ -572,11 +545,22 @@ pub fn mse_grad(
 /// [`mse_loss`] bit for bit, which post-hoc rescaling of per-shard means
 /// (`(x/a)·(a/b)`) would not.
 pub fn sse_loss(gpu: &mut Gpu, stream: StreamId, pred: &DeviceMatrix, target: &Matrix) -> f32 {
+    squared_error(gpu, stream, "sse_loss", pred, target)
+}
+
+/// The one loss kernel body, launched as `name`: `Σ (pred − target)²`.
+fn squared_error(
+    gpu: &mut Gpu,
+    stream: StreamId,
+    name: &'static str,
+    pred: &DeviceMatrix,
+    target: &Matrix,
+) -> f32 {
     assert_eq!(pred.host().shape(), target.shape());
     let n = pred.host().len() as u64;
     gpu.launch(
         stream,
-        streaming_cost("sse_loss", KernelCategory::Loss, 2 * n, 1, 3),
+        streaming_cost(name, KernelCategory::Loss, 2 * n, 1, 3),
     );
     let diff = pred.host().zip(target, |a, b| a - b);
     let sse = diff.norm_sq();
@@ -584,10 +568,12 @@ pub fn sse_loss(gpu: &mut Gpu, stream: StreamId, pred: &DeviceMatrix, target: &M
     sse
 }
 
-/// MSE gradient with an explicit denominator: `2 (pred − target) / denom`.
-/// A vertex shard seeds its backward pass with the *globally* denominated
-/// gradient (`denom` = full-graph element count), so per-shard gradients
-/// are exactly the corresponding rows of the single-device [`mse_grad`].
+/// Gradient of an MSE over `denom` elements w.r.t. the prediction:
+/// `2 (pred − target) / denom`. With `denom = pred.len()` it is the gradient
+/// of [`mse_loss`]; a vertex shard seeds its backward pass with the
+/// *globally* denominated gradient (`denom` = full-graph element count), so
+/// per-shard gradients are exactly the corresponding rows of the
+/// single-device one.
 pub fn mse_grad_denom(
     gpu: &mut Gpu,
     stream: StreamId,
@@ -728,7 +714,7 @@ mod tests {
         let target = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
         let loss = mse_loss(&mut g, s, &pred, &target);
         assert!((loss - 2.5).abs() < 1e-6); // (1 + 4) / 2
-        let grad = mse_grad(&mut g, s, &pred, &target).unwrap();
+        let grad = mse_grad_denom(&mut g, s, &pred, &target, 2).unwrap();
         assert_eq!(grad.host().as_slice(), &[1.0, 2.0]);
     }
 
@@ -745,7 +731,7 @@ mod tests {
             + sse_loss(&mut g, s, &bot, &target.slice_rows(1, 2));
         assert_eq!((sse / 4.0).to_bits(), whole.to_bits());
         // globally denominated shard gradient == rows of the full gradient
-        let full_grad = mse_grad(&mut g, s, &pred, &target).unwrap();
+        let full_grad = mse_grad_denom(&mut g, s, &pred, &target, 4).unwrap();
         let shard_grad = mse_grad_denom(&mut g, s, &bot, &target.slice_rows(1, 2), 4).unwrap();
         assert_eq!(
             shard_grad.host().as_slice(),

@@ -33,9 +33,9 @@ mod transfer;
 
 pub use device_data::{DeviceCsr, DeviceMatrix, DeviceSliced};
 pub use elementwise::{
-    add, add_bias, col_sums, concat_rows, gather, hadamard, mse_grad, mse_grad_denom, mse_loss,
-    relu, relu_grad_mask, row_scale, row_scale_multi, scale, sgd_step, sigmoid,
-    sigmoid_grad_from_out, slice_cols, slice_rows, sse_loss, tanh_act, tanh_grad_from_out, Axis,
+    add, add_bias, col_sums, concat_rows, gather, hadamard, mse_grad_denom, mse_loss, relu,
+    relu_grad_mask, row_scale, row_scale_multi, scale, sgd_step, sigmoid, sigmoid_grad_from_out,
+    slice_cols, slice_rows, sse_loss, tanh_act, tanh_grad_from_out, Axis,
 };
 pub use gemm::{gemm_device, gemm_device_weight_resident, gemm_nt_device, gemm_tn_device};
 pub use rnn::{

@@ -62,6 +62,25 @@ impl EvolveLayer {
     }
 }
 
+/// Per-snapshot update with that snapshot's evolved weight:
+/// `relu(a_t @ W_t + b)`.
+fn evolved_update(
+    gpu: &mut Gpu,
+    tape: &mut Tape,
+    aggs: &[Var],
+    ws: &[Var],
+    b: Var,
+) -> Result<Vec<Var>, OomError> {
+    aggs.iter()
+        .zip(ws)
+        .map(|(&a, &w)| {
+            let h = tape.matmul(gpu, a, w, KernelCategory::Update)?;
+            let h = tape.add_bias(gpu, h, b, KernelCategory::Update)?;
+            tape.relu(gpu, h, KernelCategory::Update)
+        })
+        .collect()
+}
+
 /// The EvolveGCN model (two evolving layers + a readout head).
 pub struct EvolveGcn {
     layer1: EvolveLayer,
@@ -110,22 +129,12 @@ impl DgnnModel for EvolveGcn {
         // Layer 1: parallel-friendly aggregation of raw inputs, then a
         // per-snapshot update with that snapshot's evolved weights.
         let agg1 = exec.aggregate_inputs(gpu, tape)?;
-        let mut h1 = Vec::with_capacity(t);
-        for (i, &a) in agg1.iter().enumerate() {
-            let h = tape.matmul(gpu, a, w1[i], KernelCategory::Update)?;
-            let h = tape.add_bias(gpu, h, b1, KernelCategory::Update)?;
-            h1.push(tape.relu(gpu, h, KernelCategory::Update)?);
-        }
+        let h1 = evolved_update(gpu, tape, &agg1, &w1, b1)?;
 
         // Layer 2: aggregation of hidden features (never cacheable), again
         // followed by evolved-weight updates.
         let agg2 = exec.aggregate_hidden(gpu, tape, &h1)?;
-        let mut h2 = Vec::with_capacity(t);
-        for (i, &a) in agg2.iter().enumerate() {
-            let h = tape.matmul(gpu, a, w2[i], KernelCategory::Update)?;
-            let h = tape.add_bias(gpu, h, b2, KernelCategory::Update)?;
-            h2.push(tape.relu(gpu, h, KernelCategory::Update)?);
-        }
+        let h2 = evolved_update(gpu, tape, &agg2, &w2, b2)?;
 
         let pred = self.head.forward(
             gpu,
@@ -135,6 +144,21 @@ impl DgnnModel for EvolveGcn {
             KernelCategory::Update,
         )?;
         Ok(ForwardOutput { pred, binder })
+    }
+
+    fn hidden_activations(
+        &self,
+        gpu: &mut Gpu,
+        tape: &mut Tape,
+        exec: &mut dyn GnnExecutor,
+    ) -> Result<Option<Vec<Var>>, OomError> {
+        let mut binder = Binder::new();
+        let w1 = self
+            .layer1
+            .evolve_weights(gpu, tape, &mut binder, exec.frame_len())?;
+        let b1 = binder.bind(tape, &self.layer1.b);
+        let agg1 = exec.aggregate_inputs(gpu, tape)?;
+        evolved_update(gpu, tape, &agg1, &w1, b1).map(Some)
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -7,7 +7,7 @@ use crate::executor::GnnExecutor;
 use crate::gcn::GcnLayer;
 use crate::params::{Binder, Linear, Param};
 use crate::training::{DgnnModel, ForwardOutput, ModelKind};
-use pipad_autograd::Tape;
+use pipad_autograd::{Tape, Var};
 use pipad_gpu_sim::{Gpu, KernelCategory, OomError};
 use rand::rngs::StdRng;
 
@@ -76,6 +76,18 @@ impl DgnnModel for MpnnLstm {
             .head
             .forward(gpu, tape, &mut binder, last, KernelCategory::Update)?;
         Ok(ForwardOutput { pred, binder })
+    }
+
+    fn hidden_activations(
+        &self,
+        gpu: &mut Gpu,
+        tape: &mut Tape,
+        exec: &mut dyn GnnExecutor,
+    ) -> Result<Option<Vec<Var>>, OomError> {
+        let agg1 = exec.aggregate_inputs(gpu, tape)?;
+        self.gcn1
+            .update_many(gpu, tape, &mut Binder::new(), exec, &agg1, true)
+            .map(Some)
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -56,6 +56,19 @@ pub trait DgnnModel {
         exec: &mut dyn GnnExecutor,
     ) -> Result<ForwardOutput, OomError>;
 
+    /// Each slot's first-layer activation `H¹`, computed exactly as
+    /// [`DgnnModel::forward_frame`] computes it, and nothing after it: the
+    /// rows a vertex shard reads of its peers in its layer-2 aggregation.
+    /// `None` for a model that never aggregates hidden features.
+    fn hidden_activations(
+        &self,
+        _gpu: &mut Gpu,
+        _tape: &mut Tape,
+        _exec: &mut dyn GnnExecutor,
+    ) -> Result<Option<Vec<Var>>, OomError> {
+        Ok(None)
+    }
+
     /// All trainable parameters (for counting/reporting).
     fn params(&self) -> Vec<&crate::params::Param>;
 
@@ -207,7 +220,10 @@ impl TrainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::DirectExecutor;
     use pipad_gpu_sim::DeviceConfig;
+    use pipad_sparse::Csr;
+    use pipad_tensor::{uniform, Matrix};
 
     #[test]
     fn model_factory_builds_all_kinds() {
@@ -250,6 +266,72 @@ mod tests {
         assert!(build_model(&mut gpu, ModelKind::TGcn, 4, 8, 1)
             .unwrap()
             .supports_weight_reuse());
+    }
+
+    /// A [`DirectExecutor`] that keeps the values `forward_frame` hands
+    /// `aggregate_hidden`.
+    struct Recording {
+        inner: DirectExecutor,
+        hidden_inputs: Vec<Matrix>,
+    }
+
+    impl GnnExecutor for Recording {
+        fn frame_len(&self) -> usize {
+            self.inner.frame_len()
+        }
+
+        fn aggregate_inputs(
+            &mut self,
+            gpu: &mut Gpu,
+            tape: &mut Tape,
+        ) -> Result<Vec<Var>, OomError> {
+            self.inner.aggregate_inputs(gpu, tape)
+        }
+
+        fn aggregate_hidden(
+            &mut self,
+            gpu: &mut Gpu,
+            tape: &mut Tape,
+            xs: &[Var],
+        ) -> Result<Vec<Var>, OomError> {
+            self.hidden_inputs = xs.iter().map(|&x| tape.host(x)).collect();
+            self.inner.aggregate_hidden(gpu, tape, xs)
+        }
+    }
+
+    #[test]
+    fn hidden_activations_are_what_forward_frame_aggregates() {
+        // A model that aggregates hidden features but kept the default
+        // `None` would only fail inside data-parallel training.
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let s = gpu.default_stream();
+        let mut rng = seeded_rng(4);
+        let adj = Csr::from_edges(5, 5, &[(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)]);
+        let feats: Vec<Matrix> = (0..3).map(|_| uniform(&mut rng, 5, 4, 1.0)).collect();
+        let frame: Vec<(&Csr, &Matrix)> = feats.iter().map(|f| (&adj, f)).collect();
+        let bits = |ms: &[Matrix]| -> Vec<Vec<u32>> {
+            let row = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+            ms.iter().map(row).collect()
+        };
+        for kind in ModelKind::ALL {
+            let model = build_model(&mut gpu, kind, 4, 8, 1).unwrap();
+            let mut exec = Recording {
+                inner: DirectExecutor::new(&frame),
+                hidden_inputs: Vec::new(),
+            };
+            let mut tape = Tape::new(s);
+            model.forward_frame(&mut gpu, &mut tape, &mut exec).unwrap();
+            tape.finish(&mut gpu);
+
+            let mut tape = Tape::new(s);
+            let h1 = model
+                .hidden_activations(&mut gpu, &mut tape, &mut DirectExecutor::new(&frame))
+                .unwrap();
+            assert_eq!(h1.is_some(), model.needs_hidden_aggregation(), "{kind:?}");
+            let h1: Vec<Matrix> = h1.iter().flatten().map(|&h| tape.host(h)).collect();
+            tape.finish(&mut gpu);
+            assert_eq!(bits(&h1), bits(&exec.hidden_inputs), "{kind:?}");
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl<'g> ServeEngine<'g> {
         let analyzer = GraphAnalyzer::run(gpu, graph, &mut host_cursor);
         let catalog = PartitionCatalog::build(gpu, &analyzer, &mut host_cursor);
         let mut reuse = InterFrameReuse::new(0);
-        let restored = restore_checkpoint(gpu, &ckpt, &fingerprint, model.as_ref(), &mut reuse)?;
+        let restored = restore_checkpoint(&ckpt, &fingerprint, model.as_ref(), &mut reuse)?;
         reuse.grow_budget(GPU_CACHE_BUDGET);
         // Serving runs on its own timeline: the clock is NOT rewound to the
         // training run's — requests arrive on a fresh device.
@@ -168,7 +168,6 @@ impl<'g> ServeEngine<'g> {
             s_per: S_PER,
             needs_adjacency_when_cached: self.model.needs_hidden_aggregation(),
             weight_reuse: self.model.supports_weight_reuse(),
-            inter_frame_reuse: true,
             use_sliced: true,
         };
         let mut exec = PipadExecutor::stage(

@@ -88,12 +88,14 @@ unused_deps() {
 
 # `benchmark/` is a workspace of its own that path-depends on the crates and
 # is frozen by BENCHMARK.json: it must keep compiling, unedited, against
-# whatever this tree's public API now is. Building it rewrites its stale
-# lock file, so the lock is copied aside and put back.
+# whatever this tree's public API now is, and its own unit tests (workload
+# output checks, the metric catalog against BENCHMARK.json) must pass.
+# Building it rewrites its stale lock file, so the lock is copied aside and
+# put back.
 benchmark_compiles() {
     local status=0
     cp benchmark/Cargo.lock "$scratch_dir/benchmark.lock"
-    cargo check --offline --quiet --manifest-path benchmark/Cargo.toml \
+    cargo test --offline --quiet --manifest-path benchmark/Cargo.toml \
         --target-dir benchmark/target || status=$?
     cp "$scratch_dir/benchmark.lock" benchmark/Cargo.lock
     return "$status"

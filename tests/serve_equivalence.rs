@@ -83,7 +83,7 @@ fn reference_forward(
     let analyzer = GraphAnalyzer::run(&mut gpu, graph, &mut host_cursor);
     let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host_cursor);
     let mut reuse = InterFrameReuse::new(0);
-    restore_checkpoint(&mut gpu, &ckpt, &fp, m.as_ref(), &mut reuse).expect("restore");
+    restore_checkpoint(&ckpt, &fp, m.as_ref(), &mut reuse).expect("restore");
     reuse.grow_budget(8 << 20);
     let compute = gpu.default_stream();
     let copy = gpu.create_stream();
@@ -95,7 +95,6 @@ fn reference_forward(
         s_per: 4,
         needs_adjacency_when_cached: m.needs_hidden_aggregation(),
         weight_reuse: m.supports_weight_reuse(),
-        inter_frame_reuse: true,
         use_sliced: true,
     };
     let mut exec = PipadExecutor::stage(

@@ -5,8 +5,8 @@
 
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
-    feature_row_access, DeviceConfig, Gpu, KernelCategory, KernelCost, SimNanos, StreamId,
-    TraceEvent, TraceKind, VectorWidth,
+    export_chrome_trace, feature_row_access, DeviceConfig, FaultPlan, Gpu, KernelCategory,
+    KernelCost, SimNanos, StreamId, TraceEvent, TraceKind, VectorWidth,
 };
 use pipad_repro::kernels::{self, DeviceMatrix};
 use pipad_repro::models::{ModelKind, TrainingConfig};
@@ -574,5 +574,44 @@ fn the_device_reuse_tier_saves_pcie_bytes_and_costs_neither_bits_nor_time() {
                 b.sim_time
             );
         }
+    }
+}
+
+/// A zero-fault plan behaves exactly like no plan: installing
+/// `FaultPlan::default()` moves no loss bit, no trace event and no fault
+/// counter. A fault-free run never reads the transfer retry budget or
+/// backoff, so those no-plan fallbacks are compared with the default
+/// plan's directly.
+#[test]
+fn a_zero_fault_plan_behaves_exactly_like_no_plan() {
+    let retry = |gpu: &Gpu| (gpu.transfer_retry_budget(), gpu.transfer_backoff_ns());
+    let mut planned = Gpu::new(DeviceConfig::v100());
+    planned.install_faults(FaultPlan::default());
+    assert_eq!(retry(&Gpu::new(DeviceConfig::v100())), retry(&planned));
+
+    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let cfg = TrainingConfig {
+        window: 8,
+        epochs: 4,
+        preparing_epochs: 2,
+        lr: 0.01,
+        seed: 3,
+    };
+    for model in ModelKind::ALL {
+        let run = |plan: Option<FaultPlan>| {
+            let mut gpu = Gpu::new(DeviceConfig::v100());
+            if let Some(plan) = plan {
+                gpu.install_faults(plan);
+            }
+            let report = train_pipad(&mut gpu, model, &graph, 8, &cfg, &PipadConfig::default())
+                .expect("train");
+            let bits: Vec<u32> = report.losses().iter().map(|l| l.to_bits()).collect();
+            (bits, export_chrome_trace(gpu.trace(), 0), gpu.fault_stats())
+        };
+        let (bits, trace, stats) = run(None);
+        let (zero_bits, zero_trace, zero_stats) = run(Some(FaultPlan::default()));
+        assert_eq!(bits, zero_bits, "{model:?}: loss bits");
+        assert!(trace == zero_trace, "{model:?}: the traces differ");
+        assert_eq!(stats, zero_stats, "{model:?}: fault counters");
     }
 }
