@@ -8,7 +8,7 @@
 
 use pipad::CpuAggStore;
 use pipad_autograd::{AggregationKernel, Tape, Var};
-use pipad_gpu_sim::{Event, Gpu, KernelCategory, OomError, SimNanos, StreamId};
+use pipad_gpu_sim::{Event, Gpu, OomError, SimNanos, StreamId};
 use pipad_kernels::{upload_coo, upload_csr_with_csc, upload_matrix, DeviceCsr, DeviceMatrix};
 use pipad_models::{normalize_snapshot, GnnExecutor, NormalizedAdj};
 use pipad_sparse::Csr;
@@ -175,7 +175,6 @@ impl GnnExecutor for BaselineExecutor<'_> {
         xs: &[Var],
     ) -> Result<Vec<Var>, OomError> {
         assert_eq!(xs.len(), self.slots.len());
-        let _ = KernelCategory::Aggregation;
         xs.iter()
             .zip(&self.slots)
             .map(|(&x, slot)| {

@@ -152,7 +152,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "profile",
         aliases: &[],
-        about: "extension: unified metrics registry + pipeline health + regression sentinel",
+        about: "extension: unified metrics registry + pipeline health (Prometheus/JSON/table)",
         in_all: false,
         run: |s| profile::run(s).outputs(),
     },
@@ -168,7 +168,7 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// The `repro --help` text.
 pub fn help() -> String {
     let mut out = String::from(
-        "usage: repro <experiment> [--scale tiny|laptop] [--out dir] [--baseline file.json]\n\n\
+        "usage: repro <experiment> [--scale tiny|laptop] [--out dir]\n\n\
          experiments (* = not run by `all`):\n",
     );
     for e in EXPERIMENTS {
@@ -184,11 +184,7 @@ pub fn help() -> String {
         "  {:<18} every unmarked experiment: the paper's tables and figures + ablation (default)",
         "all"
     );
-    out.push_str(
-        "\n--baseline applies to `profile`: exit 1 if a guarded metric drifted beyond its\n\
-         tolerance (UPDATE_BASELINE=1 rewrites the file instead). Results print to stdout\n\
-         and are written to <out>/ (default results/).\n",
-    );
+    out.push_str("\nResults print to stdout and are written to <out>/ (default results/).\n");
     out
 }
 

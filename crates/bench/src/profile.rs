@@ -1,5 +1,4 @@
-//! `repro profile` — unified metrics registry + pipeline-health analysis
-//! with a perf-regression sentinel.
+//! `repro profile` — unified metrics registry + pipeline-health analysis.
 //!
 //! Three legs populate one [`MetricsRegistry`]:
 //!
@@ -17,114 +16,20 @@
 //! The registry renders three ways (Prometheus text, JSON, human table) —
 //! all three are pure functions of the simulated clock, and `run` asserts
 //! byte-identity in every [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell.
-//! A small set of key metrics is additionally guarded by a
-//! committed sentinel baseline (`tests/golden/profile_baseline.json`):
-//! `repro profile --baseline <path>` fails when any guarded metric drifts
-//! beyond its per-metric tolerance.
+//! `tests/metrics_layer.rs` pins every key of a tiny-scale run against
+//! `tests/golden/profile_tiny.*` and names each one that drifts.
 
 use crate::experiments::Output;
 use crate::util::{dataset, default_training_config, host_invariant, Method, RunScale, ScratchDir};
 use pipad_dyngraph::DatasetId;
 use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu};
-use pipad_metrics::{
-    analyze, to_json, to_prometheus, to_table, Baseline, BaselineEntry, MetricsRegistry,
-};
+use pipad_metrics::{analyze, to_json, to_prometheus, to_table, MetricsRegistry};
 use pipad_models::ModelKind;
 use std::collections::BTreeMap;
 
 /// Hidden dimension of the training leg (the other legs share the
 /// `multigpu` and `serve` experiments' runs, also at 16).
 const HIDDEN: usize = 16;
-
-/// The guarded metrics: flat key (as produced by
-/// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
-/// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 16] = [
-    // Every key is a deterministic integer of the simulation —
-    // byte-identical across `HOST_MATRIX` — so every key is exact: any move
-    // is either intended (re-record, show old → new) or a regression, and a
-    // −9 % steady epoch no longer hides inside ±10 %.
-    //
-    // Pipelining quality in the steady window: transfer time hidden under
-    // kernels, and the transfer time it is a share of (the numerator and
-    // denominator of `pipad_overlap_fraction_milli`; the SM-utilization
-    // gauge is `pipad_compute_busy_ns` over `pipad_steady_epoch_ns`, both
-    // below).
-    (
-        "pipad_overlap_ns{method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    (
-        "pipad_transfer_busy_ns{method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    // Inter-frame reuse (§4.4), whole run: lookups the device-resident
-    // tier answered, and those that fell through to the CPU store and paid
-    // the PCIe trip. A device tier that stops engaging reads 0 here.
-    ("pipad_reuse_hits{method=\"PiPAD\",tier=\"gpu\"}", 0.0, 0.0),
-    ("pipad_reuse_hits{method=\"PiPAD\",tier=\"cpu\"}", 0.0, 0.0),
-    // Steady-state device allocations (device_mem_in_use rises), counted
-    // identically with the host buffer pool on or off.
-    (
-        "pipad_device_allocs{method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    // Kernel launches in the steady window: launch-count work (fusion,
-    // CUDA-graph batching) lands here.
-    (
-        "pipad_kernel_launches{method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    // Union of kernel intervals in the steady window: what the device
-    // actually computes. Falls when wasted kernel time is removed.
-    (
-        "pipad_compute_busy_ns{method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    // The copy lane's two cost terms in the steady window: bytes moved
-    // (reuse, overlap-aware transfer) and copies issued (the fixed
-    // `pcie_latency_ns` each one pays).
-    (
-        "pipad_h2d_bytes{method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    (
-        "pipad_h2d_copies{method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    // Gradient accumulations that cost a launch of their own.
-    (
-        "pipad_kernel_launches{family=\"add\",method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    // The frame's tail: optimiser steps and the loss pair.
-    (
-        "pipad_kernel_launches{family=\"optimizer\",method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    (
-        "pipad_kernel_launches{family=\"loss\",method=\"PiPAD\",window=\"steady\"}",
-        0.0,
-        0.0,
-    ),
-    // End-to-end steady epoch time.
-    ("pipad_steady_epoch_ns{method=\"PiPAD\"}", 0.0, 0.0),
-    // Serving tail latency (log2-bucket p95, simulated ns).
-    ("pipad_serve_latency_ns_p95", 0.0, 0.0),
-    // The data-parallel extension on the same engine: its steady epoch and
-    // the ring-allreduce time inside it, both exact.
-    ("pipad_mgpu_steady_epoch_ns{gpus=\"2\"}", 0.0, 0.0),
-    ("pipad_mgpu_allreduce_ns_per_epoch{gpus=\"2\"}", 0.0, 0.0),
-];
 
 /// Everything `repro profile` produces.
 #[derive(Debug, PartialEq)]
@@ -135,7 +40,7 @@ pub struct ProfileArtifact {
     pub table: String,
     /// Prometheus text exposition (`results/profile.prom`).
     pub prom: String,
-    /// Flat `key → value` map the sentinel compares against.
+    /// Flat `key → value` map ([`MetricsRegistry::flat`]).
     pub flat: BTreeMap<String, f64>,
 }
 
@@ -147,31 +52,6 @@ impl ProfileArtifact {
             Output::new("profile.json", self.json.clone()),
             Output::new("profile.prom", self.prom.clone()),
         ]
-    }
-
-    /// Render the sentinel baseline for this run: every guarded metric at
-    /// its current value with the standard tolerances. Written by
-    /// `UPDATE_BASELINE=1 repro profile --baseline <path>`.
-    pub fn render_baseline(&self) -> String {
-        let entries = SENTINEL
-            .iter()
-            .map(|&(key, tol_abs, tol_rel)| BaselineEntry {
-                key: key.to_string(),
-                value: *self
-                    .flat
-                    .get(key)
-                    .unwrap_or_else(|| panic!("sentinel metric `{key}` missing from profile")),
-                tol_abs,
-                tol_rel,
-            })
-            .collect();
-        Baseline { entries }.render()
-    }
-
-    /// Compare this run against a committed baseline document. `Err` is a
-    /// parse failure; `Ok(v)` lists tolerance violations (empty = pass).
-    pub fn check_baseline(&self, src: &str) -> Result<Vec<String>, String> {
-        Ok(Baseline::parse(src)?.check(&self.flat))
     }
 }
 
@@ -327,35 +207,6 @@ pub fn run(scale: RunScale) -> ProfileArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sentinel_keys_exist_and_baseline_round_trips() {
-        let art = measure(RunScale::Tiny);
-        for (key, _, _) in SENTINEL {
-            assert!(art.flat.contains_key(key), "missing sentinel metric {key}");
-        }
-        let baseline = art.render_baseline();
-        assert_eq!(
-            art.check_baseline(&baseline).expect("parse"),
-            Vec::<String>::new(),
-            "a freshly rendered baseline must accept its own run"
-        );
-    }
-
-    #[test]
-    fn perturbed_baseline_is_rejected() {
-        let art = measure(RunScale::Tiny);
-        let baseline = art.render_baseline();
-        let parsed = Baseline::parse(&baseline).expect("parse");
-        let mut bad = parsed.clone();
-        // Shift one guarded value far outside its tolerance band.
-        bad.entries[0].value += 10_000.0;
-        bad.entries[0].tol_abs = 1.0;
-        bad.entries[0].tol_rel = 0.0;
-        let failures = art.check_baseline(&bad.render()).expect("parse");
-        assert_eq!(failures.len(), 1, "exactly the perturbed metric fails");
-        assert!(failures[0].contains("drifted"), "{}", failures[0]);
-    }
 
     #[test]
     fn overlap_beats_baseline_and_allocs_are_flat() {

@@ -36,13 +36,6 @@ pub struct PartitionPlan {
     pub adjacency_bytes: u64,
 }
 
-impl PartitionPlan {
-    /// Bytes saved versus shipping every member's full sliced adjacency.
-    pub fn savings_vs_full(&self, full_bytes: u64) -> i64 {
-        full_bytes as i64 - self.adjacency_bytes as i64
-    }
-}
-
 /// Catalog of partition plans for all `(s_per, start)` combinations.
 pub struct PartitionCatalog {
     plans: HashMap<(usize, usize), PartitionPlan>,

@@ -154,21 +154,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// A plan with no faults (useful as a baseline probe).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Whether the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.oom_at_alloc.is_empty()
-            && self.oom_usage_threshold.is_none()
-            && self.transfer_faults.is_empty()
-            && self.straggler_ranges.is_empty()
-            && self.poison_launches.is_empty()
-            && self.crash.is_none()
-    }
-
     /// Derive a pseudo-random plan from `seed`. The mapping is a pure
     /// function of the seed: the same seed yields the same plan on every
     /// platform and thread count. Index magnitudes are sized for the small

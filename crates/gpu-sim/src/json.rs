@@ -1,8 +1,8 @@
 //! The workspace's one JSON reader: a strict RFC 8259 grammar with two
 //! walks over the same productions.
 //!
-//! * [`Json::parse`] builds a [`Json`] tree (the sentinel baseline, the
-//!   benchmark's result lines).
+//! * [`Json::parse`] builds a [`Json`] tree (`BENCHMARK.json`, the
+//!   benchmark's result lines, the profile golden's per-key diff).
 //! * [`validate_json`] checks well-formedness and builds nothing. It runs
 //!   over Chrome traces of hundreds of megabytes (`repro trace`, the
 //!   benchmark's traced pass), where a tree would cost several times the
@@ -10,7 +10,7 @@
 //!   productions, not "parse and drop".
 //!
 //! Because both are one production set they accept exactly the same
-//! documents. Input may be foreign bytes (`repro profile --baseline FILE`),
+//! documents. Input may be foreign bytes (a hand-edited `BENCHMARK.json`),
 //! so nesting is capped at `MAX_DEPTH` and reported as an `Err` instead of
 //! recursing until the stack overflows. Numbers follow the RFC: no leading
 //! zeros, digits required after `.` and after the exponent marker.

@@ -5,7 +5,7 @@
 //! but raw traces don't make those numbers comparable across runs or
 //! catchable in CI. This crate turns the simulator's [`Tracer`] and
 //! [`Profiler`] output into aggregate metrics with a hard determinism
-//! contract, in four layers:
+//! contract, in three layers:
 //!
 //! * [`MetricsRegistry`] — counters, gauges and fixed-log2-bucket
 //!   [`Log2Histogram`]s keyed by name + labels, `BTreeMap`-ordered so
@@ -17,10 +17,8 @@
 //!   typed recovery/fault counters and device-allocation counts, derived
 //!   purely from the simulated timeline.
 //! * [`to_prometheus`] / [`to_json`] / [`to_table`] — three exporters
-//!   over one registry.
-//! * [`Baseline`] — the perf-regression sentinel: a committed JSON
-//!   baseline with per-metric tolerances whose comparator fails
-//!   `scripts/check.sh` on drift.
+//!   over one registry; `tests/metrics_layer.rs` pins all three
+//!   byte-for-byte and names every JSON key that drifts.
 //!
 //! The crate is dependency-free beyond `pipad-gpu-sim` (for the trace
 //! types) — the same no-external-deps policy as the rest of the
@@ -35,7 +33,6 @@ pub mod analyze;
 pub mod export;
 pub mod hist;
 pub mod registry;
-pub mod sentinel;
 pub mod summary;
 
 pub use analyze::{analyze, EpochHealth, KernelAgg, PipelineHealth, StreamHealth, WindowHealth};
@@ -43,5 +40,4 @@ pub use export::{to_json, to_prometheus, to_table};
 pub use hist::{bucket_index, bucket_lower_bound, bucket_upper_bound, Log2Histogram, LOG2_BUCKETS};
 pub use pipad_gpu_sim::Json;
 pub use registry::{MetricKey, MetricsRegistry};
-pub use sentinel::{Baseline, BaselineEntry};
 pub use summary::{percentile_nearest_rank, Percentiles};

@@ -152,10 +152,10 @@ impl MetricsRegistry {
         self.histograms.get(&MetricKey::plain(name))
     }
 
-    /// Flatten every metric into `rendered key → f64` for the regression
-    /// sentinel: counters and gauges directly, histograms as derived
+    /// Flatten every metric into `rendered key → f64` for lookups by
+    /// key: counters and gauges directly, histograms as derived
     /// `_count` / `_sum` / `_p95` series. Keys are the Prometheus
-    /// renderings, so the sentinel baseline reads like the `.prom` export.
+    /// renderings, so a lookup reads like the `.prom` export.
     pub fn flat(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
         for (k, v) in &self.counters {

@@ -1,23 +1,23 @@
 //! Golden-trace regression and trace-determinism gates.
 //!
-//! Two layers of pinning:
+//! Two pinned workloads:
 //!
 //! 1. a hand-driven device workload whose exported Chrome-trace JSON is
 //!    checked byte-for-byte against `tests/golden/trace_tiny.json` — any
 //!    change to event naming, ordering, number formatting or the export
 //!    envelope shows up as a diff of that file;
-//! 2. a full `train_pipad` run whose exported trace must be byte-identical
-//!    across repeated runs and across host-pool thread counts (the trace is
-//!    a pure function of the simulated clock, which the host-parallel layer
-//!    does not perturb);
-//! 3. an online-serving run over a hand-built micro graph whose exported
+//! 2. an online-serving run over a hand-built micro graph whose exported
 //!    trace is pinned against `tests/golden/serve_tiny.json` — the
 //!    `enqueue`/`batch_form`/`serve_forward` span schema and the serving
-//!    clock itself cannot drift silently.
+//!    clock itself cannot drift silently — and must be byte-identical
+//!    across host-pool thread counts.
+//!
+//! A full `train_pipad` run's trace across reruns, thread counts and the
+//! buffer pool is `tests/pool_equivalence.rs`'s gate.
 
 use pipad::{train_pipad, PipadConfig};
 use pipad_ckpt::CheckpointPolicy;
-use pipad_dyngraph::{DatasetId, DynamicGraph, Scale, Snapshot};
+use pipad_dyngraph::{DynamicGraph, Snapshot};
 use pipad_gpu_sim::{
     export_chrome_trace, trace_text_summary, validate_json, DeviceConfig, Gpu, KernelCategory,
     KernelCost, SimNanos,
@@ -80,31 +80,6 @@ fn tiny_trace_summary_is_stable() {
     let b = trace_text_summary(tiny_workload().trace());
     assert_eq!(a, b);
     assert!(a.contains("device_mem_in_use"), "{a}");
-}
-
-fn pipeline_trace() -> String {
-    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
-    let cfg = TrainingConfig {
-        window: 8,
-        epochs: 4,
-        preparing_epochs: 2,
-        lr: 0.01,
-        seed: 7,
-    };
-    let mut gpu = Gpu::new(DeviceConfig::v100());
-    train_pipad(
-        &mut gpu,
-        ModelKind::TGcn,
-        &graph,
-        8,
-        &cfg,
-        &PipadConfig::default(),
-    )
-    .expect("train");
-    gpu.profiler()
-        .consistency_check(gpu.trace())
-        .expect("trace agrees with profiler");
-    export_chrome_trace(gpu.trace(), 0)
 }
 
 /// A 4-vertex path graph with one time-varying chord, 6 snapshots of
@@ -206,20 +181,6 @@ fn serve_trace_is_byte_identical_across_threads() {
         assert_eq!(
             base, under_pool,
             "serving trace diverged under a {threads}-thread host pool"
-        );
-    }
-}
-
-#[test]
-fn pipeline_trace_is_byte_identical_across_runs_and_threads() {
-    let base = pipeline_trace();
-    validate_json(&base).expect("well-formed");
-    assert_eq!(base, pipeline_trace(), "same-process rerun diverged");
-    for threads in [1usize, 4] {
-        let under_pool = with_threads(threads, pipeline_trace);
-        assert_eq!(
-            base, under_pool,
-            "trace diverged under a {threads}-thread host pool"
         );
     }
 }
