@@ -21,7 +21,7 @@ use pipad_models::{
     normalize_snapshot, GnnExecutor, ModelKind, NormalizedAdj, TrainReport, TrainingConfig,
 };
 use pipad_sparse::graph_diff;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// A snapshot resident on the device (adjacency + features), kept across
@@ -33,9 +33,10 @@ struct ResidentSnapshot {
     ready: Event,
 }
 
-/// Device-resident window state maintained across frames.
+/// Device-resident window state maintained across frames. Ordered, so the
+/// window is freed in the same order on every run.
 struct ResidentWindow {
-    snapshots: HashMap<usize, ResidentSnapshot>,
+    snapshots: BTreeMap<usize, ResidentSnapshot>,
 }
 
 impl ResidentWindow {
@@ -57,7 +58,7 @@ impl ResidentWindow {
         let snap = &graph.snapshots[idx];
         let norm = normalize_snapshot(&snap.adj);
         // Delta against the nearest resident predecessor, if any.
-        let predecessor = (0..idx).rev().find(|i| self.snapshots.contains_key(i));
+        let predecessor = self.snapshots.range(..idx).next_back().map(|(&p, _)| p);
         let wire_bytes = match predecessor {
             Some(p) => {
                 let (added, removed) = graph_diff(&graph.snapshots[p].adj, &snap.adj);
@@ -91,22 +92,10 @@ impl ResidentWindow {
         Ok(())
     }
 
-    /// Drop snapshots that left the window.
+    /// Drop snapshots that left the window (all of them at `usize::MAX`).
     fn retire_below(&mut self, gpu: &mut Gpu, min_idx: usize) {
-        let stale: Vec<usize> = self
-            .snapshots
-            .keys()
-            .copied()
-            .filter(|&k| k < min_idx)
-            .collect();
-        for k in stale {
-            let s = self.snapshots.remove(&k).unwrap();
-            s.adj.free(gpu);
-        }
-    }
-
-    fn clear(&mut self, gpu: &mut Gpu) {
-        for (_, s) in self.snapshots.drain() {
+        let kept = self.snapshots.split_off(&min_idx);
+        for (_, s) in std::mem::replace(&mut self.snapshots, kept) {
             s.adj.free(gpu);
         }
     }
@@ -217,7 +206,7 @@ impl EpochPolicy for EsdgPolicy {
     /// set is rebuilt (the first admit of the next epoch ships a full
     /// topology again, then deltas).
     fn end_epoch(&mut self, cx: &mut RunCx<'_>, _epoch: usize) {
-        self.window.clear(cx.gpu);
+        self.window.retire_below(cx.gpu, usize::MAX);
     }
 }
 
@@ -231,7 +220,7 @@ pub fn train_esdg(
 ) -> Result<TrainReport, OomError> {
     run_epochs(gpu, model_kind, graph, hidden, cfg, None, |_| EsdgPolicy {
         window: ResidentWindow {
-            snapshots: HashMap::new(),
+            snapshots: BTreeMap::new(),
         },
         preparing: cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1)),
     })
@@ -242,8 +231,9 @@ pub fn train_esdg(
 mod tests {
     use super::*;
     use crate::trainer::{train_baseline, BaselineKind};
-    use pipad_dyngraph::{DatasetId, Scale};
-    use pipad_gpu_sim::DeviceConfig;
+    use pipad_dyngraph::{DatasetId, Scale, Snapshot};
+    use pipad_gpu_sim::{export_chrome_trace, DeviceConfig};
+    use pipad_sparse::Csr;
 
     fn setup() -> (DynamicGraph, TrainingConfig) {
         (
@@ -331,5 +321,28 @@ mod tests {
         // only model parameters remain
         assert!(gpu.mem().in_use() > before);
         assert!(gpu.mem().live_buffers() < 30);
+    }
+
+    #[test]
+    fn identical_runs_trace_identically_when_snapshot_sizes_differ() {
+        // The window is freed at every epoch end; with snapshots of
+        // different sizes the order it is freed in shows in the
+        // `device_mem_in_use` samples, and every run builds a fresh window.
+        let (g, cfg) = setup();
+        let snapshots = g.snapshots.iter().enumerate().map(|(t, s)| {
+            let mut edges = s.adj.edges();
+            edges.retain(|&(u, v)| (u as usize + v as usize + t) % 7 != 0);
+            Snapshot::new(Csr::from_edges(s.n(), s.n(), &edges), s.features.clone())
+        });
+        let g = DynamicGraph::new(g.name.clone(), snapshots.collect());
+        let trace = || {
+            let mut gpu = Gpu::new(DeviceConfig::v100());
+            train_esdg(&mut gpu, ModelKind::TGcn, &g, 8, &cfg).unwrap();
+            export_chrome_trace(gpu.trace(), 1)
+        };
+        let first = trace();
+        for run in 2..=6 {
+            assert!(trace() == first, "run {run} traced differently from run 1");
+        }
     }
 }

@@ -24,5 +24,5 @@ mod executor;
 mod trainer;
 
 pub use esdg::train_esdg;
-pub use executor::BaselineExecutor;
+pub use executor::{BaselineExecutor, StageOptions};
 pub use trainer::{train_baseline, train_baseline_resumable, BaselineKind};

@@ -42,6 +42,24 @@ impl BaselineKind {
         BaselineKind::PygtR,
         BaselineKind::PygtG,
     ];
+
+    /// How this variant stages a frame (§5.1: each variant switches on one
+    /// more mechanism than the last). `needs_adjacency_when_cached` is the
+    /// model's: it still aggregates hidden features after a reuse hit.
+    pub fn stage_options(self, needs_adjacency_when_cached: bool) -> StageOptions {
+        let gespmm = self == BaselineKind::PygtG;
+        StageOptions {
+            async_transfer: self != BaselineKind::Pygt,
+            // GE-SpMM's backward needs the CSC copy resident too.
+            with_csc: gespmm,
+            kernel: if gespmm {
+                AggregationKernel::GeSpmm
+            } else {
+                AggregationKernel::CooScatter
+            },
+            needs_adjacency_when_cached,
+        }
+    }
 }
 
 /// Train `model_kind` on `graph` with the chosen baseline and return the
@@ -83,24 +101,12 @@ pub fn train_baseline_resumable(
     cfg: &TrainingConfig,
     checkpoint: Option<&CheckpointPolicy>,
 ) -> Result<TrainReport, DeviceFault> {
-    // §5.1: each variant switches on one more mechanism than the last.
-    let gespmm = kind == BaselineKind::PygtG;
-    let has_reuse = gespmm || kind == BaselineKind::PygtR;
+    let has_reuse = matches!(kind, BaselineKind::PygtR | BaselineKind::PygtG);
     run_epochs(gpu, model_kind, graph, hidden, cfg, checkpoint, |cx| {
         BaselinePolicy {
             kind,
             preparing: cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1)),
-            opts: StageOptions {
-                async_transfer: kind != BaselineKind::Pygt,
-                // GE-SpMM's backward needs the CSC copy resident too.
-                with_csc: gespmm,
-                kernel: if gespmm {
-                    AggregationKernel::GeSpmm
-                } else {
-                    AggregationKernel::CooScatter
-                },
-                needs_adjacency_when_cached: cx.model.needs_hidden_aggregation(),
-            },
+            opts: kind.stage_options(cx.model.needs_hidden_aggregation()),
             reuse: has_reuse.then(CpuAggStore::new),
         }
     })

@@ -6,19 +6,16 @@
 //! * 11b — dimension sensitivity on the small-scale datasets;
 //! * thread utilization — warp execution efficiency of the GNN kernels,
 //!   PyGT-G vs PiPAD, with all dimensions forced to 2/6.
+//!
+//! Every arm stages and aggregates through the executor its trainer runs
+//! ([`run_gnn_frame`]).
 
-use crate::util::{check_consistency, dataset, header, pad, RunScale};
-use pipad_dyngraph::{DatasetId, DynamicGraph, ALL_DATASETS};
-use pipad_gpu_sim::{Breakdown, DeviceConfig, Gpu, SimNanos};
-use pipad_kernels::{
-    spmm_coo_scatter, spmm_gespmm, spmm_sliced_parallel, upload_coo, upload_csr_with_csc,
-    upload_matrix, upload_sliced,
-};
-use pipad_models::normalize_snapshot;
-use pipad_sparse::{extract_overlap, SlicedCsr};
-use pipad_tensor::{seeded_rng, uniform, Matrix};
+use crate::util::{dataset, header, pad, run_gnn_frame, RunScale, Staging};
+use pipad_baselines::BaselineKind;
+use pipad_dyngraph::{DatasetId, DynamicGraph, Snapshot, ALL_DATASETS};
+use pipad_gpu_sim::{Breakdown, SimNanos};
+use pipad_tensor::{seeded_rng, uniform};
 use std::fmt::Write;
-use std::rc::Rc;
 
 /// Which 1-layer GNN execution strategy to profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,68 +40,24 @@ pub fn profile_gnn(
     dim_override: Option<usize>,
     path: GnnPath,
 ) -> (SimNanos, Breakdown) {
-    let mut gpu = Gpu::new(DeviceConfig::v100());
-    let s = gpu.default_stream();
-    let n = graph.n();
     let mut rng = seeded_rng(1111);
-    let feats: Vec<Matrix> = (0..window)
-        .map(|i| match dim_override {
-            Some(d) => uniform(&mut rng, n, d, 1.0),
-            None => graph.snapshots[i].features.clone(),
+    let snapshots = graph.snapshots[..window]
+        .iter()
+        .map(|s| match dim_override {
+            Some(d) => Snapshot::new(s.adj.clone(), uniform(&mut rng, graph.n(), d, 1.0)),
+            None => s.clone(),
         })
         .collect();
-    let snap = gpu.profiler().snapshot();
-    let t0 = gpu.synchronize();
-    match path {
-        GnnPath::Pygt => {
-            for (i, x) in feats.iter().enumerate() {
-                let norm = normalize_snapshot(&graph.snapshots[i].adj);
-                let adj = upload_coo(&mut gpu, s, Rc::clone(&norm.adj_hat), false).unwrap();
-                let dx = upload_matrix(&mut gpu, s, x, false).unwrap();
-                spmm_coo_scatter(&mut gpu, s, &adj, &dx).unwrap();
-            }
-        }
-        GnnPath::PygtG => {
-            for (i, x) in feats.iter().enumerate() {
-                let norm = normalize_snapshot(&graph.snapshots[i].adj);
-                let adj = upload_csr_with_csc(&mut gpu, s, Rc::clone(&norm.adj_hat), true).unwrap();
-                let dx = upload_matrix(&mut gpu, s, x, true).unwrap();
-                spmm_gespmm(&mut gpu, s, &adj, &dx).unwrap();
-            }
-        }
-        GnnPath::Pipad { s_per } => {
-            let mut off = 0;
-            while off < window {
-                let size = s_per.min(window - off);
-                let members: Vec<_> = (off..off + size)
-                    .map(|i| normalize_snapshot(&graph.snapshots[i].adj))
-                    .collect();
-                let adj_refs: Vec<&pipad_sparse::Csr> =
-                    members.iter().map(|m| m.adj_hat.as_ref()).collect();
-                let split = extract_overlap(&adj_refs);
-                let overlap = Rc::new(SlicedCsr::from_csr(&split.overlap));
-                let d_over = upload_sliced(&mut gpu, s, Rc::clone(&overlap), true).unwrap();
-                let frefs: Vec<&Matrix> = feats[off..off + size].iter().collect();
-                let co = Matrix::concat_cols(&frefs);
-                let d_co = upload_matrix(&mut gpu, s, &co, true).unwrap();
-                spmm_sliced_parallel(&mut gpu, s, &d_over, &d_co, size).unwrap();
-                for (k, excl) in split.exclusives.iter().enumerate() {
-                    if excl.nnz() == 0 {
-                        continue;
-                    }
-                    let se = Rc::new(SlicedCsr::from_csr(excl));
-                    let de = upload_sliced(&mut gpu, s, Rc::clone(&se), true).unwrap();
-                    let dx = upload_matrix(&mut gpu, s, &feats[off + k], true).unwrap();
-                    spmm_sliced_parallel(&mut gpu, s, &de, &dx, 1).unwrap();
-                }
-                off += size;
-            }
-        }
-    }
-    let _ = t0;
-    gpu.synchronize();
-    let b = gpu.profiler().window(snap);
-    check_consistency(&gpu);
+    let frame = DynamicGraph::new(graph.name.as_str(), snapshots);
+    let staging = match path {
+        GnnPath::Pygt => Staging::Baseline(BaselineKind::Pygt),
+        GnnPath::PygtG => Staging::Baseline(BaselineKind::PygtG),
+        GnnPath::Pipad { s_per } => Staging::Pipad {
+            s_per,
+            weight_reuse: true,
+        },
+    };
+    let (_, b) = run_gnn_frame(&frame, staging, None);
     (b.compute_total, b)
 }
 

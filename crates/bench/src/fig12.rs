@@ -2,6 +2,10 @@
 //! (Balanced = ideal latency under perfect distribution vs Actual) and the
 //! overall training speedup of the sliced format over plain CSR with every
 //! other PiPAD mechanism unchanged.
+//!
+//! The load-balance half is a single-kernel micro-benchmark by design: it
+//! launches one aggregation kernel per format directly. The overall
+//! speedup trains through `train_pipad`.
 
 use crate::util::{check_consistency, dataset, default_training_config, header, pad, RunScale};
 use pipad::{train_pipad, PipadConfig};

@@ -1,6 +1,10 @@
 //! Figure 5: global-memory requests (#R) and transactions (#T) of the
 //! standard row-per-warp aggregation as the feature dimension sweeps —
 //! the §3.2 bandwidth-unsaturation / request-burst experiment.
+//!
+//! A single-kernel micro-benchmark by design: the figure is about one
+//! kernel's access shape, so it launches that kernel directly instead of
+//! going through a trainer's executor as Figures 9 and 11 do.
 
 use crate::util::{check_consistency, header, pad};
 use pipad_gpu_sim::{DeviceConfig, Gpu};

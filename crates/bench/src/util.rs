@@ -1,12 +1,16 @@
 //! Shared harness plumbing: method dispatch, configs, text-table output.
 
-use pipad::{train_pipad, PipadConfig};
-use pipad_baselines::{train_baseline, BaselineKind};
+use pipad::exec::ExecOptions;
+use pipad::{train_pipad, GraphAnalyzer, PartitionCatalog, PipadConfig, PipadExecutor};
+use pipad_autograd::Tape;
+use pipad_baselines::{train_baseline, BaselineExecutor, BaselineKind};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
-use pipad_gpu_sim::{DeviceConfig, Gpu};
-use pipad_models::{ModelKind, TrainReport, TrainingConfig};
+use pipad_gpu_sim::{Breakdown, DeviceConfig, Gpu, SimNanos};
+use pipad_kernels::DeviceMatrix;
+use pipad_models::{GnnExecutor, ModelKind, TrainReport, TrainingConfig};
 use pipad_pool::with_threads;
-use pipad_tensor::with_pool_enabled;
+use pipad_sparse::Csr;
+use pipad_tensor::{with_pool_enabled, Matrix};
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -190,6 +194,99 @@ pub fn check_consistency(gpu: &Gpu) {
     gpu.profiler()
         .consistency_check(gpu.trace())
         .expect("profiler and trace diverged over a repro experiment");
+}
+
+/// Which executor stages a frame for [`run_gnn_frame`]. Inter-frame reuse
+/// is off either way.
+#[derive(Clone, Copy, Debug)]
+pub enum Staging {
+    /// `PipadExecutor` over sliced CSR with a trainer's `S_per` and
+    /// weight-reuse setting.
+    Pipad { s_per: usize, weight_reuse: bool },
+    /// The `BaselineExecutor` of one PyGT variant.
+    Baseline(BaselineKind),
+}
+
+/// One GCN layer over every snapshot of `graph` through the executor a
+/// trainer runs: stage the snapshots as one frame the way that trainer
+/// does, synchronize, then run `aggregate_inputs` on a tape and — given a
+/// weight and a bias, resident beforehand like a model's — `update`.
+/// Returns the device time of that computation and the profiler window
+/// over it; staging lies outside both.
+pub fn run_gnn_frame(
+    graph: &DynamicGraph,
+    staging: Staging,
+    update: Option<(&Matrix, &Matrix)>,
+) -> (SimNanos, Breakdown) {
+    let mut gpu = Gpu::new(DeviceConfig::v100());
+    let (compute, copy) = (gpu.default_stream(), gpu.create_stream());
+    let mut host = SimNanos::ZERO;
+    let fits = "the frame fits the device";
+    let measured = match staging {
+        Staging::Pipad {
+            s_per,
+            weight_reuse,
+        } => {
+            let analyzer = GraphAnalyzer::run(&mut gpu, graph, &mut host);
+            let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
+            let feats: Vec<&Matrix> = graph.snapshots.iter().map(|s| &s.features).collect();
+            let opts = ExecOptions {
+                s_per,
+                needs_adjacency_when_cached: false,
+                weight_reuse,
+                use_sliced: true,
+            };
+            let mut exec = PipadExecutor::stage(
+                &mut gpu, &analyzer, &catalog, &feats, 0, opts, None, compute, copy, &mut host,
+            )
+            .expect(fits);
+            let measured = gnn_layer(&mut gpu, &mut exec, update);
+            exec.finish(&mut gpu);
+            measured
+        }
+        Staging::Baseline(kind) => {
+            let frame: Vec<(usize, &Csr, &Matrix)> = graph
+                .snapshots
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (i, &s.adj, &s.features))
+                .collect();
+            let opts = kind.stage_options(false);
+            let mut exec =
+                BaselineExecutor::stage(&mut gpu, &frame, opts, None, compute, copy, &mut host)
+                    .expect(fits);
+            let measured = gnn_layer(&mut gpu, &mut exec, update);
+            exec.finish(&mut gpu);
+            measured
+        }
+    };
+    check_consistency(&gpu);
+    measured
+}
+
+/// The measured part of [`run_gnn_frame`], on a staged executor.
+fn gnn_layer(
+    gpu: &mut Gpu,
+    exec: &mut impl GnnExecutor,
+    update: Option<(&Matrix, &Matrix)>,
+) -> (SimNanos, Breakdown) {
+    let fits = "the layer fits the device";
+    let mut tape = Tape::new(gpu.default_stream());
+    let params = update.map(|(w, b)| {
+        let w = DeviceMatrix::alloc(gpu, w.clone()).expect(fits);
+        let b = DeviceMatrix::alloc(gpu, b.clone()).expect(fits);
+        (tape.input(w), tape.input(b))
+    });
+    let t0 = gpu.synchronize();
+    let snap = gpu.profiler().snapshot();
+    let xs = exec.aggregate_inputs(gpu, &mut tape).expect(fits);
+    if let Some((w, b)) = params {
+        exec.update(gpu, &mut tape, &xs, w, b).expect(fits);
+    }
+    let elapsed = gpu.synchronize() - t0;
+    let window = gpu.profiler().window(snap);
+    tape.finish(gpu);
+    (elapsed, window)
 }
 
 /// The harness training configuration: the paper's frame size (16), two

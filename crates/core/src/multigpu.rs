@@ -93,8 +93,6 @@ pub struct MultiGpuConfig {
     /// this value, which is what makes runs bit-identical across device
     /// counts.
     pub virtual_shards: usize,
-    /// Per-device profile.
-    pub device: DeviceConfig,
 }
 
 impl Default for MultiGpuConfig {
@@ -102,7 +100,6 @@ impl Default for MultiGpuConfig {
         MultiGpuConfig {
             n_gpus: 2,
             virtual_shards: 4,
-            device: DeviceConfig::v100(),
         }
     }
 }
@@ -371,7 +368,7 @@ pub fn train_data_parallel_devices(
 
     // Per-device state: simulator, model (identical seed → identical
     // weights), streams, host lane.
-    let mut gpus: Vec<Gpu> = (0..parts).map(|_| Gpu::new(mcfg.device.clone())).collect();
+    let mut gpus: Vec<Gpu> = (0..parts).map(|_| Gpu::new(DeviceConfig::v100())).collect();
     let mut models = Vec::with_capacity(parts);
     let mut streams = Vec::with_capacity(parts);
     for gpu in gpus.iter_mut() {
@@ -394,7 +391,7 @@ pub fn train_data_parallel_devices(
 
     // The halo capture's device (module docs); its costs and trace are
     // discarded.
-    let mut scratch = hidden_agg.then(|| Gpu::new(mcfg.device.clone()));
+    let mut scratch = hidden_agg.then(|| Gpu::new(DeviceConfig::v100()));
     let whole_graph = [(0, n)];
 
     // ---- per-shard per-snapshot local operators --------------------------

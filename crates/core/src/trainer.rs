@@ -22,7 +22,7 @@ use crate::driver::{run_epochs, EpochPolicy, RunCx};
 use crate::exec::{ExecOptions, PipadExecutor};
 use crate::prep::PartitionCatalog;
 use crate::reuse::InterFrameReuse;
-use crate::tuner::{DynamicTuner, FrameProfile, OfflineTable};
+use crate::tuner::{DynamicTuner, FrameProfile};
 use pipad_autograd::Tape;
 use pipad_ckpt::CheckpointPolicy;
 use pipad_dyngraph::{DynamicGraph, Frame};
@@ -394,7 +394,6 @@ impl EpochPolicy for PipadPolicy<'_> {
         let headroom = free.saturating_sub(max_peak.saturating_mul(2));
         st.reuse.grow_budget(headroom / 2);
         let tuner = DynamicTuner::new(
-            OfflineTable::default(),
             free,
             cx.gpu.cfg().pcie_pinned_bytes_per_us,
             cx.graph.feature_dim(),

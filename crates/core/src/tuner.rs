@@ -34,10 +34,13 @@ pub struct OfflineTable {
 }
 
 impl Default for OfflineTable {
-    /// Defaults distilled from this repository's own Figure 9 regeneration
-    /// (`repro fig9`, dim-16 column): more snapshots per partition win at
-    /// every overlap rate, higher overlap amplifies the win, and small
-    /// dimensions benefit the most (coalescing lives below 8 floats/row).
+    /// Entries fitted to the dim-16 column of an earlier `repro fig9`, one
+    /// that timed a hand copy of the kernel sequence: more snapshots per
+    /// partition win at every overlap rate, higher overlap amplifies the
+    /// win, and small dimensions benefit the most (coalescing lives below 8
+    /// floats/row). `repro fig9` prints today's measurements beside these
+    /// entries and says whether they agree; every PiPAD `S_per` decision
+    /// depends on them, so they change only with a deliberate re-fit.
     fn default() -> Self {
         OfflineTable {
             speedup: [
@@ -123,15 +126,10 @@ pub struct DynamicTuner {
 }
 
 impl DynamicTuner {
-    /// Create a new instance.
-    pub fn new(
-        table: OfflineTable,
-        capacity_budget: u64,
-        pcie_bytes_per_us: u64,
-        feat_dim: usize,
-    ) -> Self {
+    /// A tuner estimating speedups from `OfflineTable::default()`.
+    pub fn new(capacity_budget: u64, pcie_bytes_per_us: u64, feat_dim: usize) -> Self {
         DynamicTuner {
-            table,
+            table: OfflineTable::default(),
             capacity_budget,
             pcie_bytes_per_us,
             feat_dim,
@@ -255,7 +253,7 @@ mod tests {
     #[test]
     fn high_overlap_prefers_max_parallelism() {
         let cat = catalog();
-        let tuner = DynamicTuner::new(OfflineTable::default(), 1 << 30, 12_000, 16);
+        let tuner = DynamicTuner::new(1 << 30, 12_000, 16);
         let d = tuner.decide(&profile(1 << 20), &cat, 0, 16);
         assert_eq!(d.s_per, 8, "{d:?}");
         assert!(d.estimated_speedup > 1.1);
@@ -266,7 +264,7 @@ mod tests {
     fn memory_bound_caps_s_per() {
         let cat = catalog();
         // budget fits only ~2 one-snapshot peaks
-        let tuner = DynamicTuner::new(OfflineTable::default(), 2 << 20, 12_000, 16);
+        let tuner = DynamicTuner::new(2 << 20, 12_000, 16);
         let d = tuner.decide(&profile(1 << 20), &cat, 0, 16);
         assert_eq!(d.memory_bound, 2);
         assert!(d.s_per <= 2, "{d:?}");
@@ -276,7 +274,7 @@ mod tests {
     fn slow_link_rejects_large_partitions() {
         let cat = catalog();
         // pathological PCIe: 1 byte/us → everything stalls
-        let tuner = DynamicTuner::new(OfflineTable::default(), 1 << 30, 1, 16);
+        let tuner = DynamicTuner::new(1 << 30, 1, 16);
         let mut p = profile(1 << 20);
         p.compute_time = SimNanos::from_nanos(10);
         let d = tuner.decide(&p, &cat, 0, 16);
@@ -287,7 +285,7 @@ mod tests {
     #[test]
     fn window_limits_options() {
         let cat = catalog();
-        let tuner = DynamicTuner::new(OfflineTable::default(), 1 << 30, 12_000, 16);
+        let tuner = DynamicTuner::new(1 << 30, 12_000, 16);
         let d = tuner.decide(&profile(1 << 20), &cat, 0, 4);
         assert!(d.s_per <= 4);
     }

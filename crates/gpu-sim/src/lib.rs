@@ -68,7 +68,9 @@ pub use faults::{
 };
 pub use json::{validate_json, Json};
 pub use memory::{BufferId, DeviceMemory, OomError};
-pub use profiler::{Breakdown, ProfSnapshot, Profiler, Sample, SampleKind};
+pub use profiler::{
+    total_ns, union_intervals, Breakdown, ProfSnapshot, Profiler, Sample, SampleKind,
+};
 pub use schedule::{ratio_milli, schedule_blocks, BalanceReport};
 pub use time::SimNanos;
 pub use trace::{

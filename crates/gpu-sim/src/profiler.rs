@@ -238,8 +238,8 @@ impl Profiler {
                     out.kernel_launches += 1;
                     eff_weight += *warp_efficiency_milli as u128 * dur.as_nanos() as u128;
                     eff_time += dur.as_nanos() as u128;
-                    kernel_intervals.push((s.start, s.end));
-                    busy_intervals.push((s.start, s.end));
+                    kernel_intervals.push((s.start.as_nanos(), s.end.as_nanos()));
+                    busy_intervals.push((s.start.as_nanos(), s.end.as_nanos()));
                 }
                 SampleKind::Transfer { dir, bytes, .. } => {
                     match dir {
@@ -252,7 +252,7 @@ impl Profiler {
                             out.d2h_bytes += bytes;
                         }
                     }
-                    busy_intervals.push((s.start, s.end));
+                    busy_intervals.push((s.start.as_nanos(), s.end.as_nanos()));
                 }
                 SampleKind::Host => {
                     out.host_time += dur;
@@ -260,11 +260,10 @@ impl Profiler {
             }
         }
         out.warp_efficiency_milli = eff_weight.checked_div(eff_time).map_or(1000, |v| v as u32);
-        let span_ns = out.span.as_nanos().max(1);
-        out.sm_utilization_milli = ((union_time(&mut kernel_intervals).as_nanos() as u128 * 1000)
-            / span_ns as u128) as u32;
-        out.sm_utilization_with_memcpy_milli =
-            ((union_time(&mut busy_intervals).as_nanos() as u128 * 1000) / span_ns as u128) as u32;
+        let span_ns = out.span.as_nanos().max(1) as u128;
+        let covered_milli = |iv| (total_ns(&union_intervals(iv)) as u128 * 1000 / span_ns) as u32;
+        out.sm_utilization_milli = covered_milli(kernel_intervals);
+        out.sm_utilization_with_memcpy_milli = covered_milli(busy_intervals);
         out
     }
 
@@ -311,25 +310,22 @@ impl Profiler {
     }
 }
 
-/// Total covered time of a set of (start, end) intervals.
-fn union_time(intervals: &mut [(SimNanos, SimNanos)]) -> SimNanos {
-    if intervals.is_empty() {
-        return SimNanos::ZERO;
-    }
-    intervals.sort_unstable();
-    let mut covered = 0u64;
-    let (mut cur_s, mut cur_e) = intervals[0];
-    for &(s, e) in intervals[1..].iter() {
-        if s > cur_e {
-            covered += (cur_e - cur_s).as_nanos();
-            cur_s = s;
-            cur_e = e;
-        } else {
-            cur_e = cur_e.max(e);
+/// Merge `(start, end)` nanosecond intervals into a disjoint ascending list.
+pub fn union_intervals(mut iv: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    iv.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(iv.len());
+    for (s, e) in iv {
+        match out.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => out.push((s, e)),
         }
     }
-    covered += (cur_e - cur_s).as_nanos();
-    SimNanos(covered)
+    out
+}
+
+/// Total length of disjoint intervals, such as [`union_intervals`] returns.
+pub fn total_ns(iv: &[(u64, u64)]) -> u64 {
+    iv.iter().map(|(s, e)| e - s).sum()
 }
 
 #[cfg(test)]
@@ -368,12 +364,9 @@ mod tests {
 
     #[test]
     fn union_merges_overlaps() {
-        let mut iv = vec![
-            (SimNanos(0), SimNanos(10)),
-            (SimNanos(5), SimNanos(15)),
-            (SimNanos(20), SimNanos(30)),
-        ];
-        assert_eq!(union_time(&mut iv), SimNanos(25));
+        let u = union_intervals(vec![(20, 30), (0, 10), (5, 15)]);
+        assert_eq!(u, vec![(0, 15), (20, 30)]);
+        assert_eq!(total_ns(&u), 25);
     }
 
     #[test]

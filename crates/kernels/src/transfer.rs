@@ -99,7 +99,7 @@ pub fn upload_coo(
     csr: Rc<Csr>,
     pinned: bool,
 ) -> Result<DeviceCsr, OomError> {
-    let coo_bytes = csr.to_coo().bytes();
+    let coo_bytes = csr.coo_bytes();
     let d = DeviceCsr::alloc(gpu, csr, false)?;
     gpu.h2d(stream, coo_bytes, pinned);
     Ok(d)

@@ -27,7 +27,9 @@
 
 use crate::hist::Log2Histogram;
 use crate::registry::MetricsRegistry;
-use pipad_gpu_sim::{ArgValue, Breakdown, Lane, Profiler, TraceEvent, TraceKind, Tracer};
+use pipad_gpu_sim::{
+    total_ns, union_intervals, ArgValue, Breakdown, Lane, Profiler, TraceEvent, TraceKind, Tracer,
+};
 use std::collections::BTreeMap;
 
 /// Overlap accounting for one simulated stream within a window.
@@ -198,31 +200,6 @@ fn arg_str<'e>(e: &'e TraceEvent, key: &str) -> Option<&'e str> {
         ArgValue::Str(s) if *k == key => Some(s.as_str()),
         _ => None,
     })
-}
-
-/// Merge `(start, end)` intervals into a disjoint ascending list.
-fn union_intervals(mut iv: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    if iv.is_empty() {
-        return iv;
-    }
-    iv.sort_unstable();
-    let mut out = Vec::with_capacity(iv.len());
-    let (mut cs, mut ce) = iv[0];
-    for &(s, e) in &iv[1..] {
-        if s > ce {
-            out.push((cs, ce));
-            cs = s;
-            ce = e;
-        } else {
-            ce = ce.max(e);
-        }
-    }
-    out.push((cs, ce));
-    out
-}
-
-fn total_ns(iv: &[(u64, u64)]) -> u64 {
-    iv.iter().map(|(s, e)| e - s).sum()
 }
 
 /// Total intersection of two disjoint ascending interval lists.
@@ -560,9 +537,6 @@ mod tests {
 
     #[test]
     fn interval_math() {
-        let u = union_intervals(vec![(0, 10), (5, 15), (20, 30)]);
-        assert_eq!(u, vec![(0, 15), (20, 30)]);
-        assert_eq!(total_ns(&u), 25);
         assert_eq!(intersect_ns(&[(0, 15)], &[(10, 20)]), 5);
         assert_eq!(intersect_ns(&[(0, 5)], &[(5, 10)]), 0, "touching ≠ overlap");
         assert_eq!(

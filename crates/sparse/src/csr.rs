@@ -1,6 +1,5 @@
 //! Compressed Sparse Row adjacency.
 
-use crate::coo::Coo;
 use pipad_pool as pool;
 use pipad_tensor::Matrix;
 
@@ -283,19 +282,10 @@ impl Csr {
         self.words() * 4
     }
 
-    /// To coo.
-    pub fn to_coo(&self) -> Coo {
-        let mut rows = Vec::with_capacity(self.nnz());
-        let mut cols = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        for r in 0..self.n_rows {
-            for (&c, &v) in self.row(r).iter().zip(self.row_values(r)) {
-                rows.push(r as u32);
-                cols.push(c);
-                vals.push(v);
-            }
-        }
-        Coo::from_parts(self.n_rows, self.n_cols, rows, cols, vals)
+    /// Bytes of the same matrix in COO format, `3·nnz` words (row, column
+    /// and value per nonzero): what PyG ships (paper §4.1).
+    pub fn coo_bytes(&self) -> u64 {
+        3 * self.nnz() as u64 * 4
     }
 }
 
@@ -367,12 +357,6 @@ mod tests {
         // 2*4 + 4 + 1 = 13 words
         assert_eq!(c.words(), 13);
         assert_eq!(c.bytes(), 52);
-    }
-
-    #[test]
-    fn coo_round_trip() {
-        let c = tiny();
-        assert_eq!(c.to_coo().to_csr(), c);
     }
 
     #[test]

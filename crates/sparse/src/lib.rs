@@ -3,7 +3,6 @@
 //!
 //! Sparse graph representations for the PiPAD reproduction:
 //!
-//! * [`Coo`] — coordinate format, what PyG(T) ships to the device;
 //! * [`Csr`] — compressed sparse row, the standard aggregation format;
 //! * [`SlicedCsr`] — the paper's §4.1 contribution: every row is cut into
 //!   slices holding at most `slice_cap` (default 32) nonzeros, stored with
@@ -17,16 +16,16 @@
 //!
 //! Space accounting follows the paper exactly: CSR costs
 //! `2·nnz + #vertices + 1` words, sliced CSR `2·nnz + 2·#slices + 1`, COO
-//! `3·nnz` (§4.1 "Space overhead").
+//! `3·nnz` (§4.1 "Space overhead"). COO is what PyG(T) ships to the device;
+//! only its size is needed, so it is a byte count ([`Csr::coo_bytes`]), not
+//! a type.
 
 pub mod balance;
-mod coo;
 mod csr;
 pub mod overlap;
 mod sliced;
 
 pub use balance::{csr_row_work, partition_rows_balanced};
-pub use coo::Coo;
 pub use csr::Csr;
 pub use overlap::{extract_overlap, graph_diff, overlap_rate, OverlapSplit};
 pub use sliced::{SlicedCsr, DEFAULT_SLICE_CAP};

@@ -200,9 +200,8 @@ mod tests {
         let nnz = c.nnz() as u64;
         assert_eq!(s.words(), 2 * nnz + 2 * 5 + 1);
         // and sits between CSR and COO for this shape (paper §4.1)
-        let coo = c.to_coo();
-        assert!(s.words() >= c.words().min(coo.words()));
-        assert!(s.words() <= c.words().max(coo.words()));
+        assert!(s.bytes() >= c.bytes().min(c.coo_bytes()));
+        assert!(s.bytes() <= c.bytes().max(c.coo_bytes()));
     }
 
     #[test]

@@ -8,9 +8,7 @@
 
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{DeviceConfig, Gpu, SimNanos};
-use pipad_repro::pipad::{
-    DynamicTuner, FrameProfile, GraphAnalyzer, OfflineTable, PartitionCatalog,
-};
+use pipad_repro::pipad::{DynamicTuner, FrameProfile, GraphAnalyzer, PartitionCatalog};
 
 fn main() {
     let graph = DatasetId::Epinions.gen_config(Scale::Tiny).generate();
@@ -42,7 +40,7 @@ fn main() {
 
     println!("\ndevice capacity  ->  tuner decision (frame 0, window 8)");
     for capacity in [256u64 << 20, 64 << 20, 24 << 20, 12 << 20] {
-        let tuner = DynamicTuner::new(OfflineTable::default(), capacity, 12_000, 2);
+        let tuner = DynamicTuner::new(capacity, 12_000, 2);
         let d = tuner.decide(&profile, &catalog, 0, 8);
         println!(
             "  {:>4} MiB        ->  S_per={} (est. speedup {:.2}x, memory bound U={}{})",
@@ -60,7 +58,7 @@ fn main() {
 
     // A slow link forces the stall-rejection path.
     println!("\nwith a 10x slower PCIe link:");
-    let tuner = DynamicTuner::new(OfflineTable::default(), 256 << 20, 1_200, 2);
+    let tuner = DynamicTuner::new(256 << 20, 1_200, 2);
     let d = tuner.decide(&profile, &catalog, 0, 8);
     println!(
         "  S_per={} chosen; options rejected for pipeline stall: {:?}",

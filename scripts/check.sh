@@ -108,6 +108,18 @@ results_have_a_producer() {
     return "$bad"
 }
 
+# Figures 9 and 11 measure the code that trains: they stage and aggregate
+# through the trainers' executors (`util::run_gnn_frame`), so neither may
+# name an aggregation kernel, an upload or the overlap extraction itself.
+# (Figures 5 and 12 are single-kernel micro-benchmarks by design.) Names are
+# matched from a word start: a test may say `vs_gespmm_are`.
+figures_run_the_executors() {
+    if grep -nE "\b(spmm_|upload_|extract_overlap)" crates/bench/src/fig9.rs crates/bench/src/fig11.rs; then
+        echo "ERROR: Figures 9 and 11 must run the executors, not a copy of their kernels" >&2
+        return 1
+    fi
+}
+
 # The examples are the only end-to-end runs through the facade's re-exports;
 # the workspace test run has already built them.
 examples_run() {
@@ -120,6 +132,7 @@ examples_run() {
 gate unused_deps
 gate no_panicking_stubs
 gate results_have_a_producer
+gate figures_run_the_executors
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace -- -D warnings

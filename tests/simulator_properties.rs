@@ -12,7 +12,7 @@ use pipad_repro::kernels::{self, DeviceMatrix};
 use pipad_repro::models::{ModelKind, TrainingConfig};
 use pipad_repro::pipad::{
     train_data_parallel_devices, train_pipad, DynamicTuner, FrameProfile, GraphAnalyzer,
-    MultiGpuConfig, OfflineTable, PartitionCatalog, PipadConfig,
+    MultiGpuConfig, PartitionCatalog, PipadConfig,
 };
 use pipad_repro::tensor::Matrix;
 use proptest::prelude::*;
@@ -417,7 +417,7 @@ proptest! {
         let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host_cursor);
         let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host_cursor);
 
-        let tuner = DynamicTuner::new(OfflineTable::default(), budget, 16_000, 16);
+        let tuner = DynamicTuner::new(budget, 16_000, 16);
         let profile = FrameProfile {
             peak_mem_one_snapshot: peak,
             compute_time: SimNanos::from_nanos(compute_us * 1_000),
