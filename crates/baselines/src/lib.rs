@@ -19,10 +19,8 @@
 //! body differs — and PyGT-R/G's reuse store is PiPAD's CPU tier
 //! ([`pipad::CpuAggStore`]) without the GPU tier above it.
 
-mod esdg;
 mod executor;
 mod trainer;
 
-pub use esdg::train_esdg;
 pub use executor::{BaselineExecutor, StageOptions};
 pub use trainer::{train_baseline, train_baseline_resumable, BaselineKind};

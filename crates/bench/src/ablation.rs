@@ -20,7 +20,7 @@ fn run_with_device(
     scale: RunScale,
 ) -> Option<TrainReport> {
     let g = dataset(id, scale);
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let mut gpu = Gpu::new(device);
     // A device too small for even a one-snapshot frame (the whole frame's
     // intermediates must fit) is a legitimate sweep outcome.

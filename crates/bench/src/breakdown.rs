@@ -67,7 +67,7 @@ fn row_from_report(dataset: &'static str, model: ModelKind, r: &TrainReport) -> 
 
 /// Measure PyGT across the full grid.
 pub fn measure(scale: RunScale) -> Vec<BreakdownRow> {
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let mut rows = Vec::new();
     for model in ModelKind::ALL {
         for id in ALL_DATASETS {
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn shares_are_sane_percentages() {
-        let cfg = default_training_config(RunScale::Tiny);
+        let cfg = default_training_config();
         let g = dataset(DatasetId::Covid19England, RunScale::Tiny);
         let r = Method::Pygt.run(ModelKind::TGcn, &g, 8, &cfg);
         let row = row_from_report("Covid", ModelKind::TGcn, &r);

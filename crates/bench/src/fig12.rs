@@ -73,7 +73,7 @@ pub fn measure_balance(id: DatasetId, scale: RunScale) -> (BalancePoint, Balance
 /// End-to-end speedup of sliced PiPAD over the CSR-variant PiPAD.
 pub fn overall_speedup(id: DatasetId, model: ModelKind, scale: RunScale) -> f64 {
     let g = dataset(id, scale);
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let run = |use_sliced: bool| {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let report = train_pipad(

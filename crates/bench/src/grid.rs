@@ -17,7 +17,7 @@ pub struct GridResults {
 
 /// Run the full grid (the expensive step — every figure-10/table-2 number).
 pub fn measure(scale: RunScale) -> GridResults {
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let mut reports = Vec::new();
     for model in ModelKind::ALL {
         let mut per_model = Vec::new();
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn tiny_subgrid_reproduces_figure_10_ordering() {
         use crate::util::{dataset, default_training_config};
-        let cfg = default_training_config(RunScale::Tiny);
+        let cfg = default_training_config();
         for model in [ModelKind::TGcn, ModelKind::EvolveGcn] {
             for id in [DatasetId::Covid19England, DatasetId::Youtube] {
                 let g = dataset(id, RunScale::Tiny);

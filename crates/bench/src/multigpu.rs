@@ -30,7 +30,7 @@ pub(crate) fn run_one(
     n_gpus: usize,
 ) -> (MultiTrainReport, Vec<Gpu>) {
     let graph = dataset(DatasetId::Covid19England, scale);
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let mcfg = MultiGpuConfig {
         n_gpus,
         ..Default::default()
@@ -75,7 +75,7 @@ fn measure(scale: RunScale) -> Artifact {
         // The yardstick: the single-device trainer on the same workload.
         let graph = dataset(DatasetId::Covid19England, scale);
         let pipad_epoch_ns = Method::Pipad
-            .run(*model, &graph, HIDDEN, &default_training_config(scale))
+            .run(*model, &graph, HIDDEN, &default_training_config())
             .steady_epoch_time
             .as_nanos();
         let _ = write!(
@@ -177,9 +177,10 @@ pub fn run(scale: RunScale) -> Artifact {
 mod tests {
     use super::*;
 
+    /// One run: host determinism is `tests/multigpu_equivalence.rs`'s gate.
     #[test]
-    fn tiny_multigpu_artifact_is_deterministic_and_complete() {
-        let art = run(RunScale::Tiny);
+    fn tiny_multigpu_artifact_is_complete() {
+        let art = measure(RunScale::Tiny);
         assert!(art.json.starts_with("{\"experiment\":\"multigpu\""));
         for model in ModelKind::ALL {
             assert!(art.json.contains(&format!("{:?}", model.name())));

@@ -59,7 +59,7 @@ impl ProfileArtifact {
 /// under a `method` label.
 fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: RunScale) {
     let graph = dataset(DatasetId::Covid19England, scale);
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let mut gpu = Gpu::new(DeviceConfig::v100());
     let report = method.run_on(&mut gpu, ModelKind::TGcn, &graph, HIDDEN, &cfg);
 

@@ -62,7 +62,7 @@ fn sim_config(scale: RunScale) -> ServeSimConfig {
 /// standard request plan. Shared with `repro profile`'s serving leg.
 pub(crate) fn train_and_serve(scale: RunScale, model: ModelKind, base: &Path) -> ServeReport {
     let graph = dataset(DatasetId::Covid19England, scale);
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let dir = base.join(model.name());
 
     let mut tg = Gpu::new(DeviceConfig::v100());

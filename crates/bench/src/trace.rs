@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 /// independent accounting before being returned.
 fn run_once(scale: RunScale) -> Artifact {
     let graph = dataset(DatasetId::Covid19England, scale);
-    let cfg = default_training_config(scale);
+    let cfg = default_training_config();
     let mut gpu = Gpu::new(DeviceConfig::v100());
     let report = train_pipad(
         &mut gpu,

@@ -293,7 +293,7 @@ fn gnn_layer(
 /// preparing epochs and two measured steady-state epochs (steady epochs are
 /// statistically identical, so the per-epoch time extrapolates to the
 /// paper's 200-epoch runs).
-pub fn default_training_config(_scale: RunScale) -> TrainingConfig {
+pub fn default_training_config() -> TrainingConfig {
     TrainingConfig {
         window: 16,
         epochs: 4,
@@ -382,6 +382,6 @@ mod tests {
 
     #[test]
     fn config_uses_paper_frame_size() {
-        assert_eq!(default_training_config(RunScale::Laptop).window, 16);
+        assert_eq!(default_training_config().window, 16);
     }
 }

@@ -1,6 +1,6 @@
 //! The single-device epoch driver: the one preparing→steady epoch loop
-//! (Figure 8) behind `train_pipad`, the four PyGT baselines and the ESDG
-//! comparator.
+//! (Figure 8) behind `train_pipad` and the four PyGT baselines, and the one
+//! training step (`train_step`) every frame of either runs.
 //!
 //! The paper's comparison systems are PiPAD's own mechanisms switched on
 //! one at a time, all running the same epoch schedule. [`run_epochs`] owns
@@ -27,6 +27,7 @@ use pipad_models::{
     build_model, DgnnModel, EpochReport, GnnExecutor, HostAllocStats, ModelKind, TrainReport,
     TrainingConfig,
 };
+use pipad_tensor::Matrix;
 
 /// Everything a policy needs from the run it is plugged into.
 pub struct RunCx<'a> {
@@ -47,25 +48,43 @@ pub struct RunCx<'a> {
 }
 
 impl RunCx<'_> {
-    /// The canonical training step over a frame `exec` has already staged:
-    /// forward, MSE loss against the frame's target, backward, SGD (skipped
-    /// when the loss is not finite, as PiPAD's eager frames skip it), tape
-    /// teardown. Returns the loss. (PiPAD's steady path wraps the same calls
-    /// in a CUDA-graph scope, whose step reads the loss's finite flag
-    /// instead, so it spells them out itself.)
+    /// An eager `train_step` over a frame `exec` has already staged, on a
+    /// fresh tape that is torn down afterwards. Returns the loss.
     pub fn step(&mut self, exec: &mut dyn GnnExecutor, frame: &Frame<'_>) -> Result<f32, OomError> {
         let mut tape = Tape::new(self.compute);
-        let out = self.model.forward_frame(self.gpu, &mut tape, exec)?;
         let target = self.graph.target_for(frame.last_index());
-        let loss = tape.mse_loss(self.gpu, out.pred, target);
-        tape.backward_mse(self.gpu, out.pred, target)?;
-        if loss.is_finite() {
-            out.binder
-                .apply_sgd(self.gpu, self.compute, &tape, self.cfg.lr, true);
-        }
+        let model = self.model.as_ref();
+        let loss = train_step(self.gpu, model, &mut tape, exec, target, self.cfg.lr, false)?;
         tape.finish(self.gpu);
         Ok(loss)
     }
+}
+
+/// The training step: forward the frame `exec` has staged, take the MSE
+/// loss against `target`, backward, and step SGD on `tape`'s stream.
+/// Returns the loss.
+///
+/// A `replayed` step is captured into a CUDA graph, which cannot branch on
+/// the loss: its SGD is always launched and reads the loss's finite flag,
+/// leaving every parameter as it was on NaN. An eager step checks the loss
+/// on the host and skips the launch when it is not finite.
+pub(crate) fn train_step(
+    gpu: &mut Gpu,
+    model: &dyn DgnnModel,
+    tape: &mut Tape,
+    exec: &mut dyn GnnExecutor,
+    target: &Matrix,
+    lr: f32,
+    replayed: bool,
+) -> Result<f32, OomError> {
+    let out = model.forward_frame(gpu, tape, exec)?;
+    let loss = tape.mse_loss(gpu, out.pred, target);
+    tape.backward_mse(gpu, out.pred, target)?;
+    let finite = loss.is_finite();
+    if replayed || finite {
+        out.binder.apply_sgd(gpu, tape.stream(), tape, lr, finite);
+    }
+    Ok(loss)
 }
 
 /// What one trainer contributes to [`run_epochs`].

@@ -18,7 +18,7 @@
 
 use crate::analyzer::GraphAnalyzer;
 use crate::checkpoint::CkptExtra;
-use crate::driver::{run_epochs, EpochPolicy, RunCx};
+use crate::driver::{run_epochs, train_step, EpochPolicy, RunCx};
 use crate::exec::{ExecOptions, PipadExecutor};
 use crate::prep::PartitionCatalog;
 use crate::reuse::InterFrameReuse;
@@ -26,7 +26,7 @@ use crate::tuner::{DynamicTuner, FrameProfile};
 use pipad_autograd::Tape;
 use pipad_ckpt::CheckpointPolicy;
 use pipad_dyngraph::{DynamicGraph, Frame};
-use pipad_gpu_sim::{ArgValue, DeviceFault, Gpu, Lane, OomError, SimNanos, TraceKind};
+use pipad_gpu_sim::{ArgValue, DeviceFault, Gpu, Lane, SimNanos, TraceKind};
 use pipad_models::{ModelKind, TrainReport, TrainingConfig};
 use pipad_tensor::{Matrix, PoolStats};
 
@@ -255,19 +255,9 @@ impl EpochPolicy for PipadPolicy<'_> {
                 let target = cx.graph.target_for(frame.last_index());
                 let lr = cx.cfg.lr;
                 // The whole frame — forward, loss, backward, optimiser step —
-                // is one graph replay in steady epochs. A replay cannot branch
-                // on the loss, so its step is always launched and reads the
-                // loss's device-side finite flag; eager frames check on the
-                // host and skip the launch.
-                let mut step = |gpu: &mut Gpu| -> Result<f32, OomError> {
-                    let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
-                    let loss = tape.mse_loss(gpu, out.pred, target);
-                    tape.backward_mse(gpu, out.pred, target)?;
-                    if use_graph || loss.is_finite() {
-                        out.binder
-                            .apply_sgd(gpu, compute, &tape, lr, loss.is_finite());
-                    }
-                    Ok(loss)
+                // is one graph replay in steady epochs.
+                let mut step = |gpu: &mut Gpu| {
+                    train_step(gpu, model, &mut tape, &mut exec, target, lr, use_graph)
                 };
                 let loss = if use_graph {
                     gpu.graph_scope(compute, step)?

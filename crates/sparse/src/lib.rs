@@ -10,7 +10,7 @@
 //!   granularity for extracting the topology overlap shared by adjacent
 //!   snapshots and (b) bounded per-warp work for load balance;
 //! * [`overlap`] — slice-friendly overlap/exclusive splitting of a snapshot
-//!   group plus ESDG-style graph diffs;
+//!   group;
 //! * [`balance`] — per-thread-block work distributions for the Figure 12
 //!   load-balance analysis.
 //!
@@ -27,5 +27,5 @@ mod sliced;
 
 pub use balance::{csr_row_work, partition_rows_balanced};
 pub use csr::Csr;
-pub use overlap::{extract_overlap, graph_diff, overlap_rate, OverlapSplit};
+pub use overlap::{extract_overlap, overlap_rate, OverlapSplit};
 pub use sliced::{SlicedCsr, DEFAULT_SLICE_CAP};

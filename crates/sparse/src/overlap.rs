@@ -1,5 +1,5 @@
 //! Overlap extraction across a snapshot group (§4.1 "Overlap-aware data
-//! organization") and ESDG-style graph diffs.
+//! organization").
 //!
 //! PiPAD regroups the adjacency matrices of the snapshots in a partition as
 //! **one overlap part** (edges present in *every* member) plus **one
@@ -113,47 +113,6 @@ pub fn overlap_rate(snaps: &[&Csr]) -> f64 {
     }
 }
 
-/// An edge list in `(row, col)` pairs.
-pub type EdgeList = Vec<(u32, u32)>;
-
-/// ESDG-style graph difference: `(added, removed)` edges going from `a`
-/// to `b`. A diff-based transfer ships only these plus bookkeeping.
-pub fn graph_diff(a: &Csr, b: &Csr) -> (EdgeList, EdgeList) {
-    assert_eq!(a.n_rows(), b.n_rows());
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    for r in 0..a.n_rows() {
-        let (ra, rb) = (a.row(r), b.row(r));
-        let (mut i, mut j) = (0, 0);
-        while i < ra.len() || j < rb.len() {
-            match (ra.get(i), rb.get(j)) {
-                (Some(&ca), Some(&cb)) if ca == cb => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&ca), Some(&cb)) if ca < cb => {
-                    removed.push((r as u32, ca));
-                    i += 1;
-                }
-                (Some(_), Some(&cb)) => {
-                    added.push((r as u32, cb));
-                    j += 1;
-                }
-                (Some(&ca), None) => {
-                    removed.push((r as u32, ca));
-                    i += 1;
-                }
-                (None, Some(&cb)) => {
-                    added.push((r as u32, cb));
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-    }
-    (added, removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,29 +180,5 @@ mod tests {
         assert_eq!(split.overlap, a);
         assert_eq!(split.exclusives.len(), 1);
         assert_eq!(split.exclusives[0].nnz(), 0);
-    }
-
-    #[test]
-    fn diff_finds_adds_and_removes() {
-        let a = snap(&[(0, 1), (1, 2), (3, 3)]);
-        let b = snap(&[(0, 1), (1, 4), (3, 3), (4, 4)]);
-        let (added, removed) = graph_diff(&a, &b);
-        assert_eq!(added, vec![(1, 4), (4, 4)]);
-        assert_eq!(removed, vec![(1, 2)]);
-        // applying the diff reproduces b
-        let mut edges: Vec<(u32, u32)> = a
-            .edges()
-            .into_iter()
-            .filter(|e| !removed.contains(e))
-            .collect();
-        edges.extend(&added);
-        assert_eq!(Csr::from_edges(5, 5, &edges), b);
-    }
-
-    #[test]
-    fn diff_of_equal_graphs_is_empty() {
-        let a = snap(&[(0, 1), (2, 2)]);
-        let (add, rem) = graph_diff(&a, &a);
-        assert!(add.is_empty() && rem.is_empty());
     }
 }

@@ -120,6 +120,30 @@ figures_run_the_executors() {
     fi
 }
 
+# Every row of README's "Beyond the paper" table must name what measures it:
+# a `repro <name>` that is an `EXPERIMENTS` entry (name or alias), or a
+# `tests/<file>.rs` that exists. An extension with no result to point at
+# fails here instead of lingering.
+extensions_name_a_result() {
+    local names row name file found bad=0
+    names=$(grep -E '^ *(name|aliases):' crates/bench/src/experiments.rs | grep -oE '"[^"]+"' | tr -d '"')
+    # The table's rows, less its header and separator lines.
+    while IFS= read -r row; do
+        found=0
+        for name in $(grep -oE '`repro [a-z0-9_]+`' <<< "$row" | tr -d '`' | cut -d' ' -f2); do
+            grep -qxF "$name" <<< "$names" && found=1
+        done
+        for file in $(grep -oE '`tests/[A-Za-z0-9_]+\.rs`' <<< "$row" | tr -d '`'); do
+            [[ -f $file ]] && found=1
+        done
+        if ((!found)); then
+            echo "ERROR: README extension \"$(cut -d'|' -f2 <<< "$row" | xargs)\" names no repro experiment and no test file" >&2
+            bad=1
+        fi
+    done < <(sed -n '/^## Beyond the paper/,/^## [^B]/p' README.md | grep '^| ' | tail -n +2)
+    return "$bad"
+}
+
 # The examples are the only end-to-end runs through the facade's re-exports;
 # the workspace test run has already built them.
 examples_run() {
@@ -133,6 +157,7 @@ gate unused_deps
 gate no_panicking_stubs
 gate results_have_a_producer
 gate figures_run_the_executors
+gate extensions_name_a_result
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace -- -D warnings

@@ -6,7 +6,8 @@
 //! the three paper models, the per-epoch loss trajectory of an `n_gpus ∈
 //! {2, 4}` run must equal the single-GPU run **bit for bit** — with the
 //! host buffer pool on or off — and the per-device Chrome traces must be
-//! byte-identical across host-pool thread counts.
+//! byte-identical in every `pipad_bench::HOST_MATRIX` cell (host threads ×
+//! buffer pool).
 //!
 //! The same file gates that the extension runs on the engine it extends:
 //! one device with one shard tracks `train_pipad`'s steady epoch, and
@@ -16,10 +17,10 @@
 use pipad::{
     train_data_parallel, train_data_parallel_devices, train_pipad, MultiGpuConfig, MultiTrainReport,
 };
+use pipad_bench::host_invariant;
 use pipad_dyngraph::{DatasetId, DynamicGraph, FrameIter, Scale};
 use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu, TraceEvent, TraceKind};
 use pipad_models::{ModelKind, TrainingConfig};
-use pipad_pool::with_threads;
 use pipad_tensor::{reset_pool, with_pool_enabled};
 
 fn graph() -> DynamicGraph {
@@ -77,27 +78,21 @@ fn device_count_and_pool_do_not_change_losses() {
     }
 }
 
+/// Per-device traces and losses of a two-device run are the same in every
+/// `HOST_MATRIX` cell (host threads × buffer pool on/off).
 #[test]
 fn per_device_traces_are_thread_invariant() {
     let g = graph();
     for model in ModelKind::ALL {
-        reset_pool();
-        let base = with_threads(1, || run(model, &g, 2));
-        assert_eq!(base.traces.len(), 2);
-        for t in &base.traces {
+        let (_, traces) = host_invariant(model.name(), || {
+            reset_pool();
+            let r = run(model, &g, 2);
+            (loss_bits(&r), r.traces)
+        });
+        assert_eq!(traces.len(), 2);
+        for t in &traces {
             validate_json(t).expect("well-formed per-device trace");
         }
-        reset_pool();
-        let four = with_threads(4, || run(model, &g, 2));
-        assert_eq!(
-            base.traces, four.traces,
-            "{model:?}: per-device traces diverged across thread counts"
-        );
-        assert_eq!(
-            loss_bits(&base),
-            loss_bits(&four),
-            "{model:?}: losses diverged across thread counts"
-        );
     }
 }
 

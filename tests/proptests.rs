@@ -11,9 +11,7 @@ use pipad_repro::metrics::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, Log2Histogram, LOG2_BUCKETS,
 };
 use pipad_repro::serve::{form_batches, BatchPolicy, RejectReason, Request};
-use pipad_repro::sparse::{
-    csr_row_work, extract_overlap, graph_diff, partition_rows_balanced, Csr, SlicedCsr,
-};
+use pipad_repro::sparse::{csr_row_work, extract_overlap, partition_rows_balanced, Csr, SlicedCsr};
 use pipad_repro::tensor::Matrix;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -150,18 +148,6 @@ proptest! {
                 prop_assert!(!ov.contains(&e), "exclusive edge also in overlap");
             }
         }
-    }
-
-    #[test]
-    fn graph_diff_applies((nv, es1) in edges(30, 80), es2 in proptest::collection::vec((0u32..30, 0u32..30), 0..80)) {
-        let a = Csr::from_edges(nv as usize, nv as usize, &es1);
-        let es2: Vec<(u32,u32)> = es2.into_iter().filter(|&(u,v)| u < nv && v < nv).collect();
-        let b = Csr::from_edges(nv as usize, nv as usize, &es2);
-        let (added, removed) = graph_diff(&a, &b);
-        let mut edges: Vec<(u32, u32)> =
-            a.edges().into_iter().filter(|e| !removed.contains(e)).collect();
-        edges.extend(added);
-        prop_assert_eq!(Csr::from_edges(nv as usize, nv as usize, &edges), b);
     }
 
     #[test]

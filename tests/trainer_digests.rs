@@ -1,6 +1,6 @@
 //! Trainer digests: one golden file pinning what every single-device
-//! trainer produces at tiny scale — `train_pipad`, the four
-//! `BaselineKind`s and `train_esdg`, for every `ModelKind`.
+//! trainer produces at tiny scale — `train_pipad` and the four
+//! `BaselineKind`s, for every `ModelKind`.
 //!
 //! Per run: per-epoch loss bits, per-epoch simulated time, and the CRC-32
 //! of the full exported Chrome trace. PiPAD and PyGT-R run with a
@@ -34,7 +34,7 @@ use pipad_gpu_sim::{
     export_chrome_trace, CrashCounter, CrashPoint, DeviceConfig, DeviceFault, FaultPlan, Gpu,
 };
 use pipad_models::{build_model, ModelKind, TrainReport, TrainingConfig};
-use pipad_repro::baselines::{train_baseline_resumable, train_esdg, BaselineKind};
+use pipad_repro::baselines::{train_baseline_resumable, BaselineKind};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,24 +66,21 @@ fn temp_dir() -> PathBuf {
 enum Trainer {
     Pipad,
     Baseline(BaselineKind),
-    Esdg,
 }
 
 impl Trainer {
-    const ALL: [Trainer; 6] = [
+    const ALL: [Trainer; 5] = [
         Trainer::Pipad,
         Trainer::Baseline(BaselineKind::Pygt),
         Trainer::Baseline(BaselineKind::PygtA),
         Trainer::Baseline(BaselineKind::PygtR),
         Trainer::Baseline(BaselineKind::PygtG),
-        Trainer::Esdg,
     ];
 
     fn name(self) -> &'static str {
         match self {
             Trainer::Pipad => "PiPAD",
             Trainer::Baseline(k) => k.name(),
-            Trainer::Esdg => "ESDG-diff",
         }
     }
 
@@ -106,7 +103,6 @@ impl Trainer {
             Trainer::Baseline(kind) => {
                 train_baseline_resumable(gpu, kind, model, graph, HIDDEN, cfg, policy)
             }
-            Trainer::Esdg => train_esdg(gpu, model, graph, HIDDEN, cfg).map_err(Into::into),
         }
     }
 }
@@ -280,9 +276,8 @@ fn every_trainer_matches_its_recorded_digest() {
 }
 
 /// A fault that propagates out of any trainer leaves exactly the model's
-/// parameters on the device — not the failed frame's staging, not ESDG's
-/// resident window — and a device too small for the model itself leaves
-/// nothing. (Crash faults are the deliberate exception: they model a
+/// parameters on the device — not the failed frame's staging — and a
+/// device too small for the model itself leaves nothing. (Crash faults are the deliberate exception: they model a
 /// process kill and abandon the device as-is.)
 #[test]
 fn propagated_oom_leaves_only_the_model_resident() {
