@@ -22,7 +22,7 @@ use crate::memory::{BufferId, DeviceMemory, OomError};
 use crate::profiler::{Profiler, Sample, SampleKind};
 use crate::schedule::schedule_blocks;
 use crate::time::SimNanos;
-use crate::trace::{ArgValue, Lane, TraceKind, Tracer};
+use crate::trace::{ArgValue, KernelArgs, Lane, TraceKind, Tracer};
 
 /// Direction of a PCIe transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -396,25 +396,18 @@ impl Gpu {
             start,
             end,
         });
-        self.tracer.span(
+        self.tracer.kernel(
             cost.name,
-            TraceKind::Kernel,
             Lane::Stream(stream.0),
             start,
             end,
-            vec![
-                ("category", ArgValue::Str(cost.category.label().to_string())),
-                ("flops", ArgValue::U64(cost.flops)),
-                ("gmem_transactions", ArgValue::U64(cost.gmem_transactions)),
-                (
-                    "warp_efficiency_milli",
-                    ArgValue::U64(cost.warp_efficiency_milli as u64),
-                ),
-                (
-                    "imbalance_milli",
-                    ArgValue::U64(crate::schedule::ratio_milli(imb_num, imb_den)),
-                ),
-            ],
+            KernelArgs {
+                category: cost.category.label(),
+                flops: cost.flops,
+                gmem_transactions: cost.gmem_transactions,
+                warp_efficiency_milli: cost.warp_efficiency_milli as u64,
+                imbalance_milli: crate::schedule::ratio_milli(imb_num, imb_den),
+            },
         );
         if let Some(m) = straggler_milli {
             self.tracer.fault(

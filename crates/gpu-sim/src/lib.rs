@@ -75,5 +75,5 @@ pub use schedule::{ratio_milli, schedule_blocks, BalanceReport};
 pub use time::SimNanos;
 pub use trace::{
     export_chrome_trace, export_chrome_trace_window, json_escape, last_span_window,
-    trace_text_summary, ArgValue, Lane, TraceEvent, TraceKind, Tracer,
+    trace_text_summary, ArgValue, Args, KernelArgs, Lane, TraceEvent, TraceKind, Tracer,
 };

@@ -31,8 +31,12 @@
 //! formatting; [`crate::validate_json`] keeps the exporter honest.
 
 use crate::time::SimNanos;
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// Which simulated execution lane (a Chrome-trace "thread") an event lives
 /// on. Kernels appear on their issuing stream; copies on their engine.
@@ -136,6 +140,26 @@ pub enum ArgValue {
     Str(String),
 }
 
+/// An event's ordered key→value details. A [`Tracer`] stores each distinct
+/// list once and every event carrying it shares that one allocation.
+pub type Args = Arc<[(&'static str, ArgValue)]>;
+
+/// The five arguments of every kernel span, as [`Tracer::kernel`]'s lookup
+/// key: a launch whose key the tracer has seen builds nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct KernelArgs {
+    /// [`crate::KernelCategory::label`] of the launch.
+    pub category: &'static str,
+    /// Floating-point operations.
+    pub flops: u64,
+    /// Global-memory transactions.
+    pub gmem_transactions: u64,
+    /// Warp efficiency, in thousandths.
+    pub warp_efficiency_milli: u64,
+    /// Load imbalance across SMs, in thousandths.
+    pub imbalance_milli: u64,
+}
+
 /// One recorded timeline entry.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
@@ -149,8 +173,8 @@ pub struct TraceEvent {
     pub ts: SimNanos,
     /// Span duration; [`SimNanos::ZERO`] for instants and counters.
     pub dur: SimNanos,
-    /// Ordered key→value details.
-    pub args: Vec<(&'static str, ArgValue)>,
+    /// Ordered key→value details, shared with every equal list (see [`Args`]).
+    pub args: Args,
 }
 
 impl TraceEvent {
@@ -160,10 +184,95 @@ impl TraceEvent {
     }
 }
 
+/// An argument list as the intern table sees it: hashed and compared by
+/// value bits, so `F64(0.0)` and `F64(-0.0)` (which export differently) and
+/// two NaN payloads stay distinct lists.
+trait ArgList {
+    fn list(&self) -> &[(&'static str, ArgValue)];
+}
+
+impl ArgList for &[(&'static str, ArgValue)] {
+    fn list(&self) -> &[(&'static str, ArgValue)] {
+        self
+    }
+}
+
+impl Hash for dyn ArgList + '_ {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_usize(self.list().len());
+        for (k, v) in self.list() {
+            k.hash(h);
+            std::mem::discriminant(v).hash(h);
+            match v {
+                ArgValue::U64(x) => x.hash(h),
+                ArgValue::I64(x) => x.hash(h),
+                ArgValue::F64(x) => x.to_bits().hash(h),
+                ArgValue::Bool(b) => b.hash(h),
+                ArgValue::Str(s) => s.hash(h),
+            }
+        }
+    }
+}
+
+impl PartialEq for dyn ArgList + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &ArgValue, b: &ArgValue| match (a, b) {
+            (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        };
+        let (a, b) = (self.list(), other.list());
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|((ka, va), (kb, vb))| ka == kb && same(va, vb))
+    }
+}
+
+impl Eq for dyn ArgList + '_ {}
+
+/// A stored list; looked up by a borrowed slice, so a hit allocates nothing.
+#[derive(Debug)]
+struct Interned(Args);
+
+impl ArgList for Interned {
+    fn list(&self) -> &[(&'static str, ArgValue)] {
+        &self.0
+    }
+}
+
+impl<'a> Borrow<dyn ArgList + 'a> for Interned {
+    fn borrow(&self) -> &(dyn ArgList + 'a) {
+        self
+    }
+}
+
+impl Hash for Interned {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self as &dyn ArgList).hash(h)
+    }
+}
+
+impl PartialEq for Interned {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn ArgList) == (other as &dyn ArgList)
+    }
+}
+
+impl Eq for Interned {}
+
+/// SipHash with its fixed zero key: the intern tables are lookup-only and
+/// never iterated, so nothing exported depends on their layout either way.
+type Fixed = BuildHasherDefault<DefaultHasher>;
+
 /// Append-only deterministic event recorder.
 #[derive(Debug, Default)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
+    /// Every distinct argument list recorded, stored once.
+    args: HashSet<Interned, Fixed>,
+    /// [`Tracer::kernel`]'s lists by key, so a launch seen before builds
+    /// no `category` string.
+    kernel_args: HashMap<KernelArgs, Args, Fixed>,
     counter_peaks: BTreeMap<&'static str, u64>,
     /// Deterministic run-level metadata (e.g. buffer-pool hit counters).
     /// Rendered only by [`trace_text_summary`] — never by
@@ -193,6 +302,16 @@ impl Tracer {
         self.events.is_empty()
     }
 
+    /// The stored list equal to `args`, storing a copy on first sight.
+    fn intern(&mut self, args: &[(&'static str, ArgValue)]) -> Args {
+        if let Some(Interned(shared)) = self.args.get(&args as &dyn ArgList) {
+            return shared.clone();
+        }
+        let shared = Args::from(args);
+        self.args.insert(Interned(shared.clone()));
+        shared
+    }
+
     /// Record a span `[start, end)`.
     pub fn span(
         &mut self,
@@ -205,9 +324,49 @@ impl Tracer {
     ) {
         debug_assert!(end >= start, "span must not end before it starts");
         debug_assert!(kind.is_span());
+        let args = self.intern(&args);
         self.events.push(TraceEvent {
             name,
             kind,
+            lane,
+            ts: start,
+            dur: end - start,
+            args,
+        });
+    }
+
+    /// Record a kernel span `[start, end)` whose args are `key`'s five
+    /// fields, in [`KernelArgs`]' order with `category` as a string. The list
+    /// is built only the first time this tracer sees `key`.
+    pub fn kernel(
+        &mut self,
+        name: &'static str,
+        lane: Lane,
+        start: SimNanos,
+        end: SimNanos,
+        key: KernelArgs,
+    ) {
+        debug_assert!(end >= start, "span must not end before it starts");
+        let args = match self.kernel_args.get(&key) {
+            Some(shared) => shared.clone(),
+            None => {
+                let shared = self.intern(&[
+                    ("category", ArgValue::Str(key.category.to_string())),
+                    ("flops", ArgValue::U64(key.flops)),
+                    ("gmem_transactions", ArgValue::U64(key.gmem_transactions)),
+                    (
+                        "warp_efficiency_milli",
+                        ArgValue::U64(key.warp_efficiency_milli),
+                    ),
+                    ("imbalance_milli", ArgValue::U64(key.imbalance_milli)),
+                ]);
+                self.kernel_args.insert(key, shared.clone());
+                shared
+            }
+        };
+        self.events.push(TraceEvent {
+            name,
+            kind: TraceKind::Kernel,
             lane,
             ts: start,
             dur: end - start,
@@ -223,6 +382,7 @@ impl Tracer {
         ts: SimNanos,
         args: Vec<(&'static str, ArgValue)>,
     ) {
+        let args = self.intern(&args);
         self.events.push(TraceEvent {
             name,
             kind: TraceKind::Instant,
@@ -241,6 +401,7 @@ impl Tracer {
         ts: SimNanos,
         args: Vec<(&'static str, ArgValue)>,
     ) {
+        let args = self.intern(&args);
         self.events.push(TraceEvent {
             name,
             kind: TraceKind::Fault,
@@ -252,17 +413,18 @@ impl Tracer {
     }
 
     /// Record a counter sample; the per-name running maximum is tracked as
-    /// the counter's high-water mark.
+    /// the counter's high-water mark. A value seen before allocates nothing.
     pub fn counter(&mut self, name: &'static str, lane: Lane, ts: SimNanos, value: u64) {
         let peak = self.counter_peaks.entry(name).or_insert(0);
         *peak = (*peak).max(value);
+        let args = self.intern(&[("value", ArgValue::U64(value))]);
         self.events.push(TraceEvent {
             name,
             kind: TraceKind::Counter,
             lane,
             ts,
             dur: SimNanos::ZERO,
-            args: vec![("value", ArgValue::U64(value))],
+            args,
         });
     }
 
@@ -737,6 +899,107 @@ mod tests {
         assert!(s.contains("3 events"));
         assert!(s.contains("kernel"));
         assert!(s.contains(" 3 "), "{s}");
+    }
+
+    #[test]
+    fn equal_args_share_one_allocation() {
+        let mut t = Tracer::new();
+        let args = || {
+            vec![
+                ("bytes", ArgValue::U64(64)),
+                ("pinned", ArgValue::Bool(true)),
+            ]
+        };
+        t.instant("a", Lane::Control, SimNanos(0), args());
+        t.span(
+            "b",
+            TraceKind::Memcpy,
+            Lane::H2D,
+            SimNanos(0),
+            SimNanos(5),
+            args(),
+        );
+        t.counter("device_mem_in_use", Lane::Memory, SimNanos(1), 9);
+        t.counter("queue_depth", Lane::Control, SimNanos(2), 9);
+        t.instant(
+            "c",
+            Lane::Control,
+            SimNanos(3),
+            vec![("value", ArgValue::U64(9))],
+        );
+        let key = KernelArgs {
+            category: "gemm",
+            flops: 10,
+            gmem_transactions: 2,
+            warp_efficiency_milli: 1_000,
+            imbalance_milli: 0,
+        };
+        t.kernel("k", Lane::Stream(0), SimNanos(0), SimNanos(4), key);
+        t.kernel("k2", Lane::Stream(0), SimNanos(4), SimNanos(8), key);
+        let e = t.events();
+        assert!(Arc::ptr_eq(&e[0].args, &e[1].args));
+        assert!(Arc::ptr_eq(&e[2].args, &e[3].args));
+        assert!(
+            Arc::ptr_eq(&e[2].args, &e[4].args),
+            "counter lists are interned too"
+        );
+        assert!(Arc::ptr_eq(&e[5].args, &e[6].args));
+        assert_eq!(e[5].args[0], ("category", ArgValue::Str("gemm".into())));
+        assert_eq!(e[5].args.len(), 5);
+    }
+
+    #[test]
+    fn args_are_merged_by_bits_not_by_float_equality() {
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        let mut t = Tracer::new();
+        for x in [0.0, -0.0, quiet, payload, quiet] {
+            t.instant(
+                "x",
+                Lane::Control,
+                SimNanos(0),
+                vec![("x", ArgValue::F64(x))],
+            );
+        }
+        let e = t.events();
+        assert!(
+            !Arc::ptr_eq(&e[0].args, &e[1].args),
+            "0.0 and -0.0 stay apart"
+        );
+        assert!(
+            !Arc::ptr_eq(&e[2].args, &e[3].args),
+            "NaN payloads stay apart"
+        );
+        assert!(
+            Arc::ptr_eq(&e[2].args, &e[4].args),
+            "a NaN finds its own list"
+        );
+        let bits: Vec<u64> = e
+            .iter()
+            .map(|e| match e.args[0].1 {
+                ArgValue::F64(x) => x.to_bits(),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                0.0f64.to_bits(),
+                (-0.0f64).to_bits(),
+                quiet.to_bits(),
+                payload.to_bits(),
+                quiet.to_bits()
+            ]
+        );
+        let out = export_chrome_trace(&t, 0);
+        assert!(out.contains("\"args\":{\"x\":0.0}"), "{out}");
+        assert!(out.contains("\"args\":{\"x\":-0.0}"), "{out}");
+        assert_eq!(out.matches("\"args\":{\"x\":null}").count(), 3, "{out}");
+    }
+
+    #[test]
+    fn trace_event_stays_small() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 72);
     }
 
     #[test]

@@ -31,9 +31,12 @@ gate() {
 # `pipad-kernels` and `pipad-autograd`. The profile goldens, too: every
 # pipeline number `repro profile` exports, exact, under the threads × pool
 # sweep, in the profile the committed `results/profile.*` are built with.
+# And the trace goldens: every committed trace is exported in `--release`,
+# through the tracer's argument-list intern table.
 release_profile_tests() {
     cargo test -q --release --test alloc_budget --test multigpu_alloc \
-        --test trainer_digests --test host_parallel_exactness --test metrics_layer
+        --test trainer_digests --test host_parallel_exactness --test metrics_layer \
+        --test trace_golden
     cargo test -q --release -p pipad-tensor -p pipad-kernels -p pipad-autograd
 }
 
