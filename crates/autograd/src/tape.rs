@@ -63,18 +63,12 @@ enum Op {
         x: Var,
         kernel: AggregationKernel,
     },
+    /// Sliced aggregation; backward maps the gradient through `adj_t`,
+    /// absent only when `x` carries no gradient.
     SpmmSliced {
-        adj: Rc<SlicedCsr>,
+        adj_t: Option<Rc<SlicedCsr>>,
         x: Var,
         s_per: usize,
-    },
-    /// Rectangular sliced aggregation with an explicitly supplied transpose
-    /// for backward (halo exchange: `local × n` row slice against globally
-    /// stacked features — the symmetry shortcut of [`Op::SpmmSliced`] does
-    /// not apply).
-    SpmmSlicedRect {
-        adj_t: Rc<SlicedCsr>,
-        x: Var,
     },
     /// Fused partition aggregation (PiPAD §4.2): one parallel pass over the
     /// overlap topology serving all members, per-member exclusive passes
@@ -393,53 +387,34 @@ impl Tape {
         ))
     }
 
-    /// PiPAD's parallel aggregation over a sliced adjacency and coalescent
-    /// features (`s_per` snapshots wide). Symmetry requirement as [`Tape::spmm`].
+    /// PiPAD's parallel aggregation `adj · x` over a sliced adjacency and
+    /// coalescent features (`s_per` snapshots wide). Backward maps the
+    /// upstream gradient through `adj_t = adjᵀ`: a symmetric `adj` passes
+    /// itself, and a rectangular one (the multi-GPU halo exchange's
+    /// `local × n` row slice against globally stacked features) its
+    /// transpose. `None` is for an `x` that carries no gradient.
     pub fn spmm_sliced(
         &mut self,
         gpu: &mut Gpu,
         adj: Rc<SlicedCsr>,
+        adj_t: Option<Rc<SlicedCsr>>,
         x: Var,
         s_per: usize,
     ) -> Result<Var, OomError> {
-        let out = {
-            let handle = k::DeviceSliced::resident(Rc::clone(&adj));
-            let dx = self.dev(x);
-            k::spmm_sliced_parallel(gpu, self.stream, &handle, &dx, s_per)?
-        };
         let rg = self.requires(x);
-        Ok(self.push_computed(
-            gpu,
-            out,
-            Op::SpmmSliced { adj, x, s_per },
-            rg,
-            KernelCategory::Aggregation,
-        ))
-    }
-
-    /// Rectangular sliced aggregation `adj · x` with an explicitly supplied
-    /// transpose for backward. Unlike [`Tape::spmm_sliced`], `adj` need not
-    /// be square or symmetric: the multi-GPU halo-exchange path aggregates a
-    /// `local × n` row slice of the normalized adjacency against globally
-    /// stacked features, and backward maps the upstream gradient through
-    /// `adj_t = adjᵀ` (`n × local`) instead of reusing the forward operator.
-    pub fn spmm_sliced_rect(
-        &mut self,
-        gpu: &mut Gpu,
-        adj: Rc<SlicedCsr>,
-        adj_t: Rc<SlicedCsr>,
-        x: Var,
-    ) -> Result<Var, OomError> {
+        assert!(
+            adj_t.is_some() || !rg,
+            "spmm_sliced: an input that carries a gradient needs adj_t"
+        );
         let out = {
             let handle = k::DeviceSliced::resident(adj);
             let dx = self.dev(x);
-            k::spmm_sliced_parallel(gpu, self.stream, &handle, &dx, 1)?
+            k::spmm_sliced_parallel(gpu, self.stream, &handle, &dx, s_per)?
         };
-        let rg = self.requires(x);
         Ok(self.push_computed(
             gpu,
             out,
-            Op::SpmmSlicedRect { adj_t, x },
+            Op::SpmmSliced { adj_t, x, s_per },
             rg,
             KernelCategory::Aggregation,
         ))
@@ -1320,19 +1295,14 @@ impl Tape {
                     self.accumulate(gpu, x, dx)?;
                 }
             }
-            &Op::SpmmSliced { ref adj, x, s_per } => {
-                if self.requires(x) {
-                    let handle = k::DeviceSliced::resident(Rc::clone(adj));
-                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, g, s_per)?;
-                    self.accumulate(gpu, x, dx)?;
-                }
-            }
-            &Op::SpmmSlicedRect { ref adj_t, x } => {
-                if self.requires(x) {
-                    // dX = adjᵀ g via the stored transpose — no symmetry
-                    // assumption for rectangular slices.
+            &Op::SpmmSliced {
+                ref adj_t,
+                x,
+                s_per,
+            } => {
+                if let Some(adj_t) = adj_t.as_ref().filter(|_| self.requires(x)) {
                     let handle = k::DeviceSliced::resident(Rc::clone(adj_t));
-                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, g, 1)?;
+                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, g, s_per)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
@@ -1719,7 +1689,10 @@ mod tests {
             let x = tape.input(DeviceMatrix::alloc(gpu, x_host.clone()).unwrap());
             let wv = tape.param(w);
             let co = tape.matmul(gpu, x, wv, KernelCategory::Update).unwrap();
-            let agg = tape.spmm_sliced(gpu, Rc::clone(&sliced), co, 2).unwrap();
+            let adj_t = Some(Rc::clone(&sliced));
+            let agg = tape
+                .spmm_sliced(gpu, Rc::clone(&sliced), adj_t, co, 2)
+                .unwrap();
             let loss = tape.mse_loss(gpu, agg, &target);
             let grad = if want_grad {
                 tape.backward_mse(gpu, agg, &target).unwrap();
@@ -1734,6 +1707,16 @@ mod tests {
         let gw = gw.unwrap();
         let nw = numeric_grad(&mut gpu, &w, |gpu| run(gpu, &w, false).0);
         assert!(gw.approx_eq(&nw, 2e-2), "analytic {gw:?} numeric {nw:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "needs adj_t")]
+    fn sliced_spmm_refuses_a_gradient_input_without_transpose() {
+        let (mut gpu, s) = setup();
+        let csr = Csr::from_edges(2, 2, &[(0, 1), (1, 0)]);
+        let mut tape = Tape::new(s);
+        let x = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::full(2, 2, 1.0)).unwrap());
+        let _ = tape.spmm_sliced(&mut gpu, Rc::new(SlicedCsr::from_csr(&csr)), None, x, 1);
     }
 
     #[test]
@@ -1755,7 +1738,7 @@ mod tests {
             let wv = tape.param(w);
             let h = tape.matmul(gpu, x, wv, KernelCategory::Update).unwrap();
             let agg = tape
-                .spmm_sliced_rect(gpu, Rc::clone(&adj), Rc::clone(&adj_t), h)
+                .spmm_sliced(gpu, Rc::clone(&adj), Some(Rc::clone(&adj_t)), h, 1)
                 .unwrap();
             let loss = tape.mse_loss(gpu, agg, &target);
             let (value, grad) = if want_grad {

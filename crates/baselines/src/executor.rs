@@ -8,7 +8,7 @@
 
 use pipad::CpuAggStore;
 use pipad_autograd::{AggregationKernel, Tape, Var};
-use pipad_gpu_sim::{Event, Gpu, OomError, SimNanos, StreamId};
+use pipad_gpu_sim::{Event, Gpu, OomError, StreamId};
 use pipad_kernels::{upload_coo, upload_csr_with_csc, upload_matrix, DeviceCsr, DeviceMatrix};
 use pipad_models::{normalize_snapshot, GnnExecutor, NormalizedAdj};
 use pipad_sparse::Csr;
@@ -52,9 +52,8 @@ pub struct BaselineExecutor<'c> {
 
 impl<'c> BaselineExecutor<'c> {
     /// Stage a frame: host prep + transfers for each snapshot in order.
-    /// `host_cursor` is the trainer's CPU lane; it advances past the prep
-    /// work (and past pageable copies, which block the host).
-    #[allow(clippy::too_many_arguments)]
+    /// The prep work runs on the device's host lane, and a pageable copy
+    /// holds that lane until it lands.
     pub fn stage(
         gpu: &mut Gpu,
         frame: &[(usize, &Csr, &Matrix)],
@@ -62,7 +61,6 @@ impl<'c> BaselineExecutor<'c> {
         mut reuse: Option<&'c mut CpuAggStore>,
         compute: StreamId,
         copy: StreamId,
-        host_cursor: &mut SimNanos,
     ) -> Result<Self, OomError> {
         let pinned = opts.async_transfer;
         let stream = if opts.async_transfer { copy } else { compute };
@@ -76,10 +74,7 @@ impl<'c> BaselineExecutor<'c> {
                 Some(cached) => cached.bytes(),
                 None => feats.bytes() + adj.bytes(),
             };
-            let prep = SimNanos::from_nanos(gpu.cfg().host_op_fixed_ns)
-                + SimNanos::from_bytes(moved_bytes, gpu.cfg().host_bytes_per_us);
-            let (_, host_end) = gpu.host_op("frame_prep", *host_cursor, prep);
-            *host_cursor = host_end;
+            let host_end = gpu.host_stage("frame_prep", moved_bytes);
             gpu.stream_wait_host(stream, host_end);
 
             let norm = normalize_snapshot(adj);
@@ -101,7 +96,7 @@ impl<'c> BaselineExecutor<'c> {
             let ready = gpu.record_event(stream);
             if !pinned {
                 // Pageable copies are synchronous with the host too.
-                *host_cursor = (*host_cursor).max(ready.time());
+                gpu.host_wait(ready.time());
             }
             slots.push(Slot {
                 global_idx,
@@ -228,7 +223,6 @@ mod tests {
             .enumerate()
             .map(|(i, (a, f))| (i, a, f))
             .collect();
-        let mut host = SimNanos::ZERO;
         let mut exec = BaselineExecutor::stage(
             &mut gpu,
             &frame,
@@ -236,7 +230,6 @@ mod tests {
             None,
             compute,
             copy,
-            &mut host,
         )
         .unwrap();
         let mut tape = Tape::new(compute);
@@ -268,7 +261,6 @@ mod tests {
             .map(|(i, (a, f))| (i, a, f))
             .collect();
         let mut cache = CpuAggStore::new();
-        let mut host = SimNanos::ZERO;
 
         // pass 1: populate
         let mut exec = BaselineExecutor::stage(
@@ -278,7 +270,6 @@ mod tests {
             Some(&mut cache),
             compute,
             copy,
-            &mut host,
         )
         .unwrap();
         let mut tape = Tape::new(compute);
@@ -297,7 +288,6 @@ mod tests {
             Some(&mut cache),
             compute,
             copy,
-            &mut host,
         )
         .unwrap();
         let mut tape = Tape::new(compute);
@@ -329,22 +319,13 @@ mod tests {
             let _ = (norm, f);
             cache.insert(i, Matrix::zeros(5, 3));
         }
-        let mut host = SimNanos::ZERO;
         let o = StageOptions {
             needs_adjacency_when_cached: false, // T-GCN-style
             ..opts(AggregationKernel::CooScatter)
         };
         let snap = gpu.profiler().snapshot();
-        let exec = BaselineExecutor::stage(
-            &mut gpu,
-            &frame,
-            o,
-            Some(&mut cache),
-            compute,
-            copy,
-            &mut host,
-        )
-        .unwrap();
+        let exec =
+            BaselineExecutor::stage(&mut gpu, &frame, o, Some(&mut cache), compute, copy).unwrap();
         let w = gpu.profiler().window(snap);
         // only the cached aggregation matrices crossed PCIe (5×3 f32 each)
         assert_eq!(w.h2d_bytes, 2 * 60);
@@ -360,22 +341,19 @@ mod tests {
             .map(|(i, (a, f))| (i, a, f))
             .collect();
 
-        let run = |async_transfer: bool| -> (SimNanos, SimNanos) {
+        let run = |async_transfer: bool| {
             let mut gpu = Gpu::new(DeviceConfig::v100());
             let compute = gpu.default_stream();
             let copy = gpu.create_stream();
-            let mut host = SimNanos::ZERO;
             let o = StageOptions {
                 async_transfer,
                 ..opts(AggregationKernel::CooScatter)
             };
-            let exec = BaselineExecutor::stage(&mut gpu, &frame, o, None, compute, copy, &mut host)
-                .unwrap();
+            let exec = BaselineExecutor::stage(&mut gpu, &frame, o, None, compute, copy).unwrap();
             exec.finish(&mut gpu);
-            (host, gpu.now())
+            gpu.host_now()
         };
-        let (host_sync, _) = run(false);
-        let (host_async, _) = run(true);
+        let (host_sync, host_async) = (run(false), run(true));
         assert!(host_sync > host_async, "pageable copies block the host");
     }
 }

@@ -157,7 +157,6 @@ impl EpochPolicy for BaselinePolicy {
             self.reuse.as_mut(),
             cx.compute,
             cx.copy,
-            &mut cx.host_cursor,
         )?;
         let loss = cx.step(&mut exec, frame)?;
         exec.finish(cx.gpu);

@@ -220,13 +220,13 @@ pub fn run_gnn_frame(
 ) -> (SimNanos, Breakdown) {
     let mut gpu = Gpu::new(DeviceConfig::v100());
     let (compute, copy) = (gpu.default_stream(), gpu.create_stream());
-    let mut host = SimNanos::ZERO;
     let fits = "the frame fits the device";
     let measured = match staging {
         Staging::Pipad {
             s_per,
             weight_reuse,
         } => {
+            let mut host = gpu.host_now();
             let analyzer = GraphAnalyzer::run(&mut gpu, graph, &mut host);
             let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
             let feats: Vec<&Matrix> = graph.snapshots.iter().map(|s| &s.features).collect();
@@ -237,7 +237,7 @@ pub fn run_gnn_frame(
                 use_sliced: true,
             };
             let mut exec = PipadExecutor::stage(
-                &mut gpu, &analyzer, &catalog, &feats, 0, opts, None, compute, copy, &mut host,
+                &mut gpu, &analyzer, &catalog, &feats, 0, opts, None, compute, copy,
             )
             .expect(fits);
             let measured = gnn_layer(&mut gpu, &mut exec, update);
@@ -253,8 +253,7 @@ pub fn run_gnn_frame(
                 .collect();
             let opts = kind.stage_options(false);
             let mut exec =
-                BaselineExecutor::stage(&mut gpu, &frame, opts, None, compute, copy, &mut host)
-                    .expect(fits);
+                BaselineExecutor::stage(&mut gpu, &frame, opts, None, compute, copy).expect(fits);
             let measured = gnn_layer(&mut gpu, &mut exec, update);
             exec.finish(&mut gpu);
             measured

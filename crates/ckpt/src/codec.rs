@@ -228,7 +228,7 @@ pub fn get_fault_stats(r: &mut Reader<'_>) -> Result<FaultStats, CkptError> {
     })
 }
 
-/// Encode the device clock (lane/stream cursors + op counters).
+/// Encode the device clock (lane/stream cursors, op counters, host lane).
 pub fn put_device_clock(buf: &mut Vec<u8>, c: &DeviceClock) {
     put_u64(buf, c.compute.as_nanos());
     put_u64(buf, c.h2d.as_nanos());
@@ -238,6 +238,7 @@ pub fn put_device_clock(buf: &mut Vec<u8>, c: &DeviceClock) {
         put_u64(buf, s.as_nanos());
     }
     put_op_counters(buf, &c.counters);
+    put_u64(buf, c.host.as_nanos());
 }
 
 /// Decode a [`put_device_clock`] payload.
@@ -259,6 +260,7 @@ pub fn get_device_clock(r: &mut Reader<'_>) -> Result<DeviceClock, CkptError> {
         d2h,
         streams,
         counters: get_op_counters(r)?,
+        host: SimNanos::from_nanos(r.get_u64()?),
     })
 }
 
@@ -326,6 +328,7 @@ mod tests {
                 launches: u64::MAX,
                 eager_launches: 0,
             },
+            host: SimNanos::from_nanos(60),
         };
         put_device_clock(&mut buf, &clock);
         let stats = FaultStats {

@@ -31,19 +31,21 @@ pub struct GraphAnalyzer {
 }
 
 impl GraphAnalyzer {
-    /// Analyze every snapshot, advancing `host_cursor` by the slicing cost.
+    /// Analyze every snapshot on the host lane, which first waits for
+    /// `host_cursor`; `host_cursor` gets where the pass ended.
     pub fn run(gpu: &mut Gpu, graph: &DynamicGraph, host_cursor: &mut SimNanos) -> Self {
+        gpu.host_wait(*host_cursor);
         let mut snapshots = Vec::with_capacity(graph.len());
         for snap in &graph.snapshots {
             let norm = normalize_snapshot(&snap.adj);
             let cost = SimNanos::from_nanos(
                 gpu.cfg().host_op_fixed_ns + SLICE_NS_PER_EDGE * norm.adj_hat.nnz() as u64,
             );
-            let (_, end) = gpu.host_op("graph_slicing", *host_cursor, cost);
-            *host_cursor = end;
+            gpu.host_lane_op("graph_slicing", cost);
             let sliced = Rc::new(SlicedCsr::from_csr(&norm.adj_hat));
             snapshots.push(AnalyzedSnapshot { norm, sliced });
         }
+        *host_cursor = gpu.host_now();
         GraphAnalyzer { snapshots }
     }
 
@@ -78,10 +80,17 @@ mod tests {
     fn analyzer_slices_every_snapshot_and_bills_host() {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let graph = DatasetId::Pems08.gen_config(Scale::Tiny).generate();
-        let mut host = SimNanos::ZERO;
+        let mut host = gpu.host_now();
         let a = GraphAnalyzer::run(&mut gpu, &graph, &mut host);
         assert_eq!(a.len(), graph.len());
         assert!(host > SimNanos::ZERO);
+        assert_eq!(gpu.host_now(), host, "the lane ends where the pass does");
+        // A cursor ahead of the lane is waited for: a second, equally long
+        // pass starts there.
+        let mut ahead = host + SimNanos::from_micros(5);
+        GraphAnalyzer::run(&mut gpu, &graph, &mut ahead);
+        assert_eq!(ahead, host + SimNanos::from_micros(5) + host);
+        assert_eq!(gpu.host_now(), ahead);
         for (i, s) in a.snapshots().iter().enumerate() {
             // sliced form reassembles to the self-looped adjacency
             assert_eq!(s.sliced.to_csr(), *s.norm.adj_hat, "snapshot {i}");

@@ -3,8 +3,8 @@
 //!
 //! A checkpoint captures everything a trainer needs to continue a run *on
 //! the same simulated timeline*: model parameters, the per-epoch loss
-//! history, the device clock (lane cursors + op counters), the trainer's
-//! host cursor — written here, once, for all trainers — plus whatever the
+//! history, the device clock (lane cursors, op counters and the host
+//! lane) — written here, once, for all trainers — plus whatever the
 //! trainer itself carries across epochs, contributed through
 //! [`CkptExtra`]: PiPAD's tuner decisions, recovery flags and CPU-tier
 //! reuse store (the device tier lives inside an epoch and is empty at every
@@ -23,7 +23,7 @@
 //! | `meta`      | codec      | run fingerprint, next epoch, steady-phase `t0`  |
 //! |             | + PiPAD    | … recovery flags, GPU-tier budget and counters  |
 //! |             | + PyGT-*   | … CPU-store hit/miss counters (zeros w/o reuse) |
-//! | `clock`     | codec      | [`DeviceClock`] + host cursor                   |
+//! | `clock`     | codec      | [`DeviceClock`], host lane last                 |
 //! | `params`    | codec      | named parameter matrices (raw f32 bits)         |
 //! | `tuner`     | PiPAD      | `S_per` decisions, frame profiles, straggler baselines |
 //! | `reuse_cpu` | PiPAD, PyGT-R/G | CPU-tier aggregation store (snapshot → matrix) |
@@ -227,7 +227,6 @@ pub(crate) fn encode_checkpoint(
     let clock = cx.gpu.clock();
     let s = w.section_sized("clock", 48 + 8 * clock.streams.len());
     put_device_clock(s, &clock);
-    put_u64(s, cx.host_cursor.as_nanos());
 
     let params = cx.model.params();
     let cap: usize = 8 + params
@@ -262,10 +261,9 @@ pub struct RestoredState {
     pub next_epoch: usize,
     /// Timestamp of the first steady epoch.
     pub steady_t0: SimNanos,
-    /// Device timeline to restore *after* the prologue finishes.
+    /// Device timeline, host lane included, to restore *after* the
+    /// prologue finishes.
     pub clock: DeviceClock,
-    /// Host cursor to restore together with the clock.
-    pub host_cursor: SimNanos,
     /// Completed epochs (alloc counters zeroed — see encoding note).
     pub epochs_done: Vec<EpochReport>,
 }
@@ -298,7 +296,6 @@ pub(crate) fn restore_run(
 
     let mut r = Reader::new(ckpt.require("clock")?);
     let clock = get_device_clock(&mut r)?;
-    let host_cursor = SimNanos::from_nanos(r.get_u64()?);
     r.finish()?;
 
     let mut r = Reader::new(ckpt.require("params")?);
@@ -347,7 +344,6 @@ pub(crate) fn restore_run(
         next_epoch,
         steady_t0,
         clock,
-        host_cursor,
         epochs_done,
     })
 }

@@ -43,8 +43,6 @@ pub struct RunCx<'a> {
     pub compute: StreamId,
     /// A dedicated copy stream.
     pub copy: StreamId,
-    /// The trainer's CPU lane: host-side preparation advances it.
-    pub host_cursor: SimNanos,
 }
 
 impl RunCx<'_> {
@@ -190,7 +188,6 @@ pub fn run_epochs<P: EpochPolicy>(
         model,
         compute,
         copy,
-        host_cursor: SimNanos::ZERO,
     };
     let mut policy = make_policy(&mut cx);
     let preparing = policy.preparing();
@@ -203,7 +200,7 @@ pub fn run_epochs<P: EpochPolicy>(
     // exactly as the original run did (all deterministic in the seed and
     // the graph). Restoring overwrites parameter values in place, refills
     // the policy's checkpointed state, and finally rewinds the device clock
-    // + host cursor — erasing the prologue's only side effects on the
+    // (host lane included) — erasing the prologue's only side effects on the
     // timeline (alloc-counter advances and early-timestamp events), so the
     // resumed epochs land on the original run's exact simulated timeline.
     let fingerprint =
@@ -223,7 +220,7 @@ pub fn run_epochs<P: EpochPolicy>(
         // Emitted at the *prologue* timestamp, i.e. before the clock
         // rewind below: the marker stays outside every epoch's trace
         // window, keeping windowed exports comparable across runs.
-        let t = cx.gpu.now().max(cx.host_cursor);
+        let t = cx.gpu.now_with_host();
         cx.gpu.trace_mut().instant(
             "checkpoint_restore",
             Lane::Control,
@@ -234,11 +231,11 @@ pub fn run_epochs<P: EpochPolicy>(
             ],
         );
         cx.gpu.restore_clock(&restored.clock);
-        cx.host_cursor = restored.host_cursor;
     }
 
     for epoch in start_epoch..cfg.epochs {
-        let t0 = cx.gpu.synchronize().max(cx.host_cursor);
+        cx.gpu.synchronize();
+        let t0 = cx.gpu.now_with_host();
         let alloc0 = HostAllocStats::capture();
         if epoch == preparing {
             steady_snap = Some(cx.gpu.profiler().snapshot());
@@ -265,7 +262,8 @@ pub fn run_epochs<P: EpochPolicy>(
         }
         policy.end_epoch(&mut cx, epoch);
 
-        let t1 = cx.gpu.synchronize().max(cx.host_cursor);
+        cx.gpu.synchronize();
+        let t1 = cx.gpu.now_with_host();
         let gpus = std::slice::from_mut(&mut *cx.gpu);
         epochs.push(close_epoch(
             gpus,
@@ -305,7 +303,8 @@ pub fn run_epochs<P: EpochPolicy>(
 
     policy.finish(&mut cx);
     let gpu = cx.gpu;
-    let run_t1 = gpu.synchronize().max(cx.host_cursor);
+    gpu.synchronize();
+    let run_t1 = gpu.now_with_host();
     // The trace and the profiler record the same timeline through different
     // code paths; debug builds cross-check them after every run so the two
     // observability layers can never silently diverge.

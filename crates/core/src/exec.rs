@@ -19,9 +19,7 @@ use crate::analyzer::{AnalyzedSnapshot, GraphAnalyzer};
 use crate::prep::{PartitionCatalog, PartitionPlan};
 use crate::reuse::{Cached, InterFrameReuse};
 use pipad_autograd::{SharedParam, Tape, Var};
-use pipad_gpu_sim::{
-    ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, SimNanos, StreamId,
-};
+use pipad_gpu_sim::{ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, StreamId};
 use pipad_kernels::{upload_staged, DeviceCsr, DeviceMatrix, DeviceSliced};
 use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
@@ -180,7 +178,6 @@ impl<'r> PipadExecutor<'r> {
         mut reuse: Option<&'r mut InterFrameReuse>,
         compute: StreamId,
         copy: StreamId,
-        host_cursor: &mut SimNanos,
     ) -> Result<Self, DeviceFault> {
         assert!(opts.s_per >= 1);
         let window = features.len();
@@ -225,10 +222,7 @@ impl<'r> PipadExecutor<'r> {
                 })
                 .sum();
             let staged_bytes = adj_bytes + feat_bytes;
-            let prep = SimNanos::from_nanos(gpu.cfg().host_op_fixed_ns)
-                + SimNanos::from_bytes(staged_bytes, gpu.cfg().host_bytes_per_us);
-            let (_, host_end) = gpu.host_op("partition_prep", *host_cursor, prep);
-            *host_cursor = host_end;
+            let host_end = gpu.host_stage("partition_prep", staged_bytes);
             gpu.stream_wait_host(copy, host_end);
 
             // Device buffers for what the host just assembled, then the one
@@ -459,7 +453,7 @@ mod tests {
     fn setup() -> (Gpu, DynamicGraph, GraphAnalyzer, PartitionCatalog) {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
-        let mut host = SimNanos::ZERO;
+        let mut host = gpu.host_now();
         let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host);
         let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
         (gpu, graph, analyzer, catalog)
@@ -508,13 +502,12 @@ mod tests {
             (4, false, full(true)),
         ] {
             let snap = gpu.profiler().snapshot();
-            let mut host = SimNanos::ZERO;
             let o = ExecOptions {
                 use_sliced,
                 ..opts(s_per)
             };
             let exec = PipadExecutor::stage(
-                &mut gpu, &analyzer, &catalog, &feats, 0, o, None, compute, copy, &mut host,
+                &mut gpu, &analyzer, &catalog, &feats, 0, o, None, compute, copy,
             )
             .unwrap();
             let what = format!("S_per {s_per}, sliced {use_sliced}");
@@ -543,7 +536,6 @@ mod tests {
             ..FaultPlan::default()
         });
         let (live, in_use) = (gpu.mem().live_buffers(), gpu.mem().in_use());
-        let mut host = SimNanos::ZERO;
         let staged = PipadExecutor::stage(
             &mut gpu,
             &analyzer,
@@ -554,7 +546,6 @@ mod tests {
             None,
             compute,
             copy,
-            &mut host,
         );
         match staged.err().expect("the copy fails for good") {
             DeviceFault::Transfer(t) => assert_eq!((t.op_index, t.attempts), (op, 3)),
@@ -578,7 +569,6 @@ mod tests {
             .collect();
 
         // PiPAD path, S_per = 2
-        let mut host = SimNanos::ZERO;
         let mut exec = PipadExecutor::stage(
             &mut gpu,
             &analyzer,
@@ -589,7 +579,6 @@ mod tests {
             None,
             compute,
             copy,
-            &mut host,
         )
         .unwrap();
         let mut tape = Tape::new(compute);
@@ -624,7 +613,6 @@ mod tests {
 
         let run = |gpu: &mut Gpu, s_per: usize| -> u64 {
             let snap = gpu.profiler().snapshot();
-            let mut host = SimNanos::ZERO;
             let exec = PipadExecutor::stage(
                 gpu,
                 &analyzer,
@@ -635,7 +623,6 @@ mod tests {
                 None,
                 compute,
                 copy,
-                &mut host,
             )
             .unwrap();
             let bytes = gpu.profiler().window(snap).h2d_bytes;
@@ -663,7 +650,6 @@ mod tests {
         };
 
         // pass 1: compute + populate CPU store
-        let mut host = SimNanos::ZERO;
         let mut exec = PipadExecutor::stage(
             &mut gpu,
             &analyzer,
@@ -674,7 +660,6 @@ mod tests {
             Some(&mut reuse),
             compute,
             copy,
-            &mut host,
         )
         .unwrap();
         let mut tape = Tape::new(compute);
@@ -699,7 +684,6 @@ mod tests {
             Some(&mut reuse),
             compute,
             copy,
-            &mut host,
         )
         .unwrap();
         let mut tape = Tape::new(compute);
@@ -729,7 +713,6 @@ mod tests {
         let compute = gpu.default_stream();
         let copy = gpu.create_stream();
         let feats: Vec<&Matrix> = graph.snapshots[0..4].iter().map(|s| &s.features).collect();
-        let mut host = SimNanos::ZERO;
         let mut exec = PipadExecutor::stage(
             &mut gpu,
             &analyzer,
@@ -740,7 +723,6 @@ mod tests {
             None,
             compute,
             copy,
-            &mut host,
         )
         .unwrap();
         let mut tape = Tape::new(compute);
@@ -774,15 +756,14 @@ mod tests {
         // (feature dim < 8 floats, §3.2): use a 2-dim dataset.
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let graph = DatasetId::Youtube.gen_config(Scale::Tiny).generate();
-        let mut host0 = SimNanos::ZERO;
-        let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host0);
-        let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host0);
+        let mut host = gpu.host_now();
+        let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host);
+        let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
         let compute = gpu.default_stream();
         let copy = gpu.create_stream();
         let feats: Vec<&Matrix> = graph.snapshots[0..8].iter().map(|s| &s.features).collect();
         let agg_txns = |gpu: &mut Gpu, s_per: usize| -> u64 {
             let snap = gpu.profiler().snapshot();
-            let mut host = SimNanos::ZERO;
             let mut exec = PipadExecutor::stage(
                 gpu,
                 &analyzer,
@@ -793,7 +774,6 @@ mod tests {
                 None,
                 compute,
                 copy,
-                &mut host,
             )
             .unwrap();
             let mut tape = Tape::new(compute);

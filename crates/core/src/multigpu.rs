@@ -36,7 +36,7 @@
 //! as gradient-carrying leaves ([`Tape::input_grad`]). Forward stacks own +
 //! peer blocks ([`Tape::concat_rows`]) and aggregates through the
 //! rectangular local adjacency slice with an explicit transpose for
-//! backward ([`Tape::spmm_sliced_rect`]). Backward runs in two sweeps: (1)
+//! backward ([`Tape::spmm_sliced`]). Backward runs in two sweeps: (1)
 //! each shard's loss gradient, which deposits per-peer-block gradients at
 //! the halo leaves; (2) for each shard, the peer-deposited gradients are
 //! summed in ascending producer order and injected at the shard's own `H¹`
@@ -71,8 +71,7 @@ use pipad_models::{
 use pipad_sparse::{csr_row_work, partition_rows_balanced, SlicedCsr};
 use pipad_tensor::Matrix;
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::driver::close_epoch;
@@ -196,11 +195,10 @@ impl GnnExecutor for ShardExecutor<'_> {
                     tape.input(DeviceMatrix::alloc(gpu, m)?)
                 }
                 AggSource::Compute(x) => {
-                    // x carries no gradient, so the (symmetric-only)
-                    // backward of spmm_sliced never runs on this
-                    // rectangular slice.
+                    // x carries no gradient: the rectangular slice needs
+                    // no transpose.
                     let xv = tape.input_shared(x);
-                    let agg = tape.spmm_sliced(gpu, Rc::clone(&sn.sliced), xv, 1)?;
+                    let agg = tape.spmm_sliced(gpu, Rc::clone(&sn.sliced), None, xv, 1)?;
                     let norm = tape.row_scale(gpu, agg, Rc::clone(&sn.inv_deg))?;
                     self.computed_aggs.push((i, tape.host(norm)));
                     norm
@@ -250,10 +248,8 @@ impl GnnExecutor for ShardExecutor<'_> {
             }
             let stacked = tape.concat_rows(gpu, &blocks, KernelCategory::Aggregation)?;
             let sn = self.slots[i].0;
-            let sliced_t = sn.sliced_t.as_ref();
-            let sliced_t = sliced_t.expect("transpose precomputed for hidden-agg models");
             let agg =
-                tape.spmm_sliced_rect(gpu, Rc::clone(&sn.sliced), Rc::clone(sliced_t), stacked)?;
+                tape.spmm_sliced(gpu, Rc::clone(&sn.sliced), sn.sliced_t.clone(), stacked, 1)?;
             out.push(tape.row_scale(gpu, agg, Rc::clone(&sn.inv_deg))?);
         }
         Ok(out)
@@ -297,11 +293,13 @@ fn steady_partition(gpu: &Gpu, window: usize) -> usize {
     S_PER_OPTIONS.iter().rev().copied().find(fits).unwrap_or(1)
 }
 
-/// Join every lane of every device, no earlier than the loader lanes.
-fn join_all(gpus: &mut [Gpu], host_cursors: &[SimNanos]) -> SimNanos {
-    let devices = gpus.iter_mut().map(|g| g.synchronize());
-    let joined = devices.chain(host_cursors.iter().copied()).max();
-    joined.expect("at least one device")
+/// Join every lane of every device, no earlier than their host lanes.
+fn join_all(gpus: &mut [Gpu]) -> SimNanos {
+    let joined = gpus.iter_mut().map(|g| {
+        g.synchronize();
+        g.now_with_host()
+    });
+    joined.max().expect("at least one device")
 }
 
 /// Train `model_kind` data-parallel over `mcfg.n_gpus` simulated devices.
@@ -366,8 +364,12 @@ pub fn train_data_parallel_devices(
         owner[glo..ghi].fill(p);
     }
 
-    // Per-device state: simulator, model (identical seed → identical
-    // weights), streams, host lane.
+    // Per-device state: simulator (its host lane is the device's loader:
+    // `mgpu_prep`, the forward halo gather), model (identical seed →
+    // identical weights), streams. Preparing frames lift the host lane to
+    // the allreduce's end; steady frames never do, so it stages the next
+    // frame under this one. The gradient scatter and the allreduce are
+    // timed off the compute streams.
     let mut gpus: Vec<Gpu> = (0..parts).map(|_| Gpu::new(DeviceConfig::v100())).collect();
     let mut models = Vec::with_capacity(parts);
     let mut streams = Vec::with_capacity(parts);
@@ -428,11 +430,6 @@ pub fn train_data_parallel_devices(
     drop(norms);
 
     let mut store = CpuAggStore::new();
-    // The loader lane of each device (`mgpu_prep`, the forward halo
-    // gather). Preparing frames lift it to the allreduce's end; steady
-    // frames never do, so it stages the next frame under this one. The
-    // gradient scatter and the allreduce are timed off the compute streams.
-    let mut host_cursors = vec![SimNanos::ZERO; parts];
     // Per device, the compute events of the two frames before the one being
     // staged: a steady frame's staging starts no earlier than the older one
     // (two staging buffers, so one frame of prefetch, epoch to epoch too).
@@ -449,7 +446,7 @@ pub fn train_data_parallel_devices(
 
     for epoch in 0..cfg.epochs {
         let steady = epoch >= preparing;
-        let t0 = join_all(&mut gpus, &host_cursors);
+        let t0 = join_all(&mut gpus);
         let alloc0 = HostAllocStats::capture();
         if epoch + 1 == preparing {
             // The last preparing epoch is each device's one-slot profile.
@@ -527,7 +524,7 @@ pub fn train_data_parallel_devices(
                 let gpu = &mut gpus[p];
                 let (lo, hi) = shard_ranges[s];
                 if steady {
-                    host_cursors[p] = host_cursors[p].max(fence[p][0]);
+                    gpu.host_wait(fence[p][0]);
                 }
                 let mut slots = Vec::with_capacity(nslots);
                 // Staging is partition-grained, as `PipadExecutor::stage`'s:
@@ -551,10 +548,7 @@ pub fn train_data_parallel_devices(
                     let sn = &shard_norms[s][g_idx];
                     if i % size == 0 {
                         let bytes = (i..nslots.min(i + size)).map(slot_bytes).sum();
-                        let prep = SimNanos::from_nanos(gpu.cfg().host_op_fixed_ns)
-                            + SimNanos::from_bytes(bytes, gpu.cfg().host_bytes_per_us);
-                        let (_, he) = gpu.host_op("mgpu_prep", host_cursors[p], prep);
-                        host_cursors[p] = he;
+                        let he = gpu.host_stage("mgpu_prep", bytes);
                         gpu.stream_wait_host(copy, he);
                         let staging = gpu.alloc_labeled(bytes, "mgpu_staging")?;
                         gpu.h2d(copy, bytes, true);
@@ -568,8 +562,7 @@ pub fn train_data_parallel_devices(
                         let bytes = sn.halo_cols * feat_dim as u64 * 4;
                         if bytes > 0 {
                             let dur = SimNanos::from_bytes(bytes, P2P_BYTES_PER_US);
-                            let (_, he) = gpu.host_op("p2p_halo", host_cursors[p], dur);
-                            host_cursors[p] = he;
+                            let he = gpu.host_lane_op("p2p_halo", dur);
                             gpu.stream_wait_host(copy, he);
                             frame_halo += bytes;
                         }
@@ -591,8 +584,7 @@ pub fn train_data_parallel_devices(
                         let hbytes = sn.halo_cols * hidden as u64 * 4;
                         if hbytes > 0 {
                             let dur = SimNanos::from_bytes(hbytes, P2P_BYTES_PER_US);
-                            let (_, he) = gpu.host_op("p2p_halo", host_cursors[p], dur);
-                            host_cursors[p] = he;
+                            let he = gpu.host_lane_op("p2p_halo", dur);
                             gpu.stream_wait_host(copy, he);
                             frame_halo += hbytes;
                         }
@@ -688,17 +680,19 @@ pub fn train_data_parallel_devices(
                 halo_bytes_epoch += frame_halo;
             }
 
-            // --- canonical gradient reduction keyed by parameter name -----
-            // (EvolveGCN's bind order differs from its params() order, so
-            // index-keyed sums would misroute gradients.)
-            let mut summed: HashMap<String, Matrix> = HashMap::new();
+            // --- canonical gradient reduction by binding position ---------
+            // Every shard binds its device's parameters in the same order, so
+            // position k names one parameter in every shard; sums run in
+            // ascending shard order.
+            let mut summed: Vec<Option<Matrix>> =
+                binders[0].bindings().iter().map(|_| None).collect();
             for s in 0..shards {
-                for b in binders[s].bindings() {
-                    tapes[s].with_grad(b.var, |g| match summed.entry(b.param.name.clone()) {
-                        Entry::Occupied(mut e) => e.get_mut().add_assign(g),
-                        Entry::Vacant(e) => {
-                            e.insert(g.clone_in());
-                        }
+                let bindings = binders[s].bindings();
+                debug_assert_eq!(bindings.len(), summed.len(), "every shard binds alike");
+                for (sum, b) in summed.iter_mut().zip(bindings) {
+                    tapes[s].with_grad(b.var, |g| match sum {
+                        Some(acc) => acc.add_assign(g),
+                        None => *sum = Some(g.clone_in()),
                     });
                 }
             }
@@ -723,14 +717,14 @@ pub fn train_data_parallel_devices(
                     .max()
                     .expect("at least one device")
             } else {
-                join_all(&mut gpus, &host_cursors)
+                join_all(&mut gpus)
             };
             let sync_point = sync_base + dur;
             if parts > 1 {
-                for p in 0..parts {
-                    let (_, e) = gpus[p].host_op("allreduce", sync_base, dur);
+                for gpu in &mut gpus {
+                    let (_, e) = gpu.host_op("allreduce", sync_base, dur);
                     if !steady {
-                        host_cursors[p] = e;
+                        gpu.host_wait(e);
                     }
                 }
                 if steady {
@@ -738,23 +732,29 @@ pub fn train_data_parallel_devices(
                     allreduce_time_total += dur;
                 }
             }
-            // One multi-tensor step per device over the summed gradients.
+            // One multi-tensor step per device over the summed gradients, in
+            // `params()` order (EvolveGCN binds in another), each found by
+            // identity among the bindings of the device's first shard.
             for p in 0..parts {
                 let (compute, _) = streams[p];
                 let gpu = &mut gpus[p];
                 gpu.stream_wait_host(compute, sync_point);
+                let bindings = binders[groups[p].0].bindings();
                 let params = models[p].params();
                 let pairs: Vec<_> = params
                     .iter()
-                    .filter_map(|param| summed.get(&param.name).map(|g| (&*param.value, g)))
+                    .filter_map(|param| {
+                        let k = bindings
+                            .iter()
+                            .position(|b| Rc::ptr_eq(&b.param.value, &param.value))?;
+                        summed[k].as_ref().map(|g| (&*param.value, g))
+                    })
                     .collect();
                 replay(gpu, compute, steady, |gpu| {
                     sgd_step(gpu, compute, &pairs, cfg.lr, true)
                 });
             }
-            for (_, g) in summed.drain() {
-                g.recycle();
-            }
+            summed.into_iter().flatten().for_each(Matrix::recycle);
 
             // --- teardown --------------------------------------------------
             for (s, tape) in tapes.into_iter().enumerate() {
@@ -772,7 +772,7 @@ pub fn train_data_parallel_devices(
             }
             losses.push(frame_sse / denom_u as f32);
         }
-        t_end = join_all(&mut gpus, &host_cursors);
+        t_end = join_all(&mut gpus);
         epochs.push(close_epoch(
             &mut gpus, epoch, !steady, &losses, t0, t_end, alloc0,
         ));

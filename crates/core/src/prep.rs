@@ -43,10 +43,12 @@ pub struct PartitionCatalog {
 }
 
 impl PartitionCatalog {
-    /// Extract overlaps for every candidate partition, charging the host
-    /// lane. Partitions of one snapshot need no plan (they use the full
-    /// sliced adjacency directly).
+    /// Extract overlaps for every candidate partition on the host lane,
+    /// which first waits for `host_cursor`; `host_cursor` gets where the
+    /// pass ended. Partitions of one snapshot need no plan (they use the
+    /// full sliced adjacency directly).
     pub fn build(gpu: &mut Gpu, analyzer: &GraphAnalyzer, host_cursor: &mut SimNanos) -> Self {
+        gpu.host_wait(*host_cursor);
         let n = analyzer.len();
         let mut plans = HashMap::new();
         // Pass 1 (serial): enumerate work items and charge the host lane in
@@ -65,11 +67,11 @@ impl PartitionCatalog {
                 let cost = SimNanos::from_nanos(
                     gpu.cfg().host_op_fixed_ns + EXTRACT_NS_PER_EDGE * total_edges as u64,
                 );
-                let (_, end) = gpu.host_op("overlap_extraction", *host_cursor, cost);
-                *host_cursor = end;
+                gpu.host_lane_op("overlap_extraction", cost);
                 work.push((s_per, start, members));
             }
         }
+        *host_cursor = gpu.host_now();
         // Pass 2: the actual extraction is pure per-partition work — fan it
         // out across the pool. `Rc` wrapping happens serially afterwards
         // (the results cross threads, so the parallel stage returns plain
@@ -156,7 +158,7 @@ mod tests {
     fn catalog() -> (Gpu, GraphAnalyzer, PartitionCatalog) {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
-        let mut host = SimNanos::ZERO;
+        let mut host = gpu.host_now();
         let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host);
         let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
         (gpu, analyzer, catalog)

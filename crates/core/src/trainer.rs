@@ -142,8 +142,9 @@ impl<'a> PipadPolicy<'a> {
     /// overlap extraction run here, once for all.
     fn prepare(cx: &mut RunCx<'_>, pcfg: &'a PipadConfig) -> Self {
         let pool_run0 = pipad_tensor::pool_stats();
-        let analyzer = GraphAnalyzer::run(cx.gpu, cx.graph, &mut cx.host_cursor);
-        let catalog = PartitionCatalog::build(cx.gpu, &analyzer, &mut cx.host_cursor);
+        let mut host = cx.gpu.host_now();
+        let analyzer = GraphAnalyzer::run(cx.gpu, cx.graph, &mut host);
+        let catalog = PartitionCatalog::build(cx.gpu, &analyzer, &mut host);
         PipadPolicy {
             pcfg,
             preparing: cx.cfg.preparing_epochs.max(1).min(cx.cfg.epochs),
@@ -211,7 +212,7 @@ impl EpochPolicy for PipadPolicy<'_> {
         } else {
             pcfg.force_s_per.unwrap_or(st.decisions[fi])
         };
-        let frame_t0 = cx.gpu.now().max(cx.host_cursor);
+        let frame_t0 = cx.gpu.now_with_host();
         let mut attempt: u32 = 0;
         // Per-frame recovery ladder: the first OOM evicts the reuse store's
         // device tier and retries; later OOMs shrink `S_per` one tuner step at
@@ -243,7 +244,6 @@ impl EpochPolicy for PipadPolicy<'_> {
                     pcfg.inter_frame_reuse.then_some(&mut st.reuse),
                     compute,
                     cx.copy,
-                    &mut cx.host_cursor,
                 )?;
                 if sequential_mode {
                     // Sequential fallback: join the copy lanes before
@@ -272,7 +272,7 @@ impl EpochPolicy for PipadPolicy<'_> {
                 Ok((loss, stepped)) => break (s_per, frame_snap, loss, stepped),
                 Err(DeviceFault::Oom(e)) => {
                     cx.gpu.release_since(mark);
-                    let t = cx.gpu.now().max(cx.host_cursor);
+                    let t = cx.gpu.now_with_host();
                     if attempt == 0 {
                         st.reuse.evict_device(cx.gpu);
                         Self::recovery(cx, t, "oom_evict_retry", epoch, fi, None);
@@ -304,12 +304,12 @@ impl EpochPolicy for PipadPolicy<'_> {
             // poison it deposited cannot be re-served on later frames.
             st.skipped_steps += 1;
             st.reuse.purge(cx.gpu, window);
-            let t = cx.gpu.now().max(cx.host_cursor);
+            let t = cx.gpu.now_with_host();
             let skipped = Some(("skipped_total", st.skipped_steps));
             Self::recovery(cx, t, "nan_skip", epoch, fi, skipped);
         }
 
-        let frame_t1 = cx.gpu.now().max(cx.host_cursor);
+        let frame_t1 = cx.gpu.now_with_host();
         cx.gpu.trace_mut().span(
             "frame",
             TraceKind::Span,
@@ -388,7 +388,7 @@ impl EpochPolicy for PipadPolicy<'_> {
             cx.gpu.cfg().pcie_pinned_bytes_per_us,
             cx.graph.feature_dim(),
         );
-        let t_decide = cx.gpu.now().max(cx.host_cursor);
+        let t_decide = cx.gpu.now_with_host();
         st.decisions.clear();
         for (fi, p) in st.frame_profiles.iter().enumerate() {
             let d = tuner.decide(p, &self.catalog, fi, cx.cfg.window);
@@ -542,89 +542,6 @@ mod tests {
             ours.steady_epoch_time,
             base.steady_epoch_time
         );
-    }
-
-    #[test]
-    fn kill_and_resume_reproduces_losses_and_final_epoch_trace() {
-        use pipad_gpu_sim::{
-            export_chrome_trace_window, last_span_window, CrashCounter, CrashPoint, FaultPlan,
-        };
-        let g = tiny_graph();
-        let cfg = TrainingConfig {
-            window: 8,
-            epochs: 6,
-            preparing_epochs: 2,
-            lr: 0.01,
-            seed: 3,
-        };
-        let base = std::env::temp_dir().join(format!("pipad-resume-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let pcfg_for = |dir: &str| PipadConfig {
-            checkpoint: Some(CheckpointPolicy::new(base.join(dir), 2)),
-            ..Default::default()
-        };
-
-        // Reference: never interrupted (checkpointing on, own directory, so
-        // both runs emit identical checkpoint_write instants).
-        let mut g1 = Gpu::new(DeviceConfig::v100());
-        let reference =
-            train_pipad(&mut g1, ModelKind::TGcn, &g, 8, &cfg, &pcfg_for("ref")).unwrap();
-
-        // Kill halfway from the end of a `preparing_epochs + 2` prefix run
-        // (just past the first steady checkpoint) to the end of the full run.
-        // Checkpoint writes launch nothing, so the probe runs without them.
-        let mut g0 = Gpu::new(DeviceConfig::v100());
-        let prefix_cfg = TrainingConfig {
-            epochs: cfg.preparing_epochs + 2,
-            ..cfg.clone()
-        };
-        train_pipad(
-            &mut g0,
-            ModelKind::TGcn,
-            &g,
-            8,
-            &prefix_cfg,
-            &PipadConfig::default(),
-        )
-        .unwrap();
-        let mut g2 = Gpu::new(DeviceConfig::v100());
-        g2.install_faults(FaultPlan {
-            crash: Some(CrashPoint {
-                counter: CrashCounter::Launches,
-                at: (g0.op_counters().launches + g1.op_counters().launches) / 2,
-            }),
-            ..Default::default()
-        });
-        let err = train_pipad(&mut g2, ModelKind::TGcn, &g, 8, &cfg, &pcfg_for("killed"))
-            .expect_err("crash fault must abort the run");
-        assert!(matches!(err, DeviceFault::Crash(_)), "{err}");
-        let (newest, _) = pipad_ckpt::latest_checkpoint(&base.join("killed"))
-            .unwrap()
-            .expect("the killed run left a checkpoint");
-        assert!(
-            newest >= cfg.preparing_epochs,
-            "resumes from the epoch-{newest} checkpoint, not a steady one"
-        );
-
-        // Fresh "process": restore from the killed run's newest checkpoint.
-        let mut g3 = Gpu::new(DeviceConfig::v100());
-        let resumed =
-            train_pipad(&mut g3, ModelKind::TGcn, &g, 8, &cfg, &pcfg_for("killed")).unwrap();
-
-        // Losses bit-identical across all epochs.
-        let a: Vec<u32> = reference.losses().iter().map(|l| l.to_bits()).collect();
-        let b: Vec<u32> = resumed.losses().iter().map(|l| l.to_bits()).collect();
-        assert_eq!(a, b, "kill-and-resume changed the loss trajectory");
-
-        // Final steady epoch's trace window byte-identical.
-        let wa = last_span_window(g1.trace(), "epoch").unwrap();
-        let wb = last_span_window(g3.trace(), "epoch").unwrap();
-        assert_eq!(wa, wb, "final epoch landed on a different timeline");
-        let ea = export_chrome_trace_window(g1.trace(), 1, wa.0, wa.1);
-        let eb = export_chrome_trace_window(g3.trace(), 1, wb.0, wb.1);
-        assert_eq!(ea, eb, "final epoch trace window differs");
-
-        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -223,7 +223,7 @@ mod tests {
     fn catalog() -> PartitionCatalog {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
-        let mut host = SimNanos::ZERO;
+        let mut host = gpu.host_now();
         let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host);
         PartitionCatalog::build(&mut gpu, &analyzer, &mut host)
     }

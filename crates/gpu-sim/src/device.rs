@@ -12,6 +12,9 @@
 //!   PiPAD's pipeline, Figure 8) effective.
 //! * Per-**stream** cursors provide ordering *within* a stream; events
 //!   provide ordering *between* streams and with the host.
+//! * One **host lane**: the CPU-side loader of Figure 8 (slicing, overlap
+//!   extraction, staging, halo gathers). Host-lane ops start where it is
+//!   and advance it; [`Gpu::now`] reads the device lanes only.
 
 use crate::config::DeviceConfig;
 use crate::cost::KernelCost;
@@ -58,6 +61,7 @@ pub struct Gpu {
     h2d_cursor: SimNanos,
     d2h_cursor: SimNanos,
     streams: Vec<SimNanos>,
+    host_lane: SimNanos,
     graph_mode: bool,
     /// Installed fault-injection session, if any (see [`crate::faults`]).
     faults: Option<FaultSession>,
@@ -81,6 +85,7 @@ impl Gpu {
             h2d_cursor: SimNanos::ZERO,
             d2h_cursor: SimNanos::ZERO,
             streams: vec![SimNanos::ZERO], // default stream 0
+            host_lane: SimNanos::ZERO,
             graph_mode: false,
             faults: None,
             alloc_attempts: 0,
@@ -188,7 +193,7 @@ impl Gpu {
         StreamId(self.streams.len() - 1)
     }
 
-    /// Latest point any lane or stream has reached.
+    /// Latest point any device lane or stream has reached (not the host lane).
     pub fn now(&self) -> SimNanos {
         let mut t = self
             .compute_cursor
@@ -646,11 +651,41 @@ impl Gpu {
         t
     }
 
-    // ---- host accounting -------------------------------------------------
+    // ---- host lane -------------------------------------------------------
 
-    /// Record a host-side operation of length `dur` starting no earlier than
-    /// `after`; returns its (start, end). The caller owns host-lane cursors;
-    /// the profiler only needs the interval for Figure 3's "other" share.
+    /// Where the host lane has reached.
+    pub fn host_now(&self) -> SimNanos {
+        self.host_lane
+    }
+
+    /// The later of [`Gpu::now`] and the host lane.
+    pub fn now_with_host(&self) -> SimNanos {
+        self.now().max(self.host_lane)
+    }
+
+    /// Lift the host lane to `t` (no-op if it is already past it).
+    pub fn host_wait(&mut self, t: SimNanos) {
+        self.host_lane = self.host_lane.max(t);
+    }
+
+    /// Run a host operation of length `dur` on the host lane: it starts
+    /// where the lane is and advances it. Returns its end.
+    pub fn host_lane_op(&mut self, name: &'static str, dur: SimNanos) -> SimNanos {
+        self.host_lane = self.host_op(name, self.host_lane, dur).1;
+        self.host_lane
+    }
+
+    /// Assemble `bytes` for one staged transfer on the host lane: a fixed
+    /// overhead plus the bytes at host staging throughput. Returns its end.
+    pub fn host_stage(&mut self, name: &'static str, bytes: u64) -> SimNanos {
+        let dur = SimNanos::from_nanos(self.cfg.host_op_fixed_ns)
+            + SimNanos::from_bytes(bytes, self.cfg.host_bytes_per_us);
+        self.host_lane_op(name, dur)
+    }
+
+    /// Record a host-side operation of length `dur` starting at `after`,
+    /// off the host lane (which it does not move); returns its (start,
+    /// end). The profiler needs the interval for Figure 3's "other" share.
     pub fn host_op(
         &mut self,
         name: &'static str,
@@ -672,10 +707,10 @@ impl Gpu {
 
     // ---- checkpoint support ----------------------------------------------
 
-    /// Snapshot the deterministic clock: every lane/stream cursor plus the
-    /// monotonic op counters. Together with the trainer's host cursor this
-    /// is the complete timeline state a checkpoint must carry for a
-    /// resumed run to continue on the *same* simulated timeline.
+    /// Snapshot the deterministic clock: every lane/stream cursor, the
+    /// host lane and the monotonic op counters — the complete timeline
+    /// state a checkpoint must carry for a resumed run to continue on the
+    /// *same* simulated timeline.
     pub fn clock(&self) -> DeviceClock {
         DeviceClock {
             compute: self.compute_cursor,
@@ -683,6 +718,7 @@ impl Gpu {
             d2h: self.d2h_cursor,
             streams: self.streams.clone(),
             counters: self.op_counters(),
+            host: self.host_lane,
         }
     }
 
@@ -701,6 +737,7 @@ impl Gpu {
         self.copy_ops = clock.counters.copy_ops;
         self.launches = clock.counters.launches;
         self.eager_launches = clock.counters.eager_launches;
+        self.host_lane = clock.host;
     }
 }
 
@@ -717,6 +754,8 @@ pub struct DeviceClock {
     pub streams: Vec<SimNanos>,
     /// Monotonic op counters.
     pub counters: OpCounters,
+    /// Host-lane cursor.
+    pub host: SimNanos,
 }
 
 #[cfg(test)]
@@ -869,6 +908,22 @@ mod tests {
         let (s, e) = g.host_op("graph_slicing", SimNanos(100), SimNanos(50));
         assert_eq!((s, e), (SimNanos(100), SimNanos(150)));
         assert_eq!(g.profiler().full().host_time, SimNanos(50));
+        assert_eq!(g.host_now(), SimNanos::ZERO, "off the host lane");
+    }
+
+    #[test]
+    fn host_lane_ops_queue_and_waits_only_lift() {
+        let mut g = gpu();
+        assert_eq!(g.host_lane_op("a", SimNanos(50)), SimNanos(50));
+        g.host_wait(SimNanos(20));
+        assert_eq!(g.host_now(), SimNanos(50), "a wait never lowers the lane");
+        g.host_wait(SimNanos(100));
+        assert_eq!(g.host_lane_op("b", SimNanos(5)), SimNanos(105));
+        assert_eq!(g.now(), SimNanos::ZERO, "now() reads device lanes only");
+        assert_eq!(g.now_with_host(), SimNanos(105));
+        let fixed = g.cfg().host_op_fixed_ns;
+        assert_eq!(g.host_stage("c", 0), SimNanos(105 + fixed));
+        assert_eq!(g.profiler().full().host_time, SimNanos(55 + fixed));
     }
 
     #[test]
@@ -1009,6 +1064,7 @@ mod tests {
         g.launch(s, small_kernel());
         g.h2d(c, 1 << 20, true);
         let _ = g.alloc(64).unwrap();
+        g.host_lane_op("graph_slicing", SimNanos(1 << 30));
         let clock = g.clock();
 
         let mut fresh = gpu();
@@ -1016,7 +1072,8 @@ mod tests {
         let _ = fresh.alloc(64).unwrap(); // restore-prologue noise
         fresh.restore_clock(&clock);
         assert_eq!(fresh.clock(), clock);
-        assert_eq!(fresh.now(), g.now());
+        assert_eq!(fresh.now_with_host(), g.now_with_host());
+        assert_eq!(fresh.host_now(), SimNanos(1 << 30));
         assert_eq!(fresh.op_counters(), g.op_counters());
     }
 

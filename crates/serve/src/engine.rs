@@ -24,7 +24,7 @@ use pipad::{
 use pipad_autograd::Tape;
 use pipad_ckpt::{latest_checkpoint, Checkpoint};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
-use pipad_gpu_sim::{DeviceFault, Gpu, SimNanos, StreamId};
+use pipad_gpu_sim::{DeviceFault, Gpu, StreamId};
 use pipad_models::{build_model, DgnnModel, ModelKind, TrainingConfig};
 use pipad_tensor::Matrix;
 use std::path::Path;
@@ -60,7 +60,6 @@ pub struct ServeEngine<'g> {
     window: usize,
     compute: StreamId,
     copy: StreamId,
-    pub(crate) host_cursor: SimNanos,
     /// Epochs the restored checkpoint had completed (provenance).
     trained_epochs: usize,
 }
@@ -100,9 +99,9 @@ impl<'g> ServeEngine<'g> {
             ecfg.hidden,
             train_cfg.seed,
         )?;
-        let mut host_cursor = SimNanos::ZERO;
-        let analyzer = GraphAnalyzer::run(gpu, graph, &mut host_cursor);
-        let catalog = PartitionCatalog::build(gpu, &analyzer, &mut host_cursor);
+        let mut host = gpu.host_now();
+        let analyzer = GraphAnalyzer::run(gpu, graph, &mut host);
+        let catalog = PartitionCatalog::build(gpu, &analyzer, &mut host);
         let mut reuse = InterFrameReuse::new(0);
         let restored = restore_checkpoint(&ckpt, &fingerprint, model.as_ref(), &mut reuse)?;
         reuse.grow_budget(GPU_CACHE_BUDGET);
@@ -117,7 +116,6 @@ impl<'g> ServeEngine<'g> {
             window: train_cfg.window,
             compute: gpu.default_stream(),
             copy: gpu.create_stream(),
-            host_cursor,
             trained_epochs: restored.next_epoch,
         })
     }
@@ -180,7 +178,6 @@ impl<'g> ServeEngine<'g> {
             Some(&mut self.reuse),
             self.compute,
             self.copy,
-            &mut self.host_cursor,
         )?;
         let mut tape = Tape::new(self.compute);
         let out = self.model.forward_frame(gpu, &mut tape, &mut exec)?;

@@ -296,8 +296,8 @@ fn run_batch(
         i = j;
 
         // The forward starts no earlier than the batch closed.
-        engine.host_cursor = engine.host_cursor.max(batch.formed_at);
-        let t0 = gpu.now().max(engine.host_cursor);
+        gpu.host_wait(batch.formed_at);
+        let t0 = gpu.now_with_host();
         let mut attempt = 0u32;
         let result = loop {
             let mark = gpu.mem_mark();
@@ -305,7 +305,7 @@ fn run_batch(
                 Ok(pred) => break Ok(pred),
                 Err(DeviceFault::Oom(e)) => {
                     gpu.release_since(mark);
-                    let t = gpu.now().max(engine.host_cursor);
+                    let t = gpu.now_with_host();
                     if attempt == 0 {
                         engine.reuse.evict_device(gpu);
                         gpu.trace_mut().instant(
@@ -335,7 +335,8 @@ fn run_batch(
 
         match result {
             Ok(pred) if pred_is_finite(&pred) => {
-                let t1 = gpu.synchronize().max(engine.host_cursor);
+                gpu.synchronize();
+                let t1 = gpu.now_with_host();
                 gpu.trace_mut().span(
                     "serve_forward",
                     TraceKind::Span,
@@ -366,7 +367,8 @@ fn run_batch(
                 // poisoned aggregations) and reject the group.
                 engine.reuse.purge(gpu, frame..frame + engine.window());
                 *rejected_poisoned += group.len();
-                let t = gpu.synchronize().max(engine.host_cursor);
+                gpu.synchronize();
+                let t = gpu.now_with_host();
                 gpu.trace_mut().instant(
                     "recovery",
                     Lane::Control,
@@ -388,7 +390,7 @@ fn run_batch(
             }
             Err(fault) => {
                 *rejected_fault += group.len();
-                let t = gpu.now().max(engine.host_cursor);
+                let t = gpu.now_with_host();
                 gpu.trace_mut().instant(
                     "recovery",
                     Lane::Control,

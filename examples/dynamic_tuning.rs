@@ -13,10 +13,10 @@ use pipad_repro::pipad::{DynamicTuner, FrameProfile, GraphAnalyzer, PartitionCat
 fn main() {
     let graph = DatasetId::Epinions.gen_config(Scale::Tiny).generate();
     let mut gpu = Gpu::new(DeviceConfig::v100());
-    let mut host = SimNanos::ZERO;
 
     // The preparing-epoch machinery: slice every snapshot, extract the
     // overlap splits for every candidate partition.
+    let mut host = gpu.host_now();
     let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host);
     let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
     println!(

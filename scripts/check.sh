@@ -123,6 +123,24 @@ figures_run_the_executors() {
     fi
 }
 
+# The host (loader) lane is a lane of `gpu_sim::Gpu`: no trainer, executor
+# or serving loop carries host time of its own. `host_cursor` may appear only
+# as the parameter of the two one-off passes, `GraphAnalyzer::run` and
+# `PartitionCatalog::build`, and the staging cost's `host_bytes_per_us` is
+# read only inside `gpu-sim` (`Gpu::host_stage`).
+host_lane_has_one_owner() {
+    local bad=0
+    if grep -rn host_cursor crates/*/src | grep -vE '^crates/core/src/(analyzer|prep)\.rs:'; then
+        echo "ERROR: host time is carried outside gpu-sim's host lane" >&2
+        bad=1
+    fi
+    if grep -rn host_bytes_per_us crates/*/src | grep -v '^crates/gpu-sim/'; then
+        echo "ERROR: the host staging cost is computed outside gpu-sim" >&2
+        bad=1
+    fi
+    return "$bad"
+}
+
 # Every row of README's "Beyond the paper" table must name what measures it:
 # a `repro <name>` that is an `EXPERIMENTS` entry (name or alias), or a
 # `tests/<file>.rs` that exists. An extension with no result to point at
@@ -160,6 +178,7 @@ gate unused_deps
 gate no_panicking_stubs
 gate results_have_a_producer
 gate figures_run_the_executors
+gate host_lane_has_one_owner
 gate extensions_name_a_result
 gate cargo build --release
 gate cargo fmt --check

@@ -30,12 +30,11 @@ fn multi_gpu_steady_epochs_stay_on_the_pool_hot_path() {
     // capture's layer 1, peer-block slicing, two-sweep backward) — the
     // paths most likely to leak un-pooled allocations.
     //
-    // Ceilings: 72 776.5 and 116 612 heap allocator calls per steady epoch
+    // Ceilings: 22 272 and 39 773.5 heap allocator calls per steady epoch
     // observed, in dev and `--release`.
-    for (model, steady_heap_budget) in [
-        (ModelKind::TGcn, 73_500.0),
-        (ModelKind::MpnnLstm, 118_000.0),
-    ] {
+    for (model, steady_heap_budget) in
+        [(ModelKind::TGcn, 22_500.0), (ModelKind::MpnnLstm, 40_200.0)]
+    {
         reset_pool();
         let report = train_data_parallel(
             model,

@@ -25,7 +25,7 @@ use pipad_bench::host_invariant;
 use pipad_bench::util::ScratchDir;
 use pipad_ckpt::{latest_checkpoint, list_checkpoints, Checkpoint, CheckpointPolicy};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
-use pipad_gpu_sim::{DeviceConfig, Gpu, SimNanos};
+use pipad_gpu_sim::{DeviceConfig, Gpu};
 use pipad_models::{build_model, ModelKind, TrainingConfig};
 use pipad_repro::serve::{
     serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, RequestOutcome, ServeEngine,
@@ -79,9 +79,9 @@ fn reference_forward(
     let fp = run_fingerprint("PiPAD", model, &graph.name, HIDDEN, cfg);
     let m = build_model(&mut gpu, model, graph.feature_dim(), HIDDEN, cfg.seed)
         .expect("build reference model");
-    let mut host_cursor = SimNanos::ZERO;
-    let analyzer = GraphAnalyzer::run(&mut gpu, graph, &mut host_cursor);
-    let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host_cursor);
+    let mut host = gpu.host_now();
+    let analyzer = GraphAnalyzer::run(&mut gpu, graph, &mut host);
+    let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
     let mut reuse = InterFrameReuse::new(0);
     restore_checkpoint(&ckpt, &fp, m.as_ref(), &mut reuse).expect("restore");
     reuse.grow_budget(8 << 20);
@@ -107,7 +107,6 @@ fn reference_forward(
         Some(&mut reuse),
         compute,
         copy,
-        &mut host_cursor,
     )
     .expect("stage reference frame");
     let mut tape = Tape::new(compute);

@@ -413,9 +413,9 @@ proptest! {
             .gen_config(pipad_repro::dyngraph::Scale::Tiny)
             .generate();
         let mut gpu = Gpu::new(DeviceConfig::v100());
-        let mut host_cursor = SimNanos::ZERO;
-        let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host_cursor);
-        let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host_cursor);
+        let mut host = gpu.host_now();
+        let analyzer = GraphAnalyzer::run(&mut gpu, &graph, &mut host);
+        let catalog = PartitionCatalog::build(&mut gpu, &analyzer, &mut host);
 
         let tuner = DynamicTuner::new(budget, 16_000, 16);
         let profile = FrameProfile {
