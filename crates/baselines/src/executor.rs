@@ -6,7 +6,7 @@
 //! uses pageable copies that stall the device — reproducing the §3.1
 //! bottleneck.
 
-use pipad::CpuAggStore;
+use pipad::InterFrameReuse;
 use pipad_autograd::{AggregationKernel, Tape, Var};
 use pipad_gpu_sim::{Event, Gpu, OomError, StreamId};
 use pipad_kernels::{upload_coo, upload_csr_with_csc, upload_matrix, DeviceCsr, DeviceMatrix};
@@ -21,7 +21,7 @@ struct Slot {
     norm: NormalizedAdj,
     /// Raw features, uploaded unless a cached aggregation replaced them.
     features: Option<DeviceMatrix>,
-    /// Cached layer-1 aggregation shipped from the CPU-side reuse store.
+    /// Cached layer-1 aggregation shipped from the reuse store's CPU tier.
     cached_agg: Option<DeviceMatrix>,
     /// Adjacency on device (absent when reuse made it unnecessary).
     adj: Option<DeviceCsr>,
@@ -46,7 +46,7 @@ pub struct StageOptions {
 pub struct BaselineExecutor<'c> {
     slots: Vec<Slot>,
     kernel: AggregationKernel,
-    reuse: Option<&'c mut CpuAggStore>,
+    reuse: Option<&'c mut InterFrameReuse>,
     compute: StreamId,
 }
 
@@ -58,7 +58,7 @@ impl<'c> BaselineExecutor<'c> {
         gpu: &mut Gpu,
         frame: &[(usize, &Csr, &Matrix)],
         opts: StageOptions,
-        mut reuse: Option<&'c mut CpuAggStore>,
+        mut reuse: Option<&'c mut InterFrameReuse>,
         compute: StreamId,
         copy: StreamId,
     ) -> Result<Self, OomError> {
@@ -66,14 +66,12 @@ impl<'c> BaselineExecutor<'c> {
         let stream = if opts.async_transfer { copy } else { compute };
         let mut slots = Vec::with_capacity(frame.len());
         for &(global_idx, adj, feats) in frame {
-            let cached_host = reuse
-                .as_mut()
-                .and_then(|c| c.get(global_idx).map(pipad_tensor::Matrix::clone_in));
+            let cached_host = (reuse.as_mut())
+                .and_then(|r| r.lookup(global_idx..global_idx + 1)?.pop())
+                .map(|hit| hit.into_host());
             // Host-side preparation (framework overhead + staging copy).
-            let moved_bytes = match &cached_host {
-                Some(cached) => cached.bytes(),
-                None => feats.bytes() + adj.bytes(),
-            };
+            let moved_bytes =
+                (cached_host.as_ref()).map_or(feats.bytes() + adj.bytes(), Matrix::bytes);
             let host_end = gpu.host_stage("frame_prep", moved_bytes);
             gpu.stream_wait_host(stream, host_end);
 
@@ -153,10 +151,8 @@ impl GnnExecutor for BaselineExecutor<'_> {
             let x = tape.input(f);
             let agg = tape.spmm(gpu, Rc::clone(&slot.norm.adj_hat), x, self.kernel)?;
             let normed = tape.row_scale(gpu, agg, Rc::clone(&slot.norm.inv_deg))?;
-            if let Some(cache) = self.reuse.as_mut() {
-                if !cache.contains(slot.global_idx) {
-                    cache.insert(slot.global_idx, tape.host(normed));
-                }
+            if let Some(reuse) = self.reuse.as_mut() {
+                reuse.deposit(slot.global_idx, || tape.host(normed));
             }
             out.push(normed);
         }
@@ -260,7 +256,7 @@ mod tests {
             .enumerate()
             .map(|(i, (a, f))| (i, a, f))
             .collect();
-        let mut cache = CpuAggStore::new();
+        let mut cache = InterFrameReuse::default();
 
         // pass 1: populate
         let mut exec = BaselineExecutor::stage(
@@ -277,7 +273,7 @@ mod tests {
         let first_val = tape.host(first[1]);
         tape.finish(&mut gpu);
         exec.finish(&mut gpu);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().cpu_misses, 2);
 
         // pass 2: hits — no spmm launches, same values
         let snap = gpu.profiler().snapshot();
@@ -313,11 +309,9 @@ mod tests {
             .enumerate()
             .map(|(i, (a, f))| (i, a, f))
             .collect();
-        let mut cache = CpuAggStore::new();
-        for (i, (a, f)) in data.iter().enumerate() {
-            let norm = normalize_snapshot(a);
-            let _ = (norm, f);
-            cache.insert(i, Matrix::zeros(5, 3));
+        let mut cache = InterFrameReuse::default();
+        for i in 0..data.len() {
+            cache.deposit(i, || Matrix::zeros(5, 3));
         }
         let o = StageOptions {
             needs_adjacency_when_cached: false, // T-GCN-style

@@ -16,8 +16,8 @@
 //! exactly the redundancy PiPAD removes. They are policies of PiPAD's own
 //! epoch driver ([`pipad::run_epochs`]) — the preparing→steady schedule,
 //! checkpoint/restore and failure rollback are shared, only the per-frame
-//! body differs — and PyGT-R/G's reuse store is PiPAD's CPU tier
-//! ([`pipad::CpuAggStore`]) without the GPU tier above it.
+//! body differs — and PyGT-R/G's reuse store is PiPAD's own
+//! ([`pipad::InterFrameReuse`]) with no budget for the GPU tier above it.
 
 mod executor;
 mod trainer;

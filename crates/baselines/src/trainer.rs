@@ -2,7 +2,7 @@
 //! driver ([`pipad::run_epochs`]).
 
 use crate::executor::{BaselineExecutor, StageOptions};
-use pipad::{run_epochs, CkptExtra, CpuAggStore, EpochPolicy, RunCx};
+use pipad::{run_epochs, CkptExtra, EpochPolicy, InterFrameReuse, RunCx};
 use pipad_autograd::AggregationKernel;
 use pipad_ckpt::CheckpointPolicy;
 use pipad_dyngraph::{DynamicGraph, Frame};
@@ -72,16 +72,12 @@ pub fn train_baseline(
     hidden: usize,
     cfg: &TrainingConfig,
 ) -> Result<TrainReport, OomError> {
-    train_baseline_resumable(gpu, kind, model_kind, graph, hidden, cfg, None).map_err(expect_oom)
-}
-
-/// The non-resumable entry points promise `OomError`: without a fault plan
-/// on the device nothing else can come out of the epoch driver.
-pub(crate) fn expect_oom(fault: DeviceFault) -> OomError {
-    match fault {
+    // Without a fault plan on the device, an OOM is all the driver can raise.
+    let run = train_baseline_resumable(gpu, kind, model_kind, graph, hidden, cfg, None);
+    run.map_err(|fault| match fault {
         DeviceFault::Oom(oom) => oom,
         other => panic!("baseline trainer without a fault plan raised {other}"),
-    }
+    })
 }
 
 /// [`train_baseline`] with checkpoint/restore: when `checkpoint` is set,
@@ -101,27 +97,26 @@ pub fn train_baseline_resumable(
     cfg: &TrainingConfig,
     checkpoint: Option<&CheckpointPolicy>,
 ) -> Result<TrainReport, DeviceFault> {
-    let has_reuse = matches!(kind, BaselineKind::PygtR | BaselineKind::PygtG);
     run_epochs(gpu, model_kind, graph, hidden, cfg, checkpoint, |cx| {
         BaselinePolicy {
             kind,
             preparing: cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1)),
             opts: kind.stage_options(cx.model.needs_hidden_aggregation()),
-            reuse: has_reuse.then(CpuAggStore::new),
+            reuse: InterFrameReuse::default(),
         }
     })
 }
 
 /// The PyGT family as a policy of [`run_epochs`]: one snapshot at a time,
-/// no per-frame recovery, no epoch-boundary work.
+/// no epoch-boundary work, no per-frame recovery beyond the NaN purge.
 struct BaselinePolicy {
     kind: BaselineKind,
     preparing: usize,
     opts: StageOptions,
-    /// Layer-1 aggregation store (PyGT-R / PyGT-G): results stay in CPU
-    /// memory, so a hit skips the aggregation kernel but the cached matrix
-    /// still crosses PCIe each time (§4.4).
-    reuse: Option<CpuAggStore>,
+    /// Layer-1 aggregation store (consulted by PyGT-R / PyGT-G), without a
+    /// device budget: a hit skips the aggregation kernel but the cached
+    /// matrix still crosses PCIe each time (§4.4).
+    reuse: InterFrameReuse,
 }
 
 impl EpochPolicy for BaselinePolicy {
@@ -150,16 +145,22 @@ impl EpochPolicy for BaselinePolicy {
             .enumerate()
             .map(|(i, s)| (frame.global_index(i), &s.adj, &s.features))
             .collect();
+        let has_reuse = matches!(self.kind, BaselineKind::PygtR | BaselineKind::PygtG);
         let mut exec = BaselineExecutor::stage(
             cx.gpu,
             &frame_slots,
             self.opts,
-            self.reuse.as_mut(),
+            has_reuse.then_some(&mut self.reuse),
             cx.compute,
             cx.copy,
         )?;
         let loss = cx.step(&mut exec, frame)?;
         exec.finish(cx.gpu);
+        if !loss.is_finite() {
+            // The step was skipped: drop whatever poison the frame cached.
+            self.reuse
+                .purge(cx.gpu, frame.start..frame.start + frame.len());
+        }
         Ok(loss)
     }
 }

@@ -6,9 +6,11 @@
 //! history, the device clock (lane cursors, op counters and the host
 //! lane) — written here, once, for all trainers — plus whatever the
 //! trainer itself carries across epochs, contributed through
-//! [`CkptExtra`]: PiPAD's tuner decisions, recovery flags and CPU-tier
-//! reuse store (the device tier lives inside an epoch and is empty at every
-//! boundary a checkpoint is written at); PyGT-R/G's CPU aggregation store.
+//! [`CkptExtra`]: PiPAD's tuner decisions and recovery flags, and every
+//! trainer's [`InterFrameReuse`], whose one encoding lives beside it in
+//! [`crate::reuse`] (the device tier lives inside an epoch and is empty at
+//! every boundary a checkpoint is written at, so only its budget and
+//! counters are written).
 //! Restoring replays none of the computation — parameters and cache
 //! entries are stored back in place, one-off preparation is recomputed
 //! deterministically by the prologue, and the final
@@ -21,17 +23,17 @@
 //! | section     | written by | contents                                        |
 //! |-------------|------------|-------------------------------------------------|
 //! | `meta`      | codec      | run fingerprint, next epoch, steady-phase `t0`  |
-//! |             | + PiPAD    | … recovery flags, GPU-tier budget and counters  |
-//! |             | + PyGT-*   | … CPU-store hit/miss counters (zeros w/o reuse) |
+//! |             | + PiPAD    | … recovery flags                                |
+//! |             | + store    | … device-tier budget, CPU- and device-tier hits and misses |
 //! | `clock`     | codec      | [`DeviceClock`], host lane last                 |
 //! | `params`    | codec      | named parameter matrices (raw f32 bits)         |
 //! | `tuner`     | PiPAD      | `S_per` decisions, frame profiles, straggler baselines |
-//! | `reuse_cpu` | PiPAD, PyGT-R/G | CPU-tier aggregation store (snapshot → matrix) |
+//! | `reuse_cpu` | store      | CPU-tier entries (snapshot → matrix), empty for PyGT and PyGT-A |
 //! | `faults`    | codec      | [`pipad_gpu_sim::FaultStats`] so far (provenance)  |
 //! | `epochs`    | codec      | per-epoch (index, loss bits, simulated time)    |
 
 use crate::driver::RunCx;
-use crate::reuse::{CpuAggStore, InterFrameReuse};
+use crate::reuse::InterFrameReuse;
 use crate::trainer::PipadState;
 use crate::tuner::FrameProfile;
 use pipad_ckpt::codec::{
@@ -42,7 +44,6 @@ pub use pipad_ckpt::RunFingerprint;
 use pipad_ckpt::{Checkpoint, CheckpointWriter, CkptError};
 use pipad_gpu_sim::{DeviceClock, SimNanos};
 use pipad_models::{DgnnModel, EpochReport, ModelKind, TrainingConfig};
-use pipad_tensor::Matrix;
 
 /// Fingerprint of a run of `trainer` on `dataset` with these
 /// hyper-parameters (see [`RunFingerprint`]).
@@ -89,70 +90,14 @@ pub trait CkptExtra {
     }
 }
 
-fn put_cpu_store(w: &mut CheckpointWriter, store: &CpuAggStore) {
-    let entries = store.entries_sorted();
-    let cap: usize = 8 + entries
-        .iter()
-        .map(|(_, m)| 24 + m.bytes() as usize)
-        .sum::<usize>();
-    put_list(w.section_sized("reuse_cpu", cap), &entries, |s, &(k, m)| {
-        put_u64(s, k as u64);
-        put_matrix(s, m);
-    });
-}
-
-fn get_cpu_store(
-    ckpt: &Checkpoint,
-    mut insert: impl FnMut(usize, Matrix),
-) -> Result<(), CkptError> {
-    let mut r = Reader::new(ckpt.require("reuse_cpu")?);
-    for (snapshot, m) in get_list(&mut r, |r| Ok((r.get_usize()?, get_matrix(r)?)))? {
-        insert(snapshot, m);
-    }
-    r.finish()
-}
-
-/// The PyGT family: an optional CPU aggregation store (`Some` for
-/// PyGT-R / PyGT-G) and its lookup counters.
-impl CkptExtra for Option<CpuAggStore> {
-    fn put_meta(&self, meta: &mut Vec<u8>) {
-        put_u64(meta, self.as_ref().map_or(0, CpuAggStore::hits));
-        put_u64(meta, self.as_ref().map_or(0, CpuAggStore::misses));
-    }
-
-    fn put_sections(&self, w: &mut CheckpointWriter) {
-        if let Some(store) = self {
-            put_cpu_store(w, store);
-        }
-    }
-
-    fn get_meta(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let (hits, misses) = (r.get_u64()?, r.get_u64()?);
-        if let Some(store) = self {
-            store.restore_counters(hits, misses);
-        }
-        Ok(())
-    }
-
-    fn get_sections(&mut self, ckpt: &Checkpoint) -> Result<(), CkptError> {
-        match self {
-            Some(store) => get_cpu_store(ckpt, |snapshot, m| store.insert(snapshot, m)),
-            None => Ok(()),
-        }
-    }
-}
-
-/// PiPAD: recovery flags and device-tier budget and statistics in `meta`,
-/// then the `tuner` and `reuse_cpu` sections.
+/// PiPAD: recovery flags in `meta` and the `tuner` section, each followed
+/// by what the reuse store writes there.
 impl CkptExtra for PipadState {
     fn put_meta(&self, meta: &mut Vec<u8>) {
         put_bool(meta, self.sequential_mode);
         put_u32(meta, self.slow_frames);
         put_u64(meta, self.skipped_steps);
-        let reuse = self.reuse.stats();
-        put_u64(meta, reuse.budget_bytes);
-        put_u64(meta, reuse.gpu_hits);
-        put_u64(meta, reuse.gpu_misses);
+        self.reuse.put_meta(meta);
     }
 
     fn put_sections(&self, w: &mut CheckpointWriter) {
@@ -169,21 +114,14 @@ impl CkptExtra for PipadState {
             put_u64(s, p.transfer_bytes);
         });
         put_list(tuner, &self.frame_walls, |s, w| put_u64(s, w.as_nanos()));
-
-        // Checkpoints are written at epoch boundaries, where the window
-        // restarts and the trainer has evicted the device tier.
-        debug_assert_eq!(self.reuse.stats().device_bytes, 0);
-        put_cpu_store(w, self.reuse.cpu_store());
+        self.reuse.put_sections(w);
     }
 
     fn get_meta(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
         self.sequential_mode = r.get_bool()?;
         self.slow_frames = r.get_u32()?;
         self.skipped_steps = r.get_u64()?;
-        self.reuse.grow_budget(r.get_u64()?);
-        let (hits, misses) = (r.get_u64()?, r.get_u64()?);
-        self.reuse.restore_device_counters(hits, misses);
-        Ok(())
+        self.reuse.get_meta(r)
     }
 
     fn get_sections(&mut self, ckpt: &Checkpoint) -> Result<(), CkptError> {
@@ -198,8 +136,7 @@ impl CkptExtra for PipadState {
         })?;
         self.frame_walls = get_list(&mut r, |r| Ok(SimNanos::from_nanos(r.get_u64()?)))?;
         r.finish()?;
-
-        get_cpu_store(ckpt, |snapshot, m| self.reuse.deposit(snapshot, || m))
+        self.reuse.get_sections(ckpt)
     }
 }
 
@@ -218,7 +155,7 @@ pub(crate) fn encode_checkpoint(
 ) -> CheckpointWriter {
     let mut w = CheckpointWriter::new();
 
-    let meta = w.section_sized("meta", 64 + fingerprint.encoded_len());
+    let meta = w.section_sized("meta", 96 + fingerprint.encoded_len());
     fingerprint.put(meta);
     put_u64(meta, next_epoch as u64);
     put_u64(meta, steady_t0.as_nanos());

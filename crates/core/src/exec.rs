@@ -667,7 +667,9 @@ mod tests {
         let first_vals: Vec<Matrix> = first.iter().map(|&v| tape.host(v)).collect();
         tape.finish(&mut gpu);
         exec.finish(&mut gpu);
-        assert_eq!(reuse.cpu_store().len(), 4);
+        // Every member missed and was deposited.
+        assert_eq!(reuse.stats().cpu_misses, 4);
+        assert!(reuse.lookup(0..4).is_some());
 
         // keep two results device-resident
         reuse.slide(&mut gpu, 0..2);

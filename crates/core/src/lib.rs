@@ -77,6 +77,6 @@ pub use multigpu::{
     train_data_parallel, train_data_parallel_devices, MultiGpuConfig, MultiTrainReport,
 };
 pub use prep::{PartitionCatalog, PartitionPlan};
-pub use reuse::{shard_key, CpuAggStore, InterFrameReuse};
+pub use reuse::InterFrameReuse;
 pub use trainer::{train_pipad, PipadConfig};
 pub use tuner::{DynamicTuner, FrameProfile, OfflineTable, SperDecision};

@@ -44,10 +44,12 @@
 //! gather, same aggregate byte volume.
 //!
 //! Inter-frame reuse composes: layer-1 aggregation blocks are cached
-//! per-(snapshot, shard) in a [`CpuAggStore`] keyed by [`shard_key`], so
-//! steady-state epochs upload cached blocks over PCIe instead of
-//! re-aggregating (and, for input-only-aggregation models, move no input
-//! halo at all).
+//! per-(snapshot, shard) in an [`InterFrameReuse`] without a device budget,
+//! keyed so that one snapshot's shards are contiguous, so steady-state
+//! epochs upload cached blocks over PCIe instead of re-aggregating (and,
+//! for input-only-aggregation models, move no input halo at all). Each
+//! frame looks every snapshot up once, over all its shards; the answer
+//! feeds the halo capture and every shard's staging.
 //!
 //! Preparing epochs launch eagerly, stage slot by slot and join every lane
 //! per frame. Steady epochs run on the single-device trainer's engine: a
@@ -76,11 +78,20 @@ use std::rc::Rc;
 
 use crate::driver::close_epoch;
 use crate::prep::S_PER_OPTIONS;
-use crate::reuse::{shard_key, CpuAggStore};
+use crate::reuse::{Cached, InterFrameReuse};
 use crate::tuner::DynamicTuner;
 
 /// Device↔device bandwidth, bytes/µs (NVLink-class: 40 GB/s).
 const P2P_BYTES_PER_US: u64 = 40_000;
+
+/// Reuse-store key of shard `shard` of snapshot `snapshot` under a fixed
+/// `shards`-way vertex split. Blocks are cached per *virtual* shard (never
+/// per device), so every hit and miss is independent of how many devices
+/// host the shards.
+fn shard_key(snapshot: usize, shard: usize, shards: usize) -> usize {
+    assert!(shard < shards, "shard index out of range");
+    snapshot * shards + shard
+}
 
 /// Multi-GPU setup parameters.
 #[derive(Clone, Debug)]
@@ -129,7 +140,7 @@ pub struct MultiTrainReport {
 
 /// Where one slot's normalized layer-1 aggregation block comes from.
 enum AggSource {
-    /// Cached block from the [`CpuAggStore`] (PCIe upload, no recompute;
+    /// Cached block from the reuse store (PCIe upload, no recompute;
     /// consumed exactly once by `aggregate_inputs`).
     Cached(Option<Matrix>),
     /// Fresh aggregation: the rectangular local adjacency slice × the full
@@ -429,7 +440,11 @@ pub fn train_data_parallel_devices(
     }
     drop(norms);
 
-    let mut store = CpuAggStore::new();
+    let mut store = InterFrameReuse::default();
+    // Per slot of the current frame, the store's answer for all its shards;
+    // per shard while it stages, each slot's block.
+    let mut cached: Vec<Option<std::vec::IntoIter<Matrix>>> = Vec::new();
+    let mut blocks: Vec<Option<Matrix>> = Vec::new();
     // Per device, the compute events of the two frames before the one being
     // staged: a steady frame's staging starts no earlier than the older one
     // (two staging buffers, so one frame of prefetch, epoch to epoch too).
@@ -470,6 +485,17 @@ pub fn train_data_parallel_devices(
         for frame in FrameIter::new(graph, cfg.window) {
             let nslots = frame.len();
 
+            // --- reuse: one all-or-nothing lookup per snapshot ------------
+            // Every computed frame deposits all its snapshots' shards, so a
+            // snapshot is cached for every shard or for none.
+            cached.clear();
+            cached.extend((0..nslots).map(|i| {
+                let first = shard_key(frame.global_index(i), 0, shards);
+                let hits = store.lookup(first..first + shards)?;
+                let blocks: Vec<Matrix> = hits.into_iter().map(Cached::into_host).collect();
+                Some(blocks.into_iter())
+            }));
+
             // --- halo capture: every vertex's H1, device 0's weights ------
             // From the shards' cached blocks when all are cached (their
             // concatenation is the full aggregation bit for bit), else
@@ -479,13 +505,13 @@ pub fn train_data_parallel_devices(
             if let Some(sg) = scratch.as_mut() {
                 let stream = sg.default_stream();
                 let mut slots = Vec::with_capacity(nslots);
-                for i in 0..nslots {
+                for (i, found) in cached.iter().enumerate() {
                     let g_idx = frame.global_index(i);
-                    let blocks: Option<Vec<&Matrix>> = (0..shards)
-                        .map(|s| store.get(shard_key(g_idx, s, shards)))
-                        .collect();
-                    let source = match blocks {
-                        Some(blocks) => AggSource::Cached(Some(Matrix::concat_rows(&blocks))),
+                    let source = match found {
+                        Some(found) => {
+                            let parts: Vec<&Matrix> = found.as_slice().iter().collect();
+                            AggSource::Cached(Some(Matrix::concat_rows(&parts)))
+                        }
                         None => {
                             let x = graph.snapshots[g_idx].features.clone_in();
                             AggSource::Compute(Rc::new(RefCell::new(DeviceMatrix::alloc(sg, x)?)))
@@ -533,30 +559,36 @@ pub fn train_data_parallel_devices(
                 // or the local adjacency slice and feature rows. Preparing
                 // epochs stage slot by slot.
                 let size = if steady { s_per[p] } else { 1 };
-                let slot_bytes = |i: usize| {
-                    let g_idx = frame.global_index(i);
-                    match store.get(shard_key(g_idx, s, shards)) {
-                        Some(block) => block.bytes(),
-                        None => {
-                            let local_feats = ((hi - lo) * feat_dim * 4) as u64;
-                            shard_norms[s][g_idx].sliced.bytes() + local_feats
-                        }
+                // Shards stage in ascending order, so each slot's next block
+                // is this shard's.
+                blocks.clear();
+                blocks.extend(cached.iter_mut().map(|found| {
+                    found
+                        .as_mut()
+                        .map(|it| it.next().expect("a block per shard"))
+                }));
+                let slot_bytes = |i: usize, block: Option<&Matrix>| match block {
+                    Some(block) => block.bytes(),
+                    None => {
+                        let local_feats = ((hi - lo) * feat_dim * 4) as u64;
+                        shard_norms[s][frame.global_index(i)].sliced.bytes() + local_feats
                     }
                 };
                 for i in 0..nslots {
                     let g_idx = frame.global_index(i);
                     let sn = &shard_norms[s][g_idx];
                     if i % size == 0 {
-                        let bytes = (i..nslots.min(i + size)).map(slot_bytes).sum();
+                        let bytes = (i..nslots.min(i + size))
+                            .map(|j| slot_bytes(j, blocks[j].as_ref()))
+                            .sum();
                         let he = gpu.host_stage("mgpu_prep", bytes);
                         gpu.stream_wait_host(copy, he);
                         let staging = gpu.alloc_labeled(bytes, "mgpu_staging")?;
                         gpu.h2d(copy, bytes, true);
                         gpu.free(staging);
                     }
-                    let key = shard_key(g_idx, s, shards);
-                    let agg = if let Some(block) = store.get(key) {
-                        AggSource::Cached(Some(block.clone_in()))
+                    let agg = if let Some(block) = blocks[i].take() {
+                        AggSource::Cached(Some(block))
                     } else {
                         // halo feature rows arrive over the P2P link
                         let bytes = sn.halo_cols * feat_dim as u64 * 4;
@@ -620,7 +652,7 @@ pub fn train_data_parallel_devices(
                 swept.push(gpu.record_event(compute).time());
                 t_local.recycle();
                 for (slot, m) in exec.computed_aggs.drain(..) {
-                    store.insert(shard_key(frame.global_index(slot), s, shards), m);
+                    store.deposit(shard_key(frame.global_index(slot), s, shards), || m);
                 }
                 tapes.push(tape);
                 binders.push(out.binder);

@@ -1,10 +1,9 @@
 //! Inter-frame reuse (§4.4): the one store of layer-1 aggregation results
 //! and the one home of its policy.
 //!
-//! [`InterFrameReuse`] holds two tiers behind a closed API:
+//! [`InterFrameReuse`] holds two private tiers behind a closed API:
 //!
-//! * the **CPU store** ([`CpuAggStore`], on its own also PyGT-R/G's and the
-//!   multi-GPU trainer's reuse) keeps every snapshot's normalized layer-1
+//! * the **CPU tier** keeps every snapshot's normalized layer-1
 //!   aggregation, write-once — a hit eliminates the aggregation kernel and
 //!   (for models without hidden-layer aggregation) the adjacency transfer,
 //!   but still pays the PCIe trip;
@@ -13,143 +12,49 @@
 //!   order: frames slide forward, so the *lowest* snapshot index is the
 //!   first to leave every window and goes first.
 //!
+//! Every trainer and the serving engine holds one. PiPAD and serving grow
+//! the device budget; PyGT-R/G (§5.1) and data-parallel training keep it at
+//! zero, so their store is the CPU tier alone and every hit is a
+//! [`Cached::Host`] copy. The data-parallel trainer keys its entries by
+//! (snapshot, shard) instead of by snapshot.
+//!
 //! A frame's life against the store, in the trainer and the serving engine
 //! alike: `lookup` per partition while staging → `deposit` what had to be
 //! computed → `slide` once the frame is done (or `purge`, if its output was
 //! not finite). `evict_device` empties the device tier — first rung of the
 //! OOM ladder, and the end of an epoch, where the window restarts —
-//! `grow_budget` sizes it.
+//! `grow_budget` sizes it. Its [`CkptExtra`] impl is the store's one
+//! checkpoint encoding.
 
+use crate::checkpoint::CkptExtra;
 use pipad_autograd::SharedParam;
+use pipad_ckpt::codec::{get_list, get_matrix, put_list, put_matrix, put_u64, Reader};
+use pipad_ckpt::{Checkpoint, CheckpointWriter, CkptError};
 use pipad_gpu_sim::{Gpu, OomError};
 use pipad_kernels::DeviceMatrix;
 use pipad_tensor::Matrix;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
 
-/// Composite [`CpuAggStore`] key for sharded aggregation entries: shard
-/// `shard` of snapshot `snapshot` under a fixed `shards`-way vertex split.
-/// The multi-GPU trainer caches per-*virtual-shard* row blocks (never
-/// per-device ones), so the key — and therefore every hit/miss — is
-/// independent of how many devices host the shards.
-pub fn shard_key(snapshot: usize, shard: usize, shards: usize) -> usize {
-    assert!(shard < shards, "shard index out of range");
-    snapshot * shards + shard
-}
-
-/// CPU-side aggregation store (always unbounded — host memory is large).
-#[derive(Debug, Default)]
-pub struct CpuAggStore {
-    store: HashMap<usize, Matrix>,
-    /// Incrementally maintained byte total; debug builds assert it equals
-    /// the recomputed sum after every mutation.
-    tracked_bytes: u64,
-    /// Lookup statistics ([`Cell`] because [`CpuAggStore::get`] takes
-    /// `&self`); a pure function of the deterministic lookup sequence, so
-    /// safe to surface in metrics and trace meta.
-    hits: Cell<u64>,
-    misses: Cell<u64>,
+/// The CPU tier: write-once and unbounded (host memory is large).
+#[derive(Default)]
+struct CpuAggStore {
+    entries: HashMap<usize, Matrix>,
+    hits: u64,
+    misses: u64,
 }
 
 impl CpuAggStore {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        CpuAggStore::default()
-    }
-
-    /// Look up an entry.
-    pub fn get(&self, snapshot: usize) -> Option<&Matrix> {
-        let found = self.store.get(&snapshot);
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.set(counter.get() + 1);
+    fn get(&mut self, snapshot: usize) -> Option<&Matrix> {
+        let found = self.entries.get(&snapshot);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
         found
-    }
-
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Insert an entry. A buffer displaced by the write-once rule goes
-    /// back to the buffer pool.
-    pub fn insert(&mut self, snapshot: usize, agg: Matrix) {
-        match self.store.entry(snapshot) {
-            std::collections::hash_map::Entry::Occupied(_) => agg.recycle(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.tracked_bytes += agg.bytes();
-                e.insert(agg);
-            }
-        }
-        self.debug_check_bytes();
-    }
-
-    /// Whether the entry is present.
-    pub fn contains(&self, snapshot: usize) -> bool {
-        self.store.contains_key(&snapshot)
-    }
-
-    /// Drop an entry. The store is normally write-once, but NaN-skip
-    /// recovery purges every deposit a poisoned frame made so the poison
-    /// cannot be re-served from cache on later frames.
-    fn remove(&mut self, snapshot: usize) -> Option<Matrix> {
-        let removed = self.store.remove(&snapshot);
-        if let Some(m) = &removed {
-            self.tracked_bytes -= m.bytes();
-        }
-        self.debug_check_bytes();
-        removed
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Size in bytes (O(1) — incrementally tracked).
-    pub fn bytes(&self) -> u64 {
-        self.tracked_bytes
-    }
-
-    /// Entries sorted by snapshot index — the deterministic iteration
-    /// order checkpoint encoding requires (the backing map is a
-    /// `HashMap`, whose raw order varies run to run).
-    pub fn entries_sorted(&self) -> Vec<(usize, &Matrix)> {
-        let mut v: Vec<(usize, &Matrix)> = self.store.iter().map(|(&k, m)| (k, m)).collect();
-        v.sort_by_key(|&(k, _)| k);
-        v
-    }
-
-    /// Overwrite the hit/miss counters (checkpoint restore: the resumed
-    /// run continues the original run's statistics).
-    pub fn restore_counters(&mut self, hits: u64, misses: u64) {
-        self.hits.set(hits);
-        self.misses.set(misses);
-    }
-
-    /// Debug-build invariant: the tracked byte total must equal the sum of
-    /// the stored entry sizes after every mutation.
-    fn debug_check_bytes(&self) {
-        debug_assert_eq!(
-            self.tracked_bytes,
-            self.store.values().map(Matrix::bytes).sum::<u64>(),
-            "CpuAggStore byte accounting drifted"
-        );
     }
 }
 
@@ -223,17 +128,30 @@ impl DeviceTier {
 pub enum Cached {
     /// Device-resident: nothing to ship either.
     Device(SharedParam),
-    /// A pooled copy of the CPU store's entry: one PCIe trip.
+    /// A pooled copy of the CPU tier's entry: one PCIe trip.
     Host(Matrix),
+}
+
+impl Cached {
+    /// The host copy of a hit from a store without a device budget, whose
+    /// device tier never holds an entry (see [`InterFrameReuse::slide`]).
+    pub fn into_host(self) -> Matrix {
+        match self {
+            Cached::Host(m) => m,
+            Cached::Device(_) => {
+                unreachable!("a store without a device budget served a device hit")
+            }
+        }
+    }
 }
 
 /// Counters and sizes of an [`InterFrameReuse`]. Hits and misses are pure
 /// functions of the deterministic lookup sequence, so safe to surface in
 /// metrics, trace meta and checkpoints; a lookup the device tier answers
-/// never reaches the CPU store.
+/// never reaches the CPU tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReuseStats {
-    /// Lookups the CPU store answered.
+    /// Lookups the CPU tier answered.
     pub cpu_hits: u64,
     /// Lookups neither tier answered.
     pub cpu_misses: u64,
@@ -262,7 +180,7 @@ impl InterFrameReuse {
         reuse
     }
 
-    /// Look one partition's `snapshots` up, device tier first, CPU store
+    /// Look one partition's `snapshots` up, device tier first, CPU tier
     /// for what it misses. A partition is served from cache only when
     /// EVERY member is cached: a partially purged store falls back to
     /// staging features for the whole partition so one aggregation launch
@@ -291,8 +209,8 @@ impl InterFrameReuse {
     /// Write-once: `host` (a device-to-host read) runs only for a snapshot
     /// the store does not hold yet.
     pub fn deposit(&mut self, snapshot: usize, host: impl FnOnce() -> Matrix) {
-        if !self.cpu.contains(snapshot) {
-            self.cpu.insert(snapshot, host());
+        if let Entry::Vacant(e) = self.cpu.entries.entry(snapshot) {
+            e.insert(host());
         }
     }
 
@@ -302,12 +220,12 @@ impl InterFrameReuse {
     /// shipped — stay there for the frames that share them, as far as the
     /// budget goes. Keeping what is already on the device ships nothing, so
     /// promotion is charged no copy; it is best effort, and a full device
-    /// just stops it. Values are the CPU store's (write-once), so whether a
+    /// just stops it. Values are the CPU tier's (write-once), so whether a
     /// snapshot was promoted can never change a result — only PCIe traffic.
     pub fn slide(&mut self, gpu: &mut Gpu, resident: Range<usize>) {
         self.device.evict_below(gpu, resident.start);
         for s in resident {
-            if let Some(host) = self.cpu.store.get(&s) {
+            if let Some(host) = self.cpu.entries.get(&s) {
                 if self.device.put(gpu, s, host).is_err() {
                     break;
                 }
@@ -319,7 +237,7 @@ impl InterFrameReuse {
     /// finite may have deposited poison, which must not be re-served.
     pub fn purge(&mut self, gpu: &mut Gpu, snapshots: Range<usize>) {
         for s in snapshots {
-            if let Some(m) = self.cpu.remove(s) {
+            if let Some(m) = self.cpu.entries.remove(&s) {
                 m.recycle();
             }
             self.device.evict(gpu, s);
@@ -340,23 +258,64 @@ impl InterFrameReuse {
     /// Counters and sizes.
     pub fn stats(&self) -> ReuseStats {
         ReuseStats {
-            cpu_hits: self.cpu.hits(),
-            cpu_misses: self.cpu.misses(),
+            cpu_hits: self.cpu.hits,
+            cpu_misses: self.cpu.misses,
             gpu_hits: self.device.hits,
             gpu_misses: self.device.misses,
             budget_bytes: self.device.budget_bytes,
             device_bytes: self.device.used_bytes,
         }
     }
+}
 
-    /// The CPU tier, for checkpoint encoding (`deposit` is the way back in).
-    pub(crate) fn cpu_store(&self) -> &CpuAggStore {
-        &self.cpu
+/// The store's one checkpoint encoding: the device tier's budget and both
+/// tiers' hit and miss counters in `meta`, the CPU tier's entries in
+/// `reuse_cpu`. The device tier's entries are not written: checkpoints are
+/// taken at epoch boundaries, where the window restarts and the trainer has
+/// evicted them.
+impl CkptExtra for InterFrameReuse {
+    fn put_meta(&self, meta: &mut Vec<u8>) {
+        put_u64(meta, self.device.budget_bytes);
+        put_u64(meta, self.cpu.hits);
+        put_u64(meta, self.cpu.misses);
+        put_u64(meta, self.device.hits);
+        put_u64(meta, self.device.misses);
     }
 
-    /// Continue a checkpointed run's device-tier statistics.
-    pub(crate) fn restore_device_counters(&mut self, hits: u64, misses: u64) {
-        (self.device.hits, self.device.misses) = (hits, misses);
+    fn put_sections(&self, w: &mut CheckpointWriter) {
+        debug_assert_eq!(
+            self.device.used_bytes, 0,
+            "checkpoint with a live device tier"
+        );
+        // Sorted by snapshot: the map's own order varies run to run.
+        let mut entries: Vec<(usize, &Matrix)> =
+            self.cpu.entries.iter().map(|(&k, m)| (k, m)).collect();
+        entries.sort_by_key(|&(k, _)| k);
+        let cap = 8 + entries
+            .iter()
+            .map(|(_, m)| 24 + m.bytes() as usize)
+            .sum::<usize>();
+        put_list(w.section_sized("reuse_cpu", cap), &entries, |s, &(k, m)| {
+            put_u64(s, k as u64);
+            put_matrix(s, m);
+        });
+    }
+
+    fn get_meta(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
+        self.grow_budget(r.get_u64()?);
+        self.cpu.hits = r.get_u64()?;
+        self.cpu.misses = r.get_u64()?;
+        self.device.hits = r.get_u64()?;
+        self.device.misses = r.get_u64()?;
+        Ok(())
+    }
+
+    fn get_sections(&mut self, ckpt: &Checkpoint) -> Result<(), CkptError> {
+        let mut r = Reader::new(ckpt.require("reuse_cpu")?);
+        for (snapshot, m) in get_list(&mut r, |r| Ok((r.get_usize()?, get_matrix(r)?)))? {
+            self.deposit(snapshot, || m);
+        }
+        r.finish()
     }
 }
 
@@ -364,27 +323,6 @@ impl InterFrameReuse {
 mod tests {
     use super::*;
     use pipad_gpu_sim::DeviceConfig;
-
-    #[test]
-    fn cpu_store_is_write_once() {
-        let mut s = CpuAggStore::new();
-        s.insert(1, Matrix::full(2, 2, 1.0));
-        s.insert(1, Matrix::full(2, 2, 9.0));
-        assert_eq!(s.get(1).unwrap()[(0, 0)], 1.0, "first write wins");
-        assert_eq!(s.bytes(), 16);
-    }
-
-    #[test]
-    fn cpu_store_counts_lookups() {
-        let mut s = CpuAggStore::new();
-        s.insert(1, Matrix::full(2, 2, 1.0));
-        assert!(s.get(1).is_some());
-        assert!(s.get(2).is_none());
-        assert!(s.get(1).is_some());
-        assert_eq!((s.hits(), s.misses()), (2, 1));
-        assert!(s.contains(1), "contains() must not touch the counters");
-        assert_eq!((s.hits(), s.misses()), (2, 1));
-    }
 
     /// A store whose CPU tier holds a `side × side` matrix of `s as f32`
     /// for every `s` in `snapshots`.
@@ -414,7 +352,7 @@ mod tests {
         // 13 has a host copy but is not named; 11 left the window
         r.slide(&mut gpu, 12..13);
         assert_eq!(device_keys(&r), [12]);
-        // Promotion reads the CPU store without counting a lookup.
+        // Promotion reads the CPU tier without counting a lookup.
         assert_eq!(r.stats().cpu_hits + r.stats().cpu_misses, 0);
         r.evict_device(&mut gpu);
         assert_eq!((gpu.mem().in_use(), r.stats().device_bytes), (0, 0));
@@ -458,6 +396,26 @@ mod tests {
     }
 
     #[test]
+    fn the_cpu_tier_is_write_once_and_counts_only_lookups() {
+        let mut r = store_with(0, 1..2, 2);
+        r.deposit(1, || Matrix::full(2, 2, 9.0));
+        let st = r.stats();
+        assert_eq!(
+            (st.cpu_hits, st.cpu_misses),
+            (0, 0),
+            "deposit's presence check counts nothing"
+        );
+        let hit = r.lookup(1..2).expect("snapshot 1 is cached").remove(0);
+        assert_eq!(hit.into_host()[(0, 0)], 1.0, "first write wins");
+        assert!(r.lookup(2..3).is_none());
+        assert!(r.lookup(1..2).is_some());
+        let st = r.stats();
+        assert_eq!((st.cpu_hits, st.cpu_misses), (2, 1));
+        // No device budget: the device tier missed every lookup.
+        assert_eq!((st.gpu_hits, st.gpu_misses), (0, 3));
+    }
+
+    #[test]
     fn lookup_prefers_the_device_and_is_all_or_nothing_per_partition() {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let mut r = store_with(1 << 20, 0..3, 2);
@@ -489,26 +447,6 @@ mod tests {
         assert_eq!(gpu.mem().in_use(), r.stats().device_bytes);
         r.evict_device(&mut gpu);
         assert_eq!(gpu.mem().in_use(), 0);
-    }
-
-    #[test]
-    fn byte_accounting_tracks_every_mutation() {
-        // CPU store: bytes() is incrementally tracked and must match the
-        // recomputed sum through insert (including write-once rejections)
-        // and remove.
-        let mut s = CpuAggStore::new();
-        assert_eq!(s.bytes(), 0);
-        s.insert(0, Matrix::full(2, 2, 1.0));
-        s.insert(1, Matrix::full(4, 4, 2.0));
-        s.insert(1, Matrix::full(4, 4, 9.0)); // rejected duplicate
-        assert_eq!(s.bytes(), 16 + 64);
-        assert_eq!(s.bytes(), s.store.values().map(Matrix::bytes).sum());
-        s.remove(0);
-        assert_eq!(s.bytes(), 64);
-        s.remove(42); // absent key is a no-op
-        assert_eq!(s.bytes(), 64);
-        s.remove(1);
-        assert_eq!(s.bytes(), 0);
     }
 
     #[test]

@@ -182,7 +182,7 @@ gate host_lane_has_one_owner
 gate extensions_name_a_result
 gate cargo build --release
 gate cargo fmt --check
-gate cargo clippy --workspace -- -D warnings
+gate cargo clippy --workspace --all-targets -- -D warnings
 gate benchmark_compiles
 # Tier-1 is `cargo test -q` (the facade package's integration tests); the
 # workspace run is a superset that also executes every crate's unit tests

@@ -12,11 +12,16 @@
 //!   never a silently-accepted file;
 //! * **garbage tolerance** — `Checkpoint::from_bytes` and the bounds-
 //!   checked [`Reader`] reject arbitrary byte soup with typed errors.
+//!
+//! The reuse store's one encoding (`CkptExtra for InterFrameReuse`) gets a
+//! round trip of its own: entries, both tiers' counters and the budget.
 
 use pipad_repro::ckpt::codec::{
     get_matrix, put_bool, put_f32, put_f64, put_matrix, put_str, put_u32, put_u64, Reader,
 };
 use pipad_repro::ckpt::{Checkpoint, CheckpointWriter, CkptError};
+use pipad_repro::gpu_sim::{DeviceConfig, Gpu};
+use pipad_repro::pipad::{CkptExtra, InterFrameReuse};
 use pipad_repro::tensor::Matrix;
 use proptest::prelude::*;
 
@@ -158,4 +163,43 @@ proptest! {
         back.recycle();
         m.recycle();
     }
+}
+
+#[test]
+fn the_reuse_store_round_trips_entries_counters_and_budget() {
+    let mut gpu = Gpu::new(DeviceConfig::v100());
+    let mut store = InterFrameReuse::new(1 << 20);
+    for s in [3, 1, 2] {
+        store.deposit(s, || {
+            Matrix::from_fn(2, 3, |r, c| (s * 10 + r * 3 + c) as f32)
+        });
+    }
+    assert!(store.lookup(1..4).is_some());
+    assert!(store.lookup(0..2).is_none());
+    store.slide(&mut gpu, 2..4);
+    assert!(store.lookup(2..4).is_some());
+    // Checkpoints are taken with the device tier empty.
+    store.evict_device(&mut gpu);
+    let encode = |store: &InterFrameReuse| {
+        let mut meta = Vec::new();
+        store.put_meta(&mut meta);
+        let mut w = CheckpointWriter::new();
+        store.put_sections(&mut w);
+        (meta, w.encode())
+    };
+    let (meta, file) = encode(&store);
+
+    let mut back = InterFrameReuse::default();
+    let mut r = Reader::new(&meta);
+    back.get_meta(&mut r).unwrap();
+    r.finish().unwrap();
+    back.get_sections(&Checkpoint::from_bytes(file.clone()).unwrap())
+        .unwrap();
+    let st = back.stats();
+    assert_eq!(st, store.stats());
+    assert_eq!((st.cpu_hits, st.cpu_misses), (4, 1));
+    assert_eq!((st.gpu_hits, st.gpu_misses), (2, 5));
+    assert_eq!(st.budget_bytes, 1 << 20);
+    // Re-encoding the restored store reproduces both halves byte for byte.
+    assert_eq!(encode(&back), (meta, file));
 }

@@ -133,7 +133,6 @@ fn one_shard_tracks_the_single_device_trainer() {
     let one_shard = MultiGpuConfig {
         n_gpus: 1,
         virtual_shards: 1,
-        ..Default::default()
     };
     for model in ModelKind::ALL {
         let mut gpu = Gpu::new(DeviceConfig::v100());

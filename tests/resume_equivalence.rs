@@ -5,8 +5,9 @@
 //! threads × buffer pool on/off), a PiPAD run killed mid-steady-epoch by
 //! an injected `crash` fault and resumed from its newest checkpoint must
 //! reproduce the uninterrupted run **bit for bit**: identical loss bits
-//! for every epoch and a byte-identical Chrome-trace export of the final
-//! steady epoch's window — and both must be the same in every cell.
+//! for every epoch, identical reuse-store counters in the trace meta, and a
+//! byte-identical Chrome-trace export of the final steady epoch's window —
+//! and all of them must be the same in every cell.
 
 use pipad::{train_pipad, PipadConfig};
 use pipad_bench::host_invariant;
@@ -101,6 +102,20 @@ fn assert_kill_and_resume_is_invisible(
     let a: Vec<u32> = reference.losses().iter().map(|l| l.to_bits()).collect();
     let b: Vec<u32> = resumed.losses().iter().map(|l| l.to_bits()).collect();
     assert_eq!(a, b, "{}: kill-and-resume changed the losses", model.name());
+
+    // The reuse counters continue the killed run's; the `pool_*` keys are
+    // host-side and differ by design.
+    let reuse_meta = |gpu: &Gpu| -> Vec<(&'static str, u64)> {
+        let meta = gpu.trace().meta();
+        meta.filter(|(k, _)| k.starts_with("reuse_")).collect()
+    };
+    assert_eq!(reuse_meta(&g1).len(), 4, "{}", model.name());
+    assert_eq!(
+        reuse_meta(&g1),
+        reuse_meta(&g3),
+        "{}: kill-and-resume lost reuse counters",
+        model.name()
+    );
 
     let wa = last_span_window(g1.trace(), "epoch").unwrap();
     let wb = last_span_window(g3.trace(), "epoch").unwrap();

@@ -1,7 +1,9 @@
 //! The inter-frame reuse store (§4.4) under the trainer's recovery ladder:
 //! its device tier and the tuner share one device without colliding, and a
-//! NaN-skipped frame leaves both tiers.
+//! NaN-skipped frame leaves both tiers — in PiPAD and in PyGT-R, whose store
+//! is the CPU tier alone.
 
+use pipad_repro::baselines::{train_baseline, BaselineKind};
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{ArgValue, DeviceConfig, FaultPlan, Gpu, TraceEvent};
 use pipad_repro::models::{ModelKind, TrainingConfig};
@@ -100,4 +102,29 @@ fn a_nan_skipped_frame_leaves_both_reuse_tiers_and_leaks_nothing() {
         }
     }
     assert_eq!(gpu.mem().in_use(), standing);
+}
+
+#[test]
+fn pygt_r_purges_a_poisoned_frame_as_pipad_does() {
+    // Launch 0 is the first frame's first aggregation. PyGT-A caches
+    // nothing, so its step is skipped once and it recovers; PyGT-R must
+    // purge what it deposited from that frame and recover the same way.
+    let g = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let cfg = TrainingConfig {
+        preparing_epochs: 1,
+        ..TINY
+    };
+    let losses = |kind: BaselineKind| {
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        gpu.install_faults(FaultPlan {
+            poison_launches: vec![0],
+            ..Default::default()
+        });
+        let r = train_baseline(&mut gpu, kind, ModelKind::TGcn, &g, 8, &cfg).unwrap();
+        r.losses().iter().map(|l| l.to_bits()).collect::<Vec<u32>>()
+    };
+    let async_only = losses(BaselineKind::PygtA);
+    assert!(f32::from_bits(async_only[0]).is_nan(), "{async_only:?}");
+    assert!(f32::from_bits(async_only[3]).is_finite(), "{async_only:?}");
+    assert_eq!(losses(BaselineKind::PygtR), async_only);
 }
