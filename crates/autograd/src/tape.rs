@@ -462,7 +462,7 @@ impl Tape {
             } else {
                 let rows = hosts[0].rows();
                 let cols: usize = hosts.iter().map(|h| h.cols()).sum();
-                d_co.free(gpu);
+                d_co.release(gpu);
                 DeviceMatrix::alloc(gpu, Matrix::zeros_in(rows, cols))?
             };
             // Exclusive passes: their output writes are the atomic adds into

@@ -30,7 +30,7 @@ fn a_training_frame_launches_no_add_in_backward() {
         let out = model.forward_frame(&mut gpu, &mut tape, &mut exec).unwrap();
         let forward = gpu.profiler().snapshot();
         tape.backward_mse(&mut gpu, out.pred, &target).unwrap();
-        let backward = &gpu.profiler().samples()[forward.from..];
+        let backward = gpu.profiler().samples().since(forward);
         let launched = |name: &str| backward.iter().filter(|s| s.name == name).count();
         assert_eq!(launched("add"), 0, "{kind:?}");
         // The sweep did run, and did accumulate: a weight used at every

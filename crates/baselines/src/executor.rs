@@ -289,7 +289,10 @@ mod tests {
         let mut tape = Tape::new(compute);
         let second = exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
         assert!(tape.host(second[1]).approx_eq(&first_val, 1e-6));
-        let launches = gpu.profiler().samples()[snap.from..]
+        let launches = gpu
+            .profiler()
+            .samples()
+            .since(snap)
             .iter()
             .filter(|s| s.name.starts_with("spmm"))
             .count();

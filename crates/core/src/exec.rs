@@ -470,7 +470,7 @@ mod tests {
 
     /// `memcpy_h2d` spans recorded since `snap`.
     fn h2d_copies(gpu: &Gpu, snap: pipad_gpu_sim::ProfSnapshot) -> usize {
-        let since = &gpu.profiler().samples()[snap.from..];
+        let since = gpu.profiler().samples().since(snap);
         since.iter().filter(|s| s.name == "memcpy_h2d").count()
     }
 
@@ -694,7 +694,10 @@ mod tests {
             assert!(tape.host(*a).approx_eq(b, 1e-6));
         }
         let w = gpu.profiler().window(snap);
-        let spmm_launches = gpu.profiler().samples()[snap.from..]
+        let spmm_launches = gpu
+            .profiler()
+            .samples()
+            .since(snap)
             .iter()
             .filter(|s| s.name.starts_with("spmm"))
             .count();

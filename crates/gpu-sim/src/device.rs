@@ -28,7 +28,7 @@ use crate::time::SimNanos;
 use crate::trace::{ArgValue, KernelArgs, Lane, TraceKind, Tracer};
 
 /// Direction of a PCIe transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TransferDir {
     /// H2 D.
     H2D,
@@ -799,7 +799,7 @@ mod tests {
                                                      // The copy started at 0, concurrent with the kernel.
         let b = g.profiler().full();
         assert!(b.h2d_time > SimNanos::ZERO);
-        let copy_sample = &g.profiler().samples()[1];
+        let copy_sample = g.profiler().samples().get(1).unwrap();
         assert_eq!(copy_sample.start, SimNanos::ZERO);
         assert!(t.time() > k.time()); // the copy is longer here
     }
@@ -812,7 +812,7 @@ mod tests {
         let t = g.h2d(copy, 1_200_000, false);
         let k = g.launch(s, small_kernel());
         // The kernel could not start before the pageable copy finished.
-        let kernel_sample = g.profiler().samples().last().unwrap().clone();
+        let kernel_sample = g.profiler().samples().last().unwrap();
         assert!(kernel_sample.start >= t.time());
         assert!(k.time() > t.time());
     }

@@ -52,6 +52,7 @@ mod config;
 mod cost;
 mod device;
 mod faults;
+mod intern;
 mod json;
 mod memory;
 mod profiler;
@@ -69,11 +70,13 @@ pub use faults::{
 pub use json::{validate_json, Json};
 pub use memory::{BufferId, DeviceMemory, OomError};
 pub use profiler::{
-    total_ns, union_intervals, Breakdown, ProfSnapshot, Profiler, Sample, SampleKind,
+    total_ns, union_intervals, Breakdown, ProfSnapshot, Profiler, Sample, SampleKind, Samples,
+    SamplesIter,
 };
 pub use schedule::{ratio_milli, schedule_blocks, BalanceReport};
 pub use time::SimNanos;
 pub use trace::{
     export_chrome_trace, export_chrome_trace_window, json_escape, last_span_window,
-    trace_text_summary, ArgValue, Args, KernelArgs, Lane, TraceEvent, TraceKind, Tracer,
+    trace_text_summary, ArgValue, Events, EventsIter, KernelArgs, Lane, TraceEvent, TraceKind,
+    Tracer,
 };

@@ -5,14 +5,19 @@
 //! [`Sample`]; analyses are computed over index windows so callers can
 //! measure e.g. only the steady-state epochs (the paper excludes its two
 //! "preparing" epochs the same way).
+//!
+//! The log stores a 24-byte entry per sample: its interval plus ids into
+//! two intern tables, one of names and one of distinct [`SampleKind`]s.
+//! Readers get [`Sample`] views through [`Samples`].
 
 use crate::cost::KernelCategory;
 use crate::device::TransferDir;
+use crate::intern::Interner;
 use crate::time::SimNanos;
 use std::collections::BTreeMap;
 
 /// What kind of activity a sample records.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SampleKind {
     /// Kernel.
     Kernel {
@@ -44,8 +49,8 @@ pub enum SampleKind {
     Host,
 }
 
-/// One timeline entry.
-#[derive(Clone, Debug)]
+/// One timeline entry, as [`Profiler::samples`] renders it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Sample {
     /// Human-readable name.
     pub name: &'static str,
@@ -147,10 +152,95 @@ impl Breakdown {
     }
 }
 
+/// What the log stores per sample: 24 bytes, the name and the kind as ids
+/// into the profiler's tables.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    start: SimNanos,
+    end: SimNanos,
+    kind: u32,
+    name: u16,
+}
+
 /// Append-only sample log with window analyses.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    samples: Vec<Sample>,
+    entries: Vec<Entry>,
+    names: Interner<&'static str, u16>,
+    kinds: Interner<SampleKind, u32>,
+}
+
+/// A run of recorded samples in issue order, as [`Sample`] views.
+#[derive(Clone, Copy, Debug)]
+pub struct Samples<'a> {
+    profiler: &'a Profiler,
+    entries: &'a [Entry],
+}
+
+impl<'a> Samples<'a> {
+    /// Views of every sample, in issue order.
+    pub fn iter(&self) -> SamplesIter<'a> {
+        SamplesIter {
+            profiler: self.profiler,
+            entries: self.entries.iter(),
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether there are no samples.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The `i`-th sample.
+    pub fn get(&self, i: usize) -> Option<Sample> {
+        self.entries.get(i).map(|e| self.profiler.view(e))
+    }
+
+    /// The most recent sample.
+    pub fn last(&self) -> Option<Sample> {
+        self.entries.last().map(|e| self.profiler.view(e))
+    }
+
+    /// The samples recorded since `snap` was taken.
+    pub fn since(&self, snap: ProfSnapshot) -> Samples<'a> {
+        Samples {
+            profiler: self.profiler,
+            entries: &self.entries[snap.from..],
+        }
+    }
+}
+
+impl<'a> IntoIterator for Samples<'a> {
+    type Item = Sample;
+    type IntoIter = SamplesIter<'a>;
+
+    fn into_iter(self) -> SamplesIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`Samples`].
+#[derive(Clone, Debug)]
+pub struct SamplesIter<'a> {
+    profiler: &'a Profiler,
+    entries: std::slice::Iter<'a, Entry>,
+}
+
+impl Iterator for SamplesIter<'_> {
+    type Item = Sample;
+
+    fn next(&mut self) -> Option<Sample> {
+        self.entries.next().map(|e| self.profiler.view(e))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
 }
 
 impl Profiler {
@@ -161,39 +251,58 @@ impl Profiler {
 
     pub(crate) fn record(&mut self, sample: Sample) {
         debug_assert!(sample.end >= sample.start);
-        self.samples.push(sample);
+        let entry = Entry {
+            start: sample.start,
+            end: sample.end,
+            kind: self.kinds.id(sample.kind),
+            name: self.names.id(sample.name),
+        };
+        self.entries.push(entry);
+    }
+
+    /// The sample `e` stores.
+    fn view(&self, e: &Entry) -> Sample {
+        Sample {
+            name: self.names.items()[usize::from(e.name)],
+            kind: self.kinds.items()[e.kind as usize],
+            start: e.start,
+            end: e.end,
+        }
     }
 
     /// All recorded samples.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    pub fn samples(&self) -> Samples<'_> {
+        Samples {
+            profiler: self,
+            entries: &self.entries,
+        }
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.entries.len()
     }
 
     /// Whether there are no elements.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.entries.is_empty()
     }
 
     /// Mark the current position; analyze later with [`Profiler::window`].
     pub fn snapshot(&self) -> ProfSnapshot {
         ProfSnapshot {
-            from: self.samples.len(),
+            from: self.entries.len(),
         }
     }
 
     /// Analyze everything recorded so far.
     pub fn full(&self) -> Breakdown {
-        self.analyze(0, self.samples.len())
+        self.analyze(0, self.entries.len())
     }
 
     /// Analyze samples recorded since `snap`.
     pub fn window(&self, snap: ProfSnapshot) -> Breakdown {
-        self.analyze(snap.from, self.samples.len())
+        self.analyze(snap.from, self.entries.len())
     }
 
     /// Analyze samples in `[a, b)` sample-index space.
@@ -202,7 +311,7 @@ impl Profiler {
     }
 
     fn analyze(&self, from: usize, to: usize) -> Breakdown {
-        let window = &self.samples[from..to];
+        let window = &self.entries[from..to];
         let mut out = Breakdown::default();
         if window.is_empty() {
             return out;
@@ -215,9 +324,9 @@ impl Profiler {
         let mut busy_intervals = Vec::new();
         let mut eff_weight: u128 = 0;
         let mut eff_time: u128 = 0;
-        for s in window {
+        for s in window.iter().map(|e| self.view(e)) {
             let dur = s.duration();
-            match &s.kind {
+            match s.kind {
                 SampleKind::Kernel {
                     category,
                     gmem_requests,
@@ -231,12 +340,12 @@ impl Profiler {
                         .entry(category.label())
                         .or_insert(SimNanos::ZERO) += dur;
                     out.compute_total += dur;
-                    out.compute_balanced += *balanced;
+                    out.compute_balanced += balanced;
                     out.gmem_requests += gmem_requests;
                     out.gmem_transactions += gmem_transactions;
                     out.flops += flops;
                     out.kernel_launches += 1;
-                    eff_weight += *warp_efficiency_milli as u128 * dur.as_nanos() as u128;
+                    eff_weight += warp_efficiency_milli as u128 * dur.as_nanos() as u128;
                     eff_time += dur.as_nanos() as u128;
                     kernel_intervals.push((s.start.as_nanos(), s.end.as_nanos()));
                     busy_intervals.push((s.start.as_nanos(), s.end.as_nanos()));
@@ -267,43 +376,67 @@ impl Profiler {
         out
     }
 
-    /// Cross-check the aggregate counters against the structured trace: the
-    /// trace's kernel spans must reproduce this profiler's kernel count and
-    /// serialized compute time exactly, and its memcpy spans the transfer
-    /// busy time. Used as the determinism/consistency oracle by the trace
-    /// test suite and the `repro trace` harness.
+    /// Cross-check this log against the structured trace, launch by launch:
+    /// walking both in issue order, the n-th kernel span and the n-th
+    /// kernel sample must agree on name, start and end, and the n-th memcpy
+    /// span and the n-th transfer sample on name, interval and `bytes`. One
+    /// pass over each log. Used as the determinism/consistency oracle by the
+    /// trace test suite, the `repro trace` harness and every training run.
     pub fn consistency_check(&self, tracer: &crate::trace::Tracer) -> Result<(), String> {
-        use crate::trace::TraceKind;
-        let b = self.full();
-        let mut kernels = 0u64;
-        let mut kernel_time = SimNanos::ZERO;
-        let mut copy_time = SimNanos::ZERO;
+        use crate::trace::{ArgValue, TraceKind};
+        let mut kernels = self.samples().into_iter().filter(|s| s.is_kernel());
+        let mut transfers = self
+            .samples()
+            .into_iter()
+            .filter(|s| matches!(s.kind, SampleKind::Transfer { .. }));
+        let (mut n_kernels, mut n_copies) = (0usize, 0usize);
         for e in tracer.events() {
-            match e.kind {
+            let (what, n, sample) = match e.kind {
                 TraceKind::Kernel => {
-                    kernels += 1;
-                    kernel_time += e.dur;
+                    n_kernels += 1;
+                    ("kernel", n_kernels - 1, kernels.next())
                 }
-                TraceKind::Memcpy => copy_time += e.dur,
-                _ => {}
+                TraceKind::Memcpy => {
+                    n_copies += 1;
+                    ("memcpy", n_copies - 1, transfers.next())
+                }
+                _ => continue,
+            };
+            let Some(s) = sample else {
+                return Err(format!(
+                    "trace {what} span {n} ({}) has no profiler sample",
+                    e.name
+                ));
+            };
+            let bytes_agree = match s.kind {
+                SampleKind::Transfer { bytes, .. } => e
+                    .args
+                    .iter()
+                    .any(|(k, v)| *k == "bytes" && *v == ArgValue::U64(bytes)),
+                _ => true,
+            };
+            if e.name != s.name || e.ts != s.start || e.end() != s.end || !bytes_agree {
+                return Err(format!(
+                    "trace {what} span {n} {} [{}, {}) args {:?} != profiler sample {} [{}, {}) {:?}",
+                    e.name,
+                    e.ts,
+                    e.end(),
+                    e.args,
+                    s.name,
+                    s.start,
+                    s.end,
+                    s.kind
+                ));
             }
         }
-        if kernels != b.kernel_launches {
+        if kernels.next().is_some() {
             return Err(format!(
-                "trace kernel spans {kernels} != profiler launches {}",
-                b.kernel_launches
+                "profiler has more kernel samples than the trace's {n_kernels} kernel spans"
             ));
         }
-        if kernel_time != b.compute_total {
+        if transfers.next().is_some() {
             return Err(format!(
-                "trace kernel time {kernel_time} != profiler compute_total {}",
-                b.compute_total
-            ));
-        }
-        if copy_time != b.transfer_time() {
-            return Err(format!(
-                "trace memcpy time {copy_time} != profiler transfer time {}",
-                b.transfer_time()
+                "profiler has more transfer samples than the trace's {n_copies} memcpy spans"
             ));
         }
         Ok(())
@@ -438,6 +571,54 @@ mod tests {
         let b = p.full();
         assert_eq!(b.span, SimNanos::ZERO);
         assert_eq!(b.compute_total, SimNanos::ZERO);
+    }
+
+    #[test]
+    fn consistency_is_checked_launch_by_launch() {
+        use crate::trace::{ArgValue, KernelArgs, Lane, TraceKind, Tracer};
+        let mut p = Profiler::new();
+        p.record(kernel("a", KernelCategory::Other, 0, 10));
+        p.record(kernel("b", KernelCategory::Other, 10, 30));
+        p.record(transfer(0, 50, TransferDir::H2D, 64));
+        let key = KernelArgs {
+            category: "other",
+            flops: 100,
+            gmem_transactions: 20,
+            warp_efficiency_milli: 500,
+            imbalance_milli: 1_000,
+        };
+        let trace = |launches: &[(&'static str, u64, u64)], bytes: u64| {
+            let mut t = Tracer::new();
+            for &(name, start, end) in launches {
+                t.kernel(name, Lane::Stream(0), SimNanos(start), SimNanos(end), key);
+            }
+            let args = vec![("bytes", ArgValue::U64(bytes))];
+            t.span(
+                "memcpy",
+                TraceKind::Memcpy,
+                Lane::H2D,
+                SimNanos(0),
+                SimNanos(50),
+                args,
+            );
+            t
+        };
+        let same = [("a", 0, 10), ("b", 10, 30)];
+        assert_eq!(p.consistency_check(&trace(&same, 64)), Ok(()));
+        // Same count and total kernel time, launched the other way round.
+        let swapped = [("b", 0, 20), ("a", 20, 30)];
+        assert!(p.consistency_check(&trace(&swapped, 64)).is_err());
+        // Same copy interval, other byte count.
+        assert!(p.consistency_check(&trace(&same, 65)).is_err());
+        // A kernel span short, and one too many.
+        assert!(p.consistency_check(&trace(&same[..1], 64)).is_err());
+        let extra = [("a", 0, 10), ("b", 10, 30), ("c", 30, 31)];
+        assert!(p.consistency_check(&trace(&extra, 64)).is_err());
+    }
+
+    #[test]
+    fn profiler_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
     }
 
     #[test]

@@ -30,12 +30,13 @@
 //! The serializer is hand-rolled (no external deps) with fixed, locale-free
 //! formatting; [`crate::validate_json`] keeps the exporter honest.
 
+use crate::intern::{FastHash, Interner};
 use crate::time::SimNanos;
 use std::borrow::Borrow;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Which simulated execution lane (a Chrome-trace "thread") an event lives
@@ -66,6 +67,18 @@ impl Lane {
             Lane::H2D => 3,
             Lane::D2H => 4,
             Lane::Stream(i) => 5 + i as u64,
+        }
+    }
+
+    /// The lane whose [`Lane::tid`] is `tid`.
+    fn from_tid(tid: u32) -> Lane {
+        match tid {
+            0 => Lane::Host,
+            1 => Lane::Control,
+            2 => Lane::Memory,
+            3 => Lane::H2D,
+            4 => Lane::D2H,
+            i => Lane::Stream(i as usize - 5),
         }
     }
 
@@ -140,9 +153,8 @@ pub enum ArgValue {
     Str(String),
 }
 
-/// An event's ordered key→value details. A [`Tracer`] stores each distinct
-/// list once and every event carrying it shares that one allocation.
-pub type Args = Arc<[(&'static str, ArgValue)]>;
+/// An event's ordered key→value details.
+type Args = Arc<[(&'static str, ArgValue)]>;
 
 /// The five arguments of every kernel span, as [`Tracer::kernel`]'s lookup
 /// key: a launch whose key the tracer has seen builds nothing.
@@ -160,9 +172,10 @@ pub struct KernelArgs {
     pub imbalance_milli: u64,
 }
 
-/// One recorded timeline entry.
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
+/// One recorded timeline entry, as [`Tracer::events`] renders it from the
+/// stored record and the tracer's intern tables.
+#[derive(Clone, Copy, Debug)]
+pub struct TraceEvent<'a> {
     /// Event name (kernel name, `memcpy_h2d`, `epoch`, …).
     pub name: &'static str,
     /// See [`TraceKind`].
@@ -173,15 +186,28 @@ pub struct TraceEvent {
     pub ts: SimNanos,
     /// Span duration; [`SimNanos::ZERO`] for instants and counters.
     pub dur: SimNanos,
-    /// Ordered key→value details, shared with every equal list (see [`Args`]).
-    pub args: Args,
+    /// Ordered key→value details, shared with every event recording an
+    /// equal list.
+    pub args: &'a [(&'static str, ArgValue)],
 }
 
-impl TraceEvent {
+impl TraceEvent<'_> {
     /// Span end (`ts` for zero-duration events).
     pub fn end(&self) -> SimNanos {
         self.ts + self.dur
     }
+}
+
+/// What the log stores per event: 32 bytes, the name and the argument
+/// list as ids into the tracer's tables.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    ts: SimNanos,
+    dur: SimNanos,
+    args: u32,
+    tid: u32,
+    name: u16,
+    kind: TraceKind,
 }
 
 /// An argument list as the intern table sees it: hashed and compared by
@@ -260,25 +286,84 @@ impl PartialEq for Interned {
 
 impl Eq for Interned {}
 
-/// SipHash with its fixed zero key: the intern tables are lookup-only and
-/// never iterated, so nothing exported depends on their layout either way.
-type Fixed = BuildHasherDefault<DefaultHasher>;
-
 /// Append-only deterministic event recorder.
 #[derive(Debug, Default)]
 pub struct Tracer {
-    events: Vec<TraceEvent>,
-    /// Every distinct argument list recorded, stored once.
-    args: HashSet<Interned, Fixed>,
-    /// [`Tracer::kernel`]'s lists by key, so a launch seen before builds
+    records: Vec<Record>,
+    /// Every distinct event name, by id.
+    names: Interner<&'static str, u16>,
+    /// Every distinct argument list recorded, stored once, by id.
+    args: Vec<Args>,
+    /// The id of each list in `args`.
+    arg_ids: HashMap<Interned, u32, FastHash>,
+    /// [`Tracer::kernel`]'s list ids by key, so a launch seen before builds
     /// no `category` string.
-    kernel_args: HashMap<KernelArgs, Args, Fixed>,
+    kernel_args: HashMap<KernelArgs, u32, FastHash>,
     counter_peaks: BTreeMap<&'static str, u64>,
     /// Deterministic run-level metadata (e.g. buffer-pool hit counters).
     /// Rendered only by [`trace_text_summary`] — never by
     /// [`export_chrome_trace`], whose JSON is pinned byte-for-byte by
     /// golden tests and must not vary with host-side cache warmth.
     meta: BTreeMap<&'static str, u64>,
+}
+
+/// The recorded events in program (issue) order, as [`TraceEvent`] views.
+#[derive(Clone, Copy, Debug)]
+pub struct Events<'a> {
+    tracer: &'a Tracer,
+}
+
+impl<'a> Events<'a> {
+    /// Views of every event, in issue order.
+    pub fn iter(&self) -> EventsIter<'a> {
+        EventsIter {
+            tracer: self.tracer,
+            records: self.tracer.records.iter(),
+        }
+    }
+
+    /// Number of recorded events.
+    pub fn len(&self) -> usize {
+        self.tracer.records.len()
+    }
+
+    /// Whether nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.tracer.records.is_empty()
+    }
+
+    /// The `i`-th event in issue order.
+    pub fn get(&self, i: usize) -> Option<TraceEvent<'a>> {
+        self.tracer.records.get(i).map(|r| self.tracer.view(r))
+    }
+}
+
+impl<'a> IntoIterator for Events<'a> {
+    type Item = TraceEvent<'a>;
+    type IntoIter = EventsIter<'a>;
+
+    fn into_iter(self) -> EventsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`Events`].
+#[derive(Clone, Debug)]
+pub struct EventsIter<'a> {
+    tracer: &'a Tracer,
+    records: std::slice::Iter<'a, Record>,
+}
+
+impl<'a> Iterator for EventsIter<'a> {
+    type Item = TraceEvent<'a>;
+
+    fn next(&mut self) -> Option<TraceEvent<'a>> {
+        self.records.next().map(|r| self.tracer.view(r))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.records.size_hint()
+    }
 }
 
 impl Tracer {
@@ -288,28 +373,64 @@ impl Tracer {
     }
 
     /// All events in program (issue) order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    pub fn events(&self) -> Events<'_> {
+        Events { tracer: self }
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.records.is_empty()
     }
 
-    /// The stored list equal to `args`, storing a copy on first sight.
-    fn intern(&mut self, args: &[(&'static str, ArgValue)]) -> Args {
-        if let Some(Interned(shared)) = self.args.get(&args as &dyn ArgList) {
-            return shared.clone();
+    /// The event `r` stores.
+    fn view(&self, r: &Record) -> TraceEvent<'_> {
+        TraceEvent {
+            name: self.names.items()[usize::from(r.name)],
+            kind: r.kind,
+            lane: Lane::from_tid(r.tid),
+            ts: r.ts,
+            dur: r.dur,
+            args: &self.args[r.args as usize],
         }
+    }
+
+    /// The id of the stored list equal to `args`, storing a copy on first
+    /// sight.
+    fn intern(&mut self, args: &[(&'static str, ArgValue)]) -> u32 {
+        if let Some(&id) = self.arg_ids.get(&args as &dyn ArgList) {
+            return id;
+        }
+        let id = u32::try_from(self.args.len()).expect("more than 2^32 distinct trace arg lists");
         let shared = Args::from(args);
-        self.args.insert(Interned(shared.clone()));
-        shared
+        self.args.push(shared.clone());
+        self.arg_ids.insert(Interned(shared), id);
+        id
+    }
+
+    fn push(
+        &mut self,
+        name: &'static str,
+        kind: TraceKind,
+        lane: Lane,
+        ts: SimNanos,
+        dur: SimNanos,
+        args: u32,
+    ) {
+        let tid = u32::try_from(lane.tid()).expect("lane tid beyond u32");
+        let name = self.names.id(name);
+        self.records.push(Record {
+            ts,
+            dur,
+            args,
+            tid,
+            name,
+            kind,
+        });
     }
 
     /// Record a span `[start, end)`.
@@ -325,14 +446,7 @@ impl Tracer {
         debug_assert!(end >= start, "span must not end before it starts");
         debug_assert!(kind.is_span());
         let args = self.intern(&args);
-        self.events.push(TraceEvent {
-            name,
-            kind,
-            lane,
-            ts: start,
-            dur: end - start,
-            args,
-        });
+        self.push(name, kind, lane, start, end - start, args);
     }
 
     /// Record a kernel span `[start, end)` whose args are `key`'s five
@@ -348,9 +462,9 @@ impl Tracer {
     ) {
         debug_assert!(end >= start, "span must not end before it starts");
         let args = match self.kernel_args.get(&key) {
-            Some(shared) => shared.clone(),
+            Some(&id) => id,
             None => {
-                let shared = self.intern(&[
+                let id = self.intern(&[
                     ("category", ArgValue::Str(key.category.to_string())),
                     ("flops", ArgValue::U64(key.flops)),
                     ("gmem_transactions", ArgValue::U64(key.gmem_transactions)),
@@ -360,18 +474,11 @@ impl Tracer {
                     ),
                     ("imbalance_milli", ArgValue::U64(key.imbalance_milli)),
                 ]);
-                self.kernel_args.insert(key, shared.clone());
-                shared
+                self.kernel_args.insert(key, id);
+                id
             }
         };
-        self.events.push(TraceEvent {
-            name,
-            kind: TraceKind::Kernel,
-            lane,
-            ts: start,
-            dur: end - start,
-            args,
-        });
+        self.push(name, TraceKind::Kernel, lane, start, end - start, args);
     }
 
     /// Record a point event.
@@ -383,14 +490,7 @@ impl Tracer {
         args: Vec<(&'static str, ArgValue)>,
     ) {
         let args = self.intern(&args);
-        self.events.push(TraceEvent {
-            name,
-            kind: TraceKind::Instant,
-            lane,
-            ts,
-            dur: SimNanos::ZERO,
-            args,
-        });
+        self.push(name, TraceKind::Instant, lane, ts, SimNanos::ZERO, args);
     }
 
     /// Record an injected-fault point event ([`TraceKind::Fault`]).
@@ -402,14 +502,7 @@ impl Tracer {
         args: Vec<(&'static str, ArgValue)>,
     ) {
         let args = self.intern(&args);
-        self.events.push(TraceEvent {
-            name,
-            kind: TraceKind::Fault,
-            lane,
-            ts,
-            dur: SimNanos::ZERO,
-            args,
-        });
+        self.push(name, TraceKind::Fault, lane, ts, SimNanos::ZERO, args);
     }
 
     /// Record a counter sample; the per-name running maximum is tracked as
@@ -418,14 +511,7 @@ impl Tracer {
         let peak = self.counter_peaks.entry(name).or_insert(0);
         *peak = (*peak).max(value);
         let args = self.intern(&[("value", ArgValue::U64(value))]);
-        self.events.push(TraceEvent {
-            name,
-            kind: TraceKind::Counter,
-            lane,
-            ts,
-            dur: SimNanos::ZERO,
-            args,
-        });
+        self.push(name, TraceKind::Counter, lane, ts, SimNanos::ZERO, args);
     }
 
     /// High-water mark of a counter track (0 if never sampled).
@@ -448,18 +534,27 @@ impl Tracer {
         self.meta.iter().map(|(&k, &v)| (k, v))
     }
 
+    /// Record indices in the canonical export order: nondecreasing
+    /// timestamp, then longer spans first (so enclosing spans precede their
+    /// children), then lane, then issue order. The index breaks every tie,
+    /// so the order is total and an unstable sort gives it.
+    fn sorted_ids(&self) -> Vec<u32> {
+        let n = u32::try_from(self.records.len()).expect("more than 2^32 trace events");
+        let mut ids: Vec<u32> = (0..n).collect();
+        ids.sort_unstable_by_key(|&i| {
+            let r = &self.records[i as usize];
+            (r.ts, Reverse(r.dur), r.tid, i)
+        });
+        ids
+    }
+
     /// Events in the canonical export order: nondecreasing timestamp, then
     /// longer spans first (so enclosing spans precede their children), then
     /// lane, then issue order. Stable and fully deterministic.
-    pub fn sorted(&self) -> Vec<&TraceEvent> {
-        let mut v: Vec<(usize, &TraceEvent)> = self.events.iter().enumerate().collect();
-        v.sort_by(|(ia, a), (ib, b)| {
-            a.ts.cmp(&b.ts)
-                .then(b.dur.cmp(&a.dur))
-                .then(a.lane.tid().cmp(&b.lane.tid()))
-                .then(ia.cmp(ib))
-        });
-        v.into_iter().map(|(_, e)| e).collect()
+    pub fn sorted(&self) -> impl Iterator<Item = TraceEvent<'_>> + '_ {
+        self.sorted_ids()
+            .into_iter()
+            .map(|i| self.view(&self.records[i as usize]))
     }
 }
 
@@ -548,7 +643,7 @@ fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
 /// flavor with a `traceEvents` array). `pid` distinguishes GPUs when traces
 /// from several devices are concatenated by the caller.
 pub fn export_chrome_trace(tracer: &Tracer, pid: u64) -> String {
-    export_sorted_events(&tracer.sorted(), pid)
+    export_sorted_events(tracer, &tracer.sorted_ids(), pid)
 }
 
 /// `[start, end]` of the last (highest-start, then longest) span named
@@ -570,21 +665,26 @@ pub fn last_span_window(tracer: &Tracer, name: &str) -> Option<(SimNanos, SimNan
 /// byte-identical to the same window of the uninterrupted run, even though
 /// the runs' *full* traces differ in their prologues.
 pub fn export_chrome_trace_window(tracer: &Tracer, pid: u64, t0: SimNanos, t1: SimNanos) -> String {
-    let sorted: Vec<&TraceEvent> = tracer
-        .sorted()
-        .into_iter()
-        .filter(|e| e.ts >= t0 && e.end() <= t1)
-        .collect();
-    export_sorted_events(&sorted, pid)
+    let mut ids = tracer.sorted_ids();
+    ids.retain(|&i| {
+        let r = &tracer.records[i as usize];
+        r.ts >= t0 && r.ts + r.dur <= t1
+    });
+    export_sorted_events(tracer, &ids, pid)
 }
 
-fn export_sorted_events(sorted: &[&TraceEvent], pid: u64) -> String {
+/// Render the records `ids` names, in that order; each view is built as it
+/// is written.
+fn export_sorted_events(tracer: &Tracer, ids: &[u32], pid: u64) -> String {
+    let sorted = || {
+        ids.iter()
+            .map(|&i| tracer.view(&tracer.records[i as usize]))
+    };
     // Sized from the events (fixed keys and numbers ≈ 96 B, ≈ 12 B per
     // argument beyond its key: about 1.15× what the benchmark's traces
     // need), so a multi-hundred-MB export is allocated once instead of
     // regrown by doubling.
-    let estimate: usize = sorted
-        .iter()
+    let estimate: usize = sorted()
         .map(|e| {
             let args: usize = e.args.iter().map(|(k, _)| k.len() + 12).sum();
             96 + e.name.len() + args
@@ -598,7 +698,7 @@ fn export_sorted_events(sorted: &[&TraceEvent], pid: u64) -> String {
     );
     // One thread-name metadata record per lane that actually appears.
     let mut lanes: BTreeMap<u64, Lane> = BTreeMap::new();
-    for e in sorted {
+    for e in sorted() {
         lanes.entry(e.lane.tid()).or_insert(e.lane);
     }
     for (tid, lane) in &lanes {
@@ -609,7 +709,7 @@ fn export_sorted_events(sorted: &[&TraceEvent], pid: u64) -> String {
         push_json_escaped(&mut out, &lane.label());
         out.push_str("\"}}");
     }
-    for e in sorted {
+    for e in sorted() {
         out.push_str(",\n{\"name\":\"");
         push_json_escaped(&mut out, e.name);
         let cat = e.kind.category();
@@ -631,7 +731,7 @@ fn export_sorted_events(sorted: &[&TraceEvent], pid: u64) -> String {
         }
         if !e.args.is_empty() {
             out.push_str(",\"args\":");
-            push_args(&mut out, &e.args);
+            push_args(&mut out, e.args);
         }
         out.push('}');
     }
@@ -757,7 +857,7 @@ mod tests {
             SimNanos(100),
             vec![],
         );
-        let names: Vec<&str> = t.sorted().iter().map(|e| e.name).collect();
+        let names: Vec<&str> = t.sorted().map(|e| e.name).collect();
         assert_eq!(names, ["outer", "inner", "late"]);
     }
 
@@ -901,6 +1001,11 @@ mod tests {
         assert!(s.contains(" 3 "), "{s}");
     }
 
+    /// Whether two events point at the one stored argument list.
+    fn shared(a: TraceEvent, b: TraceEvent) -> bool {
+        std::ptr::eq(a.args, b.args)
+    }
+
     #[test]
     fn equal_args_share_one_allocation() {
         let mut t = Tracer::new();
@@ -936,14 +1041,11 @@ mod tests {
         };
         t.kernel("k", Lane::Stream(0), SimNanos(0), SimNanos(4), key);
         t.kernel("k2", Lane::Stream(0), SimNanos(4), SimNanos(8), key);
-        let e = t.events();
-        assert!(Arc::ptr_eq(&e[0].args, &e[1].args));
-        assert!(Arc::ptr_eq(&e[2].args, &e[3].args));
-        assert!(
-            Arc::ptr_eq(&e[2].args, &e[4].args),
-            "counter lists are interned too"
-        );
-        assert!(Arc::ptr_eq(&e[5].args, &e[6].args));
+        let e: Vec<TraceEvent> = t.events().iter().collect();
+        assert!(shared(e[0], e[1]));
+        assert!(shared(e[2], e[3]));
+        assert!(shared(e[2], e[4]), "counter lists are interned too");
+        assert!(shared(e[5], e[6]));
         assert_eq!(e[5].args[0], ("category", ArgValue::Str("gemm".into())));
         assert_eq!(e[5].args.len(), 5);
     }
@@ -961,19 +1063,10 @@ mod tests {
                 vec![("x", ArgValue::F64(x))],
             );
         }
-        let e = t.events();
-        assert!(
-            !Arc::ptr_eq(&e[0].args, &e[1].args),
-            "0.0 and -0.0 stay apart"
-        );
-        assert!(
-            !Arc::ptr_eq(&e[2].args, &e[3].args),
-            "NaN payloads stay apart"
-        );
-        assert!(
-            Arc::ptr_eq(&e[2].args, &e[4].args),
-            "a NaN finds its own list"
-        );
+        let e: Vec<TraceEvent> = t.events().iter().collect();
+        assert!(!shared(e[0], e[1]), "0.0 and -0.0 stay apart");
+        assert!(!shared(e[2], e[3]), "NaN payloads stay apart");
+        assert!(shared(e[2], e[4]), "a NaN finds its own list");
         let bits: Vec<u64> = e
             .iter()
             .map(|e| match e.args[0].1 {
@@ -998,8 +1091,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_event_stays_small() {
-        assert!(std::mem::size_of::<TraceEvent>() <= 72);
+    fn trace_record_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 
     #[test]

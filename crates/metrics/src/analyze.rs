@@ -28,7 +28,8 @@
 use crate::hist::Log2Histogram;
 use crate::registry::MetricsRegistry;
 use pipad_gpu_sim::{
-    total_ns, union_intervals, ArgValue, Breakdown, Lane, Profiler, TraceEvent, TraceKind, Tracer,
+    total_ns, union_intervals, ArgValue, Breakdown, Events, Lane, Profiler, TraceEvent, TraceKind,
+    Tracer,
 };
 use std::collections::BTreeMap;
 
@@ -181,21 +182,21 @@ pub fn launch_family(kernel: &str) -> &'static str {
     }
 }
 
-fn arg_u64(e: &TraceEvent, key: &str) -> Option<u64> {
+fn arg_u64(e: TraceEvent, key: &str) -> Option<u64> {
     e.args.iter().find_map(|(k, v)| match v {
         ArgValue::U64(x) if *k == key => Some(*x),
         _ => None,
     })
 }
 
-fn arg_bool(e: &TraceEvent, key: &str) -> Option<bool> {
+fn arg_bool(e: TraceEvent, key: &str) -> Option<bool> {
     e.args.iter().find_map(|(k, v)| match v {
         ArgValue::Bool(b) if *k == key => Some(*b),
         _ => None,
     })
 }
 
-fn arg_str<'e>(e: &'e TraceEvent, key: &str) -> Option<&'e str> {
+fn arg_str<'e>(e: TraceEvent<'e>, key: &str) -> Option<&'e str> {
     e.args.iter().find_map(|(k, v)| match v {
         ArgValue::Str(s) if *k == key => Some(s.as_str()),
         _ => None,
@@ -223,7 +224,7 @@ fn intersect_ns(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
 /// Compute [`WindowHealth`] over events fully contained in `[t0, t1]`.
 /// `alloc_ts` is the precomputed ascending list of device-allocation
 /// timestamps for the whole trace.
-fn window_health(events: &[TraceEvent], t0: u64, t1: u64, alloc_ts: &[u64]) -> WindowHealth {
+fn window_health(events: Events, t0: u64, t1: u64, alloc_ts: &[u64]) -> WindowHealth {
     let mut kernels: Vec<(u64, u64)> = Vec::new();
     let mut transfers: Vec<(u64, u64)> = Vec::new();
     let mut per_stream: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();

@@ -228,7 +228,10 @@ mod tests {
         // A GRU step is its two gate GEMMs plus one fused pointwise launch;
         // an LSTM frame is one input projection for all its timesteps, then
         // the recurrent GEMM and the fused cell per timestep.
-        let launched: Vec<_> = gpu.profiler().samples()[snap.from..]
+        let launched: Vec<_> = gpu
+            .profiler()
+            .samples()
+            .since(snap)
             .iter()
             .map(|sm| sm.name)
             .collect();

@@ -194,7 +194,10 @@ mod tests {
         let snap = gpu.profiler().snapshot();
         let mut tape = Tape::new(s);
         model.forward_frame(&mut gpu, &mut tape, &mut exec).unwrap();
-        let agg_launches = gpu.profiler().samples()[snap.from..]
+        let agg_launches = gpu
+            .profiler()
+            .samples()
+            .since(snap)
             .iter()
             .filter(|sm| sm.name == "spmm_coo_scatter")
             .count();

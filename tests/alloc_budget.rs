@@ -45,7 +45,10 @@ const CKPT_STEADY_EPOCH_HEAP_ALLOC_BUDGET: u64 = 2_707;
 
 #[test]
 fn steady_state_epochs_are_allocation_free_on_the_hot_path() {
-    let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let tiny = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+    let laptop = DatasetId::Covid19England
+        .gen_config(Scale::Laptop)
+        .generate();
     let cfg = TrainingConfig {
         window: 16,
         epochs: 4,
@@ -54,12 +57,18 @@ fn steady_state_epochs_are_allocation_free_on_the_hot_path() {
         seed: 7,
     };
     // T-GCN first, its checkpointing run right after: the order its
-    // heap-call budgets were pinned in.
-    for model in [ModelKind::TGcn, ModelKind::EvolveGcn, ModelKind::MpnnLstm] {
+    // heap-call budgets were pinned in. EvolveGCN runs at laptop scale too,
+    // where its backward takes gradients that tiny graphs never do.
+    for (model, scale, graph) in [
+        (ModelKind::TGcn, Scale::Tiny, &tiny),
+        (ModelKind::EvolveGcn, Scale::Tiny, &tiny),
+        (ModelKind::MpnnLstm, Scale::Tiny, &tiny),
+        (ModelKind::EvolveGcn, Scale::Laptop, &laptop),
+    ] {
         reset_pool();
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let report =
-            train_pipad(&mut gpu, model, &graph, 16, &cfg, &PipadConfig::default()).expect("train");
+            train_pipad(&mut gpu, model, graph, 16, &cfg, &PipadConfig::default()).expect("train");
 
         let mean = |preparing: bool, f: &dyn Fn(&pipad_models::HostAllocStats) -> u64| -> f64 {
             let sel: Vec<u64> = report
@@ -76,18 +85,18 @@ fn steady_state_epochs_are_allocation_free_on_the_hot_path() {
         for e in &report.epochs {
             assert!(
                 e.alloc.heap_allocs > 0,
-                "{model:?} epoch {}: allocator not counting",
+                "{model:?} at {scale:?} epoch {}: allocator not counting",
                 e.epoch
             );
             assert!(
                 e.alloc.pool_hits > 0,
-                "{model:?} epoch {}: pool never hit",
+                "{model:?} at {scale:?} epoch {}: pool never hit",
                 e.epoch
             );
             if e.epoch >= cfg.preparing_epochs {
                 assert!(
                     e.alloc.pool_hits > e.alloc.pool_misses,
-                    "{model:?} steady epoch {}: {} pool hits vs {} misses",
+                    "{model:?} at {scale:?} steady epoch {}: {} pool hits vs {} misses",
                     e.epoch,
                     e.alloc.pool_hits,
                     e.alloc.pool_misses
@@ -100,7 +109,7 @@ fn steady_state_epochs_are_allocation_free_on_the_hot_path() {
         let steady_misses = mean(false, &|s| s.pool_misses);
         assert!(
             steady_misses <= 0.05 * prep_misses,
-            "{model:?}: steady epochs still hit the heap on the hot path: \
+            "{model:?} at {scale:?}: steady epochs still hit the heap on the hot path: \
              {steady_misses:.0} misses/epoch vs {prep_misses:.0} preparing \
              (need >=95% reduction)"
         );
@@ -113,7 +122,7 @@ fn steady_state_epochs_are_allocation_free_on_the_hot_path() {
                 "steady epoch exceeds the allocation budget: {steady_allocs:.0} > {}",
                 STEADY_EPOCH_HEAP_ALLOC_BUDGET
             );
-            assert_checkpointing_epochs_within_budget(&graph, &cfg);
+            assert_checkpointing_epochs_within_budget(graph, &cfg);
         }
     }
 }

@@ -42,11 +42,14 @@ fn a_frame_projects_each_lstm_once_and_steps_the_optimiser_once() {
         let mut exec = DirectExecutor::new(&slots);
         let mut tape = Tape::new(stream);
         let out = model.forward_frame(&mut gpu, &mut tape, &mut exec).unwrap();
-        let forward = gpu.profiler().samples().to_vec();
+        let forward: Vec<_> = gpu.profiler().samples().iter().collect();
         tape.backward_mse(&mut gpu, out.pred, &target).unwrap();
         let swept = gpu.profiler().snapshot();
         out.binder.apply_sgd(&mut gpu, stream, &tape, 0.01, true);
-        let step: Vec<&str> = gpu.profiler().samples()[swept.from..]
+        let step: Vec<&str> = gpu
+            .profiler()
+            .samples()
+            .since(swept)
             .iter()
             .map(|s| s.name)
             .collect();
@@ -115,7 +118,7 @@ fn recovery_policies(gpu: &Gpu) -> Vec<(ArgValue, ArgValue)> {
     let arg = |e: &TraceEvent, key: &str| e.args.iter().find(|(k, _)| *k == key).unwrap().1.clone();
     let events = gpu.trace().events().iter().filter(|e| e.name == "recovery");
     events
-        .map(|e| (arg(e, "policy"), arg(e, "epoch")))
+        .map(|e| (arg(&e, "policy"), arg(&e, "epoch")))
         .collect()
 }
 

@@ -193,7 +193,7 @@ fn steady_epochs_replay_and_pipeline() {
                 r.steady_epoch_time
             );
             for gpu in &gpus {
-                let events = gpu.trace().sorted();
+                let events: Vec<TraceEvent> = gpu.trace().sorted().collect();
                 let steady_t0 = events
                     .iter()
                     .find(|e| e.name == "steady_phase_begin")
@@ -226,7 +226,6 @@ fn steady_epochs_replay_and_pipeline() {
                 // and partition of `S_PER` slots once steady.
                 let kernels: Vec<&TraceEvent> = events
                     .iter()
-                    .copied()
                     .filter(|e| e.kind == TraceKind::Kernel)
                     .collect();
                 let sweeps_end: Vec<_> = kernels
@@ -236,11 +235,8 @@ fn steady_epochs_replay_and_pipeline() {
                     .collect();
                 // (Split by count, not by `steady_t0`: the loader lane runs
                 // free of the epoch boundary.)
-                let preps: Vec<&TraceEvent> = events
-                    .iter()
-                    .copied()
-                    .filter(|e| e.name == "mgpu_prep")
-                    .collect();
+                let preps: Vec<&TraceEvent> =
+                    events.iter().filter(|e| e.name == "mgpu_prep").collect();
                 let slot_preps = frames * cfg.preparing_epochs * shards as usize * cfg.window;
                 let (by_slot, by_partition) = preps.split_at(slot_preps);
                 let frame_starts = |preps: &[&TraceEvent], units: usize| {

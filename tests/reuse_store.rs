@@ -58,7 +58,7 @@ fn small_devices_get_small_partitions_and_a_small_reuse_tier_without_oom() {
         );
         assert!(r.is_ok(), "{id:?} at {mib} MiB: {:?}", r.err());
         let recovery = gpu.trace().events().iter().find(|e| e.name == "recovery");
-        let policy = recovery.map(|e| arg(e, "policy"));
+        let policy = recovery.map(|e| arg(&e, "policy"));
         assert_eq!(policy, None, "{id:?} at {mib} MiB");
     }
 }
@@ -80,7 +80,7 @@ fn a_nan_skipped_frame_leaves_both_reuse_tiers_and_leaks_nothing() {
         ..Default::default()
     });
     train_pipad(&mut gpu, ModelKind::TGcn, &g, 8, &TINY, &pcfg).unwrap();
-    let events = gpu.trace().events();
+    let events: Vec<TraceEvent> = gpu.trace().events().iter().collect();
     let skip = events.iter().position(|e| e.name == "recovery").unwrap();
     assert_eq!(
         arg(&events[skip], "policy"),

@@ -5,8 +5,9 @@
 
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
-    export_chrome_trace, feature_row_access, DeviceConfig, FaultPlan, Gpu, KernelCategory,
-    KernelCost, SimNanos, StreamId, TraceEvent, TraceKind, VectorWidth,
+    export_chrome_trace, export_chrome_trace_window, feature_row_access, ArgValue, DeviceConfig,
+    FaultPlan, Gpu, KernelArgs, KernelCategory, KernelCost, Lane, Sample, SampleKind, SimNanos,
+    StreamId, TraceEvent, TraceKind, Tracer, TransferDir, VectorWidth,
 };
 use pipad_repro::kernels::{self, DeviceMatrix};
 use pipad_repro::models::{ModelKind, TrainingConfig};
@@ -39,7 +40,7 @@ proptest! {
         }
         // the profiler's samples are ordered and non-overlapping on the
         // compute lane
-        let samples = gpu.profiler().samples();
+        let samples: Vec<_> = gpu.profiler().samples().iter().collect();
         for w in samples.windows(2) {
             prop_assert!(w[1].start >= w[0].end);
         }
@@ -159,7 +160,7 @@ proptest! {
             let product = produce(&mut gpu, None);
             produce(&mut gpu, Some(prev));
             kernels::add(&mut gpu, s, prev, &product, cat).unwrap();
-            let busy: Vec<u64> = gpu.profiler().samples()[snap.from..]
+            let busy: Vec<u64> = gpu.profiler().samples().since(snap)
                 .iter()
                 .map(|l| (l.end - l.start).as_nanos())
                 .collect();
@@ -348,7 +349,7 @@ proptest! {
             prop_assert!(e.end() >= e.ts);
         }
         // export order is nondecreasing in time
-        let sorted = gpu.trace().sorted();
+        let sorted: Vec<_> = gpu.trace().sorted().collect();
         for w in sorted.windows(2) {
             prop_assert!(w[1].ts >= w[0].ts, "export order regressed in time");
         }
@@ -388,6 +389,320 @@ proptest! {
         let a = run(&work);
         let b = run(&work);
         prop_assert_eq!(a, b);
+    }
+}
+
+// ---- the compact trace and profiler logs ---------------------------------
+//
+// `Tracer` and `Profiler` store fixed-size records holding ids into per-log
+// intern tables and render views on read. These properties replay random
+// call sequences and read every field back: in issue order, in export
+// order against a reference stable sort, and through the windowed export.
+
+/// Names the log round trips draw from; the last one needs JSON escaping.
+const NAMES: [&str; 6] = [
+    "epoch",
+    "frame",
+    "k",
+    "memcpy_h2d",
+    "tuner_decision",
+    "say \"hi\"",
+];
+
+/// `0..46` covers the five fixed lanes and `Stream(0..=40)`.
+fn lane_at(i: usize) -> Lane {
+    match i {
+        0 => Lane::Host,
+        1 => Lane::Control,
+        2 => Lane::Memory,
+        3 => Lane::H2D,
+        4 => Lane::D2H,
+        s => Lane::Stream(s - 5),
+    }
+}
+
+/// Argument pool: `0.0` / `-0.0` and two NaN payloads export differently
+/// or not at all, and must still come back bit for bit.
+fn arg_at(i: u64) -> (&'static str, ArgValue) {
+    let quiet = f64::NAN;
+    match i % 8 {
+        0 => ("bytes", ArgValue::U64(64)),
+        1 => ("x", ArgValue::F64(0.0)),
+        2 => ("x", ArgValue::F64(-0.0)),
+        3 => ("x", ArgValue::F64(quiet)),
+        4 => ("x", ArgValue::F64(f64::from_bits(quiet.to_bits() | 1))),
+        5 => ("delta", ArgValue::I64(-3)),
+        6 => ("pinned", ArgValue::Bool(true)),
+        _ => ("policy", ArgValue::Str("nan_skip".into())),
+    }
+}
+
+fn same_args(a: &[(&str, ArgValue)], b: &[(&str, ArgValue)]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|((ka, va), (kb, vb))| {
+            ka == kb
+                && match (va, vb) {
+                    (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
+                    _ => va == vb,
+                }
+        })
+}
+
+/// One tracer call of the round trip.
+#[derive(Clone, Debug)]
+enum TraceCall {
+    Span(
+        &'static str,
+        TraceKind,
+        Lane,
+        u64,
+        u64,
+        Vec<(&'static str, ArgValue)>,
+    ),
+    Kernel(&'static str, Lane, u64, u64, KernelArgs),
+    Instant(&'static str, Lane, u64, Vec<(&'static str, ArgValue)>),
+    Fault(&'static str, Lane, u64, Vec<(&'static str, ArgValue)>),
+    Counter(&'static str, Lane, u64, u64),
+}
+
+/// The event a [`TraceCall`] records.
+struct Recorded {
+    name: &'static str,
+    kind: TraceKind,
+    lane: Lane,
+    ts: u64,
+    dur: u64,
+    args: Vec<(&'static str, ArgValue)>,
+}
+
+impl Recorded {
+    fn matches(&self, e: &TraceEvent) -> bool {
+        e.name == self.name
+            && e.kind == self.kind
+            && e.lane == self.lane
+            && e.ts == SimNanos(self.ts)
+            && e.dur == SimNanos(self.dur)
+            && same_args(e.args, &self.args)
+    }
+}
+
+impl TraceCall {
+    fn decode((op, lane, ts, bits): (usize, usize, u64, u64)) -> Self {
+        let name = NAMES[(bits % 6) as usize];
+        let lane = lane_at(lane);
+        let dur = (bits >> 3) % 50;
+        let args = (0..(bits >> 9) % 4)
+            .map(|k| arg_at(bits >> (11 + 3 * k)))
+            .collect();
+        match op {
+            0 => {
+                let kinds = [
+                    TraceKind::Kernel,
+                    TraceKind::Memcpy,
+                    TraceKind::HostOp,
+                    TraceKind::Span,
+                ];
+                TraceCall::Span(
+                    name,
+                    kinds[((bits >> 20) % 4) as usize],
+                    lane,
+                    ts,
+                    dur,
+                    args,
+                )
+            }
+            1 => TraceCall::Kernel(
+                name,
+                lane,
+                ts,
+                dur,
+                KernelArgs {
+                    category: ["gemm", "spmm"][((bits >> 22) % 2) as usize],
+                    flops: (bits >> 23) % 3,
+                    gmem_transactions: (bits >> 25) % 2,
+                    warp_efficiency_milli: 1_000 - (bits >> 26) % 2,
+                    imbalance_milli: (bits >> 27) % 2,
+                },
+            ),
+            2 => TraceCall::Instant(name, lane, ts, args),
+            3 => TraceCall::Fault(name, lane, ts, args),
+            _ => TraceCall::Counter(name, lane, ts, (bits >> 30) % 5 * 256),
+        }
+    }
+
+    fn apply(&self, t: &mut Tracer) {
+        match self.clone() {
+            TraceCall::Span(name, kind, lane, ts, dur, args) => {
+                t.span(name, kind, lane, SimNanos(ts), SimNanos(ts + dur), args)
+            }
+            TraceCall::Kernel(name, lane, ts, dur, key) => {
+                t.kernel(name, lane, SimNanos(ts), SimNanos(ts + dur), key)
+            }
+            TraceCall::Instant(name, lane, ts, args) => t.instant(name, lane, SimNanos(ts), args),
+            TraceCall::Fault(name, lane, ts, args) => t.fault(name, lane, SimNanos(ts), args),
+            TraceCall::Counter(name, lane, ts, v) => t.counter(name, lane, SimNanos(ts), v),
+        }
+    }
+
+    fn recorded(&self) -> Recorded {
+        let (name, kind, lane, ts, dur, args) = match self.clone() {
+            TraceCall::Span(name, kind, lane, ts, dur, args) => (name, kind, lane, ts, dur, args),
+            TraceCall::Kernel(name, lane, ts, dur, key) => {
+                let args = vec![
+                    ("category", ArgValue::Str(key.category.into())),
+                    ("flops", ArgValue::U64(key.flops)),
+                    ("gmem_transactions", ArgValue::U64(key.gmem_transactions)),
+                    (
+                        "warp_efficiency_milli",
+                        ArgValue::U64(key.warp_efficiency_milli),
+                    ),
+                    ("imbalance_milli", ArgValue::U64(key.imbalance_milli)),
+                ];
+                (name, TraceKind::Kernel, lane, ts, dur, args)
+            }
+            TraceCall::Instant(name, lane, ts, args) => {
+                (name, TraceKind::Instant, lane, ts, 0, args)
+            }
+            TraceCall::Fault(name, lane, ts, args) => (name, TraceKind::Fault, lane, ts, 0, args),
+            TraceCall::Counter(name, lane, ts, v) => {
+                let args = vec![("value", ArgValue::U64(v))];
+                (name, TraceKind::Counter, lane, ts, 0, args)
+            }
+        };
+        Recorded {
+            name,
+            kind,
+            lane,
+            ts,
+            dur,
+            args,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_compact_trace_log_round_trips(
+        calls in proptest::collection::vec((0usize..5, 0usize..46, 0u64..400, 0u64..u64::MAX), 0..80),
+        a in 0u64..460,
+        b in 0u64..460,
+    ) {
+        let calls: Vec<TraceCall> = calls.into_iter().map(TraceCall::decode).collect();
+        let mut t = Tracer::new();
+        for c in &calls {
+            c.apply(&mut t);
+        }
+        let recorded: Vec<Recorded> = calls.iter().map(TraceCall::recorded).collect();
+
+        // Issue order, through `iter`, `get` and `IntoIterator`.
+        let events = t.events();
+        prop_assert_eq!(events.len(), recorded.len());
+        prop_assert_eq!(events.is_empty(), recorded.is_empty());
+        for (i, (e, r)) in events.iter().zip(&recorded).enumerate() {
+            prop_assert!(r.matches(&e), "event {i}: {e:?}");
+            prop_assert!(r.matches(&events.get(i).unwrap()), "get({i})");
+        }
+        prop_assert!(events.get(recorded.len()).is_none());
+        prop_assert_eq!(events.into_iter().count(), recorded.len());
+
+        // Export order: a reference stable sort by (ts, dur desc, tid),
+        // issue order breaking the remaining ties.
+        let mut reference: Vec<&Recorded> = recorded.iter().collect();
+        reference.sort_by_key(|r| (r.ts, std::cmp::Reverse(r.dur), r.lane.tid()));
+        let sorted: Vec<TraceEvent> = t.sorted().collect();
+        prop_assert_eq!(sorted.len(), reference.len());
+        for (i, (e, r)) in sorted.iter().zip(&reference).enumerate() {
+            prop_assert!(r.matches(e), "sorted position {i}: {e:?}");
+        }
+
+        // A window exports exactly what a tracer holding only the kept
+        // events exports in full.
+        let (t0, t1) = (a.min(b), a.max(b));
+        let mut only = Tracer::new();
+        for (c, r) in calls.iter().zip(&recorded) {
+            if r.ts >= t0 && r.ts + r.dur <= t1 {
+                c.apply(&mut only);
+            }
+        }
+        prop_assert_eq!(
+            export_chrome_trace_window(&t, 3, SimNanos(t0), SimNanos(t1)),
+            export_chrome_trace(&only, 3)
+        );
+    }
+
+    #[test]
+    fn the_compact_profiler_log_round_trips(
+        ops in proptest::collection::vec((0usize..3, 0usize..2, 0u64..2_000_000, 0u64..u64::MAX), 0..60),
+        mark in 0usize..60,
+    ) {
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let streams = [gpu.default_stream(), gpu.create_stream()];
+        let mut expected: Vec<Sample> = Vec::new();
+        let mut snap = None;
+        for (i, (op, stream, a, bits)) in ops.into_iter().enumerate() {
+            if i == mark {
+                snap = Some((gpu.profiler().snapshot(), expected.len()));
+            }
+            let s = streams[stream];
+            let name = NAMES[(bits % 6) as usize];
+            match op {
+                0 => {
+                    let cats = [KernelCategory::Aggregation, KernelCategory::Update, KernelCategory::Other];
+                    let mut cost = KernelCost::new(name, cats[((bits >> 3) % 3) as usize])
+                        .flops(a % 4)
+                        .gmem((bits >> 5) % 3, (bits >> 7) % 5)
+                        .smem((bits >> 10) % 2)
+                        .uniform_blocks(1 + ((bits >> 12) % 4) as usize, 1 + (bits >> 14) % 3);
+                    cost.warp_efficiency_milli = 1 + ((bits >> 16) % 1_000) as u32;
+                    let (busy, balanced) = gpu.kernel_busy(&cost);
+                    let kind = SampleKind::Kernel {
+                        category: cost.category,
+                        gmem_requests: cost.gmem_requests,
+                        gmem_transactions: cost.gmem_transactions,
+                        smem_transactions: cost.smem_transactions,
+                        flops: cost.flops,
+                        warp_efficiency_milli: cost.warp_efficiency_milli,
+                        balanced,
+                    };
+                    let end = gpu.launch(s, cost).time();
+                    expected.push(Sample { name, kind, start: end - busy, end });
+                }
+                1 => {
+                    let (bytes, pinned) = (a % 4 + 1, bits & 1 == 1);
+                    let (dir, name, end) = if (bits >> 1) & 1 == 0 {
+                        (TransferDir::H2D, "memcpy_h2d", gpu.h2d(s, bytes, pinned).time())
+                    } else {
+                        (TransferDir::D2H, "memcpy_d2h", gpu.d2h(s, bytes, pinned).time())
+                    };
+                    let cfg = gpu.cfg();
+                    let bw = if pinned { cfg.pcie_pinned_bytes_per_us } else { cfg.pcie_pageable_bytes_per_us };
+                    let dur = SimNanos::from_nanos(cfg.pcie_latency_ns) + SimNanos::from_bytes(bytes, bw);
+                    let kind = SampleKind::Transfer { dir, bytes, pinned };
+                    expected.push(Sample { name, kind, start: end - dur, end });
+                }
+                _ => {
+                    let (start, end) = gpu.host_op(name, SimNanos(a % 1_000), SimNanos((bits >> 3) % 500));
+                    expected.push(Sample { name, kind: SampleKind::Host, start, end });
+                }
+            }
+        }
+
+        let samples = gpu.profiler().samples();
+        prop_assert_eq!(samples.len(), expected.len());
+        prop_assert_eq!(samples.is_empty(), expected.is_empty());
+        prop_assert_eq!(samples.iter().collect::<Vec<_>>(), expected.clone());
+        for (i, s) in expected.iter().enumerate() {
+            prop_assert_eq!(samples.get(i), Some(*s));
+        }
+        prop_assert_eq!(samples.get(expected.len()), None);
+        prop_assert_eq!(samples.last(), expected.last().copied());
+        if let Some((snap, from)) = snap {
+            prop_assert_eq!(samples.since(snap).iter().collect::<Vec<_>>(), expected[from..].to_vec());
+        }
+        let consistency = gpu.profiler().consistency_check(gpu.trace());
+        prop_assert!(consistency.is_ok(), "{consistency:?}");
     }
 }
 
@@ -475,14 +790,15 @@ fn halo_gradients_are_scattered_after_they_exist() {
     };
     for model in [ModelKind::EvolveGcn, ModelKind::MpnnLstm] {
         let (_, gpus) = train_data_parallel_devices(model, &graph, 8, &cfg, &two).expect("train");
-        let traces: Vec<Vec<&TraceEvent>> = gpus.iter().map(|g| g.trace().sorted()).collect();
+        let traces: Vec<Vec<TraceEvent>> =
+            gpus.iter().map(|g| g.trace().sorted().collect()).collect();
         // The allreduce is one interval on every device; a frame's sweeps
         // lie between the previous frame's and its own.
         let barriers = traces[0].iter().filter(|e| e.name == "allreduce");
         let mut scatters = 0;
         let mut frame_t0 = SimNanos::ZERO;
         for barrier in barriers {
-            let in_frame = |e: &&&TraceEvent| e.ts >= frame_t0 && e.end() <= barrier.ts;
+            let in_frame = |e: &&TraceEvent| e.ts >= frame_t0 && e.end() <= barrier.ts;
             let swept = traces
                 .iter()
                 .flat_map(|t| t.iter().filter(in_frame))
