@@ -187,9 +187,9 @@ impl Drop for ScratchDir {
     }
 }
 
-/// Assert that a device's profiler agrees with its structured trace —
-/// every `repro` experiment calls this before dropping a device it drove
-/// directly, so the two observability layers can never silently diverge.
+/// Assert that a device's profiler samples agree with the trace events they
+/// render — every `repro` experiment calls this before dropping a device
+/// it drove directly.
 pub fn check_consistency(gpu: &Gpu) {
     gpu.profiler()
         .consistency_check(gpu.trace())

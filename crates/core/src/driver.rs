@@ -305,9 +305,9 @@ pub fn run_epochs<P: EpochPolicy>(
     let gpu = cx.gpu;
     gpu.synchronize();
     let run_t1 = gpu.now_with_host();
-    // The trace and the profiler record the same timeline through different
-    // code paths; debug builds cross-check them after every run so the two
-    // observability layers can never silently diverge.
+    // The profiler renders the trace's kernel, copy and host-op records as
+    // samples; debug builds check after every run that both renderings of
+    // each record agree.
     #[cfg(debug_assertions)]
     gpu.profiler()
         .consistency_check(gpu.trace())

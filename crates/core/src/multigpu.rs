@@ -121,6 +121,8 @@ pub struct MultiTrainReport {
     pub n_gpus: usize,
     /// Per-epoch loss/time records.
     pub epochs: Vec<EpochReport>,
+    /// Per epoch, each frame's loss in frame order.
+    pub frame_losses: Vec<Vec<f32>>,
     /// Mean steady-state epoch time (max over devices, incl. allreduce).
     pub steady_epoch_time: SimNanos,
     /// Halo bytes moved per steady epoch (sum over devices; input features
@@ -450,6 +452,7 @@ pub fn train_data_parallel_devices(
     // (two staging buffers, so one frame of prefetch, epoch to epoch too).
     let mut fence = vec![[SimNanos::ZERO; 2]; parts];
     let mut epochs = Vec::with_capacity(cfg.epochs);
+    let mut frame_losses = Vec::with_capacity(cfg.epochs);
     let mut halo_bytes_epoch = 0u64;
     let mut allreduce_bytes_epoch = 0u64;
     let mut allreduce_time_total = SimNanos::ZERO;
@@ -766,7 +769,9 @@ pub fn train_data_parallel_devices(
             }
             // One multi-tensor step per device over the summed gradients, in
             // `params()` order (EvolveGCN binds in another), each found by
-            // identity among the bindings of the device's first shard.
+            // identity among the bindings of the device's first shard. The
+            // step still launches on a non-finite frame loss but leaves every
+            // parameter, as a replayed single-device step does.
             for p in 0..parts {
                 let (compute, _) = streams[p];
                 let gpu = &mut gpus[p];
@@ -783,7 +788,7 @@ pub fn train_data_parallel_devices(
                     })
                     .collect();
                 replay(gpu, compute, steady, |gpu| {
-                    sgd_step(gpu, compute, &pairs, cfg.lr, true)
+                    sgd_step(gpu, compute, &pairs, cfg.lr, frame_sse.is_finite())
                 });
             }
             summed.into_iter().flatten().for_each(Matrix::recycle);
@@ -808,6 +813,7 @@ pub fn train_data_parallel_devices(
         epochs.push(close_epoch(
             &mut gpus, epoch, !steady, &losses, t0, t_end, alloc0,
         ));
+        frame_losses.push(losses);
     }
 
     let steady_epochs = (cfg.epochs - preparing).max(1);
@@ -820,6 +826,7 @@ pub fn train_data_parallel_devices(
     let report = MultiTrainReport {
         n_gpus: parts,
         epochs,
+        frame_losses,
         steady_epoch_time: SimNanos::from_nanos(
             (t_end - steady_t0).as_nanos() / steady_epochs as u64,
         ),

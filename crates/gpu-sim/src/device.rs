@@ -22,7 +22,7 @@ use crate::faults::{
     CrashCounter, CrashError, FaultPlan, FaultSession, FaultStats, OpCounters, TransferError,
 };
 use crate::memory::{BufferId, DeviceMemory, OomError};
-use crate::profiler::{Profiler, Sample, SampleKind};
+use crate::profiler::Profiler;
 use crate::schedule::schedule_blocks;
 use crate::time::SimNanos;
 use crate::trace::{ArgValue, KernelArgs, Lane, TraceKind, Tracer};
@@ -55,7 +55,6 @@ impl Event {
 pub struct Gpu {
     cfg: DeviceConfig,
     mem: DeviceMemory,
-    profiler: Profiler,
     tracer: Tracer,
     compute_cursor: SimNanos,
     h2d_cursor: SimNanos,
@@ -79,7 +78,6 @@ impl Gpu {
         Gpu {
             cfg,
             mem: DeviceMemory::new(capacity),
-            profiler: Profiler::new(),
             tracer: Tracer::new(),
             compute_cursor: SimNanos::ZERO,
             h2d_cursor: SimNanos::ZERO,
@@ -166,9 +164,10 @@ impl Gpu {
         &self.mem
     }
 
-    /// The profiler sample log.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+    /// The profiler's view of the trace: its kernel, copy and host-op
+    /// records as samples.
+    pub fn profiler(&self) -> Profiler<'_> {
+        Profiler::new(&self.tracer)
     }
 
     /// The structured trace recorder.
@@ -387,9 +386,12 @@ impl Gpu {
         let end = start + busy;
         self.streams[stream.0] = end;
         self.compute_cursor = end;
-        self.profiler.record(Sample {
-            name: cost.name,
-            kind: SampleKind::Kernel {
+        self.tracer.kernel(
+            cost.name,
+            Lane::Stream(stream.0),
+            start,
+            end,
+            KernelArgs {
                 category: cost.category,
                 gmem_requests: cost.gmem_requests,
                 gmem_transactions: cost.gmem_transactions,
@@ -397,20 +399,6 @@ impl Gpu {
                 flops: cost.flops,
                 warp_efficiency_milli: cost.warp_efficiency_milli,
                 balanced,
-            },
-            start,
-            end,
-        });
-        self.tracer.kernel(
-            cost.name,
-            Lane::Stream(stream.0),
-            start,
-            end,
-            KernelArgs {
-                category: cost.category.label(),
-                flops: cost.flops,
-                gmem_transactions: cost.gmem_transactions,
-                warp_efficiency_milli: cost.warp_efficiency_milli as u64,
                 imbalance_milli: crate::schedule::ratio_milli(imb_num, imb_den),
             },
         );
@@ -489,28 +477,7 @@ impl Gpu {
         if !pinned {
             self.compute_cursor = self.compute_cursor.max(end);
         }
-        let (name, tlane) = match dir {
-            TransferDir::H2D => ("memcpy_h2d", Lane::H2D),
-            TransferDir::D2H => ("memcpy_d2h", Lane::D2H),
-        };
-        self.profiler.record(Sample {
-            name,
-            kind: SampleKind::Transfer { dir, bytes, pinned },
-            start,
-            end,
-        });
-        self.tracer.span(
-            name,
-            TraceKind::Memcpy,
-            tlane,
-            start,
-            end,
-            vec![
-                ("bytes", ArgValue::U64(bytes)),
-                ("pinned", ArgValue::Bool(pinned)),
-                ("stream", ArgValue::U64(stream.0 as u64)),
-            ],
-        );
+        self.tracer.memcpy(dir, stream.0, start, end, bytes, pinned);
         Event(end)
     }
 
@@ -685,7 +652,7 @@ impl Gpu {
 
     /// Record a host-side operation of length `dur` starting at `after`,
     /// off the host lane (which it does not move); returns its (start,
-    /// end). The profiler needs the interval for Figure 3's "other" share.
+    /// end). Its sample gives Figure 3's "other" share.
     pub fn host_op(
         &mut self,
         name: &'static str,
@@ -694,12 +661,6 @@ impl Gpu {
     ) -> (SimNanos, SimNanos) {
         let start = after;
         let end = start + dur;
-        self.profiler.record(Sample {
-            name,
-            kind: SampleKind::Host,
-            start,
-            end,
-        });
         self.tracer
             .span(name, TraceKind::HostOp, Lane::Host, start, end, vec![]);
         (start, end)
@@ -909,6 +870,21 @@ mod tests {
         assert_eq!((s, e), (SimNanos(100), SimNanos(150)));
         assert_eq!(g.profiler().full().host_time, SimNanos(50));
         assert_eq!(g.host_now(), SimNanos::ZERO, "off the host lane");
+    }
+
+    #[test]
+    fn each_launch_copy_and_host_op_is_one_record() {
+        let mut g = gpu();
+        let s = g.default_stream();
+        g.launch(s, small_kernel());
+        g.h2d(s, 4096, true);
+        g.d2h(s, 4096, false);
+        g.host_op("slice", SimNanos(0), SimNanos(10));
+        let kinds: Vec<TraceKind> = g.trace().events().iter().map(|e| e.kind).collect();
+        use TraceKind::{HostOp, Kernel, Memcpy};
+        assert_eq!(kinds, [Kernel, Memcpy, Memcpy, HostOp]);
+        assert_eq!(g.profiler().samples().len(), 4);
+        g.profiler().consistency_check(g.trace()).unwrap();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Intern tables behind the compact trace and profiler logs: each distinct
-//! value is stored once, in first-seen order, and a record holds its index.
+//! Intern tables behind the compact trace log: each distinct value is
+//! stored once, in first-seen order, and a record holds its index.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Debug;

@@ -22,7 +22,10 @@
 //!   device→host copies run on independent copy-engine lanes, so CUDA-stream
 //!   style transfer/compute overlap behaves as on real hardware (Figure 8);
 //! * all arithmetic is integer nanoseconds — runs are bit-for-bit
-//!   reproducible.
+//!   reproducible;
+//! * every kernel launch, copy and host op is one record in the device's
+//!   [`Tracer`], the only timeline log: the exported trace and the
+//!   [`Profiler`]'s samples and breakdowns are two views of it.
 //!
 //! The numerical work of a kernel is performed by the caller (see
 //! `pipad-kernels`); this crate only accounts for its cost and its position

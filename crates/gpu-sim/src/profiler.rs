@@ -1,19 +1,17 @@
 //! The simulator's built-in profiler: the stand-in for nvprof, the PyTorch
 //! Profiler and nvidia-smi used throughout the paper's evaluation.
 //!
-//! Every kernel launch, PCIe transfer and accounted host operation appends a
-//! [`Sample`]; analyses are computed over index windows so callers can
+//! The profiler keeps no log of its own: [`Profiler`] is a `Copy` view of
+//! the [`Tracer`]'s records, and every kernel launch, PCIe transfer and
+//! accounted host operation record renders as a [`Sample`] through it.
+//! Analyses run over windows between [`ProfSnapshot`]s, so callers can
 //! measure e.g. only the steady-state epochs (the paper excludes its two
 //! "preparing" epochs the same way).
-//!
-//! The log stores a 24-byte entry per sample: its interval plus ids into
-//! two intern tables, one of names and one of distinct [`SampleKind`]s.
-//! Readers get [`Sample`] views through [`Samples`].
 
 use crate::cost::KernelCategory;
 use crate::device::TransferDir;
-use crate::intern::Interner;
 use crate::time::SimNanos;
+use crate::trace::{Record, Tracer};
 use std::collections::BTreeMap;
 
 /// What kind of activity a sample records.
@@ -74,12 +72,11 @@ impl Sample {
     }
 }
 
-/// Marker into the sample log; analyses run over `[snapshot.from..]` or
-/// between two snapshots.
+/// Marker into the trace's record log; analyses run over the samples
+/// recorded since a snapshot or between two snapshots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProfSnapshot {
-    /// The from.
-    pub from: usize,
+    from: usize,
 }
 
 /// Aggregated view over a sample window.
@@ -152,65 +149,57 @@ impl Breakdown {
     }
 }
 
-/// What the log stores per sample: 24 bytes, the name and the kind as ids
-/// into the profiler's tables.
+/// A read-only view of a [`Tracer`]'s kernel, copy and host-op records as
+/// [`Sample`]s, with window analyses. It stores nothing of its own.
 #[derive(Clone, Copy, Debug)]
-struct Entry {
-    start: SimNanos,
-    end: SimNanos,
-    kind: u32,
-    name: u16,
-}
-
-/// Append-only sample log with window analyses.
-#[derive(Debug, Default)]
-pub struct Profiler {
-    entries: Vec<Entry>,
-    names: Interner<&'static str, u16>,
-    kinds: Interner<SampleKind, u32>,
+pub struct Profiler<'a> {
+    tracer: &'a Tracer,
 }
 
 /// A run of recorded samples in issue order, as [`Sample`] views.
 #[derive(Clone, Copy, Debug)]
 pub struct Samples<'a> {
-    profiler: &'a Profiler,
-    entries: &'a [Entry],
+    tracer: &'a Tracer,
+    records: &'a [Record],
 }
 
 impl<'a> Samples<'a> {
     /// Views of every sample, in issue order.
     pub fn iter(&self) -> SamplesIter<'a> {
         SamplesIter {
-            profiler: self.profiler,
-            entries: self.entries.iter(),
+            tracer: self.tracer,
+            records: self.records.iter(),
         }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.iter().count()
     }
 
     /// Whether there are no samples.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.iter().next().is_none()
     }
 
     /// The `i`-th sample.
     pub fn get(&self, i: usize) -> Option<Sample> {
-        self.entries.get(i).map(|e| self.profiler.view(e))
+        self.iter().nth(i)
     }
 
     /// The most recent sample.
     pub fn last(&self) -> Option<Sample> {
-        self.entries.last().map(|e| self.profiler.view(e))
+        self.records
+            .iter()
+            .rev()
+            .find_map(|r| self.tracer.sample(r))
     }
 
     /// The samples recorded since `snap` was taken.
     pub fn since(&self, snap: ProfSnapshot) -> Samples<'a> {
         Samples {
-            profiler: self.profiler,
-            entries: &self.entries[snap.from..],
+            tracer: self.tracer,
+            records: &self.records[snap.from..],
         }
     }
 }
@@ -227,104 +216,68 @@ impl<'a> IntoIterator for Samples<'a> {
 /// Iterator over [`Samples`].
 #[derive(Clone, Debug)]
 pub struct SamplesIter<'a> {
-    profiler: &'a Profiler,
-    entries: std::slice::Iter<'a, Entry>,
+    tracer: &'a Tracer,
+    records: std::slice::Iter<'a, Record>,
 }
 
 impl Iterator for SamplesIter<'_> {
     type Item = Sample;
 
     fn next(&mut self) -> Option<Sample> {
-        self.entries.next().map(|e| self.profiler.view(e))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.entries.size_hint()
+        let tracer = self.tracer;
+        self.records.find_map(|r| tracer.sample(r))
     }
 }
 
-impl Profiler {
-    /// Create a new instance.
-    pub fn new() -> Self {
-        Profiler::default()
-    }
-
-    pub(crate) fn record(&mut self, sample: Sample) {
-        debug_assert!(sample.end >= sample.start);
-        let entry = Entry {
-            start: sample.start,
-            end: sample.end,
-            kind: self.kinds.id(sample.kind),
-            name: self.names.id(sample.name),
-        };
-        self.entries.push(entry);
-    }
-
-    /// The sample `e` stores.
-    fn view(&self, e: &Entry) -> Sample {
-        Sample {
-            name: self.names.items()[usize::from(e.name)],
-            kind: self.kinds.items()[e.kind as usize],
-            start: e.start,
-            end: e.end,
-        }
+impl<'a> Profiler<'a> {
+    /// The profiler view of `tracer`.
+    pub fn new(tracer: &'a Tracer) -> Self {
+        Profiler { tracer }
     }
 
     /// All recorded samples.
-    pub fn samples(&self) -> Samples<'_> {
+    pub fn samples(self) -> Samples<'a> {
         Samples {
-            profiler: self,
-            entries: &self.entries,
+            tracer: self.tracer,
+            records: self.tracer.records(),
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Mark the current position; analyze later with [`Profiler::window`].
-    pub fn snapshot(&self) -> ProfSnapshot {
+    pub fn snapshot(self) -> ProfSnapshot {
         ProfSnapshot {
-            from: self.entries.len(),
+            from: self.tracer.len(),
         }
     }
 
     /// Analyze everything recorded so far.
-    pub fn full(&self) -> Breakdown {
-        self.analyze(0, self.entries.len())
+    pub fn full(self) -> Breakdown {
+        self.analyze(0, self.tracer.len())
     }
 
     /// Analyze samples recorded since `snap`.
-    pub fn window(&self, snap: ProfSnapshot) -> Breakdown {
-        self.analyze(snap.from, self.entries.len())
+    pub fn window(self, snap: ProfSnapshot) -> Breakdown {
+        self.analyze(snap.from, self.tracer.len())
     }
 
-    /// Analyze samples in `[a, b)` sample-index space.
-    pub fn between(&self, a: ProfSnapshot, b: ProfSnapshot) -> Breakdown {
+    /// Analyze samples recorded between two snapshots.
+    pub fn between(self, a: ProfSnapshot, b: ProfSnapshot) -> Breakdown {
         self.analyze(a.from, b.from)
     }
 
-    fn analyze(&self, from: usize, to: usize) -> Breakdown {
-        let window = &self.entries[from..to];
+    fn analyze(self, from: usize, to: usize) -> Breakdown {
+        let window = Samples {
+            tracer: self.tracer,
+            records: &self.tracer.records()[from..to],
+        };
         let mut out = Breakdown::default();
-        if window.is_empty() {
-            return out;
-        }
-        let wall_start = window.iter().map(|s| s.start).min().unwrap();
-        let wall_end = window.iter().map(|s| s.end).max().unwrap();
-        out.span = wall_end - wall_start;
-
+        let mut wall: Option<(SimNanos, SimNanos)> = None;
         let mut kernel_intervals = Vec::new();
         let mut busy_intervals = Vec::new();
         let mut eff_weight: u128 = 0;
         let mut eff_time: u128 = 0;
-        for s in window.iter().map(|e| self.view(e)) {
+        for s in window {
+            wall = Some(wall.map_or((s.start, s.end), |(a, b)| (a.min(s.start), b.max(s.end))));
             let dur = s.duration();
             match s.kind {
                 SampleKind::Kernel {
@@ -368,6 +321,10 @@ impl Profiler {
                 }
             }
         }
+        let Some((wall_start, wall_end)) = wall else {
+            return out;
+        };
+        out.span = wall_end - wall_start;
         out.warp_efficiency_milli = eff_weight.checked_div(eff_time).map_or(1000, |v| v as u32);
         let span_ns = out.span.as_nanos().max(1) as u128;
         let covered_milli = |iv| (total_ns(&union_intervals(iv)) as u128 * 1000 / span_ns) as u32;
@@ -376,49 +333,37 @@ impl Profiler {
         out
     }
 
-    /// Cross-check this log against the structured trace, launch by launch:
-    /// walking both in issue order, the n-th kernel span and the n-th
-    /// kernel sample must agree on name, start and end, and the n-th memcpy
-    /// span and the n-th transfer sample on name, interval and `bytes`. One
-    /// pass over each log. Used as the determinism/consistency oracle by the
-    /// trace test suite, the `repro trace` harness and every training run.
-    pub fn consistency_check(&self, tracer: &crate::trace::Tracer) -> Result<(), String> {
+    /// Check that the two renderings of each kernel, copy and host-op record
+    /// agree: walking this view's samples and `tracer`'s kernel, memcpy and
+    /// host-op events in issue order, the n-th of each must agree on kind,
+    /// name, interval and (for a copy) `bytes`, and neither may run out
+    /// first. One pass. Run by the trace test suite, the `repro` harnesses
+    /// and, in debug builds, every training run.
+    pub fn consistency_check(self, tracer: &Tracer) -> Result<(), String> {
         use crate::trace::{ArgValue, TraceKind};
-        let mut kernels = self.samples().into_iter().filter(|s| s.is_kernel());
-        let mut transfers = self
-            .samples()
-            .into_iter()
-            .filter(|s| matches!(s.kind, SampleKind::Transfer { .. }));
-        let (mut n_kernels, mut n_copies) = (0usize, 0usize);
-        for e in tracer.events() {
-            let (what, n, sample) = match e.kind {
-                TraceKind::Kernel => {
-                    n_kernels += 1;
-                    ("kernel", n_kernels - 1, kernels.next())
-                }
-                TraceKind::Memcpy => {
-                    n_copies += 1;
-                    ("memcpy", n_copies - 1, transfers.next())
-                }
-                _ => continue,
-            };
-            let Some(s) = sample else {
+        let mut samples = self.samples().iter();
+        let spans = tracer.events().into_iter().filter(|e| e.kind.is_sample());
+        for (n, e) in spans.enumerate() {
+            let Some(s) = samples.next() else {
                 return Err(format!(
-                    "trace {what} span {n} ({}) has no profiler sample",
+                    "trace span {n} ({}) has no profiler sample",
                     e.name
                 ));
             };
-            let bytes_agree = match s.kind {
-                SampleKind::Transfer { bytes, .. } => e
+            let agree = match (e.kind, s.kind) {
+                (TraceKind::Kernel, SampleKind::Kernel { .. })
+                | (TraceKind::HostOp, SampleKind::Host) => true,
+                (TraceKind::Memcpy, SampleKind::Transfer { bytes, .. }) => e
                     .args
                     .iter()
                     .any(|(k, v)| *k == "bytes" && *v == ArgValue::U64(bytes)),
-                _ => true,
+                _ => false,
             };
-            if e.name != s.name || e.ts != s.start || e.end() != s.end || !bytes_agree {
+            if !agree || e.name != s.name || e.ts != s.start || e.end() != s.end {
                 return Err(format!(
-                    "trace {what} span {n} {} [{}, {}) args {:?} != profiler sample {} [{}, {}) {:?}",
+                    "trace span {n} {} {:?} [{}, {}) args {:?} != profiler sample {} [{}, {}) {:?}",
                     e.name,
+                    e.kind,
                     e.ts,
                     e.end(),
                     e.args,
@@ -429,17 +374,10 @@ impl Profiler {
                 ));
             }
         }
-        if kernels.next().is_some() {
-            return Err(format!(
-                "profiler has more kernel samples than the trace's {n_kernels} kernel spans"
-            ));
+        match samples.next() {
+            Some(s) => Err(format!("profiler sample {} has no trace span", s.name)),
+            None => Ok(()),
         }
-        if transfers.next().is_some() {
-            return Err(format!(
-                "profiler has more transfer samples than the trace's {n_copies} memcpy spans"
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -464,35 +402,37 @@ pub fn total_ns(iv: &[(u64, u64)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{KernelArgs, Lane};
 
-    fn kernel(name: &'static str, cat: KernelCategory, start: u64, end: u64) -> Sample {
-        Sample {
-            name,
-            kind: SampleKind::Kernel {
-                category: cat,
-                gmem_requests: 10,
-                gmem_transactions: 20,
-                smem_transactions: 0,
-                flops: 100,
-                warp_efficiency_milli: 500,
-                balanced: SimNanos(end - start),
-            },
-            start: SimNanos(start),
-            end: SimNanos(end),
-        }
+    /// Record a kernel whose warp efficiency is `eff` and whose balanced
+    /// time is `balanced`.
+    fn kernel_with(
+        t: &mut Tracer,
+        name: &'static str,
+        cat: KernelCategory,
+        (start, end): (u64, u64),
+        eff: u32,
+        balanced: u64,
+    ) {
+        let key = KernelArgs {
+            category: cat,
+            gmem_requests: 10,
+            gmem_transactions: 20,
+            smem_transactions: 0,
+            flops: 100,
+            warp_efficiency_milli: eff,
+            balanced: SimNanos(balanced),
+            imbalance_milli: 1_000,
+        };
+        t.kernel(name, Lane::Stream(0), SimNanos(start), SimNanos(end), key);
     }
 
-    fn transfer(start: u64, end: u64, dir: TransferDir, bytes: u64) -> Sample {
-        Sample {
-            name: "memcpy",
-            kind: SampleKind::Transfer {
-                dir,
-                bytes,
-                pinned: true,
-            },
-            start: SimNanos(start),
-            end: SimNanos(end),
-        }
+    fn kernel(t: &mut Tracer, name: &'static str, cat: KernelCategory, start: u64, end: u64) {
+        kernel_with(t, name, cat, (start, end), 500, end - start);
+    }
+
+    fn transfer(t: &mut Tracer, start: u64, end: u64, dir: TransferDir, bytes: u64) {
+        t.memcpy(dir, 0, SimNanos(start), SimNanos(end), bytes, true);
     }
 
     #[test]
@@ -504,14 +444,15 @@ mod tests {
 
     #[test]
     fn breakdown_over_window() {
-        let mut p = Profiler::new();
-        p.record(kernel("agg", KernelCategory::Aggregation, 0, 100));
-        let snap = p.snapshot();
-        p.record(kernel("agg", KernelCategory::Aggregation, 100, 300));
-        p.record(kernel("upd", KernelCategory::Update, 300, 400));
-        p.record(transfer(100, 250, TransferDir::H2D, 9000));
+        let mut t = Tracer::new();
+        kernel(&mut t, "agg", KernelCategory::Aggregation, 0, 100);
+        let snap = Profiler::new(&t).snapshot();
+        kernel(&mut t, "agg", KernelCategory::Aggregation, 100, 300);
+        t.instant("between", Lane::Control, SimNanos(0), vec![]);
+        kernel(&mut t, "upd", KernelCategory::Update, 300, 400);
+        transfer(&mut t, 100, 250, TransferDir::H2D, 9000);
 
-        let w = p.window(snap);
+        let w = Profiler::new(&t).window(snap);
         assert_eq!(w.compute_total, SimNanos(300));
         assert_eq!(w.compute_by_category["aggregation"], SimNanos(200));
         assert_eq!(w.compute_by_category["update"], SimNanos(100));
@@ -520,19 +461,20 @@ mod tests {
         assert_eq!(w.gmem_requests, 20);
         assert_eq!(w.gmem_transactions, 40);
         assert_eq!(w.kernel_launches, 2);
-        // span is 100..400 = 300; kernels cover all of it.
+        // span is 100..400 = 300 (the instant at 0 is no sample); kernels
+        // cover all of it.
         assert_eq!(w.span, SimNanos(300));
         assert_eq!(w.sm_utilization_milli, 1000);
     }
 
     #[test]
     fn utilization_counts_gaps_and_memcpy() {
-        let mut p = Profiler::new();
-        p.record(kernel("k", KernelCategory::Other, 0, 100));
+        let mut t = Tracer::new();
+        kernel(&mut t, "k", KernelCategory::Other, 0, 100);
         // gap 100..200 where only a transfer runs
-        p.record(transfer(100, 200, TransferDir::H2D, 100));
-        p.record(kernel("k", KernelCategory::Other, 200, 300));
-        let b = p.full();
+        transfer(&mut t, 100, 200, TransferDir::H2D, 100);
+        kernel(&mut t, "k", KernelCategory::Other, 200, 300);
+        let b = Profiler::new(&t).full();
         assert_eq!(b.span, SimNanos(300));
         // kernels busy 200/300
         assert_eq!(b.sm_utilization_milli, 666);
@@ -542,68 +484,51 @@ mod tests {
 
     #[test]
     fn warp_efficiency_is_time_weighted() {
-        let mut p = Profiler::new();
-        let mut k1 = kernel("a", KernelCategory::Aggregation, 0, 100);
-        if let SampleKind::Kernel {
-            warp_efficiency_milli,
-            ..
-        } = &mut k1.kind
-        {
-            *warp_efficiency_milli = 1000;
-        }
-        let mut k2 = kernel("b", KernelCategory::Aggregation, 100, 400);
-        if let SampleKind::Kernel {
-            warp_efficiency_milli,
-            ..
-        } = &mut k2.kind
-        {
-            *warp_efficiency_milli = 200;
-        }
-        p.record(k1);
-        p.record(k2);
+        let mut t = Tracer::new();
+        kernel_with(
+            &mut t,
+            "a",
+            KernelCategory::Aggregation,
+            (0, 100),
+            1000,
+            100,
+        );
+        kernel_with(
+            &mut t,
+            "b",
+            KernelCategory::Aggregation,
+            (100, 400),
+            200,
+            300,
+        );
         // (1000*100 + 200*300) / 400 = 400
-        assert_eq!(p.full().warp_efficiency_milli, 400);
+        assert_eq!(Profiler::new(&t).full().warp_efficiency_milli, 400);
     }
 
     #[test]
     fn empty_window_is_zeroed() {
-        let p = Profiler::new();
-        let b = p.full();
+        let mut t = Tracer::new();
+        t.counter("device_mem_in_use", Lane::Memory, SimNanos(5), 64);
+        let b = Profiler::new(&t).full();
         assert_eq!(b.span, SimNanos::ZERO);
         assert_eq!(b.compute_total, SimNanos::ZERO);
+        assert!(Profiler::new(&t).samples().is_empty());
     }
 
     #[test]
     fn consistency_is_checked_launch_by_launch() {
-        use crate::trace::{ArgValue, KernelArgs, Lane, TraceKind, Tracer};
-        let mut p = Profiler::new();
-        p.record(kernel("a", KernelCategory::Other, 0, 10));
-        p.record(kernel("b", KernelCategory::Other, 10, 30));
-        p.record(transfer(0, 50, TransferDir::H2D, 64));
-        let key = KernelArgs {
-            category: "other",
-            flops: 100,
-            gmem_transactions: 20,
-            warp_efficiency_milli: 500,
-            imbalance_milli: 1_000,
-        };
         let trace = |launches: &[(&'static str, u64, u64)], bytes: u64| {
             let mut t = Tracer::new();
             for &(name, start, end) in launches {
-                t.kernel(name, Lane::Stream(0), SimNanos(start), SimNanos(end), key);
+                kernel(&mut t, name, KernelCategory::Other, start, end);
             }
-            let args = vec![("bytes", ArgValue::U64(bytes))];
-            t.span(
-                "memcpy",
-                TraceKind::Memcpy,
-                Lane::H2D,
-                SimNanos(0),
-                SimNanos(50),
-                args,
-            );
+            transfer(&mut t, 0, 50, TransferDir::H2D, bytes);
             t
         };
         let same = [("a", 0, 10), ("b", 10, 30)];
+        let reference = trace(&same, 64);
+        let p = Profiler::new(&reference);
+        assert_eq!(p.consistency_check(&reference), Ok(()));
         assert_eq!(p.consistency_check(&trace(&same, 64)), Ok(()));
         // Same count and total kernel time, launched the other way round.
         let swapped = [("b", 0, 20), ("a", 20, 30)];
@@ -617,18 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn profiler_entry_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Entry>(), 24);
-    }
-
-    #[test]
     fn imbalance_factor() {
-        let mut p = Profiler::new();
-        let mut k = kernel("a", KernelCategory::Aggregation, 0, 300);
-        if let SampleKind::Kernel { balanced, .. } = &mut k.kind {
-            *balanced = SimNanos(100);
-        }
-        p.record(k);
-        assert!((p.full().imbalance_factor() - 3.0).abs() < 1e-9);
+        let mut t = Tracer::new();
+        kernel_with(&mut t, "a", KernelCategory::Aggregation, (0, 300), 500, 100);
+        assert!((Profiler::new(&t).full().imbalance_factor() - 3.0).abs() < 1e-9);
     }
 }

@@ -7,6 +7,11 @@
 //! timeline claims (transfer/compute overlap, pipeline stalls, per-frame
 //! breakdowns — Figures 8, 11 and 12) are checked against.
 //!
+//! It is the simulator's only timeline log. Each event is a 32-byte record
+//! of ids into intern tables of names, argument lists and, for a kernel,
+//! copy or host op, its [`SampleKind`]: the one record renders both as a
+//! [`TraceEvent`] and as the [`crate::Profiler`]'s [`Sample`].
+//!
 //! ## Determinism contract
 //!
 //! A trace is a **pure function of the simulated clock**: the same program
@@ -30,7 +35,10 @@
 //! The serializer is hand-rolled (no external deps) with fixed, locale-free
 //! formatting; [`crate::validate_json`] keeps the exporter honest.
 
+use crate::cost::KernelCategory;
+use crate::device::TransferDir;
 use crate::intern::{FastHash, Interner};
+use crate::profiler::{Sample, SampleKind};
 use crate::time::SimNanos;
 use std::borrow::Borrow;
 use std::cmp::Reverse;
@@ -131,9 +139,14 @@ impl TraceKind {
 
     /// Whether this kind occupies an interval (Chrome `ph:"X"`).
     pub fn is_span(self) -> bool {
+        self.is_sample() || self == TraceKind::Span
+    }
+
+    /// Whether a record of this kind is also a profiler [`Sample`].
+    pub(crate) fn is_sample(self) -> bool {
         matches!(
             self,
-            TraceKind::Kernel | TraceKind::Memcpy | TraceKind::HostOp | TraceKind::Span
+            TraceKind::Kernel | TraceKind::Memcpy | TraceKind::HostOp
         )
     }
 }
@@ -156,18 +169,26 @@ pub enum ArgValue {
 /// An event's ordered key→value details.
 type Args = Arc<[(&'static str, ArgValue)]>;
 
-/// The five arguments of every kernel span, as [`Tracer::kernel`]'s lookup
-/// key: a launch whose key the tracer has seen builds nothing.
+/// Everything a kernel record keeps: the fields of its
+/// [`SampleKind::Kernel`] and the load imbalance its busy time was scaled
+/// by. [`Tracer::kernel`]'s lookup key: a launch whose key the tracer has
+/// seen builds nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KernelArgs {
-    /// [`crate::KernelCategory::label`] of the launch.
-    pub category: &'static str,
-    /// Floating-point operations.
-    pub flops: u64,
+    /// Kernel family.
+    pub category: KernelCategory,
+    /// Global-memory requests.
+    pub gmem_requests: u64,
     /// Global-memory transactions.
     pub gmem_transactions: u64,
+    /// Shared-memory transactions.
+    pub smem_transactions: u64,
+    /// Floating-point operations.
+    pub flops: u64,
     /// Warp efficiency, in thousandths.
-    pub warp_efficiency_milli: u64,
+    pub warp_efficiency_milli: u32,
+    /// Duration the kernel would have had under perfect load balance.
+    pub balanced: SimNanos,
     /// Load imbalance across SMs, in thousandths.
     pub imbalance_milli: u64,
 }
@@ -198,14 +219,16 @@ impl TraceEvent<'_> {
     }
 }
 
-/// What the log stores per event: 32 bytes, the name and the argument
-/// list as ids into the tracer's tables.
+/// What the log stores per event: 32 bytes, the name, the argument list
+/// and (for a kernel, copy or host op) the [`SampleKind`] as ids into the
+/// tracer's tables.
 #[derive(Clone, Copy, Debug)]
-struct Record {
+pub(crate) struct Record {
     ts: SimNanos,
     dur: SimNanos,
     args: u32,
     tid: u32,
+    sample: u32,
     name: u16,
     kind: TraceKind,
 }
@@ -296,9 +319,11 @@ pub struct Tracer {
     args: Vec<Args>,
     /// The id of each list in `args`.
     arg_ids: HashMap<Interned, u32, FastHash>,
-    /// [`Tracer::kernel`]'s list ids by key, so a launch seen before builds
-    /// no `category` string.
-    kernel_args: HashMap<KernelArgs, u32, FastHash>,
+    /// Every distinct [`SampleKind`] recorded, by id.
+    kinds: Interner<SampleKind, u32>,
+    /// [`Tracer::kernel`]'s (list, kind) ids by key, so a launch seen before
+    /// builds no `category` string.
+    kernel_ids: HashMap<KernelArgs, (u32, u32), FastHash>,
     counter_peaks: BTreeMap<&'static str, u64>,
     /// Deterministic run-level metadata (e.g. buffer-pool hit counters).
     /// Rendered only by [`trace_text_summary`] — never by
@@ -399,6 +424,21 @@ impl Tracer {
         }
     }
 
+    /// Every record, in issue order.
+    pub(crate) fn records(&self) -> &[Record] {
+        &self.records
+    }
+
+    /// The sample `r` stores, if it records a kernel, copy or host op.
+    pub(crate) fn sample(&self, r: &Record) -> Option<Sample> {
+        r.kind.is_sample().then(|| Sample {
+            name: self.names.items()[usize::from(r.name)],
+            kind: self.kinds.items()[r.sample as usize],
+            start: r.ts,
+            end: r.ts + r.dur,
+        })
+    }
+
     /// The id of the stored list equal to `args`, storing a copy on first
     /// sight.
     fn intern(&mut self, args: &[(&'static str, ArgValue)]) -> u32 {
@@ -412,6 +452,7 @@ impl Tracer {
         id
     }
 
+    /// Append a record; a kernel, copy or host op sets its `sample` id.
     fn push(
         &mut self,
         name: &'static str,
@@ -420,7 +461,7 @@ impl Tracer {
         ts: SimNanos,
         dur: SimNanos,
         args: u32,
-    ) {
+    ) -> &mut Record {
         let tid = u32::try_from(lane.tid()).expect("lane tid beyond u32");
         let name = self.names.id(name);
         self.records.push(Record {
@@ -428,12 +469,16 @@ impl Tracer {
             dur,
             args,
             tid,
+            sample: 0,
             name,
             kind,
         });
+        self.records.last_mut().expect("just pushed")
     }
 
-    /// Record a span `[start, end)`.
+    /// Record a control ([`TraceKind::Span`]) or host-op
+    /// ([`TraceKind::HostOp`], a [`SampleKind::Host`] sample) span
+    /// `[start, end)`.
     pub fn span(
         &mut self,
         name: &'static str,
@@ -444,14 +489,19 @@ impl Tracer {
         args: Vec<(&'static str, ArgValue)>,
     ) {
         debug_assert!(end >= start, "span must not end before it starts");
-        debug_assert!(kind.is_span());
+        debug_assert!(matches!(kind, TraceKind::Span | TraceKind::HostOp));
         let args = self.intern(&args);
-        self.push(name, kind, lane, start, end - start, args);
+        let sample = match kind {
+            TraceKind::HostOp => self.kinds.id(SampleKind::Host),
+            _ => 0,
+        };
+        self.push(name, kind, lane, start, end - start, args).sample = sample;
     }
 
-    /// Record a kernel span `[start, end)` whose args are `key`'s five
-    /// fields, in [`KernelArgs`]' order with `category` as a string. The list
-    /// is built only the first time this tracer sees `key`.
+    /// Record a kernel span `[start, end)`. Its exported args are `key`'s
+    /// category (as a string), flops, global-memory transactions, warp
+    /// efficiency and imbalance, in that order; its sample carries the rest.
+    /// Both are built only the first time this tracer sees `key`.
     pub fn kernel(
         &mut self,
         name: &'static str,
@@ -461,24 +511,61 @@ impl Tracer {
         key: KernelArgs,
     ) {
         debug_assert!(end >= start, "span must not end before it starts");
-        let args = match self.kernel_args.get(&key) {
-            Some(&id) => id,
+        let (args, sample) = match self.kernel_ids.get(&key) {
+            Some(&ids) => ids,
             None => {
-                let id = self.intern(&[
-                    ("category", ArgValue::Str(key.category.to_string())),
+                let args = self.intern(&[
+                    ("category", ArgValue::Str(key.category.label().to_string())),
                     ("flops", ArgValue::U64(key.flops)),
                     ("gmem_transactions", ArgValue::U64(key.gmem_transactions)),
                     (
                         "warp_efficiency_milli",
-                        ArgValue::U64(key.warp_efficiency_milli),
+                        ArgValue::U64(key.warp_efficiency_milli.into()),
                     ),
                     ("imbalance_milli", ArgValue::U64(key.imbalance_milli)),
                 ]);
-                self.kernel_args.insert(key, id);
-                id
+                let sample = self.kinds.id(SampleKind::Kernel {
+                    category: key.category,
+                    gmem_requests: key.gmem_requests,
+                    gmem_transactions: key.gmem_transactions,
+                    smem_transactions: key.smem_transactions,
+                    flops: key.flops,
+                    warp_efficiency_milli: key.warp_efficiency_milli,
+                    balanced: key.balanced,
+                });
+                self.kernel_ids.insert(key, (args, sample));
+                (args, sample)
             }
         };
-        self.push(name, TraceKind::Kernel, lane, start, end - start, args);
+        self.push(name, TraceKind::Kernel, lane, start, end - start, args)
+            .sample = sample;
+    }
+
+    /// Record a PCIe copy `[start, end)` issued on `stream`, on `dir`'s
+    /// copy-engine lane as `memcpy_h2d` / `memcpy_d2h` with args `bytes`,
+    /// `pinned` and `stream`.
+    pub fn memcpy(
+        &mut self,
+        dir: TransferDir,
+        stream: usize,
+        start: SimNanos,
+        end: SimNanos,
+        bytes: u64,
+        pinned: bool,
+    ) {
+        debug_assert!(end >= start, "span must not end before it starts");
+        let (name, lane) = match dir {
+            TransferDir::H2D => ("memcpy_h2d", Lane::H2D),
+            TransferDir::D2H => ("memcpy_d2h", Lane::D2H),
+        };
+        let args = self.intern(&[
+            ("bytes", ArgValue::U64(bytes)),
+            ("pinned", ArgValue::Bool(pinned)),
+            ("stream", ArgValue::U64(stream as u64)),
+        ]);
+        let sample = self.kinds.id(SampleKind::Transfer { dir, bytes, pinned });
+        self.push(name, TraceKind::Memcpy, lane, start, end - start, args)
+            .sample = sample;
     }
 
     /// Record a point event.
@@ -786,6 +873,21 @@ mod tests {
     use super::*;
     use crate::validate_json;
 
+    /// Record an `other` kernel `name` over `[start, end)` on stream 0.
+    fn kernel(t: &mut Tracer, name: &'static str, start: u64, end: u64) {
+        let key = KernelArgs {
+            category: KernelCategory::Other,
+            gmem_requests: 1,
+            gmem_transactions: 2,
+            smem_transactions: 0,
+            flops: 10,
+            warp_efficiency_milli: 1_000,
+            balanced: SimNanos::ZERO,
+            imbalance_milli: 0,
+        };
+        t.kernel(name, Lane::Stream(0), SimNanos(start), SimNanos(end), key);
+    }
+
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {
         assert_eq!(json_escape("plain"), "plain");
@@ -875,25 +977,8 @@ mod tests {
     fn export_is_well_formed_and_deterministic() {
         let build = || {
             let mut t = Tracer::new();
-            t.span(
-                "k",
-                TraceKind::Kernel,
-                Lane::Stream(0),
-                SimNanos(0),
-                SimNanos(100),
-                vec![("flops", ArgValue::U64(42))],
-            );
-            t.span(
-                "memcpy_h2d",
-                TraceKind::Memcpy,
-                Lane::H2D,
-                SimNanos(0),
-                SimNanos(50),
-                vec![
-                    ("bytes", ArgValue::U64(1024)),
-                    ("pinned", ArgValue::Bool(true)),
-                ],
-            );
+            kernel(&mut t, "k", 0, 100);
+            t.memcpy(TransferDir::H2D, 0, SimNanos(0), SimNanos(50), 1024, true);
             t.instant(
                 "oom",
                 Lane::Memory,
@@ -932,22 +1017,8 @@ mod tests {
             SimNanos(220),
             vec![],
         );
-        t.span(
-            "k_in",
-            TraceKind::Kernel,
-            Lane::Stream(0),
-            SimNanos(110),
-            SimNanos(120),
-            vec![],
-        );
-        t.span(
-            "k_straddle",
-            TraceKind::Kernel,
-            Lane::Stream(0),
-            SimNanos(90),
-            SimNanos(110),
-            vec![],
-        );
+        kernel(&mut t, "k_in", 110, 120);
+        kernel(&mut t, "k_straddle", 90, 110);
         t.instant("edge", Lane::Control, SimNanos(220), vec![]);
         t.instant("late", Lane::Control, SimNanos(221), vec![]);
         let (t0, t1) = last_span_window(&t, "epoch").unwrap();
@@ -970,14 +1041,7 @@ mod tests {
             SimNanos(220),
             vec![],
         );
-        only.span(
-            "k_in",
-            TraceKind::Kernel,
-            Lane::Stream(0),
-            SimNanos(110),
-            SimNanos(120),
-            vec![],
-        );
+        kernel(&mut only, "k_in", 110, 120);
         only.instant("edge", Lane::Control, SimNanos(220), vec![]);
         assert_eq!(w, export_chrome_trace(&only, 0));
     }
@@ -986,14 +1050,7 @@ mod tests {
     fn summary_aggregates_by_name() {
         let mut t = Tracer::new();
         for i in 0..3u64 {
-            t.span(
-                "k",
-                TraceKind::Kernel,
-                Lane::Stream(0),
-                SimNanos(i * 10),
-                SimNanos(i * 10 + 5),
-                vec![],
-            );
+            kernel(&mut t, "k", i * 10, i * 10 + 5);
         }
         let s = trace_text_summary(&t);
         assert!(s.contains("3 events"));
@@ -1018,8 +1075,8 @@ mod tests {
         t.instant("a", Lane::Control, SimNanos(0), args());
         t.span(
             "b",
-            TraceKind::Memcpy,
-            Lane::H2D,
+            TraceKind::HostOp,
+            Lane::Host,
             SimNanos(0),
             SimNanos(5),
             args(),
@@ -1032,21 +1089,14 @@ mod tests {
             SimNanos(3),
             vec![("value", ArgValue::U64(9))],
         );
-        let key = KernelArgs {
-            category: "gemm",
-            flops: 10,
-            gmem_transactions: 2,
-            warp_efficiency_milli: 1_000,
-            imbalance_milli: 0,
-        };
-        t.kernel("k", Lane::Stream(0), SimNanos(0), SimNanos(4), key);
-        t.kernel("k2", Lane::Stream(0), SimNanos(4), SimNanos(8), key);
+        kernel(&mut t, "k", 0, 4);
+        kernel(&mut t, "k2", 4, 8);
         let e: Vec<TraceEvent> = t.events().iter().collect();
         assert!(shared(e[0], e[1]));
         assert!(shared(e[2], e[3]));
         assert!(shared(e[2], e[4]), "counter lists are interned too");
         assert!(shared(e[5], e[6]));
-        assert_eq!(e[5].args[0], ("category", ArgValue::Str("gemm".into())));
+        assert_eq!(e[5].args[0], ("category", ArgValue::Str("other".into())));
         assert_eq!(e[5].args.len(), 5);
     }
 

@@ -4,7 +4,7 @@
 //! transfer time hides under compute, where the bubbles are, and which
 //! kernels dominate (the profiling behind the paper's Figures 4 and 11).
 //! The raw [`Tracer`] records the timeline; this module post-processes it
-//! (plus the [`Profiler`]'s aggregate counters) into comparable numbers:
+//! (plus its [`Profiler`] view's aggregate counters) into comparable numbers:
 //!
 //! * **Overlap fraction** — `|compute ∪| ∩ |transfer ∪|` as a share of
 //!   transfer busy time, per window and per stream. 1000‰ means every
@@ -148,8 +148,8 @@ pub struct PipelineHealth {
     pub faults: BTreeMap<String, u64>,
     /// High-water mark per counter track.
     pub counter_peaks: BTreeMap<&'static str, u64>,
-    /// The profiler's aggregate breakdown over the run (warp efficiency,
-    /// per-category compute, flops — numbers the trace doesn't carry).
+    /// The profiler's aggregate breakdown over the run (per-category compute,
+    /// warp efficiency, flops, memory requests and balanced time).
     pub breakdown: Breakdown,
 }
 
@@ -292,7 +292,7 @@ fn window_health(events: Events, t0: u64, t1: u64, alloc_ts: &[u64]) -> WindowHe
 }
 
 /// Analyze a trace + profiler pair into derived pipeline metrics.
-pub fn analyze(tracer: &Tracer, profiler: &Profiler) -> PipelineHealth {
+pub fn analyze(tracer: &Tracer, profiler: Profiler<'_>) -> PipelineHealth {
     let events = tracer.events();
     let t0 = events.iter().map(|e| e.ts.as_nanos()).min().unwrap_or(0);
     let t1 = events.iter().map(|e| e.end().as_nanos()).max().unwrap_or(0);
@@ -455,7 +455,7 @@ impl PipelineHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipad_gpu_sim::{SimNanos, Tracer};
+    use pipad_gpu_sim::{KernelArgs, KernelCategory, SimNanos, Tracer, TransferDir};
 
     /// Hand-built trace: kernel [0,100) on stream 0, transfer [50,150),
     /// one epoch span [0,200). Overlap is exactly 50 of 100 transfer ns.
@@ -472,22 +472,18 @@ mod tests {
                 ("preparing", ArgValue::Bool(false)),
             ],
         );
-        t.span(
-            "spmm",
-            TraceKind::Kernel,
-            Lane::Stream(0),
-            SimNanos(0),
-            SimNanos(100),
-            vec![],
-        );
-        t.span(
-            "memcpy_h2d",
-            TraceKind::Memcpy,
-            Lane::H2D,
-            SimNanos(50),
-            SimNanos(150),
-            vec![("bytes", ArgValue::U64(4096))],
-        );
+        let spmm = KernelArgs {
+            category: KernelCategory::Aggregation,
+            gmem_requests: 8,
+            gmem_transactions: 16,
+            smem_transactions: 0,
+            flops: 1_000,
+            warp_efficiency_milli: 1_000,
+            balanced: SimNanos(100),
+            imbalance_milli: 1_000,
+        };
+        t.kernel("spmm", Lane::Stream(0), SimNanos(0), SimNanos(100), spmm);
+        t.memcpy(TransferDir::H2D, 0, SimNanos(50), SimNanos(150), 4096, true);
         t.instant(
             "wait_event",
             Lane::Stream(0),
@@ -508,7 +504,11 @@ mod tests {
 
     #[test]
     fn overlap_fraction_is_exact_on_hand_trace() {
-        let h = analyze(&hand_trace(), &Profiler::new());
+        let t = hand_trace();
+        let h = analyze(&t, Profiler::new(&t));
+        assert_eq!(h.breakdown.compute_total, SimNanos(100));
+        assert_eq!(h.breakdown.h2d_bytes, 4096);
+        assert_eq!(h.breakdown.kernel_launches, 1);
         assert_eq!(h.run.compute_busy_ns, 100);
         assert_eq!(h.run.transfer_busy_ns, 100);
         assert_eq!(h.run.overlap_ns, 50);
@@ -549,7 +549,11 @@ mod tests {
 
     #[test]
     fn register_into_prefixes_labels() {
-        let h = analyze(&hand_trace(), &Profiler::new());
+        let t = hand_trace();
+        let h = analyze(&t, Profiler::new(&t));
+        assert_eq!(h.breakdown.compute_total, SimNanos(100));
+        assert_eq!(h.breakdown.h2d_bytes, 4096);
+        assert_eq!(h.breakdown.kernel_launches, 1);
         let mut reg = MetricsRegistry::new();
         h.register_into(&mut reg, &[("leg", "train")]);
         let flat = reg.flat();

@@ -96,6 +96,39 @@ fn per_device_traces_are_thread_invariant() {
     }
 }
 
+/// A NaN feature in one snapshot can only make the loss of a frame that
+/// reads it (as an input or as its target) NaN. Data-parallel training must
+/// skip such a frame's update on every device: were its NaN gradient
+/// applied, the weights would turn NaN and so would every later frame's
+/// loss. So every steady frame that does not read the snapshot has a finite
+/// loss, on one device and on four, while some frame does go NaN.
+#[test]
+fn a_nan_frame_loss_leaves_the_parameters() {
+    let mut g = graph();
+    // Read by frames 2..=10 of the 12; the last snapshot of frame 3 and the
+    // target of frame 2, so EvolveGCN's last-snapshot readout sees it too.
+    let poisoned = 10;
+    g.snapshots[poisoned].features.as_mut_slice()[0] = f32::NAN;
+    let (window, preparing) = (cfg().window, cfg().preparing_epochs);
+    for model in ModelKind::ALL {
+        for n_gpus in [1usize, 4] {
+            let r = run(model, &g, n_gpus);
+            let steady = &r.frame_losses[preparing..];
+            assert!(!steady.is_empty());
+            for (e, losses) in steady.iter().enumerate() {
+                assert!(losses.iter().any(|l| l.is_nan()), "{model:?}: no NaN");
+                for (f, loss) in losses.iter().enumerate() {
+                    let reads = f <= poisoned && poisoned <= f + window;
+                    assert!(
+                        reads || loss.is_finite(),
+                        "{model:?} DP-{n_gpus}: steady epoch {e} frame {f} loss {loss}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// `repro multigpu`'s configuration at tiny scale.
 const HIDDEN: usize = 16;
 /// Slots per staged partition in steady epochs: the largest candidate, the

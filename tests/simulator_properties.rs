@@ -6,8 +6,8 @@
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
     export_chrome_trace, export_chrome_trace_window, feature_row_access, ArgValue, DeviceConfig,
-    FaultPlan, Gpu, KernelArgs, KernelCategory, KernelCost, Lane, Sample, SampleKind, SimNanos,
-    StreamId, TraceEvent, TraceKind, Tracer, TransferDir, VectorWidth,
+    FaultPlan, Gpu, KernelArgs, KernelCategory, KernelCost, Lane, Profiler, Sample, SampleKind,
+    SimNanos, StragglerRange, StreamId, TraceEvent, TraceKind, Tracer, TransferDir, VectorWidth,
 };
 use pipad_repro::kernels::{self, DeviceMatrix};
 use pipad_repro::models::{ModelKind, TrainingConfig};
@@ -394,10 +394,11 @@ proptest! {
 
 // ---- the compact trace and profiler logs ---------------------------------
 //
-// `Tracer` and `Profiler` store fixed-size records holding ids into per-log
-// intern tables and render views on read. These properties replay random
-// call sequences and read every field back: in issue order, in export
-// order against a reference stable sort, and through the windowed export.
+// `Tracer` stores fixed-size records holding ids into intern tables and
+// renders views on read; `Profiler` is a view of its kernel, copy and
+// host-op records. These properties replay random call sequences and read
+// every field back: in issue order, in export order against a reference
+// stable sort, through the windowed export, and as profiler samples.
 
 /// Names the log round trips draw from; the last one needs JSON escaping.
 const NAMES: [&str; 6] = [
@@ -460,6 +461,7 @@ enum TraceCall {
         Vec<(&'static str, ArgValue)>,
     ),
     Kernel(&'static str, Lane, u64, u64, KernelArgs),
+    Memcpy(TransferDir, usize, u64, u64, u64, bool),
     Instant(&'static str, Lane, u64, Vec<(&'static str, ArgValue)>),
     Fault(&'static str, Lane, u64, Vec<(&'static str, ArgValue)>),
     Counter(&'static str, Lane, u64, u64),
@@ -496,15 +498,10 @@ impl TraceCall {
             .collect();
         match op {
             0 => {
-                let kinds = [
-                    TraceKind::Kernel,
-                    TraceKind::Memcpy,
-                    TraceKind::HostOp,
-                    TraceKind::Span,
-                ];
+                let kinds = [TraceKind::HostOp, TraceKind::Span];
                 TraceCall::Span(
                     name,
-                    kinds[((bits >> 20) % 4) as usize],
+                    kinds[((bits >> 20) % 2) as usize],
                     lane,
                     ts,
                     dur,
@@ -517,16 +514,32 @@ impl TraceCall {
                 ts,
                 dur,
                 KernelArgs {
-                    category: ["gemm", "spmm"][((bits >> 22) % 2) as usize],
-                    flops: (bits >> 23) % 3,
+                    category: [KernelCategory::Update, KernelCategory::Aggregation]
+                        [((bits >> 22) % 2) as usize],
+                    gmem_requests: (bits >> 28) % 2,
                     gmem_transactions: (bits >> 25) % 2,
-                    warp_efficiency_milli: 1_000 - (bits >> 26) % 2,
+                    smem_transactions: (bits >> 29) % 2,
+                    flops: (bits >> 23) % 3,
+                    warp_efficiency_milli: 1_000 - ((bits >> 26) % 2) as u32,
+                    balanced: SimNanos(dur / 2),
                     imbalance_milli: (bits >> 27) % 2,
                 },
             ),
             2 => TraceCall::Instant(name, lane, ts, args),
             3 => TraceCall::Fault(name, lane, ts, args),
-            _ => TraceCall::Counter(name, lane, ts, (bits >> 30) % 5 * 256),
+            4 => TraceCall::Counter(name, lane, ts, (bits >> 30) % 5 * 256),
+            _ => {
+                let dir = [TransferDir::H2D, TransferDir::D2H][((bits >> 20) % 2) as usize];
+                let stream = (bits >> 21) as usize % 3;
+                TraceCall::Memcpy(
+                    dir,
+                    stream,
+                    ts,
+                    dur,
+                    (bits >> 30) % 3 * 64,
+                    bits >> 23 & 1 == 1,
+                )
+            }
         }
     }
 
@@ -538,10 +551,46 @@ impl TraceCall {
             TraceCall::Kernel(name, lane, ts, dur, key) => {
                 t.kernel(name, lane, SimNanos(ts), SimNanos(ts + dur), key)
             }
+            TraceCall::Memcpy(dir, stream, ts, dur, bytes, pinned) => {
+                t.memcpy(dir, stream, SimNanos(ts), SimNanos(ts + dur), bytes, pinned)
+            }
             TraceCall::Instant(name, lane, ts, args) => t.instant(name, lane, SimNanos(ts), args),
             TraceCall::Fault(name, lane, ts, args) => t.fault(name, lane, SimNanos(ts), args),
             TraceCall::Counter(name, lane, ts, v) => t.counter(name, lane, SimNanos(ts), v),
         }
+    }
+
+    /// The profiler sample this call records, if it records one.
+    fn sample(&self) -> Option<Sample> {
+        let (name, kind, ts, dur) = match self.clone() {
+            TraceCall::Span(name, TraceKind::HostOp, _, ts, dur, _) => {
+                (name, SampleKind::Host, ts, dur)
+            }
+            TraceCall::Kernel(name, _, ts, dur, key) => {
+                let kind = SampleKind::Kernel {
+                    category: key.category,
+                    gmem_requests: key.gmem_requests,
+                    gmem_transactions: key.gmem_transactions,
+                    smem_transactions: key.smem_transactions,
+                    flops: key.flops,
+                    warp_efficiency_milli: key.warp_efficiency_milli,
+                    balanced: key.balanced,
+                };
+                (name, kind, ts, dur)
+            }
+            TraceCall::Memcpy(dir, _, ts, dur, bytes, pinned) => {
+                let name = self.recorded().name;
+                (name, SampleKind::Transfer { dir, bytes, pinned }, ts, dur)
+            }
+            _ => return None,
+        };
+        let (start, end) = (SimNanos(ts), SimNanos(ts + dur));
+        Some(Sample {
+            name,
+            kind,
+            start,
+            end,
+        })
     }
 
     fn recorded(&self) -> Recorded {
@@ -549,16 +598,28 @@ impl TraceCall {
             TraceCall::Span(name, kind, lane, ts, dur, args) => (name, kind, lane, ts, dur, args),
             TraceCall::Kernel(name, lane, ts, dur, key) => {
                 let args = vec![
-                    ("category", ArgValue::Str(key.category.into())),
+                    ("category", ArgValue::Str(key.category.label().into())),
                     ("flops", ArgValue::U64(key.flops)),
                     ("gmem_transactions", ArgValue::U64(key.gmem_transactions)),
                     (
                         "warp_efficiency_milli",
-                        ArgValue::U64(key.warp_efficiency_milli),
+                        ArgValue::U64(key.warp_efficiency_milli.into()),
                     ),
                     ("imbalance_milli", ArgValue::U64(key.imbalance_milli)),
                 ];
                 (name, TraceKind::Kernel, lane, ts, dur, args)
+            }
+            TraceCall::Memcpy(dir, stream, ts, dur, bytes, pinned) => {
+                let (name, lane) = match dir {
+                    TransferDir::H2D => ("memcpy_h2d", Lane::H2D),
+                    TransferDir::D2H => ("memcpy_d2h", Lane::D2H),
+                };
+                let args = vec![
+                    ("bytes", ArgValue::U64(bytes)),
+                    ("pinned", ArgValue::Bool(pinned)),
+                    ("stream", ArgValue::U64(stream as u64)),
+                ];
+                (name, TraceKind::Memcpy, lane, ts, dur, args)
             }
             TraceCall::Instant(name, lane, ts, args) => {
                 (name, TraceKind::Instant, lane, ts, 0, args)
@@ -585,7 +646,7 @@ proptest! {
 
     #[test]
     fn the_compact_trace_log_round_trips(
-        calls in proptest::collection::vec((0usize..5, 0usize..46, 0u64..400, 0u64..u64::MAX), 0..80),
+        calls in proptest::collection::vec((0usize..6, 0usize..46, 0u64..400, 0u64..u64::MAX), 0..80),
         a in 0u64..460,
         b in 0u64..460,
     ) {
@@ -606,6 +667,10 @@ proptest! {
         }
         prop_assert!(events.get(recorded.len()).is_none());
         prop_assert_eq!(events.into_iter().count(), recorded.len());
+
+        // The kernel, copy and host-op records, as profiler samples.
+        let samples: Vec<Sample> = calls.iter().filter_map(TraceCall::sample).collect();
+        prop_assert_eq!(Profiler::new(&t).samples().iter().collect::<Vec<_>>(), samples);
 
         // Export order: a reference stable sort by (ts, dur desc, tid),
         // issue order breaking the remaining ties.
@@ -634,7 +699,7 @@ proptest! {
 
     #[test]
     fn the_compact_profiler_log_round_trips(
-        ops in proptest::collection::vec((0usize..3, 0usize..2, 0u64..2_000_000, 0u64..u64::MAX), 0..60),
+        ops in proptest::collection::vec((0usize..8, 0usize..2, 0u64..2_000_000, 0u64..u64::MAX), 0..60),
         mark in 0usize..60,
     ) {
         let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -648,7 +713,9 @@ proptest! {
             let s = streams[stream];
             let name = NAMES[(bits % 6) as usize];
             match op {
-                0 => {
+                // A launch; op 7 makes it a straggler, whose
+                // `fault_injected` instant lands right after the kernel.
+                0 | 7 => {
                     let cats = [KernelCategory::Aggregation, KernelCategory::Update, KernelCategory::Other];
                     let mut cost = KernelCost::new(name, cats[((bits >> 3) % 3) as usize])
                         .flops(a % 4)
@@ -656,7 +723,16 @@ proptest! {
                         .smem((bits >> 10) % 2)
                         .uniform_blocks(1 + ((bits >> 12) % 4) as usize, 1 + (bits >> 14) % 3);
                     cost.warp_efficiency_milli = 1 + ((bits >> 16) % 1_000) as u32;
-                    let (busy, balanced) = gpu.kernel_busy(&cost);
+                    let (mut busy, balanced) = gpu.kernel_busy(&cost);
+                    if op == 7 {
+                        let from = gpu.op_counters().launches;
+                        let multiplier_milli = 3_000;
+                        gpu.install_faults(FaultPlan {
+                            straggler_ranges: vec![StragglerRange { from, to: from + 1, multiplier_milli }],
+                            ..FaultPlan::default()
+                        });
+                        busy = busy.scale(multiplier_milli, 1_000);
+                    }
                     let kind = SampleKind::Kernel {
                         category: cost.category,
                         gmem_requests: cost.gmem_requests,
@@ -668,6 +744,11 @@ proptest! {
                     };
                     let end = gpu.launch(s, cost).time();
                     expected.push(Sample { name, kind, start: end - busy, end });
+                    if op == 7 {
+                        let fault = gpu.trace().events().iter().last().unwrap();
+                        prop_assert_eq!(fault.name, "fault_injected");
+                        prop_assert_eq!(gpu.profiler().samples().last(), expected.last().copied());
+                    }
                 }
                 1 => {
                     let (bytes, pinned) = (a % 4 + 1, bits & 1 == 1);
@@ -682,10 +763,31 @@ proptest! {
                     let kind = SampleKind::Transfer { dir, bytes, pinned };
                     expected.push(Sample { name, kind, start: end - dur, end });
                 }
-                _ => {
+                2 => {
                     let (start, end) = gpu.host_op(name, SimNanos(a % 1_000), SimNanos((bits >> 3) % 500));
                     expected.push(Sample { name, kind: SampleKind::Host, start, end });
                 }
+                // Records that are no samples: a control instant and span,
+                // a `wait_event` stall, the alloc/free memory counter and a
+                // CUDA-graph launch span.
+                3 => {
+                    let t = SimNanos(a % 1_000);
+                    gpu.trace_mut().instant(name, Lane::Control, t, vec![]);
+                    let end = t + SimNanos((bits >> 3) % 500);
+                    gpu.trace_mut().span(name, TraceKind::Span, Lane::Control, t, end, vec![]);
+                }
+                4 => {
+                    let other = streams[1 - stream];
+                    let later = gpu.now() + SimNanos(1 + a % 100);
+                    gpu.stream_wait_host(other, later);
+                    let ev = gpu.record_event(other);
+                    gpu.wait_event(s, ev);
+                }
+                5 => {
+                    let id = gpu.alloc(1 + a % 4_096).unwrap();
+                    gpu.free(id);
+                }
+                _ => gpu.graph_scope(s, |_| ()),
             }
         }
 
@@ -700,10 +802,59 @@ proptest! {
         prop_assert_eq!(samples.last(), expected.last().copied());
         if let Some((snap, from)) = snap {
             prop_assert_eq!(samples.since(snap).iter().collect::<Vec<_>>(), expected[from..].to_vec());
+            // The window's breakdown is that of a trace holding only its
+            // samples.
+            let only = samples_only(&expected[from..]);
+            prop_assert_eq!(
+                format!("{:?}", gpu.profiler().window(snap)),
+                format!("{:?}", Profiler::new(&only).full())
+            );
         }
         let consistency = gpu.profiler().consistency_check(gpu.trace());
         prop_assert!(consistency.is_ok(), "{consistency:?}");
     }
+}
+
+/// A trace recording exactly `samples`, through the calls that record them.
+fn samples_only(samples: &[Sample]) -> Tracer {
+    let mut t = Tracer::new();
+    for s in samples {
+        match s.kind {
+            SampleKind::Kernel {
+                category,
+                gmem_requests,
+                gmem_transactions,
+                smem_transactions,
+                flops,
+                warp_efficiency_milli,
+                balanced,
+            } => {
+                let key = KernelArgs {
+                    category,
+                    gmem_requests,
+                    gmem_transactions,
+                    smem_transactions,
+                    flops,
+                    warp_efficiency_milli,
+                    balanced,
+                    imbalance_milli: 1_000,
+                };
+                t.kernel(s.name, Lane::Stream(0), s.start, s.end, key);
+            }
+            SampleKind::Transfer { dir, bytes, pinned } => {
+                t.memcpy(dir, 0, s.start, s.end, bytes, pinned)
+            }
+            SampleKind::Host => t.span(
+                s.name,
+                TraceKind::HostOp,
+                Lane::Host,
+                s.start,
+                s.end,
+                vec![],
+            ),
+        }
+    }
+    t
 }
 
 // ---- tuner under memory pressure ------------------------------------------

@@ -19,8 +19,10 @@
 //! shards: the same loss bits and epoch times, one trace CRC per device.
 //!
 //! Every row's devices also pass `Profiler::consistency_check` against their
-//! trace: the trainers run it themselves only under `debug_assertions`, and
-//! `scripts/check.sh` runs this file `--release` as well.
+//! trace (each kernel, copy and host-op record renders the same as a sample
+//! and as an exported span): the trainers run it themselves only under
+//! `debug_assertions`, and `scripts/check.sh` runs this file `--release` as
+//! well.
 //!
 //! The same trainer table drives the failure contract: a propagated fault
 //! leaves only the model's parameters on the device.
@@ -119,8 +121,8 @@ fn newest_checkpoint_digest(policy: &CheckpointPolicy) -> String {
     format!("{}, {}", crc32(&bytes[..bytes.len() - 4]), bytes.len())
 }
 
-/// The profiler and the trace record one timeline through two code paths;
-/// they must agree on it in the profile the digests are checked in.
+/// The profiler is a view of the trace's records; its samples must agree
+/// with the exported spans in the profile the digests are checked in.
 fn consistent(gpu: &Gpu, trainer: &str, model: ModelKind) {
     gpu.profiler()
         .consistency_check(gpu.trace())
