@@ -361,7 +361,7 @@ mod tests {
         };
         let (clean, clean_losses) = run(FaultPlan::default());
         let samples = clean.profiler().samples().iter();
-        let kernels = samples.filter(|s| matches!(s.kind, SampleKind::Kernel { .. }));
+        let kernels = samples.filter(|s| matches!(s.kind, SampleKind::Kernel(_)));
         let kernels: Vec<&str> = kernels.map(|s| s.name).collect();
         let losses: Vec<usize> = (0..kernels.len())
             .filter(|&i| kernels[i] == "mse_loss")

@@ -1,7 +1,9 @@
-//! Intern tables behind the compact trace log: each distinct value is
-//! stored once, in first-seen order, and a record holds its index.
+//! The intern table behind the compact trace log: each distinct value (an
+//! event name, an argument list, a kernel descriptor) is stored once, in
+//! first-seen order, and a record holds its index.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -59,8 +61,9 @@ impl Hasher for MulRotHasher {
 /// [`MulRotHasher`] for `HashMap`s.
 pub(crate) type FastHash = BuildHasherDefault<MulRotHasher>;
 
-/// Distinct `T`s in first-seen order, each found again in one lookup. Ids
-/// are `I`; running out of them panics rather than wrapping.
+/// Distinct `T`s in first-seen order, each found again in one lookup by
+/// any borrowed form of it. Ids are `I`; running out of them panics rather
+/// than wrapping.
 #[derive(Debug)]
 pub(crate) struct Interner<T, I> {
     items: Vec<T>,
@@ -76,20 +79,25 @@ impl<T, I> Default for Interner<T, I> {
     }
 }
 
-impl<T: Copy + Eq + Hash, I: Copy + TryFrom<usize>> Interner<T, I>
+impl<T: Clone + Eq + Hash, I: Copy + TryFrom<usize>> Interner<T, I>
 where
     I::Error: Debug,
 {
-    /// The id of `value`, assigning the next one on first sight.
-    pub(crate) fn id(&mut self, value: T) -> I {
-        match self.ids.entry(value) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = I::try_from(self.items.len()).expect("intern table ran out of ids");
-                self.items.push(value);
-                *e.insert(id)
-            }
+    /// The id of the stored value equal to `key`, storing `own(key)` on
+    /// first sight: a hit builds nothing.
+    pub(crate) fn id<Q>(&mut self, key: &Q, own: impl FnOnce(&Q) -> T) -> I
+    where
+        T: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
         }
+        let id = I::try_from(self.items.len()).expect("intern table ran out of ids");
+        let value = own(key);
+        self.items.push(value.clone());
+        self.ids.insert(value, id);
+        id
     }
 
     /// Every distinct value, indexed by id.
@@ -105,8 +113,21 @@ mod tests {
     #[test]
     fn ids_follow_first_sight_and_repeat() {
         let mut t: Interner<&'static str, u16> = Interner::default();
-        assert_eq!([t.id("a"), t.id("b"), t.id("a")], [0, 1, 0]);
+        let mut id = |s| t.id(&s, |&s| s);
+        assert_eq!([id("a"), id("b"), id("a")], [0, 1, 0]);
         assert_eq!(t.items(), ["a", "b"]);
+    }
+
+    #[test]
+    fn a_borrowed_key_finds_its_owned_value() {
+        let mut t: Interner<std::sync::Arc<[u32]>, u32> = Interner::default();
+        let own = |k: &[u32]| k.into();
+        assert_eq!([t.id(&[1, 2][..], own), t.id(&[3][..], own)], [0, 1]);
+        assert_eq!(
+            t.id(&[1, 2][..], |_| unreachable!("a hit builds nothing")),
+            0
+        );
+        assert_eq!(&*t.items()[1], [3]);
     }
 
     #[test]
@@ -114,7 +135,7 @@ mod tests {
     fn id_overflow_panics() {
         let mut t: Interner<u32, u8> = Interner::default();
         for v in 0..=256 {
-            t.id(v);
+            t.id(&v, |&v| v);
         }
     }
 

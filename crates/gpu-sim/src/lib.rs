@@ -24,8 +24,11 @@
 //! * all arithmetic is integer nanoseconds — runs are bit-for-bit
 //!   reproducible;
 //! * every kernel launch, copy and host op is one record in the device's
-//!   [`Tracer`], the only timeline log: the exported trace and the
-//!   [`Profiler`]'s samples and breakdowns are two views of it.
+//!   [`Tracer`], the only timeline log, which stores each fact once: a
+//!   kernel's cost is one interned [`KernelArgs`], a copy's bytes live in
+//!   its args, and counter high-water marks are folded from the counter
+//!   records. The exported trace ([`Events`]) and the [`Profiler`]'s
+//!   samples ([`Samples`]) are two renderings of one [`Records`] view.
 //!
 //! The numerical work of a kernel is performed by the caller (see
 //! `pipad-kernels`); this crate only accounts for its cost and its position
@@ -80,6 +83,6 @@ pub use schedule::{ratio_milli, schedule_blocks, BalanceReport};
 pub use time::SimNanos;
 pub use trace::{
     export_chrome_trace, export_chrome_trace_window, json_escape, last_span_window,
-    trace_text_summary, ArgValue, Events, EventsIter, KernelArgs, Lane, TraceEvent, TraceKind,
-    Tracer,
+    trace_text_summary, ArgValue, Events, EventsIter, KernelArgs, Lane, Records, RecordsIter,
+    TraceEvent, TraceKind, Tracer,
 };

@@ -3,37 +3,22 @@
 //!
 //! The profiler keeps no log of its own: [`Profiler`] is a `Copy` view of
 //! the [`Tracer`]'s records, and every kernel launch, PCIe transfer and
-//! accounted host operation record renders as a [`Sample`] through it.
+//! accounted host operation record renders as a [`Sample`] through the
+//! trace's one [`Records`] view ([`Samples`]).
 //! Analyses run over windows between [`ProfSnapshot`]s, so callers can
 //! measure e.g. only the steady-state epochs (the paper excludes its two
 //! "preparing" epochs the same way).
 
-use crate::cost::KernelCategory;
 use crate::device::TransferDir;
 use crate::time::SimNanos;
-use crate::trace::{Record, Tracer};
+use crate::trace::{ArgValue, KernelArgs, Lane, Records, RecordsIter, TraceKind, Tracer};
 use std::collections::BTreeMap;
 
 /// What kind of activity a sample records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SampleKind {
-    /// Kernel.
-    Kernel {
-        /// See the type-level documentation.
-        category: KernelCategory,
-        /// See the type-level documentation.
-        gmem_requests: u64,
-        /// See the type-level documentation.
-        gmem_transactions: u64,
-        /// See the type-level documentation.
-        smem_transactions: u64,
-        /// See the type-level documentation.
-        flops: u64,
-        /// See the type-level documentation.
-        warp_efficiency_milli: u32,
-        /// Duration this kernel would have had under perfect load balance.
-        balanced: SimNanos,
-    },
+    /// Kernel, by its one descriptor.
+    Kernel(KernelArgs),
     /// Transfer.
     Transfer {
         /// See the type-level documentation.
@@ -68,7 +53,7 @@ impl Sample {
 
     /// Whether this sample records a kernel.
     pub fn is_kernel(&self) -> bool {
-        matches!(self.kind, SampleKind::Kernel { .. })
+        matches!(self.kind, SampleKind::Kernel(_))
     }
 }
 
@@ -76,7 +61,7 @@ impl Sample {
 /// recorded since a snapshot or between two snapshots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProfSnapshot {
-    from: usize,
+    pub(crate) from: usize,
 }
 
 /// Aggregated view over a sample window.
@@ -156,78 +141,11 @@ pub struct Profiler<'a> {
     tracer: &'a Tracer,
 }
 
-/// A run of recorded samples in issue order, as [`Sample`] views.
-#[derive(Clone, Copy, Debug)]
-pub struct Samples<'a> {
-    tracer: &'a Tracer,
-    records: &'a [Record],
-}
-
-impl<'a> Samples<'a> {
-    /// Views of every sample, in issue order.
-    pub fn iter(&self) -> SamplesIter<'a> {
-        SamplesIter {
-            tracer: self.tracer,
-            records: self.records.iter(),
-        }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// Whether there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
-    }
-
-    /// The `i`-th sample.
-    pub fn get(&self, i: usize) -> Option<Sample> {
-        self.iter().nth(i)
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<Sample> {
-        self.records
-            .iter()
-            .rev()
-            .find_map(|r| self.tracer.sample(r))
-    }
-
-    /// The samples recorded since `snap` was taken.
-    pub fn since(&self, snap: ProfSnapshot) -> Samples<'a> {
-        Samples {
-            tracer: self.tracer,
-            records: &self.records[snap.from..],
-        }
-    }
-}
-
-impl<'a> IntoIterator for Samples<'a> {
-    type Item = Sample;
-    type IntoIter = SamplesIter<'a>;
-
-    fn into_iter(self) -> SamplesIter<'a> {
-        self.iter()
-    }
-}
+/// The recorded samples from one position on, in issue order.
+pub type Samples<'a> = Records<'a, Sample>;
 
 /// Iterator over [`Samples`].
-#[derive(Clone, Debug)]
-pub struct SamplesIter<'a> {
-    tracer: &'a Tracer,
-    records: std::slice::Iter<'a, Record>,
-}
-
-impl Iterator for SamplesIter<'_> {
-    type Item = Sample;
-
-    fn next(&mut self) -> Option<Sample> {
-        let tracer = self.tracer;
-        self.records.find_map(|r| tracer.sample(r))
-    }
-}
+pub type SamplesIter<'a> = RecordsIter<'a, Sample>;
 
 impl<'a> Profiler<'a> {
     /// The profiler view of `tracer`.
@@ -237,9 +155,10 @@ impl<'a> Profiler<'a> {
 
     /// All recorded samples.
     pub fn samples(self) -> Samples<'a> {
-        Samples {
+        Records {
             tracer: self.tracer,
-            records: self.tracer.records(),
+            from: 0,
+            render: Tracer::sample,
         }
     }
 
@@ -266,10 +185,10 @@ impl<'a> Profiler<'a> {
     }
 
     fn analyze(self, from: usize, to: usize) -> Breakdown {
-        let window = Samples {
-            tracer: self.tracer,
-            records: &self.tracer.records()[from..to],
-        };
+        let tracer = self.tracer;
+        let window = tracer.records[from..to]
+            .iter()
+            .filter_map(|r| tracer.sample(r));
         let mut out = Breakdown::default();
         let mut wall: Option<(SimNanos, SimNanos)> = None;
         let mut kernel_intervals = Vec::new();
@@ -280,25 +199,17 @@ impl<'a> Profiler<'a> {
             wall = Some(wall.map_or((s.start, s.end), |(a, b)| (a.min(s.start), b.max(s.end))));
             let dur = s.duration();
             match s.kind {
-                SampleKind::Kernel {
-                    category,
-                    gmem_requests,
-                    gmem_transactions,
-                    smem_transactions: _,
-                    flops,
-                    warp_efficiency_milli,
-                    balanced,
-                } => {
+                SampleKind::Kernel(k) => {
                     *out.compute_by_category
-                        .entry(category.label())
+                        .entry(k.category.label())
                         .or_insert(SimNanos::ZERO) += dur;
                     out.compute_total += dur;
-                    out.compute_balanced += balanced;
-                    out.gmem_requests += gmem_requests;
-                    out.gmem_transactions += gmem_transactions;
-                    out.flops += flops;
+                    out.compute_balanced += k.balanced;
+                    out.gmem_requests += k.gmem_requests;
+                    out.gmem_transactions += k.gmem_transactions;
+                    out.flops += k.flops;
                     out.kernel_launches += 1;
-                    eff_weight += warp_efficiency_milli as u128 * dur.as_nanos() as u128;
+                    eff_weight += k.warp_efficiency_milli as u128 * dur.as_nanos() as u128;
                     eff_time += dur.as_nanos() as u128;
                     kernel_intervals.push((s.start.as_nanos(), s.end.as_nanos()));
                     busy_intervals.push((s.start.as_nanos(), s.end.as_nanos()));
@@ -336,13 +247,20 @@ impl<'a> Profiler<'a> {
     /// Check that the two renderings of each kernel, copy and host-op record
     /// agree: walking this view's samples and `tracer`'s kernel, memcpy and
     /// host-op events in issue order, the n-th of each must agree on kind,
-    /// name, interval and (for a copy) `bytes`, and neither may run out
-    /// first. One pass. Run by the trace test suite, the `repro` harnesses
-    /// and, in debug builds, every training run.
+    /// name and interval, a kernel's exported `category`, `flops`,
+    /// `gmem_transactions`, `warp_efficiency_milli` and `imbalance_milli`
+    /// on its descriptor, a copy's `bytes` and `pinned` on its sample and
+    /// its lane on the sample's direction, and neither may run out first.
+    /// One pass. Run by the trace test suite, the `repro` harnesses and, in
+    /// debug builds, every training run.
     pub fn consistency_check(self, tracer: &Tracer) -> Result<(), String> {
-        use crate::trace::{ArgValue, TraceKind};
         let mut samples = self.samples().iter();
-        let spans = tracer.events().into_iter().filter(|e| e.kind.is_sample());
+        let spans = tracer.events().into_iter().filter(|e| {
+            matches!(
+                e.kind,
+                TraceKind::Kernel | TraceKind::Memcpy | TraceKind::HostOp
+            )
+        });
         for (n, e) in spans.enumerate() {
             let Some(s) = samples.next() else {
                 return Err(format!(
@@ -350,28 +268,30 @@ impl<'a> Profiler<'a> {
                     e.name
                 ));
             };
+            let arg = |key: &str| e.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+            let u64_is = |key: &str, want: u64| arg(key) == Some(&ArgValue::U64(want));
             let agree = match (e.kind, s.kind) {
-                (TraceKind::Kernel, SampleKind::Kernel { .. })
-                | (TraceKind::HostOp, SampleKind::Host) => true,
-                (TraceKind::Memcpy, SampleKind::Transfer { bytes, .. }) => e
-                    .args
-                    .iter()
-                    .any(|(k, v)| *k == "bytes" && *v == ArgValue::U64(bytes)),
+                (TraceKind::Kernel, SampleKind::Kernel(k)) => {
+                    matches!(arg("category"), Some(ArgValue::Str(c)) if c == k.category.label())
+                        && u64_is("flops", k.flops)
+                        && u64_is("gmem_transactions", k.gmem_transactions)
+                        && u64_is("warp_efficiency_milli", k.warp_efficiency_milli.into())
+                        && u64_is("imbalance_milli", k.imbalance_milli)
+                }
+                (TraceKind::Memcpy, SampleKind::Transfer { dir, bytes, pinned }) => {
+                    let lane = match dir {
+                        TransferDir::H2D => Lane::H2D,
+                        TransferDir::D2H => Lane::D2H,
+                    };
+                    e.lane == lane
+                        && u64_is("bytes", bytes)
+                        && arg("pinned") == Some(&ArgValue::Bool(pinned))
+                }
+                (TraceKind::HostOp, SampleKind::Host) => true,
                 _ => false,
             };
             if !agree || e.name != s.name || e.ts != s.start || e.end() != s.end {
-                return Err(format!(
-                    "trace span {n} {} {:?} [{}, {}) args {:?} != profiler sample {} [{}, {}) {:?}",
-                    e.name,
-                    e.kind,
-                    e.ts,
-                    e.end(),
-                    e.args,
-                    s.name,
-                    s.start,
-                    s.end,
-                    s.kind
-                ));
+                return Err(format!("trace span {n} {e:?} != profiler sample {s:?}"));
             }
         }
         match samples.next() {
@@ -402,7 +322,7 @@ pub fn total_ns(iv: &[(u64, u64)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{KernelArgs, Lane};
+    use crate::cost::KernelCategory;
 
     /// Record a kernel whose warp efficiency is `eff` and whose balanced
     /// time is `balanced`.
@@ -517,28 +437,42 @@ mod tests {
 
     #[test]
     fn consistency_is_checked_launch_by_launch() {
-        let trace = |launches: &[(&'static str, u64, u64)], bytes: u64| {
+        let trace = |launches: &[(&'static str, u64, u64)], bytes: u64, pinned: bool| {
             let mut t = Tracer::new();
             for &(name, start, end) in launches {
                 kernel(&mut t, name, KernelCategory::Other, start, end);
             }
-            transfer(&mut t, 0, 50, TransferDir::H2D, bytes);
+            t.memcpy(
+                TransferDir::H2D,
+                0,
+                SimNanos(0),
+                SimNanos(50),
+                bytes,
+                pinned,
+            );
             t
         };
         let same = [("a", 0, 10), ("b", 10, 30)];
-        let reference = trace(&same, 64);
+        let reference = trace(&same, 64, true);
         let p = Profiler::new(&reference);
         assert_eq!(p.consistency_check(&reference), Ok(()));
-        assert_eq!(p.consistency_check(&trace(&same, 64)), Ok(()));
+        assert_eq!(p.consistency_check(&trace(&same, 64, true)), Ok(()));
         // Same count and total kernel time, launched the other way round.
         let swapped = [("b", 0, 20), ("a", 20, 30)];
-        assert!(p.consistency_check(&trace(&swapped, 64)).is_err());
-        // Same copy interval, other byte count.
-        assert!(p.consistency_check(&trace(&same, 65)).is_err());
+        assert!(p.consistency_check(&trace(&swapped, 64, true)).is_err());
+        // Same copy interval, other byte count, or pageable.
+        assert!(p.consistency_check(&trace(&same, 65, true)).is_err());
+        assert!(p.consistency_check(&trace(&same, 64, false)).is_err());
+        // Same intervals, one kernel of another family.
+        let mut family = Tracer::new();
+        kernel(&mut family, "a", KernelCategory::Other, 0, 10);
+        kernel(&mut family, "b", KernelCategory::Update, 10, 30);
+        transfer(&mut family, 0, 50, TransferDir::H2D, 64);
+        assert!(p.consistency_check(&family).is_err());
         // A kernel span short, and one too many.
-        assert!(p.consistency_check(&trace(&same[..1], 64)).is_err());
+        assert!(p.consistency_check(&trace(&same[..1], 64, true)).is_err());
         let extra = [("a", 0, 10), ("b", 10, 30), ("c", 30, 31)];
-        assert!(p.consistency_check(&trace(&extra, 64)).is_err());
+        assert!(p.consistency_check(&trace(&extra, 64, true)).is_err());
     }
 
     #[test]

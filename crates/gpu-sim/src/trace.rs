@@ -7,10 +7,10 @@
 //! timeline claims (transfer/compute overlap, pipeline stalls, per-frame
 //! breakdowns — Figures 8, 11 and 12) are checked against.
 //!
-//! It is the simulator's only timeline log. Each event is a 32-byte record
-//! of ids into intern tables of names, argument lists and, for a kernel,
-//! copy or host op, its [`SampleKind`]: the one record renders both as a
-//! [`TraceEvent`] and as the [`crate::Profiler`]'s [`Sample`].
+//! It is the simulator's only timeline log and stores each fact once: a
+//! 32-byte record of ids into intern tables of names, argument lists and
+//! [`KernelArgs`], rendered by one [`Records`] view as a [`TraceEvent`] or
+//! as the [`crate::Profiler`]'s [`Sample`]; counter peaks fold the records.
 //!
 //! ## Determinism contract
 //!
@@ -37,12 +37,11 @@
 
 use crate::cost::KernelCategory;
 use crate::device::TransferDir;
-use crate::intern::{FastHash, Interner};
-use crate::profiler::{Sample, SampleKind};
+use crate::intern::Interner;
+use crate::profiler::{ProfSnapshot, Sample, SampleKind};
 use crate::time::SimNanos;
-use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -139,20 +138,19 @@ impl TraceKind {
 
     /// Whether this kind occupies an interval (Chrome `ph:"X"`).
     pub fn is_span(self) -> bool {
-        self.is_sample() || self == TraceKind::Span
-    }
-
-    /// Whether a record of this kind is also a profiler [`Sample`].
-    pub(crate) fn is_sample(self) -> bool {
         matches!(
             self,
-            TraceKind::Kernel | TraceKind::Memcpy | TraceKind::HostOp
+            TraceKind::Kernel | TraceKind::Memcpy | TraceKind::HostOp | TraceKind::Span
         )
     }
 }
 
 /// A trace argument value, rendered into the Chrome `args` object.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Equal and hashed by value bits, as the intern table needs: `F64(0.0)`
+/// and `F64(-0.0)` (which export differently) differ, and so do two NaN
+/// payloads, while a NaN equals itself.
+#[derive(Clone, Debug)]
 pub enum ArgValue {
     /// Unsigned integer.
     U64(u64),
@@ -166,13 +164,39 @@ pub enum ArgValue {
     Str(String),
 }
 
+impl PartialEq for ArgValue {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ArgValue::U64(a), ArgValue::U64(b)) => a == b,
+            (ArgValue::I64(a), ArgValue::I64(b)) => a == b,
+            (ArgValue::F64(a), ArgValue::F64(b)) => a.to_bits() == b.to_bits(),
+            (ArgValue::Bool(a), ArgValue::Bool(b)) => a == b,
+            (ArgValue::Str(a), ArgValue::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ArgValue {}
+
+impl Hash for ArgValue {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            ArgValue::U64(x) => x.hash(h),
+            ArgValue::I64(x) => x.hash(h),
+            ArgValue::F64(x) => x.to_bits().hash(h),
+            ArgValue::Bool(b) => b.hash(h),
+            ArgValue::Str(s) => s.hash(h),
+        }
+    }
+}
+
 /// An event's ordered key→value details.
 type Args = Arc<[(&'static str, ArgValue)]>;
 
-/// Everything a kernel record keeps: the fields of its
-/// [`SampleKind::Kernel`] and the load imbalance its busy time was scaled
-/// by. [`Tracer::kernel`]'s lookup key: a launch whose key the tracer has
-/// seen builds nothing.
+/// A kernel's one descriptor, interned once per tracer: its
+/// [`SampleKind::Kernel`], and what its exported args are built from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KernelArgs {
     /// Kernel family.
@@ -220,8 +244,7 @@ impl TraceEvent<'_> {
 }
 
 /// What the log stores per event: 32 bytes, the name, the argument list
-/// and (for a kernel, copy or host op) the [`SampleKind`] as ids into the
-/// tracer's tables.
+/// and (for a kernel) the [`KernelArgs`] as ids into the tracer's tables.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Record {
     ts: SimNanos,
@@ -233,98 +256,20 @@ pub(crate) struct Record {
     kind: TraceKind,
 }
 
-/// An argument list as the intern table sees it: hashed and compared by
-/// value bits, so `F64(0.0)` and `F64(-0.0)` (which export differently) and
-/// two NaN payloads stay distinct lists.
-trait ArgList {
-    fn list(&self) -> &[(&'static str, ArgValue)];
-}
-
-impl ArgList for &[(&'static str, ArgValue)] {
-    fn list(&self) -> &[(&'static str, ArgValue)] {
-        self
-    }
-}
-
-impl Hash for dyn ArgList + '_ {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        h.write_usize(self.list().len());
-        for (k, v) in self.list() {
-            k.hash(h);
-            std::mem::discriminant(v).hash(h);
-            match v {
-                ArgValue::U64(x) => x.hash(h),
-                ArgValue::I64(x) => x.hash(h),
-                ArgValue::F64(x) => x.to_bits().hash(h),
-                ArgValue::Bool(b) => b.hash(h),
-                ArgValue::Str(s) => s.hash(h),
-            }
-        }
-    }
-}
-
-impl PartialEq for dyn ArgList + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        let same = |a: &ArgValue, b: &ArgValue| match (a, b) {
-            (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
-        };
-        let (a, b) = (self.list(), other.list());
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|((ka, va), (kb, vb))| ka == kb && same(va, vb))
-    }
-}
-
-impl Eq for dyn ArgList + '_ {}
-
-/// A stored list; looked up by a borrowed slice, so a hit allocates nothing.
-#[derive(Debug)]
-struct Interned(Args);
-
-impl ArgList for Interned {
-    fn list(&self) -> &[(&'static str, ArgValue)] {
-        &self.0
-    }
-}
-
-impl<'a> Borrow<dyn ArgList + 'a> for Interned {
-    fn borrow(&self) -> &(dyn ArgList + 'a) {
-        self
-    }
-}
-
-impl Hash for Interned {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        (self as &dyn ArgList).hash(h)
-    }
-}
-
-impl PartialEq for Interned {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn ArgList) == (other as &dyn ArgList)
-    }
-}
-
-impl Eq for Interned {}
-
 /// Append-only deterministic event recorder.
 #[derive(Debug, Default)]
 pub struct Tracer {
-    records: Vec<Record>,
+    pub(crate) records: Vec<Record>,
     /// Every distinct event name, by id.
     names: Interner<&'static str, u16>,
     /// Every distinct argument list recorded, stored once, by id.
-    args: Vec<Args>,
-    /// The id of each list in `args`.
-    arg_ids: HashMap<Interned, u32, FastHash>,
-    /// Every distinct [`SampleKind`] recorded, by id.
-    kinds: Interner<SampleKind, u32>,
-    /// [`Tracer::kernel`]'s (list, kind) ids by key, so a launch seen before
+    args: Interner<Args, u32>,
+    /// Every distinct kernel descriptor recorded, by id (a kernel record's
+    /// `sample`).
+    kernels: Interner<KernelArgs, u32>,
+    /// The argument-list id of each kernel id, so a launch seen before
     /// builds no `category` string.
-    kernel_ids: HashMap<KernelArgs, (u32, u32), FastHash>,
-    counter_peaks: BTreeMap<&'static str, u64>,
+    kernel_args: Vec<u32>,
     /// Deterministic run-level metadata (e.g. buffer-pool hit counters).
     /// Rendered only by [`trace_text_summary`] — never by
     /// [`export_chrome_trace`], whose JSON is pinned byte-for-byte by
@@ -332,62 +277,86 @@ pub struct Tracer {
     meta: BTreeMap<&'static str, u64>,
 }
 
-/// The recorded events in program (issue) order, as [`TraceEvent`] views.
+/// The records of a [`Tracer`] from one position on, in program (issue)
+/// order, each rendered as a `T`: [`Events`] renders every record,
+/// [`crate::Samples`] the kernel, copy and host-op ones.
 #[derive(Clone, Copy, Debug)]
-pub struct Events<'a> {
-    tracer: &'a Tracer,
+pub struct Records<'a, T> {
+    pub(crate) tracer: &'a Tracer,
+    pub(crate) from: usize,
+    pub(crate) render: fn(&'a Tracer, &Record) -> Option<T>,
 }
 
-impl<'a> Events<'a> {
-    /// Views of every event, in issue order.
-    pub fn iter(&self) -> EventsIter<'a> {
-        EventsIter {
+/// Every recorded event, as [`TraceEvent`]s.
+pub type Events<'a> = Records<'a, TraceEvent<'a>>;
+
+/// Iterator over [`Events`].
+pub type EventsIter<'a> = RecordsIter<'a, TraceEvent<'a>>;
+
+impl<'a, T> Records<'a, T> {
+    /// Every rendered record, in issue order.
+    pub fn iter(&self) -> RecordsIter<'a, T> {
+        RecordsIter {
             tracer: self.tracer,
-            records: self.tracer.records.iter(),
+            render: self.render,
+            records: self.tracer.records[self.from..].iter(),
         }
     }
 
-    /// Number of recorded events.
+    /// Number of rendered records (a scan).
     pub fn len(&self) -> usize {
-        self.tracer.records.len()
+        self.iter().count()
     }
 
-    /// Whether nothing has been recorded.
+    /// Whether nothing renders.
     pub fn is_empty(&self) -> bool {
-        self.tracer.records.is_empty()
+        self.iter().next().is_none()
     }
 
-    /// The `i`-th event in issue order.
-    pub fn get(&self, i: usize) -> Option<TraceEvent<'a>> {
-        self.tracer.records.get(i).map(|r| self.tracer.view(r))
+    /// The `i`-th rendered record (a scan).
+    pub fn get(&self, i: usize) -> Option<T> {
+        self.iter().nth(i)
+    }
+
+    /// The most recent rendered record.
+    pub fn last(&self) -> Option<T> {
+        let mut records = self.tracer.records[self.from..].iter().rev();
+        records.find_map(|r| (self.render)(self.tracer, r))
+    }
+
+    /// The records since `snap` was taken: `snap` is a position in the
+    /// whole table, whatever this view starts at.
+    pub fn since(&self, snap: ProfSnapshot) -> Self {
+        Records {
+            from: snap.from,
+            ..*self
+        }
     }
 }
 
-impl<'a> IntoIterator for Events<'a> {
-    type Item = TraceEvent<'a>;
-    type IntoIter = EventsIter<'a>;
+impl<'a, T> IntoIterator for Records<'a, T> {
+    type Item = T;
+    type IntoIter = RecordsIter<'a, T>;
 
-    fn into_iter(self) -> EventsIter<'a> {
+    fn into_iter(self) -> RecordsIter<'a, T> {
         self.iter()
     }
 }
 
-/// Iterator over [`Events`].
+/// Iterator over a [`Records`] view.
 #[derive(Clone, Debug)]
-pub struct EventsIter<'a> {
+pub struct RecordsIter<'a, T> {
     tracer: &'a Tracer,
+    render: fn(&'a Tracer, &Record) -> Option<T>,
     records: std::slice::Iter<'a, Record>,
 }
 
-impl<'a> Iterator for EventsIter<'a> {
-    type Item = TraceEvent<'a>;
+impl<T> Iterator for RecordsIter<'_, T> {
+    type Item = T;
 
-    fn next(&mut self) -> Option<TraceEvent<'a>> {
-        self.records.next().map(|r| self.tracer.view(r))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.records.size_hint()
+    fn next(&mut self) -> Option<T> {
+        let (tracer, render) = (self.tracer, self.render);
+        self.records.find_map(|r| render(tracer, r))
     }
 }
 
@@ -399,7 +368,11 @@ impl Tracer {
 
     /// All events in program (issue) order.
     pub fn events(&self) -> Events<'_> {
-        Events { tracer: self }
+        Records {
+            tracer: self,
+            from: 0,
+            render: |t, r| Some(t.view(r)),
+        }
     }
 
     /// Number of recorded events.
@@ -412,28 +385,51 @@ impl Tracer {
         self.records.is_empty()
     }
 
+    /// The name of `r`.
+    fn name(&self, r: &Record) -> &'static str {
+        self.names.items()[usize::from(r.name)]
+    }
+
+    /// The argument list of `r`.
+    fn args(&self, r: &Record) -> &[(&'static str, ArgValue)] {
+        &self.args.items()[r.args as usize]
+    }
+
     /// The event `r` stores.
     fn view(&self, r: &Record) -> TraceEvent<'_> {
         TraceEvent {
-            name: self.names.items()[usize::from(r.name)],
+            name: self.name(r),
             kind: r.kind,
             lane: Lane::from_tid(r.tid),
             ts: r.ts,
             dur: r.dur,
-            args: &self.args[r.args as usize],
+            args: self.args(r),
         }
     }
 
-    /// Every record, in issue order.
-    pub(crate) fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    /// The sample `r` stores, if it records a kernel, copy or host op.
+    /// The sample `r` stores, if it records a kernel, copy or host op: a
+    /// kernel's descriptor, a copy's direction (its lane) and `bytes` and
+    /// `pinned` args, or a host op.
     pub(crate) fn sample(&self, r: &Record) -> Option<Sample> {
-        r.kind.is_sample().then(|| Sample {
-            name: self.names.items()[usize::from(r.name)],
-            kind: self.kinds.items()[r.sample as usize],
+        let kind = match r.kind {
+            TraceKind::Kernel => SampleKind::Kernel(self.kernels.items()[r.sample as usize]),
+            TraceKind::Memcpy => {
+                let [(_, ArgValue::U64(bytes)), (_, ArgValue::Bool(pinned)), ..] = *self.args(r)
+                else {
+                    unreachable!("a copy's args start with bytes and pinned")
+                };
+                let dir = match Lane::from_tid(r.tid) {
+                    Lane::H2D => TransferDir::H2D,
+                    _ => TransferDir::D2H,
+                };
+                SampleKind::Transfer { dir, bytes, pinned }
+            }
+            TraceKind::HostOp => SampleKind::Host,
+            _ => return None,
+        };
+        Some(Sample {
+            name: self.name(r),
+            kind,
             start: r.ts,
             end: r.ts + r.dur,
         })
@@ -442,17 +438,10 @@ impl Tracer {
     /// The id of the stored list equal to `args`, storing a copy on first
     /// sight.
     fn intern(&mut self, args: &[(&'static str, ArgValue)]) -> u32 {
-        if let Some(&id) = self.arg_ids.get(&args as &dyn ArgList) {
-            return id;
-        }
-        let id = u32::try_from(self.args.len()).expect("more than 2^32 distinct trace arg lists");
-        let shared = Args::from(args);
-        self.args.push(shared.clone());
-        self.arg_ids.insert(Interned(shared), id);
-        id
+        self.args.id(args, |list| list.into())
     }
 
-    /// Append a record; a kernel, copy or host op sets its `sample` id.
+    /// Append a record; a kernel sets its `sample` id.
     fn push(
         &mut self,
         name: &'static str,
@@ -463,7 +452,7 @@ impl Tracer {
         args: u32,
     ) -> &mut Record {
         let tid = u32::try_from(lane.tid()).expect("lane tid beyond u32");
-        let name = self.names.id(name);
+        let name = self.names.id(&name, |&name| name);
         self.records.push(Record {
             ts,
             dur,
@@ -478,7 +467,8 @@ impl Tracer {
 
     /// Record a control ([`TraceKind::Span`]) or host-op
     /// ([`TraceKind::HostOp`], a [`SampleKind::Host`] sample) span
-    /// `[start, end)`.
+    /// `[start, end)`. Kernels and copies go through [`Tracer::kernel`] and
+    /// [`Tracer::memcpy`].
     pub fn span(
         &mut self,
         name: &'static str,
@@ -489,19 +479,18 @@ impl Tracer {
         args: Vec<(&'static str, ArgValue)>,
     ) {
         debug_assert!(end >= start, "span must not end before it starts");
-        debug_assert!(matches!(kind, TraceKind::Span | TraceKind::HostOp));
+        assert!(
+            matches!(kind, TraceKind::Span | TraceKind::HostOp),
+            "span records only control and host-op spans, not {kind:?}"
+        );
         let args = self.intern(&args);
-        let sample = match kind {
-            TraceKind::HostOp => self.kinds.id(SampleKind::Host),
-            _ => 0,
-        };
-        self.push(name, kind, lane, start, end - start, args).sample = sample;
+        self.push(name, kind, lane, start, end - start, args);
     }
 
     /// Record a kernel span `[start, end)`. Its exported args are `key`'s
     /// category (as a string), flops, global-memory transactions, warp
-    /// efficiency and imbalance, in that order; its sample carries the rest.
-    /// Both are built only the first time this tracer sees `key`.
+    /// efficiency and imbalance, in that order; its sample is `key`. The
+    /// args are built only the first time this tracer sees `key`.
     pub fn kernel(
         &mut self,
         name: &'static str,
@@ -511,39 +500,28 @@ impl Tracer {
         key: KernelArgs,
     ) {
         debug_assert!(end >= start, "span must not end before it starts");
-        let (args, sample) = match self.kernel_ids.get(&key) {
-            Some(&ids) => ids,
-            None => {
-                let args = self.intern(&[
-                    ("category", ArgValue::Str(key.category.label().to_string())),
-                    ("flops", ArgValue::U64(key.flops)),
-                    ("gmem_transactions", ArgValue::U64(key.gmem_transactions)),
-                    (
-                        "warp_efficiency_milli",
-                        ArgValue::U64(key.warp_efficiency_milli.into()),
-                    ),
-                    ("imbalance_milli", ArgValue::U64(key.imbalance_milli)),
-                ]);
-                let sample = self.kinds.id(SampleKind::Kernel {
-                    category: key.category,
-                    gmem_requests: key.gmem_requests,
-                    gmem_transactions: key.gmem_transactions,
-                    smem_transactions: key.smem_transactions,
-                    flops: key.flops,
-                    warp_efficiency_milli: key.warp_efficiency_milli,
-                    balanced: key.balanced,
-                });
-                self.kernel_ids.insert(key, (args, sample));
-                (args, sample)
-            }
-        };
+        let id = self.kernels.id(&key, |&key| key);
+        if id as usize == self.kernel_args.len() {
+            let args = self.intern(&[
+                ("category", ArgValue::Str(key.category.label().to_string())),
+                ("flops", ArgValue::U64(key.flops)),
+                ("gmem_transactions", ArgValue::U64(key.gmem_transactions)),
+                (
+                    "warp_efficiency_milli",
+                    ArgValue::U64(key.warp_efficiency_milli.into()),
+                ),
+                ("imbalance_milli", ArgValue::U64(key.imbalance_milli)),
+            ]);
+            self.kernel_args.push(args);
+        }
+        let args = self.kernel_args[id as usize];
         self.push(name, TraceKind::Kernel, lane, start, end - start, args)
-            .sample = sample;
+            .sample = id;
     }
 
     /// Record a PCIe copy `[start, end)` issued on `stream`, on `dir`'s
     /// copy-engine lane as `memcpy_h2d` / `memcpy_d2h` with args `bytes`,
-    /// `pinned` and `stream`.
+    /// `pinned` and `stream`, which its sample is read from.
     pub fn memcpy(
         &mut self,
         dir: TransferDir,
@@ -563,9 +541,7 @@ impl Tracer {
             ("pinned", ArgValue::Bool(pinned)),
             ("stream", ArgValue::U64(stream as u64)),
         ]);
-        let sample = self.kinds.id(SampleKind::Transfer { dir, bytes, pinned });
-        self.push(name, TraceKind::Memcpy, lane, start, end - start, args)
-            .sample = sample;
+        self.push(name, TraceKind::Memcpy, lane, start, end - start, args);
     }
 
     /// Record a point event.
@@ -592,23 +568,29 @@ impl Tracer {
         self.push(name, TraceKind::Fault, lane, ts, SimNanos::ZERO, args);
     }
 
-    /// Record a counter sample; the per-name running maximum is tracked as
-    /// the counter's high-water mark. A value seen before allocates nothing.
+    /// Record a counter sample. A value seen before allocates nothing.
     pub fn counter(&mut self, name: &'static str, lane: Lane, ts: SimNanos, value: u64) {
-        let peak = self.counter_peaks.entry(name).or_insert(0);
-        *peak = (*peak).max(value);
         let args = self.intern(&[("value", ArgValue::U64(value))]);
         self.push(name, TraceKind::Counter, lane, ts, SimNanos::ZERO, args);
     }
 
     /// High-water mark of a counter track (0 if never sampled).
     pub fn counter_peak(&self, name: &str) -> u64 {
-        self.counter_peaks.get(name).copied().unwrap_or(0)
+        self.counter_peaks().get(name).copied().unwrap_or(0)
     }
 
-    /// All counter tracks and their high-water marks, in name order.
-    pub fn counter_peaks(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counter_peaks.iter().map(|(&k, &v)| (k, v))
+    /// Every counter track's high-water mark, in name order: the largest
+    /// value among its records, folded from the table on each call.
+    pub fn counter_peaks(&self) -> BTreeMap<&'static str, u64> {
+        let mut peaks = BTreeMap::new();
+        for r in self.records.iter().filter(|r| r.kind == TraceKind::Counter) {
+            let [(_, ArgValue::U64(value))] = *self.args(r) else {
+                unreachable!("a counter's args are its value")
+            };
+            let peak = peaks.entry(self.name(r)).or_insert(0);
+            *peak = value.max(*peak);
+        }
+        peaks
     }
 
     /// Set a run-level metadata counter (timestamp-free; text summary only).
@@ -1138,6 +1120,20 @@ mod tests {
         assert!(out.contains("\"args\":{\"x\":0.0}"), "{out}");
         assert!(out.contains("\"args\":{\"x\":-0.0}"), "{out}");
         assert_eq!(out.matches("\"args\":{\"x\":null}").count(), 3, "{out}");
+    }
+
+    #[test]
+    #[should_panic(expected = "not Kernel")]
+    fn span_rejects_kernels() {
+        let mut t = Tracer::new();
+        t.span(
+            "k",
+            TraceKind::Kernel,
+            Lane::Stream(0),
+            SimNanos(0),
+            SimNanos(1),
+            vec![],
+        );
     }
 
     #[test]

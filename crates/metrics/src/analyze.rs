@@ -146,7 +146,8 @@ pub struct PipelineHealth {
     pub recoveries: BTreeMap<String, u64>,
     /// Injected faults by `kind` arg.
     pub faults: BTreeMap<String, u64>,
-    /// High-water mark per counter track.
+    /// High-water mark per counter track: the trace's own fold,
+    /// [`Tracer::counter_peaks`].
     pub counter_peaks: BTreeMap<&'static str, u64>,
     /// The profiler's aggregate breakdown over the run (per-category compute,
     /// warp efficiency, flops, memory requests and balanced time).
@@ -301,15 +302,9 @@ pub fn analyze(tracer: &Tracer, profiler: Profiler<'_>) -> PipelineHealth {
     // relative to the previous sample, in issue order.
     let mut alloc_ts: Vec<u64> = Vec::new();
     let mut prev_in_use = 0u64;
-    let mut counter_peaks: BTreeMap<&'static str, u64> = BTreeMap::new();
     for e in events {
-        if e.kind != TraceKind::Counter {
-            continue;
-        }
-        let v = arg_u64(e, "value").unwrap_or(0);
-        let peak = counter_peaks.entry(e.name).or_insert(0);
-        *peak = (*peak).max(v);
-        if e.name == "device_mem_in_use" {
+        if e.kind == TraceKind::Counter && e.name == "device_mem_in_use" {
+            let v = arg_u64(e, "value").unwrap_or(0);
             if v > prev_in_use {
                 alloc_ts.push(e.ts.as_nanos());
             }
@@ -319,7 +314,7 @@ pub fn analyze(tracer: &Tracer, profiler: Profiler<'_>) -> PipelineHealth {
 
     let mut health = PipelineHealth {
         run: window_health(events, t0, t1, &alloc_ts),
-        counter_peaks,
+        counter_peaks: tracer.counter_peaks(),
         breakdown: profiler.full(),
         ..PipelineHealth::default()
     };

@@ -243,7 +243,7 @@ fn tuner_prefers_larger_partitions_with_memory() {
     .unwrap();
     let multi = gpu.profiler().samples().iter().any(|s| {
         s.name == "spmm_sliced_parallel" && {
-            matches!(s.kind, pipad_repro::gpu_sim::SampleKind::Kernel { flops, .. } if flops > 0)
+            matches!(s.kind, pipad_repro::gpu_sim::SampleKind::Kernel(k) if k.flops > 0)
         }
     });
     assert!(

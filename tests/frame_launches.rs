@@ -60,7 +60,7 @@ fn a_frame_projects_each_lstm_once_and_steps_the_optimiser_once() {
             let rnn_gemms = forward
                 .iter()
                 .filter(|s| s.name == "gemm")
-                .filter(|s| matches!(s.kind, SampleKind::Kernel { category, .. } if category == KernelCategory::Rnn))
+                .filter(|s| matches!(s.kind, SampleKind::Kernel(k) if k.category == KernelCategory::Rnn))
                 .count();
             // One `h·Wh` per LSTM and timestep; the rest project inputs.
             assert_eq!(
@@ -136,7 +136,7 @@ fn a_poisoned_loss_launches_its_step_and_writes_nothing() {
     };
     let kernels = |gpu: &Gpu| -> Vec<&'static str> {
         let samples = gpu.profiler().samples().iter();
-        let kernels = samples.filter(|s| matches!(s.kind, SampleKind::Kernel { .. }));
+        let kernels = samples.filter(|s| matches!(s.kind, SampleKind::Kernel(_)));
         kernels.map(|s| s.name).collect()
     };
     for kind in ModelKind::ALL {

@@ -5,11 +5,13 @@
 
 use pipad_repro::dyngraph::{DatasetId, Scale};
 use pipad_repro::gpu_sim::{
-    export_chrome_trace, export_chrome_trace_window, feature_row_access, ArgValue, DeviceConfig,
-    FaultPlan, Gpu, KernelArgs, KernelCategory, KernelCost, Lane, Profiler, Sample, SampleKind,
-    SimNanos, StragglerRange, StreamId, TraceEvent, TraceKind, Tracer, TransferDir, VectorWidth,
+    export_chrome_trace, export_chrome_trace_window, feature_row_access, ratio_milli,
+    schedule_blocks, trace_text_summary, ArgValue, DeviceConfig, FaultPlan, Gpu, KernelArgs,
+    KernelCategory, KernelCost, Lane, Profiler, Sample, SampleKind, Samples, SimNanos,
+    StragglerRange, StreamId, TraceEvent, TraceKind, Tracer, TransferDir, VectorWidth,
 };
 use pipad_repro::kernels::{self, DeviceMatrix};
+use pipad_repro::metrics::analyze;
 use pipad_repro::models::{ModelKind, TrainingConfig};
 use pipad_repro::pipad::{
     train_data_parallel_devices, train_pipad, DynamicTuner, FrameProfile, GraphAnalyzer,
@@ -438,17 +440,6 @@ fn arg_at(i: u64) -> (&'static str, ArgValue) {
     }
 }
 
-fn same_args(a: &[(&str, ArgValue)], b: &[(&str, ArgValue)]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|((ka, va), (kb, vb))| {
-            ka == kb
-                && match (va, vb) {
-                    (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
-                    _ => va == vb,
-                }
-        })
-}
-
 /// One tracer call of the round trip.
 #[derive(Clone, Debug)]
 enum TraceCall {
@@ -484,7 +475,7 @@ impl Recorded {
             && e.lane == self.lane
             && e.ts == SimNanos(self.ts)
             && e.dur == SimNanos(self.dur)
-            && same_args(e.args, &self.args)
+            && e.args == self.args.as_slice()
     }
 }
 
@@ -566,18 +557,7 @@ impl TraceCall {
             TraceCall::Span(name, TraceKind::HostOp, _, ts, dur, _) => {
                 (name, SampleKind::Host, ts, dur)
             }
-            TraceCall::Kernel(name, _, ts, dur, key) => {
-                let kind = SampleKind::Kernel {
-                    category: key.category,
-                    gmem_requests: key.gmem_requests,
-                    gmem_transactions: key.gmem_transactions,
-                    smem_transactions: key.smem_transactions,
-                    flops: key.flops,
-                    warp_efficiency_milli: key.warp_efficiency_milli,
-                    balanced: key.balanced,
-                };
-                (name, kind, ts, dur)
-            }
+            TraceCall::Kernel(name, _, ts, dur, key) => (name, SampleKind::Kernel(key), ts, dur),
             TraceCall::Memcpy(dir, _, ts, dur, bytes, pinned) => {
                 let name = self.recorded().name;
                 (name, SampleKind::Transfer { dir, bytes, pinned }, ts, dur)
@@ -733,7 +713,9 @@ proptest! {
                         });
                         busy = busy.scale(multiplier_milli, 1_000);
                     }
-                    let kind = SampleKind::Kernel {
+                    let slots = gpu.cfg().block_slots();
+                    let (num, den) = schedule_blocks(&cost.block_work, slots).factor_ratio();
+                    let kind = SampleKind::Kernel(KernelArgs {
                         category: cost.category,
                         gmem_requests: cost.gmem_requests,
                         gmem_transactions: cost.gmem_transactions,
@@ -741,7 +723,8 @@ proptest! {
                         flops: cost.flops,
                         warp_efficiency_milli: cost.warp_efficiency_milli,
                         balanced,
-                    };
+                        imbalance_milli: ratio_milli(num, den),
+                    });
                     let end = gpu.launch(s, cost).time();
                     expected.push(Sample { name, kind, start: end - busy, end });
                     if op == 7 {
@@ -820,27 +803,7 @@ fn samples_only(samples: &[Sample]) -> Tracer {
     let mut t = Tracer::new();
     for s in samples {
         match s.kind {
-            SampleKind::Kernel {
-                category,
-                gmem_requests,
-                gmem_transactions,
-                smem_transactions,
-                flops,
-                warp_efficiency_milli,
-                balanced,
-            } => {
-                let key = KernelArgs {
-                    category,
-                    gmem_requests,
-                    gmem_transactions,
-                    smem_transactions,
-                    flops,
-                    warp_efficiency_milli,
-                    balanced,
-                    imbalance_milli: 1_000,
-                };
-                t.kernel(s.name, Lane::Stream(0), s.start, s.end, key);
-            }
+            SampleKind::Kernel(key) => t.kernel(s.name, Lane::Stream(0), s.start, s.end, key),
             SampleKind::Transfer { dir, bytes, pinned } => {
                 t.memcpy(dir, 0, s.start, s.end, bytes, pinned)
             }
@@ -855,6 +818,95 @@ fn samples_only(samples: &[Sample]) -> Tracer {
         }
     }
     t
+}
+
+#[test]
+fn since_on_a_since_view_indexes_the_whole_table() {
+    let mut gpu = Gpu::new(DeviceConfig::v100());
+    let s = gpu.default_stream();
+    let kernel = |name| {
+        KernelCost::new(name, KernelCategory::Other)
+            .flops(1)
+            .uniform_blocks(1, 1)
+    };
+    // A record that is no sample ahead of each snapshot, so an offset
+    // applied twice lands elsewhere.
+    gpu.launch(s, kernel("a"));
+    let now = gpu.now();
+    gpu.trace_mut().instant("mark", Lane::Control, now, vec![]);
+    let a = gpu.profiler().snapshot();
+    gpu.launch(s, kernel("b"));
+    gpu.trace_mut().instant("mark", Lane::Control, now, vec![]);
+    gpu.launch(s, kernel("c"));
+    let b = gpu.profiler().snapshot();
+    gpu.launch(s, kernel("d"));
+    let names = |v: Samples| v.iter().map(|s| s.name).collect::<Vec<_>>();
+    let samples = gpu.profiler().samples();
+    assert_eq!(names(samples.since(a)), ["b", "c", "d"]);
+    assert_eq!(names(samples.since(a).since(b)), ["d"]);
+    assert_eq!(names(samples.since(b).since(a)), ["b", "c", "d"]);
+    assert_eq!(samples.since(a).since(b).last().map(|s| s.name), Some("d"));
+    let events = gpu.trace().events().since(b);
+    assert_eq!(events.iter().map(|e| e.name).collect::<Vec<_>>(), ["d"]);
+}
+
+#[test]
+fn arg_values_are_equal_and_hashed_by_bits() {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    let quiet = f64::NAN;
+    let payload = f64::from_bits(quiet.to_bits() | 1);
+    assert_ne!(ArgValue::F64(0.0), ArgValue::F64(-0.0));
+    assert_eq!(ArgValue::F64(quiet), ArgValue::F64(quiet));
+    assert_ne!(ArgValue::F64(quiet), ArgValue::F64(payload));
+    assert_ne!(ArgValue::U64(1), ArgValue::I64(1));
+    assert_ne!(ArgValue::U64(1), ArgValue::Bool(true));
+    let list = || {
+        vec![
+            ("x", ArgValue::F64(payload)),
+            ("policy", ArgValue::Str("nan_skip".into())),
+            ("delta", ArgValue::I64(-3)),
+        ]
+    };
+    let hash = |list: &[(&str, ArgValue)]| {
+        let mut h = DefaultHasher::new();
+        list.hash(&mut h);
+        h.finish()
+    };
+    assert_eq!(list(), list());
+    assert_eq!(hash(&list()), hash(&list()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The trace's `device_mem_in_use` high-water mark, its text summary's
+    /// `high-water` line and `analyze`'s counter peak all read the one fold
+    /// of the counter records, and equal the memory subsystem's all-time
+    /// peak under random traffic that runs a small device out of memory.
+    #[test]
+    fn high_water_marks_are_folded_from_the_counter_records(
+        ops in proptest::collection::vec((0u64..3, 1u64..48 << 10), 1..40),
+    ) {
+        let mut cfg = DeviceConfig::v100();
+        cfg.capacity_bytes = 128 << 10;
+        let mut gpu = Gpu::new(cfg);
+        let mut live = Vec::new();
+        for (op, bytes) in ops {
+            if op == 0 && !live.is_empty() {
+                let id = live.swap_remove(bytes as usize % live.len());
+                gpu.free(id);
+            } else if let Ok(id) = gpu.alloc(bytes) {
+                live.push(id);
+            }
+        }
+        let peak = gpu.mem().peak_ever();
+        prop_assert_eq!(gpu.trace().counter_peak("device_mem_in_use"), peak);
+        let summary = trace_text_summary(gpu.trace());
+        let line = format!("\nhigh-water device_mem_in_use: {peak}\n");
+        prop_assert!(summary.contains(&line), "{}", summary);
+        let health = analyze(gpu.trace(), gpu.profiler());
+        prop_assert_eq!(health.counter_peaks.get("device_mem_in_use"), Some(&peak));
+    }
 }
 
 // ---- tuner under memory pressure ------------------------------------------
