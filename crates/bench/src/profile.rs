@@ -11,7 +11,8 @@
 //!    traffic, the allreduce time fraction and, per device, the analyzer's
 //!    steady-window bubble, overlap and SM utilization.
 //! 3. **serve** — checkpoint-restore into the serving engine and an
-//!    open-loop replay; per-request latencies land in a log2 histogram.
+//!    open-loop replay; per-request latencies land in a log2 histogram,
+//!    beside the engine's CUDA-graph capture and replay counts.
 //!
 //! The registry renders three ways (Prometheus text, JSON, human table) —
 //! all three are pure functions of the simulated clock, and `run` asserts
@@ -168,6 +169,11 @@ fn serve_leg(reg: &mut MetricsRegistry, scale: RunScale) {
         (report.rejected_queue_full + report.rejected_fault + report.rejected_poisoned) as u64,
     );
     reg.inc_counter("pipad_serve_batches_total", report.batches as u64);
+    reg.inc_counter(
+        "pipad_serve_graph_captures_total",
+        report.graph_captures as u64,
+    );
+    reg.inc_counter("pipad_serve_graph_replays_total", report.graph_replays);
     reg.set_gauge(
         "pipad_serve_queue_high_water",
         report.queue_high_water as f64,

@@ -6,7 +6,9 @@
 //! and replays a seeded open-loop request plan through the dynamic
 //! micro-batcher: p50/p95/p99 latency, throughput, the batch-size
 //! histogram, the admission-queue high-water mark, backpressure counters
-//! and the GPU reuse-tier hit rate all come out of the simulated clock.
+//! and the GPU reuse-tier hit rate all come out of the simulated clock;
+//! the engine's CUDA-graph captures and replays show that served forwards
+//! replay.
 //! A CRC-32 of every served logit's bit pattern pins value determinism
 //! into the report itself.
 //!
@@ -147,8 +149,9 @@ fn measure(scale: RunScale) -> Artifact {
         }
         let _ = write!(
             json,
-            "}},\"gpu_reuse_hits\":{},\"gpu_reuse_misses\":{},\"logits_crc\":{}}}",
-            r.gpu_reuse_hits, r.gpu_reuse_misses, logits_crc,
+            "}},\"gpu_reuse_hits\":{},\"gpu_reuse_misses\":{},\"graph_captures\":{},\
+             \"graph_replays\":{},\"logits_crc\":{}}}",
+            r.gpu_reuse_hits, r.gpu_reuse_misses, r.graph_captures, r.graph_replays, logits_crc,
         );
         let hist: Vec<String> = r
             .batch_size_histogram
@@ -158,7 +161,8 @@ fn measure(scale: RunScale) -> Artifact {
         let _ = writeln!(
             summary,
             "  {:<10} served {:>3}/{:<3} in {:>2} batches [{}]: p50 {:>7} ns, p99 {:>7} ns, \
-             {:>8.2} req/s, queue hw {}, reuse {}/{} hits, crc {:08x}",
+             {:>8.2} req/s, queue hw {}, reuse {}/{} hits, graphs {} captured / {} replayed, \
+             crc {:08x}",
             model.name(),
             r.served,
             r.records.len(),
@@ -170,6 +174,8 @@ fn measure(scale: RunScale) -> Artifact {
             r.queue_high_water,
             r.gpu_reuse_hits,
             r.gpu_reuse_hits + r.gpu_reuse_misses,
+            r.graph_captures,
+            r.graph_replays,
             logits_crc,
         );
     }

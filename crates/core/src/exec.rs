@@ -276,6 +276,14 @@ impl<'r> PipadExecutor<'r> {
         self.s_per_decided
     }
 
+    /// Per partition, in frame order: whether reuse covers every member's
+    /// layer-1 aggregation, so the partition launches no aggregation
+    /// kernels. With the frame's start this fixes the frame's kernel
+    /// sequence.
+    pub fn layer1_cached(&self) -> impl Iterator<Item = bool> + '_ {
+        self.partitions.iter().map(|p| p.layer1_cached)
+    }
+
     /// Parallel aggregation of one partition via the fused
     /// [`Tape::spmm_partition`] op: one parallel pass over the overlap,
     /// per-member exclusive passes accumulated by atomic epilogues, one

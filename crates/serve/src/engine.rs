@@ -15,6 +15,17 @@
 //! Restoring also warm-starts the reuse store's CPU tier from the
 //! checkpoint, so the first requests already skip aggregation work the
 //! training run paid for (the device tier fills as frames are served).
+//!
+//! Like a steady `train_pipad` frame, a served forward is a CUDA-graph
+//! replay (§4.2). A plan's key is the frame's start plus, per partition,
+//! whether reuse covers its layer-1 aggregation
+//! ([`PipadExecutor::layer1_cached`]): the two fix the kernel sequence.
+//! The first forward of a key runs eagerly and is its capture — recorded,
+//! with its launch count, only when it returns `Ok`, so an attempt that
+//! hit an OOM is not one — and every later forward of that key runs inside
+//! [`Gpu::graph_scope`]. A replayed forward still allocates inside the
+//! graph, as the trainer's steady frames do; a real CUDA graph fixes its
+//! addresses at capture.
 
 use crate::ServeError;
 use pipad::exec::{ExecOptions, PipadExecutor};
@@ -27,6 +38,7 @@ use pipad_dyngraph::{DynamicGraph, FrameIter};
 use pipad_gpu_sim::{DeviceFault, Gpu, StreamId};
 use pipad_models::{build_model, DgnnModel, ModelKind, TrainingConfig};
 use pipad_tensor::Matrix;
+use std::collections::HashMap;
 use std::path::Path;
 
 /// What the serving engine must be told about the checkpointed model.
@@ -50,6 +62,10 @@ const S_PER: usize = 4;
 /// the checkpoint restored (the budget only grows).
 const GPU_CACHE_BUDGET: u64 = 8 << 20;
 
+/// A captured plan: the frame's start and, per partition, whether it skips
+/// its aggregation kernels.
+type PlanKey = (usize, Vec<bool>);
+
 /// A loaded model ready to serve frames of one dynamic graph.
 pub struct ServeEngine<'g> {
     graph: &'g DynamicGraph,
@@ -62,6 +78,10 @@ pub struct ServeEngine<'g> {
     copy: StreamId,
     /// Epochs the restored checkpoint had completed (provenance).
     trained_epochs: usize,
+    /// Each captured plan's launch count.
+    captured: HashMap<PlanKey, u64>,
+    /// Forwards that replayed a captured plan.
+    replays: u64,
 }
 
 impl<'g> ServeEngine<'g> {
@@ -117,6 +137,8 @@ impl<'g> ServeEngine<'g> {
             compute: gpu.default_stream(),
             copy: gpu.create_stream(),
             trained_epochs: restored.next_epoch,
+            captured: HashMap::new(),
+            replays: 0,
         })
     }
 
@@ -140,11 +162,22 @@ impl<'g> ServeEngine<'g> {
         self.trained_epochs
     }
 
+    /// Plans captured so far: one per distinct (frame, cached partitions).
+    pub fn graph_captures(&self) -> usize {
+        self.captured.len()
+    }
+
+    /// Forwards so far that replayed a captured plan.
+    pub fn graph_replays(&self) -> u64 {
+        self.replays
+    }
+
     /// One full-frame forward through the training execution path; returns
     /// the host-side `n × hidden_out` prediction matrix. Fresh layer-1
     /// aggregations are deposited in the reuse store, which keeps the
     /// frame's device-resident (budget permitting) so later frames sharing
-    /// snapshots skip both the kernels and the PCIe upload.
+    /// snapshots skip both the kernels and the PCIe upload. A plan seen
+    /// before is a graph replay; a new one is launched eagerly and captured.
     pub fn forward_frame(
         &mut self,
         gpu: &mut Gpu,
@@ -179,8 +212,27 @@ impl<'g> ServeEngine<'g> {
             self.compute,
             self.copy,
         )?;
+        let plan = (frame_start, exec.layer1_cached().collect());
+        // The capture's launch count, if this plan was captured before.
+        let replay = self.captured.get(&plan).copied();
+        let launches = gpu.op_counters().launches;
         let mut tape = Tape::new(self.compute);
-        let out = self.model.forward_frame(gpu, &mut tape, &mut exec)?;
+        let model = self.model.as_ref();
+        let mut forward = |gpu: &mut Gpu| model.forward_frame(gpu, &mut tape, &mut exec);
+        let out = match replay {
+            Some(_) => gpu.graph_scope(self.compute, forward)?,
+            None => forward(gpu)?,
+        };
+        let launched = gpu.op_counters().launches - launches;
+        match replay {
+            Some(n) => {
+                debug_assert_eq!(launched, n, "a replay of {plan:?} launched a new sequence");
+                self.replays += 1;
+            }
+            None => {
+                self.captured.insert(plan, launched);
+            }
+        }
         let pred = tape.host(out.pred);
         tape.finish(gpu);
         exec.finish(gpu);
@@ -190,5 +242,73 @@ impl<'g> ServeEngine<'g> {
         self.reuse
             .slide(gpu, frame_start..frame_start + self.window);
         Ok(pred)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pipad::{train_pipad, PipadConfig};
+    use pipad_ckpt::CheckpointPolicy;
+    use pipad_dyngraph::{DatasetId, Scale};
+    use pipad_gpu_sim::{DeviceConfig, OpCounters};
+
+    /// Purging a frame's snapshots makes its partitions aggregate again:
+    /// a new plan, captured eagerly with the aggregation kernels on top of
+    /// the all-cached plan's launches. That forward deposits them again, so
+    /// the next one finds every partition cached and replays that plan.
+    #[test]
+    fn a_purged_frame_is_captured_anew_then_replays_its_cached_plan() {
+        let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+        let cfg = TrainingConfig {
+            window: 8,
+            epochs: 4,
+            preparing_epochs: 2,
+            lr: 0.01,
+            seed: 3,
+        };
+        let dir = std::env::temp_dir().join(format!("pipad-serve-plans-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pcfg = PipadConfig {
+            checkpoint: Some(CheckpointPolicy::new(dir.clone(), 2)),
+            ..Default::default()
+        };
+        let mut tg = Gpu::new(DeviceConfig::v100());
+        train_pipad(&mut tg, ModelKind::TGcn, &graph, 8, &cfg, &pcfg).unwrap();
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let ecfg = EngineConfig { hidden: 8 };
+        let mut engine =
+            ServeEngine::from_latest(&mut gpu, &dir, ModelKind::TGcn, &graph, &cfg, &ecfg).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let frame = 2;
+        let forward = |engine: &mut ServeEngine<'_>, gpu: &mut Gpu| -> OpCounters {
+            let before = gpu.op_counters();
+            engine.forward_frame(gpu, frame).unwrap();
+            let after = gpu.op_counters();
+            OpCounters {
+                launches: after.launches - before.launches,
+                eager_launches: after.eager_launches - before.eager_launches,
+                ..Default::default()
+            }
+        };
+        // The restore warm-started every partition: the all-cached plan.
+        let cached = forward(&mut engine, &mut gpu);
+        assert_eq!(cached.eager_launches, cached.launches);
+        assert_eq!((engine.graph_captures(), engine.graph_replays()), (1, 0));
+
+        engine.reuse.purge(&mut gpu, frame..frame + engine.window());
+        let computed = forward(&mut engine, &mut gpu);
+        assert_eq!(computed.eager_launches, computed.launches, "a new plan");
+        assert!(
+            computed.launches > cached.launches,
+            "{computed:?} vs {cached:?}"
+        );
+        assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 0));
+
+        let replayed = forward(&mut engine, &mut gpu);
+        assert_eq!(replayed.eager_launches, 0, "the all-cached plan replays");
+        assert_eq!(replayed.launches, cached.launches);
+        assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 1));
     }
 }

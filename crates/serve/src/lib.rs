@@ -18,7 +18,9 @@
 //!   [`pipad_ckpt`] checkpoint (fingerprint-validated, typed errors on
 //!   mismatch) and runs batched forwards through the same
 //!   [`pipad::PipadExecutor`] + [`pipad_models`] path the trainer uses —
-//!   so served logits are bit-identical to the train-time forward;
+//!   so served logits are bit-identical to the train-time forward — and,
+//!   like the trainer's steady frames, replays each forward plan as a CUDA
+//!   graph once its first forward has captured it;
 //! * **inter-snapshot reuse** via [`pipad::InterFrameReuse`], driven by
 //!   the same calls the trainer makes: a restore warm-starts its CPU tier,
 //!   freshly computed layer-1 aggregations are deposited there, and each
@@ -28,10 +30,11 @@
 //!
 //! The open-loop driver ([`sim`]) stitches these together, emits
 //! `enqueue`/`batch_form`/`serve_forward` trace spans for every request,
-//! and reports p50/p95/p99 latency, throughput, the batch-size histogram
-//! and the admission-queue high-water mark. Everything is a pure function
-//! of (checkpoint, graph, config): byte-identical across `PIPAD_THREADS`
-//! and with the host buffer pool disabled.
+//! and reports p50/p95/p99 latency, throughput, the batch-size histogram,
+//! the admission-queue high-water mark and the graph captures and
+//! replays. Everything is a pure function of (checkpoint, graph, config):
+//! byte-identical across `PIPAD_THREADS` and with the host buffer pool
+//! disabled.
 
 pub mod batcher;
 pub mod engine;

@@ -124,6 +124,11 @@ pub struct ServeReport {
     pub gpu_reuse_hits: u64,
     /// GPU reuse-tier misses observed during serving.
     pub gpu_reuse_misses: u64,
+    /// Forward plans the engine captured as CUDA graphs (its first,
+    /// eager forward of each distinct frame and cached-partition set).
+    pub graph_captures: usize,
+    /// Forwards that replayed a captured graph.
+    pub graph_replays: u64,
     /// Epochs the restored checkpoint had completed (provenance).
     pub trained_epochs: usize,
 }
@@ -243,6 +248,8 @@ pub fn serve_open_loop(
         throughput_rps,
         gpu_reuse_hits: reuse.gpu_hits,
         gpu_reuse_misses: reuse.gpu_misses,
+        graph_captures: engine.graph_captures(),
+        graph_replays: engine.graph_replays(),
         trained_epochs: engine.trained_epochs(),
     })
 }

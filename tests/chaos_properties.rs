@@ -12,7 +12,13 @@
 //! [`ServeEngine`] replaying requests under a seeded plan never panics,
 //! every request either completes with finite logits or is rejected with
 //! a typed reason, device-fault rejections leave `recovery` events in the
-//! trace, and the whole run is thread-invariant.
+//! trace, and the whole run is thread-invariant. Faults never change a
+//! served answer beyond rounding: each served request's logits equal a
+//! fault-free serve's bit for bit, except under a plan that poisons a
+//! launch. There `serve_nan_reject` purges the frame's snapshots, and
+//! aggregating them again (overlap plus exclusive sums in the serving
+//! frame's partitions) rounds differently from the training-time bits the
+//! CPU tier was warm-started with — by at most 1e-6.
 
 use pipad::{train_pipad, PipadConfig};
 use pipad_ckpt::CheckpointPolicy;
@@ -21,7 +27,8 @@ use pipad_gpu_sim::{export_chrome_trace, DeviceConfig, FaultPlan, Gpu};
 use pipad_models::{ModelKind, TrainingConfig};
 use pipad_pool::with_threads;
 use pipad_repro::serve::{
-    serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, ServeEngine, ServeSimConfig,
+    serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, RequestOutcome, ServeEngine,
+    ServeSimConfig,
 };
 use pipad_tensor::with_pool_enabled;
 use proptest::prelude::*;
@@ -85,13 +92,17 @@ fn shared_checkpoint_dir() -> &'static PathBuf {
     })
 }
 
+/// Per request, in request order: its served logit bits, or `None` if it
+/// was rejected.
+type ServedLogits = Vec<Option<Vec<u32>>>;
+
 /// Serving outcome under `plan`: per-request disposition counts plus the
 /// served logit bits, or the typed error's message; and the trace export.
 #[allow(clippy::type_complexity)]
 fn serve_once(
     plan: &FaultPlan,
 ) -> (
-    Result<(usize, usize, usize, usize, Vec<u8>), String>,
+    Result<(usize, usize, usize, usize, ServedLogits), String>,
     String,
 ) {
     let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
@@ -130,11 +141,29 @@ fn serve_once(
             r.rejected_fault,
             r.rejected_poisoned,
             r.rejected_queue_full,
-            r.served_logit_bytes(),
+            r.records
+                .iter()
+                .map(|rec| match &rec.outcome {
+                    RequestOutcome::Served { logits, .. } => {
+                        Some(logits.as_slice().iter().map(|v| v.to_bits()).collect())
+                    }
+                    RequestOutcome::Rejected { .. } => None,
+                })
+                .collect(),
         )),
         Err(e) => Err(e.to_string()),
     };
     (outcome, export_chrome_trace(gpu.trace(), 0))
+}
+
+/// Every request's logits from a fault-free serve, built once per process.
+fn reference_logits() -> &'static ServedLogits {
+    static REFERENCE: OnceLock<ServedLogits> = OnceLock::new();
+    REFERENCE.get_or_init(|| match serve_once(&FaultPlan::default()).0 {
+        Ok((12, 0, 0, 0, logits)) => logits,
+        Ok((served, ..)) => panic!("a fault-free serve served {served} of 12 requests"),
+        Err(e) => panic!("the fault-free serve failed: {e}"),
+    })
 }
 
 proptest! {
@@ -151,16 +180,30 @@ proptest! {
         prop_assert_eq!(&t1, &t4, "serving trace differs across host thread counts (seed {})", seed);
 
         match r1 {
-            Ok((served, faulted, poisoned, queue_full, logit_bytes)) => {
+            Ok((served, faulted, poisoned, queue_full, logits)) => {
                 // Every request completed or was rejected with a typed
                 // reason — none vanished.
                 prop_assert_eq!(served + faulted + poisoned + queue_full, 12,
                     "requests lost under chaos (seed {})", seed);
-                // Served logits are never poisoned: non-finite outputs
-                // must have been rejected, not served.
-                for bits in logit_bytes.chunks_exact(4) {
-                    let v = f32::from_le_bytes([bits[0], bits[1], bits[2], bits[3]]);
-                    prop_assert!(v.is_finite(), "served a non-finite logit (seed {})", seed);
+                // Served logits are never poisoned — non-finite outputs
+                // must have been rejected, not served — and are the
+                // fault-free answer, up to rounding where a poisoned
+                // launch made a frame aggregate again.
+                let rounds = !plan.poison_launches.is_empty();
+                for (id, (got, want)) in logits.iter().zip(reference_logits()).enumerate() {
+                    let (Some(got), Some(want)) = (got, want) else { continue };
+                    prop_assert_eq!(got.len(), want.len());
+                    for (&g, &w) in got.iter().zip(want) {
+                        let (g, w) = (f32::from_bits(g), f32::from_bits(w));
+                        prop_assert!(g.is_finite(), "served a non-finite logit (seed {})", seed);
+                        if rounds {
+                            prop_assert!((g - w).abs() <= 1e-6,
+                                "request {} served {} for {} (seed {})", id, g, w, seed);
+                        } else {
+                            prop_assert!(g.to_bits() == w.to_bits(),
+                                "request {} served {} for {} (seed {})", id, g, w, seed);
+                        }
+                    }
                 }
                 // Device-fault rejections go through the recovery ladder,
                 // which documents itself in the trace.

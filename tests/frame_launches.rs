@@ -1,8 +1,8 @@
 //! One launch per frame for the work that used to launch once per timestep
 //! or once per parameter, and a steady frame that is one graph replay from
 //! forward to optimiser step: the launch census of a frame, the eager
-//! launches of a steady epoch, and what a captured step does when the loss
-//! it guards is not finite.
+//! launches of a steady epoch, what a captured step does when the loss
+//! it guards is not finite, and a served frame that replays its capture.
 
 use pipad_repro::autograd::Tape;
 use pipad_repro::ckpt::{checkpoint_path, Checkpoint, CheckpointPolicy};
@@ -12,6 +12,7 @@ use pipad_repro::gpu_sim::{
 };
 use pipad_repro::models::{build_model, DirectExecutor, ModelKind, TrainingConfig};
 use pipad_repro::pipad::{train_pipad, PipadConfig};
+use pipad_repro::serve::{EngineConfig, ServeEngine};
 use pipad_repro::sparse::Csr;
 use pipad_repro::tensor::{seeded_rng, uniform, Matrix};
 
@@ -187,4 +188,48 @@ fn a_poisoned_loss_launches_its_step_and_writes_nothing() {
         assert_eq!(steps(&kernels(&gpu)), steps(&launched), "{kind:?}");
         assert_eq!(steps(&launched), 3, "{kind:?}");
     }
+}
+
+/// A served frame is captured once and replayed after: its first forward
+/// launches eagerly, every later one launches nothing outside a graph —
+/// the same kernels, to the same logit bits — and another frame is a
+/// capture of its own.
+#[test]
+fn a_served_frame_is_captured_once_and_then_replays() {
+    let graph = covid();
+    let cfg = tiny_cfg(4);
+    let dir = std::env::temp_dir().join(format!("pipad-serve-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let pcfg = PipadConfig {
+        checkpoint: Some(CheckpointPolicy::new(&dir, 2)),
+        ..Default::default()
+    };
+    let mut tg = Gpu::new(DeviceConfig::v100());
+    train_pipad(&mut tg, ModelKind::TGcn, &graph, 8, &cfg, &pcfg).unwrap();
+    let mut gpu = Gpu::new(DeviceConfig::v100());
+    let ecfg = EngineConfig { hidden: 8 };
+    let mut engine =
+        ServeEngine::from_latest(&mut gpu, &dir, ModelKind::TGcn, &graph, &cfg, &ecfg).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // (launches, eager launches, logit bits) of one forward.
+    let mut forward = |engine: &mut ServeEngine<'_>, frame| {
+        let before = gpu.op_counters();
+        let pred = engine.forward_frame(&mut gpu, frame).unwrap();
+        let after = gpu.op_counters();
+        let bits: Vec<u32> = pred.as_slice().iter().map(|v| v.to_bits()).collect();
+        let launched = after.launches - before.launches;
+        (launched, after.eager_launches - before.eager_launches, bits)
+    };
+    let (captured, eager, bits) = forward(&mut engine, 0);
+    assert!(eager > 0, "the capture launches eagerly");
+    assert_eq!(eager, captured);
+    for _ in 0..2 {
+        assert_eq!(forward(&mut engine, 0), (captured, 0, bits.clone()));
+    }
+    assert_eq!((engine.graph_captures(), engine.graph_replays()), (1, 2));
+
+    let (launched, eager, _) = forward(&mut engine, 1);
+    assert_eq!(eager, launched, "another frame is another capture");
+    assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 2));
 }
