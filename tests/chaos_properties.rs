@@ -27,8 +27,8 @@ use pipad_gpu_sim::{export_chrome_trace, DeviceConfig, FaultPlan, Gpu};
 use pipad_models::{ModelKind, TrainingConfig};
 use pipad_pool::with_threads;
 use pipad_repro::serve::{
-    serve_open_loop, BatchPolicy, EngineConfig, RequestGenConfig, RequestOutcome, ServeEngine,
-    ServeSimConfig,
+    serve_open_loop, BatchPolicy, EngineConfig, RejectReason, RequestGenConfig, RequestOutcome,
+    ServeEngine, ServeError, ServeReport, ServeSimConfig,
 };
 use pipad_tensor::with_pool_enabled;
 use proptest::prelude::*;
@@ -96,15 +96,10 @@ fn shared_checkpoint_dir() -> &'static PathBuf {
 /// was rejected.
 type ServedLogits = Vec<Option<Vec<u32>>>;
 
-/// Serving outcome under `plan`: per-request disposition counts plus the
-/// served logit bits, or the typed error's message; and the trace export.
-#[allow(clippy::type_complexity)]
-fn serve_once(
-    plan: &FaultPlan,
-) -> (
-    Result<(usize, usize, usize, usize, ServedLogits), String>,
-    String,
-) {
+/// Serve the shared checkpoint's 12-request plan on a fresh device with
+/// `plan` installed; the device is returned beside the outcome so its
+/// trace can be read.
+fn serve_on_device(plan: &FaultPlan) -> (Gpu, Result<ServeReport, ServeError>) {
     let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
     let cfg = serve_cfg();
     let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -135,6 +130,19 @@ fn serve_once(
         )?;
         serve_open_loop(&mut gpu, &mut engine, &scfg)
     })();
+    (gpu, res)
+}
+
+/// Serving outcome under `plan`: per-request disposition counts plus the
+/// served logit bits, or the typed error's message; and the trace export.
+#[allow(clippy::type_complexity)]
+fn serve_once(
+    plan: &FaultPlan,
+) -> (
+    Result<(usize, usize, usize, usize, ServedLogits), String>,
+    String,
+) {
+    let (gpu, res) = serve_on_device(plan);
     let outcome = match res {
         Ok(r) => Ok((
             r.served,
@@ -250,4 +258,64 @@ proptest! {
             Err(msg) => prop_assert!(!msg.is_empty(), "typed error must render a message"),
         }
     }
+}
+
+/// Serving's three recovery paths, pinned. Seed 91's plan OOMs batch 0's
+/// forward once (`serve_oom_evict_retry`), and its retry then exhausts a
+/// transfer's retry budget (`serve_reject_batch`); one poisoned launch,
+/// placed by probing the clean run's 512 launches, makes the last batch's
+/// logits non-finite (`serve_nan_reject`). Every `recovery` instant's time and arguments and
+/// every request's outcome kind are exact, so a change to the reject arms
+/// that moves a timestamp, a count or an attribution fails here.
+#[test]
+fn serving_fault_paths_are_pinned() {
+    let mut plan = FaultPlan::seeded(91);
+    plan.poison_launches.push(448);
+    plan.normalize();
+    let (gpu, res) = serve_on_device(&plan);
+    let report = res.expect("the plan's faults are all recoverable per batch");
+
+    let recoveries: Vec<String> = gpu
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.name == "recovery")
+        .map(|e| {
+            let args: Vec<String> = e.args.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+            format!("{} {}", e.ts.as_nanos(), args.join(" "))
+        })
+        .collect();
+    let outcomes: String = report
+        .records
+        .iter()
+        .map(|r| match &r.outcome {
+            RequestOutcome::Served { .. } => 'S',
+            RequestOutcome::Rejected { reason } => match reason {
+                RejectReason::QueueFull { .. } => 'Q',
+                RejectReason::DeviceFault { .. } => 'F',
+                RejectReason::PoisonedOutput => 'P',
+            },
+        })
+        .collect();
+    assert_eq!(
+        recoveries,
+        [
+            r#"3470093 policy=Str("serve_oom_evict_retry") batch=U64(0) frame=U64(1)"#,
+            concat!(
+                r#"3470093 policy=Str("serve_reject_batch") batch=U64(0) frame=U64(1) "#,
+                r#"fault=Str("transfer failed: h2d copy of 10240 B (op #4) after 4 attempt(s)")"#
+            ),
+            r#"5148793 policy=Str("serve_nan_reject") batch=U64(6) frame=U64(5)"#,
+        ]
+    );
+    assert_eq!(outcomes, "SFSSSSSSSSPP");
+    assert_eq!(
+        (
+            report.served,
+            report.rejected_fault,
+            report.rejected_poisoned,
+            report.rejected_queue_full
+        ),
+        (9, 1, 2, 0)
+    );
 }
