@@ -5,9 +5,9 @@
 //! respond. Also ablates PiPAD's mechanisms one at a time on a mid-size
 //! dataset (the DESIGN.md per-mechanism attribution).
 
-use crate::util::{check_consistency, dataset, default_training_config, header, pad, RunScale};
+use crate::util::{check_consistency, dataset, default_training_config, header, pad};
 use pipad::{train_pipad, PipadConfig};
-use pipad_dyngraph::DatasetId;
+use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{DeviceConfig, Gpu};
 use pipad_models::{ModelKind, TrainReport};
 use std::fmt::Write;
@@ -17,7 +17,7 @@ fn run_with_device(
     pcfg: &PipadConfig,
     id: DatasetId,
     model: ModelKind,
-    scale: RunScale,
+    scale: Scale,
 ) -> Option<TrainReport> {
     let g = dataset(id, scale);
     let cfg = default_training_config();
@@ -32,7 +32,7 @@ fn run_with_device(
 /// PCIe-bandwidth sweep: a slower link should push the tuner toward the
 /// stall-rejection path and widen PiPAD's advantage over transfer-bound
 /// baselines.
-pub fn pcie_sweep(scale: RunScale) -> String {
+pub fn pcie_sweep(scale: Scale) -> String {
     let mut out = String::new();
     out.push_str(&header(
         "Ablation A: PCIe bandwidth sweep (EvolveGCN on Epinions)",
@@ -79,7 +79,7 @@ pub fn pcie_sweep(scale: RunScale) -> String {
 
 /// Capacity sweep: the tuner's memory upper bound `U` must shrink with the
 /// device.
-pub fn capacity_sweep(scale: RunScale) -> String {
+pub fn capacity_sweep(scale: Scale) -> String {
     let mut out = String::new();
     out.push_str(&header(
         "Ablation B: device-capacity sweep (T-GCN on HepTh)",
@@ -127,7 +127,7 @@ pub fn capacity_sweep(scale: RunScale) -> String {
 }
 
 /// Mechanism ablation: switch PiPAD's pieces off one at a time.
-pub fn mechanism_ablation(scale: RunScale) -> String {
+pub fn mechanism_ablation(scale: Scale) -> String {
     let mut out = String::new();
     out.push_str(&header(
         "Ablation C: PiPAD mechanisms one at a time (MPNN-LSTM on Epinions)",
@@ -226,7 +226,7 @@ fn mechanism_verdict(slowdowns: &[(&str, f64)]) -> String {
 }
 
 /// Render all three panels.
-pub fn run(scale: RunScale) -> String {
+pub fn run(scale: Scale) -> String {
     let mut s = pcie_sweep(scale);
     s.push_str(&capacity_sweep(scale));
     s.push_str(&mechanism_ablation(scale));
@@ -259,7 +259,7 @@ mod tests {
                 &PipadConfig::default(),
                 DatasetId::Epinions,
                 ModelKind::EvolveGcn,
-                RunScale::Tiny,
+                Scale::Tiny,
             );
             let r = r.unwrap();
             r.steady.transfer_time().as_nanos() as f64 / r.steady.span.as_nanos().max(1) as f64
@@ -273,7 +273,7 @@ mod tests {
                 &PipadConfig::default(),
                 DatasetId::Epinions,
                 ModelKind::EvolveGcn,
-                RunScale::Tiny,
+                Scale::Tiny,
             );
             let r = r.unwrap();
             r.steady.transfer_time().as_nanos() as f64 / r.steady.span.as_nanos().max(1) as f64
@@ -289,7 +289,7 @@ mod tests {
             &PipadConfig::default(),
             DatasetId::Covid19England,
             ModelKind::TGcn,
-            RunScale::Tiny,
+            Scale::Tiny,
         );
         assert!(r.unwrap().losses().iter().all(|l| l.is_finite()));
     }

@@ -9,27 +9,28 @@
 //! print to stdout and are written into `<out>/` (default `results/`).
 
 use pipad_bench::experiments::{find, help};
-use pipad_bench::{Experiment, Output, RunScale, EXPERIMENTS};
+use pipad_bench::{Experiment, Output, EXPERIMENTS};
+use pipad_dyngraph::Scale;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 struct Args {
     experiment: String,
-    scale: RunScale,
+    scale: Scale,
     out_dir: PathBuf,
 }
 
 fn parse_args() -> Args {
     let mut experiment = "all".to_string();
-    let mut scale = RunScale::Laptop;
+    let mut scale = Scale::Laptop;
     let mut out_dir = PathBuf::from("results");
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = || argv.next().unwrap_or_default();
         match arg.as_str() {
             "--scale" => {
-                scale = RunScale::parse(&value()).unwrap_or_else(|| {
+                scale = Scale::parse(&value()).unwrap_or_else(|| {
                     eprintln!("unknown scale; use tiny|laptop");
                     std::process::exit(2);
                 })

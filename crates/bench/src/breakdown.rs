@@ -1,8 +1,8 @@
 //! Figures 3 and 4: PyGT's latency breakdown, SM utilization and GPU
 //! computation-time breakdown — the motivation experiments of §3.1/§3.2.
 
-use crate::util::{dataset, default_training_config, header, pad, Method, RunScale};
-use pipad_dyngraph::ALL_DATASETS;
+use crate::util::{dataset, default_training_config, header, pad, Method};
+use pipad_dyngraph::{Scale, ALL_DATASETS};
 use pipad_models::{ModelKind, TrainReport};
 use std::fmt::Write;
 
@@ -66,7 +66,7 @@ fn row_from_report(dataset: &'static str, model: ModelKind, r: &TrainReport) -> 
 }
 
 /// Measure PyGT across the full grid.
-pub fn measure(scale: RunScale) -> Vec<BreakdownRow> {
+pub fn measure(scale: Scale) -> Vec<BreakdownRow> {
     let cfg = default_training_config();
     let mut rows = Vec::new();
     for model in ModelKind::ALL {
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn shares_are_sane_percentages() {
         let cfg = default_training_config();
-        let g = dataset(DatasetId::Covid19England, RunScale::Tiny);
+        let g = dataset(DatasetId::Covid19England, Scale::Tiny);
         let r = Method::Pygt.run(ModelKind::TGcn, &g, 8, &cfg);
         let row = row_from_report("Covid", ModelKind::TGcn, &r);
         let total = row.transfer_pct + row.compute_pct + row.other_pct;

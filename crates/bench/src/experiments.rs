@@ -2,10 +2,11 @@
 //! and the files it writes. `repro`'s dispatch, `--help`, the
 //! unknown-experiment error and `all` are all read from [`EXPERIMENTS`].
 
-use crate::util::{Artifact, RunScale};
+use crate::util::Artifact;
 use crate::{
     ablation, breakdown, fig11, fig12, fig5, fig9, grid, multigpu, profile, serve, table1, trace,
 };
+use pipad_dyngraph::Scale;
 use std::fmt::Write as _;
 
 /// One file an experiment writes into the `--out` directory. `.txt`
@@ -32,14 +33,14 @@ pub struct Experiment {
     /// Whether `repro all` runs it: the paper's tables and figures plus
     /// `ablation`, not the other extension experiments.
     pub in_all: bool,
-    pub run: fn(RunScale) -> Vec<Output>,
+    pub run: fn(Scale) -> Vec<Output>,
 }
 
 fn report(txt: &'static str, json: &'static str, art: Artifact) -> Vec<Output> {
     vec![Output::new(txt, art.summary), Output::new(json, art.json)]
 }
 
-fn grid_pass(scale: RunScale) -> Vec<Output> {
+fn grid_pass(scale: Scale) -> Vec<Output> {
     eprintln!("[repro] running the 5x3x7 grid (this is the long step)...");
     let g = grid::measure(scale);
     match grid::headline_shape_holds(&g) {

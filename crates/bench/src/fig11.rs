@@ -10,26 +10,27 @@
 //! Every arm stages and aggregates through the executor its trainer runs
 //! ([`run_gnn_frame`]).
 
-use crate::util::{dataset, header, pad, run_gnn_frame, RunScale, Staging};
+use crate::util::{dataset, header, pad, run_gnn_frame, Staging};
 use pipad_baselines::BaselineKind;
-use pipad_dyngraph::{DatasetId, DynamicGraph, Snapshot, ALL_DATASETS};
+use pipad_dyngraph::{DatasetId, DynamicGraph, Scale, Snapshot, ALL_DATASETS};
 use pipad_gpu_sim::{Breakdown, SimNanos};
 use pipad_tensor::{seeded_rng, uniform};
 use std::fmt::Write;
 
-/// Which 1-layer GNN execution strategy to profile.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GnnPath {
-    /// PyG scatter, one snapshot at a time, COO transfers.
-    Pygt,
-    /// GE-SpMM, one snapshot at a time, CSR+CSC transfers.
-    PygtG,
-    /// PiPAD parallel aggregation over partitions of `s_per`.
-    Pipad { s_per: usize },
+const PYGT: Staging = Staging::Baseline(BaselineKind::Pygt);
+const PYGT_G: Staging = Staging::Baseline(BaselineKind::PygtG);
+
+/// PiPAD's parallel aggregation over partitions of `s_per`, with weight
+/// reuse as its trainer runs it.
+fn pipad(s_per: usize) -> Staging {
+    Staging::Pipad {
+        s_per,
+        weight_reuse: true,
+    }
 }
 
 /// Profile a 1-layer GNN (aggregation only, reuse disabled) over a window
-/// of snapshots with the given strategy; returns (kernel execution time,
+/// of snapshots with the given staging; returns (kernel execution time,
 /// breakdown). Figure 11 compares *kernel* time — the paper analyzes the
 /// algorithm level separately from transfers ("since the data transfer
 /// greatly impacts the end-to-end training time ... this section specially
@@ -38,7 +39,7 @@ pub fn profile_gnn(
     graph: &DynamicGraph,
     window: usize,
     dim_override: Option<usize>,
-    path: GnnPath,
+    staging: Staging,
 ) -> (SimNanos, Breakdown) {
     let mut rng = seeded_rng(1111);
     let snapshots = graph.snapshots[..window]
@@ -49,14 +50,6 @@ pub fn profile_gnn(
         })
         .collect();
     let frame = DynamicGraph::new(graph.name.as_str(), snapshots);
-    let staging = match path {
-        GnnPath::Pygt => Staging::Baseline(BaselineKind::Pygt),
-        GnnPath::PygtG => Staging::Baseline(BaselineKind::PygtG),
-        GnnPath::Pipad { s_per } => Staging::Pipad {
-            s_per,
-            weight_reuse: true,
-        },
-    };
     let (_, b) = run_gnn_frame(&frame, staging, None);
     (b.compute_total, b)
 }
@@ -71,7 +64,7 @@ fn pipad_s_per(id: DatasetId) -> usize {
 }
 
 /// Render Figure 11a.
-pub fn run_fig11a(scale: RunScale) -> String {
+pub fn run_fig11a(scale: Scale) -> String {
     let mut out = String::new();
     out.push_str(&header(
         "Figure 11a: GNN execution speedup and memory-access reduction",
@@ -93,16 +86,9 @@ pub fn run_fig11a(scale: RunScale) -> String {
     let mut txn_red = Vec::new();
     for id in ALL_DATASETS {
         let g = dataset(id, scale);
-        let (t_pygt, _) = profile_gnn(&g, window, None, GnnPath::Pygt);
-        let (t_ge, b_ge) = profile_gnn(&g, window, None, GnnPath::PygtG);
-        let (t_pi, b_pi) = profile_gnn(
-            &g,
-            window,
-            None,
-            GnnPath::Pipad {
-                s_per: pipad_s_per(id),
-            },
-        );
+        let (t_pygt, _) = profile_gnn(&g, window, None, PYGT);
+        let (t_ge, b_ge) = profile_gnn(&g, window, None, PYGT_G);
+        let (t_pi, b_pi) = profile_gnn(&g, window, None, pipad(pipad_s_per(id)));
         let s1 = t_pygt.as_nanos() as f64 / t_pi.as_nanos().max(1) as f64;
         let s2 = t_ge.as_nanos() as f64 / t_pi.as_nanos().max(1) as f64;
         let rr = 1.0 - b_pi.gmem_requests as f64 / b_ge.gmem_requests.max(1) as f64;
@@ -137,7 +123,7 @@ pub fn run_fig11a(scale: RunScale) -> String {
 }
 
 /// Render Figure 11b (dimension sensitivity, small-scale datasets).
-pub fn run_fig11b(scale: RunScale) -> String {
+pub fn run_fig11b(scale: Scale) -> String {
     let dims = [2usize, 8, 16, 32, 64, 128];
     let small = [
         DatasetId::HepTh,
@@ -160,8 +146,8 @@ pub fn run_fig11b(scale: RunScale) -> String {
             // Larger dims consume more memory → lower feasible parallelism
             // (the paper's memory-consumption caveat in §5.3).
             let s_per = if d <= 16 { 8 } else { 4 };
-            let (t_base, _) = profile_gnn(&g, 8, Some(d), GnnPath::Pygt);
-            let (t_pi, _) = profile_gnn(&g, 8, Some(d), GnnPath::Pipad { s_per });
+            let (t_base, _) = profile_gnn(&g, 8, Some(d), PYGT);
+            let (t_pi, _) = profile_gnn(&g, 8, Some(d), pipad(s_per));
             write!(
                 out,
                 "{:>8.2}x",
@@ -176,7 +162,7 @@ pub fn run_fig11b(scale: RunScale) -> String {
 
 /// The §5.3 thread-utilization experiment: warp execution efficiency with
 /// every dataset forced to input dim 2 (paper: PyGT-G 57.2% → PiPAD 64.9%).
-pub fn run_thread_util(scale: RunScale) -> String {
+pub fn run_thread_util(scale: Scale) -> String {
     let mut out = String::new();
     out.push_str(&header(
         "Thread utilization (warp_execution_efficiency), input dim forced to 2",
@@ -193,8 +179,8 @@ pub fn run_thread_util(scale: RunScale) -> String {
     let mut pi_total = 0.0;
     for id in ALL_DATASETS {
         let g = dataset(id, scale);
-        let (_, b_ge) = profile_gnn(&g, 8, Some(2), GnnPath::PygtG);
-        let (_, b_pi) = profile_gnn(&g, 8, Some(2), GnnPath::Pipad { s_per: 4 });
+        let (_, b_ge) = profile_gnn(&g, 8, Some(2), PYGT_G);
+        let (_, b_pi) = profile_gnn(&g, 8, Some(2), pipad(4));
         let ge = b_ge.warp_efficiency() * 100.0;
         let pi = b_pi.warp_efficiency() * 100.0;
         writeln!(out, "{} {:>9.1}% {:>9.1}%", pad(id.name(), 17), ge, pi).unwrap();
@@ -217,28 +203,28 @@ mod tests {
 
     #[test]
     fn pipad_gnn_beats_both_baselines_on_dense_small_dim() {
-        let g = dataset(DatasetId::Flickr, RunScale::Tiny);
-        let (t_pygt, _) = profile_gnn(&g, 4, None, GnnPath::Pygt);
-        let (t_ge, _) = profile_gnn(&g, 4, None, GnnPath::PygtG);
-        let (t_pi, _) = profile_gnn(&g, 4, None, GnnPath::Pipad { s_per: 4 });
+        let g = dataset(DatasetId::Flickr, Scale::Tiny);
+        let (t_pygt, _) = profile_gnn(&g, 4, None, PYGT);
+        let (t_ge, _) = profile_gnn(&g, 4, None, PYGT_G);
+        let (t_pi, _) = profile_gnn(&g, 4, None, pipad(4));
         assert!(t_pi < t_pygt, "pipad {t_pi} vs pygt {t_pygt}");
         assert!(t_pi < t_ge, "pipad {t_pi} vs pygt-g {t_ge}");
     }
 
     #[test]
     fn memory_reductions_vs_gespmm_are_positive_on_small_dims() {
-        let g = dataset(DatasetId::Youtube, RunScale::Tiny);
-        let (_, b_ge) = profile_gnn(&g, 4, None, GnnPath::PygtG);
-        let (_, b_pi) = profile_gnn(&g, 4, None, GnnPath::Pipad { s_per: 4 });
+        let g = dataset(DatasetId::Youtube, Scale::Tiny);
+        let (_, b_ge) = profile_gnn(&g, 4, None, PYGT_G);
+        let (_, b_pi) = profile_gnn(&g, 4, None, pipad(4));
         assert!(b_pi.gmem_transactions < b_ge.gmem_transactions);
         assert!(b_pi.gmem_requests < b_ge.gmem_requests);
     }
 
     #[test]
     fn slice_coalescing_raises_warp_efficiency() {
-        let g = dataset(DatasetId::Epinions, RunScale::Tiny);
-        let (_, b_ge) = profile_gnn(&g, 4, Some(2), GnnPath::PygtG);
-        let (_, b_pi) = profile_gnn(&g, 4, Some(2), GnnPath::Pipad { s_per: 4 });
+        let g = dataset(DatasetId::Epinions, Scale::Tiny);
+        let (_, b_ge) = profile_gnn(&g, 4, Some(2), PYGT_G);
+        let (_, b_pi) = profile_gnn(&g, 4, Some(2), pipad(4));
         assert!(
             b_pi.warp_efficiency() > b_ge.warp_efficiency(),
             "pipad {:.3} vs gespmm {:.3}",

@@ -7,9 +7,9 @@
 //! launches one aggregation kernel per format directly. The overall
 //! speedup trains through `train_pipad`.
 
-use crate::util::{check_consistency, dataset, default_training_config, header, pad, RunScale};
+use crate::util::{check_consistency, dataset, default_training_config, header, pad};
 use pipad::{train_pipad, PipadConfig};
-use pipad_dyngraph::{DatasetId, ALL_DATASETS};
+use pipad_dyngraph::{DatasetId, Scale, ALL_DATASETS};
 use pipad_gpu_sim::{DeviceConfig, Gpu, SimNanos};
 use pipad_kernels::{spmm_gespmm, spmm_sliced_parallel, upload_csr, upload_matrix, upload_sliced};
 use pipad_models::{normalize_snapshot, ModelKind};
@@ -33,7 +33,7 @@ impl BalancePoint {
 }
 
 /// Measure CSR-kernel vs sliced-kernel load balance on one snapshot.
-pub fn measure_balance(id: DatasetId, scale: RunScale) -> (BalancePoint, BalancePoint) {
+pub fn measure_balance(id: DatasetId, scale: Scale) -> (BalancePoint, BalancePoint) {
     let g = dataset(id, scale);
     let snap0 = &g.snapshots[0];
     let norm = normalize_snapshot(&snap0.adj);
@@ -71,7 +71,7 @@ pub fn measure_balance(id: DatasetId, scale: RunScale) -> (BalancePoint, Balance
 }
 
 /// End-to-end speedup of sliced PiPAD over the CSR-variant PiPAD.
-pub fn overall_speedup(id: DatasetId, model: ModelKind, scale: RunScale) -> f64 {
+pub fn overall_speedup(id: DatasetId, model: ModelKind, scale: Scale) -> f64 {
     let g = dataset(id, scale);
     let cfg = default_training_config();
     let run = |use_sliced: bool| {
@@ -106,7 +106,7 @@ struct Row {
 }
 
 impl Row {
-    fn measure(id: DatasetId, scale: RunScale) -> Row {
+    fn measure(id: DatasetId, scale: Scale) -> Row {
         let (csr, sliced) = measure_balance(id, scale);
         let speedup = ModelKind::ALL.map(|m| overall_speedup(id, m, scale));
         Row {
@@ -134,7 +134,7 @@ impl Row {
 }
 
 /// Render Figure 12.
-pub fn run(scale: RunScale) -> String {
+pub fn run(scale: Scale) -> String {
     let rows: Vec<Row> = ALL_DATASETS
         .into_iter()
         .map(|id| Row::measure(id, scale))
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn sliced_variant_at_least_matches_csr_end_to_end() {
-        let s = overall_speedup(DatasetId::Youtube, ModelKind::EvolveGcn, RunScale::Tiny);
+        let s = overall_speedup(DatasetId::Youtube, ModelKind::EvolveGcn, Scale::Tiny);
         assert!(s > 0.95, "sliced should not lose: {s:.2}x");
     }
 }

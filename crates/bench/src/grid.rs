@@ -2,8 +2,8 @@
 //! utilization) — the main evaluation grid: 5 methods × 3 models × 7
 //! datasets, each on a fresh simulated V100.
 
-use crate::util::{dataset, default_training_config, header, pad, Method, RunScale};
-use pipad_dyngraph::{DatasetId, ALL_DATASETS};
+use crate::util::{dataset, default_training_config, header, pad, Method};
+use pipad_dyngraph::{DatasetId, Scale, ALL_DATASETS};
 use pipad_models::{ModelKind, TrainReport};
 use std::fmt::Write;
 
@@ -12,11 +12,11 @@ pub struct GridResults {
     /// `results[model][dataset][method]` in the iteration orders of
     /// `ModelKind::ALL`, `ALL_DATASETS`, `Method::ALL`.
     pub reports: Vec<Vec<Vec<TrainReport>>>,
-    pub scale: RunScale,
+    pub scale: Scale,
 }
 
 /// Run the full grid (the expensive step — every figure-10/table-2 number).
-pub fn measure(scale: RunScale) -> GridResults {
+pub fn measure(scale: Scale) -> GridResults {
     let cfg = default_training_config();
     let mut reports = Vec::new();
     for model in ModelKind::ALL {
@@ -207,7 +207,7 @@ mod tests {
         let cfg = default_training_config();
         for model in [ModelKind::TGcn, ModelKind::EvolveGcn] {
             for id in [DatasetId::Covid19England, DatasetId::Youtube] {
-                let g = dataset(id, RunScale::Tiny);
+                let g = dataset(id, Scale::Tiny);
                 let base = Method::Pygt.run(model, &g, id.hidden_dim(), &cfg);
                 let ours = Method::Pipad.run(model, &g, id.hidden_dim(), &cfg);
                 let s = base.steady_epoch_time.as_nanos() as f64

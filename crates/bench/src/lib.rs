@@ -31,4 +31,4 @@ pub mod trace;
 pub mod util;
 
 pub use experiments::{Experiment, Output, EXPERIMENTS};
-pub use util::{default_training_config, host_invariant, Method, RunScale, HOST_MATRIX};
+pub use util::{default_training_config, host_invariant, Method, HOST_MATRIX};

@@ -13,9 +13,9 @@
 //! artifact is identical in every
 //! [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell.
 
-use crate::util::{dataset, default_training_config, host_invariant, Artifact, Method, RunScale};
+use crate::util::{dataset, default_training_config, host_invariant, Artifact, Method};
 use pipad::{train_data_parallel_devices, MultiGpuConfig, MultiTrainReport};
-use pipad_dyngraph::DatasetId;
+use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{ratio_milli, validate_json, Gpu};
 use pipad_models::ModelKind;
 use std::fmt::Write as _;
@@ -26,7 +26,7 @@ const HIDDEN: usize = 16;
 /// One data-parallel run and the devices it ran on.
 pub(crate) fn run_one(
     model: ModelKind,
-    scale: RunScale,
+    scale: Scale,
     n_gpus: usize,
 ) -> (MultiTrainReport, Vec<Gpu>) {
     let graph = dataset(DatasetId::Covid19England, scale);
@@ -43,7 +43,7 @@ fn fmt_milli(milli: u64) -> String {
     format!("{}.{:02}", milli / 1000, (milli % 1000) / 10)
 }
 
-fn measure(scale: RunScale) -> Artifact {
+fn measure(scale: Scale) -> Artifact {
     let mut json = String::from("{\"experiment\":\"multigpu\"");
     let _ = write!(json, ",\"scale\":{:?},\"models\":[", scale.label());
     let mut summary = String::new();
@@ -169,7 +169,7 @@ fn measure(scale: RunScale) -> Artifact {
 
 /// Run the scaling experiment (`results/multigpu.{json,txt}`) under the
 /// host-determinism contract.
-pub fn run(scale: RunScale) -> Artifact {
+pub fn run(scale: Scale) -> Artifact {
     host_invariant("multigpu report", || measure(scale))
 }
 
@@ -180,7 +180,7 @@ mod tests {
     /// One run: host determinism is `tests/multigpu_equivalence.rs`'s gate.
     #[test]
     fn tiny_multigpu_artifact_is_complete() {
-        let art = measure(RunScale::Tiny);
+        let art = measure(Scale::Tiny);
         assert!(art.json.starts_with("{\"experiment\":\"multigpu\""));
         for model in ModelKind::ALL {
             assert!(art.json.contains(&format!("{:?}", model.name())));

@@ -21,8 +21,8 @@
 //! `tests/golden/profile_tiny.*` and names each one that drifts.
 
 use crate::experiments::Output;
-use crate::util::{dataset, default_training_config, host_invariant, Method, RunScale, ScratchDir};
-use pipad_dyngraph::DatasetId;
+use crate::util::{dataset, default_training_config, host_invariant, Method, ScratchDir};
+use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu};
 use pipad_metrics::{analyze, to_json, to_prometheus, to_table, MetricsRegistry};
 use pipad_models::ModelKind;
@@ -58,7 +58,7 @@ impl ProfileArtifact {
 
 /// Leg 1: train under `method`, analyze the pipeline, register everything
 /// under a `method` label.
-fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: RunScale) {
+fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: Scale) {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config();
     let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -100,7 +100,7 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: RunScale) {
 
 /// Leg 2: 2-device data parallelism — communication volumes and shares,
 /// and each device's steady window next to the single-device ones.
-fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
+fn multigpu_leg(reg: &mut MetricsRegistry, scale: Scale) {
     let (r, gpus) = crate::multigpu::run_one(ModelKind::TGcn, scale, 2);
 
     let labels = [("gpus", "2")];
@@ -154,7 +154,7 @@ fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
 
 /// Leg 3: checkpoint → serving engine → open-loop replay; latency
 /// histogram and admission counters.
-fn serve_leg(reg: &mut MetricsRegistry, scale: RunScale) {
+fn serve_leg(reg: &mut MetricsRegistry, scale: Scale) {
     let dir = ScratchDir::new("profile");
     let report = crate::serve::train_and_serve(scale, ModelKind::TGcn, dir.path());
 
@@ -181,7 +181,7 @@ fn serve_leg(reg: &mut MetricsRegistry, scale: RunScale) {
 }
 
 /// Run all three legs once and render the three exports.
-pub fn measure(scale: RunScale) -> ProfileArtifact {
+pub fn measure(scale: Scale) -> ProfileArtifact {
     let mut reg = MetricsRegistry::new();
     for method in [Method::Pipad, Method::PygtA] {
         train_leg(&mut reg, method, scale);
@@ -206,7 +206,7 @@ pub fn measure(scale: RunScale) -> ProfileArtifact {
 
 /// Run the profile experiment (`results/profile.{txt,json,prom}`) under
 /// the host-determinism contract.
-pub fn run(scale: RunScale) -> ProfileArtifact {
+pub fn run(scale: Scale) -> ProfileArtifact {
     host_invariant("profile exports", || measure(scale))
 }
 
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn overlap_beats_baseline_and_allocs_are_flat() {
-        let art = measure(RunScale::Tiny);
+        let art = measure(Scale::Tiny);
         let pipad = art.flat["pipad_overlap_fraction_milli{method=\"PiPAD\",window=\"steady\"}"];
         let pygta = art.flat["pipad_overlap_fraction_milli{method=\"PyGT-A\",window=\"steady\"}"];
         assert!(

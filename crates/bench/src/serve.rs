@@ -18,12 +18,11 @@
 //! appears in the artifacts.
 
 use crate::util::{
-    check_consistency, dataset, default_training_config, host_invariant, Artifact, RunScale,
-    ScratchDir,
+    check_consistency, dataset, default_training_config, host_invariant, Artifact, ScratchDir,
 };
 use pipad::{train_pipad, PipadConfig};
 use pipad_ckpt::{crc32, CheckpointPolicy};
-use pipad_dyngraph::DatasetId;
+use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu};
 use pipad_models::ModelKind;
 use pipad_serve::{
@@ -38,10 +37,10 @@ const EVERY_EPOCHS: usize = 2;
 /// Hidden dimension for every model.
 const HIDDEN: usize = 16;
 
-fn sim_config(scale: RunScale) -> ServeSimConfig {
+fn sim_config(scale: Scale) -> ServeSimConfig {
     let n_requests = match scale {
-        RunScale::Tiny => 24,
-        RunScale::Laptop => 96,
+        Scale::Tiny => 24,
+        Scale::Laptop => 96,
     };
     ServeSimConfig {
         batch: BatchPolicy {
@@ -62,7 +61,7 @@ fn sim_config(scale: RunScale) -> ServeSimConfig {
 /// Train `model` with checkpointing into `base`, restore the newest
 /// checkpoint into a serving engine on a fresh device and replay the
 /// standard request plan. Shared with `repro profile`'s serving leg.
-pub(crate) fn train_and_serve(scale: RunScale, model: ModelKind, base: &Path) -> ServeReport {
+pub(crate) fn train_and_serve(scale: Scale, model: ModelKind, base: &Path) -> ServeReport {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config();
     let dir = base.join(model.name());
@@ -86,7 +85,7 @@ pub(crate) fn train_and_serve(scale: RunScale, model: ModelKind, base: &Path) ->
 }
 
 /// Run every row once and render both artifacts.
-fn measure(scale: RunScale) -> Artifact {
+fn measure(scale: Scale) -> Artifact {
     let base = ScratchDir::new("serve");
     let scfg = sim_config(scale);
     let rows: Vec<(ModelKind, ServeReport)> = ModelKind::ALL
@@ -190,7 +189,7 @@ fn measure(scale: RunScale) -> Artifact {
 
 /// Run the serving experiment (`results/serve.{json,txt}`) under the
 /// host-determinism contract.
-pub fn run(scale: RunScale) -> Artifact {
+pub fn run(scale: Scale) -> Artifact {
     host_invariant("serve report", || measure(scale))
 }
 
@@ -200,7 +199,7 @@ mod tests {
 
     #[test]
     fn tiny_serve_is_deterministic_across_threads_and_pool() {
-        let art = run(RunScale::Tiny);
+        let art = run(Scale::Tiny);
         assert!(art.json.starts_with("{\"experiment\":\"serve\""));
         for needle in ["\"EvolveGCN\"", "\"MPNN-LSTM\"", "\"T-GCN\"", "p50_ns"] {
             assert!(art.json.contains(needle), "missing {needle}");

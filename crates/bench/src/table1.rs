@@ -1,12 +1,12 @@
 //! Table 1: the evaluation datasets — paper numbers side by side with the
 //! synthetic analogues actually generated at the chosen scale.
 
-use crate::util::{dataset, header, pad, RunScale};
-use pipad_dyngraph::{DatasetId, ALL_DATASETS};
+use crate::util::{dataset, header, pad};
+use pipad_dyngraph::{DatasetId, Scale, ALL_DATASETS};
 use std::fmt::Write;
 
 /// Render Table 1.
-pub fn run(scale: RunScale) -> String {
+pub fn run(scale: Scale) -> String {
     let mut out = String::new();
     out.push_str(&header("Table 1: Graph Datasets for Evaluation"));
     writeln!(
@@ -40,7 +40,7 @@ pub fn run(scale: RunScale) -> String {
     for id in ALL_DATASETS {
         let row = id.paper_row();
         let g = dataset(id, scale);
-        let cfg = id.gen_config(scale.to_dataset_scale());
+        let cfg = id.gen_config(scale);
         let stats = cfg.stats(&g);
         writeln!(
             out,
@@ -78,7 +78,7 @@ fn fmt_big(v: u64) -> String {
 
 /// Verify the analogue preserves the relative density ordering the
 /// performance story depends on.
-pub fn density_ordering_holds(scale: RunScale) -> bool {
+pub fn density_ordering_holds(scale: Scale) -> bool {
     let density = |id: DatasetId| {
         let g = dataset(id, scale);
         g.snapshots[0].n_edges() as f64 / g.n() as f64
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn renders_all_rows() {
-        let s = run(RunScale::Tiny);
+        let s = run(Scale::Tiny);
         for id in ALL_DATASETS {
             assert!(s.contains(id.paper_row().name), "missing {}", id.name());
         }
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn density_ordering() {
-        assert!(density_ordering_holds(RunScale::Tiny));
+        assert!(density_ordering_holds(Scale::Tiny));
     }
 
     #[test]

@@ -10,11 +10,9 @@
 //! [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell to prove byte-identity
 //! before writing.
 
-use crate::util::{
-    check_consistency, dataset, default_training_config, host_invariant, Artifact, RunScale,
-};
+use crate::util::{check_consistency, dataset, default_training_config, host_invariant, Artifact};
 use pipad::{train_pipad, PipadConfig};
-use pipad_dyngraph::DatasetId;
+use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{export_chrome_trace, trace_text_summary, validate_json, DeviceConfig, Gpu};
 use pipad_models::ModelKind;
 use std::fmt::Write as _;
@@ -22,7 +20,7 @@ use std::fmt::Write as _;
 /// One trace-producing pipeline run; returns the exported JSON and the
 /// text summary. The exported trace is checked against the profiler's
 /// independent accounting before being returned.
-fn run_once(scale: RunScale) -> Artifact {
+fn run_once(scale: Scale) -> Artifact {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config();
     let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -73,7 +71,7 @@ impl PartialEq for JsonOnly {
 
 /// Run the trace experiment (`results/trace_fig11.{json,txt}`) under the
 /// host-determinism contract.
-pub fn run(scale: RunScale) -> Artifact {
+pub fn run(scale: Scale) -> Artifact {
     host_invariant("trace export", || JsonOnly(run_once(scale))).0
 }
 
@@ -83,7 +81,7 @@ mod tests {
 
     #[test]
     fn tiny_trace_is_deterministic_and_well_formed() {
-        let art = run(RunScale::Tiny);
+        let art = run(Scale::Tiny);
         assert!(art.json.starts_with("{\"displayTimeUnit\":\"ms\""));
         assert!(art.summary.contains("device_mem_in_use"));
     }

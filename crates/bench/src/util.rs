@@ -15,39 +15,6 @@ use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Dataset scale for a harness run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunScale {
-    /// Seconds-fast, CI-sized.
-    Tiny,
-    /// The default evaluation scale (README/EXPERIMENTS numbers).
-    Laptop,
-}
-
-impl RunScale {
-    pub fn to_dataset_scale(self) -> Scale {
-        match self {
-            RunScale::Tiny => Scale::Tiny,
-            RunScale::Laptop => Scale::Laptop,
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<RunScale> {
-        match s {
-            "tiny" => Some(RunScale::Tiny),
-            "laptop" => Some(RunScale::Laptop),
-            _ => None,
-        }
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            RunScale::Tiny => "tiny",
-            RunScale::Laptop => "laptop",
-        }
-    }
-}
-
 /// All five compared training systems.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
@@ -67,14 +34,19 @@ impl Method {
         Method::Pipad,
     ];
 
-    pub fn name(self) -> &'static str {
+    /// The PyGT variant this method trains, or `None` for PiPAD.
+    fn baseline(self) -> Option<BaselineKind> {
         match self {
-            Method::Pygt => "PyGT",
-            Method::PygtA => "PyGT-A",
-            Method::PygtR => "PyGT-R",
-            Method::PygtG => "PyGT-G",
-            Method::Pipad => "PiPAD",
+            Method::Pygt => Some(BaselineKind::Pygt),
+            Method::PygtA => Some(BaselineKind::PygtA),
+            Method::PygtR => Some(BaselineKind::PygtR),
+            Method::PygtG => Some(BaselineKind::PygtG),
+            Method::Pipad => None,
         }
+    }
+
+    pub fn name(self) -> &'static str {
+        self.baseline().map_or("PiPAD", BaselineKind::name)
     }
 
     /// Train on a fresh simulated device and return the report. The
@@ -101,17 +73,10 @@ impl Method {
         hidden: usize,
         cfg: &TrainingConfig,
     ) -> TrainReport {
-        let report = match self {
-            Method::Pipad => train_pipad(gpu, model, graph, hidden, cfg, &PipadConfig::default())
+        let report = match self.baseline() {
+            None => train_pipad(gpu, model, graph, hidden, cfg, &PipadConfig::default())
                 .expect("PiPAD run failed"),
-            baseline => {
-                let kind = match baseline {
-                    Method::Pygt => BaselineKind::Pygt,
-                    Method::PygtA => BaselineKind::PygtA,
-                    Method::PygtR => BaselineKind::PygtR,
-                    Method::PygtG => BaselineKind::PygtG,
-                    Method::Pipad => unreachable!(),
-                };
+            Some(kind) => {
                 train_baseline(gpu, kind, model, graph, hidden, cfg).expect("baseline run failed")
             }
         };
@@ -303,8 +268,8 @@ pub fn default_training_config() -> TrainingConfig {
 }
 
 /// Generate a dataset at the requested scale.
-pub fn dataset(id: DatasetId, scale: RunScale) -> DynamicGraph {
-    id.gen_config(scale.to_dataset_scale()).generate()
+pub fn dataset(id: DatasetId, scale: Scale) -> DynamicGraph {
+    id.gen_config(scale).generate()
 }
 
 /// Right-pad to a column width.
@@ -325,14 +290,6 @@ pub fn header(title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_parse_round_trip() {
-        assert_eq!(RunScale::parse("tiny"), Some(RunScale::Tiny));
-        assert_eq!(RunScale::parse("laptop"), Some(RunScale::Laptop));
-        assert_eq!(RunScale::parse("paper"), None);
-        assert_eq!(RunScale::Tiny.label(), "tiny");
-    }
 
     #[test]
     fn methods_cover_figure_10_legend() {

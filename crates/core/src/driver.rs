@@ -325,6 +325,6 @@ pub fn run_epochs<P: EpochPolicy>(
             (run_t1 - steady_t0).as_nanos() / steady_epochs as u64,
         ),
         steady,
-        peak_mem: gpu.mem().peak(),
+        peak_mem: gpu.mem().peak_ever(),
     })
 }

@@ -160,7 +160,6 @@ pub struct PipadExecutor<'r> {
     reuse: Option<&'r mut InterFrameReuse>,
     compute: StreamId,
     weight_reuse: bool,
-    s_per_decided: usize,
 }
 
 impl<'r> PipadExecutor<'r> {
@@ -267,13 +266,7 @@ impl<'r> PipadExecutor<'r> {
             reuse,
             compute,
             weight_reuse: opts.weight_reuse,
-            s_per_decided: opts.s_per,
         })
-    }
-
-    /// The snapshots-per-partition setting in effect.
-    pub fn s_per(&self) -> usize {
-        self.s_per_decided
     }
 
     /// Per partition, in frame order: whether reuse covers every member's

@@ -62,8 +62,8 @@
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
 use pipad_gpu_sim::{
-    export_chrome_trace, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError, SimNanos,
-    StreamId,
+    export_chrome_trace, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError,
+    SimNanos, StreamId,
 };
 use pipad_kernels::{sgd_step, DeviceMatrix};
 use pipad_models::{
@@ -485,7 +485,7 @@ pub fn train_data_parallel_devices(
             }
         }
         let mut losses = Vec::new();
-        for frame in FrameIter::new(graph, cfg.window) {
+        for (fi, frame) in FrameIter::new(graph, cfg.window).enumerate() {
             let nslots = frame.len();
 
             // --- reuse: one all-or-nothing lookup per snapshot ------------
@@ -792,6 +792,17 @@ pub fn train_data_parallel_devices(
                 });
             }
             summed.into_iter().flatten().for_each(Matrix::recycle);
+            // A skipped step is recorded once, on device 0, at the barrier.
+            if !frame_sse.is_finite() {
+                let args = vec![
+                    ("policy", ArgValue::Str("nan_skip".to_string())),
+                    ("epoch", ArgValue::U64(epoch as u64)),
+                    ("frame", ArgValue::U64(fi as u64)),
+                ];
+                gpus[0]
+                    .trace_mut()
+                    .instant("recovery", Lane::Control, sync_point, args);
+            }
 
             // --- teardown --------------------------------------------------
             for (s, tape) in tapes.into_iter().enumerate() {

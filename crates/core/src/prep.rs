@@ -19,13 +19,10 @@ pub const EXTRACT_NS_PER_EDGE: u64 = 3;
 /// Candidate snapshots-per-partition settings (§4.3: "a finite set").
 pub const S_PER_OPTIONS: [usize; 3] = [2, 4, 8];
 
-/// Prepared adjacency data for one partition `[start, start + s_per)`.
+/// Prepared adjacency data for one partition `[start, start + s_per)`,
+/// stored in the catalog under the key `(s_per, start)`.
 #[derive(Clone)]
 pub struct PartitionPlan {
-    /// First snapshot index of the partition.
-    pub start: usize,
-    /// The snapshots-per-partition setting in effect.
-    pub s_per: usize,
     /// Topology shared by every member, sliced.
     pub overlap: Rc<SlicedCsr>,
     /// Per-member exclusive remainders, sliced.
@@ -96,8 +93,6 @@ impl PartitionCatalog {
             plans.insert(
                 (s_per, start),
                 PartitionPlan {
-                    start,
-                    s_per,
                     overlap,
                     exclusives,
                     overlap_rate,

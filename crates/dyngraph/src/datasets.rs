@@ -1,15 +1,15 @@
 //! The seven evaluation datasets of the paper's Table 1, reproduced as
 //! synthetic generator configurations.
 //!
-//! Paper-scale numbers come straight from Table 1 (vertices, edges after
-//! edge-life smoothing, feature dimension, snapshot count). The `Laptop`
-//! scale divides the two social-network giants by 64 and the mid-size
-//! graphs by smaller factors so the whole evaluation grid runs on a laptop;
-//! `Tiny` is for unit tests. Each scale preserves the statistics the
-//! performance story depends on: relative density ordering (Epinions and
-//! HepTh dense, Youtube hypersparse), degree skew, feature dimensions
-//! (2 for large graphs, 16 for small ones — §5.1), and the ~10 % change
-//! rate.
+//! Table 1's own numbers (vertices, edges after edge-life smoothing,
+//! feature dimension, snapshot count) are kept as [`PaperRow`]s for
+//! reporting beside the analogue. The `Laptop` scale divides the two
+//! social-network giants by 64 and the mid-size graphs by smaller factors
+//! so the whole evaluation grid runs on a laptop; `Tiny` is for unit
+//! tests. Each scale preserves the statistics the performance story
+//! depends on: relative density ordering (Epinions and HepTh dense,
+//! Youtube hypersparse), degree skew, feature dimensions (2 for large
+//! graphs, 16 for small ones — §5.1), and the ~10 % change rate.
 
 use crate::generator::GenConfig;
 
@@ -46,12 +46,29 @@ pub const ALL_DATASETS: [DatasetId; 7] = [
 /// How big to instantiate a dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Table 1 sizes verbatim (only practical with hours of runtime).
-    Paper,
     /// Laptop-sized: big graphs ÷64, snapshots capped at 24.
     Laptop,
     /// Unit-test sized.
     Tiny,
+}
+
+impl Scale {
+    /// The scale a label names (`tiny` or `laptop`), if any.
+    pub fn parse(s: &str) -> Option<Scale> {
+        match s {
+            "tiny" => Some(Scale::Tiny),
+            "laptop" => Some(Scale::Laptop),
+            _ => None,
+        }
+    }
+
+    /// The label [`Scale::parse`] reads, as written into results.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Laptop => "laptop",
+        }
+    }
 }
 
 /// One row of the paper's Table 1, for reporting alongside our analogue.
@@ -207,14 +224,6 @@ impl DatasetId {
             DatasetId::Covid19England => (130, 900, 24, 0.2),
         };
         let (n, e, s) = match scale {
-            Scale::Paper => {
-                let row = self.paper_row();
-                (
-                    row.n_vertices as usize,
-                    (row.edges_smoothed / row.n_snapshots as u64) as usize,
-                    row.n_snapshots as usize,
-                )
-            }
             Scale::Laptop => (n, e, s),
             Scale::Tiny => ((n / 32).max(40), (e / 32).max(60), 20),
         };
@@ -243,6 +252,14 @@ mod tests {
         let r = DatasetId::Covid19England.paper_row();
         assert_eq!(r.feature_dim, 16);
         assert_eq!(r.edges_smoothed, 108_000);
+    }
+
+    #[test]
+    fn scale_parse_round_trip() {
+        assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
+        assert_eq!(Scale::parse("laptop"), Some(Scale::Laptop));
+        assert_eq!(Scale::parse("paper"), None);
+        assert_eq!(Scale::Tiny.label(), "tiny");
     }
 
     #[test]

@@ -95,18 +95,6 @@ impl DeviceConfig {
     pub fn block_slots(&self) -> usize {
         (self.num_sms * self.blocks_per_sm) as usize
     }
-
-    /// Floats (f32) per minimum transaction: the "bandwidth unsaturation"
-    /// threshold of §3.2 (8 on NVIDIA).
-    pub fn floats_per_transaction(&self) -> u32 {
-        self.transaction_bytes / 4
-    }
-
-    /// Floats (f32) per maximal warp request: the "request burst" threshold
-    /// of §3.2 (32 on NVIDIA).
-    pub fn floats_per_request(&self) -> u32 {
-        self.max_request_bytes / 4
-    }
 }
 
 impl Default for DeviceConfig {
@@ -123,8 +111,8 @@ mod tests {
     fn v100_thresholds_match_paper() {
         let cfg = DeviceConfig::v100();
         // §3.2: unsaturation below 32/4 = 8 floats, burst above 128/4 = 32.
-        assert_eq!(cfg.floats_per_transaction(), 8);
-        assert_eq!(cfg.floats_per_request(), 32);
+        assert_eq!(cfg.transaction_bytes / 4, 8);
+        assert_eq!(cfg.max_request_bytes / 4, 32);
         assert_eq!(cfg.capacity_bytes, 16 << 30);
     }
 

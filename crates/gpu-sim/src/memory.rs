@@ -52,9 +52,6 @@ pub struct DeviceMemory {
     peak_ever: u64,
     next_id: u64,
     live: HashMap<u64, u64>,
-    /// Cumulative counts for reporting.
-    total_allocs: u64,
-    total_frees: u64,
 }
 
 impl DeviceMemory {
@@ -67,8 +64,6 @@ impl DeviceMemory {
             peak_ever: 0,
             next_id: 0,
             live: HashMap::new(),
-            total_allocs: 0,
-            total_frees: 0,
         }
     }
 
@@ -94,7 +89,6 @@ impl DeviceMemory {
         self.in_use += bytes;
         self.peak = self.peak.max(self.in_use);
         self.peak_ever = self.peak_ever.max(self.in_use);
-        self.total_allocs += 1;
         Ok(BufferId(id))
     }
 
@@ -106,7 +100,6 @@ impl DeviceMemory {
             .remove(&id.0)
             .expect("free of unknown or already-freed device buffer");
         self.in_use -= bytes;
-        self.total_frees += 1;
     }
 
     /// Size of a live buffer, if it exists.
@@ -165,16 +158,6 @@ impl DeviceMemory {
         ids.sort_unstable();
         ids.into_iter().map(BufferId).collect()
     }
-
-    /// Total allocations performed.
-    pub fn total_allocs(&self) -> u64 {
-        self.total_allocs
-    }
-
-    /// Total frees performed.
-    pub fn total_frees(&self) -> u64 {
-        self.total_frees
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +178,6 @@ mod tests {
         m.free(b);
         assert_eq!(m.in_use(), 0);
         assert_eq!(m.live_buffers(), 0);
-        assert_eq!((m.total_allocs(), m.total_frees()), (2, 2));
     }
 
     #[test]

@@ -123,15 +123,6 @@ impl Breakdown {
     pub fn transfer_time(&self) -> SimNanos {
         self.h2d_time + self.d2h_time
     }
-
-    /// Load-imbalance factor over the window (≥ 1).
-    pub fn imbalance_factor(&self) -> f64 {
-        if self.compute_balanced.as_nanos() == 0 {
-            1.0
-        } else {
-            self.compute_total.as_nanos() as f64 / self.compute_balanced.as_nanos() as f64
-        }
-    }
 }
 
 /// A read-only view of a [`Tracer`]'s kernel, copy and host-op records as
@@ -473,12 +464,5 @@ mod tests {
         assert!(p.consistency_check(&trace(&same[..1], 64, true)).is_err());
         let extra = [("a", 0, 10), ("b", 10, 30), ("c", 30, 31)];
         assert!(p.consistency_check(&trace(&extra, 64, true)).is_err());
-    }
-
-    #[test]
-    fn imbalance_factor() {
-        let mut t = Tracer::new();
-        kernel_with(&mut t, "a", KernelCategory::Aggregation, (0, 300), 500, 100);
-        assert!((Profiler::new(&t).full().imbalance_factor() - 3.0).abs() < 1e-9);
     }
 }

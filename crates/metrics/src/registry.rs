@@ -134,19 +134,6 @@ impl MetricsRegistry {
         self.histograms.iter()
     }
 
-    /// Value of an unlabeled counter (0 when unregistered).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .get(&MetricKey::plain(name))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Value of an unlabeled gauge, if set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(&MetricKey::plain(name)).copied()
-    }
-
     /// An unlabeled histogram, if registered.
     pub fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
         self.histograms.get(&MetricKey::plain(name))
@@ -202,8 +189,9 @@ mod tests {
         r.set_gauge("g", 0.75);
         r.observe("h", 10);
         r.observe("h", 1000);
-        assert_eq!(r.counter_value("z_counter"), 5);
-        assert_eq!(r.gauge_value("g"), Some(0.75));
+        let flat = r.flat();
+        assert_eq!(flat["z_counter"], 5.0);
+        assert_eq!(flat["g"], 0.75);
         assert_eq!(r.histogram("h").unwrap().count(), 2);
         let names: Vec<&str> = r.counters().map(|(k, _)| k.name.as_str()).collect();
         assert_eq!(names, ["a_counter", "z_counter"], "sorted iteration");

@@ -104,7 +104,8 @@ pub struct ServeReport {
     pub records: Vec<RequestRecord>,
     /// Batches executed (including rejected ones).
     pub batches: usize,
-    /// Requests served.
+    /// Requests served. This and the three rejection counts are folded
+    /// from `records`.
     pub served: usize,
     /// Requests rejected at admission (queue full).
     pub rejected_queue_full: usize,
@@ -169,8 +170,6 @@ pub fn serve_open_loop(
     let (batches, rejected, stats) = form_batches(&requests, &cfg.batch);
 
     let mut outcomes: BTreeMap<u64, RequestOutcome> = BTreeMap::new();
-    let mut rejected_fault = 0usize;
-    let mut rejected_poisoned = 0usize;
 
     // Backpressure rejections: instants at the arrival they bounced.
     for (r, reason) in &rejected {
@@ -194,14 +193,7 @@ pub fn serve_open_loop(
     }
 
     for batch in &batches {
-        run_batch(
-            gpu,
-            engine,
-            batch,
-            &mut outcomes,
-            &mut rejected_fault,
-            &mut rejected_poisoned,
-        )?;
+        run_batch(gpu, engine, batch, &mut outcomes)?;
         if let Some(c) = gpu.take_crash() {
             return Err(ServeError::Device(DeviceFault::Crash(c)));
         }
@@ -219,6 +211,16 @@ pub fn serve_open_loop(
 
     let latencies: Vec<SimNanos> = records.iter().filter_map(RequestRecord::latency).collect();
     let served = latencies.len();
+    let (mut rejected_queue_full, mut rejected_fault, mut rejected_poisoned) = (0, 0, 0);
+    for r in &records {
+        if let RequestOutcome::Rejected { reason } = &r.outcome {
+            match reason {
+                RejectReason::QueueFull { .. } => rejected_queue_full += 1,
+                RejectReason::DeviceFault { .. } => rejected_fault += 1,
+                RejectReason::PoisonedOutput => rejected_poisoned += 1,
+            }
+        }
+    }
     let first_arrival = records
         .first()
         .map(|r| r.request.arrival)
@@ -239,7 +241,7 @@ pub fn serve_open_loop(
         records,
         batches: batches.len(),
         served,
-        rejected_queue_full: stats.rejected_queue_full,
+        rejected_queue_full,
         rejected_fault,
         rejected_poisoned,
         queue_high_water: stats.queue_high_water,
@@ -263,8 +265,6 @@ fn run_batch(
     engine: &mut ServeEngine<'_>,
     batch: &Batch,
     outcomes: &mut BTreeMap<u64, RequestOutcome>,
-    rejected_fault: &mut usize,
-    rejected_poisoned: &mut usize,
 ) -> Result<(), ServeError> {
     for r in &batch.requests {
         gpu.trace_mut().span(
@@ -292,16 +292,8 @@ fn run_batch(
     );
 
     let batch_size = batch.requests.len();
-    let mut i = 0;
-    while i < batch_size {
-        let frame = batch.requests[i].frame;
-        let mut j = i;
-        while j < batch_size && batch.requests[j].frame == frame {
-            j += 1;
-        }
-        let group = &batch.requests[i..j];
-        i = j;
-
+    for group in batch.requests.chunk_by(|a, b| a.frame == b.frame) {
+        let frame = group[0].frame;
         // The forward starts no earlier than the batch closed.
         gpu.host_wait(batch.formed_at);
         let t0 = gpu.now_with_host();
@@ -310,37 +302,22 @@ fn run_batch(
             let mark = gpu.mem_mark();
             match engine.forward_frame(gpu, frame) {
                 Ok(pred) => break Ok(pred),
-                Err(DeviceFault::Oom(e)) => {
-                    gpu.release_since(mark);
-                    let t = gpu.now_with_host();
-                    if attempt == 0 {
-                        engine.reuse.evict_device(gpu);
-                        gpu.trace_mut().instant(
-                            "recovery",
-                            Lane::Control,
-                            t,
-                            vec![
-                                ("policy", ArgValue::Str("serve_oom_evict_retry".to_string())),
-                                ("batch", ArgValue::U64(batch.seq as u64)),
-                                ("frame", ArgValue::U64(frame as u64)),
-                            ],
-                        );
-                        attempt += 1;
-                    } else {
-                        break Err(DeviceFault::Oom(e));
-                    }
-                }
-                Err(DeviceFault::Transfer(e)) => {
-                    gpu.release_since(mark);
-                    break Err(DeviceFault::Transfer(e));
-                }
                 Err(DeviceFault::Crash(c)) => {
                     return Err(ServeError::Device(DeviceFault::Crash(c)));
+                }
+                Err(fault) => {
+                    gpu.release_since(mark);
+                    if attempt > 0 || !matches!(fault, DeviceFault::Oom(_)) {
+                        break Err(fault);
+                    }
+                    engine.reuse.evict_device(gpu);
+                    recovery(gpu, "serve_oom_evict_retry", batch.seq, frame, None);
+                    attempt += 1;
                 }
             }
         };
 
-        match result {
+        let (policy, reason) = match result {
             Ok(pred) if pred_is_finite(&pred) => {
                 gpu.synchronize();
                 let t1 = gpu.now_with_host();
@@ -367,63 +344,50 @@ fn run_batch(
                         },
                     );
                 }
+                continue;
             }
+            // Non-finite logits: never serve them. Purge the frame from
+            // the reuse store (the deposit path may have cached poisoned
+            // aggregations) and reject the group once the device is idle.
             Ok(_poisoned) => {
-                // Non-finite logits: never serve them. Purge the frame from
-                // the reuse store (the deposit path may have cached
-                // poisoned aggregations) and reject the group.
                 engine.reuse.purge(gpu, frame..frame + engine.window());
-                *rejected_poisoned += group.len();
                 gpu.synchronize();
-                let t = gpu.now_with_host();
-                gpu.trace_mut().instant(
-                    "recovery",
-                    Lane::Control,
-                    t,
-                    vec![
-                        ("policy", ArgValue::Str("serve_nan_reject".to_string())),
-                        ("batch", ArgValue::U64(batch.seq as u64)),
-                        ("frame", ArgValue::U64(frame as u64)),
-                    ],
-                );
-                for r in group {
-                    outcomes.insert(
-                        r.id,
-                        RequestOutcome::Rejected {
-                            reason: RejectReason::PoisonedOutput,
-                        },
-                    );
-                }
+                ("serve_nan_reject", RejectReason::PoisonedOutput)
             }
             Err(fault) => {
-                *rejected_fault += group.len();
-                let t = gpu.now_with_host();
-                gpu.trace_mut().instant(
-                    "recovery",
-                    Lane::Control,
-                    t,
-                    vec![
-                        ("policy", ArgValue::Str("serve_reject_batch".to_string())),
-                        ("batch", ArgValue::U64(batch.seq as u64)),
-                        ("frame", ArgValue::U64(frame as u64)),
-                        ("fault", ArgValue::Str(fault.to_string())),
-                    ],
-                );
-                let reason = RejectReason::DeviceFault {
-                    detail: fault.to_string(),
-                };
-                for r in group {
-                    outcomes.insert(
-                        r.id,
-                        RequestOutcome::Rejected {
-                            reason: reason.clone(),
-                        },
-                    );
-                }
+                let detail = fault.to_string();
+                ("serve_reject_batch", RejectReason::DeviceFault { detail })
             }
+        };
+        let fault = match &reason {
+            RejectReason::DeviceFault { detail } => Some(detail.clone()),
+            _ => None,
+        };
+        recovery(gpu, policy, batch.seq, frame, fault);
+        for r in group {
+            outcomes.insert(
+                r.id,
+                RequestOutcome::Rejected {
+                    reason: reason.clone(),
+                },
+            );
         }
     }
     Ok(())
+}
+
+/// One `recovery` instant on the control lane, now, naming the policy and
+/// the batch and frame it acted on (and the fault, when one ended the
+/// forward).
+fn recovery(gpu: &mut Gpu, policy: &str, batch: usize, frame: usize, fault: Option<String>) {
+    let mut args = vec![
+        ("policy", ArgValue::Str(policy.to_string())),
+        ("batch", ArgValue::U64(batch as u64)),
+        ("frame", ArgValue::U64(frame as u64)),
+    ];
+    args.extend(fault.map(|f| ("fault", ArgValue::Str(f))));
+    let t = gpu.now_with_host();
+    gpu.trace_mut().instant("recovery", Lane::Control, t, args);
 }
 
 /// Whether every logit is finite.

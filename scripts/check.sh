@@ -40,12 +40,14 @@ release_profile_tests() {
     cargo test -q --release -p pipad-tensor -p pipad-kernels -p pipad-autograd
 }
 
-# Every key under `[dependencies]` of every crate must be named somewhere in
-# that crate's sources (`name::`, `use name;`, `name as`): an edge nothing
-# links fails here instead of lingering in a manifest.
+# Every key under `[dependencies]` of every crate, the facade's at the root
+# included, must be named somewhere in that crate's `src/` (`name::`,
+# `use name;`, `name as`): an edge nothing links fails here instead of
+# lingering in a manifest. A dependency only tests or examples use belongs
+# under `[dev-dependencies]`.
 unused_deps() {
     local manifest dir section line dep name bad=0
-    for manifest in crates/*/Cargo.toml; do
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
         dir=$(dirname "$manifest")
         section=""
         while IFS= read -r line; do

@@ -147,6 +147,26 @@ fn device_memory_is_returned_after_training() {
     assert_eq!(gpu.mem().in_use(), params_expected);
 }
 
+/// `TrainReport::peak_mem` is the run's high-water mark. PiPAD resets the
+/// device's resettable peak at every frame, so a report that read that
+/// value would give the last frame's peak instead.
+#[test]
+fn the_reported_peak_is_the_runs_high_water_mark() {
+    let id = DatasetId::Epinions;
+    let g = id.gen_config(Scale::Tiny).generate();
+    let mut gpu = Gpu::new(DeviceConfig::v100());
+    let report = train_pipad(
+        &mut gpu,
+        ModelKind::EvolveGcn,
+        &g,
+        id.hidden_dim(),
+        &cfg(),
+        &PipadConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(report.peak_mem, gpu.mem().peak_ever());
+}
+
 #[test]
 fn deterministic_across_identical_runs() {
     let a = run_pipad(ModelKind::TGcn, DatasetId::Covid19England);

@@ -13,7 +13,7 @@
 //!    (asserted inside `profile::run`).
 
 use pipad_bench::profile;
-use pipad_bench::RunScale;
+use pipad_dyngraph::Scale;
 use pipad_gpu_sim::{validate_json, Json};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,7 +107,7 @@ fn json_drift_names_changed_missing_and_extra_keys() {
 fn profile_exports_match_goldens_and_survive_thread_and_pool_sweeps() {
     // `run` measures under the default pool, 1 thread, 4 threads and with
     // the buffer pool disabled, asserting byte-identity internally.
-    let art = profile::run(RunScale::Tiny);
+    let art = profile::run(Scale::Tiny);
     validate_json(&art.json).expect("profile JSON is well-formed");
 
     check_golden(
@@ -129,7 +129,7 @@ fn profile_exports_match_goldens_and_survive_thread_and_pool_sweeps() {
 
 #[test]
 fn profile_prom_export_is_prometheus_shaped() {
-    let art = profile::measure(RunScale::Tiny);
+    let art = profile::measure(Scale::Tiny);
     // Every family is typed before its first sample, and histogram series
     // end with the +Inf bucket.
     assert!(art

@@ -113,6 +113,24 @@ fn a_nan_frame_loss_leaves_the_parameters() {
     for model in ModelKind::ALL {
         for n_gpus in [1usize, 4] {
             let r = run(model, &g, n_gpus);
+            // Each skipped step is one `nan_skip` instant, on device 0
+            // only, so the count over every device's trace is the count
+            // of NaN frames.
+            let nan_frames = r
+                .frame_losses
+                .iter()
+                .flatten()
+                .filter(|l| l.is_nan())
+                .count();
+            let skips: usize = r
+                .traces
+                .iter()
+                .map(|t| t.matches("\"policy\":\"nan_skip\"").count())
+                .sum();
+            assert_eq!(
+                skips, nan_frames,
+                "{model:?} DP-{n_gpus}: nan_skip instants"
+            );
             let steady = &r.frame_losses[preparing..];
             assert!(!steady.is_empty());
             for (e, losses) in steady.iter().enumerate() {
