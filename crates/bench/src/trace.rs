@@ -10,8 +10,7 @@
 //! [`HOST_MATRIX`](crate::util::HOST_MATRIX) cell to prove byte-identity
 //! before writing.
 
-use crate::util::{check_consistency, dataset, default_training_config, host_invariant, Artifact};
-use pipad::{train_pipad, PipadConfig};
+use crate::util::{dataset, default_training_config, host_invariant, Artifact, Method};
 use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{export_chrome_trace, trace_text_summary, validate_json, DeviceConfig, Gpu};
 use pipad_models::ModelKind;
@@ -24,16 +23,7 @@ fn run_once(scale: Scale) -> Artifact {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config();
     let mut gpu = Gpu::new(DeviceConfig::v100());
-    let report = train_pipad(
-        &mut gpu,
-        ModelKind::TGcn,
-        &graph,
-        16,
-        &cfg,
-        &PipadConfig::default(),
-    )
-    .expect("trace run failed");
-    check_consistency(&gpu);
+    let report = Method::Pipad.run_on(&mut gpu, ModelKind::TGcn, &graph, 16, &cfg);
 
     let json = export_chrome_trace(gpu.trace(), 0);
     validate_json(&json).expect("exported trace is not well-formed JSON");

@@ -143,7 +143,6 @@ pub(crate) fn close_epoch(
             ("preparing", ArgValue::Bool(preparing)),
             ("mean_loss", ArgValue::F64(mean_loss as f64)),
             ("sim_time_ns", ArgValue::U64((t1 - t0).as_nanos())),
-            ("peak_mem", ArgValue::U64(gpu.mem().peak())),
         ];
         gpu.trace_mut()
             .span("epoch", TraceKind::Span, Lane::Control, t0, t1, args);

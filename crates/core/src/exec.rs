@@ -20,7 +20,7 @@ use crate::prep::{PartitionCatalog, PartitionPlan};
 use crate::reuse::{Cached, InterFrameReuse};
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_gpu_sim::{ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, StreamId};
-use pipad_kernels::{upload_staged, DeviceCsr, DeviceMatrix, DeviceSliced};
+use pipad_kernels::{DeviceCsr, DeviceMatrix, DeviceSliced};
 use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
 use std::rc::Rc;
@@ -238,7 +238,7 @@ impl<'r> PipadExecutor<'r> {
                 ready: gpu.record_event(copy),
             };
             let shipped = match part.alloc(gpu, plan, slots, needs_adj, opts.use_sliced) {
-                Ok(()) => upload_staged(gpu, copy, staged_bytes).map_err(DeviceFault::from),
+                Ok(()) => gpu.h2d_staged(copy, staged_bytes).map_err(Into::into),
                 Err(oom) => Err(oom.into()),
             };
             if let Err(fault) = shipped {

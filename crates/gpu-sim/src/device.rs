@@ -62,8 +62,9 @@ pub struct Gpu {
     streams: Vec<SimNanos>,
     host_lane: SimNanos,
     graph_mode: bool,
-    /// Installed fault-injection session, if any (see [`crate::faults`]).
-    faults: Option<FaultSession>,
+    /// The fault-injection session (see [`crate::faults`]); a fresh
+    /// device runs `FaultPlan::default()`, which injects nothing.
+    faults: FaultSession,
     /// Monotonic operation counters: the index space fault plans address.
     alloc_attempts: u64,
     copy_ops: u64,
@@ -85,7 +86,7 @@ impl Gpu {
             streams: vec![SimNanos::ZERO], // default stream 0
             host_lane: SimNanos::ZERO,
             graph_mode: false,
-            faults: None,
+            faults: FaultSession::new(FaultPlan::default()),
             alloc_attempts: 0,
             copy_ops: 0,
             launches: 0,
@@ -99,12 +100,12 @@ impl Gpu {
     /// operation counters keep running, so plans installed mid-run address
     /// the same global index space.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(FaultSession::new(plan));
+        self.faults = FaultSession::new(plan);
     }
 
-    /// Counts of faults injected so far (all zero when no plan installed).
+    /// Counts of faults injected so far by the current plan.
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+        self.faults.stats
     }
 
     /// Monotonic operation counters (allocation attempts, logical copy
@@ -124,13 +125,7 @@ impl Gpu {
     /// any. The autograd tape calls this after each kernel to decide
     /// whether to NaN-poison the output it is about to record.
     pub fn take_poison_pending(&mut self) -> bool {
-        match self.faults.as_mut() {
-            Some(f) if f.poison_armed => {
-                f.poison_armed = false;
-                true
-            }
-            _ => false,
-        }
+        std::mem::take(&mut self.faults.poison_armed)
     }
 
     /// Consume the crash armed when an op counter crossed the plan's
@@ -139,19 +134,7 @@ impl Gpu {
     /// modeling a process kill whose recovery is a fresh process restoring
     /// the last on-disk checkpoint.
     pub fn take_crash(&mut self) -> Option<CrashError> {
-        self.faults.as_mut().and_then(|f| f.crash_armed.take())
-    }
-
-    /// Retry budget recovery code should use per logical copy op.
-    pub fn transfer_retry_budget(&self) -> u32 {
-        self.faults.as_ref().map_or(3, |f| f.max_transfer_retries)
-    }
-
-    /// Base simulated backoff between transfer retries, in nanoseconds.
-    pub fn transfer_backoff_ns(&self) -> u64 {
-        self.faults
-            .as_ref()
-            .map_or(2_000, |f| f.transfer_backoff_ns)
+        self.faults.crash_armed.take()
     }
 
     /// The device configuration.
@@ -222,10 +205,7 @@ impl Gpu {
         self.alloc_attempts += 1;
         self.check_crash_counter(CrashCounter::Allocs, index, t);
         let in_use = self.mem.in_use();
-        let injected = self
-            .faults
-            .as_mut()
-            .is_some_and(|f| f.should_fail_alloc(index, in_use, bytes));
+        let injected = self.faults.should_fail_alloc(index, in_use, bytes);
         let res = if injected {
             Err(OomError {
                 requested: bytes,
@@ -337,11 +317,7 @@ impl Gpu {
     /// crossed it; the armed crash is observed later via
     /// [`Gpu::take_crash`].
     fn check_crash_counter(&mut self, counter: CrashCounter, index: u64, t: SimNanos) {
-        let fired = self
-            .faults
-            .as_mut()
-            .is_some_and(|f| f.check_crash(counter, index));
-        if fired {
+        if self.faults.check_crash(counter, index) {
             self.tracer.fault(
                 "fault_injected",
                 Lane::Control,
@@ -369,15 +345,11 @@ impl Gpu {
         self.eager_launches += u64::from(!self.graph_mode);
         self.check_crash_counter(CrashCounter::Launches, launch_index, self.now());
         let (mut busy, balanced, (imb_num, imb_den)) = self.kernel_busy_ratio(&cost);
-        let mut straggler_milli = None;
-        let mut poisoned = false;
-        if let Some(f) = self.faults.as_mut() {
-            if let Some(m) = f.straggler_multiplier(launch_index) {
-                straggler_milli = Some(m);
-                busy = busy.scale(m, 1_000);
-            }
-            poisoned = f.should_poison(launch_index);
+        let straggler_milli = self.faults.straggler_multiplier(launch_index);
+        if let Some(m) = straggler_milli {
+            busy = busy.scale(m, 1_000);
         }
+        let poisoned = self.faults.should_poison(launch_index);
         let queued = self.streams[stream.0].max(self.compute_cursor);
         // The launch overhead is host/driver latency: the SMs are idle for
         // it, so the recorded busy interval starts after it (this is what
@@ -497,74 +469,78 @@ impl Gpu {
     /// Assign the next logical copy-op index. Fault plans address copies by
     /// this index; retries of one logical operation share it, so a plan's
     /// per-op failure budget can actually be exhausted by retrying.
-    pub fn next_copy_op(&mut self) -> u64 {
+    fn next_copy_op(&mut self) -> u64 {
         let op = self.copy_ops;
         self.copy_ops += 1;
         self.check_crash_counter(CrashCounter::CopyOps, op, self.now());
         op
     }
 
-    /// One *attempt* of logical copy op `op` (from [`Gpu::next_copy_op`]).
-    /// The attempt always occupies the copy engine — a failed DMA still
-    /// burns the bus time — and then consults the fault plan: on an
-    /// injected failure a `fault_injected` trace event is recorded and the
-    /// caller is expected to retry after [`Gpu::backoff_stream`], up to
-    /// [`Gpu::transfer_retry_budget`] retries.
-    pub fn try_copy(
-        &mut self,
-        op: u64,
-        stream: StreamId,
-        bytes: u64,
-        pinned: bool,
-        dir: TransferDir,
-    ) -> Result<Event, TransferError> {
-        let failed = self.faults.as_mut().is_some_and(|f| f.should_fail_copy(op));
-        let ev = self.transfer(stream, bytes, pinned, dir);
-        if failed {
-            let lane = match dir {
-                TransferDir::H2D => Lane::H2D,
-                TransferDir::D2H => Lane::D2H,
-            };
+    /// Ship `bytes` the host has assembled into one pinned staging buffer —
+    /// a partition's adjacency and features back to back — as **one**
+    /// logical H2D copy into device buffers the caller has already
+    /// allocated: one `pcie_latency_ns`, however many structures the buffer
+    /// holds. Nothing to ship is no copy and uses no op index.
+    ///
+    /// This is the one copy the fault plan can fail. Every attempt shares
+    /// the logical op index and occupies the copy engine — a failed DMA
+    /// still burns the bus time — and an injected failure records a
+    /// `fault_injected` event. After a failure the stream is held for a
+    /// `transfer_backoff` span of `base · 2^min(attempt, 16)` (no jitter:
+    /// the delay lands on the simulated timeline) and the copy is retried.
+    /// Fails only past the plan's `max_transfer_retries` retries, and then
+    /// the caller owes the device its allocations back.
+    pub fn h2d_staged(&mut self, stream: StreamId, bytes: u64) -> Result<(), TransferError> {
+        if bytes == 0 {
+            return Ok(());
+        }
+        let op = self.next_copy_op();
+        let mut attempt = 0u32;
+        loop {
+            let failed = self.faults.should_fail_copy(op);
+            let done = self.transfer(stream, bytes, true, TransferDir::H2D);
+            if !failed {
+                return Ok(());
+            }
             self.tracer.fault(
                 "fault_injected",
-                lane,
-                ev.time(),
+                Lane::H2D,
+                done.time(),
                 vec![
                     ("kind", ArgValue::Str("transfer".to_string())),
                     ("op", ArgValue::U64(op)),
                     ("bytes", ArgValue::U64(bytes)),
                 ],
             );
-            Err(TransferError {
-                dir,
-                bytes,
-                op_index: op,
-                attempts: 1,
-            })
-        } else {
-            Ok(ev)
+            if attempt >= self.faults.max_transfer_retries {
+                return Err(TransferError {
+                    dir: TransferDir::H2D,
+                    bytes,
+                    op_index: op,
+                    attempts: attempt + 1,
+                });
+            }
+            let delay_ns = self
+                .faults
+                .transfer_backoff_ns
+                .max(1)
+                .saturating_mul(1 << attempt.min(16));
+            let start = self.streams[stream.0];
+            let end = start + SimNanos::from_nanos(delay_ns);
+            self.streams[stream.0] = end;
+            self.tracer.span(
+                "transfer_backoff",
+                TraceKind::Span,
+                Lane::Stream(stream.0),
+                start,
+                end,
+                vec![
+                    ("attempt", ArgValue::U64(attempt as u64)),
+                    ("delay_ns", ArgValue::U64(delay_ns)),
+                ],
+            );
+            attempt += 1;
         }
-    }
-
-    /// Hold `stream` for a simulated backoff delay between transfer retry
-    /// attempts; recorded as a `transfer_backoff` span. Returns the time
-    /// the stream resumes.
-    pub fn backoff_stream(&mut self, stream: StreamId, delay_ns: u64, attempt: u32) -> SimNanos {
-        let start = self.streams[stream.0];
-        let end = start + SimNanos::from_nanos(delay_ns);
-        self.streams[stream.0] = end;
-        self.tracer.span(
-            "transfer_backoff",
-            TraceKind::Span,
-            Lane::Stream(stream.0),
-            start,
-            end,
-            vec![
-                ("attempt", ArgValue::U64(attempt as u64)),
-                ("delay_ns", ArgValue::U64(delay_ns)),
-            ],
-        );
-        end
     }
 
     // ---- synchronization ------------------------------------------------
@@ -939,17 +915,79 @@ mod tests {
             ..FaultPlan::default()
         });
         let s = g.default_stream();
-        let op = g.next_copy_op();
-        let err = g
-            .try_copy(op, s, 1 << 20, true, TransferDir::H2D)
-            .unwrap_err();
-        assert_eq!(err.op_index, 0);
-        let after_fail = g.now();
-        assert!(after_fail > SimNanos::ZERO, "failed DMA still took time");
-        g.backoff_stream(s, g.transfer_backoff_ns(), 0);
-        let ok = g.try_copy(op, s, 1 << 20, true, TransferDir::H2D).unwrap();
-        assert!(ok.time() > after_fail);
+        g.h2d_staged(s, 1 << 20).unwrap();
+        let copies: Vec<_> = g
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.name == "memcpy_h2d")
+            .collect();
+        assert_eq!(copies.len(), 2, "the failed DMA still took the bus");
+        assert!(copies[1].ts > copies[0].end(), "retried after the backoff");
         assert_eq!(g.fault_stats().transfer_injected, 1);
+    }
+
+    /// The `delay_ns` of every `transfer_backoff` span, in order.
+    fn backoff_delays(g: &Gpu) -> Vec<u64> {
+        g.trace()
+            .events()
+            .iter()
+            .filter(|e| e.name == "transfer_backoff")
+            .map(|e| match e.args[1] {
+                ("delay_ns", ArgValue::U64(ns)) => ns,
+                _ => panic!("transfer_backoff without delay_ns"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn staged_copy_retries_transient_failures_to_success() {
+        let mut g = gpu();
+        g.install_faults(FaultPlan {
+            transfer_faults: vec![crate::faults::TransferFault { op: 0, failures: 2 }],
+            ..FaultPlan::default()
+        });
+        let s = g.default_stream();
+        g.h2d_staged(s, 256).unwrap();
+        // 3 attempts on the bus (2 failed + 1 good) plus 2 backoff spans
+        // doubling from the default base, all on logical op 0.
+        assert_eq!(g.fault_stats().transfer_injected, 2);
+        assert_eq!(g.profiler().full().h2d_bytes, 3 * 256);
+        assert_eq!(backoff_delays(&g), [2_000, 4_000]);
+        assert_eq!(g.op_counters().copy_ops, 1);
+    }
+
+    #[test]
+    fn staged_copy_gives_up_past_the_retry_budget() {
+        let mut g = gpu();
+        g.install_faults(FaultPlan {
+            transfer_faults: vec![crate::faults::TransferFault {
+                op: 0,
+                failures: 10,
+            }],
+            max_transfer_retries: 2,
+            transfer_backoff_ns: 0,
+            ..FaultPlan::default()
+        });
+        let s = g.default_stream();
+        let err = g.h2d_staged(s, 256).unwrap_err();
+        assert_eq!(err.attempts, 3, "1 try + 2 retries");
+        assert_eq!((err.op_index, err.bytes), (0, 256));
+        assert_eq!(backoff_delays(&g), [1, 2], "a zero base clamps to 1 ns");
+    }
+
+    #[test]
+    fn staged_copy_is_one_plain_copy_when_no_faults_and_none_when_empty() {
+        let mut g1 = gpu();
+        let s1 = g1.default_stream();
+        g1.h2d(s1, 256, true);
+        let mut g2 = gpu();
+        let s2 = g2.default_stream();
+        g2.h2d_staged(s2, 256).unwrap();
+        assert_eq!(g1.now(), g2.now(), "identical timeline without faults");
+        g2.h2d_staged(s2, 0).unwrap();
+        assert_eq!(g1.now(), g2.now(), "nothing to ship, nothing shipped");
+        assert_eq!(g2.op_counters().copy_ops, 1, "and no op index spent");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   push usage above a byte threshold ([`FaultPlan::oom_usage_threshold`],
 //!   persistent — models a capacity-shrinking co-tenant).
 //! * **Transfer** — fail chosen logical copy-engine operations for a number
-//!   of attempts ([`FaultPlan::transfer_faults`]); the caller retries with
-//!   simulated backoff, so a fault with `failures < max_transfer_retries`
-//!   is transient and recoverable.
+//!   of attempts ([`FaultPlan::transfer_faults`]); `Gpu::h2d_staged`
+//!   retries with simulated backoff, so a fault with `failures <=
+//!   max_transfer_retries` is transient and recoverable.
 //! * **Straggler** — multiply the busy time of kernel launches in chosen
 //!   index ranges ([`FaultPlan::straggler_ranges`]); sustained stragglers
 //!   invalidate the pipeline controller's profiling assumptions.
@@ -47,8 +47,8 @@ use std::fmt;
 /// A transient failure on one logical copy-engine operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransferFault {
-    /// Logical copy-op index (see `Gpu::next_copy_op`); retries of the same
-    /// logical operation share this index.
+    /// Logical copy-op index (counted by `OpCounters::copy_ops`); retries
+    /// in `Gpu::h2d_staged` share their logical operation's index.
     pub op: u64,
     /// How many consecutive attempts fail before the op succeeds.
     pub failures: u32,
@@ -106,18 +106,16 @@ pub struct CrashPoint {
 /// Install with `Gpu::install_faults`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Seed the plan was generated from (`0` for hand-built plans); carried
-    /// for report attribution only.
-    pub seed: u64,
     /// Allocation-attempt indices that fail with OOM exactly once each.
     pub oom_at_alloc: Vec<u64>,
     /// Fail any allocation that would push `in_use` above this many bytes.
     pub oom_usage_threshold: Option<u64>,
     /// Transient copy-engine failures by logical op index.
     pub transfer_faults: Vec<TransferFault>,
-    /// Retry budget the recovery layer should use per logical copy op.
+    /// Retries `Gpu::h2d_staged` makes per logical copy op.
     pub max_transfer_retries: u32,
-    /// Base simulated backoff between retry attempts, in nanoseconds.
+    /// Base simulated backoff between retry attempts, in nanoseconds;
+    /// `Gpu::h2d_staged` doubles it per retry.
     pub transfer_backoff_ns: u64,
     /// Straggler windows over kernel-launch indices.
     pub straggler_ranges: Vec<StragglerRange>,
@@ -130,7 +128,6 @@ pub struct FaultPlan {
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
-            seed: 0,
             oom_at_alloc: Vec::new(),
             oom_usage_threshold: None,
             transfer_faults: Vec::new(),
@@ -160,10 +157,7 @@ impl FaultPlan {
     /// training workloads the chaos/property suites run.
     pub fn seeded(seed: u64) -> Self {
         let mut s = seed ^ 0x5151_5151_5151_5151;
-        let mut plan = FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        };
+        let mut plan = FaultPlan::default();
         let r = splitmix64(&mut s);
         // One-shot OOMs: 0..=2 of them, spread over the first few thousand
         // allocation attempts.
@@ -461,8 +455,8 @@ impl std::error::Error for DeviceFault {}
 pub struct OpCounters {
     /// Allocation attempts (successful or not).
     pub allocs: u64,
-    /// Logical copy-engine operations handed out by `Gpu::next_copy_op`
-    /// plus direct `h2d`/`d2h` calls.
+    /// Logical copy-engine operations: one per `h2d` / `d2h` call and
+    /// per non-empty `Gpu::h2d_staged`, however many attempts it takes.
     pub copy_ops: u64,
     /// Kernel launches (plain and graphed).
     pub launches: u64,

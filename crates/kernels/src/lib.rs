@@ -47,5 +47,4 @@ pub use spmm::{
 };
 pub use transfer::{
     download_matrix, upload_coo, upload_csr, upload_csr_with_csc, upload_matrix, upload_sliced,
-    upload_staged,
 };

@@ -3,52 +3,15 @@
 //!
 //! The `upload_*` functions allocate one structure and charge one
 //! infallible copy for it (`OomError`-only signatures), for callers outside
-//! the recovery ladder. [`upload_staged`] is the fault-aware path: the
-//! caller allocates, the copy is addressed through a logical op index
-//! (`Gpu::next_copy_op`) and retries injected transient failures with
-//! deterministic exponential backoff ([`pipad_pool::Backoff`]) up to the
-//! device's retry budget.
+//! the recovery ladder. The fault-aware path is `Gpu::h2d_staged`: the
+//! caller allocates, and the device retries injected transient failures
+//! of the one staged copy with its fault plan's backoff and budget.
 
 use crate::device_data::{DeviceCsr, DeviceMatrix, DeviceSliced};
-use pipad_gpu_sim::{Gpu, OomError, StreamId, TransferDir, TransferError};
-use pipad_pool::Backoff;
+use pipad_gpu_sim::{Gpu, OomError, StreamId};
 use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
 use std::rc::Rc;
-
-/// Ship `bytes` the host has assembled into one pinned staging buffer —
-/// a partition's adjacency and features back to back — as **one** logical
-/// H2D copy into device buffers the caller has already allocated: one
-/// `pcie_latency_ns`, however many structures the buffer holds. Nothing to
-/// ship is no copy at all.
-///
-/// Each attempt occupies the copy engine; injected failures back the
-/// stream off and try again, sharing the same logical op index so a fault
-/// plan's per-op failure budget can be exhausted. Fails only past
-/// `Gpu::transfer_retry_budget` retries, and then the caller owes the
-/// device its allocations back.
-pub fn upload_staged(gpu: &mut Gpu, stream: StreamId, bytes: u64) -> Result<(), TransferError> {
-    if bytes == 0 {
-        return Ok(());
-    }
-    let op = gpu.next_copy_op();
-    let budget = gpu.transfer_retry_budget();
-    let mut backoff = Backoff::new(gpu.transfer_backoff_ns());
-    let mut attempt = 0u32;
-    loop {
-        match gpu.try_copy(op, stream, bytes, true, TransferDir::H2D) {
-            Ok(_) => return Ok(()),
-            Err(mut e) => {
-                if attempt >= budget {
-                    e.attempts = attempt + 1;
-                    return Err(e);
-                }
-                gpu.backoff_stream(stream, backoff.next_delay(), attempt);
-                attempt += 1;
-            }
-        }
-    }
-}
 
 /// Upload a dense matrix.
 pub fn upload_matrix(
@@ -190,64 +153,6 @@ mod tests {
         let expect = sliced.bytes();
         upload_sliced(&mut g, s, sliced, true).unwrap();
         assert_eq!(g.profiler().full().h2d_bytes, expect);
-    }
-
-    #[test]
-    fn staged_upload_retries_transient_failures_to_success() {
-        use pipad_gpu_sim::{FaultPlan, TransferFault};
-        let mut g = gpu();
-        g.install_faults(FaultPlan {
-            transfer_faults: vec![TransferFault { op: 0, failures: 2 }],
-            ..FaultPlan::default()
-        });
-        let s = g.default_stream();
-        upload_staged(&mut g, s, 256).unwrap();
-        // 3 attempts on the bus (2 failed + 1 good) plus 2 backoff spans,
-        // all on logical op 0: the next copy is op 1.
-        assert_eq!(g.fault_stats().transfer_injected, 2);
-        assert_eq!(g.profiler().full().h2d_bytes, 3 * 256);
-        let backoffs = g
-            .trace()
-            .events()
-            .iter()
-            .filter(|e| e.name == "transfer_backoff")
-            .count();
-        assert_eq!(backoffs, 2);
-        assert_eq!(g.next_copy_op(), 1);
-    }
-
-    #[test]
-    fn staged_upload_gives_up_past_the_retry_budget() {
-        use pipad_gpu_sim::{FaultPlan, TransferFault};
-        let mut g = gpu();
-        g.install_faults(FaultPlan {
-            transfer_faults: vec![TransferFault {
-                op: 0,
-                failures: 10,
-            }],
-            max_transfer_retries: 2,
-            ..FaultPlan::default()
-        });
-        let s = g.default_stream();
-        let err = upload_staged(&mut g, s, 256).unwrap_err();
-        assert_eq!(err.attempts, 3, "1 try + 2 retries");
-        assert_eq!((err.op_index, err.bytes), (0, 256));
-    }
-
-    #[test]
-    fn staged_upload_is_one_plain_copy_when_no_faults_and_none_when_empty() {
-        let m = Matrix::full(16, 4, 1.5);
-        let mut g1 = gpu();
-        let s1 = g1.default_stream();
-        let d1 = upload_matrix(&mut g1, s1, &m, true).unwrap();
-        let mut g2 = gpu();
-        let s2 = g2.default_stream();
-        upload_staged(&mut g2, s2, m.bytes()).unwrap();
-        assert_eq!(g1.now(), g2.now(), "identical timeline without faults");
-        upload_staged(&mut g2, s2, 0).unwrap();
-        assert_eq!(g1.now(), g2.now(), "nothing to ship, nothing shipped");
-        assert_eq!(g2.next_copy_op(), 1, "and no logical op spent on it");
-        d1.free(&mut g1);
     }
 
     #[test]

@@ -100,13 +100,6 @@ impl WindowHealth {
         let span = self.span_ns().max(1);
         self.compute_busy_ns * 1000 / span
     }
-
-    /// Bubble time not explained by sync stalls or transfer backoff, ns.
-    pub fn unattributed_bubble_ns(&self) -> u64 {
-        self.bubble_ns
-            .saturating_sub(self.sync_stall_ns)
-            .saturating_sub(self.backoff_ns)
-    }
 }
 
 /// One `epoch` control span and its derived metrics.
@@ -511,7 +504,6 @@ mod tests {
         // busy union covers [0,150) of the [0,200] span → bubble 50.
         assert_eq!(h.run.bubble_ns, 50);
         assert_eq!(h.run.sync_stall_ns, 17);
-        assert_eq!(h.run.unattributed_bubble_ns(), 33);
         assert_eq!(h.run.sm_utilization_milli(), 500);
         assert_eq!(h.run.device_allocs, 2, "64→128 rise and the first 0→64");
         assert_eq!(h.run.kernel_launches, 1);

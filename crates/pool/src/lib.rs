@@ -388,40 +388,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         .collect()
 }
 
-/// Deterministic exponential backoff schedule for retrying transient
-/// failures (simulated PCIe transfer retries, fallible staging). No
-/// jitter on purpose: the whole stack is bit-reproducible, and a random
-/// delay would leak into the simulated timeline.
-#[derive(Clone, Copy, Debug)]
-pub struct Backoff {
-    base_ns: u64,
-    attempt: u32,
-}
-
-impl Backoff {
-    /// A schedule starting at `base_ns` and doubling per attempt.
-    pub fn new(base_ns: u64) -> Self {
-        Backoff {
-            base_ns: base_ns.max(1),
-            attempt: 0,
-        }
-    }
-
-    /// Delay (ns) to wait before the next retry; advances the schedule.
-    /// Doubling is capped at 2^16 × base so pathological retry loops
-    /// cannot overflow the simulated clock.
-    pub fn next_delay(&mut self) -> u64 {
-        let exp = self.attempt.min(16);
-        self.attempt += 1;
-        self.base_ns.saturating_mul(1u64 << exp)
-    }
-
-    /// Attempts consumed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,20 +477,6 @@ mod tests {
             let items: Vec<u32> = (0..100).collect();
             assert_eq!(par_map(&items, |&x| x + 1).len(), 100);
         });
-    }
-
-    #[test]
-    fn backoff_doubles_deterministically() {
-        let mut b = Backoff::new(1_000);
-        assert_eq!(b.next_delay(), 1_000);
-        assert_eq!(b.next_delay(), 2_000);
-        assert_eq!(b.next_delay(), 4_000);
-        assert_eq!(b.attempts(), 3);
-        let mut z = Backoff::new(0);
-        assert_eq!(z.next_delay(), 1, "zero base clamps to 1 ns");
-        let mut big = Backoff::new(u64::MAX);
-        big.next_delay();
-        assert_eq!(big.next_delay(), u64::MAX, "saturates, never overflows");
     }
 
     #[test]

@@ -12,15 +12,13 @@
 //!   are queued — so no request ever waits in the admission queue longer
 //!   than `max_delay`;
 //! * a request arriving while the queue holds `queue_capacity` waiting
-//!   requests is rejected ([`RejectReason::QueueFull`]) and counted as
-//!   backpressure;
+//!   requests is rejected ([`RejectReason::QueueFull`]) as backpressure;
 //! * requests within a batch keep FIFO (arrival/id) order and no request
 //!   is lost or duplicated.
 
 use crate::request::Request;
 use crate::RejectReason;
 use pipad_gpu_sim::SimNanos;
-use std::collections::BTreeMap;
 
 /// Micro-batching policy.
 #[derive(Clone, Copy, Debug)]
@@ -54,26 +52,13 @@ pub struct Batch {
     pub requests: Vec<Request>,
 }
 
-/// Backpressure and occupancy counters for one formation pass.
-#[derive(Clone, Debug, Default)]
-pub struct BatcherStats {
-    /// Requests admitted into some batch.
-    pub admitted: usize,
-    /// Requests rejected at admission (queue full).
-    pub rejected_queue_full: usize,
-    /// Admission-queue high-water mark.
-    pub queue_high_water: usize,
-    /// Batch-size histogram (size → number of batches).
-    pub size_histogram: BTreeMap<usize, usize>,
-}
-
 /// Form micro-batches from a sorted arrival plan. Returns the batches in
 /// formation order, the rejected requests with their typed reasons, and
-/// the backpressure/occupancy counters.
+/// the admission queue's high-water mark.
 pub fn form_batches(
     requests: &[Request],
     policy: &BatchPolicy,
-) -> (Vec<Batch>, Vec<(Request, RejectReason)>, BatcherStats) {
+) -> (Vec<Batch>, Vec<(Request, RejectReason)>, usize) {
     assert!(policy.max_batch >= 1, "max_batch must be at least 1");
     assert!(
         policy.queue_capacity >= 1,
@@ -84,27 +69,20 @@ pub fn form_batches(
         "arrival plan must be sorted"
     );
 
-    fn close(
-        queue: &mut Vec<Request>,
-        at: SimNanos,
-        batches: &mut Vec<Batch>,
-        stats: &mut BatcherStats,
-    ) {
+    fn close(queue: &mut Vec<Request>, at: SimNanos, batches: &mut Vec<Batch>) {
         if queue.is_empty() {
             return;
         }
-        let members = std::mem::take(queue);
-        *stats.size_histogram.entry(members.len()).or_insert(0) += 1;
         batches.push(Batch {
             seq: batches.len(),
             formed_at: at,
-            requests: members,
+            requests: std::mem::take(queue),
         });
     }
 
     let mut batches = Vec::new();
     let mut rejected = Vec::new();
-    let mut stats = BatcherStats::default();
+    let mut queue_high_water = 0;
     let mut queue: Vec<Request> = Vec::new();
 
     for r in requests {
@@ -114,11 +92,10 @@ pub fn form_batches(
         if let Some(first) = queue.first() {
             let deadline = first.arrival + SimNanos::from_nanos(policy.max_delay_ns);
             if deadline <= r.arrival {
-                close(&mut queue, deadline, &mut batches, &mut stats);
+                close(&mut queue, deadline, &mut batches);
             }
         }
         if queue.len() >= policy.queue_capacity {
-            stats.rejected_queue_full += 1;
             rejected.push((
                 r.clone(),
                 RejectReason::QueueFull {
@@ -128,18 +105,17 @@ pub fn form_batches(
             continue;
         }
         queue.push(r.clone());
-        stats.admitted += 1;
-        stats.queue_high_water = stats.queue_high_water.max(queue.len());
+        queue_high_water = queue_high_water.max(queue.len());
         if queue.len() >= policy.max_batch {
             let at = r.arrival;
-            close(&mut queue, at, &mut batches, &mut stats);
+            close(&mut queue, at, &mut batches);
         }
     }
     if let Some(first) = queue.first() {
         let deadline = first.arrival + SimNanos::from_nanos(policy.max_delay_ns);
-        close(&mut queue, deadline, &mut batches, &mut stats);
+        close(&mut queue, deadline, &mut batches);
     }
-    (batches, rejected, stats)
+    (batches, rejected, queue_high_water)
 }
 
 #[cfg(test)]
@@ -163,12 +139,13 @@ mod tests {
             max_delay_ns: 1_000_000,
             queue_capacity: 8,
         };
-        let (batches, rejected, stats) = form_batches(&plan, &policy);
+        let (batches, rejected, high_water) = form_batches(&plan, &policy);
         assert!(rejected.is_empty());
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].formed_at, SimNanos::from_nanos(20));
         assert_eq!(batches[1].formed_at, SimNanos::from_nanos(40));
-        assert_eq!(stats.size_histogram.get(&2), Some(&2));
+        assert!(batches.iter().all(|b| b.requests.len() == 2));
+        assert_eq!(high_water, 2);
     }
 
     #[test]
@@ -193,8 +170,7 @@ mod tests {
             max_delay_ns: 1_000_000,
             queue_capacity: 2,
         };
-        let (batches, rejected, stats) = form_batches(&plan, &policy);
-        assert_eq!(stats.rejected_queue_full, 1);
+        let (batches, rejected, _) = form_batches(&plan, &policy);
         assert_eq!(rejected.len(), 1);
         assert_eq!(rejected[0].0.id, 2);
         assert!(matches!(

@@ -41,7 +41,7 @@ pub mod engine;
 pub mod request;
 pub mod sim;
 
-pub use batcher::{form_batches, Batch, BatchPolicy, BatcherStats};
+pub use batcher::{form_batches, Batch, BatchPolicy};
 pub use engine::{EngineConfig, ServeEngine};
 pub use request::{generate_requests, Request, RequestGenConfig};
 pub use sim::{

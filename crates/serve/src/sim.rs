@@ -115,7 +115,7 @@ pub struct ServeReport {
     pub rejected_poisoned: usize,
     /// Admission-queue high-water mark.
     pub queue_high_water: usize,
-    /// Batch-size histogram (size → batches).
+    /// Batch-size histogram (size → batches), folded from the batches.
     pub batch_size_histogram: BTreeMap<usize, usize>,
     /// Latency percentiles over served requests.
     pub latency: LatencySummary,
@@ -167,7 +167,7 @@ pub fn serve_open_loop(
     cfg: &ServeSimConfig,
 ) -> Result<ServeReport, ServeError> {
     let requests = generate_requests(&cfg.gen, engine.n_frames(), engine.graph().n());
-    let (batches, rejected, stats) = form_batches(&requests, &cfg.batch);
+    let (batches, rejected, queue_high_water) = form_batches(&requests, &cfg.batch);
 
     let mut outcomes: BTreeMap<u64, RequestOutcome> = BTreeMap::new();
 
@@ -221,6 +221,10 @@ pub fn serve_open_loop(
             }
         }
     }
+    let mut batch_size_histogram = BTreeMap::new();
+    for b in &batches {
+        *batch_size_histogram.entry(b.requests.len()).or_insert(0) += 1;
+    }
     let first_arrival = records
         .first()
         .map(|r| r.request.arrival)
@@ -244,8 +248,8 @@ pub fn serve_open_loop(
         rejected_queue_full,
         rejected_fault,
         rejected_poisoned,
-        queue_high_water: stats.queue_high_water,
-        batch_size_histogram: stats.size_histogram,
+        queue_high_water,
+        batch_size_histogram,
         latency: LatencySummary::from_latencies(latencies),
         throughput_rps,
         gpu_reuse_hits: reuse.gpu_hits,

@@ -143,6 +143,17 @@ host_lane_has_one_owner() {
     return "$bad"
 }
 
+# The staged copy's retry policy (budget, doubling backoff, the retry loop
+# and the per-op index its attempts share) lives in one place,
+# `Gpu::h2d_staged`: no crate outside `gpu-sim` names a retry primitive.
+copy_retry_has_one_home() {
+    if grep -rnE '\b(Backoff|upload_staged|try_copy|backoff_stream|next_copy_op|transfer_retry_budget)\b' crates/*/src |
+        grep -v '^crates/gpu-sim/'; then
+        echo "ERROR: copy retry policy outside Gpu::h2d_staged" >&2
+        return 1
+    fi
+}
+
 # Every row of README's "Beyond the paper" table must name what measures it:
 # a `repro <name>` that is an `EXPERIMENTS` entry (name or alias), or a
 # `tests/<file>.rs` that exists. An extension with no result to point at
@@ -181,6 +192,7 @@ gate no_panicking_stubs
 gate results_have_a_producer
 gate figures_run_the_executors
 gate host_lane_has_one_owner
+gate copy_retry_has_one_home
 gate extensions_name_a_result
 gate cargo build --release
 gate cargo fmt --check
