@@ -220,9 +220,14 @@ impl<'r> PipadExecutor<'r> {
                     None => f.bytes(),
                 })
                 .sum();
+            // A partition that ships nothing (every member device-resident,
+            // no adjacency needed) assembles nothing: no loader op, and the
+            // copy stream waits for no host work.
             let staged_bytes = adj_bytes + feat_bytes;
-            let host_end = gpu.host_stage("partition_prep", staged_bytes);
-            gpu.stream_wait_host(copy, host_end);
+            if staged_bytes > 0 {
+                let host_end = gpu.host_stage("partition_prep", staged_bytes);
+                gpu.stream_wait_host(copy, host_end);
+            }
 
             // Device buffers for what the host just assembled, then the one
             // pinned copy that fills them (§4.1: the partition is the unit
@@ -710,6 +715,74 @@ mod tests {
         assert_eq!(h2d_copies(&gpu, snap), 1);
         tape.finish(&mut gpu);
         exec.finish(&mut gpu);
+        reuse.evict_device(&mut gpu);
+    }
+
+    /// A partition that ships nothing pays nothing on the loader: with
+    /// every member device-resident and no adjacency needed (T-GCN), it
+    /// records no `partition_prep` op and no copy and leaves the host lane
+    /// where it was. Needing adjacency, or a CPU-tier member, brings back
+    /// exactly one loader op and one copy per partition.
+    #[test]
+    fn a_partition_that_ships_nothing_pays_no_loader_op() {
+        let (mut gpu, graph, analyzer, catalog) = setup();
+        let compute = gpu.default_stream();
+        let copy = gpu.create_stream();
+        let feats: Vec<&Matrix> = graph.snapshots[0..4].iter().map(|s| &s.features).collect();
+        let mut reuse = InterFrameReuse::new(1 << 26);
+        let tgcn = ExecOptions {
+            needs_adjacency_when_cached: false,
+            ..opts(2)
+        };
+        let mut exec = PipadExecutor::stage(
+            &mut gpu,
+            &analyzer,
+            &catalog,
+            &feats,
+            0,
+            tgcn,
+            Some(&mut reuse),
+            compute,
+            copy,
+        )
+        .unwrap();
+        let mut tape = Tape::new(compute);
+        exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
+        tape.finish(&mut gpu);
+        exec.finish(&mut gpu);
+
+        // (device-resident members, adjacency needed) → loader ops = copies.
+        for (resident, needs_adj, paid) in [(4, false, 0), (2, false, 1), (4, true, 2)] {
+            reuse.evict_device(&mut gpu);
+            reuse.slide(&mut gpu, 0..resident);
+            let (snap, host) = (gpu.profiler().snapshot(), gpu.host_now());
+            let o = ExecOptions {
+                needs_adjacency_when_cached: needs_adj,
+                ..tgcn
+            };
+            let exec = PipadExecutor::stage(
+                &mut gpu,
+                &analyzer,
+                &catalog,
+                &feats,
+                0,
+                o,
+                Some(&mut reuse),
+                compute,
+                copy,
+            )
+            .unwrap();
+            assert!(exec.layer1_cached().all(|c| c));
+            let since = gpu.profiler().samples().since(snap);
+            let preps = since.iter().filter(|s| s.name == "partition_prep").count();
+            let what = format!("{resident} resident, adjacency {needs_adj}");
+            assert_eq!(preps, paid, "{what}");
+            assert_eq!(h2d_copies(&gpu, snap), paid, "{what}");
+            if paid == 0 {
+                assert_eq!(gpu.host_now(), host, "{what}");
+            }
+            exec.finish(&mut gpu);
+        }
         reuse.evict_device(&mut gpu);
     }
 

@@ -514,7 +514,6 @@ impl Gpu {
             );
             if attempt >= self.faults.max_transfer_retries {
                 return Err(TransferError {
-                    dir: TransferDir::H2D,
                     bytes,
                     op_index: op,
                     attempts: attempt + 1,

@@ -39,7 +39,6 @@
 //! fault is recorded as a `fault_injected` trace event ([`crate::trace`])
 //! so Chrome-trace exports show fault → recovery spans.
 
-use crate::device::TransferDir;
 use crate::memory::OomError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -378,11 +377,9 @@ impl fmt::Display for CrashError {
 
 impl std::error::Error for CrashError {}
 
-/// A copy-engine operation that failed past its retry budget.
+/// A staged host-to-device copy that failed past its retry budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransferError {
-    /// Transfer direction.
-    pub dir: TransferDir,
     /// Payload size in bytes.
     pub bytes: u64,
     /// Logical copy-op index the failure was injected on.
@@ -393,13 +390,9 @@ pub struct TransferError {
 
 impl fmt::Display for TransferError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let dir = match self.dir {
-            TransferDir::H2D => "h2d",
-            TransferDir::D2H => "d2h",
-        };
         write!(
             f,
-            "transfer failed: {dir} copy of {} B (op #{}) after {} attempt(s)",
+            "transfer failed: h2d copy of {} B (op #{}) after {} attempt(s)",
             self.bytes, self.op_index, self.attempts
         )
     }
@@ -572,7 +565,6 @@ mod tests {
         let f: DeviceFault = oom.into();
         assert!(f.to_string().contains("adjacency_csr"));
         let t = TransferError {
-            dir: TransferDir::H2D,
             bytes: 64,
             op_index: 3,
             attempts: 4,

@@ -26,6 +26,11 @@
 //! [`Gpu::graph_scope`]. A replayed forward still allocates inside the
 //! graph, as the trainer's steady frames do; a real CUDA graph fixes its
 //! addresses at capture.
+//!
+//! The host issues every forward: its compute stream waits for the host
+//! clock before anything is staged or launched, so a caller that moves the
+//! host clock to a batch's close (`serve::sim`) starts no device work
+//! before that batch exists.
 
 use crate::ServeError;
 use pipad::exec::{ExecOptions, PipadExecutor};
@@ -187,6 +192,10 @@ impl<'g> ServeEngine<'g> {
             frame_start + self.window < self.graph.len() + 1,
             "frame {frame_start} out of range"
         );
+        // The host issues this forward: nothing on the device starts before
+        // the host clock, which the caller has moved to the batch close.
+        let issued = gpu.host_now();
+        gpu.stream_wait_host(self.compute, issued);
         // Entries below the stream's current window never recur (frames
         // only advance): slide to this frame before staging it — nothing to
         // keep yet — so device memory serves live snapshots.
@@ -251,7 +260,7 @@ mod tests {
     use pipad::{train_pipad, PipadConfig};
     use pipad_ckpt::CheckpointPolicy;
     use pipad_dyngraph::{DatasetId, Scale};
-    use pipad_gpu_sim::{DeviceConfig, OpCounters};
+    use pipad_gpu_sim::{DeviceConfig, Lane, OpCounters};
 
     /// Purging a frame's snapshots makes its partitions aggregate again:
     /// a new plan, captured eagerly with the aggregation kernels on top of
@@ -306,8 +315,19 @@ mod tests {
         );
         assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 0));
 
+        let snap = gpu.profiler().snapshot();
         let replayed = forward(&mut engine, &mut gpu);
         assert_eq!(replayed.eager_launches, 0, "the all-cached plan replays");
+        let events = gpu.trace().events().since(snap);
+        let host_ops: Vec<&str> = events
+            .iter()
+            .filter(|e| e.lane == Lane::Host)
+            .map(|e| e.name)
+            .collect();
+        assert!(
+            host_ops.is_empty(),
+            "an all-cached replay ships nothing: {host_ops:?}"
+        );
         assert_eq!(replayed.launches, cached.launches);
         assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 1));
     }

@@ -38,6 +38,8 @@ pub enum RequestOutcome {
         batch: usize,
         /// Size of that batch.
         batch_size: usize,
+        /// When that batch closed: the forward is issued no earlier.
+        closed: SimNanos,
         /// Completion time on the simulated clock.
         completed: SimNanos,
         /// `targets × d_out` logit rows, bit-exact training-forward output.
@@ -60,10 +62,21 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
-    /// Enqueue-to-completion latency (served requests only).
+    /// Enqueue-to-completion latency (served requests only): the wait for
+    /// its batch to close plus its service time.
     pub fn latency(&self) -> Option<SimNanos> {
         match &self.outcome {
             RequestOutcome::Served { completed, .. } => Some(*completed - self.request.arrival),
+            RequestOutcome::Rejected { .. } => None,
+        }
+    }
+
+    /// Batch-close-to-completion service time (served requests only).
+    pub fn service(&self) -> Option<SimNanos> {
+        match &self.outcome {
+            RequestOutcome::Served {
+                closed, completed, ..
+            } => Some(*completed - *closed),
             RequestOutcome::Rejected { .. } => None,
         }
     }
@@ -119,6 +132,9 @@ pub struct ServeReport {
     pub batch_size_histogram: BTreeMap<usize, usize>,
     /// Latency percentiles over served requests.
     pub latency: LatencySummary,
+    /// Service-time (batch close → completion) percentiles over served
+    /// requests: latency without the batch wait.
+    pub service: LatencySummary,
     /// Served requests per second of simulated horizon.
     pub throughput_rps: f64,
     /// GPU reuse-tier hits observed during serving.
@@ -210,6 +226,8 @@ pub fn serve_open_loop(
         .collect();
 
     let latencies: Vec<SimNanos> = records.iter().filter_map(RequestRecord::latency).collect();
+    let service =
+        LatencySummary::from_latencies(records.iter().filter_map(RequestRecord::service).collect());
     let served = latencies.len();
     let (mut rejected_queue_full, mut rejected_fault, mut rejected_poisoned) = (0, 0, 0);
     for r in &records {
@@ -251,6 +269,7 @@ pub fn serve_open_loop(
         queue_high_water,
         batch_size_histogram,
         latency: LatencySummary::from_latencies(latencies),
+        service,
         throughput_rps,
         gpu_reuse_hits: reuse.gpu_hits,
         gpu_reuse_misses: reuse.gpu_misses,
@@ -298,7 +317,9 @@ fn run_batch(
     let batch_size = batch.requests.len();
     for group in batch.requests.chunk_by(|a, b| a.frame == b.frame) {
         let frame = group[0].frame;
-        // The forward starts no earlier than the batch closed.
+        // The forward is issued no earlier than the batch closed: the host
+        // clock moves to the close, and the engine holds every device op of
+        // the forward to the host clock.
         gpu.host_wait(batch.formed_at);
         let t0 = gpu.now_with_host();
         let mut attempt = 0u32;
@@ -343,6 +364,7 @@ fn run_batch(
                         RequestOutcome::Served {
                             batch: batch.seq,
                             batch_size,
+                            closed: batch.formed_at,
                             completed: t1,
                             logits: slice_targets(&pred, &r.targets),
                         },
@@ -452,6 +474,15 @@ mod tests {
         assert!(report.latency.p50 <= report.latency.p95);
         assert!(report.latency.p95 <= report.latency.p99);
         assert!(report.throughput_rps > 0.0);
+        // Latency decomposes exactly: batch wait, then service.
+        for r in &report.records {
+            let RequestOutcome::Served { closed, .. } = r.outcome else {
+                continue;
+            };
+            let wait = closed - r.request.arrival;
+            assert_eq!(r.service().map(|s| wait + s), r.latency());
+        }
+        assert!(report.service.p50 <= report.latency.p50);
         assert!(!report.served_logit_bytes().is_empty());
 
         // Trace schema: every request produced an enqueue event, batches

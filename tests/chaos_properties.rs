@@ -73,12 +73,17 @@ fn serve_cfg() -> TrainingConfig {
     }
 }
 
-/// Train once per process (fault-free, with checkpoints) and share the
-/// checkpoint directory across every chaos case.
-fn shared_checkpoint_dir() -> &'static PathBuf {
-    static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("pipad-serve-chaos-{}", std::process::id()));
+/// Train `model` once per process (fault-free, with checkpoints) and
+/// share the checkpoint directory across every chaos case.
+fn shared_checkpoint_dir(model: ModelKind) -> &'static PathBuf {
+    static DIRS: [OnceLock<PathBuf>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    let i = ModelKind::ALL.iter().position(|&m| m == model).unwrap();
+    DIRS[i].get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!(
+            "pipad-serve-chaos-{}-{}",
+            model.name(),
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
         let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -86,7 +91,7 @@ fn shared_checkpoint_dir() -> &'static PathBuf {
             checkpoint: Some(CheckpointPolicy::new(dir.clone(), 2)),
             ..PipadConfig::default()
         };
-        train_pipad(&mut gpu, ModelKind::TGcn, &graph, 8, &serve_cfg(), &pcfg)
+        train_pipad(&mut gpu, model, &graph, 8, &serve_cfg(), &pcfg)
             .expect("fault-free training leg failed");
         dir
     })
@@ -96,10 +101,20 @@ fn shared_checkpoint_dir() -> &'static PathBuf {
 /// was rejected.
 type ServedLogits = Vec<Option<Vec<u32>>>;
 
-/// Serve the shared checkpoint's 12-request plan on a fresh device with
-/// `plan` installed; the device is returned beside the outcome so its
+/// Serve the shared T-GCN checkpoint's 12-request plan on a fresh device
+/// with `plan` installed; the device is returned beside the outcome so its
 /// trace can be read.
 fn serve_on_device(plan: &FaultPlan) -> (Gpu, Result<ServeReport, ServeError>) {
+    serve_model_on_device(ModelKind::TGcn, 12, plan)
+}
+
+/// Serve `n_requests` from `model`'s shared checkpoint on a fresh device
+/// with `plan` installed.
+fn serve_model_on_device(
+    model: ModelKind,
+    n_requests: usize,
+    plan: &FaultPlan,
+) -> (Gpu, Result<ServeReport, ServeError>) {
     let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
     let cfg = serve_cfg();
     let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -113,7 +128,7 @@ fn serve_on_device(plan: &FaultPlan) -> (Gpu, Result<ServeReport, ServeError>) {
         },
         gen: RequestGenConfig {
             seed: 5,
-            n_requests: 12,
+            n_requests,
             mean_interarrival_ns: 200_000,
             max_targets: 4,
             snapshot_period_ns: 500_000,
@@ -122,8 +137,8 @@ fn serve_on_device(plan: &FaultPlan) -> (Gpu, Result<ServeReport, ServeError>) {
     let res = (|| {
         let mut engine = ServeEngine::from_latest(
             &mut gpu,
-            shared_checkpoint_dir(),
-            ModelKind::TGcn,
+            shared_checkpoint_dir(model),
+            model,
             &graph,
             &cfg,
             &ecfg,
@@ -318,4 +333,50 @@ fn serving_fault_paths_are_pinned() {
         ),
         (9, 1, 2, 0)
     );
+}
+
+/// A served forward is issued when its batch closes: every kernel, graph
+/// launch and copy recorded after a `batch_form` instant starts at or
+/// after that instant, for every model, fault-free and under a seeded
+/// plan. A forward whose compute stream ran ahead of the host clock used
+/// to start device work on an idle device before its batch existed.
+#[test]
+fn no_served_device_op_starts_before_its_batch_closes() {
+    use pipad_gpu_sim::{SimNanos, TraceKind};
+    for model in ModelKind::ALL {
+        for (what, plan) in [
+            ("fault-free", FaultPlan::default()),
+            ("seed 91", FaultPlan::seeded(91)),
+        ] {
+            let (gpu, res) = serve_model_on_device(model, 64, &plan);
+            let report = res.unwrap_or_else(|e| panic!("{} {what}: {e}", model.name()));
+            assert!(report.served > 0, "{} {what}", model.name());
+            let (mut closed, mut ops, mut early, mut worst) = (None, 0, 0, 0);
+            for e in gpu.trace().events().iter() {
+                if e.name == "batch_form" {
+                    closed = Some(e.ts);
+                    continue;
+                }
+                let device_op = matches!(e.kind, TraceKind::Kernel | TraceKind::Memcpy)
+                    || e.name == "cuda_graph_launch";
+                let (true, Some(closed)) = (device_op, closed) else {
+                    continue;
+                };
+                ops += 1;
+                if e.ts < closed {
+                    early += 1;
+                    worst = worst.max((closed - e.ts).as_nanos());
+                }
+            }
+            assert!(ops > 0, "{} {what}: no served device op", model.name());
+            assert_eq!(
+                early,
+                0,
+                "{} {what}: {early} of {ops} device ops start before their batch closes, \
+                 up to {} early",
+                model.name(),
+                SimNanos::from_nanos(worst)
+            );
+        }
+    }
 }
