@@ -152,8 +152,8 @@ fn multigpu_leg(reg: &mut MetricsRegistry, scale: Scale) {
     }
 }
 
-/// Leg 3: checkpoint → serving engine → open-loop replay; latency and
-/// service-time histograms and admission counters.
+/// Leg 3: checkpoint → serving engine → open-loop replay; latency,
+/// service-time and device-queue-wait histograms and admission counters.
 fn serve_leg(reg: &mut MetricsRegistry, scale: Scale) {
     let dir = ScratchDir::new("profile");
     let report = crate::serve::train_and_serve(scale, ModelKind::TGcn, dir.path());
@@ -164,6 +164,9 @@ fn serve_leg(reg: &mut MetricsRegistry, scale: Scale) {
         }
         if let Some(service) = rec.service() {
             reg.observe("pipad_serve_service_ns", service.as_nanos());
+        }
+        if let Some(queue) = rec.device_queue() {
+            reg.observe("pipad_serve_device_queue_ns", queue.as_nanos());
         }
     }
     reg.inc_counter("pipad_serve_served_total", report.served as u64);

@@ -5,7 +5,8 @@
 //! device, restores the newest checkpoint into a [`pipad_serve`] engine
 //! and replays a seeded open-loop request plan through the dynamic
 //! micro-batcher: p50/p95/p99 latency and the p50/p99 of its service
-//! part (batch close → completion), throughput, the batch-size
+//! part (batch close → completion) and of service's two parts (the wait
+//! for the device, then the forward), throughput, the batch-size
 //! histogram, the admission-queue high-water mark, backpressure counters
 //! and the GPU reuse-tier hit rate all come out of the simulated clock;
 //! the engine's CUDA-graph captures and replays show that served forwards
@@ -125,8 +126,9 @@ fn measure(scale: Scale) -> Artifact {
             "{{\"model\":{:?},\"trained_epochs\":{},\"requests\":{},\"served\":{},\
              \"rejected_queue_full\":{},\"rejected_fault\":{},\"rejected_poisoned\":{},\
              \"batches\":{},\"queue_high_water\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
-             \"max_ns\":{},\"service_p50_ns\":{},\"service_p99_ns\":{},\"throughput_rps\":{:.3},\
-             \"batch_size_histogram\":{{",
+             \"max_ns\":{},\"service_p50_ns\":{},\"service_p99_ns\":{},\
+             \"device_queue_p50_ns\":{},\"device_queue_p99_ns\":{},\"forward_p50_ns\":{},\
+             \"forward_p99_ns\":{},\"throughput_rps\":{:.3},\"batch_size_histogram\":{{",
             model.name(),
             r.trained_epochs,
             r.records.len(),
@@ -142,6 +144,10 @@ fn measure(scale: Scale) -> Artifact {
             r.latency.max.as_nanos(),
             r.service.p50.as_nanos(),
             r.service.p99.as_nanos(),
+            r.device_queue.p50.as_nanos(),
+            r.device_queue.p99.as_nanos(),
+            r.forward.p50.as_nanos(),
+            r.forward.p99.as_nanos(),
             r.throughput_rps,
         );
         for (j, (size, count)) in r.batch_size_histogram.iter().enumerate() {
@@ -164,7 +170,8 @@ fn measure(scale: Scale) -> Artifact {
         let _ = writeln!(
             summary,
             "  {:<10} served {:>3}/{:<3} in {:>2} batches [{}]: p50 {:>7} ns, p99 {:>7} ns \
-             (service p50 {:>7} ns, p99 {:>7} ns), {:>8.2} req/s, queue hw {}, \
+             (service p50 {:>7} ns, p99 {:>7} ns; its device queue p50 {:>7} ns, p99 {:>7} ns; \
+             its forward p50 {:>7} ns, p99 {:>7} ns), {:>8.2} req/s, queue hw {}, \
              reuse {}/{} hits, graphs {} captured / {} replayed, crc {:08x}",
             model.name(),
             r.served,
@@ -175,6 +182,10 @@ fn measure(scale: Scale) -> Artifact {
             r.latency.p99.as_nanos(),
             r.service.p50.as_nanos(),
             r.service.p99.as_nanos(),
+            r.device_queue.p50.as_nanos(),
+            r.device_queue.p99.as_nanos(),
+            r.forward.p50.as_nanos(),
+            r.forward.p99.as_nanos(),
             r.throughput_rps,
             r.queue_high_water,
             r.gpu_reuse_hits,

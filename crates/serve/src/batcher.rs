@@ -1,20 +1,31 @@
 //! The dynamic micro-batcher: max-batch-size / max-delay policy over a
-//! bounded admission queue.
+//! bounded admission queue, stepped on the simulated clock.
 //!
-//! Batch formation is a *pure* function of the arrival plan and the
-//! policy — deliberately independent of how fast the engine drains
-//! batches. That keeps batch composition identical across models, thread
-//! counts and buffer-pool settings (the determinism contract), and makes
-//! the policy properties (`tests/proptests.rs`) exactly checkable:
+//! [`Batcher::next`] is the one decision function. The serving loop
+//! (`serve::sim`) asks it for the next batch with the instant the device
+//! finished the previous one, runs that batch, and asks again with the
+//! device's new free time. Batch composition therefore follows the
+//! simulated clock: it is identical across host thread counts and
+//! buffer-pool settings (the determinism contract, because the clock is),
+//! but not across models — a slower forward holds the device longer, and
+//! more requests gather behind it. The rules:
 //!
 //! * a batch *opens* when a request is admitted to an empty queue and
-//!   *closes* `max_delay` later, or immediately once `max_batch` requests
-//!   are queued — so no request ever waits in the admission queue longer
-//!   than `max_delay`;
+//!   *closes* at the earliest of three instants: the arrival that fills
+//!   it to `max_batch`; its first request's arrival plus `max_delay`; and
+//!   the later of that arrival and the device's free time — so a request
+//!   that reaches an idle device closes its batch on arrival, and no
+//!   request ever waits in the admission queue longer than `max_delay`;
+//! * a request arriving exactly at the close misses the batch;
 //! * a request arriving while the queue holds `queue_capacity` waiting
 //!   requests is rejected ([`RejectReason::QueueFull`]) as backpressure;
 //! * requests within a batch keep FIFO (arrival/id) order and no request
 //!   is lost or duplicated.
+//!
+//! [`form_batches`] steps the same function with a device that is never
+//! idle, which leaves only the size and delay triggers: a pure function of
+//! (arrival plan × policy) whose properties `tests/proptests.rs` checks
+//! exactly.
 
 use crate::request::Request;
 use crate::RejectReason;
@@ -52,70 +63,108 @@ pub struct Batch {
     pub requests: Vec<Request>,
 }
 
-/// Form micro-batches from a sorted arrival plan. Returns the batches in
-/// formation order, the rejected requests with their typed reasons, and
-/// the admission queue's high-water mark.
+/// A device free time that never comes: stepped with it, the batcher
+/// closes batches on the size and delay triggers alone.
+const NEVER_IDLE: SimNanos = SimNanos(u64::MAX);
+
+/// The stepped micro-batcher over a sorted arrival plan.
+#[derive(Debug)]
+pub struct Batcher<'a> {
+    policy: BatchPolicy,
+    /// Arrivals not yet admitted or rejected, in order.
+    pending: &'a [Request],
+    /// The open batch: admitted requests waiting for its close.
+    queue: Vec<Request>,
+    seq: usize,
+    queue_high_water: usize,
+    /// Rejections since the last [`Batcher::take_rejected`].
+    rejected: Vec<(Request, RejectReason)>,
+}
+
+impl<'a> Batcher<'a> {
+    /// A batcher over `requests`, which must be sorted by arrival.
+    pub fn new(requests: &'a [Request], policy: &BatchPolicy) -> Self {
+        assert!(policy.max_batch >= 1, "max_batch must be at least 1");
+        assert!(
+            policy.queue_capacity >= 1,
+            "queue_capacity must be at least 1"
+        );
+        debug_assert!(
+            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+            "arrival plan must be sorted"
+        );
+        Batcher {
+            policy: *policy,
+            pending: requests,
+            queue: Vec::new(),
+            seq: 0,
+            queue_high_water: 0,
+            rejected: Vec::new(),
+        }
+    }
+
+    /// Admit arrivals until the next batch closes and return it, given
+    /// the instant `device_free` at which the device finished the
+    /// previous batch. `None` once every request is batched or rejected.
+    pub fn next(&mut self, device_free: SimNanos) -> Option<Batch> {
+        loop {
+            if let Some(head) = self.queue.first() {
+                let deadline = head.arrival + SimNanos::from_nanos(self.policy.max_delay_ns);
+                let close = deadline.min(head.arrival.max(device_free));
+                if self.pending.first().is_none_or(|r| close <= r.arrival) {
+                    return Some(self.close(close));
+                }
+            }
+            let (r, rest) = self.pending.split_first()?;
+            self.pending = rest;
+            if self.queue.len() >= self.policy.queue_capacity {
+                let reason = RejectReason::QueueFull {
+                    capacity: self.policy.queue_capacity,
+                };
+                self.rejected.push((r.clone(), reason));
+                continue;
+            }
+            self.queue.push(r.clone());
+            self.queue_high_water = self.queue_high_water.max(self.queue.len());
+            if self.queue.len() >= self.policy.max_batch {
+                return Some(self.close(r.arrival));
+            }
+        }
+    }
+
+    /// The requests rejected since the last call, in arrival order, with
+    /// their typed reasons.
+    pub fn take_rejected(&mut self) -> Vec<(Request, RejectReason)> {
+        std::mem::take(&mut self.rejected)
+    }
+
+    /// The admission queue's high-water mark so far.
+    pub fn queue_high_water(&self) -> usize {
+        self.queue_high_water
+    }
+
+    fn close(&mut self, at: SimNanos) -> Batch {
+        let batch = Batch {
+            seq: self.seq,
+            formed_at: at,
+            requests: std::mem::take(&mut self.queue),
+        };
+        self.seq += 1;
+        batch
+    }
+}
+
+/// Form micro-batches from a sorted arrival plan on a device that is
+/// never idle. Returns the batches in formation order, the rejected
+/// requests with their typed reasons, and the admission queue's
+/// high-water mark.
 pub fn form_batches(
     requests: &[Request],
     policy: &BatchPolicy,
 ) -> (Vec<Batch>, Vec<(Request, RejectReason)>, usize) {
-    assert!(policy.max_batch >= 1, "max_batch must be at least 1");
-    assert!(
-        policy.queue_capacity >= 1,
-        "queue_capacity must be at least 1"
-    );
-    debug_assert!(
-        requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "arrival plan must be sorted"
-    );
-
-    fn close(queue: &mut Vec<Request>, at: SimNanos, batches: &mut Vec<Batch>) {
-        if queue.is_empty() {
-            return;
-        }
-        batches.push(Batch {
-            seq: batches.len(),
-            formed_at: at,
-            requests: std::mem::take(queue),
-        });
-    }
-
-    let mut batches = Vec::new();
-    let mut rejected = Vec::new();
-    let mut queue_high_water = 0;
-    let mut queue: Vec<Request> = Vec::new();
-
-    for r in requests {
-        // The open batch's deadline may pass before (or exactly when) this
-        // request arrives; a request arriving exactly at the deadline
-        // misses the closing batch.
-        if let Some(first) = queue.first() {
-            let deadline = first.arrival + SimNanos::from_nanos(policy.max_delay_ns);
-            if deadline <= r.arrival {
-                close(&mut queue, deadline, &mut batches);
-            }
-        }
-        if queue.len() >= policy.queue_capacity {
-            rejected.push((
-                r.clone(),
-                RejectReason::QueueFull {
-                    capacity: policy.queue_capacity,
-                },
-            ));
-            continue;
-        }
-        queue.push(r.clone());
-        queue_high_water = queue_high_water.max(queue.len());
-        if queue.len() >= policy.max_batch {
-            let at = r.arrival;
-            close(&mut queue, at, &mut batches);
-        }
-    }
-    if let Some(first) = queue.first() {
-        let deadline = first.arrival + SimNanos::from_nanos(policy.max_delay_ns);
-        close(&mut queue, deadline, &mut batches);
-    }
-    (batches, rejected, queue_high_water)
+    let mut batcher = Batcher::new(requests, policy);
+    let batches = std::iter::from_fn(|| batcher.next(NEVER_IDLE)).collect();
+    (batches, batcher.take_rejected(), batcher.queue_high_water())
 }
 
 #[cfg(test)]
@@ -178,5 +227,29 @@ mod tests {
             RejectReason::QueueFull { capacity: 2 }
         ));
         assert_eq!(batches.iter().map(|b| b.requests.len()).sum::<usize>(), 2);
+    }
+
+    #[test]
+    fn an_idle_device_closes_a_batch_on_arrival() {
+        let plan = vec![req(0, 10), req(1, 20), req(2, 30), req(3, 500)];
+        let policy = BatchPolicy {
+            max_batch: 8,
+            max_delay_ns: 1_000,
+            queue_capacity: 8,
+        };
+        let mut batcher = Batcher::new(&plan, &policy);
+        // Idle since 0: request 0 closes its batch as it arrives.
+        let b0 = batcher.next(SimNanos::ZERO).unwrap();
+        assert_eq!((b0.formed_at, b0.requests.len()), (SimNanos(10), 1));
+        // Busy until 25: request 1 waits for the device and request 2
+        // arrives after it frees, so the batch closes at 25.
+        let b1 = batcher.next(SimNanos(25)).unwrap();
+        assert_eq!((b1.formed_at, b1.requests.len()), (SimNanos(25), 1));
+        // Busy far past the deadline: the delay trigger closes at 1 030.
+        let b2 = batcher.next(SimNanos(10_000)).unwrap();
+        assert_eq!(b2.formed_at, SimNanos(1_030));
+        assert_eq!(b2.requests.len(), 2);
+        assert!(batcher.next(SimNanos(20_000)).is_none());
+        assert!(batcher.take_rejected().is_empty());
     }
 }

@@ -13,7 +13,8 @@
 //!   advances monotonically with simulated time;
 //! * a **dynamic micro-batcher** ([`batcher`]) with a max-batch-size /
 //!   max-delay policy and a bounded admission queue: overflowing arrivals
-//!   are rejected with a typed reason and counted as backpressure;
+//!   are rejected with a typed reason and counted as backpressure, and a
+//!   batch closes as soon as the device is idle;
 //! * a **serving engine** ([`engine`]) that loads model parameters from a
 //!   [`pipad_ckpt`] checkpoint (fingerprint-validated, typed errors on
 //!   mismatch) and runs batched forwards through the same
@@ -28,7 +29,9 @@
 //!   steady-state requests skip both the aggregation kernels and the
 //!   redundant PCIe uploads.
 //!
-//! The open-loop driver ([`sim`]) stitches these together, emits
+//! The serving loop ([`sim`]) is an event loop on the simulated clock:
+//! it asks the batcher for the next batch, runs it, and feeds the device's
+//! free time back into the batcher. It emits
 //! `enqueue`/`batch_form`/`serve_forward` trace spans for every request,
 //! and reports p50/p95/p99 latency, throughput, the batch-size histogram,
 //! the admission-queue high-water mark and the graph captures and
@@ -41,7 +44,7 @@ pub mod engine;
 pub mod request;
 pub mod sim;
 
-pub use batcher::{form_batches, Batch, BatchPolicy};
+pub use batcher::{form_batches, Batch, BatchPolicy, Batcher};
 pub use engine::{EngineConfig, ServeEngine};
 pub use request::{generate_requests, Request, RequestGenConfig};
 pub use sim::{

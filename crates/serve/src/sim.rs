@@ -1,6 +1,7 @@
-//! The open-loop serving simulation: request plan → micro-batches →
-//! batched forwards on the simulated device, with per-request tracing and
-//! latency accounting.
+//! The serving simulation: an event loop on the simulated clock that
+//! asks the micro-batcher for the next batch, runs it as batched forwards
+//! on the simulated device, and feeds the device's free time back into the
+//! batcher — with per-request tracing and latency accounting.
 //!
 //! Faults are recovered per batch, mirroring the trainer's ladder
 //! (DESIGN.md §3.9): the first OOM evicts the reuse store's device tier
@@ -12,7 +13,7 @@
 //! Every recovery decision lands in the trace as a `recovery` instant on
 //! the control lane — serving never panics under a seeded fault plan.
 
-use crate::batcher::{form_batches, Batch, BatchPolicy};
+use crate::batcher::{Batch, BatchPolicy, Batcher};
 use crate::engine::ServeEngine;
 use crate::request::{generate_requests, Request, RequestGenConfig};
 use crate::{RejectReason, ServeError};
@@ -40,6 +41,9 @@ pub enum RequestOutcome {
         batch_size: usize,
         /// When that batch closed: the forward is issued no earlier.
         closed: SimNanos,
+        /// When the device took the batch up: the later of its close and
+        /// the previous batch's completion.
+        started: SimNanos,
         /// Completion time on the simulated clock.
         completed: SimNanos,
         /// `targets × d_out` logit rows, bit-exact training-forward output.
@@ -65,18 +69,40 @@ impl RequestRecord {
     /// Enqueue-to-completion latency (served requests only): the wait for
     /// its batch to close plus its service time.
     pub fn latency(&self) -> Option<SimNanos> {
-        match &self.outcome {
-            RequestOutcome::Served { completed, .. } => Some(*completed - self.request.arrival),
-            RequestOutcome::Rejected { .. } => None,
-        }
+        let (_, _, completed) = self.served_times()?;
+        Some(completed - self.request.arrival)
     }
 
-    /// Batch-close-to-completion service time (served requests only).
+    /// Batch-close-to-completion service time (served requests only): its
+    /// device-queue wait plus its forward.
     pub fn service(&self) -> Option<SimNanos> {
-        match &self.outcome {
+        let (closed, _, completed) = self.served_times()?;
+        Some(completed - closed)
+    }
+
+    /// Batch close to the device taking the batch up (served requests
+    /// only): the wait behind earlier batches' forwards.
+    pub fn device_queue(&self) -> Option<SimNanos> {
+        let (closed, started, _) = self.served_times()?;
+        Some(started - closed)
+    }
+
+    /// The device taking the batch up to this request's completion
+    /// (served requests only): the batch's own forwards.
+    pub fn forward(&self) -> Option<SimNanos> {
+        let (_, started, completed) = self.served_times()?;
+        Some(completed - started)
+    }
+
+    /// `(closed, started, completed)` of a served request.
+    fn served_times(&self) -> Option<(SimNanos, SimNanos, SimNanos)> {
+        match self.outcome {
             RequestOutcome::Served {
-                closed, completed, ..
-            } => Some(*completed - *closed),
+                closed,
+                started,
+                completed,
+                ..
+            } => Some((closed, started, completed)),
             RequestOutcome::Rejected { .. } => None,
         }
     }
@@ -135,6 +161,13 @@ pub struct ServeReport {
     /// Service-time (batch close → completion) percentiles over served
     /// requests: latency without the batch wait.
     pub service: LatencySummary,
+    /// Device-queue-wait (batch close → device takes it up) percentiles
+    /// over served requests: the part of service spent behind earlier
+    /// batches.
+    pub device_queue: LatencySummary,
+    /// Forward (device takes the batch up → completion) percentiles over
+    /// served requests: service without the device-queue wait.
+    pub forward: LatencySummary,
     /// Served requests per second of simulated horizon.
     pub throughput_rps: f64,
     /// GPU reuse-tier hits observed during serving.
@@ -174,46 +207,47 @@ fn slice_targets(pred: &Matrix, targets: &[usize]) -> Matrix {
     Matrix::from_fn(targets.len(), pred.cols(), |r, c| pred[(targets[r], c)])
 }
 
-/// Run the open-loop serving simulation. Deterministic in (engine state,
-/// config): byte-identical traces and reports across host thread counts
-/// and buffer-pool settings.
+/// Run the open-loop serving simulation as an event loop on the simulated
+/// clock: the batcher closes each batch knowing when the device finished
+/// the previous one. Deterministic in (engine state, config):
+/// byte-identical traces and reports across host thread counts and
+/// buffer-pool settings.
 pub fn serve_open_loop(
     gpu: &mut Gpu,
     engine: &mut ServeEngine<'_>,
     cfg: &ServeSimConfig,
 ) -> Result<ServeReport, ServeError> {
     let requests = generate_requests(&cfg.gen, engine.n_frames(), engine.graph().n());
-    let (batches, rejected, queue_high_water) = form_batches(&requests, &cfg.batch);
-
+    let mut batcher = Batcher::new(&requests, &cfg.batch);
     let mut outcomes: BTreeMap<u64, RequestOutcome> = BTreeMap::new();
+    let mut batches = 0;
+    let mut batch_size_histogram = BTreeMap::new();
 
-    // Backpressure rejections: instants at the arrival they bounced.
-    for (r, reason) in &rejected {
-        gpu.trace_mut().instant(
-            "enqueue",
-            Lane::Control,
-            r.arrival,
-            vec![
-                ("request", ArgValue::U64(r.id)),
-                ("frame", ArgValue::U64(r.frame as u64)),
-                ("admitted", ArgValue::Bool(false)),
-                ("reason", ArgValue::Str(reason.to_string())),
-            ],
-        );
-        outcomes.insert(
-            r.id,
-            RequestOutcome::Rejected {
-                reason: reason.clone(),
-            },
-        );
-    }
-
-    for batch in &batches {
-        run_batch(gpu, engine, batch, &mut outcomes)?;
+    // The engine restore leaves work on the device: the first batch finds
+    // it free only once that work is done.
+    let mut device_free = gpu.now_with_host();
+    while let Some(batch) = batcher.next(device_free) {
+        // Backpressure rejections, in arrival order: each bounced off the
+        // queue of the batch that has just closed, before its close.
+        for (r, reason) in batcher.take_rejected() {
+            reject_at_admission(gpu, &r, &reason);
+            outcomes.insert(r.id, RequestOutcome::Rejected { reason });
+        }
+        run_batch(gpu, engine, &batch, &mut outcomes)?;
         if let Some(c) = gpu.take_crash() {
             return Err(ServeError::Device(DeviceFault::Crash(c)));
         }
+        device_free = gpu.now_with_host();
+        batches += 1;
+        *batch_size_histogram
+            .entry(batch.requests.len())
+            .or_insert(0) += 1;
     }
+    let queue_high_water = batcher.queue_high_water();
+    debug_assert!(
+        batcher.take_rejected().is_empty(),
+        "a rejection needs a full queue, which closes into a later batch"
+    );
 
     let records: Vec<RequestRecord> = requests
         .into_iter()
@@ -225,10 +259,10 @@ pub fn serve_open_loop(
         })
         .collect();
 
-    let latencies: Vec<SimNanos> = records.iter().filter_map(RequestRecord::latency).collect();
-    let service =
-        LatencySummary::from_latencies(records.iter().filter_map(RequestRecord::service).collect());
-    let served = latencies.len();
+    let summary = |part: fn(&RequestRecord) -> Option<SimNanos>| {
+        LatencySummary::from_latencies(records.iter().filter_map(part).collect())
+    };
+    let served = records.iter().filter(|r| r.latency().is_some()).count();
     let (mut rejected_queue_full, mut rejected_fault, mut rejected_poisoned) = (0, 0, 0);
     for r in &records {
         if let RequestOutcome::Rejected { reason } = &r.outcome {
@@ -238,10 +272,6 @@ pub fn serve_open_loop(
                 RejectReason::PoisonedOutput => rejected_poisoned += 1,
             }
         }
-    }
-    let mut batch_size_histogram = BTreeMap::new();
-    for b in &batches {
-        *batch_size_histogram.entry(b.requests.len()).or_insert(0) += 1;
     }
     let first_arrival = records
         .first()
@@ -260,16 +290,18 @@ pub fn serve_open_loop(
     let reuse = engine.reuse.stats();
 
     Ok(ServeReport {
+        latency: summary(RequestRecord::latency),
+        service: summary(RequestRecord::service),
+        device_queue: summary(RequestRecord::device_queue),
+        forward: summary(RequestRecord::forward),
         records,
-        batches: batches.len(),
+        batches,
         served,
         rejected_queue_full,
         rejected_fault,
         rejected_poisoned,
         queue_high_water,
         batch_size_histogram,
-        latency: LatencySummary::from_latencies(latencies),
-        service,
         throughput_rps,
         gpu_reuse_hits: reuse.gpu_hits,
         gpu_reuse_misses: reuse.gpu_misses,
@@ -277,6 +309,22 @@ pub fn serve_open_loop(
         graph_replays: engine.graph_replays(),
         trained_epochs: engine.trained_epochs(),
     })
+}
+
+/// The `enqueue` instant of a request rejected at admission, at the
+/// arrival it bounced.
+fn reject_at_admission(gpu: &mut Gpu, r: &Request, reason: &RejectReason) {
+    gpu.trace_mut().instant(
+        "enqueue",
+        Lane::Control,
+        r.arrival,
+        vec![
+            ("request", ArgValue::U64(r.id)),
+            ("frame", ArgValue::U64(r.frame as u64)),
+            ("admitted", ArgValue::Bool(false)),
+            ("reason", ArgValue::Str(reason.to_string())),
+        ],
+    );
 }
 
 /// Execute one formed batch: enqueue spans for its members, a
@@ -314,13 +362,16 @@ fn run_batch(
         ],
     );
 
+    // The forwards are issued no earlier than the batch closed: the host
+    // clock moves to the close, and the engine holds every device op of a
+    // forward to the host clock. Nothing has moved the clocks since the
+    // previous batch completed, so the device takes this one up at the
+    // later of its close and that completion.
+    gpu.host_wait(batch.formed_at);
+    let started = gpu.now_with_host();
     let batch_size = batch.requests.len();
     for group in batch.requests.chunk_by(|a, b| a.frame == b.frame) {
         let frame = group[0].frame;
-        // The forward is issued no earlier than the batch closed: the host
-        // clock moves to the close, and the engine holds every device op of
-        // the forward to the host clock.
-        gpu.host_wait(batch.formed_at);
         let t0 = gpu.now_with_host();
         let mut attempt = 0u32;
         let result = loop {
@@ -365,6 +416,7 @@ fn run_batch(
                             batch: batch.seq,
                             batch_size,
                             closed: batch.formed_at,
+                            started,
                             completed: t1,
                             logits: slice_targets(&pred, &r.targets),
                         },
@@ -474,15 +526,19 @@ mod tests {
         assert!(report.latency.p50 <= report.latency.p95);
         assert!(report.latency.p95 <= report.latency.p99);
         assert!(report.throughput_rps > 0.0);
-        // Latency decomposes exactly: batch wait, then service.
+        // Latency decomposes exactly: batch wait, then service, which is
+        // the device-queue wait and then the forward.
         for r in &report.records {
             let RequestOutcome::Served { closed, .. } = r.outcome else {
                 continue;
             };
             let wait = closed - r.request.arrival;
-            assert_eq!(r.service().map(|s| wait + s), r.latency());
+            let (queue, forward) = (r.device_queue().unwrap(), r.forward().unwrap());
+            assert_eq!(Some(wait + queue + forward), r.latency());
+            assert_eq!(Some(queue + forward), r.service());
         }
         assert!(report.service.p50 <= report.latency.p50);
+        assert!(report.forward.p50 <= report.service.p50);
         assert!(!report.served_logit_bytes().is_empty());
 
         // Trace schema: every request produced an enqueue event, batches

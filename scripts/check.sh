@@ -154,6 +154,17 @@ copy_retry_has_one_home() {
     fi
 }
 
+# Serving has one batcher: the serving loop steps `Batcher::next` with the
+# device's free time, and `form_batches` (the never-idle wrapper the
+# proptests and the benchmark's probe call) is called nowhere else in
+# `crates/*/src`, so no second, clock-blind batch schedule can come back.
+serving_has_one_batcher() {
+    if grep -rn 'form_batches(' crates/*/src | grep -v '^crates/serve/src/batcher\.rs:'; then
+        echo "ERROR: form_batches called outside serve::batcher; step Batcher::next instead" >&2
+        return 1
+    fi
+}
+
 # Every row of README's "Beyond the paper" table must name what measures it:
 # a `repro <name>` that is an `EXPERIMENTS` entry (name or alias), or a
 # `tests/<file>.rs` that exists. An extension with no result to point at
@@ -193,6 +204,7 @@ gate results_have_a_producer
 gate figures_run_the_executors
 gate host_lane_has_one_owner
 gate copy_retry_has_one_home
+gate serving_has_one_batcher
 gate extensions_name_a_result
 gate cargo build --release
 gate cargo fmt --check

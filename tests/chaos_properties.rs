@@ -23,7 +23,7 @@
 use pipad::{train_pipad, PipadConfig};
 use pipad_ckpt::CheckpointPolicy;
 use pipad_dyngraph::{DatasetId, Scale};
-use pipad_gpu_sim::{export_chrome_trace, DeviceConfig, FaultPlan, Gpu};
+use pipad_gpu_sim::{export_chrome_trace, ArgValue, DeviceConfig, FaultPlan, Gpu, SimNanos};
 use pipad_models::{ModelKind, TrainingConfig};
 use pipad_pool::with_threads;
 use pipad_repro::serve::{
@@ -32,6 +32,7 @@ use pipad_repro::serve::{
 };
 use pipad_tensor::with_pool_enabled;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -105,16 +106,18 @@ type ServedLogits = Vec<Option<Vec<u32>>>;
 /// with `plan` installed; the device is returned beside the outcome so its
 /// trace can be read.
 fn serve_on_device(plan: &FaultPlan) -> (Gpu, Result<ServeReport, ServeError>) {
-    serve_model_on_device(ModelKind::TGcn, 12, plan)
+    let (gpu, res) = serve_model_on_device(ModelKind::TGcn, 12, plan);
+    (gpu, res.map(|(_, report)| report))
 }
 
 /// Serve `n_requests` from `model`'s shared checkpoint on a fresh device
-/// with `plan` installed.
+/// with `plan` installed. A report comes with the device clock at which
+/// serving started, after the engine restore.
 fn serve_model_on_device(
     model: ModelKind,
     n_requests: usize,
     plan: &FaultPlan,
-) -> (Gpu, Result<ServeReport, ServeError>) {
+) -> (Gpu, Result<(SimNanos, ServeReport), ServeError>) {
     let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
     let cfg = serve_cfg();
     let mut gpu = Gpu::new(DeviceConfig::v100());
@@ -143,7 +146,8 @@ fn serve_model_on_device(
             &cfg,
             &ecfg,
         )?;
-        serve_open_loop(&mut gpu, &mut engine, &scfg)
+        let start = gpu.now_with_host();
+        Ok((start, serve_open_loop(&mut gpu, &mut engine, &scfg)?))
     })();
     (gpu, res)
 }
@@ -335,6 +339,89 @@ fn serving_fault_paths_are_pinned() {
     );
 }
 
+/// Serving is an event loop on the simulated clock, for every model,
+/// fault-free and under a seeded plan: a request that reaches an idle
+/// device closes its batch on arrival (no batch wait); the device takes
+/// each batch up at the later of its close and the end of the previous
+/// batch; served requests complete in request order; and no latency is
+/// below its service time.
+#[test]
+fn served_batches_close_when_the_device_is_idle_and_complete_in_order() {
+    for model in ModelKind::ALL {
+        for (what, plan) in [
+            ("fault-free", FaultPlan::default()),
+            ("seed 91", FaultPlan::seeded(91)),
+        ] {
+            let name = model.name();
+            let (gpu, res) = serve_model_on_device(model, 64, &plan);
+            let (serve_start, report) = res.unwrap_or_else(|e| panic!("{name} {what}: {e}"));
+            // When the device finished each batch: its last served
+            // completion or its last `recovery` instant, whichever is later.
+            let mut finished: BTreeMap<u64, SimNanos> = BTreeMap::new();
+            let mut finish = |batch: u64, t: SimNanos| {
+                let end = finished.entry(batch).or_insert(t);
+                *end = (*end).max(t);
+            };
+            for r in &report.records {
+                if let RequestOutcome::Served {
+                    batch, completed, ..
+                } = r.outcome
+                {
+                    finish(batch as u64, completed);
+                }
+            }
+            for e in gpu.trace().events().iter().filter(|e| e.name == "recovery") {
+                let batch = e.args.iter().find_map(|(k, v)| match (*k, v) {
+                    ("batch", ArgValue::U64(b)) => Some(*b),
+                    _ => None,
+                });
+                finish(batch.expect("a recovery names its batch"), e.ts);
+            }
+
+            let (mut last_completed, mut idle_arrivals) = (SimNanos::ZERO, 0);
+            for r in &report.records {
+                let RequestOutcome::Served {
+                    batch,
+                    closed,
+                    started,
+                    completed,
+                    ..
+                } = r.outcome
+                else {
+                    continue;
+                };
+                let id = r.request.id;
+                let device_free = match batch {
+                    0 => serve_start,
+                    b => finished[&(b as u64 - 1)],
+                };
+                assert_eq!(
+                    started,
+                    closed.max(device_free),
+                    "{name} {what}: request {id}"
+                );
+                if r.request.arrival >= device_free {
+                    idle_arrivals += 1;
+                    assert_eq!(
+                        closed, r.request.arrival,
+                        "{name} {what}: request {id} reached an idle device and still waited"
+                    );
+                }
+                assert!(
+                    completed >= last_completed,
+                    "{name} {what}: request {id} completed before an earlier request"
+                );
+                last_completed = completed;
+                assert!(r.latency().unwrap() >= r.service().unwrap());
+            }
+            assert!(
+                idle_arrivals > 0,
+                "{name} {what}: no request found the device idle"
+            );
+        }
+    }
+}
+
 /// A served forward is issued when its batch closes: every kernel, graph
 /// launch and copy recorded after a `batch_form` instant starts at or
 /// after that instant, for every model, fault-free and under a seeded
@@ -342,14 +429,14 @@ fn serving_fault_paths_are_pinned() {
 /// to start device work on an idle device before its batch existed.
 #[test]
 fn no_served_device_op_starts_before_its_batch_closes() {
-    use pipad_gpu_sim::{SimNanos, TraceKind};
+    use pipad_gpu_sim::TraceKind;
     for model in ModelKind::ALL {
         for (what, plan) in [
             ("fault-free", FaultPlan::default()),
             ("seed 91", FaultPlan::seeded(91)),
         ] {
             let (gpu, res) = serve_model_on_device(model, 64, &plan);
-            let report = res.unwrap_or_else(|e| panic!("{} {what}: {e}", model.name()));
+            let (_, report) = res.unwrap_or_else(|e| panic!("{} {what}: {e}", model.name()));
             assert!(report.served > 0, "{} {what}", model.name());
             let (mut closed, mut ops, mut early, mut worst) = (None, 0, 0, 0);
             for e in gpu.trace().events().iter() {

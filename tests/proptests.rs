@@ -10,7 +10,7 @@ use pipad_repro::kernels::{
 use pipad_repro::metrics::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, Log2Histogram, LOG2_BUCKETS,
 };
-use pipad_repro::serve::{form_batches, BatchPolicy, RejectReason, Request};
+use pipad_repro::serve::{form_batches, Batch, BatchPolicy, Batcher, RejectReason, Request};
 use pipad_repro::sparse::{csr_row_work, extract_overlap, partition_rows_balanced, Csr, SlicedCsr};
 use pipad_repro::tensor::Matrix;
 use proptest::prelude::*;
@@ -452,6 +452,145 @@ proptest! {
         if policy.queue_capacity >= policy.max_batch {
             prop_assert!(rejected.is_empty());
         }
+    }
+}
+
+/// Step the batcher with device feedback: the device is busy until
+/// `busy_until`, then takes each batch up at the later of its close and
+/// its own free time and serves it for the next of `service` (ns, cycled).
+/// Returns each batch with the device free time it was closed against,
+/// the rejections in the order the batcher made them, and the queue's
+/// high-water mark.
+#[allow(clippy::type_complexity)]
+fn step_with_feedback(
+    reqs: &[Request],
+    policy: &BatchPolicy,
+    busy_until: u64,
+    service: &[u64],
+) -> (Vec<(Batch, SimNanos)>, Vec<(Request, RejectReason)>, usize) {
+    let mut batcher = Batcher::new(reqs, policy);
+    let mut free = SimNanos(busy_until);
+    let (mut batches, mut rejected) = (Vec::new(), Vec::new());
+    while let Some(b) = batcher.next(free) {
+        rejected.extend(batcher.take_rejected());
+        let closed_against = free;
+        free = b.formed_at.max(free) + SimNanos(service[b.seq % service.len()]);
+        batches.push((b, closed_against));
+    }
+    rejected.extend(batcher.take_rejected());
+    (batches, rejected, batcher.queue_high_water())
+}
+
+/// Strategy → per-batch device service times (ns), from instant to far
+/// longer than any gap or delay in the plans above.
+fn service_times() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(0u64..1_500_000, 1..8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn stepped_batcher_keeps_the_batcher_laws_under_device_feedback(
+        reqs in arrival_plan(),
+        policy in batch_policy(),
+        busy_until in 0u64..2_000_000,
+        service in service_times(),
+    ) {
+        let (batches, rejected, queue_high_water) =
+            step_with_feedback(&reqs, &policy, busy_until, &service);
+        // Neither lost nor duplicated; every rejection is backpressure.
+        let mut ids: Vec<u64> = batches
+            .iter()
+            .flat_map(|(b, _)| b.requests.iter().map(|r| r.id))
+            .chain(rejected.iter().map(|(r, _)| r.id))
+            .collect();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..reqs.len() as u64).collect::<Vec<_>>());
+        for (_, reason) in &rejected {
+            prop_assert_eq!(
+                reason,
+                &RejectReason::QueueFull { capacity: policy.queue_capacity }
+            );
+        }
+        // Rejections come in arrival order.
+        prop_assert!(rejected.windows(2).all(|w| w[0].0.id < w[1].0.id));
+        // FIFO within and across batches.
+        let flat: Vec<u64> = batches
+            .iter()
+            .flat_map(|(b, _)| b.requests.iter().map(|r| r.id))
+            .collect();
+        prop_assert!(flat.windows(2).all(|w| w[0] < w[1]), "reordered: {:?}", flat);
+        for w in batches.windows(2) {
+            prop_assert_eq!(w[0].0.seq + 1, w[1].0.seq);
+            prop_assert!(w[0].0.formed_at <= w[1].0.formed_at);
+        }
+        // Head delay and size bounds.
+        for (b, _) in &batches {
+            prop_assert!(!b.requests.is_empty());
+            prop_assert!(b.requests.len() <= policy.max_batch);
+            let first = b.requests.first().unwrap().arrival;
+            prop_assert!(
+                b.formed_at.as_nanos() - first.as_nanos() <= policy.max_delay_ns,
+                "batch {} held its head {} ns > max delay {} ns",
+                b.seq,
+                b.formed_at.as_nanos() - first.as_nanos(),
+                policy.max_delay_ns
+            );
+        }
+        // The admission queue stays bounded, and cannot overflow when a
+        // full batch fits in it.
+        prop_assert!(queue_high_water <= policy.queue_capacity);
+        if policy.queue_capacity >= policy.max_batch {
+            prop_assert!(rejected.is_empty());
+        }
+    }
+
+    #[test]
+    fn stepped_batcher_is_work_conserving(
+        reqs in arrival_plan(),
+        policy in batch_policy(),
+        busy_until in 0u64..2_000_000,
+        service in service_times(),
+    ) {
+        // A batch closes no later than its head's arrival on an idle
+        // device, or the moment the device frees on a busy one — and
+        // never before its last member arrives.
+        let (batches, _, _) = step_with_feedback(&reqs, &policy, busy_until, &service);
+        for (b, device_free) in &batches {
+            let head = b.requests.first().unwrap().arrival;
+            let last = b.requests.last().unwrap().arrival;
+            prop_assert!(
+                b.formed_at <= head.max(*device_free),
+                "batch {} closed at {} with its head at {} and the device free at {}",
+                b.seq, b.formed_at, head, device_free
+            );
+            prop_assert!(b.formed_at >= last);
+        }
+    }
+
+    #[test]
+    fn stepped_batcher_on_a_device_that_never_frees_is_form_batches(
+        reqs in arrival_plan(),
+        policy in batch_policy(),
+        service in service_times(),
+    ) {
+        // Busy until after the last head's deadline, then slower than the
+        // whole plan: the device never frees while a batch is open, so the
+        // size and delay triggers alone decide, as `form_batches` does.
+        let last = reqs.last().unwrap().arrival.as_nanos();
+        let horizon = last + policy.max_delay_ns + 1;
+        let slow: Vec<u64> = service.iter().map(|s| s + horizon).collect();
+        let (stepped, stepped_rejected, stepped_high_water) =
+            step_with_feedback(&reqs, &policy, horizon, &slow);
+        let (batches, rejected, high_water) = form_batches(&reqs, &policy);
+        let shape = |b: &Batch| (b.seq, b.formed_at, b.requests.iter().map(|r| r.id).collect::<Vec<_>>());
+        prop_assert_eq!(
+            stepped.iter().map(|(b, _)| shape(b)).collect::<Vec<_>>(),
+            batches.iter().map(shape).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(stepped_rejected, rejected);
+        prop_assert_eq!(stepped_high_water, high_water);
     }
 }
 
