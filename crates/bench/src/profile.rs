@@ -6,13 +6,15 @@
 //!    baseline (PyGT-A); the post-hoc analyzer turns each device's trace +
 //!    profiler into overlap fractions, bubble/stall attribution, per-kernel
 //!    duration histograms, device-allocation counts and reuse-tier hit
-//!    rates, labeled by `method`.
+//!    rates, beside the run's prologue (run start → first epoch start),
+//!    all labeled by `method`.
 //! 2. **multigpu** — 2-device data-parallel run; halo and ring-allreduce
 //!    traffic, the allreduce time fraction and, per device, the analyzer's
 //!    steady-window bubble, overlap and SM utilization.
 //! 3. **serve** — checkpoint-restore into the serving engine and an
 //!    open-loop replay; per-request latencies land in a log2 histogram,
-//!    beside the engine's CUDA-graph capture and replay counts.
+//!    beside the engine's CUDA-graph capture and replay counts and the
+//!    clock at which the restored engine was ready.
 //!
 //! The registry renders three ways (Prometheus text, JSON, human table) —
 //! all three are pure functions of the simulated clock, and `run` asserts
@@ -23,7 +25,7 @@
 use crate::experiments::Output;
 use crate::util::{dataset, default_training_config, host_invariant, Method, ScratchDir};
 use pipad_dyngraph::{DatasetId, Scale};
-use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu};
+use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu, SimNanos};
 use pipad_metrics::{analyze, to_json, to_prometheus, to_table, MetricsRegistry};
 use pipad_models::ModelKind;
 use std::collections::BTreeMap;
@@ -70,6 +72,14 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: Scale) {
         "pipad_steady_epoch_ns",
         &[("method", method.name())],
         report.steady_epoch_time.as_nanos() as f64,
+    );
+    // Run start → first epoch start: the epochs run back to back, so the
+    // run's time outside them is the prologue.
+    let epochs: SimNanos = report.epochs.iter().map(|e| e.sim_time).sum();
+    reg.set_gauge_with(
+        "pipad_prologue_ns",
+        &[("method", method.name())],
+        (report.total_time - epochs).as_nanos() as f64,
     );
 
     // Reuse-tier hit rates from the trainer's run-level metadata (PiPAD
@@ -183,6 +193,10 @@ fn serve_leg(reg: &mut MetricsRegistry, scale: Scale) {
     reg.set_gauge(
         "pipad_serve_queue_high_water",
         report.queue_high_water as f64,
+    );
+    reg.set_gauge(
+        "pipad_serve_engine_ready_ns",
+        report.engine_ready.as_nanos() as f64,
     );
 }
 

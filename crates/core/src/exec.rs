@@ -198,12 +198,15 @@ impl<'r> PipadExecutor<'r> {
                 .collect();
             let needs_adj = !layer1_cached || opts.needs_adjacency_when_cached;
 
-            // Host preparation for the partition (buffer assembly).
-            let plan: Option<&PartitionPlan> = if size > 1 {
-                catalog.get(size, start)
+            // Only a partition of several members that ships sliced
+            // adjacency reads its plan, so only it extracts one.
+            let plan: Option<&PartitionPlan> = if size > 1 && needs_adj && opts.use_sliced {
+                catalog.plan(gpu, analyzer, size, start)
             } else {
                 None
             };
+
+            // Host preparation for the partition (buffer assembly).
             let adj_bytes = if !needs_adj {
                 0
             } else if !opts.use_sliced {

@@ -5,13 +5,18 @@
 //!
 //! Execution follows Figure 8:
 //!
+//! * graph slicing runs once, before the first epoch: every frame stages
+//!   sliced adjacency;
 //! * **preparing epochs** train one snapshot at a time with asynchronous
 //!   transfers while collecting the statistics the tuner needs (per-frame
 //!   peak memory, compute time, transfer volume) and populating the
-//!   CPU-side reuse store; graph slicing and overlap extraction also run
-//!   here, once for all;
+//!   CPU-side reuse store. No partition of one snapshot reads an overlap
+//!   split, so overlap extraction runs under them: the last preparing
+//!   epoch queues it on the host lane after its frames' loader work, where
+//!   it fills the lane's idle time while the device computes;
 //! * the tuner then fixes `S_per` per frame ("we only perform this
-//!   procedure once and stick to the generated configurations");
+//!   procedure once and stick to the generated configurations"), once the
+//!   host lane has finished the extraction it reads;
 //! * **steady epochs** run partition-parallel with inter-frame reuse, the
 //!   non-GNN kernel stream in CUDA-graph mode, and transfers overlapping
 //!   compute on separate lanes.
@@ -138,13 +143,13 @@ struct PipadPolicy<'a> {
 }
 
 impl<'a> PipadPolicy<'a> {
-    /// One-off preparation (first preparing epoch): graph slicing and
-    /// overlap extraction run here, once for all.
+    /// One-off preparation before the first epoch: graph slicing. The
+    /// catalog starts empty and is filled under the preparing epochs.
     fn prepare(cx: &mut RunCx<'_>, pcfg: &'a PipadConfig) -> Self {
         let pool_run0 = pipad_tensor::pool_stats();
         let mut host = cx.gpu.host_now();
         let analyzer = GraphAnalyzer::run(cx.gpu, cx.graph, &mut host);
-        let catalog = PartitionCatalog::build(cx.gpu, &analyzer, &mut host);
+        let catalog = PartitionCatalog::new(analyzer.len());
         PipadPolicy {
             pcfg,
             preparing: cx.cfg.preparing_epochs.max(1).min(cx.cfg.epochs),
@@ -366,10 +371,14 @@ impl EpochPolicy for PipadPolicy<'_> {
         if epoch + 1 != self.preparing {
             return;
         }
-        // Last preparing epoch done: decide S_per per frame, once ("we only
-        // perform this procedure once and stick to the generated
-        // configurations"), and size the reuse store's device tier: half
-        // of what two frame peaks leave free.
+        // Last preparing epoch done: extract every partition plan on the
+        // host lane, after the epoch's loader work, while the device is
+        // still busy with its frames.
+        self.catalog.fill(cx.gpu, &self.analyzer);
+        // Then decide S_per per frame, once ("we only perform this
+        // procedure once and stick to the generated configurations"), and
+        // size the reuse store's device tier: half of what two frame peaks
+        // leave free.
         let free = cx
             .gpu
             .cfg()
@@ -396,6 +405,15 @@ impl EpochPolicy for PipadPolicy<'_> {
                 .trace_mut()
                 .instant("tuner_decision", Lane::Control, t_decide, d.trace_args(fi));
             st.decisions.push(d.s_per);
+        }
+    }
+
+    fn resumed(&mut self, cx: &mut RunCx<'_>, next_epoch: usize) {
+        // A run resumed past its preparing epochs never reaches the fill
+        // in `end_epoch`: fill here, before the clock rewinds, so its
+        // steady frames extract nothing the uninterrupted run did not.
+        if next_epoch >= self.preparing {
+            self.catalog.fill(cx.gpu, &self.analyzer);
         }
     }
 
@@ -541,6 +559,83 @@ mod tests {
             "pipad {} vs pygt-a {}",
             ours.steady_epoch_time,
             base.steady_epoch_time
+        );
+    }
+
+    #[test]
+    fn overlap_extraction_runs_under_the_preparing_epochs() {
+        let g = tiny_graph();
+        for preparing_epochs in [2, 1] {
+            let cfg = TrainingConfig {
+                preparing_epochs,
+                ..tiny_cfg()
+            };
+            let mut gpu = Gpu::new(DeviceConfig::v100());
+            let r =
+                train_pipad(&mut gpu, ModelKind::TGcn, &g, 8, &cfg, &Default::default()).unwrap();
+            let events: Vec<_> = gpu.trace().events().iter().collect();
+            let first = |name: &str| events.iter().find(|e| e.name == name).unwrap().ts;
+            let (epoch0, decided) = (first("epoch"), first("tuner_decision"));
+            let extractions: Vec<_> = events
+                .iter()
+                .filter(|e| e.name == crate::prep::EXTRACTION_OP)
+                .collect();
+            assert!(!extractions.is_empty());
+            for e in &extractions {
+                assert!(e.ts >= epoch0, "extraction at {} before epoch 0", e.ts);
+                assert!(e.end() <= decided, "extraction ends after the decision");
+            }
+            // The run is its slicing, then its epochs back to back.
+            let slicing: SimNanos = events
+                .iter()
+                .filter(|e| e.name == "graph_slicing")
+                .map(|e| e.dur)
+                .sum();
+            let epochs: SimNanos = r.epochs.iter().map(|e| e.sim_time).sum();
+            assert_eq!(
+                r.total_time,
+                slicing + epochs,
+                "preparing {preparing_epochs}"
+            );
+        }
+    }
+
+    /// A run resumed past its preparing epochs never reaches the fill in
+    /// the last preparing epoch: it fills the catalog in its prologue, so
+    /// no frame it runs extracts a plan (MPNN-LSTM stages adjacency in
+    /// every steady partition, cached or not).
+    #[test]
+    fn a_run_resumed_past_preparing_fills_the_catalog_before_its_frames() {
+        let g = tiny_graph();
+        let cfg = tiny_cfg();
+        let dir = std::env::temp_dir().join(format!("pipad-resume-fill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // One checkpoint, after the first steady epoch.
+        let pcfg = PipadConfig {
+            checkpoint: Some(CheckpointPolicy::new(dir.clone(), 3)),
+            ..Default::default()
+        };
+        let model = ModelKind::MpnnLstm;
+        train_pipad(
+            &mut Gpu::new(DeviceConfig::v100()),
+            model,
+            &g,
+            8,
+            &cfg,
+            &pcfg,
+        )
+        .unwrap();
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let r = train_pipad(&mut gpu, model, &g, 8, &cfg, &pcfg).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(r.epochs.len(), 4);
+        let names: Vec<&str> = gpu.trace().events().iter().map(|e| e.name).collect();
+        let op = crate::prep::EXTRACTION_OP;
+        let last_extraction = names.iter().rposition(|&n| n == op).unwrap();
+        let first_staging = names.iter().position(|&n| n == "partition_prep").unwrap();
+        assert!(
+            last_extraction < first_staging,
+            "a resumed frame extracted a plan"
         );
     }
 

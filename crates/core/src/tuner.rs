@@ -169,11 +169,12 @@ impl DynamicTuner {
             let mut adj_bytes = 0u64;
             let mut start = frame_start;
             while start + s <= frame_start + window {
-                if let Some(plan) = catalog.get(s, start) {
-                    or_sum += plan.overlap_rate;
-                    adj_bytes += plan.adjacency_bytes;
-                    or_n += 1;
-                }
+                let plan = catalog
+                    .get(s, start)
+                    .expect("the catalog is filled before the tuner decides");
+                or_sum += plan.overlap_rate;
+                adj_bytes += plan.adjacency_bytes;
+                or_n += 1;
                 start += s;
             }
             if or_n == 0 {

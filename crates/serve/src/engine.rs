@@ -16,6 +16,12 @@
 //! checkpoint, so the first requests already skip aggregation work the
 //! training run paid for (the device tier fills as frames are served).
 //!
+//! The restore slices the graph and extracts no overlap split: the
+//! catalog starts empty, and a forward extracts a partition's plan, on the
+//! host lane, only when it stages that partition's adjacency. A model whose
+//! layer 1 is served from the warm tier and that aggregates no hidden
+//! features (T-GCN) never pays for one.
+//!
 //! Like a steady `train_pipad` frame, a served forward is a CUDA-graph
 //! replay (§4.2). A plan's key is the frame's start plus, per partition,
 //! whether reuse covers its layer-1 aggregation
@@ -126,7 +132,9 @@ impl<'g> ServeEngine<'g> {
         )?;
         let mut host = gpu.host_now();
         let analyzer = GraphAnalyzer::run(gpu, graph, &mut host);
-        let catalog = PartitionCatalog::build(gpu, &analyzer, &mut host);
+        // Plans are extracted by the first forward that stages a partition's
+        // adjacency; a model served from the warm reuse tier may need none.
+        let catalog = PartitionCatalog::new(analyzer.len());
         let mut reuse = InterFrameReuse::new(0);
         let restored = restore_checkpoint(&ckpt, &fingerprint, model.as_ref(), &mut reuse)?;
         reuse.grow_budget(GPU_CACHE_BUDGET);
@@ -262,6 +270,97 @@ mod tests {
     use pipad_dyngraph::{DatasetId, Scale};
     use pipad_gpu_sim::{DeviceConfig, Lane, OpCounters};
 
+    fn tiny_cfg() -> TrainingConfig {
+        TrainingConfig {
+            window: 8,
+            epochs: 4,
+            preparing_epochs: 2,
+            lr: 0.01,
+            seed: 3,
+        }
+    }
+
+    /// Train `model` with checkpoints and restore an engine from the last
+    /// one on a fresh device.
+    fn restored<'g>(
+        model: ModelKind,
+        graph: &'g DynamicGraph,
+        tag: &str,
+    ) -> (Gpu, ServeEngine<'g>) {
+        let cfg = tiny_cfg();
+        let dir = std::env::temp_dir().join(format!("pipad-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pcfg = PipadConfig {
+            checkpoint: Some(CheckpointPolicy::new(dir.clone(), 2)),
+            ..Default::default()
+        };
+        train_pipad(
+            &mut Gpu::new(DeviceConfig::v100()),
+            model,
+            graph,
+            8,
+            &cfg,
+            &pcfg,
+        )
+        .unwrap();
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let ecfg = EngineConfig { hidden: 8 };
+        let engine = ServeEngine::from_latest(&mut gpu, &dir, model, graph, &cfg, &ecfg).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (gpu, engine)
+    }
+
+    fn serve_64(gpu: &mut Gpu, engine: &mut ServeEngine<'_>) {
+        let scfg = crate::ServeSimConfig {
+            gen: crate::RequestGenConfig {
+                n_requests: 64,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        crate::serve_open_loop(gpu, engine, &scfg).unwrap();
+    }
+
+    fn extractions(gpu: &Gpu) -> usize {
+        let events = gpu.trace().events();
+        let op = pipad::prep::EXTRACTION_OP;
+        events.iter().filter(|e| e.name == op).count()
+    }
+
+    /// T-GCN served from the warm CPU tier stages no adjacency, so it never
+    /// pays for an overlap split: the restore ends with graph slicing, and
+    /// no forward extracts a plan.
+    #[test]
+    fn a_warm_tgcn_engine_extracts_no_plan() {
+        let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+        let (mut gpu, mut engine) = restored(ModelKind::TGcn, &graph, "warm-tgcn");
+        let slicing_end = gpu
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.name == "graph_slicing")
+            .map(|e| e.end())
+            .max()
+            .unwrap();
+        assert_eq!(gpu.host_now(), slicing_end);
+        serve_64(&mut gpu, &mut engine);
+        assert_eq!(extractions(&gpu), 0);
+        assert!(engine.catalog.is_empty());
+    }
+
+    /// MPNN-LSTM aggregates hidden features, so every forward stages
+    /// adjacency: plans are extracted as frames first need them, each once.
+    #[test]
+    fn a_served_plan_is_extracted_at_most_once() {
+        let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
+        let (mut gpu, mut engine) = restored(ModelKind::MpnnLstm, &graph, "mpnn-plans");
+        assert_eq!(extractions(&gpu), 0, "the restore extracts nothing");
+        serve_64(&mut gpu, &mut engine);
+        let extracted = extractions(&gpu);
+        assert!(extracted > 0);
+        assert_eq!(extracted, engine.catalog.len());
+    }
+
     /// Purging a frame's snapshots makes its partitions aggregate again:
     /// a new plan, captured eagerly with the aggregation kernels on top of
     /// the all-cached plan's launches. That forward deposits them again, so
@@ -269,26 +368,7 @@ mod tests {
     #[test]
     fn a_purged_frame_is_captured_anew_then_replays_its_cached_plan() {
         let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
-        let cfg = TrainingConfig {
-            window: 8,
-            epochs: 4,
-            preparing_epochs: 2,
-            lr: 0.01,
-            seed: 3,
-        };
-        let dir = std::env::temp_dir().join(format!("pipad-serve-plans-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let pcfg = PipadConfig {
-            checkpoint: Some(CheckpointPolicy::new(dir.clone(), 2)),
-            ..Default::default()
-        };
-        let mut tg = Gpu::new(DeviceConfig::v100());
-        train_pipad(&mut tg, ModelKind::TGcn, &graph, 8, &cfg, &pcfg).unwrap();
-        let mut gpu = Gpu::new(DeviceConfig::v100());
-        let ecfg = EngineConfig { hidden: 8 };
-        let mut engine =
-            ServeEngine::from_latest(&mut gpu, &dir, ModelKind::TGcn, &graph, &cfg, &ecfg).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
+        let (mut gpu, mut engine) = restored(ModelKind::TGcn, &graph, "plans");
 
         let frame = 2;
         let forward = |engine: &mut ServeEngine<'_>, gpu: &mut Gpu| -> OpCounters {

@@ -181,6 +181,9 @@ pub struct ServeReport {
     pub graph_replays: u64,
     /// Epochs the restored checkpoint had completed (provenance).
     pub trained_epochs: usize,
+    /// The device-and-host clock when serving began, i.e. when the engine
+    /// restore's work was done. Arrivals before it wait for the restore.
+    pub engine_ready: SimNanos,
 }
 
 impl ServeReport {
@@ -225,7 +228,8 @@ pub fn serve_open_loop(
 
     // The engine restore leaves work on the device: the first batch finds
     // it free only once that work is done.
-    let mut device_free = gpu.now_with_host();
+    let engine_ready = gpu.now_with_host();
+    let mut device_free = engine_ready;
     while let Some(batch) = batcher.next(device_free) {
         // Backpressure rejections, in arrival order: each bounced off the
         // queue of the batch that has just closed, before its close.
@@ -308,6 +312,7 @@ pub fn serve_open_loop(
         graph_captures: engine.graph_captures(),
         graph_replays: engine.graph_replays(),
         trained_epochs: engine.trained_epochs(),
+        engine_ready,
     })
 }
 

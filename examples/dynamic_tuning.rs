@@ -27,7 +27,7 @@ fn main() {
     for s_per in [2usize, 4, 8] {
         println!(
             "  S_per={s_per}: mean overlap rate {:.2}",
-            catalog.mean_overlap_rate(s_per)
+            catalog.mean_overlap_rate(&mut gpu, &analyzer, s_per)
         );
     }
 

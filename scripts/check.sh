@@ -143,6 +143,18 @@ host_lane_has_one_owner() {
     return "$bad"
 }
 
+# Overlap extraction has one cost formula and one home: the catalog's
+# on-demand `plan` and its eager `fill` share one private extraction in
+# `crates/core/src/prep.rs`, and no other source names its per-edge cost or
+# charges its host op, so the two paths cannot drift apart.
+overlap_extraction_has_one_home() {
+    if grep -rnE 'EXTRACT_NS_PER_EDGE|"overlap_extraction"' crates/*/src |
+        grep -v '^crates/core/src/prep\.rs:'; then
+        echo "ERROR: overlap extraction costed outside crates/core/src/prep.rs" >&2
+        return 1
+    fi
+}
+
 # The staged copy's retry policy (budget, doubling backoff, the retry loop
 # and the per-op index its attempts share) lives in one place,
 # `Gpu::h2d_staged`: no crate outside `gpu-sim` names a retry primitive.
@@ -203,6 +215,7 @@ gate no_panicking_stubs
 gate results_have_a_producer
 gate figures_run_the_executors
 gate host_lane_has_one_owner
+gate overlap_extraction_has_one_home
 gate copy_retry_has_one_home
 gate serving_has_one_batcher
 gate extensions_name_a_result

@@ -319,12 +319,12 @@ fn serving_fault_paths_are_pinned() {
     assert_eq!(
         recoveries,
         [
-            r#"3470093 policy=Str("serve_oom_evict_retry") batch=U64(0) frame=U64(1)"#,
+            r#"1409293 policy=Str("serve_oom_evict_retry") batch=U64(0) frame=U64(1)"#,
             concat!(
-                r#"3470093 policy=Str("serve_reject_batch") batch=U64(0) frame=U64(1) "#,
+                r#"1409293 policy=Str("serve_reject_batch") batch=U64(0) frame=U64(1) "#,
                 r#"fault=Str("transfer failed: h2d copy of 10240 B (op #4) after 4 attempt(s)")"#
             ),
-            r#"5148793 policy=Str("serve_nan_reject") batch=U64(6) frame=U64(5)"#,
+            r#"3128121 policy=Str("serve_nan_reject") batch=U64(6) frame=U64(5)"#,
         ]
     );
     assert_eq!(outcomes, "SFSSSSSSSSPP");
