@@ -7,7 +7,8 @@
 //!    profiler into overlap fractions, bubble/stall attribution, per-kernel
 //!    duration histograms, device-allocation counts and reuse-tier hit
 //!    rates, beside the run's prologue (run start → first epoch start),
-//!    all labeled by `method`.
+//!    its preparing phase (→ first steady epoch start) and each phase's
+//!    eager launches, all labeled by `method`.
 //! 2. **multigpu** — 2-device data-parallel run; halo and ring-allreduce
 //!    traffic, the allreduce time fraction and, per device, the analyzer's
 //!    steady-window bubble, overlap and SM utilization.
@@ -81,6 +82,26 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: Scale) {
         &[("method", method.name())],
         (report.total_time - epochs).as_nanos() as f64,
     );
+    // First epoch start → first steady epoch start, and each phase's
+    // launches outside a CUDA graph (the analyzer read every epoch's phase
+    // off its `epoch` span).
+    let mut preparing_ns = 0;
+    let mut eager = [("preparing", 0), ("steady", 0)];
+    for (e, h) in report.epochs.iter().zip(&health.epochs) {
+        eager[usize::from(!h.preparing)].1 += e.eager_launches;
+        if h.preparing {
+            preparing_ns += e.sim_time.as_nanos();
+        }
+    }
+    reg.set_gauge_with(
+        "pipad_preparing_ns",
+        &[("method", method.name())],
+        preparing_ns as f64,
+    );
+    for (phase, launches) in eager {
+        let labels = [("method", method.name()), ("phase", phase)];
+        reg.inc_counter_with("pipad_eager_launches", &labels, launches);
+    }
 
     // Reuse-tier hit rates from the trainer's run-level metadata (PiPAD
     // only; the baselines have no reuse tiers and publish no meta).

@@ -183,7 +183,8 @@ pub(crate) fn encode_checkpoint(
     put_list(s, epochs_done, |s, e| {
         // HostAllocStats are deliberately NOT encoded: heap counters vary
         // with `PIPAD_THREADS` and allocator state, and the resume
-        // contract is thread-invariant. Restored epochs report zeros.
+        // contract is thread-invariant. Nor are eager launches, which a
+        // restored device counts from 0. Restored epochs report zeros.
         put_u64(s, e.epoch as u64);
         put_u32(s, e.mean_loss.to_bits());
         put_u64(s, e.sim_time.as_nanos());
@@ -201,7 +202,8 @@ pub struct RestoredState {
     /// Device timeline, host lane included, to restore *after* the
     /// prologue finishes.
     pub clock: DeviceClock,
-    /// Completed epochs (alloc counters zeroed — see encoding note).
+    /// Completed epochs (alloc and eager-launch counters zeroed — see
+    /// encoding note).
     pub epochs_done: Vec<EpochReport>,
 }
 
@@ -273,6 +275,7 @@ pub(crate) fn restore_run(
             mean_loss: f32::from_bits(r.get_u32()?),
             sim_time: SimNanos::from_nanos(r.get_u64()?),
             alloc: Default::default(),
+            eager_launches: 0,
         })
     })?;
     r.finish()?;

@@ -129,7 +129,30 @@ pub trait EpochPolicy {
     fn finish(&mut self, _cx: &mut RunCx<'_>) {}
 }
 
-/// Close the epoch that ran from `t0` to `t1` with these frame `losses`:
+/// Where an epoch's report counts from: its start time, and the host
+/// allocator's and the devices' eager-launch counters at that time.
+pub(crate) struct EpochStart {
+    t0: SimNanos,
+    alloc: HostAllocStats,
+    eager_launches: u64,
+}
+
+impl EpochStart {
+    /// The epoch that starts at `t0` on `gpus`.
+    pub(crate) fn capture(gpus: &[Gpu], t0: SimNanos) -> Self {
+        EpochStart {
+            t0,
+            alloc: HostAllocStats::capture(),
+            eager_launches: eager_launches(gpus),
+        }
+    }
+}
+
+fn eager_launches(gpus: &[Gpu]) -> u64 {
+    gpus.iter().map(|g| g.op_counters().eager_launches).sum()
+}
+
+/// Close the epoch that ran from `start` to `t1` with these frame `losses`:
 /// write its `epoch` span on every device and return its report. One span
 /// schema for every trainer, so the pipeline analyzer (pipad-metrics)
 /// windows all of them identically.
@@ -138,11 +161,12 @@ pub(crate) fn close_epoch(
     epoch: usize,
     preparing: bool,
     losses: &[f32],
-    t0: SimNanos,
+    start: EpochStart,
     t1: SimNanos,
-    alloc0: HostAllocStats,
 ) -> EpochReport {
+    let t0 = start.t0;
     let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
+    let eager = eager_launches(gpus) - start.eager_launches;
     for gpu in gpus {
         let args = vec![
             ("epoch", ArgValue::U64(epoch as u64)),
@@ -157,7 +181,8 @@ pub(crate) fn close_epoch(
         epoch,
         mean_loss,
         sim_time: t1 - t0,
-        alloc: HostAllocStats::capture().since(&alloc0),
+        alloc: HostAllocStats::capture().since(&start.alloc),
+        eager_launches: eager,
     }
 }
 
@@ -243,7 +268,7 @@ pub fn run_epochs<P: EpochPolicy>(
     for epoch in start_epoch..cfg.epochs {
         cx.gpu.synchronize();
         let t0 = cx.gpu.now_with_host();
-        let alloc0 = HostAllocStats::capture();
+        let start = EpochStart::capture(std::slice::from_ref(&*cx.gpu), t0);
         if epoch == preparing {
             steady_snap = Some(cx.gpu.profiler().snapshot());
             steady_t0 = t0;
@@ -277,9 +302,8 @@ pub fn run_epochs<P: EpochPolicy>(
             epoch,
             epoch < preparing,
             &losses,
-            t0,
+            start,
             t1,
-            alloc0,
         ));
 
         if let Some(ck) = checkpoint.filter(|p| p.should_write(epoch)) {

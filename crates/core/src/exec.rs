@@ -19,10 +19,15 @@ use crate::analyzer::{AnalyzedSnapshot, GraphAnalyzer};
 use crate::prep::{PartitionCatalog, PartitionPlan};
 use crate::reuse::{Cached, InterFrameReuse};
 use pipad_autograd::{SharedParam, Tape, Var};
-use pipad_gpu_sim::{ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, StreamId};
+use pipad_gpu_sim::{
+    ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, StreamId, TraceKind,
+};
 use pipad_kernels::{DeviceCsr, DeviceMatrix, DeviceSliced};
 use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
+use std::collections::HashMap;
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// Per-snapshot staged state inside a partition.
@@ -446,6 +451,82 @@ impl PipadExecutor<'_> {
     /// Release the frame's adjacency allocations and unconsumed staging.
     pub fn finish(self, gpu: &mut Gpu) {
         self.partitions.into_iter().for_each(|p| p.free(gpu));
+    }
+}
+
+/// CUDA graphs captured by earlier steps, keyed by what fixes a step's
+/// kernel sequence (§4.2: a frame's many small kernels launch as one graph).
+///
+/// [`GraphCache::run`] runs the first step of a key eagerly: that step is
+/// the key's capture, recorded only when it returns `Ok`, so an attempt
+/// that hit an OOM is not one. Every later step of the key is a replay
+/// inside [`Gpu::graph_scope`]. A replay may run with other operands than
+/// its capture — CUDA's `cudaGraphExecUpdate` case: same topology, new
+/// parameters — and debug builds check that it launches the capture's
+/// kernel-name sequence. Nothing here outlives the process: a restarted
+/// run has no instantiated graphs and captures afresh.
+pub struct GraphCache<K> {
+    /// Each captured key's kernel names, in launch order (left empty in
+    /// release builds, which check nothing).
+    captured: HashMap<K, Vec<&'static str>>,
+    replays: u64,
+}
+
+impl<K> Default for GraphCache<K> {
+    fn default() -> Self {
+        GraphCache {
+            captured: HashMap::new(),
+            replays: 0,
+        }
+    }
+}
+
+impl<K: Eq + Hash + Debug> GraphCache<K> {
+    /// Run `step` on `stream`: as a graph replay if `key` was captured
+    /// before, else eagerly as `key`'s capture.
+    pub fn run<R, E>(
+        &mut self,
+        gpu: &mut Gpu,
+        stream: StreamId,
+        key: K,
+        step: impl FnOnce(&mut Gpu) -> Result<R, E>,
+    ) -> Result<R, E> {
+        let snap = gpu.profiler().snapshot();
+        let launched = |gpu: &Gpu| -> Vec<&'static str> {
+            if !cfg!(debug_assertions) {
+                return Vec::new();
+            }
+            let events = gpu.trace().events().since(snap);
+            let kernels = events.iter().filter(|e| e.kind == TraceKind::Kernel);
+            kernels.map(|e| e.name).collect()
+        };
+        match self.captured.get(&key) {
+            Some(captured) => {
+                let out = gpu.graph_scope(stream, step)?;
+                debug_assert_eq!(
+                    &launched(gpu),
+                    captured,
+                    "a replay of {key:?} launched another kernel sequence"
+                );
+                self.replays += 1;
+                Ok(out)
+            }
+            None => {
+                let out = step(gpu)?;
+                self.captured.insert(key, launched(gpu));
+                Ok(out)
+            }
+        }
+    }
+
+    /// Keys captured so far.
+    pub fn captures(&self) -> usize {
+        self.captured.len()
+    }
+
+    /// Steps so far that replayed a capture.
+    pub fn replays(&self) -> u64 {
+        self.replays
     }
 }
 

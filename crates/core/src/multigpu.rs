@@ -67,8 +67,7 @@ use pipad_gpu_sim::{
 };
 use pipad_kernels::{sgd_step, DeviceMatrix};
 use pipad_models::{
-    build_model, normalize_snapshot, EpochReport, GnnExecutor, HostAllocStats, ModelKind,
-    TrainingConfig,
+    build_model, normalize_snapshot, EpochReport, GnnExecutor, ModelKind, TrainingConfig,
 };
 use pipad_sparse::{csr_row_work, partition_rows_balanced, SlicedCsr};
 use pipad_tensor::Matrix;
@@ -76,7 +75,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::driver::close_epoch;
+use crate::driver::{close_epoch, EpochStart};
 use crate::prep::S_PER_OPTIONS;
 use crate::reuse::{Cached, InterFrameReuse};
 use crate::tuner::DynamicTuner;
@@ -465,7 +464,7 @@ pub fn train_data_parallel_devices(
     for epoch in 0..cfg.epochs {
         let steady = epoch >= preparing;
         let t0 = join_all(&mut gpus);
-        let alloc0 = HostAllocStats::capture();
+        let start = EpochStart::capture(&gpus, t0);
         if epoch + 1 == preparing {
             // The last preparing epoch is each device's one-slot profile.
             gpus.iter_mut().for_each(Gpu::reset_peak_mem);
@@ -822,7 +821,7 @@ pub fn train_data_parallel_devices(
         }
         t_end = join_all(&mut gpus);
         epochs.push(close_epoch(
-            &mut gpus, epoch, !steady, &losses, t0, t_end, alloc0,
+            &mut gpus, epoch, !steady, &losses, start, t_end,
         ));
         frame_losses.push(losses);
     }

@@ -10,10 +10,14 @@
 //! * **preparing epochs** train one snapshot at a time with asynchronous
 //!   transfers while collecting the statistics the tuner needs (per-frame
 //!   peak memory, compute time, transfer volume) and populating the
-//!   CPU-side reuse store. No partition of one snapshot reads an overlap
-//!   split, so overlap extraction runs under them: the last preparing
-//!   epoch queues it on the host lane after its frames' loader work, where
-//!   it fills the lane's idle time while the device computes;
+//!   CPU-side reuse store. With one snapshot per partition, which
+//!   partitions reuse serves fixes a frame's kernel sequence: the first
+//!   frame of each such topology launches eagerly and is captured as a
+//!   CUDA graph, and every later one replays it ([`GraphCache`]). No
+//!   partition of one snapshot reads an overlap split, so overlap
+//!   extraction runs under them: the last preparing epoch queues it on the
+//!   host lane after its frames' loader work, and the epoch ends when the
+//!   lane is done;
 //! * the tuner then fixes `S_per` per frame ("we only perform this
 //!   procedure once and stick to the generated configurations"), once the
 //!   host lane has finished the extraction it reads;
@@ -24,7 +28,7 @@
 use crate::analyzer::GraphAnalyzer;
 use crate::checkpoint::CkptExtra;
 use crate::driver::{run_epochs, train_step, EpochPolicy, RunCx};
-use crate::exec::{ExecOptions, PipadExecutor};
+use crate::exec::{ExecOptions, GraphCache, PipadExecutor};
 use crate::prep::PartitionCatalog;
 use crate::reuse::InterFrameReuse;
 use crate::tuner::{DynamicTuner, FrameProfile};
@@ -70,9 +74,11 @@ impl Default for PipadConfig {
 
 /// Steady-state frames whose wall time exceeds `STRAGGLER_FACTOR ×` the
 /// same frame's wall time in the *first* steady epoch count as straggling.
-/// The first steady epoch is the baseline (not the preparing epochs —
-/// those run unpipelined and are an order of magnitude slower), so
-/// detection starts from the second steady epoch.
+/// The first steady epoch is the baseline, so detection starts from the
+/// second steady epoch. A preparing frame is no baseline: it runs one
+/// snapshot per partition, unpipelined, and carries the catalog fill (on
+/// `train_sparse_large` the preparing epochs take 10.3 and 15.0 ms, a
+/// steady one 4.64 ms).
 const STRAGGLER_FACTOR: u64 = 3;
 /// This many straggling frames in a row trip the sequential fallback.
 const STRAGGLER_CONSECUTIVE: u32 = 2;
@@ -138,6 +144,10 @@ struct PipadPolicy<'a> {
     analyzer: GraphAnalyzer,
     catalog: PartitionCatalog,
     state: PipadState,
+    /// Preparing frames' CUDA graphs, keyed by their per-partition
+    /// [`PipadExecutor::layer1_cached`] flags. Not checkpointed: a resumed
+    /// process has no instantiated graphs.
+    graphs: GraphCache<Vec<bool>>,
     /// Buffer-pool counters at run start (for the trace-meta delta).
     pool_run0: PoolStats,
 }
@@ -156,6 +166,7 @@ impl<'a> PipadPolicy<'a> {
             analyzer,
             catalog,
             state: PipadState::default(),
+            graphs: GraphCache::default(),
             pool_run0,
         }
     }
@@ -209,7 +220,7 @@ impl EpochPolicy for PipadPolicy<'_> {
         frame: &Frame<'_>,
     ) -> Result<f32, DeviceFault> {
         let (pcfg, preparing) = (self.pcfg, self.preparing);
-        let st = &mut self.state;
+        let (st, graphs) = (&mut self.state, &mut self.graphs);
         let is_preparing = epoch < preparing;
         let feats: Vec<&Matrix> = frame.snapshots().iter().map(|s| &s.features).collect();
         let mut s_per_eff = if is_preparing {
@@ -227,7 +238,7 @@ impl EpochPolicy for PipadPolicy<'_> {
         let (s_per, frame_snap, loss, stepped) = loop {
             let s_per = s_per_eff;
             let sequential_mode = st.sequential_mode;
-            let use_graph = !is_preparing && pcfg.cuda_graph && !sequential_mode;
+            let use_graph = pcfg.cuda_graph && !sequential_mode;
             let opts = ExecOptions {
                 s_per,
                 needs_adjacency_when_cached: cx.model.needs_hidden_aggregation(),
@@ -259,15 +270,21 @@ impl EpochPolicy for PipadPolicy<'_> {
                 let mut tape = Tape::new(compute);
                 let target = cx.graph.target_for(frame.last_index());
                 let lr = cx.cfg.lr;
+                // While preparing (one snapshot per partition, fixed
+                // options), which partitions reuse serves fixes the frame's
+                // kernel sequence: that is its graph's key.
+                let topology: Option<Vec<bool>> =
+                    (use_graph && is_preparing).then(|| exec.layer1_cached().collect());
                 // The whole frame — forward, loss, backward, optimiser step —
-                // is one graph replay in steady epochs.
+                // is one graph replay in steady epochs; a preparing frame
+                // replays the capture of an earlier frame of its topology.
                 let mut step = |gpu: &mut Gpu| {
                     train_step(gpu, model, &mut tape, &mut exec, target, lr, use_graph)
                 };
-                let loss = if use_graph {
-                    gpu.graph_scope(compute, step)?
-                } else {
-                    step(gpu)?
+                let loss = match topology {
+                    Some(key) => graphs.run(gpu, compute, key, step)?,
+                    None if use_graph => gpu.graph_scope(compute, step)?,
+                    None => step(gpu)?,
                 };
                 tape.finish(gpu);
                 exec.finish(gpu);
@@ -333,8 +350,8 @@ impl EpochPolicy for PipadPolicy<'_> {
         // same frame's first-steady-epoch wall time is being slow-rolled
         // by the device; two in a row and the pipelined schedule is
         // abandoned. The first steady epoch only records the baseline
-        // (the preparing epochs run unpipelined and are an order of
-        // magnitude slower, so they cannot serve as one).
+        // (a preparing frame, one snapshot per partition and unpipelined,
+        // cannot serve as one).
         if epoch == preparing && st.frame_walls.len() == fi {
             st.frame_walls.push(frame_t1 - frame_t0);
         }
@@ -637,6 +654,100 @@ mod tests {
             last_extraction < first_staging,
             "a resumed frame extracted a plan"
         );
+    }
+
+    /// One preparing frame as its trace records it: its epoch, its graph
+    /// key (each partition's staged `layer1_cached`), whether it replayed a
+    /// graph, and its kernels in launch order.
+    struct TracedFrame {
+        epoch: u64,
+        key: Vec<bool>,
+        replayed: bool,
+        kernels: Vec<&'static str>,
+    }
+
+    /// Every frame of the run, cut at each `frame` span (recorded when its
+    /// frame ends, after everything the frame issued).
+    fn traced_frames(gpu: &Gpu) -> Vec<TracedFrame> {
+        let arg = |e: &pipad_gpu_sim::TraceEvent, key: &str| {
+            e.args
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let mut frames = Vec::new();
+        let (mut key, mut replayed, mut kernels) = (Vec::new(), false, Vec::new());
+        for e in gpu.trace().events().iter() {
+            match (e.kind, e.name) {
+                (TraceKind::Kernel, name) => kernels.push(name),
+                (_, "cuda_graph_launch") => replayed = true,
+                (_, "pipeline_stage") => {
+                    if let Some(ArgValue::Bool(cached)) = arg(&e, "layer1_cached") {
+                        key.push(cached);
+                    }
+                }
+                (_, "frame") => {
+                    let Some(ArgValue::U64(epoch)) = arg(&e, "epoch") else {
+                        panic!("a frame span without its epoch");
+                    };
+                    frames.push(TracedFrame {
+                        epoch,
+                        key: std::mem::take(&mut key),
+                        replayed: std::mem::take(&mut replayed),
+                        kernels: std::mem::take(&mut kernels),
+                    });
+                }
+                _ => {}
+            }
+        }
+        frames
+    }
+
+    /// A preparing frame replays the graph of the first frame with its
+    /// topology: only those captures launch eagerly, every replay launches
+    /// its capture's kernels, and the losses are those of an all-eager run.
+    #[test]
+    fn preparing_frames_replay_their_captured_topology() {
+        let g = tiny_graph();
+        let cfg = tiny_cfg();
+        for model in ModelKind::ALL {
+            let run = |cuda_graph| {
+                let pcfg = PipadConfig {
+                    cuda_graph,
+                    ..Default::default()
+                };
+                let mut gpu = Gpu::new(DeviceConfig::v100());
+                let r = train_pipad(&mut gpu, model, &g, 8, &cfg, &pcfg).unwrap();
+                (gpu, r)
+            };
+            let (gpu, r) = run(true);
+            let mut captures: std::collections::HashMap<Vec<bool>, Vec<&str>> = Default::default();
+            let (mut captured_launches, mut replays) = (0, 0);
+            let preparing = traced_frames(&gpu);
+            let preparing = preparing.iter().filter(|f| f.epoch < 2);
+            for f in preparing {
+                match captures.get(&f.key) {
+                    Some(kernels) => {
+                        assert!(f.replayed, "{model:?}: {:?} was captured", f.key);
+                        assert_eq!(&f.kernels, kernels, "{model:?}: a replay of {:?}", f.key);
+                        replays += 1;
+                    }
+                    None => {
+                        assert!(!f.replayed, "{model:?}: a first frame replayed");
+                        captured_launches += f.kernels.len() as u64;
+                        captures.insert(f.key.clone(), f.kernels.clone());
+                    }
+                }
+            }
+            let eager: u64 = r.epochs[..2].iter().map(|e| e.eager_launches).sum();
+            assert_eq!(eager, captured_launches, "{model:?}");
+            if model == ModelKind::TGcn {
+                assert_eq!((captures.len(), replays), (3, 21));
+            }
+            let bits =
+                |r: &TrainReport| -> Vec<u32> { r.losses().iter().map(|l| l.to_bits()).collect() };
+            assert_eq!(bits(&r), bits(&run(false).1), "{model:?}");
+        }
     }
 
     #[test]

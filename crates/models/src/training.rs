@@ -182,6 +182,10 @@ pub struct EpochReport {
     pub sim_time: SimNanos,
     /// Host heap/pool activity during this epoch.
     pub alloc: HostAllocStats,
+    /// Kernel launches outside a CUDA graph during this epoch, on every
+    /// device. Like `alloc`, not carried by a checkpoint: 0 for a restored
+    /// epoch.
+    pub eager_launches: u64,
 }
 
 /// Full training-run record.

@@ -26,12 +26,12 @@
 //! replay (§4.2). A plan's key is the frame's start plus, per partition,
 //! whether reuse covers its layer-1 aggregation
 //! ([`PipadExecutor::layer1_cached`]): the two fix the kernel sequence.
-//! The first forward of a key runs eagerly and is its capture — recorded,
-//! with its launch count, only when it returns `Ok`, so an attempt that
-//! hit an OOM is not one — and every later forward of that key runs inside
-//! [`Gpu::graph_scope`]. A replayed forward still allocates inside the
-//! graph, as the trainer's steady frames do; a real CUDA graph fixes its
-//! addresses at capture.
+//! The first forward of a key runs eagerly and is its capture — recorded
+//! only when it returns `Ok`, so an attempt that hit an OOM is not one —
+//! and every later forward of that key runs inside [`Gpu::graph_scope`]
+//! ([`GraphCache`], the helper the trainer's preparing frames use too).
+//! A replayed forward still allocates inside the graph, as the trainer's
+//! frames do; a real CUDA graph fixes its addresses at capture.
 //!
 //! The host issues every forward: its compute stream waits for the host
 //! clock before anything is staged or launched, so a caller that moves the
@@ -39,7 +39,7 @@
 //! before that batch exists.
 
 use crate::ServeError;
-use pipad::exec::{ExecOptions, PipadExecutor};
+use pipad::exec::{ExecOptions, GraphCache, PipadExecutor};
 use pipad::{
     restore_checkpoint, run_fingerprint, GraphAnalyzer, InterFrameReuse, PartitionCatalog,
 };
@@ -49,7 +49,6 @@ use pipad_dyngraph::{DynamicGraph, FrameIter};
 use pipad_gpu_sim::{DeviceFault, Gpu, StreamId};
 use pipad_models::{build_model, DgnnModel, ModelKind, TrainingConfig};
 use pipad_tensor::Matrix;
-use std::collections::HashMap;
 use std::path::Path;
 
 /// What the serving engine must be told about the checkpointed model.
@@ -73,10 +72,6 @@ const S_PER: usize = 4;
 /// the checkpoint restored (the budget only grows).
 const GPU_CACHE_BUDGET: u64 = 8 << 20;
 
-/// A captured plan: the frame's start and, per partition, whether it skips
-/// its aggregation kernels.
-type PlanKey = (usize, Vec<bool>);
-
 /// A loaded model ready to serve frames of one dynamic graph.
 pub struct ServeEngine<'g> {
     graph: &'g DynamicGraph,
@@ -89,10 +84,9 @@ pub struct ServeEngine<'g> {
     copy: StreamId,
     /// Epochs the restored checkpoint had completed (provenance).
     trained_epochs: usize,
-    /// Each captured plan's launch count.
-    captured: HashMap<PlanKey, u64>,
-    /// Forwards that replayed a captured plan.
-    replays: u64,
+    /// Captured forward plans, keyed by the frame's start and, per
+    /// partition, whether it skips its aggregation kernels.
+    graphs: GraphCache<(usize, Vec<bool>)>,
 }
 
 impl<'g> ServeEngine<'g> {
@@ -150,8 +144,7 @@ impl<'g> ServeEngine<'g> {
             compute: gpu.default_stream(),
             copy: gpu.create_stream(),
             trained_epochs: restored.next_epoch,
-            captured: HashMap::new(),
-            replays: 0,
+            graphs: GraphCache::default(),
         })
     }
 
@@ -177,12 +170,12 @@ impl<'g> ServeEngine<'g> {
 
     /// Plans captured so far: one per distinct (frame, cached partitions).
     pub fn graph_captures(&self) -> usize {
-        self.captured.len()
+        self.graphs.captures()
     }
 
     /// Forwards so far that replayed a captured plan.
     pub fn graph_replays(&self) -> u64 {
-        self.replays
+        self.graphs.replays()
     }
 
     /// One full-frame forward through the training execution path; returns
@@ -230,26 +223,10 @@ impl<'g> ServeEngine<'g> {
             self.copy,
         )?;
         let plan = (frame_start, exec.layer1_cached().collect());
-        // The capture's launch count, if this plan was captured before.
-        let replay = self.captured.get(&plan).copied();
-        let launches = gpu.op_counters().launches;
         let mut tape = Tape::new(self.compute);
         let model = self.model.as_ref();
-        let mut forward = |gpu: &mut Gpu| model.forward_frame(gpu, &mut tape, &mut exec);
-        let out = match replay {
-            Some(_) => gpu.graph_scope(self.compute, forward)?,
-            None => forward(gpu)?,
-        };
-        let launched = gpu.op_counters().launches - launches;
-        match replay {
-            Some(n) => {
-                debug_assert_eq!(launched, n, "a replay of {plan:?} launched a new sequence");
-                self.replays += 1;
-            }
-            None => {
-                self.captured.insert(plan, launched);
-            }
-        }
+        let forward = |gpu: &mut Gpu| model.forward_frame(gpu, &mut tape, &mut exec);
+        let out = self.graphs.run(gpu, self.compute, plan, forward)?;
         let pred = tape.host(out.pred);
         tape.finish(gpu);
         exec.finish(gpu);

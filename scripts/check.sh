@@ -177,6 +177,24 @@ serving_has_one_batcher() {
     fi
 }
 
+# A CUDA graph is captured and replayed in one place, `core::exec`'s
+# `GraphCache`, which the trainer's preparing frames and the serving engine
+# both run through: serving calls no `graph_scope(` of its own, and no crate
+# declares a `captured` map outside `crates/core/src/exec.rs`.
+graph_capture_has_one_home() {
+    local hits
+    hits=$({
+        grep -rn 'graph_scope(' crates/serve/src
+        grep -rnE '\bcaptured: *(std::collections::)?(HashMap|BTreeMap)<' crates/*/src |
+            grep -v '^crates/core/src/exec\.rs:'
+    } || true)
+    if [[ -n $hits ]]; then
+        echo "$hits"
+        echo "ERROR: a graph capture outside pipad::exec::GraphCache" >&2
+        return 1
+    fi
+}
+
 # Every row of README's "Beyond the paper" table must name what measures it:
 # a `repro <name>` that is an `EXPERIMENTS` entry (name or alias), or a
 # `tests/<file>.rs` that exists. An extension with no result to point at
@@ -218,6 +236,7 @@ gate host_lane_has_one_owner
 gate overlap_extraction_has_one_home
 gate copy_retry_has_one_home
 gate serving_has_one_batcher
+gate graph_capture_has_one_home
 gate extensions_name_a_result
 gate cargo build --release
 gate cargo fmt --check

@@ -1,14 +1,15 @@
 //! One launch per frame for the work that used to launch once per timestep
 //! or once per parameter, and a steady frame that is one graph replay from
 //! forward to optimiser step: the launch census of a frame, the eager
-//! launches of a steady epoch, what a captured step does when the loss
-//! it guards is not finite, and a served frame that replays its capture.
+//! launches of a preparing and of a steady epoch, what a captured or
+//! replayed step does when the loss it guards is not finite, and a served
+//! frame that replays its capture.
 
 use pipad_repro::autograd::Tape;
 use pipad_repro::ckpt::{checkpoint_path, Checkpoint, CheckpointPolicy};
-use pipad_repro::dyngraph::{DatasetId, DynamicGraph, Scale};
+use pipad_repro::dyngraph::{DatasetId, DynamicGraph, FrameIter, Scale};
 use pipad_repro::gpu_sim::{
-    ArgValue, DeviceConfig, FaultPlan, Gpu, KernelCategory, SampleKind, TraceEvent,
+    ArgValue, DeviceConfig, FaultPlan, Gpu, KernelCategory, SampleKind, TraceEvent, TraceKind,
 };
 use pipad_repro::models::{build_model, DirectExecutor, ModelKind, TrainingConfig};
 use pipad_repro::pipad::{train_pipad, PipadConfig};
@@ -115,6 +116,29 @@ fn a_steady_epoch_launches_nothing_outside_a_graph() {
     }
 }
 
+/// A preparing epoch replays what it captured: the second of two
+/// preparing epochs finds every snapshot's layer-1 aggregation in the CPU
+/// reuse tier, so all its frames share one topology, and only its first
+/// frame, the capture, launches eagerly.
+#[test]
+fn a_preparing_epoch_launches_eagerly_only_its_captures() {
+    let graph = covid();
+    let cfg = tiny_cfg(2);
+    let frames = FrameIter::count_frames(&graph, cfg.window) as u64;
+    for kind in ModelKind::ALL {
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let r = train_pipad(&mut gpu, kind, &graph, 8, &cfg, &PipadConfig::default()).unwrap();
+        let epoch = gpu.trace().events().iter().filter(|e| e.name == "epoch");
+        let last = epoch.last().unwrap();
+        let events = gpu.trace().events();
+        let kernels = events.iter().filter(|e| e.kind == TraceKind::Kernel);
+        let launches = kernels.filter(|e| e.ts >= last.ts && e.end() <= last.end());
+        let eager = r.epochs[1].eager_launches;
+        assert!(eager > 0, "{kind:?}: the capture launches eagerly");
+        assert_eq!(launches.count() as u64, frames * eager, "{kind:?}");
+    }
+}
+
 fn recovery_policies(gpu: &Gpu) -> Vec<(ArgValue, ArgValue)> {
     let arg = |e: &TraceEvent, key: &str| e.args.iter().find(|(k, _)| *k == key).unwrap().1.clone();
     let events = gpu.trace().events().iter().filter(|e| e.name == "recovery");
@@ -187,6 +211,107 @@ fn a_poisoned_loss_launches_its_step_and_writes_nothing() {
         let steps = |launched: &[&str]| launched.iter().filter(|&&k| k == "sgd_step").count();
         assert_eq!(steps(&kernels(&gpu)), steps(&launched), "{kind:?}");
         assert_eq!(steps(&launched), 3, "{kind:?}");
+    }
+}
+
+/// A preparing frame's step is captured, or replayed, with its SGD launch
+/// in it, as a steady frame's is. With one frame per epoch and three
+/// preparing epochs, epoch 1's frame captures the all-cached topology and
+/// epoch 2's replays it: a poisoned prediction in either leaves the
+/// parameters of the epoch before bit for bit and records one `nan_skip`.
+#[test]
+fn a_poisoned_preparing_frame_writes_nothing_captured_or_replayed() {
+    let graph = covid();
+    let cfg = TrainingConfig {
+        window: graph.len() - 1,
+        preparing_epochs: 3,
+        ..tiny_cfg(3)
+    };
+    let kernels = |gpu: &Gpu| -> Vec<&'static str> {
+        let samples = gpu.profiler().samples().iter();
+        let kernels = samples.filter(|s| matches!(s.kind, SampleKind::Kernel(_)));
+        kernels.map(|s| s.name).collect()
+    };
+    for kind in ModelKind::ALL {
+        let dir = std::env::temp_dir().join(format!(
+            "pipad-preparing-nan-{kind:?}-{}",
+            std::process::id()
+        ));
+        let run = |plan: FaultPlan| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let pcfg = PipadConfig {
+                checkpoint: Some(CheckpointPolicy {
+                    keep: 0,
+                    ..CheckpointPolicy::new(&dir, 1)
+                }),
+                ..Default::default()
+            };
+            let mut gpu = Gpu::new(DeviceConfig::v100());
+            gpu.install_faults(plan);
+            let r = train_pipad(&mut gpu, kind, &graph, 8, &cfg, &pcfg).unwrap();
+            assert!(r.epochs.iter().all(|e| e.epoch < 3));
+            let params: Vec<Vec<u8>> = (0..3)
+                .map(|epoch| {
+                    let ckpt = Checkpoint::read(&checkpoint_path(&dir, epoch)).unwrap();
+                    ckpt.section("params").unwrap().to_vec()
+                })
+                .collect();
+            std::fs::remove_dir_all(&dir).unwrap();
+            (gpu, params)
+        };
+        let (clean, clean_params) = run(FaultPlan::default());
+        assert_ne!(
+            clean_params[1], clean_params[2],
+            "{kind:?}: a clean frame steps"
+        );
+        let launched = kernels(&clean);
+        let seeds: Vec<usize> = (0..launched.len())
+            .filter(|&i| launched[i] == "mse_grad")
+            .collect();
+        assert_eq!(seeds.len(), 3, "{kind:?}: one frame per epoch");
+
+        for (epoch, replayed) in [(1, false), (2, true)] {
+            // Poison the prediction: the frame's last bias add before
+            // backward seeds its gradient.
+            let pred = launched[..seeds[epoch]]
+                .iter()
+                .rposition(|&k| k == "add_bias");
+            let plan = FaultPlan {
+                poison_launches: vec![pred.unwrap() as u64],
+                ..Default::default()
+            };
+            let (gpu, params) = run(plan);
+            assert_eq!(
+                params[epoch],
+                params[epoch - 1],
+                "{kind:?}: the skipped step of epoch {epoch} wrote parameters"
+            );
+            assert_eq!(
+                recovery_policies(&gpu),
+                [(
+                    ArgValue::Str("nan_skip".into()),
+                    ArgValue::U64(epoch as u64)
+                )],
+                "{kind:?}"
+            );
+            // The capture launches its step all the same, so that its
+            // replays launch the same kernels.
+            let steps = |launched: &[&str]| launched.iter().filter(|&&k| k == "sgd_step").count();
+            assert_eq!(steps(&kernels(&gpu)), steps(&launched), "{kind:?}");
+            let graphs = gpu
+                .trace()
+                .events()
+                .iter()
+                .filter(|e| e.name == "cuda_graph_launch");
+            let mut epochs = gpu.trace().events().iter().filter(|e| e.name == "epoch");
+            let span = epochs.nth(epoch).unwrap();
+            let in_epoch = graphs.filter(|g| g.ts >= span.ts && g.end() <= span.end());
+            assert_eq!(
+                in_epoch.count(),
+                usize::from(replayed),
+                "{kind:?} epoch {epoch}"
+            );
+        }
     }
 }
 
