@@ -79,6 +79,9 @@ enum Op {
         exclusives: Vec<Rc<SlicedCsr>>,
         xs: Vec<Var>,
         inv_degs: Vec<Rc<Vec<f32>>>,
+        /// The members the sweep reached, set by the split of this node's
+        /// output when that split is all that fed it; `None`: every member.
+        live: Option<Vec<bool>>,
     },
     RowScale {
         x: Var,
@@ -514,6 +517,7 @@ impl Tape {
                 exclusives,
                 xs,
                 inv_degs,
+                live: None,
             },
             rg,
             cat,
@@ -1157,30 +1161,26 @@ impl Tape {
     /// Per-member half of [`Op::SpmmPartition`]'s backward: map
     /// each live member's block of the scaled upstream `g_scaled` through
     /// its exclusive adjacency and add its block of the overlap pass.
+    #[allow(clippy::too_many_arguments)]
     fn partition_members_backward(
         &mut self,
         gpu: &mut Gpu,
         cat: KernelCategory,
         exclusives: &[Rc<SlicedCsr>],
         xs: &[Var],
+        live: Option<&[bool]>,
         g_scaled: &DeviceMatrix,
         over_grad: Option<&DeviceMatrix>,
     ) -> Result<(), OomError> {
         let s = self.stream;
         let mut col = 0;
-        for (excl, &x) in exclusives.iter().zip(xs) {
+        for (m, (excl, &x)) in exclusives.iter().zip(xs).enumerate() {
             let (rows, width) = self.shape(x);
             let cols = col..col + width;
             col += width;
-            if !self.requires(x) {
-                continue;
-            }
-            // Dead-member pruning: a member whose output never fed
-            // the loss has an all-zero upstream slice; launching its
-            // backward kernels would be pure waste (the unfused
-            // one-snapshot path skips them by graph reachability).
-            let gh = g_scaled.host();
-            if (0..gh.rows()).all(|r| gh.row(r)[cols.clone()].iter().all(|&v| v == 0.0)) {
+            // An unreached member launches nothing, as the one-snapshot
+            // path skips a node without a gradient: never decided by value.
+            if !self.requires(x) || live.is_some_and(|live| !live[m]) {
                 continue;
             }
             // member slice of the upstream (view)
@@ -1219,6 +1219,15 @@ impl Tape {
         parts: std::ops::Range<usize>,
     ) -> Result<(), OomError> {
         let cat = self.nodes[parts.start].category;
+        if matches!(self.nodes[x.0].op, Op::SpmmPartition { .. }) {
+            // Valid only while this split is all that feeds the partition.
+            let only_feed = self.nodes[x.0].grad.is_none() && parts.start == x.0 + 1;
+            let reached = parts.clone().map(|p| self.nodes[p].grad.is_some());
+            let reached = only_feed.then(|| reached.collect());
+            if let Op::SpmmPartition { live, .. } = &mut self.nodes[x.0].op {
+                *live = reached;
+            }
+        }
         let dx = {
             let mut placed = Vec::with_capacity(parts.len());
             let mut from = 0;
@@ -1311,6 +1320,7 @@ impl Tape {
                 exclusives,
                 xs,
                 inv_degs,
+                live,
             } => {
                 // d/d(raw) = per-member scaled upstream; then the symmetric
                 // adjacency maps it back: one parallel pass over the overlap
@@ -1330,8 +1340,9 @@ impl Tape {
                     None => None,
                 };
                 let over = over_grad.as_ref();
-                let res =
-                    self.partition_members_backward(gpu, cat, exclusives, xs, &g_scaled, over);
+                let live = live.as_deref();
+                let res = self
+                    .partition_members_backward(gpu, cat, exclusives, xs, live, &g_scaled, over);
                 if let Some(og) = over_grad {
                     og.release(gpu);
                 }
@@ -1898,6 +1909,66 @@ mod tests {
         let gw = gw.unwrap();
         let nw = numeric_grad(&mut gpu, &w, |gpu| run(gpu, &w, false).0);
         assert!(gw.approx_eq(&nw, 2e-2), "analytic {gw:?} numeric {nw:?}");
+    }
+
+    /// A member the sweep reaches runs its backward even when its upstream
+    /// slice is all zero; a member it does not reach launches nothing.
+    #[test]
+    fn partition_members_are_pruned_by_reachability_not_by_value() {
+        let (mut gpu, s) = setup();
+        let n = 4;
+        let ring = [(0u32, 1u32), (1, 0), (2, 3), (3, 2)];
+        let adj = Rc::new(SlicedCsr::from_csr(&Csr::from_edges(n, n, &ring)));
+        let inv = Rc::new(vec![0.5; n]);
+        let w = shared(&mut gpu, uniform(&mut seeded_rng(40), 2, 2, 1.0));
+        let target = Matrix::zeros(n, 2);
+        let upd = KernelCategory::Update;
+        // The aggregation launches of the backward sweep.
+        let mut backward_aggregations = |zeroed_second: bool| {
+            let mut tape = Tape::new(s);
+            let x = uniform(&mut seeded_rng(41), n, 2, 1.0);
+            let x = tape.input(DeviceMatrix::alloc(&mut gpu, x).unwrap());
+            let wv = tape.param(&w);
+            let h = tape.matmul(&mut gpu, x, wv, upd).unwrap();
+            let h2 = tape.tanh(&mut gpu, h, upd).unwrap();
+            let agg = tape
+                .spmm_partition(
+                    &mut gpu,
+                    None,
+                    vec![Rc::clone(&adj), Rc::clone(&adj)],
+                    vec![h, h2],
+                    vec![Rc::clone(&inv), Rc::clone(&inv)],
+                )
+                .unwrap();
+            let views = tape
+                .split_cols(&mut gpu, agg, &[2, 2], KernelCategory::Aggregation)
+                .unwrap();
+            let out = if zeroed_second {
+                let zero = tape
+                    .affine_const(&mut gpu, views[1], 0.0, 0.0, upd)
+                    .unwrap();
+                tape.add(&mut gpu, views[0], zero, upd).unwrap()
+            } else {
+                views[0]
+            };
+            let snap = gpu.profiler().snapshot();
+            tape.backward_mse(&mut gpu, out, &target).unwrap();
+            let samples = gpu.profiler().samples().since(snap);
+            let launched = samples.iter().filter(|s| s.name == "spmm_sliced_parallel");
+            let launched = launched.count();
+            tape.finish(&mut gpu);
+            launched
+        };
+        assert_eq!(
+            backward_aggregations(true),
+            2,
+            "a reached member's gradient is zero"
+        );
+        assert_eq!(
+            backward_aggregations(false),
+            1,
+            "the second member is not reached"
+        );
     }
 
     fn shared_param_helper(gpu: &mut Gpu, m: Matrix) -> SharedParam {

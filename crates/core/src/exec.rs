@@ -20,14 +20,11 @@ use crate::prep::{PartitionCatalog, PartitionPlan};
 use crate::reuse::{Cached, InterFrameReuse};
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_gpu_sim::{
-    ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, StreamId, TraceKind,
+    graph_key, ArgValue, DeviceFault, Event, Gpu, KernelCategory, Lane, OomError, StreamId,
 };
 use pipad_kernels::{DeviceCsr, DeviceMatrix, DeviceSliced};
 use pipad_sparse::{Csr, SlicedCsr};
 use pipad_tensor::Matrix;
-use std::collections::HashMap;
-use std::fmt::Debug;
-use std::hash::Hash;
 use std::rc::Rc;
 
 /// Per-snapshot staged state inside a partition.
@@ -143,7 +140,7 @@ impl PartitionState {
 }
 
 /// Configuration for staging a PiPAD frame.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct ExecOptions {
     /// The snapshots-per-partition setting in effect.
     pub s_per: usize,
@@ -164,7 +161,7 @@ pub struct PipadExecutor<'r> {
     partitions: Vec<PartitionState>,
     reuse: Option<&'r mut InterFrameReuse>,
     compute: StreamId,
-    weight_reuse: bool,
+    opts: ExecOptions,
 }
 
 impl<'r> PipadExecutor<'r> {
@@ -278,16 +275,21 @@ impl<'r> PipadExecutor<'r> {
             partitions,
             reuse,
             compute,
-            weight_reuse: opts.weight_reuse,
+            opts,
         })
     }
 
-    /// Per partition, in frame order: whether reuse covers every member's
-    /// layer-1 aggregation, so the partition launches no aggregation
-    /// kernels. With the frame's start this fixes the frame's kernel
-    /// sequence.
-    pub fn layer1_cached(&self) -> impl Iterator<Item = bool> + '_ {
-        self.partitions.iter().map(|p| p.layer1_cached)
+    /// The key of the frame's CUDA graph: a hash of exactly the staged facts
+    /// its kernel sequence follows from — the options, each partition's size
+    /// and `layer1_cached` flag, and which exclusive parts of a partition
+    /// with an overlap split are empty (those launch no exclusive pass).
+    pub fn graph_key(&self) -> u64 {
+        let partitions = self.partitions.iter().map(|p| {
+            let empty = p.exclusives.iter().map(|e| e.nnz() == 0);
+            let empty: Option<Vec<bool>> = p.overlap.as_ref().map(|_| empty.collect());
+            (p.slots.len(), p.layer1_cached, empty)
+        });
+        graph_key(&(self.opts, partitions.collect::<Vec<_>>()))
     }
 
     /// Parallel aggregation of one partition via the fused
@@ -417,7 +419,7 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
         b: Var,
     ) -> Result<Vec<Var>, OomError> {
         let cat = KernelCategory::Update;
-        if !self.weight_reuse || xs.len() == 1 {
+        if !self.opts.weight_reuse || xs.len() == 1 {
             return xs
                 .iter()
                 .map(|&x| {
@@ -451,82 +453,6 @@ impl PipadExecutor<'_> {
     /// Release the frame's adjacency allocations and unconsumed staging.
     pub fn finish(self, gpu: &mut Gpu) {
         self.partitions.into_iter().for_each(|p| p.free(gpu));
-    }
-}
-
-/// CUDA graphs captured by earlier steps, keyed by what fixes a step's
-/// kernel sequence (§4.2: a frame's many small kernels launch as one graph).
-///
-/// [`GraphCache::run`] runs the first step of a key eagerly: that step is
-/// the key's capture, recorded only when it returns `Ok`, so an attempt
-/// that hit an OOM is not one. Every later step of the key is a replay
-/// inside [`Gpu::graph_scope`]. A replay may run with other operands than
-/// its capture — CUDA's `cudaGraphExecUpdate` case: same topology, new
-/// parameters — and debug builds check that it launches the capture's
-/// kernel-name sequence. Nothing here outlives the process: a restarted
-/// run has no instantiated graphs and captures afresh.
-pub struct GraphCache<K> {
-    /// Each captured key's kernel names, in launch order (left empty in
-    /// release builds, which check nothing).
-    captured: HashMap<K, Vec<&'static str>>,
-    replays: u64,
-}
-
-impl<K> Default for GraphCache<K> {
-    fn default() -> Self {
-        GraphCache {
-            captured: HashMap::new(),
-            replays: 0,
-        }
-    }
-}
-
-impl<K: Eq + Hash + Debug> GraphCache<K> {
-    /// Run `step` on `stream`: as a graph replay if `key` was captured
-    /// before, else eagerly as `key`'s capture.
-    pub fn run<R, E>(
-        &mut self,
-        gpu: &mut Gpu,
-        stream: StreamId,
-        key: K,
-        step: impl FnOnce(&mut Gpu) -> Result<R, E>,
-    ) -> Result<R, E> {
-        let snap = gpu.profiler().snapshot();
-        let launched = |gpu: &Gpu| -> Vec<&'static str> {
-            if !cfg!(debug_assertions) {
-                return Vec::new();
-            }
-            let events = gpu.trace().events().since(snap);
-            let kernels = events.iter().filter(|e| e.kind == TraceKind::Kernel);
-            kernels.map(|e| e.name).collect()
-        };
-        match self.captured.get(&key) {
-            Some(captured) => {
-                let out = gpu.graph_scope(stream, step)?;
-                debug_assert_eq!(
-                    &launched(gpu),
-                    captured,
-                    "a replay of {key:?} launched another kernel sequence"
-                );
-                self.replays += 1;
-                Ok(out)
-            }
-            None => {
-                let out = step(gpu)?;
-                self.captured.insert(key, launched(gpu));
-                Ok(out)
-            }
-        }
-    }
-
-    /// Keys captured so far.
-    pub fn captures(&self) -> usize {
-        self.captured.len()
-    }
-
-    /// Steps so far that replayed a capture.
-    pub fn replays(&self) -> u64 {
-        self.replays
     }
 }
 
@@ -856,7 +782,7 @@ mod tests {
                 copy,
             )
             .unwrap();
-            assert!(exec.layer1_cached().all(|c| c));
+            assert!(exec.partitions.iter().all(|p| p.layer1_cached));
             let since = gpu.profiler().samples().since(snap);
             let preps = since.iter().filter(|s| s.name == "partition_prep").count();
             let what = format!("{resident} resident, adjacency {needs_adj}");

@@ -62,8 +62,8 @@
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
 use pipad_gpu_sim::{
-    export_chrome_trace, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane, OomError,
-    SimNanos, StreamId,
+    export_chrome_trace, graph_key, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane,
+    OomError, SimNanos, StreamId,
 };
 use pipad_kernels::{sgd_step, DeviceMatrix};
 use pipad_models::{
@@ -286,13 +286,17 @@ fn release_shared(gpu: &mut Gpu, x: SharedParam) {
     }
 }
 
-/// Run `f` as one CUDA-graph replay on `stream` in steady epochs (§4.2),
-/// launch by launch in preparing ones.
-fn replay<R>(gpu: &mut Gpu, stream: StreamId, steady: bool, f: impl FnOnce(&mut Gpu) -> R) -> R {
-    if steady {
-        gpu.graph_scope(stream, f)
-    } else {
-        f(gpu)
+/// Run `f` on `stream` as a replay of graph `key` (steady epochs, §4.2),
+/// or launch by launch without one (preparing epochs).
+fn replay<R, E>(
+    gpu: &mut Gpu,
+    stream: StreamId,
+    key: Option<u64>,
+    f: impl FnOnce(&mut Gpu) -> Result<R, E>,
+) -> Result<R, E> {
+    match key {
+        Some(key) => gpu.graph_scope(stream, key, f),
+        None => f(gpu),
     }
 }
 
@@ -636,6 +640,8 @@ pub fn train_data_parallel_devices(
             let mut frame_sse = 0.0f32;
             // Sweep-1 completion per shard: what its halo gradients wait on.
             let mut swept = Vec::with_capacity(shards);
+            // Which slots reuse serves fixes a shard-frame's kernel sequence.
+            let slots_cached: Vec<bool> = cached.iter().map(Option::is_some).collect();
             for s in 0..shards {
                 let p = owner[s];
                 let (compute, _) = streams[p];
@@ -644,7 +650,8 @@ pub fn train_data_parallel_devices(
                 let mut tape = Tape::new(compute);
                 let (lo, hi) = shard_ranges[s];
                 let t_local = target_full.slice_rows(lo, hi);
-                let (out, sse) = replay(gpu, compute, steady, |gpu| -> Result<_, OomError> {
+                let key = steady.then(|| graph_key(&("forward", s, &slots_cached)));
+                let (out, sse) = replay(gpu, compute, key, |gpu| -> Result<_, OomError> {
                     let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
                     tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
                     let sse = tape.sse_loss(gpu, out.pred, &t_local);
@@ -673,7 +680,7 @@ pub fn train_data_parallel_devices(
                 for q in 0..shards {
                     let (compute, _) = streams[owner[q]];
                     let gpu = &mut gpus[owner[q]];
-                    let mut seeds = Vec::new();
+                    let (mut seeds, mut seeded) = (Vec::new(), Vec::new());
                     for i in 0..nslots {
                         let mut seed: Option<Matrix> = None;
                         let mut produced = SimNanos::ZERO;
@@ -700,8 +707,11 @@ pub fn train_data_parallel_devices(
                             frame_halo += bytes;
                         }
                         seeds.push((execs[q].as_ref().unwrap().hidden_vars[i], seed));
+                        seeded.push(i);
                     }
-                    replay(gpu, compute, steady && !seeds.is_empty(), |gpu| {
+                    let key =
+                        (steady && !seeds.is_empty()).then(|| graph_key(&("halo", q, seeded)));
+                    replay(gpu, compute, key, |gpu| {
                         for (root, seed) in seeds {
                             let dm = DeviceMatrix::alloc(gpu, seed)?;
                             tapes[q].backward_seed_only(gpu, root, dm)?;
@@ -786,9 +796,11 @@ pub fn train_data_parallel_devices(
                         summed[k].as_ref().map(|g| (&*param.value, g))
                     })
                     .collect();
-                replay(gpu, compute, steady, |gpu| {
-                    sgd_step(gpu, compute, &pairs, cfg.lr, frame_sse.is_finite())
-                });
+                let key = steady.then(|| graph_key(&"sgd_step"));
+                replay(gpu, compute, key, |gpu| {
+                    sgd_step(gpu, compute, &pairs, cfg.lr, frame_sse.is_finite());
+                    Ok::<_, OomError>(())
+                })?;
             }
             summed.into_iter().flatten().for_each(Matrix::recycle);
             // A skipped step is recorded once, on device 0, at the barrier.

@@ -10,10 +10,10 @@
 //! * **preparing epochs** train one snapshot at a time with asynchronous
 //!   transfers while collecting the statistics the tuner needs (per-frame
 //!   peak memory, compute time, transfer volume) and populating the
-//!   CPU-side reuse store. With one snapshot per partition, which
-//!   partitions reuse serves fixes a frame's kernel sequence: the first
-//!   frame of each such topology launches eagerly and is captured as a
-//!   CUDA graph, and every later one replays it ([`GraphCache`]). No
+//!   CPU-side reuse store. A frame's staged structure
+//!   ([`PipadExecutor::graph_key`]) fixes its kernel sequence: the first
+//!   frame of each key launches eagerly and is captured as a CUDA graph,
+//!   and every later one replays it ([`Gpu::capture_or_replay`]). No
 //!   partition of one snapshot reads an overlap split, so overlap
 //!   extraction runs under them: the last preparing epoch queues it on the
 //!   host lane after its frames' loader work, and the epoch ends when the
@@ -21,14 +21,14 @@
 //! * the tuner then fixes `S_per` per frame ("we only perform this
 //!   procedure once and stick to the generated configurations"), once the
 //!   host lane has finished the extraction it reads;
-//! * **steady epochs** run partition-parallel with inter-frame reuse, the
-//!   non-GNN kernel stream in CUDA-graph mode, and transfers overlapping
-//!   compute on separate lanes.
+//! * **steady epochs** run partition-parallel with inter-frame reuse, each
+//!   frame one replay of its key's CUDA graph ([`Gpu::graph_scope`]), and
+//!   transfers overlapping compute on separate lanes.
 
 use crate::analyzer::GraphAnalyzer;
 use crate::checkpoint::CkptExtra;
 use crate::driver::{run_epochs, train_step, EpochPolicy, RunCx};
-use crate::exec::{ExecOptions, GraphCache, PipadExecutor};
+use crate::exec::{ExecOptions, PipadExecutor};
 use crate::prep::PartitionCatalog;
 use crate::reuse::InterFrameReuse;
 use crate::tuner::{DynamicTuner, FrameProfile};
@@ -144,10 +144,6 @@ struct PipadPolicy<'a> {
     analyzer: GraphAnalyzer,
     catalog: PartitionCatalog,
     state: PipadState,
-    /// Preparing frames' CUDA graphs, keyed by their per-partition
-    /// [`PipadExecutor::layer1_cached`] flags. Not checkpointed: a resumed
-    /// process has no instantiated graphs.
-    graphs: GraphCache<Vec<bool>>,
     /// Buffer-pool counters at run start (for the trace-meta delta).
     pool_run0: PoolStats,
 }
@@ -166,7 +162,6 @@ impl<'a> PipadPolicy<'a> {
             analyzer,
             catalog,
             state: PipadState::default(),
-            graphs: GraphCache::default(),
             pool_run0,
         }
     }
@@ -220,7 +215,7 @@ impl EpochPolicy for PipadPolicy<'_> {
         frame: &Frame<'_>,
     ) -> Result<f32, DeviceFault> {
         let (pcfg, preparing) = (self.pcfg, self.preparing);
-        let (st, graphs) = (&mut self.state, &mut self.graphs);
+        let st = &mut self.state;
         let is_preparing = epoch < preparing;
         let feats: Vec<&Matrix> = frame.snapshots().iter().map(|s| &s.features).collect();
         let mut s_per_eff = if is_preparing {
@@ -270,21 +265,19 @@ impl EpochPolicy for PipadPolicy<'_> {
                 let mut tape = Tape::new(compute);
                 let target = cx.graph.target_for(frame.last_index());
                 let lr = cx.cfg.lr;
-                // While preparing (one snapshot per partition, fixed
-                // options), which partitions reuse serves fixes the frame's
-                // kernel sequence: that is its graph's key.
-                let topology: Option<Vec<bool>> =
-                    (use_graph && is_preparing).then(|| exec.layer1_cached().collect());
                 // The whole frame — forward, loss, backward, optimiser step —
                 // is one graph replay in steady epochs; a preparing frame
-                // replays the capture of an earlier frame of its topology.
+                // replays the capture of an earlier frame with its key.
+                let key = exec.graph_key();
                 let mut step = |gpu: &mut Gpu| {
                     train_step(gpu, model, &mut tape, &mut exec, target, lr, use_graph)
                 };
-                let loss = match topology {
-                    Some(key) => graphs.run(gpu, compute, key, step)?,
-                    None if use_graph => gpu.graph_scope(compute, step)?,
-                    None => step(gpu)?,
+                let loss = if !use_graph {
+                    step(gpu)?
+                } else if is_preparing {
+                    gpu.capture_or_replay(compute, key, step)?
+                } else {
+                    gpu.graph_scope(compute, key, step)?
                 };
                 tape.finish(gpu);
                 exec.finish(gpu);
@@ -704,20 +697,31 @@ mod tests {
     }
 
     /// A preparing frame replays the graph of the first frame with its
-    /// topology: only those captures launch eagerly, every replay launches
-    /// its capture's kernels, and the losses are those of an all-eager run.
+    /// key: only those captures launch eagerly, every replay launches its
+    /// capture's kernels, and the losses are those of an all-eager run.
+    /// EvolveGCN on amz-Automotive, as its Fig. 10 cell trains, has members
+    /// that the backward reaches with an all-zero gradient.
     #[test]
     fn preparing_frames_replay_their_captured_topology() {
-        let g = tiny_graph();
-        let cfg = tiny_cfg();
-        for model in ModelKind::ALL {
+        let covid = tiny_graph();
+        let amz = DatasetId::AmzAutomotive.gen_config(Scale::Tiny).generate();
+        let fig10 = TrainingConfig {
+            window: 16,
+            seed: 7,
+            ..tiny_cfg()
+        };
+        let amz_hidden = DatasetId::AmzAutomotive.hidden_dim();
+        let cells = ModelKind::ALL.map(|m| (m, &covid, 8, tiny_cfg()));
+        let cells = cells.into_iter();
+        let cells = cells.chain([(ModelKind::EvolveGcn, &amz, amz_hidden, fig10)]);
+        for (model, g, hidden, cfg) in cells {
             let run = |cuda_graph| {
                 let pcfg = PipadConfig {
                     cuda_graph,
                     ..Default::default()
                 };
                 let mut gpu = Gpu::new(DeviceConfig::v100());
-                let r = train_pipad(&mut gpu, model, &g, 8, &cfg, &pcfg).unwrap();
+                let r = train_pipad(&mut gpu, model, g, hidden, &cfg, &pcfg).unwrap();
                 (gpu, r)
             };
             let (gpu, r) = run(true);

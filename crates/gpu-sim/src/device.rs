@@ -26,6 +26,9 @@ use crate::profiler::Profiler;
 use crate::schedule::schedule_blocks;
 use crate::time::SimNanos;
 use crate::trace::{ArgValue, KernelArgs, Lane, TraceKind, Tracer};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Direction of a PCIe transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -62,6 +65,12 @@ pub struct Gpu {
     streams: Vec<SimNanos>,
     host_lane: SimNanos,
     graph_mode: bool,
+    /// Each captured CUDA graph's launch digest, by key. Not part of the
+    /// clock: a restored device has instantiated no graphs.
+    graphs: HashMap<u64, u64>,
+    /// Digests the kernel names the graph scope in progress launches.
+    recording: Option<DefaultHasher>,
+    graph_replays: u64,
     /// The fault-injection session (see [`crate::faults`]); a fresh
     /// device runs `FaultPlan::default()`, which injects nothing.
     faults: FaultSession,
@@ -86,6 +95,9 @@ impl Gpu {
             streams: vec![SimNanos::ZERO], // default stream 0
             host_lane: SimNanos::ZERO,
             graph_mode: false,
+            graphs: HashMap::new(),
+            recording: None,
+            graph_replays: 0,
             faults: FaultSession::new(FaultPlan::default()),
             alloc_attempts: 0,
             copy_ops: 0,
@@ -343,6 +355,9 @@ impl Gpu {
         let launch_index = self.launches;
         self.launches += 1;
         self.eager_launches += u64::from(!self.graph_mode);
+        if let Some(digest) = &mut self.recording {
+            cost.name.hash(digest);
+        }
         self.check_crash_counter(CrashCounter::Launches, launch_index, self.now());
         let (mut busy, balanced, (imb_num, imb_den)) = self.kernel_busy_ratio(&cost);
         let straggler_milli = self.faults.straggler_multiplier(launch_index);
@@ -400,30 +415,79 @@ impl Gpu {
         Event(end)
     }
 
-    /// Run `f` with CUDA-graph launch semantics on `stream`: one fixed
-    /// whole-graph replay overhead up front, then every `launch` inside pays
-    /// only the per-kernel graph cost. Models §4.2's "launch these kernels
-    /// together with the CUDA Graph API".
-    pub fn graph_scope<R>(&mut self, stream: StreamId, f: impl FnOnce(&mut Gpu) -> R) -> R {
-        let was = self.graph_mode;
-        if !was {
-            let start = self.streams[stream.0].max(self.compute_cursor);
-            let end = start + SimNanos::from_nanos(self.cfg.graph_launch_ns);
-            self.streams[stream.0] = end;
-            self.compute_cursor = end;
-            self.tracer.span(
-                "cuda_graph_launch",
-                TraceKind::Span,
-                Lane::Stream(stream.0),
-                start,
-                end,
-                vec![],
-            );
-        }
+    /// Run `f` as a replay of CUDA graph `key` on `stream` (§4.2): one fixed
+    /// whole-graph launch overhead, then each `launch` inside pays only the
+    /// per-kernel graph cost. A key's first scope is its capture. CUDA
+    /// replays a graph with new operands only while its topology holds, so
+    /// a later scope of the key that launches another kernel-name sequence
+    /// panics. A scope whose `f` returns `Err` captures and checks nothing.
+    pub fn graph_scope<R, E>(
+        &mut self,
+        stream: StreamId,
+        key: u64,
+        f: impl FnOnce(&mut Gpu) -> Result<R, E>,
+    ) -> Result<R, E> {
+        let start = self.streams[stream.0].max(self.compute_cursor);
+        let end = start + SimNanos::from_nanos(self.cfg.graph_launch_ns);
+        self.streams[stream.0] = end;
+        self.compute_cursor = end;
+        self.tracer.span(
+            "cuda_graph_launch",
+            TraceKind::Span,
+            Lane::Stream(stream.0),
+            start,
+            end,
+            vec![],
+        );
         self.graph_mode = true;
-        let r = f(self);
-        self.graph_mode = was;
+        let r = self.recorded(key, f);
+        self.graph_mode = false;
         r
+    }
+
+    /// Run `f` on `stream` as graph `key`: a [`Gpu::graph_scope`] replay if
+    /// the key was captured, else launch by launch as the key's capture.
+    pub fn capture_or_replay<R, E>(
+        &mut self,
+        stream: StreamId,
+        key: u64,
+        f: impl FnOnce(&mut Gpu) -> Result<R, E>,
+    ) -> Result<R, E> {
+        if self.graphs.contains_key(&key) {
+            self.graph_scope(stream, key, f)
+        } else {
+            self.recorded(key, f)
+        }
+    }
+
+    /// Run `f`; on `Ok`, capture `key` with its launch digest or check it.
+    fn recorded<R, E>(
+        &mut self,
+        key: u64,
+        f: impl FnOnce(&mut Gpu) -> Result<R, E>,
+    ) -> Result<R, E> {
+        let outer = self.recording.replace(DefaultHasher::new());
+        assert!(outer.is_none(), "graph scopes do not nest");
+        let r = f(self);
+        let digest = self.recording.take().expect("the scope's digest").finish();
+        if r.is_ok() {
+            if let Some(captured) = self.graphs.insert(key, digest) {
+                let what = "a replay launched another kernel sequence than its capture";
+                assert_eq!(captured, digest, "graph {key:#018x}: {what}");
+                self.graph_replays += 1;
+            }
+        }
+        r
+    }
+
+    /// CUDA graphs captured so far: keys whose first scope returned `Ok`.
+    pub fn graph_captures(&self) -> usize {
+        self.graphs.len()
+    }
+
+    /// Scopes so far that replayed a captured graph and returned `Ok`.
+    pub fn graph_replays(&self) -> u64 {
+        self.graph_replays
     }
 
     // ---- transfers ------------------------------------------------------
@@ -694,6 +758,13 @@ pub struct DeviceClock {
     pub host: SimNanos,
 }
 
+/// A graph key: the hash of whatever fixes the scope's kernel sequence.
+pub fn graph_key(parts: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    parts.hash(&mut h);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,11 +850,13 @@ mod tests {
 
         let mut g2 = gpu();
         let s2 = g2.default_stream();
-        g2.graph_scope(s2, |g| {
+        g2.graph_scope(s2, 0, |g| {
             for _ in 0..50 {
                 g.launch(s2, small_kernel());
             }
-        });
+            Ok::<_, ()>(())
+        })
+        .unwrap();
         let graphed = g2.now();
         assert!(graphed < individual, "graphed={graphed} ind={individual}");
     }
@@ -1098,9 +1171,93 @@ mod tests {
         g.h2d(s, 1024, true);
         g.d2h(s, 1024, true);
         let _ = g.alloc(64).unwrap();
-        g.graph_scope(s, |g| g.launch(s, small_kernel()));
+        g.graph_scope(s, 0, |g| Ok::<_, ()>(g.launch(s, small_kernel())))
+            .unwrap();
         let c = g.op_counters();
         assert_eq!((c.allocs, c.copy_ops, c.launches), (1, 2, 2));
         assert_eq!(c.eager_launches, 1, "the graphed launch is not eager");
+    }
+
+    fn named(name: &'static str) -> KernelCost {
+        KernelCost::new(name, KernelCategory::Other).flops(1_000)
+    }
+
+    /// Launch `names` in order as one scope's body.
+    fn launches<'a>(names: &'a [&'static str]) -> impl FnOnce(&mut Gpu) -> Result<(), ()> + 'a {
+        move |g| {
+            let s = g.default_stream();
+            for &n in names {
+                g.launch(s, named(n));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another kernel sequence")]
+    fn a_replay_of_another_kernel_sequence_panics() {
+        let mut g = gpu();
+        let s = g.default_stream();
+        g.graph_scope(s, 7, launches(&["a", "b"])).unwrap();
+        g.graph_scope(s, 7, launches(&["a"])).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "another kernel sequence")]
+    fn names_do_not_run_together_in_a_digest() {
+        let mut g = gpu();
+        let s = g.default_stream();
+        g.graph_scope(s, 7, launches(&["ab", "c"])).unwrap();
+        g.graph_scope(s, 7, launches(&["a", "bc"])).unwrap();
+    }
+
+    #[test]
+    fn a_failed_scope_captures_and_checks_nothing() {
+        let mut g = gpu();
+        let s = g.default_stream();
+        let failed = g.graph_scope(s, 1, |g| {
+            g.launch(s, named("a"));
+            Err::<(), _>("oom")
+        });
+        assert_eq!(failed, Err("oom"));
+        assert_eq!((g.graph_captures(), g.graph_replays()), (0, 0));
+        // The failed scope recorded no digest: another sequence captures.
+        g.graph_scope(s, 1, launches(&["b", "c"])).unwrap();
+        assert_eq!(g.graph_captures(), 1);
+        // A failed replay is checked against nothing.
+        let failed = g.graph_scope(s, 1, |_| Err::<(), _>("oom"));
+        assert_eq!(failed, Err("oom"));
+        g.graph_scope(s, 1, launches(&["b", "c"])).unwrap();
+        assert_eq!((g.graph_captures(), g.graph_replays()), (1, 1));
+    }
+
+    #[test]
+    fn capture_or_replay_captures_eagerly_then_replays() {
+        let mut g = gpu();
+        let s = g.default_stream();
+        let names = ["a", "b", "c"];
+        g.capture_or_replay(s, 3, launches(&names)).unwrap();
+        let c = g.op_counters();
+        assert_eq!(
+            (c.launches, c.eager_launches),
+            (3, 3),
+            "the capture is eager"
+        );
+        assert_eq!((g.graph_captures(), g.graph_replays()), (1, 0));
+        let t = g.now();
+        for _ in 0..2 {
+            g.capture_or_replay(s, 3, launches(&names)).unwrap();
+        }
+        let c = g.op_counters();
+        assert_eq!(
+            (c.launches, c.eager_launches),
+            (9, 3),
+            "replays launch no eager kernel"
+        );
+        assert_eq!((g.graph_captures(), g.graph_replays()), (1, 2));
+        let replays = g.trace().events().iter();
+        let launched = replays.filter(|e| e.name == "cuda_graph_launch").count();
+        assert_eq!(launched, 2);
+        assert!(g.now() > t);
     }
 }

@@ -68,7 +68,7 @@ mod trace;
 
 pub use config::DeviceConfig;
 pub use cost::{feature_row_access, AccessShape, KernelCategory, KernelCost, VectorWidth};
-pub use device::{DeviceClock, Event, Gpu, StreamId, TransferDir};
+pub use device::{graph_key, DeviceClock, Event, Gpu, StreamId, TransferDir};
 pub use faults::{
     CrashCounter, CrashError, CrashPoint, DeviceFault, FaultPlan, FaultStats, OpCounters,
     StragglerRange, TransferError, TransferFault,

@@ -23,13 +23,10 @@
 //! features (T-GCN) never pays for one.
 //!
 //! Like a steady `train_pipad` frame, a served forward is a CUDA-graph
-//! replay (§4.2). A plan's key is the frame's start plus, per partition,
-//! whether reuse covers its layer-1 aggregation
-//! ([`PipadExecutor::layer1_cached`]): the two fix the kernel sequence.
-//! The first forward of a key runs eagerly and is its capture — recorded
-//! only when it returns `Ok`, so an attempt that hit an OOM is not one —
-//! and every later forward of that key runs inside [`Gpu::graph_scope`]
-//! ([`GraphCache`], the helper the trainer's preparing frames use too).
+//! replay (§4.2) through [`Gpu::capture_or_replay`], keyed by the frame's
+//! start and [`PipadExecutor::graph_key`]. A key's first forward runs
+//! eagerly and is its capture (none when it returns `Err`); the device
+//! checks every later one against it.
 //! A replayed forward still allocates inside the graph, as the trainer's
 //! frames do; a real CUDA graph fixes its addresses at capture.
 //!
@@ -39,14 +36,14 @@
 //! before that batch exists.
 
 use crate::ServeError;
-use pipad::exec::{ExecOptions, GraphCache, PipadExecutor};
+use pipad::exec::{ExecOptions, PipadExecutor};
 use pipad::{
     restore_checkpoint, run_fingerprint, GraphAnalyzer, InterFrameReuse, PartitionCatalog,
 };
 use pipad_autograd::Tape;
 use pipad_ckpt::{latest_checkpoint, Checkpoint};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
-use pipad_gpu_sim::{DeviceFault, Gpu, StreamId};
+use pipad_gpu_sim::{graph_key, DeviceFault, Gpu, StreamId};
 use pipad_models::{build_model, DgnnModel, ModelKind, TrainingConfig};
 use pipad_tensor::Matrix;
 use std::path::Path;
@@ -84,9 +81,6 @@ pub struct ServeEngine<'g> {
     copy: StreamId,
     /// Epochs the restored checkpoint had completed (provenance).
     trained_epochs: usize,
-    /// Captured forward plans, keyed by the frame's start and, per
-    /// partition, whether it skips its aggregation kernels.
-    graphs: GraphCache<(usize, Vec<bool>)>,
 }
 
 impl<'g> ServeEngine<'g> {
@@ -144,7 +138,6 @@ impl<'g> ServeEngine<'g> {
             compute: gpu.default_stream(),
             copy: gpu.create_stream(),
             trained_epochs: restored.next_epoch,
-            graphs: GraphCache::default(),
         })
     }
 
@@ -166,16 +159,6 @@ impl<'g> ServeEngine<'g> {
     /// Epochs the restored checkpoint had completed.
     pub fn trained_epochs(&self) -> usize {
         self.trained_epochs
-    }
-
-    /// Plans captured so far: one per distinct (frame, cached partitions).
-    pub fn graph_captures(&self) -> usize {
-        self.graphs.captures()
-    }
-
-    /// Forwards so far that replayed a captured plan.
-    pub fn graph_replays(&self) -> u64 {
-        self.graphs.replays()
     }
 
     /// One full-frame forward through the training execution path; returns
@@ -222,11 +205,11 @@ impl<'g> ServeEngine<'g> {
             self.compute,
             self.copy,
         )?;
-        let plan = (frame_start, exec.layer1_cached().collect());
+        let key = graph_key(&(frame_start, exec.graph_key()));
         let mut tape = Tape::new(self.compute);
         let model = self.model.as_ref();
         let forward = |gpu: &mut Gpu| model.forward_frame(gpu, &mut tape, &mut exec);
-        let out = self.graphs.run(gpu, self.compute, plan, forward)?;
+        let out = gpu.capture_or_replay(self.compute, key, forward)?;
         let pred = tape.host(out.pred);
         tape.finish(gpu);
         exec.finish(gpu);
@@ -361,7 +344,7 @@ mod tests {
         // The restore warm-started every partition: the all-cached plan.
         let cached = forward(&mut engine, &mut gpu);
         assert_eq!(cached.eager_launches, cached.launches);
-        assert_eq!((engine.graph_captures(), engine.graph_replays()), (1, 0));
+        assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (1, 0));
 
         engine.reuse.purge(&mut gpu, frame..frame + engine.window());
         let computed = forward(&mut engine, &mut gpu);
@@ -370,7 +353,7 @@ mod tests {
             computed.launches > cached.launches,
             "{computed:?} vs {cached:?}"
         );
-        assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 0));
+        assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (2, 0));
 
         let snap = gpu.profiler().snapshot();
         let replayed = forward(&mut engine, &mut gpu);
@@ -386,6 +369,6 @@ mod tests {
             "an all-cached replay ships nothing: {host_ops:?}"
         );
         assert_eq!(replayed.launches, cached.launches);
-        assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 1));
+        assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (2, 1));
     }
 }

@@ -36,7 +36,7 @@ gate() {
 release_profile_tests() {
     cargo test -q --release --test alloc_budget --test multigpu_alloc \
         --test trainer_digests --test host_parallel_exactness --test metrics_layer \
-        --test trace_golden
+        --test trace_golden --test fig10_replays
     cargo test -q --release -p pipad-tensor -p pipad-kernels -p pipad-autograd
 }
 
@@ -177,20 +177,17 @@ serving_has_one_batcher() {
     fi
 }
 
-# A CUDA graph is captured and replayed in one place, `core::exec`'s
-# `GraphCache`, which the trainer's preparing frames and the serving engine
-# both run through: serving calls no `graph_scope(` of its own, and no crate
-# declares a `captured` map outside `crates/core/src/exec.rs`.
+# CUDA graphs are captured, replayed and checked in one place, the device
+# (`gpu_sim::Gpu`'s `graph_scope` / `capture_or_replay`): no crate outside
+# `crates/gpu-sim/src` declares a `GraphCache` type or keeps its own map of
+# captured kernel sequences.
 graph_capture_has_one_home() {
     local hits
-    hits=$({
-        grep -rn 'graph_scope(' crates/serve/src
-        grep -rnE '\bcaptured: *(std::collections::)?(HashMap|BTreeMap)<' crates/*/src |
-            grep -v '^crates/core/src/exec\.rs:'
-    } || true)
+    hits=$(grep -rnE "struct GraphCache\b|\bcaptured: *(std::collections::)?(HashMap|BTreeMap)<|(HashMap|BTreeMap)<[^<>]*, *Vec<&('static )?str>>" \
+        crates/*/src | grep -v '^crates/gpu-sim/src/' || true)
     if [[ -n $hits ]]; then
         echo "$hits"
-        echo "ERROR: a graph capture outside pipad::exec::GraphCache" >&2
+        echo "ERROR: a graph capture outside gpu_sim::Gpu" >&2
         return 1
     fi
 }

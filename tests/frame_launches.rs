@@ -338,23 +338,26 @@ fn a_served_frame_is_captured_once_and_then_replays() {
     std::fs::remove_dir_all(&dir).unwrap();
 
     // (launches, eager launches, logit bits) of one forward.
-    let mut forward = |engine: &mut ServeEngine<'_>, frame| {
+    let forward = |engine: &mut ServeEngine<'_>, gpu: &mut Gpu, frame| {
         let before = gpu.op_counters();
-        let pred = engine.forward_frame(&mut gpu, frame).unwrap();
+        let pred = engine.forward_frame(gpu, frame).unwrap();
         let after = gpu.op_counters();
         let bits: Vec<u32> = pred.as_slice().iter().map(|v| v.to_bits()).collect();
         let launched = after.launches - before.launches;
         (launched, after.eager_launches - before.eager_launches, bits)
     };
-    let (captured, eager, bits) = forward(&mut engine, 0);
+    let (captured, eager, bits) = forward(&mut engine, &mut gpu, 0);
     assert!(eager > 0, "the capture launches eagerly");
     assert_eq!(eager, captured);
     for _ in 0..2 {
-        assert_eq!(forward(&mut engine, 0), (captured, 0, bits.clone()));
+        assert_eq!(
+            forward(&mut engine, &mut gpu, 0),
+            (captured, 0, bits.clone())
+        );
     }
-    assert_eq!((engine.graph_captures(), engine.graph_replays()), (1, 2));
+    assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (1, 2));
 
-    let (launched, eager, _) = forward(&mut engine, 1);
+    let (launched, eager, _) = forward(&mut engine, &mut gpu, 1);
     assert_eq!(eager, launched, "another frame is another capture");
-    assert_eq!((engine.graph_captures(), engine.graph_replays()), (2, 2));
+    assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (2, 2));
 }

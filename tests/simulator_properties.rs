@@ -196,7 +196,11 @@ fn elapsed(graphed: bool, launches: impl FnOnce(&mut Gpu, StreamId)) -> SimNanos
     let mut gpu = Gpu::new(DeviceConfig::v100());
     let s = gpu.default_stream();
     if graphed {
-        gpu.graph_scope(s, |gpu| launches(gpu, s));
+        gpu.graph_scope(s, 0, |gpu| {
+            launches(gpu, s);
+            Ok::<_, ()>(())
+        })
+        .unwrap();
     } else {
         launches(&mut gpu, s);
     }
@@ -291,11 +295,13 @@ fn graph_scope_only_changes_overheads() {
         let mut gpu = Gpu::new(DeviceConfig::v100());
         let s = gpu.default_stream();
         if graphed {
-            gpu.graph_scope(s, |gpu| {
+            gpu.graph_scope(s, 0, |gpu| {
                 for _ in 0..30 {
                     gpu.launch(s, kernel(100_000, 1000));
                 }
-            });
+                Ok::<_, ()>(())
+            })
+            .unwrap();
         } else {
             for _ in 0..30 {
                 gpu.launch(s, kernel(100_000, 1000));
@@ -770,7 +776,7 @@ proptest! {
                     let id = gpu.alloc(1 + a % 4_096).unwrap();
                     gpu.free(id);
                 }
-                _ => gpu.graph_scope(s, |_| ()),
+                _ => gpu.graph_scope(s, 0, |_| Ok::<_, ()>(())).unwrap(),
             }
         }
 
