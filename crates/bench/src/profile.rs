@@ -10,8 +10,9 @@
 //!    its preparing phase (→ first steady epoch start) and each phase's
 //!    eager launches, all labeled by `method`.
 //! 2. **multigpu** — 2-device data-parallel run; halo and ring-allreduce
-//!    traffic, the allreduce time fraction and, per device, the analyzer's
-//!    steady-window bubble, overlap and SM utilization.
+//!    traffic, the allreduce time fraction, the preparing phase and each
+//!    phase's eager launches over both devices and, per device, the
+//!    analyzer's steady-window bubble, overlap and SM utilization.
 //! 3. **serve** — checkpoint-restore into the serving engine and an
 //!    open-loop replay; per-request latencies land in a log2 histogram,
 //!    beside the engine's CUDA-graph capture and replay counts and the
@@ -27,8 +28,8 @@ use crate::experiments::Output;
 use crate::util::{dataset, default_training_config, host_invariant, Method, ScratchDir};
 use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{validate_json, DeviceConfig, Gpu, SimNanos};
-use pipad_metrics::{analyze, to_json, to_prometheus, to_table, MetricsRegistry};
-use pipad_models::ModelKind;
+use pipad_metrics::{analyze, to_json, to_prometheus, to_table, MetricsRegistry, PipelineHealth};
+use pipad_models::{EpochReport, ModelKind};
 use std::collections::BTreeMap;
 
 /// Hidden dimension of the training leg (the other legs share the
@@ -82,17 +83,7 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: Scale) {
         &[("method", method.name())],
         (report.total_time - epochs).as_nanos() as f64,
     );
-    // First epoch start → first steady epoch start, and each phase's
-    // launches outside a CUDA graph (the analyzer read every epoch's phase
-    // off its `epoch` span).
-    let mut preparing_ns = 0;
-    let mut eager = [("preparing", 0), ("steady", 0)];
-    for (e, h) in report.epochs.iter().zip(&health.epochs) {
-        eager[usize::from(!h.preparing)].1 += e.eager_launches;
-        if h.preparing {
-            preparing_ns += e.sim_time.as_nanos();
-        }
-    }
+    let (preparing_ns, eager) = phases(&report.epochs, &health);
     reg.set_gauge_with(
         "pipad_preparing_ns",
         &[("method", method.name())],
@@ -129,6 +120,21 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: Scale) {
     }
 }
 
+/// First epoch start → first steady epoch start, and each phase's launches
+/// outside a CUDA graph (the analyzer read every epoch's phase off its
+/// `epoch` span).
+fn phases(epochs: &[EpochReport], health: &PipelineHealth) -> (u64, [(&'static str, u64); 2]) {
+    let mut preparing_ns = 0;
+    let mut eager = [("preparing", 0), ("steady", 0)];
+    for (e, h) in epochs.iter().zip(&health.epochs) {
+        eager[usize::from(!h.preparing)].1 += e.eager_launches;
+        if h.preparing {
+            preparing_ns += e.sim_time.as_nanos();
+        }
+    }
+    (preparing_ns, eager)
+}
+
 /// Leg 2: 2-device data parallelism — communication volumes and shares,
 /// and each device's steady window next to the single-device ones.
 fn multigpu_leg(reg: &mut MetricsRegistry, scale: Scale) {
@@ -161,10 +167,21 @@ fn multigpu_leg(reg: &mut MetricsRegistry, scale: Scale) {
         (r.allreduce_time_per_epoch.as_nanos() * 1000 / r.steady_epoch_time.as_nanos().max(1))
             as f64,
     );
-    for (i, gpu) in gpus.iter().enumerate() {
+    let healths: Vec<PipelineHealth> = gpus
+        .iter()
+        .map(|gpu| analyze(gpu.trace(), gpu.profiler()))
+        .collect();
+    // Every device's trace carries the same epoch spans; each epoch's
+    // eager launches are summed over the devices.
+    let (preparing_ns, eager) = phases(&r.epochs, &healths[0]);
+    reg.set_gauge_with("pipad_mgpu_preparing_ns", &labels, preparing_ns as f64);
+    for (phase, launches) in eager {
+        let labels = [("gpus", "2"), ("phase", phase)];
+        reg.inc_counter_with("pipad_mgpu_eager_launches", &labels, launches);
+    }
+    for (i, health) in healths.into_iter().enumerate() {
         let device = i.to_string();
         let labels = [("gpus", "2"), ("device", device.as_str())];
-        let health = analyze(gpu.trace(), gpu.profiler());
         let steady = health
             .steady
             .expect("the device trace carries steady epoch spans");

@@ -51,10 +51,12 @@
 //! frame looks every snapshot up once, over all its shards; the answer
 //! feeds the halo capture and every shard's staging.
 //!
-//! Preparing epochs launch eagerly, stage slot by slot and join every lane
-//! per frame. Steady epochs run on the single-device trainer's engine: a
-//! shard's forward + sweep 1, its sweep 2 and a device's optimiser step are
-//! CUDA-graph replays, the loader stages frame f+1 under frame f, and a
+//! A shard's forward + sweep 1, its sweep 2 and a device's optimiser step
+//! are each one CUDA graph, keyed by what fixes their kernel sequence.
+//! Preparing epochs stage slot by slot and join every lane per frame; a
+//! key's first scope launches eagerly as its capture and every later one
+//! replays it. Steady epochs run on the single-device trainer's engine:
+//! every scope replays, the loader stages frame f+1 under frame f, and a
 //! shard-frame is staged in partitions of [`S_PER_OPTIONS`] slots — one
 //! host assembly and one copy each — sized by the tuner's memory bound
 //! (DESIGN §3.15).
@@ -286,17 +288,20 @@ fn release_shared(gpu: &mut Gpu, x: SharedParam) {
     }
 }
 
-/// Run `f` on `stream` as a replay of graph `key` (steady epochs, §4.2),
-/// or launch by launch without one (preparing epochs).
+/// Run `f` on `stream` as CUDA graph `key` (§4.2). A steady scope replays
+/// it; a preparing scope captures a new key launch by launch and replays a
+/// known one.
 fn replay<R, E>(
     gpu: &mut Gpu,
     stream: StreamId,
-    key: Option<u64>,
+    steady: bool,
+    key: u64,
     f: impl FnOnce(&mut Gpu) -> Result<R, E>,
 ) -> Result<R, E> {
-    match key {
-        Some(key) => gpu.graph_scope(stream, key, f),
-        None => f(gpu),
+    if steady {
+        gpu.graph_scope(stream, key, f)
+    } else {
+        gpu.capture_or_replay(stream, key, f)
     }
 }
 
@@ -650,8 +655,8 @@ pub fn train_data_parallel_devices(
                 let mut tape = Tape::new(compute);
                 let (lo, hi) = shard_ranges[s];
                 let t_local = target_full.slice_rows(lo, hi);
-                let key = steady.then(|| graph_key(&("forward", s, &slots_cached)));
-                let (out, sse) = replay(gpu, compute, key, |gpu| -> Result<_, OomError> {
+                let key = graph_key(&("forward", s, &slots_cached));
+                let (out, sse) = replay(gpu, compute, steady, key, |gpu| -> Result<_, OomError> {
                     let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
                     tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
                     let sse = tape.sse_loss(gpu, out.pred, &t_local);
@@ -709,9 +714,12 @@ pub fn train_data_parallel_devices(
                         seeds.push((execs[q].as_ref().unwrap().hidden_vars[i], seed));
                         seeded.push(i);
                     }
-                    let key =
-                        (steady && !seeds.is_empty()).then(|| graph_key(&("halo", q, seeded)));
-                    replay(gpu, compute, key, |gpu| {
+                    // A shard without seeds launches nothing and opens no scope.
+                    if seeds.is_empty() {
+                        continue;
+                    }
+                    let key = graph_key(&("halo", q, seeded));
+                    replay(gpu, compute, steady, key, |gpu| {
                         for (root, seed) in seeds {
                             let dm = DeviceMatrix::alloc(gpu, seed)?;
                             tapes[q].backward_seed_only(gpu, root, dm)?;
@@ -796,8 +804,7 @@ pub fn train_data_parallel_devices(
                         summed[k].as_ref().map(|g| (&*param.value, g))
                     })
                     .collect();
-                let key = steady.then(|| graph_key(&"sgd_step"));
-                replay(gpu, compute, key, |gpu| {
+                replay(gpu, compute, steady, graph_key(&"sgd_step"), |gpu| {
                     sgd_step(gpu, compute, &pairs, cfg.lr, frame_sse.is_finite());
                     Ok::<_, OomError>(())
                 })?;

@@ -32,11 +32,13 @@ gate() {
 # pipeline number `repro profile` exports, exact, under the threads × pool
 # sweep, in the profile the committed `results/profile.*` are built with.
 # And the trace goldens: every committed trace is exported in `--release`,
-# through the tracer's argument-list intern table.
+# through the tracer's argument-list intern table. And the data-parallel
+# trainer's replay counts and epoch bounds, in the profile the benchmark's
+# `multigpu_4dev` runs.
 release_profile_tests() {
     cargo test -q --release --test alloc_budget --test multigpu_alloc \
         --test trainer_digests --test host_parallel_exactness --test metrics_layer \
-        --test trace_golden --test fig10_replays
+        --test trace_golden --test fig10_replays --test multigpu_equivalence
     cargo test -q --release -p pipad-tensor -p pipad-kernels -p pipad-autograd
 }
 
