@@ -407,7 +407,9 @@ impl EpochPolicy for PipadPolicy<'_> {
             cx.gpu.cfg().pcie_pinned_bytes_per_us,
             cx.graph.feature_dim(),
         );
+        // The loader stages no steady frame before its `S_per` is decided.
         let t_decide = cx.gpu.now_with_host();
+        cx.gpu.host_wait(t_decide);
         st.decisions.clear();
         for (fi, p) in st.frame_profiles.iter().enumerate() {
             let d = tuner.decide(p, &self.catalog, fi, cx.cfg.window);

@@ -1,7 +1,9 @@
 //! Every tiny Fig. 10 cell trains under PiPAD with CUDA graphs on, so each
 //! of its preparing and steady replays goes through the device's check
 //! against the key's capture, which panics on another kernel sequence.
-//! `scripts/check.sh` runs it in `--release`, the build `repro` runs in.
+//! The same runs hold the loader to the tuner: no steady frame is staged
+//! before its `S_per` is decided. `scripts/check.sh` runs it in
+//! `--release`, the build `repro` runs in.
 
 use pipad_repro::dyngraph::{Scale, ALL_DATASETS};
 use pipad_repro::gpu_sim::{DeviceConfig, Gpu};
@@ -28,6 +30,20 @@ fn every_fig10_cell_replays_its_captures() {
                 gpu.graph_replays() > 0,
                 "{model:?} on {id:?} replayed nothing"
             );
+
+            // Every loader op of the steady phase starts at or after the
+            // decision that fixed its frame's partitions.
+            let events: Vec<_> = gpu.trace().events().iter().collect();
+            let at = |name: &str| events.iter().position(|e| e.name == name).unwrap();
+            let decided = events[at("tuner_decision")].ts;
+            let steady = &events[at("steady_phase_begin")..];
+            for e in steady.iter().filter(|e| e.name == "partition_prep") {
+                assert!(
+                    e.ts >= decided,
+                    "{model:?} on {id:?}: a steady partition_prep at {} before the decision at {decided}",
+                    e.ts
+                );
+            }
         }
     }
 }
