@@ -7,8 +7,9 @@
 //!    profiler into overlap fractions, bubble/stall attribution, per-kernel
 //!    duration histograms, device-allocation counts and reuse-tier hit
 //!    rates, beside the run's prologue (run start → first epoch start),
-//!    its preparing phase (→ first steady epoch start) and each phase's
-//!    eager launches, all labeled by `method`.
+//!    its preparing phase (→ first steady epoch start), when its partition
+//!    catalog was ready (→ the last overlap extraction's end) and each
+//!    phase's eager launches, all labeled by `method`.
 //! 2. **multigpu** — 2-device data-parallel run; halo and ring-allreduce
 //!    traffic, the allreduce time fraction, the preparing phase and each
 //!    phase's eager launches over both devices and, per device, the
@@ -83,6 +84,21 @@ fn train_leg(reg: &mut MetricsRegistry, method: Method, scale: Scale) {
         &[("method", method.name())],
         (report.total_time - epochs).as_nanos() as f64,
     );
+    // Run start → the last overlap extraction's end: when the tuner could
+    // first read the catalog (PiPAD only; the baselines extract nothing).
+    let events = gpu.trace().events();
+    let extracted = events
+        .iter()
+        .filter(|e| e.name == pipad::prep::EXTRACTION_OP);
+    if let Some(ready) = extracted.map(|e| e.end()).max() {
+        let epoch0 = events.iter().find(|e| e.name == "epoch").map(|e| e.ts);
+        let run_t0 = epoch0.expect("a run with epochs") - (report.total_time - epochs);
+        reg.set_gauge_with(
+            "pipad_catalog_ready_ns",
+            &[("method", method.name())],
+            (ready - run_t0).as_nanos() as f64,
+        );
+    }
     let (preparing_ns, eager) = phases(&report.epochs, &health);
     reg.set_gauge_with(
         "pipad_preparing_ns",

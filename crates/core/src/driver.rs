@@ -119,12 +119,6 @@ pub trait EpochPolicy {
     /// Runs after the epoch's last frame, before its end timestamp.
     fn end_epoch(&mut self, _cx: &mut RunCx<'_>, _epoch: usize) {}
 
-    /// Runs when the run resumes from a checkpoint at `next_epoch`, before
-    /// the clock rewinds: one-off work that the skipped epochs did and the
-    /// later ones read is redone here, so its host time is erased with the
-    /// prologue's.
-    fn resumed(&mut self, _cx: &mut RunCx<'_>, _next_epoch: usize) {}
-
     /// Runs once after the last epoch, before the run's end timestamp.
     fn finish(&mut self, _cx: &mut RunCx<'_>) {}
 }
@@ -228,12 +222,12 @@ pub fn run_epochs<P: EpochPolicy>(
     // ---- restore-on-start --------------------------------------------------
     // The prologue above rebuilt the model and the policy's one-off state
     // exactly as the original run did (all deterministic in the seed and
-    // the graph), and `EpochPolicy::resumed` redoes what the skipped epochs
-    // built. Restoring overwrites parameter values in place, refills
-    // the policy's checkpointed state, and finally rewinds the device clock
-    // (host lane included) — erasing the prologue's only side effects on the
-    // timeline (alloc-counter advances and early-timestamp events), so the
-    // resumed epochs land on the original run's exact simulated timeline.
+    // the graph), on the same timeline. Restoring overwrites parameter
+    // values in place, refills the policy's checkpointed state, and finally
+    // rewinds the device clock (host lane included) — erasing the
+    // prologue's only side effects on the timeline (alloc-counter advances
+    // and early-timestamp events), so the resumed epochs land on the
+    // original run's exact simulated timeline.
     let fingerprint =
         checkpoint::run_fingerprint(policy.trainer(), model_kind, &graph.name, hidden, cfg);
     let mut start_epoch = 0usize;
@@ -261,7 +255,6 @@ pub fn run_epochs<P: EpochPolicy>(
                 ("next_epoch", ArgValue::U64(start_epoch as u64)),
             ],
         );
-        policy.resumed(&mut cx, start_epoch);
         cx.gpu.restore_clock(&restored.clock);
     }
 

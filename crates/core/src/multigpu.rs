@@ -774,14 +774,18 @@ pub fn train_data_parallel_devices(
             let sync_point = sync_base + dur;
             if parts > 1 {
                 for gpu in &mut gpus {
-                    let (_, e) = gpu.host_op("allreduce", sync_base, dur);
-                    if !steady {
-                        gpu.host_wait(e);
-                    }
+                    gpu.host_op("allreduce", sync_base, dur);
                 }
                 if steady {
                     allreduce_bytes_epoch += allreduce_bytes * parts as u64;
                     allreduce_time_total += dur;
+                }
+            }
+            if !steady {
+                // A preparing frame's loader work waits for the barrier on
+                // every device, however many there are.
+                for gpu in &mut gpus {
+                    gpu.host_wait(sync_point);
                 }
             }
             // One multi-tensor step per device over the summed gradients, in

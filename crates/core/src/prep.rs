@@ -2,16 +2,20 @@
 //! overlap extraction.
 //!
 //! For every candidate `S_per` and every possible partition start index,
-//! the snapshots' shared topology is extracted once, when first needed,
-//! into an overlap sliced-CSR plus per-snapshot exclusives. The catalog
-//! also records each partition's overlap rate — the statistic the dynamic
-//! tuner buckets on — and its transfer footprint.
+//! the snapshots' shared topology is extracted once into an overlap
+//! sliced-CSR plus per-snapshot exclusives. The catalog also records each
+//! partition's overlap rate — the statistic the dynamic tuner buckets on —
+//! and its transfer footprint.
 //!
-//! A plan is extracted the first time [`PartitionCatalog::plan`] asks for
-//! it, and its `overlap_extraction` host op is charged on the host lane at
-//! that moment; [`PartitionCatalog::fill`] extracts every missing plan at
-//! once. Both go through one extraction, so a plan's bits and its host
-//! charge do not depend on which of them made it.
+//! [`PartitionCatalog::fill`] extracts every missing plan on the device's
+//! data-preparation worker lane ([`Gpu::worker_lane_op`]): the trainer
+//! issues it in its prologue, so the extractions run beside the loader
+//! under the preparing epochs, and the tuner waits for the worker before
+//! it reads them. [`PartitionCatalog::plan`] extracts a missing plan on
+//! demand, synchronously on the loader's host lane (the serving engine
+//! never fills its catalog). Both go through one extraction with one cost
+//! formula, so a plan's bits and its host charge do not depend on which of
+//! them made it or on which lane paid for it.
 
 use crate::analyzer::GraphAnalyzer;
 use pipad_gpu_sim::{Gpu, SimNanos};
@@ -42,26 +46,26 @@ pub struct PartitionPlan {
     pub adjacency_bytes: u64,
 }
 
-/// One partition's extraction, its host op already charged: the members'
-/// normalized adjacencies, ready to split on any thread.
+/// One partition's extraction: the members' normalized adjacencies, ready
+/// to split on any thread.
 struct Extraction<'a> {
     members: Vec<&'a Csr>,
 }
 
 impl<'a> Extraction<'a> {
-    /// Charge the `overlap_extraction` host op of `[start, start + s_per)`
-    /// on the host lane — a fixed overhead plus every member edge examined
-    /// — and collect its members.
-    fn charge(gpu: &mut Gpu, analyzer: &'a GraphAnalyzer, s_per: usize, start: usize) -> Self {
-        let members: Vec<&Csr> = (start..start + s_per)
+    /// The members of `[start, start + s_per)`.
+    fn new(analyzer: &'a GraphAnalyzer, s_per: usize, start: usize) -> Self {
+        let members = (start..start + s_per)
             .map(|i| analyzer.snapshot(i).norm.adj_hat.as_ref())
             .collect();
-        let total_edges: usize = members.iter().map(|m| m.nnz()).sum();
-        let cost = SimNanos::from_nanos(
-            gpu.cfg().host_op_fixed_ns + EXTRACT_NS_PER_EDGE * total_edges as u64,
-        );
-        gpu.host_lane_op(EXTRACTION_OP, cost);
         Extraction { members }
+    }
+
+    /// Host time of the `overlap_extraction` op: a fixed overhead plus
+    /// every member edge examined.
+    fn cost(&self, gpu: &Gpu) -> SimNanos {
+        let total_edges: usize = self.members.iter().map(|m| m.nnz()).sum();
+        SimNanos::from_nanos(gpu.cfg().host_op_fixed_ns + EXTRACT_NS_PER_EDGE * total_edges as u64)
     }
 
     /// The split itself: pure per-partition work that returns plain owned
@@ -120,20 +124,25 @@ impl PartitionCatalog {
     }
 
     /// A catalog with every plan extracted: the host lane first waits for
-    /// `host_cursor`, and `host_cursor` gets where the pass ended.
-    /// Partitions of one snapshot need no plan (they use the full sliced
-    /// adjacency directly).
+    /// `host_cursor`, hands the extractions to the worker lane and waits
+    /// for it, and `host_cursor` gets where the pass ended. Partitions of
+    /// one snapshot need no plan (they use the full sliced adjacency
+    /// directly).
     pub fn build(gpu: &mut Gpu, analyzer: &GraphAnalyzer, host_cursor: &mut SimNanos) -> Self {
         gpu.host_wait(*host_cursor);
         let catalog = Self::new(analyzer.len());
         catalog.fill(gpu, analyzer);
+        gpu.host_wait(gpu.worker_lane_now());
         *host_cursor = gpu.host_now();
         catalog
     }
 
-    /// Extract every plan not extracted yet. The host lane is charged
-    /// serially in the canonical order, so simulated time is identical at
-    /// every thread count; the splits themselves fan out across the pool.
+    /// Extract every plan not extracted yet. The worker lane is charged
+    /// serially in the canonical order, from where the host lane hands the
+    /// work off, so simulated time is identical at every thread count; the
+    /// splits themselves fan out across the pool. The host lane does not
+    /// move: a reader that needs the plans' time waits for
+    /// [`Gpu::worker_lane_now`].
     pub fn fill(&self, gpu: &mut Gpu, analyzer: &GraphAnalyzer) {
         debug_assert_eq!(analyzer.len(), self.n_snapshots);
         let mut missing = Vec::new();
@@ -141,8 +150,10 @@ impl PartitionCatalog {
         for (&s_per, cells) in S_PER_OPTIONS.iter().zip(&self.plans) {
             for (start, cell) in cells.iter().enumerate() {
                 if cell.get().is_none() {
+                    let extraction = Extraction::new(analyzer, s_per, start);
+                    gpu.worker_lane_op(EXTRACTION_OP, extraction.cost(gpu));
                     missing.push(cell);
-                    work.push(Extraction::charge(gpu, analyzer, s_per, start));
+                    work.push(extraction);
                 }
             }
         }
@@ -153,9 +164,9 @@ impl PartitionCatalog {
         }
     }
 
-    /// The plan of `[start, start + s_per)`, extracted now if no one has
-    /// asked for it before; `None` if `s_per` is not a candidate or the
-    /// partition runs past the last snapshot.
+    /// The plan of `[start, start + s_per)`, extracted now on the host
+    /// lane if no one has asked for it before; `None` if `s_per` is not a
+    /// candidate or the partition runs past the last snapshot.
     pub fn plan(
         &self,
         gpu: &mut Gpu,
@@ -165,9 +176,9 @@ impl PartitionCatalog {
     ) -> Option<&PartitionPlan> {
         debug_assert_eq!(analyzer.len(), self.n_snapshots);
         Some(self.cells(s_per)?.get(start)?.get_or_init(|| {
-            Extraction::charge(gpu, analyzer, s_per, start)
-                .run()
-                .into_plan()
+            let extraction = Extraction::new(analyzer, s_per, start);
+            gpu.host_lane_op(EXTRACTION_OP, extraction.cost(gpu));
+            extraction.run().into_plan()
         }))
     }
 
@@ -281,9 +292,11 @@ mod tests {
         }
         assert_eq!((gpu.host_now() - t0).as_nanos(), build_ns);
         assert_eq!(lazy.len(), built.len());
-        // Nothing is missing, so filling charges nothing.
+        // Nothing is missing, so filling charges neither lane.
+        let worker = gpu.worker_lane_now();
         lazy.fill(&mut gpu, &analyzer);
         assert_eq!((gpu.host_now() - t0).as_nanos(), build_ns);
+        assert_eq!(gpu.worker_lane_now(), worker);
     }
 
     #[test]

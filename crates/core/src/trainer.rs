@@ -6,7 +6,9 @@
 //! Execution follows Figure 8:
 //!
 //! * graph slicing runs once, before the first epoch: every frame stages
-//!   sliced adjacency;
+//!   sliced adjacency. Right after it the loader hands every overlap
+//!   extraction to the data-preparation worker ([`Gpu::worker_lane_op`]),
+//!   which runs them one after another beside the loader;
 //! * **preparing epochs** train one snapshot at a time with asynchronous
 //!   transfers while collecting the statistics the tuner needs (per-frame
 //!   peak memory, compute time, transfer volume) and populating the
@@ -14,13 +16,12 @@
 //!   ([`PipadExecutor::graph_key`]) fixes its kernel sequence: the first
 //!   frame of each key launches eagerly and is captured as a CUDA graph,
 //!   and every later one replays it ([`Gpu::capture_or_replay`]). No
-//!   partition of one snapshot reads an overlap split, so overlap
-//!   extraction runs under them: the last preparing epoch queues it on the
-//!   host lane after its frames' loader work, and the epoch ends when the
-//!   lane is done;
+//!   partition of one snapshot reads an overlap split, so the extractions
+//!   run under them;
 //! * the tuner then fixes `S_per` per frame ("we only perform this
 //!   procedure once and stick to the generated configurations"), once the
-//!   host lane has finished the extraction it reads;
+//!   worker has finished the extractions it reads; the loader stages no
+//!   steady frame before that decision;
 //! * **steady epochs** run partition-parallel with inter-frame reuse, each
 //!   frame one replay of its key's CUDA graph ([`Gpu::graph_scope`]), and
 //!   transfers overlapping compute on separate lanes.
@@ -76,9 +77,9 @@ impl Default for PipadConfig {
 /// same frame's wall time in the *first* steady epoch count as straggling.
 /// The first steady epoch is the baseline, so detection starts from the
 /// second steady epoch. A preparing frame is no baseline: it runs one
-/// snapshot per partition, unpipelined, and carries the catalog fill (on
-/// `train_sparse_large` the preparing epochs take 10.3 and 15.0 ms, a
-/// steady one 4.64 ms).
+/// snapshot per partition, unpipelined, and the first of each graph key
+/// launches eagerly (on `train_sparse_large` the preparing epochs take
+/// 10.3 and 7.42 ms, a steady one 4.64–4.72 ms).
 const STRAGGLER_FACTOR: u64 = 3;
 /// This many straggling frames in a row trip the sequential fallback.
 const STRAGGLER_CONSECUTIVE: u32 = 2;
@@ -149,13 +150,15 @@ struct PipadPolicy<'a> {
 }
 
 impl<'a> PipadPolicy<'a> {
-    /// One-off preparation before the first epoch: graph slicing. The
-    /// catalog starts empty and is filled under the preparing epochs.
+    /// One-off preparation before the first epoch: graph slicing, then
+    /// the catalog fill handed to the data-preparation worker, which
+    /// extracts under the preparing epochs beside the loader.
     fn prepare(cx: &mut RunCx<'_>, pcfg: &'a PipadConfig) -> Self {
         let pool_run0 = pipad_tensor::pool_stats();
         let mut host = cx.gpu.host_now();
         let analyzer = GraphAnalyzer::run(cx.gpu, cx.graph, &mut host);
         let catalog = PartitionCatalog::new(analyzer.len());
+        catalog.fill(cx.gpu, &analyzer);
         PipadPolicy {
             pcfg,
             preparing: cx.cfg.preparing_epochs.max(1).min(cx.cfg.epochs),
@@ -381,10 +384,9 @@ impl EpochPolicy for PipadPolicy<'_> {
         if epoch + 1 != self.preparing {
             return;
         }
-        // Last preparing epoch done: extract every partition plan on the
-        // host lane, after the epoch's loader work, while the device is
-        // still busy with its frames.
-        self.catalog.fill(cx.gpu, &self.analyzer);
+        // Last preparing epoch done: the tuner reads every partition plan,
+        // so the host waits for the worker extracting them.
+        cx.gpu.host_wait(cx.gpu.worker_lane_now());
         // Then decide S_per per frame, once ("we only perform this
         // procedure once and stick to the generated configurations"), and
         // size the reuse store's device tier: half of what two frame peaks
@@ -420,15 +422,6 @@ impl EpochPolicy for PipadPolicy<'_> {
         }
     }
 
-    fn resumed(&mut self, cx: &mut RunCx<'_>, next_epoch: usize) {
-        // A run resumed past its preparing epochs never reaches the fill
-        // in `end_epoch`: fill here, before the clock rewinds, so its
-        // steady frames extract nothing the uninterrupted run did not.
-        if next_epoch >= self.preparing {
-            self.catalog.fill(cx.gpu, &self.analyzer);
-        }
-    }
-
     fn finish(&mut self, cx: &mut RunCx<'_>) {
         let reuse = self.state.reuse.stats();
         // Buffer-pool counters for this run. Deterministic (all pooled traffic
@@ -453,7 +446,7 @@ impl EpochPolicy for PipadPolicy<'_> {
 mod tests {
     use super::*;
     use pipad_dyngraph::{DatasetId, Scale};
-    use pipad_gpu_sim::DeviceConfig;
+    use pipad_gpu_sim::{DeviceConfig, TraceEvent};
 
     fn tiny_graph() -> DynamicGraph {
         DatasetId::Covid19England.gen_config(Scale::Tiny).generate()
@@ -574,6 +567,10 @@ mod tests {
         );
     }
 
+    /// The catalog fill runs on the data-preparation worker from the first
+    /// preparing epoch's start, one extraction after another, while the
+    /// loader lane carries only slicing and staging; the tuner decides once
+    /// the worker is done.
     #[test]
     fn overlap_extraction_runs_under_the_preparing_epochs() {
         let g = tiny_graph();
@@ -588,14 +585,24 @@ mod tests {
             let events: Vec<_> = gpu.trace().events().iter().collect();
             let first = |name: &str| events.iter().find(|e| e.name == name).unwrap().ts;
             let (epoch0, decided) = (first("epoch"), first("tuner_decision"));
-            let extractions: Vec<_> = events
+            let op = crate::prep::EXTRACTION_OP;
+            let (extractions, loader): (Vec<&TraceEvent>, Vec<&TraceEvent>) = events
                 .iter()
-                .filter(|e| e.name == crate::prep::EXTRACTION_OP)
-                .collect();
-            assert!(!extractions.is_empty());
+                .filter(|e| e.kind == TraceKind::HostOp)
+                .partition(|e| e.name == op);
+            assert_eq!(extractions.len(), 49, "every plan, once");
+            let mut worker = epoch0;
             for e in &extractions {
-                assert!(e.ts >= epoch0, "extraction at {} before epoch 0", e.ts);
-                assert!(e.end() <= decided, "extraction ends after the decision");
+                assert_eq!(e.ts, worker, "the extractions tile the worker lane");
+                worker = e.end();
+            }
+            assert!(decided >= worker, "decided at {decided}, before {worker}");
+            for e in &loader {
+                assert!(
+                    ["graph_slicing", "partition_prep"].contains(&e.name),
+                    "{} on the loader lane",
+                    e.name
+                );
             }
             // The run is its slicing, then its epochs back to back.
             let slicing: SimNanos = events
@@ -612,10 +619,87 @@ mod tests {
         }
     }
 
-    /// A run resumed past its preparing epochs never reaches the fill in
-    /// the last preparing epoch: it fills the catalog in its prologue, so
-    /// no frame it runs extracts a plan (MPNN-LSTM stages adjacency in
-    /// every steady partition, cached or not).
+    /// Resumed from the checkpoint of preparing epoch 0, taken while the
+    /// worker is still extracting, a run lands on the uninterrupted run's
+    /// timeline: its prologue re-issues the fill at the original times, so
+    /// the last preparing epoch waits for the same extraction end. On this
+    /// dense graph the worker binds that epoch.
+    #[test]
+    fn a_run_resumed_while_the_worker_extracts_keeps_its_timeline() {
+        let g = pipad_dyngraph::GenConfig {
+            name: "dense".into(),
+            n_vertices: 300,
+            edges_per_snapshot: 8_000,
+            n_snapshots: 12,
+            feature_dim: 2,
+            change_rate: 0.1,
+            skew: 0.2,
+            seed: 1,
+        }
+        .generate();
+        let cfg = tiny_cfg();
+        let root = std::env::temp_dir().join(format!("pipad-resume-worker-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let policy = |dir: &str| PipadConfig {
+            checkpoint: Some(CheckpointPolicy {
+                dir: root.join(dir),
+                every_epochs: 1,
+                keep: 0,
+            }),
+            ..Default::default()
+        };
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let full = train_pipad(&mut gpu, ModelKind::TGcn, &g, 4, &cfg, &policy("full")).unwrap();
+        let events: Vec<_> = gpu.trace().events().iter().collect();
+        let op = crate::prep::EXTRACTION_OP;
+        let worker_done = events
+            .iter()
+            .filter(|e| e.name == op)
+            .map(|e| e.end())
+            .max();
+        let decided = events
+            .iter()
+            .find(|e| e.name == "tuner_decision")
+            .unwrap()
+            .ts;
+        assert_eq!(
+            Some(decided),
+            worker_done,
+            "the worker binds the last preparing epoch"
+        );
+        let epoch0_end = events.iter().find(|e| e.name == "epoch").unwrap().end();
+        assert!(
+            epoch0_end < decided,
+            "the worker is still extracting after epoch 0"
+        );
+
+        let resume_dir = root.join("resumed");
+        std::fs::create_dir_all(&resume_dir).unwrap();
+        let ckpt0 = pipad_ckpt::checkpoint_path(&root.join("full"), 0);
+        std::fs::copy(&ckpt0, pipad_ckpt::checkpoint_path(&resume_dir, 0)).unwrap();
+        let mut gpu = Gpu::new(DeviceConfig::v100());
+        let resumed = train_pipad(&mut gpu, ModelKind::TGcn, &g, 4, &cfg, &policy("resumed"));
+        std::fs::remove_dir_all(&root).unwrap();
+        let resumed = resumed.unwrap();
+        let restored = gpu
+            .trace()
+            .events()
+            .iter()
+            .any(|e| e.name == "checkpoint_restore");
+        assert!(restored, "the second run resumed");
+        let timeline = |r: &TrainReport| -> Vec<(SimNanos, u32)> {
+            r.epochs
+                .iter()
+                .map(|e| (e.sim_time, e.mean_loss.to_bits()))
+                .collect()
+        };
+        assert_eq!(timeline(&resumed), timeline(&full));
+    }
+
+    /// A run resumed past its preparing epochs fills the catalog in its
+    /// prologue like any other, so no frame it runs extracts a plan
+    /// (MPNN-LSTM stages adjacency in every steady partition, cached or
+    /// not).
     #[test]
     fn a_run_resumed_past_preparing_fills_the_catalog_before_its_frames() {
         let g = tiny_graph();

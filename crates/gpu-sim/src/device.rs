@@ -12,9 +12,14 @@
 //!   PiPAD's pipeline, Figure 8) effective.
 //! * Per-**stream** cursors provide ordering *within* a stream; events
 //!   provide ordering *between* streams and with the host.
-//! * One **host lane**: the CPU-side loader of Figure 8 (slicing, overlap
-//!   extraction, staging, halo gathers). Host-lane ops start where it is
-//!   and advance it; [`Gpu::now`] reads the device lanes only.
+//! * One **host lane**: the CPU-side loader of Figure 8 (slicing, on-demand
+//!   overlap extraction, staging, halo gathers). Host-lane ops start where
+//!   it is and advance it; [`Gpu::now`] reads the device lanes only.
+//! * One **worker lane**: the data-preparation worker, a second host
+//!   thread that extracts partition overlaps beside the loader. Its ops
+//!   start no earlier than the host lane that hands them off and move
+//!   neither the host lane nor [`Gpu::now_with_host`]; their spans share
+//!   the host track of the trace.
 
 use crate::config::DeviceConfig;
 use crate::cost::KernelCost;
@@ -64,6 +69,9 @@ pub struct Gpu {
     d2h_cursor: SimNanos,
     streams: Vec<SimNanos>,
     host_lane: SimNanos,
+    /// The data-preparation worker's cursor: a second host thread beside
+    /// the loader. Not part of the clock (see [`Gpu::restore_clock`]).
+    worker_lane: SimNanos,
     graph_mode: bool,
     /// Each captured CUDA graph's launch digest, by key. Not part of the
     /// clock: a restored device has instantiated no graphs.
@@ -94,6 +102,7 @@ impl Gpu {
             d2h_cursor: SimNanos::ZERO,
             streams: vec![SimNanos::ZERO], // default stream 0
             host_lane: SimNanos::ZERO,
+            worker_lane: SimNanos::ZERO,
             graph_mode: false,
             graphs: HashMap::new(),
             recording: None,
@@ -681,6 +690,21 @@ impl Gpu {
         self.host_lane
     }
 
+    /// Where the data-preparation worker lane has reached.
+    pub fn worker_lane_now(&self) -> SimNanos {
+        self.worker_lane
+    }
+
+    /// Run a host operation of length `dur` on the data-preparation worker
+    /// lane. The loader hands the work off, so it starts at the later of
+    /// the worker lane and the host lane; it moves neither the host lane
+    /// nor [`Gpu::now_with_host`]. Returns its end.
+    pub fn worker_lane_op(&mut self, name: &'static str, dur: SimNanos) -> SimNanos {
+        let issue = self.worker_lane.max(self.host_lane);
+        self.worker_lane = self.host_op(name, issue, dur).1;
+        self.worker_lane
+    }
+
     /// Assemble `bytes` for one staged transfer on the host lane: a fixed
     /// overhead plus the bytes at host staging throughput. Returns its end.
     pub fn host_stage(&mut self, name: &'static str, bytes: u64) -> SimNanos {
@@ -728,6 +752,11 @@ impl Gpu {
     /// prologue only advanced the alloc counter and early timestamps, and
     /// this call erases both perturbations so subsequent ops land on
     /// exactly the timeline the original run would have produced.
+    ///
+    /// The worker lane is not restored: it carries only the one-off work
+    /// the prologue issues, and a resumed run re-runs the prologue on the
+    /// same timeline, so the worker already stands where the original
+    /// run's did.
     pub fn restore_clock(&mut self, clock: &DeviceClock) {
         self.compute_cursor = clock.compute;
         self.h2d_cursor = clock.h2d;
@@ -948,6 +977,41 @@ mod tests {
         let fixed = g.cfg().host_op_fixed_ns;
         assert_eq!(g.host_stage("c", 0), SimNanos(105 + fixed));
         assert_eq!(g.profiler().full().host_time, SimNanos(55 + fixed));
+    }
+
+    #[test]
+    fn worker_ops_queue_behind_their_issue_and_leave_the_host_lane() {
+        let mut g = gpu();
+        g.host_lane_op("slice", SimNanos(40));
+        // Issued at the host lane, then serial on the worker.
+        assert_eq!(g.worker_lane_op("x", SimNanos(100)), SimNanos(140));
+        assert_eq!(g.worker_lane_op("y", SimNanos(10)), SimNanos(150));
+        assert_eq!(g.host_now(), SimNanos(40), "the loader moved on");
+        assert_eq!(g.now_with_host(), SimNanos(40));
+        // A later issue point delays the next op; it never starts earlier.
+        g.host_wait(SimNanos(200));
+        assert_eq!(g.worker_lane_op("z", SimNanos(5)), SimNanos(205));
+        assert_eq!(g.worker_lane_now(), SimNanos(205));
+        assert_eq!(g.host_now(), SimNanos(200));
+        let spans: Vec<_> = g
+            .trace()
+            .events()
+            .iter()
+            .map(|e| (e.lane, e.ts, e.end()))
+            .collect();
+        assert_eq!(
+            spans[1..],
+            [
+                (Lane::Host, SimNanos(40), SimNanos(140)),
+                (Lane::Host, SimNanos(140), SimNanos(150)),
+                (Lane::Host, SimNanos(200), SimNanos(205)),
+            ]
+        );
+        // The clock does not carry the worker.
+        let mut fresh = gpu();
+        fresh.restore_clock(&g.clock());
+        assert_eq!(fresh.worker_lane_now(), SimNanos::ZERO);
+        assert_eq!(fresh.now_with_host(), g.now_with_host());
     }
 
     #[test]

@@ -142,6 +142,13 @@ host_lane_has_one_owner() {
         echo "ERROR: the host staging cost is computed outside gpu-sim" >&2
         bad=1
     fi
+    # A second host lane (the data-preparation worker) is gpu-sim's too: no
+    # trainer or serving type keeps a host cursor of its own.
+    if grep -rnE 'Cell<SimNanos>|\b[A-Za-z_]*(lane|worker)[A-Za-z_]*: *SimNanos\b' \
+        crates/core/src crates/serve/src; then
+        echo "ERROR: a host lane cursor is kept outside gpu-sim" >&2
+        bad=1
+    fi
     return "$bad"
 }
 

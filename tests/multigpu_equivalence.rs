@@ -175,7 +175,11 @@ fn wide_cfg() -> TrainingConfig {
 /// 1.04x / 1.44x / 1.55x. The sharded steady epoch itself fell (one input
 /// projection per LSTM and frame, one optimiser launch per device and
 /// frame): 947 632 → 907 604, 1 258 212 → 1 043 960 and 1 069 010 →
-/// 1 030 982 ns, and may not rise above the old values again. What is left
+/// 1 030 982 ns, and may not rise above the old values again. Since one
+/// device's preparing frames lift its loader lane to their barrier, the
+/// first steady staging no longer runs in the past: 926 676, 1 077 346
+/// and 1 064 390 ns, 1.03x / 1.42x / 1.52x of a `train_pipad` epoch that
+/// rose too once its loader waited for the tuner decision. What is left
 /// of the gap is `ShardExecutor`'s per-slot update, which has no
 /// weight-resident GEMM (ROADMAP item 4).
 #[test]
