@@ -53,13 +53,14 @@
 //!
 //! A shard's forward + sweep 1, its sweep 2 and a device's optimiser step
 //! are each one CUDA graph, keyed by what fixes their kernel sequence.
-//! Preparing epochs stage slot by slot and join every lane per frame; a
-//! key's first scope launches eagerly as its capture and every later one
-//! replays it. Steady epochs run on the single-device trainer's engine:
-//! every scope replays, the loader stages frame f+1 under frame f, and a
-//! shard-frame is staged in partitions of [`S_PER_OPTIONS`] slots — one
-//! host assembly and one copy each — sized by the tuner's memory bound
-//! (DESIGN §3.15).
+//! Both phases run one frame schedule: the loader stages frame f+1 under
+//! frame f, behind a per-device compute fence, and the allreduce is a
+//! barrier on the compute streams alone. Preparing epochs stage slot by
+//! slot; a key's first scope launches eagerly as its capture and every
+//! later one replays it. Steady epochs run on the single-device trainer's
+//! engine: every scope replays, and a shard-frame is staged in partitions
+//! of [`S_PER_OPTIONS`] slots — one host assembly and one copy each —
+//! sized by the tuner's memory bound (DESIGN §3.15).
 
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
@@ -387,10 +388,9 @@ pub fn train_data_parallel_devices(
 
     // Per-device state: simulator (its host lane is the device's loader:
     // `mgpu_prep`, the forward halo gather), model (identical seed →
-    // identical weights), streams. Preparing frames lift the host lane to
-    // the allreduce's end; steady frames never do, so it stages the next
-    // frame under this one. The gradient scatter and the allreduce are
-    // timed off the compute streams.
+    // identical weights), streams. No frame lifts the host lane to the
+    // allreduce, so it stages the next frame under this one. The gradient
+    // scatter and the allreduce are timed off the compute streams.
     let mut gpus: Vec<Gpu> = (0..parts).map(|_| Gpu::new(DeviceConfig::v100())).collect();
     let mut models = Vec::with_capacity(parts);
     let mut streams = Vec::with_capacity(parts);
@@ -456,8 +456,8 @@ pub fn train_data_parallel_devices(
     let mut cached: Vec<Option<std::vec::IntoIter<Matrix>>> = Vec::new();
     let mut blocks: Vec<Option<Matrix>> = Vec::new();
     // Per device, the compute events of the two frames before the one being
-    // staged: a steady frame's staging starts no earlier than the older one
-    // (two staging buffers, so one frame of prefetch, epoch to epoch too).
+    // staged: a frame's staging starts no earlier than the older one (two
+    // staging buffers, so one frame of prefetch, epoch to epoch too).
     let mut fence = vec![[SimNanos::ZERO; 2]; parts];
     let mut epochs = Vec::with_capacity(cfg.epochs);
     let mut frame_losses = Vec::with_capacity(cfg.epochs);
@@ -479,8 +479,10 @@ pub fn train_data_parallel_devices(
             gpus.iter_mut().for_each(Gpu::reset_peak_mem);
         }
         if epoch == preparing {
-            for (size, g) in s_per.iter_mut().zip(&gpus) {
+            // No steady frame stages before its partition size is fixed.
+            for (size, g) in s_per.iter_mut().zip(&mut gpus) {
                 *size = steady_partition(g, cfg.window);
+                g.host_wait(t0);
             }
             steady_t0 = t0;
             halo_bytes_epoch = 0;
@@ -560,9 +562,7 @@ pub fn train_data_parallel_devices(
                 let (compute, copy) = streams[p];
                 let gpu = &mut gpus[p];
                 let (lo, hi) = shard_ranges[s];
-                if steady {
-                    gpu.host_wait(fence[p][0]);
-                }
+                gpu.host_wait(fence[p][0]);
                 let mut slots = Vec::with_capacity(nslots);
                 // Staging is partition-grained, as `PipadExecutor::stage`'s:
                 // one host assembly and one pinned copy for everything a
@@ -756,21 +756,13 @@ pub fn train_data_parallel_devices(
                 0
             };
             let dur = SimNanos::from_bytes(allreduce_bytes, P2P_BYTES_PER_US);
-            // A steady frame's barrier is an event on each compute stream:
-            // the copy stream and the loader lane keep staging the next
-            // frame under this one's allreduce. Preparing frames join all.
+            // The barrier is an event on each compute stream: the copy
+            // stream and the loader lane keep staging the next frame under
+            // this one's allreduce.
             for p in 0..parts {
                 fence[p] = [fence[p][1], gpus[p].record_event(streams[p].0).time()];
             }
-            let sync_base = if steady {
-                fence
-                    .iter()
-                    .map(|f| f[1])
-                    .max()
-                    .expect("at least one device")
-            } else {
-                join_all(&mut gpus)
-            };
+            let sync_base = fence.iter().map(|f| f[1]).max().expect("a device");
             let sync_point = sync_base + dur;
             if parts > 1 {
                 for gpu in &mut gpus {
@@ -779,13 +771,6 @@ pub fn train_data_parallel_devices(
                 if steady {
                     allreduce_bytes_epoch += allreduce_bytes * parts as u64;
                     allreduce_time_total += dur;
-                }
-            }
-            if !steady {
-                // A preparing frame's loader work waits for the barrier on
-                // every device, however many there are.
-                for gpu in &mut gpus {
-                    gpu.host_wait(sync_point);
                 }
             }
             // One multi-tensor step per device over the summed gradients, in

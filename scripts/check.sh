@@ -225,6 +225,17 @@ extensions_name_a_result() {
     return "$bad"
 }
 
+# README says what the system is and how to run it; its history lives in
+# CHANGES.md. It may shrink, never grow: lower the cap when it shrinks.
+readme_does_not_grow() {
+    local cap=877 lines
+    lines=$(wc -l < README.md)
+    if ((lines > cap)); then
+        echo "ERROR: README.md has $lines lines, over its cap of $cap" >&2
+        return 1
+    fi
+}
+
 # The examples are the only end-to-end runs through the facade's re-exports;
 # the workspace test run has already built them.
 examples_run() {
@@ -244,6 +255,7 @@ gate copy_retry_has_one_home
 gate serving_has_one_batcher
 gate graph_capture_has_one_home
 gate extensions_name_a_result
+gate readme_does_not_grow
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace --all-targets -- -D warnings

@@ -33,7 +33,7 @@ use pipad_repro::serve::{
 use pipad_tensor::with_pool_enabled;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// One full training run under `plan`: the loss bit-patterns (or the typed
@@ -74,14 +74,41 @@ fn serve_cfg() -> TrainingConfig {
     }
 }
 
+const CHECKPOINT_DIR_PREFIX: &str = "pipad-serve-chaos-";
+
+/// Remove the checkpoint directories of test processes that have exited.
+/// A process never drops the statics naming its own, so the next one
+/// sweeps them. Liveness is read off `/proc`; without it nothing goes.
+fn sweep_exited_checkpoint_dirs() {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(CHECKPOINT_DIR_PREFIX))
+            .and_then(|rest| rest.rsplit('-').next())
+            .filter(|pid| pid.parse::<u32>().is_ok());
+        if pid.is_some_and(|pid| !proc.join(pid).exists()) {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
 /// Train `model` once per process (fault-free, with checkpoints) and
 /// share the checkpoint directory across every chaos case.
 fn shared_checkpoint_dir(model: ModelKind) -> &'static PathBuf {
     static DIRS: [OnceLock<PathBuf>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
     let i = ModelKind::ALL.iter().position(|&m| m == model).unwrap();
     DIRS[i].get_or_init(|| {
+        sweep_exited_checkpoint_dirs();
         let dir = std::env::temp_dir().join(format!(
-            "pipad-serve-chaos-{}-{}",
+            "{CHECKPOINT_DIR_PREFIX}{}-{}",
             model.name(),
             std::process::id()
         ));

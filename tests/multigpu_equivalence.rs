@@ -10,9 +10,9 @@
 //! buffer pool).
 //!
 //! The same file gates that the extension runs on the engine it extends:
-//! one device with one shard tracks `train_pipad`'s steady epoch, and
-//! steady epochs replay CUDA graphs and stage the next frame under the
-//! current one on every device.
+//! one device with one shard tracks `train_pipad`'s steady epoch, steady
+//! epochs replay CUDA graphs, and both phases stage the next frame under
+//! the current one on every device.
 
 use pipad::{
     train_data_parallel, train_data_parallel_devices, train_pipad, MultiGpuConfig, MultiTrainReport,
@@ -179,9 +179,12 @@ fn wide_cfg() -> TrainingConfig {
 /// device's preparing frames lift its loader lane to their barrier, the
 /// first steady staging no longer runs in the past: 926 676, 1 077 346
 /// and 1 064 390 ns, 1.03x / 1.42x / 1.52x of a `train_pipad` epoch that
-/// rose too once its loader waited for the tuner decision. What is left
-/// of the gap is `ShardExecutor`'s per-slot update, which has no
-/// weight-resident GEMM (ROADMAP item 4).
+/// rose too once its loader waited for the tuner decision. Since the
+/// first steady frame waits for the steady phase to stage, they read
+/// 928 453, 1 079 130 and 1 066 152 ns (T-GCN 0.27 % under its ceiling),
+/// still 1.03x / 1.42x / 1.52x. What is left of the gap is
+/// `ShardExecutor`'s per-slot update, which has no weight-resident GEMM
+/// (ROADMAP item 4).
 #[test]
 fn one_shard_tracks_the_single_device_trainer() {
     let g = graph();
@@ -294,17 +297,21 @@ fn traced_scopes(gpu: &Gpu) -> Vec<TracedScope> {
 /// Preparing frames replay the graph of an earlier scope with the same
 /// key: only those captures launch eagerly. Steady frames replay every
 /// scope (one `cuda_graph_launch` per shard's forward + sweep 1, at most
-/// one per shard's sweep 2, one for the optimiser step) and stage
-/// across frames (a frame's first `mgpu_prep` starts before the previous
-/// frame's sweeps have finished).
+/// one per shard's sweep 2, one for the optimiser step). Both phases
+/// stage across frames: a frame's first `mgpu_prep` starts before the
+/// previous frame's sweeps have finished, and not before those of the
+/// frame before that. No steady frame stages before the steady phase
+/// begins, where its partition size is read off the one-slot profile.
 ///
 /// A steady epoch takes at most half the last preparing epoch. Now that
-/// both phases replay graphs, that ratio prices partition staging: it
-/// reads 2.65x (EvolveGCN, one device) to 5.47x (T-GCN, four), and 1.32x
-/// to 2.20x with steady frames staged slot by slot. (It was 4x while
-/// preparing frames launched eagerly at 5 µs a kernel.) Staging without
-/// the next frame under the current one keeps it at 2.59x to 4.37x; the
-/// `mgpu_prep` order below is what catches that.
+/// both phases replay graphs and stage under their predecessor, that
+/// ratio prices partition staging: it reads 2.98x (EvolveGCN, one
+/// device) to 4.13x (T-GCN, four), and 1.39x to 1.62x with steady frames
+/// staged slot by slot. (It was 4x while preparing frames launched
+/// eagerly at 5 µs a kernel, and 3.75x to 5.47x while they joined every
+/// lane per frame.) Staging with one buffer, so no frame under its
+/// predecessor, reads 3.65x to 4.37x; the `mgpu_prep` order below is
+/// what catches that.
 #[test]
 fn steady_epochs_replay_and_pipeline() {
     let g = graph();
@@ -420,13 +427,33 @@ fn steady_epochs_replay_and_pipeline() {
                 );
                 assert_eq!(sweeps_end.len(), frames * cfg.epochs, "{what}");
                 assert_eq!(staging_start.len(), frames * cfg.epochs, "{what}");
-                let prefetched = (frames * cfg.preparing_epochs + 1..frames * cfg.epochs)
-                    .filter(|&f| staging_start[f] < sweeps_end[f - 1])
-                    .count();
-                assert!(
-                    prefetched > 0,
-                    "{what}: no frame was staged under its predecessor"
-                );
+                // Both phases stage a frame under its predecessor: every frame
+                // but the run's first and the first steady one, which waits
+                // for its partition size.
+                let first_steady = frames * cfg.preparing_epochs;
+                for f in (1..frames * cfg.epochs).filter(|&f| f != first_steady) {
+                    assert!(
+                        staging_start[f] < sweeps_end[f - 1],
+                        "{what}: frame {f} was not staged under its predecessor"
+                    );
+                }
+                // Two staging buffers: the loader never runs more than one
+                // frame ahead of the compute stream.
+                for f in 2..frames * cfg.epochs {
+                    assert!(
+                        staging_start[f] >= sweeps_end[f - 2],
+                        "{what}: frame {f} staged before frame {}'s sweeps ended",
+                        f - 2
+                    );
+                }
+                // The steady partition size is read off the one-slot profile
+                // at the steady phase's start: no steady staging precedes it.
+                if let Some(e) = by_partition.iter().find(|e| e.ts < steady_t0) {
+                    panic!(
+                        "{what}: a steady frame staged at {}, before the steady phase at {steady_t0}",
+                        e.ts
+                    );
+                }
             }
             for e in &r.epochs[..cfg.preparing_epochs] {
                 let captured = eager.get(&e.epoch).copied().unwrap_or(0);
