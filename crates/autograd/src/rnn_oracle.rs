@@ -364,7 +364,7 @@ fn sigmoid_add_and_gru_blend_match_composed_ops_bit_for_bit() {
 
 /// MPNN-LSTM's temporal phase: two stacked cells over `steps` inputs, every
 /// initial state the one shared non-grad zero input.
-fn lstm_chain(g: &mut Graph<'_>, fused: bool, n: usize, hd: usize, steps: usize) -> Var {
+pub(crate) fn lstm_chain(g: &mut Graph<'_>, fused: bool, n: usize, hd: usize, steps: usize) -> Var {
     let cell = |g: &mut Graph<'_>, seed| {
         [
             g.param(operand(seed, hd, 4 * hd, false)),

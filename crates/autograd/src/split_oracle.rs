@@ -13,10 +13,10 @@
 //! parent's gradient only, is what [`Zeros::LoneLosesSign`] admits; no
 //! trainer's loss bits move with it (`tests/trainer_digests.rs`).
 
-use crate::rnn_oracle::{evaluate, evaluate_sweeps, operand, Graph};
+use crate::rnn_oracle::{evaluate, evaluate_sweeps, lstm_chain, operand, Graph};
 use crate::Var;
 use pipad_gpu_sim::KernelCategory;
-use pipad_kernels::{Axis, DeviceMatrix};
+use pipad_kernels::Axis;
 use pipad_tensor::Matrix;
 
 const CAT: KernelCategory = KernelCategory::Update;
@@ -50,18 +50,11 @@ fn extents(total: usize, parts: usize) -> Vec<usize> {
         .collect()
 }
 
-struct Built {
-    root: Var,
-    /// The consumer of the highest live part: an interior node above the
-    /// split, where a second sweep can inject.
-    above_split: Option<Var>,
-}
-
 /// `parent = a + b` (both leaves, so their gradient *is* the parent's),
 /// cut along `axis`; every live part — and, with `full_consumers`, the
 /// parent itself once below and once above the parts — is masked with
 /// special values and projected to a common shape, and the projections
-/// are summed into the root.
+/// are summed into the root, which is returned.
 fn build(
     g: &mut Graph<'_>,
     split: bool,
@@ -69,7 +62,7 @@ fn build(
     ((rows, cols), parts): ((usize, usize), usize),
     live: Live,
     full_consumers: bool,
-) -> Built {
+) -> Var {
     let a = g.leaf(operand(1, rows, cols, true));
     let b = g.leaf(operand(2, rows, cols, true));
     let parent = g.tape.add(g.gpu, a, b, CAT).unwrap();
@@ -111,12 +104,9 @@ fn build(
         one_by_one.collect()
     };
     g.outs.extend(&views);
-    let mut above_split = None;
     for (k, &view) in views.iter().enumerate() {
         if live(k, parts) {
-            let term = consume(g, view, 20 + k as u64);
-            above_split = Some(term);
-            terms.push(term);
+            terms.push(consume(g, view, 20 + k as u64));
         }
     }
     if full_consumers {
@@ -126,7 +116,7 @@ fn build(
     for &t in &terms[1..] {
         root = g.tape.add(g.gpu, root, t, CAT).unwrap();
     }
-    Built { root, above_split }
+    root
 }
 
 fn seed(axis: Axis, (rows, cols): (usize, usize), n: u64) -> Matrix {
@@ -207,7 +197,7 @@ fn split_matches_the_padded_fold_bit_for_bit() {
                 let seed = seed(axis, shape.0, 9);
                 let run = |threads, split| {
                     evaluate(threads, &seed, |g| {
-                        build(g, split, axis, shape, live, full_consumers).root
+                        build(g, split, axis, shape, live, full_consumers)
                     })
                     .0
                 };
@@ -221,42 +211,52 @@ fn split_matches_the_padded_fold_bit_for_bit() {
     }
 }
 
-/// Multi-GPU's second sweep: `backward_seed_only` stashes every gradient,
-/// sweeps from an interior node and adds the stash back. The part
-/// gradients of the first sweep sit in the stash meanwhile, so the second
-/// gather sees only what the second sweep deposited — nothing is gathered
-/// twice.
+/// The sharded trainer's backward in two halves — the MSE sweep stopped
+/// above a floor, then [`crate::Tape::backward_below`] with no seed —
+/// launches the same kernels and leaves the same bits as one sweep, at
+/// every floor a split group allows: over splits with dead parts and
+/// full-size consumers, and over stacked LSTM chains, fused (a cell's `c′`
+/// sits right above it) and composed.
 #[test]
-fn a_second_seed_only_sweep_gathers_only_its_own_gradients() {
-    for shape in SHAPES {
-        for axis in axes(shape) {
-            // One part: both sweeps are lone-part gathers.
-            let zeros = if shape.1 == 1 {
-                Zeros::LoneLosesSign
-            } else {
-                Zeros::Exact
-            };
-            let (first, second) = (seed(axis, shape.0, 9), seed(axis, shape.0, 8));
-            let run = |threads, split| {
-                evaluate_sweeps(
-                    threads,
-                    |g| build(g, split, axis, shape, ALL, true),
-                    |gpu, tape, built| {
-                        let first = DeviceMatrix::alloc(gpu, first.clone()).unwrap();
-                        tape.backward_from(gpu, built.root, first).unwrap();
-                        let second = DeviceMatrix::alloc(gpu, second.clone()).unwrap();
-                        let interior = built.above_split.expect("a live part");
-                        tape.backward_seed_only(gpu, interior, second).unwrap();
-                    },
-                )
-                .0
-            };
-            let fold = run(1, false);
-            for threads in [1, 2, 7] {
-                let what = format!("{shape:?} {axis:?} two sweeps @ {threads} threads");
-                assert_matches_fold(&what, zeros, &run(threads, true), &fold);
-            }
+fn a_sweep_split_at_any_floor_is_one_sweep() {
+    let check = |what: &str, target: &Matrix, build: &dyn Fn(&mut Graph<'_>) -> Var| {
+        let denom = target.len() as u64;
+        let run = |floor: Option<usize>| {
+            let mut floors = 0;
+            let got = evaluate_sweeps(1, build, |gpu, tape, root| {
+                let all = tape.floors(root);
+                floors = all.len();
+                let floor = floor.map(|k| all[k]);
+                tape.backward_mse_denom(gpu, root, target, denom, floor)
+                    .unwrap();
+                if let Some(floor) = floor {
+                    tape.backward_below(gpu, floor, Vec::new()).unwrap();
+                }
+            });
+            (got, floors)
+        };
+        let ((whole, launches), floors) = run(None);
+        for k in 0..floors {
+            let ((split, split_launches), _) = run(Some(k));
+            let what = format!("{what}, floor #{k} of {floors}");
+            assert_eq!(split_launches, launches, "{what}: launches");
+            assert_matches_fold(&what, Zeros::Exact, &split, &whole);
         }
+    };
+    // The tall shape's many floors would only repeat the small ones.
+    for shape in &SHAPES[..5] {
+        for axis in axes(*shape) {
+            let what = format!("{shape:?} {axis:?}");
+            check(&what, &seed(axis, shape.0, 9), &|g| {
+                build(g, true, axis, *shape, SOME_DEAD, true)
+            });
+        }
+    }
+    for fused in [true, false] {
+        let what = format!("lstm chain fused={fused}");
+        check(&what, &operand(69, 6, 4, false), &|g| {
+            lstm_chain(g, fused, 6, 4, 3)
+        });
     }
 }
 

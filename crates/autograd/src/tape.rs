@@ -24,7 +24,7 @@ pub enum AggregationKernel {
 pub type SharedParam = Rc<RefCell<DeviceMatrix>>;
 
 /// Handle to a tape node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Var(usize);
 
 enum Value {
@@ -937,7 +937,7 @@ impl Tape {
         target: &Matrix,
     ) -> Result<(), OomError> {
         let denom = target.len() as u64;
-        self.backward_mse_denom(gpu, pred, target, denom)
+        self.backward_mse_denom(gpu, pred, target, denom, None)
     }
 
     /// Raw sum-of-squared-error of `pred` against `target` (no divide) —
@@ -950,49 +950,47 @@ impl Tape {
     }
 
     /// Seed `d/d(pred)` of an MSE whose denominator is the **global**
-    /// element count `denom` (not `pred`'s own), then run the reverse
-    /// sweep — the backward counterpart of [`Tape::sse_loss`] for sharded
-    /// training, where each shard holds a row block of the full prediction.
+    /// element count `denom` (not `pred`'s own), then run the reverse sweep
+    /// over the nodes above `floor` (every node when `None`) — the backward
+    /// counterpart of [`Tape::sse_loss`] for sharded training, where each
+    /// shard holds a row block of the full prediction. A sweep stopped above
+    /// a floor is finished by [`Tape::backward_below`].
     pub fn backward_mse_denom(
         &mut self,
         gpu: &mut Gpu,
         pred: Var,
         target: &Matrix,
         denom: u64,
+        floor: Option<Var>,
     ) -> Result<(), OomError> {
         let seed = {
             let dm = self.dev(pred);
             k::mse_grad_denom(gpu, self.stream, &dm, target, denom)?
         };
-        self.backward_from(gpu, pred, seed)
+        self.accumulate(gpu, pred, seed)?;
+        let above = floor.map_or(0, |f| self.check_floor(f) + 1);
+        self.sweep(gpu, above..pred.0 + 1)
     }
 
-    /// Run a reverse sweep from `root` that deposits **only** the
-    /// contributions of `seed`, merging into gradients already present from
-    /// earlier sweeps instead of double-counting them: grads of nodes at or
-    /// below `root` are stashed, the sweep runs on a clean slate, and the
-    /// stash is added back. The sharded trainer's second sweep injects
-    /// cross-shard halo gradients at interior activations this way.
-    pub fn backward_seed_only(
+    /// Finish a sweep that stopped above `floor`: accumulate each `(var,
+    /// seed)` into that var's gradient (one `add` where a gradient already
+    /// sits), then sweep `floor` and every node below it. The tape is in
+    /// topological order, so every node above `floor` has deposited all it
+    /// will, and a seed at or below it joins its var's gradient before that
+    /// gradient is read: the two halves are one sweep. The sharded trainer
+    /// joins the peers' halo gradients to its own `H¹` this way.
+    pub fn backward_below(
         &mut self,
         gpu: &mut Gpu,
-        root: Var,
-        seed: DeviceMatrix,
+        floor: Var,
+        seeds: impl IntoIterator<Item = (Var, DeviceMatrix)>,
     ) -> Result<(), OomError> {
-        // Every node, not just those below `root`: an LSTM cell at `root`
-        // reads the gradient of its `c′` node, which sits just above it, and
-        // a split's first part gathers those of the parts above it.
-        let mut stash: Vec<(usize, Rc<DeviceMatrix>)> = Vec::new();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(g) = node.grad.take() {
-                stash.push((i, g));
-            }
-        }
-        self.backward_from(gpu, root, seed)?;
-        for (i, g) in stash {
-            self.accumulate_rc(gpu, Var(i), g)?;
-        }
-        Ok(())
+        let below = self.check_floor(floor) + 1;
+        let seeds = seeds.into_iter().inspect(|(v, _)| {
+            debug_assert!(v.0 < below, "seed {v:?} above the floor {floor:?}");
+        });
+        self.deposit_each(gpu, Ok(()), seeds)?;
+        self.sweep(gpu, 0..below)
     }
 
     /// Run the reverse sweep from `root` with an explicit seed gradient.
@@ -1003,7 +1001,38 @@ impl Tape {
         seed: DeviceMatrix,
     ) -> Result<(), OomError> {
         self.accumulate(gpu, root, seed)?;
-        for i in (0..=root.0).rev() {
+        self.sweep(gpu, 0..root.0 + 1)
+    }
+
+    /// `floor`'s index, once checked to end its split group: a split's
+    /// parts deposit their gradients together, through the first part, so
+    /// with a floor between them a node above it would not have deposited
+    /// when the sweep above it ends.
+    fn check_floor(&self, floor: Var) -> usize {
+        debug_assert!(
+            !self.inside_split(floor),
+            "floor {floor:?} falls inside a split's parts"
+        );
+        floor.0
+    }
+
+    /// Whether the node after `v` is a later part of the split `v` is in.
+    fn inside_split(&self, v: Var) -> bool {
+        let next = self.nodes.get(v.0 + 1);
+        next.is_some_and(|n| matches!(n.op, Op::SplitPart))
+    }
+
+    /// Every floor a sweep from `root` may stop above: `root` and each node
+    /// below it that ends its split group.
+    #[cfg(test)]
+    pub(crate) fn floors(&self, root: Var) -> Vec<Var> {
+        let all = (0..=root.0).map(Var);
+        all.filter(|&v| !self.inside_split(v)).collect()
+    }
+
+    /// The reverse sweep over `nodes`, highest first.
+    fn sweep(&mut self, gpu: &mut Gpu, nodes: std::ops::Range<usize>) -> Result<(), OomError> {
+        for i in nodes.rev() {
             if !self.nodes[i].requires_grad {
                 continue;
             }
@@ -1790,44 +1819,70 @@ mod tests {
         tape.finish(&mut gpu);
     }
 
-    #[test]
-    fn seed_only_backward_merges_with_prior_sweep() {
-        let (mut gpu, s) = setup();
+    /// `h = tanh(x·W)` under `out = h·V`: `[W, V, h, out]`.
+    fn two_layer(gpu: &mut Gpu, s: StreamId, w: &SharedParam, v: &SharedParam) -> (Tape, [Var; 4]) {
+        let mut tape = Tape::new(s);
         let x_host = uniform(&mut seeded_rng(60), 3, 2, 1.0);
+        let x = tape.input(DeviceMatrix::alloc(gpu, x_host).unwrap());
+        let wv = tape.param(w);
+        let vv = tape.param(v);
+        let h = tape.matmul(gpu, x, wv, KernelCategory::Update).unwrap();
+        let h = tape.tanh(gpu, h, KernelCategory::Update).unwrap();
+        let out = tape.matmul(gpu, h, vv, KernelCategory::Update).unwrap();
+        (tape, [wv, vv, h, out])
+    }
+
+    #[test]
+    fn a_seed_below_the_floor_is_part_of_one_sweep_s_seed() {
+        let (mut gpu, s) = setup();
         let w = shared(&mut gpu, uniform(&mut seeded_rng(61), 2, 2, 1.0));
-        let seed_a = uniform(&mut seeded_rng(62), 3, 2, 1.0);
-        let seed_b = uniform(&mut seeded_rng(63), 3, 2, 1.0);
+        let v = shared(&mut gpu, uniform(&mut seeded_rng(62), 2, 2, 1.0));
+        let target = uniform(&mut seeded_rng(63), 3, 2, 1.0);
+        let extra = uniform(&mut seeded_rng(64), 3, 2, 1.0);
+        let bits = |m: Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-        // Two sweeps (seed_a then seed_only seed_b) must equal one combined
-        // sweep with seed_a + seed_b — gradients are linear in the seed.
-        let run = |gpu: &mut Gpu, seeds: &[&Matrix]| {
-            let mut tape = Tape::new(s);
-            let x = tape.input(DeviceMatrix::alloc(gpu, x_host.clone()).unwrap());
-            let wv = tape.param(&w);
-            let h = tape.matmul(gpu, x, wv, KernelCategory::Update).unwrap();
-            let h = tape.tanh(gpu, h, KernelCategory::Update).unwrap();
-            for (i, seed) in seeds.iter().enumerate() {
-                let dm = DeviceMatrix::alloc(gpu, (*seed).clone_in()).unwrap();
-                if i == 0 {
-                    tape.backward_from(gpu, h, dm).unwrap();
-                } else {
-                    tape.backward_seed_only(gpu, h, dm).unwrap();
-                }
-            }
-            let g = tape.grad(wv).unwrap();
-            tape.finish(gpu);
-            g
-        };
+        // Above the floor `h`; then the extra seed joins `h`'s gradient and
+        // the sweep runs below.
+        let (mut tape, [wv, vv, h, out]) = two_layer(&mut gpu, s, &w, &v);
+        tape.backward_mse_denom(&mut gpu, out, &target, 6, Some(h))
+            .unwrap();
+        let mut combined = tape.grad(h).unwrap();
+        let seed = DeviceMatrix::alloc(&mut gpu, extra.clone_in()).unwrap();
+        tape.backward_below(&mut gpu, h, [(h, seed)]).unwrap();
+        let (split_w, split_v) = (tape.grad(wv).unwrap(), tape.grad(vv).unwrap());
+        tape.finish(&mut gpu);
 
-        let staged = run(&mut gpu, &[&seed_a, &seed_b]);
-        let mut combined_seed = seed_a.clone_in();
-        combined_seed.add_assign(&seed_b);
-        let combined = run(&mut gpu, &[&combined_seed]);
-        assert!(
-            staged.approx_eq(&combined, 1e-5),
-            "staged {staged:?} combined {combined:?}"
-        );
-        combined_seed.recycle();
+        // One sweep from `h` whose seed already holds the extra one.
+        combined.add_assign(&extra);
+        let (mut tape, [wv, ..]) = two_layer(&mut gpu, s, &w, &v);
+        let seed = DeviceMatrix::alloc(&mut gpu, combined).unwrap();
+        tape.backward_from(&mut gpu, h, seed).unwrap();
+        assert_eq!(bits(split_w), bits(tape.grad(wv).unwrap()), "W");
+        tape.finish(&mut gpu);
+
+        // `V` sits above the floor, out of the extra seed's reach.
+        let (mut tape, [_, vv, _, out]) = two_layer(&mut gpu, s, &w, &v);
+        tape.backward_mse_denom(&mut gpu, out, &target, 6, None)
+            .unwrap();
+        assert_eq!(bits(split_v), bits(tape.grad(vv).unwrap()), "V");
+        tape.finish(&mut gpu);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "falls inside a split's parts")]
+    fn a_floor_inside_a_split_is_refused() {
+        let (mut gpu, s) = setup();
+        let mut tape = Tape::new(s);
+        let x = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::full(4, 2, 1.0)).unwrap());
+        let parts = tape
+            .split_rows(&mut gpu, x, &[2, 2], KernelCategory::Other)
+            .unwrap();
+        let out = tape
+            .add(&mut gpu, parts[0], parts[1], KernelCategory::Other)
+            .unwrap();
+        let target = Matrix::zeros(2, 2);
+        let _ = tape.backward_mse_denom(&mut gpu, out, &target, 4, Some(parts[0]));
     }
 
     #[test]

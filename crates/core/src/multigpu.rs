@@ -36,12 +36,16 @@
 //! as gradient-carrying leaves ([`Tape::input_grad`]). Forward stacks own +
 //! peer blocks ([`Tape::concat_rows`]) and aggregates through the
 //! rectangular local adjacency slice with an explicit transpose for
-//! backward ([`Tape::spmm_sliced`]). Backward runs in two sweeps: (1)
-//! each shard's loss gradient, which deposits per-peer-block gradients at
-//! the halo leaves; (2) for each shard, the peer-deposited gradients are
-//! summed in ascending producer order and injected at the shard's own `H¹`
-//! via [`Tape::backward_seed_only`] — the mirrored scatter of the forward
-//! gather, same aggregate byte volume.
+//! backward ([`Tape::spmm_sliced`]). Backward runs once per shard-frame, in
+//! two halves split at the shard's last `H¹` node: (1) the loss gradient
+//! sweeps everything above it, which leaves the halo leaves their final
+//! per-peer-block gradients; (2) once every shard has done so, each shard's
+//! peer-deposited gradients are summed in ascending producer order, join
+//! its own `H¹` gradient, and [`Tape::backward_below`] sweeps layer 1 (and
+//! EvolveGCN's weight-evolution chains) once — the mirrored scatter of the
+//! forward gather, same aggregate byte volume. The tape is topologically
+//! ordered, so the halves are one sweep; a lone shard has no peers and
+//! sweeps in one go.
 //!
 //! Inter-frame reuse composes: layer-1 aggregation blocks are cached
 //! per-(snapshot, shard) in an [`InterFrameReuse`] without a device budget,
@@ -51,8 +55,9 @@
 //! frame looks every snapshot up once, over all its shards; the answer
 //! feeds the halo capture and every shard's staging.
 //!
-//! A shard's forward + sweep 1, its sweep 2 and a device's optimiser step
-//! are each one CUDA graph, keyed by what fixes their kernel sequence.
+//! A shard's forward with its backward above `H¹`, its backward below
+//! `H¹` and a device's optimiser step are each one CUDA graph, keyed by
+//! what fixes their kernel sequence.
 //! Both phases run one frame schedule: the loader stages frame f+1 under
 //! frame f, behind a per-device compute fence, and the allreduce is a
 //! barrier on the compute streams alone. Preparing epochs stage slot by
@@ -164,7 +169,7 @@ struct ShardExecutor<'a> {
     /// `halo_leaves[producer][k] = (slot, leaf)`: gradient-carrying leaf
     /// vars holding `producer`'s `H¹` block, read by this shard.
     halo_leaves: Vec<Vec<(usize, Var)>>,
-    /// This shard's own `H¹` vars — sweep-2 injection roots.
+    /// This shard's own `H¹` vars — where the peers' halo gradients join.
     hidden_vars: Vec<Var>,
     /// Freshly computed aggregation blocks for the reuse store.
     computed_aggs: Vec<(usize, Matrix)>,
@@ -192,6 +197,14 @@ impl<'a> ShardExecutor<'a> {
             ready,
             compute,
         }
+    }
+
+    /// Where this shard's backward pauses for its peers' halo gradients:
+    /// its last `H¹` node, with every node that reads `H¹` above it. `None`
+    /// when it has no peers, or no hidden aggregation, and sweeps at once.
+    fn floor(&self) -> Option<Var> {
+        let peers = self.shard_ranges.len() > 1;
+        self.hidden_vars.iter().max().copied().filter(|_| peers)
     }
 }
 
@@ -638,12 +651,13 @@ pub fn train_data_parallel_devices(
                 execs[s] = Some(exec);
             }
 
-            // --- forward + sweep-1 backward, ascending shard order --------
+            // --- forward + backward above H¹, ascending shard order -------
             let target_full = graph.target_for(frame.last_index());
             let mut tapes: Vec<Tape> = Vec::with_capacity(shards);
             let mut binders = Vec::with_capacity(shards);
             let mut frame_sse = 0.0f32;
-            // Sweep-1 completion per shard: what its halo gradients wait on.
+            // Per shard, when its backward above H¹ ends: what its halo
+            // gradients wait on.
             let mut swept = Vec::with_capacity(shards);
             // Which slots reuse serves fixes a shard-frame's kernel sequence.
             let slots_cached: Vec<bool> = cached.iter().map(Option::is_some).collect();
@@ -658,7 +672,8 @@ pub fn train_data_parallel_devices(
                 let key = graph_key(&("forward", s, &slots_cached));
                 let (out, sse) = replay(gpu, compute, steady, key, |gpu| -> Result<_, OomError> {
                     let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
-                    tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
+                    let floor = exec.floor();
+                    tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u, floor)?;
                     let sse = tape.sse_loss(gpu, out.pred, &t_local);
                     Ok((out, sse))
                 })?;
@@ -673,15 +688,16 @@ pub fn train_data_parallel_devices(
                 execs[s] = Some(exec);
             }
 
-            // --- sweep 2: cross-shard halo gradient injection -------------
+            // --- backward below H¹, halo gradients joined -----------------
             // For each consumer shard q (ascending) and slot, sum the
             // gradients peers deposited at their leaves holding q's H1
-            // block (ascending producer order) and inject at q's own H1.
-            // The mirrored scatter moves the same aggregate volume as the
+            // block (ascending producer order); they join q's own H1
+            // gradient, and q's backward runs on through layer 1 once. The
+            // mirrored scatter moves the same aggregate volume as the
             // forward gather; it is charged per shard by its forward halo,
-            // in the consumer's compute stream, once every producer's sweep
-            // 1 has finished. One shard's injections are one replay.
-            if hidden_agg {
+            // in the consumer's compute stream, once every producer's
+            // backward above H¹ has finished. One shard's half is one replay.
+            if hidden_agg && shards > 1 {
                 for q in 0..shards {
                     let (compute, _) = streams[owner[q]];
                     let gpu = &mut gpus[owner[q]];
@@ -714,17 +730,18 @@ pub fn train_data_parallel_devices(
                         seeds.push((execs[q].as_ref().unwrap().hidden_vars[i], seed));
                         seeded.push(i);
                     }
-                    // A shard without seeds launches nothing and opens no scope.
-                    if seeds.is_empty() {
-                        continue;
-                    }
+                    let floor = execs[q]
+                        .as_ref()
+                        .unwrap()
+                        .floor()
+                        .expect("a shard with peers");
                     let key = graph_key(&("halo", q, seeded));
                     replay(gpu, compute, steady, key, |gpu| {
-                        for (root, seed) in seeds {
-                            let dm = DeviceMatrix::alloc(gpu, seed)?;
-                            tapes[q].backward_seed_only(gpu, root, dm)?;
-                        }
-                        Ok::<_, OomError>(())
+                        let seeds = seeds
+                            .into_iter()
+                            .map(|(h1, seed)| DeviceMatrix::alloc(gpu, seed).map(|dm| (h1, dm)));
+                        let seeds = seeds.collect::<Result<Vec<_>, _>>()?;
+                        tapes[q].backward_below(gpu, floor, seeds)
                     })?;
                 }
             }

@@ -4,13 +4,15 @@
 # side goes first, medians with inclusive quartiles and wins per pair.
 #
 #   scripts/bench_ab.sh PARENT_ROOT CHANGE_ROOT [--pairs 10] [--seed 1]
-#       [--fresh-seed N [--fresh-pairs 4]] [--workloads a,b,...]
+#       [--fresh-seed N [--fresh-pairs 6]] [--workloads a,b,...]
 #       [--out results/bench_ab] [--title TEXT] [--claim METRIC:WORKLOAD]
 #
 # Builds nothing: each root must already hold its own
 # `benchmark/target/release/pipad-benchmark` (`bash benchmark/run.sh
-# --workload serve_two_rates --seconds 1` in that root builds it; put
-# `benchmark/Cargo.lock` back afterwards). Every run is that root's binary,
+# --workload serve_two_rates --seconds 1` in that root builds it). A build
+# rewrites the stale, frozen `benchmark/Cargo.lock`, so once both binaries
+# exist each root's lock file is put back with `git checkout` and no build
+# rewrite is ever committed. Every run is that root's binary,
 # from that root, as `--workload W --seed N --seconds 20 --trace 0` with
 # PIPAD_THREADS=2; then one traced run per side and workload (`--trace 1`,
 # the first seed) for the per-layer table. `--fresh-seed` repeats the
@@ -31,7 +33,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -39,7 +41,7 @@ usage() {
 parent_root=$(cd "$1" && pwd)
 change_root=$(cd "$2" && pwd)
 shift 2
-pairs=10 seed=1 fresh_seed="" fresh_pairs=4 out=results/bench_ab title="" workloads="" claim=""
+pairs=10 seed=1 fresh_seed="" fresh_pairs=6 out=results/bench_ab title="" workloads="" claim=""
 while [[ $# -gt 0 ]]; do
     [[ $# -ge 2 ]] || usage
     case $1 in
@@ -59,6 +61,9 @@ done
 bin=benchmark/target/release/pipad-benchmark
 for root in "$parent_root" "$change_root"; do
     [[ -x $root/$bin ]] || { echo "ERROR: $root/$bin is not built" >&2; exit 1; }
+done
+for root in "$parent_root" "$change_root"; do
+    git -C "$root" checkout -- benchmark/Cargo.lock
 done
 if [[ -z $workloads ]]; then
     workloads=$(python3 -c '

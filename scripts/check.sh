@@ -201,6 +201,21 @@ graph_capture_has_one_home() {
     fi
 }
 
+# The data-parallel backward runs once per shard-frame: the peers' halo
+# gradients join a shard's own H¹ through `Tape::backward_below`, between
+# the sweep above H¹ and the one below it. No source sweeps a tape again
+# from a clean slate: no `backward_seed_only`, and no loop that takes every
+# node's gradient out (`nodes.iter_mut()`, a `stash`) to add it back after.
+one_backward_per_shard() {
+    local hits
+    hits=$(grep -rnE '\bbackward_seed_only\b|\bstash(ed)?\b|\bnodes\.iter_mut\(\)' crates/*/src || true)
+    if [[ -n $hits ]]; then
+        echo "$hits"
+        echo "ERROR: a second backward sweep over a tape; join its seeds with Tape::backward_below" >&2
+        return 1
+    fi
+}
+
 # Every row of README's "Beyond the paper" table must name what measures it:
 # a `repro <name>` that is an `EXPERIMENTS` entry (name or alias), or a
 # `tests/<file>.rs` that exists. An extension with no result to point at
@@ -254,6 +269,7 @@ gate overlap_extraction_has_one_home
 gate copy_retry_has_one_home
 gate serving_has_one_batcher
 gate graph_capture_has_one_home
+gate one_backward_per_shard
 gate extensions_name_a_result
 gate readme_does_not_grow
 gate cargo build --release

@@ -225,7 +225,8 @@ fn one_shard_tracks_the_single_device_trainer() {
 }
 
 /// One graph scope of a device's run as its trace records it: its epoch,
-/// its role in the frame (`forward` + sweep 1, `halo` sweep 2 or `sgd_step`)
+/// its role in the frame (`forward` + backward above `H¹`, `halo` backward
+/// below it, or `sgd_step`)
 /// with its rank among the frame's scopes of that role, whether it replayed
 /// a graph, and its kernels in launch order.
 struct TracedScope {
@@ -237,8 +238,8 @@ struct TracedScope {
 
 /// Every graph scope on `gpu`, in launch order. A forward scope ends with
 /// its shard's `sse_loss` and the optimiser step is one `sgd_step`; each
-/// sweep-2 scope between them starts at the `p2p_halo_grad` ops its seeds
-/// wait on or at its `cuda_graph_launch`.
+/// halo scope between them starts at the `p2p_halo_grad` ops its seeds
+/// wait on, at its `cuda_graph_launch` or at its first kernel.
 fn traced_scopes(gpu: &Gpu) -> Vec<TracedScope> {
     let mut scopes: Vec<TracedScope> = Vec::new();
     let mut epoch = 0;
@@ -296,8 +297,9 @@ fn traced_scopes(gpu: &Gpu) -> Vec<TracedScope> {
 /// Both graph mechanisms engage on every device, read off its trace.
 /// Preparing frames replay the graph of an earlier scope with the same
 /// key: only those captures launch eagerly. Steady frames replay every
-/// scope (one `cuda_graph_launch` per shard's forward + sweep 1, at most
-/// one per shard's sweep 2, one for the optimiser step). Both phases
+/// scope: one `cuda_graph_launch` per shard's forward + backward above
+/// `H¹`, for hidden aggregation one per shard's backward below it, and one
+/// for the optimiser step. Both phases
 /// stage across frames: a frame's first `mgpu_prep` starts before the
 /// previous frame's sweeps have finished, and not before those of the
 /// frame before that. No steady frame stages before the steady phase
@@ -362,8 +364,8 @@ fn steady_epochs_replay_and_pipeline() {
                 let sweeps2 = if model == ModelKind::TGcn { 0 } else { shards };
 
                 // A preparing scope replays iff an earlier one launched its
-                // role's kernels: a frame opens a forward + sweep 1 and
-                // (hidden aggregation) a sweep 2 per shard, and one step.
+                // role's kernels: a frame opens a forward and (hidden
+                // aggregation) a halo scope per shard, and one step.
                 let scopes = traced_scopes(gpu);
                 let preparing = scopes.iter().filter(|s| s.epoch < cfg.preparing_epochs);
                 let mut captures = std::collections::HashSet::new();
@@ -389,10 +391,10 @@ fn steady_epochs_replay_and_pipeline() {
                 assert_eq!(captures.len(), gpu.graph_captures(), "{what}");
 
                 let replays = count(&steady, "cuda_graph_launch");
-                assert!(
-                    ((shards + 1) * steady_frames..=(shards + sweeps2 + 1) * steady_frames)
-                        .contains(&replays),
-                    "{what}: {replays} replays over {steady_frames} steady frames of {shards} shards"
+                assert_eq!(
+                    replays,
+                    (shards + sweeps2 + 1) * steady_frames,
+                    "{what}: replays over {steady_frames} steady frames of {shards} shards"
                 );
 
                 // Over the whole run: a frame's sweeps end with the last
@@ -459,6 +461,44 @@ fn steady_epochs_replay_and_pipeline() {
                 let captured = eager.get(&e.epoch).copied().unwrap_or(0);
                 assert_eq!(e.eager_launches, captured, "{what}: epoch {}", e.epoch);
             }
+        }
+    }
+}
+
+/// Each shard-frame sweeps layer 1 once: the peers' halo gradients join the
+/// shard's own `H¹` gradient before layer 1's backward runs. EvolveGCN
+/// evolves both layers' weights one GRU step per slot, so a shard-frame
+/// launches `gru_cell_grad` exactly twice per slot, with one shard or four,
+/// on one device or four. (A second sweep from `H¹` for the halo gradients
+/// alone made it three times per slot, rerunning layer 1's weight chain.)
+#[test]
+fn each_shard_frame_sweeps_layer_1_once() {
+    let g = graph();
+    let cfg = wide_cfg();
+    for (n_gpus, virtual_shards) in [(1, 1), (1, 4), (4, 4)] {
+        let mcfg = MultiGpuConfig {
+            n_gpus,
+            virtual_shards,
+        };
+        let (_, gpus) = train_data_parallel_devices(ModelKind::EvolveGcn, &g, HIDDEN, &cfg, &mcfg)
+            .expect("train");
+        for (d, gpu) in gpus.iter().enumerate() {
+            let count = |name: &str| {
+                let kernels = gpu.trace().events().iter();
+                kernels
+                    .filter(|e| e.kind == TraceKind::Kernel && e.name == name)
+                    .count()
+            };
+            // One `sse_loss` per shard-frame.
+            let shard_frames = count("sse_loss");
+            assert!(shard_frames > 0);
+            assert_eq!(
+                count("gru_cell_grad"),
+                2 * cfg.window * shard_frames,
+                "device {d} of {n_gpus}, {virtual_shards} shards: gru_cell_grad launches \
+                 over {shard_frames} shard-frames of {} slots",
+                cfg.window
+            );
         }
     }
 }
