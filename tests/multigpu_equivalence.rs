@@ -307,8 +307,8 @@ fn traced_scopes(gpu: &Gpu) -> Vec<TracedScope> {
 ///
 /// A steady epoch takes at most half the last preparing epoch. Now that
 /// both phases replay graphs and stage under their predecessor, that
-/// ratio prices partition staging: it reads 2.98x (EvolveGCN, one
-/// device) to 4.13x (T-GCN, four), and 1.39x to 1.62x with steady frames
+/// ratio prices partition staging: it reads 2.93x (EvolveGCN, four
+/// devices) to 4.13x (T-GCN, four), and 1.39x to 1.62x with steady frames
 /// staged slot by slot. (It was 4x while preparing frames launched
 /// eagerly at 5 µs a kernel, and 3.75x to 5.47x while they joined every
 /// lane per frame.) Staging with one buffer, so no frame under its
