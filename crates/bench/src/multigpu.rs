@@ -6,8 +6,11 @@
 //! own one-device run and the same epoch against the single-device
 //! `train_pipad` (`vs PiPAD`, above 1 is slower than one PiPAD device),
 //! halo bytes (input features plus hidden-activation exchange, forward and
-//! backward), ring-allreduce bytes and time, and per-device steady-window
-//! SM utilization and peak memory. The virtual-shard design makes the loss
+//! backward), ring-allreduce bytes and time, per-device steady-window SM
+//! utilization and peak memory, the preparing phase's simulated time, and
+//! kernel launches per steady epoch on one device beside one PiPAD
+//! device's (the launch count is what bounds a tiny-scale steady epoch).
+//! The virtual-shard design makes the loss
 //! trajectory a pure function of the workload — `measure` asserts the final
 //! loss is bit-identical across device counts, and `run` asserts the whole
 //! artifact is identical in every
@@ -17,6 +20,7 @@ use crate::util::{dataset, default_training_config, host_invariant, Artifact, Me
 use pipad::{train_data_parallel_devices, MultiGpuConfig, MultiTrainReport};
 use pipad_dyngraph::{DatasetId, Scale};
 use pipad_gpu_sim::{ratio_milli, validate_json, Gpu};
+use pipad_metrics::analyze;
 use pipad_models::ModelKind;
 use std::fmt::Write as _;
 
@@ -56,7 +60,7 @@ fn measure(scale: Scale) -> Artifact {
     );
     let _ = writeln!(
         summary,
-        "  {:<10} {:>5} {:>14} {:>8} {:>9} {:>12} {:>12} {:>12} {:>8}",
+        "  {:<10} {:>5} {:>14} {:>8} {:>9} {:>12} {:>12} {:>12} {:>8} {:>14} {:>8} {:>8}",
         "model",
         "gpus",
         "epoch(ns)",
@@ -65,7 +69,10 @@ fn measure(scale: Scale) -> Artifact {
         "halo(B)",
         "ar(B)",
         "ar(ns)",
-        "sm_util"
+        "sm_util",
+        "prep(ns)",
+        "launches",
+        "PiPAD"
     );
 
     for (mi, model) in ModelKind::ALL.iter().enumerate() {
@@ -74,20 +81,32 @@ fn measure(scale: Scale) -> Artifact {
         }
         // The yardstick: the single-device trainer on the same workload.
         let graph = dataset(DatasetId::Covid19England, scale);
-        let pipad_epoch_ns = Method::Pipad
-            .run(*model, &graph, HIDDEN, &default_training_config())
-            .steady_epoch_time
-            .as_nanos();
+        let cfg = default_training_config();
+        let preparing = cfg.preparing_epochs.min(cfg.epochs - 1);
+        let steady_epochs = (cfg.epochs - preparing) as u64;
+        let pipad = Method::Pipad.run(*model, &graph, HIDDEN, &cfg);
+        let pipad_epoch_ns = pipad.steady_epoch_time.as_nanos();
+        let pipad_launches = pipad.steady.kernel_launches / steady_epochs;
         let _ = write!(
             json,
-            "{{\"model\":{:?},\"pipad_steady_epoch_ns\":{pipad_epoch_ns},\"runs\":[",
+            "{{\"model\":{:?},\"pipad_steady_epoch_ns\":{pipad_epoch_ns},\
+             \"pipad_launches_per_steady_epoch\":{pipad_launches},\"runs\":[",
             model.name()
         );
         let mut base_epoch_ns = 0u64;
         let mut base_loss_bits = 0u32;
         for (ni, &n_gpus) in DEVICE_COUNTS.iter().enumerate() {
-            let (r, _) = run_one(*model, scale, n_gpus);
+            let (r, gpus) = run_one(*model, scale, n_gpus);
             let epoch_ns = r.steady_epoch_time.as_nanos();
+            let prep_ns: u64 = r.epochs[..preparing]
+                .iter()
+                .map(|e| e.sim_time.as_nanos())
+                .sum();
+            let steady = gpus.iter().map(|g| analyze(g.trace(), g.profiler()).steady);
+            let launches: u64 = steady
+                .map(|w| w.expect("steady epochs").kernel_launches)
+                .sum();
+            let launches = launches / (gpus.len() as u64 * steady_epochs);
             let final_loss = r.epochs.last().expect("epochs").mean_loss;
             if ni == 0 {
                 base_epoch_ns = epoch_ns;
@@ -114,7 +133,8 @@ fn measure(scale: Scale) -> Artifact {
                 "{{\"n_gpus\":{},\"steady_epoch_ns\":{},\"scaling_milli\":{},\
                  \"vs_pipad_milli\":{vs_pipad_milli},\"halo_bytes_per_epoch\":{},\"allreduce_bytes_per_epoch\":{},\
                  \"allreduce_ns_per_epoch\":{},\"final_loss_bits\":{},\
-                 \"sm_util_milli\":{:?},\"peak_bytes\":{:?}}}",
+                 \"sm_util_milli\":{:?},\"peak_bytes\":{:?},\"preparing_ns\":{prep_ns},\
+                 \"steady_launches_per_device_epoch\":{launches}}}",
                 r.n_gpus,
                 epoch_ns,
                 scaling_milli,
@@ -132,7 +152,7 @@ fn measure(scale: Scale) -> Artifact {
             };
             let _ = writeln!(
                 summary,
-                "  {:<10} {:>5} {:>14} {:>7}x {:>8}x {:>12} {:>12} {:>12} {:>7}%",
+                "  {:<10} {:>5} {:>14} {:>7}x {:>8}x {:>12} {:>12} {:>12} {:>7}% {:>14} {:>8} {:>8}",
                 model.name(),
                 r.n_gpus,
                 epoch_ns,
@@ -144,6 +164,9 @@ fn measure(scale: Scale) -> Artifact {
                 // per-mille → percent with one decimal: whole percents
                 // print the tiny-scale utilization (1‰) as 0.
                 format!("{}.{}", mean_sm / 10, mean_sm % 10),
+                prep_ns,
+                launches,
+                pipad_launches,
             );
         }
         json.push_str("]}");
@@ -163,6 +186,11 @@ fn measure(scale: Scale) -> Artifact {
         summary,
         "vs PiPAD: epoch / single-device train_pipad steady epoch (same model, dataset, \
          scale); above 1.00x is slower than one PiPAD device; sm_util: steady epochs only"
+    );
+    let _ = writeln!(
+        summary,
+        "prep: preparing epochs' simulated time; launches: kernel launches per steady epoch \
+         on one device; PiPAD: the same on train_pipad's one device"
     );
     Artifact { json, summary }
 }
@@ -189,5 +217,28 @@ mod tests {
             assert!(art.json.contains(&format!("\"n_gpus\":{n}")));
         }
         assert!(art.summary.contains("bit-identical"));
+        // Every run carries the preparing phase and the steady launch
+        // counts, each of them nonzero.
+        let values = |key: &str| -> Vec<u64> {
+            let pat = format!("\"{key}\":");
+            let found = art.json.match_indices(&pat).map(|(i, _)| {
+                let rest = &art.json[i + pat.len()..];
+                let end = rest
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(rest.len());
+                rest[..end].parse().expect("an integer")
+            });
+            found.collect()
+        };
+        let runs = ModelKind::ALL.len() * DEVICE_COUNTS.len();
+        for (key, n) in [
+            ("preparing_ns", runs),
+            ("steady_launches_per_device_epoch", runs),
+            ("pipad_launches_per_steady_epoch", ModelKind::ALL.len()),
+        ] {
+            let found = values(key);
+            assert_eq!(found.len(), n, "{key}");
+            assert!(found.iter().all(|&v| v > 0), "{key}: {found:?}");
+        }
     }
 }

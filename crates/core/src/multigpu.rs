@@ -60,12 +60,13 @@
 //! what fixes their kernel sequence.
 //! Both phases run one frame schedule: the loader stages frame f+1 under
 //! frame f, behind a per-device compute fence, and the allreduce is a
-//! barrier on the compute streams alone. Preparing epochs stage slot by
-//! slot; a key's first scope launches eagerly as its capture and every
-//! later one replays it. Steady epochs run on the single-device trainer's
-//! engine: every scope replays, and a shard-frame is staged in partitions
-//! of [`S_PER_OPTIONS`] slots — one host assembly and one copy each —
-//! sized by the tuner's memory bound (DESIGN §3.15).
+//! barrier on the compute streams alone. A shard-frame is staged in
+//! partitions of [`S_PER_OPTIONS`] slots — one host assembly and one copy
+//! each — sized by the tuner's memory bound (DESIGN §3.15): over the
+//! model's standing allocations before the first epoch, over the last
+//! preparing epoch's peak from the steady phase on. In preparing epochs a
+//! key's first scope launches eagerly as its capture and every later one
+//! replays it; in steady epochs every scope replays.
 
 use pipad_autograd::{SharedParam, Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
@@ -319,10 +320,10 @@ fn replay<R, E>(
     }
 }
 
-/// Snapshots per staged partition of a steady shard-frame on `gpu`: the
-/// largest candidate that fits the window and the tuner's memory bound, read
-/// off the peak the device reached staging slot by slot.
-fn steady_partition(gpu: &Gpu, window: usize) -> usize {
+/// Snapshots per staged partition of a shard-frame on `gpu`: the largest
+/// candidate that fits the window and the tuner's memory bound, read off the
+/// device's headroom and the peak it has reached.
+fn partition_size(gpu: &Gpu, window: usize) -> usize {
     let bound = DynamicTuner::memory_bound(gpu.mem().headroom(), gpu.mem().peak());
     let fits = |s: &usize| *s <= window.min(bound);
     S_PER_OPTIONS.iter().rev().copied().find(fits).unwrap_or(1)
@@ -480,21 +481,21 @@ pub fn train_data_parallel_devices(
     let preparing = cfg.preparing_epochs.min(cfg.epochs.saturating_sub(1));
     let (mut steady_t0, mut t_end) = (SimNanos::ZERO, SimNanos::ZERO);
     let mut steady_snaps: Vec<_> = gpus.iter().map(|g| g.profiler().snapshot()).collect();
-    // Per device, slots per staged partition in steady epochs.
-    let mut s_per = vec![1; parts];
+    // Per device, slots per staged partition.
+    let mut s_per: Vec<usize> = gpus.iter().map(|g| partition_size(g, cfg.window)).collect();
 
     for epoch in 0..cfg.epochs {
         let steady = epoch >= preparing;
         let t0 = join_all(&mut gpus);
         let start = EpochStart::capture(&gpus, t0);
         if epoch + 1 == preparing {
-            // The last preparing epoch is each device's one-slot profile.
+            // The last preparing epoch is the peak the steady size reads.
             gpus.iter_mut().for_each(Gpu::reset_peak_mem);
         }
         if epoch == preparing {
             // No steady frame stages before its partition size is fixed.
             for (size, g) in s_per.iter_mut().zip(&mut gpus) {
-                *size = steady_partition(g, cfg.window);
+                *size = partition_size(g, cfg.window);
                 g.host_wait(t0);
             }
             steady_t0 = t0;
@@ -580,9 +581,8 @@ pub fn train_data_parallel_devices(
                 // Staging is partition-grained, as `PipadExecutor::stage`'s:
                 // one host assembly and one pinned copy for everything a
                 // partition's slots ship — a cached aggregation block each,
-                // or the local adjacency slice and feature rows. Preparing
-                // epochs stage slot by slot.
-                let size = if steady { s_per[p] } else { 1 };
+                // or the local adjacency slice and feature rows.
+                let size = s_per[p];
                 // Shards stage in ascending order, so each slot's next block
                 // is this shard's.
                 blocks.clear();
@@ -904,17 +904,17 @@ mod tests {
     }
 
     #[test]
-    fn steady_partitions_fit_the_window_and_the_memory_bound() {
+    fn partitions_fit_the_window_and_the_memory_bound() {
         let mut gpu = Gpu::new(DeviceConfig::with_capacity(1000));
         let slot = gpu.alloc(200).unwrap();
         gpu.free(slot);
         // 1000 free over a peak of 200: five slots fit, so four at a time.
-        assert_eq!(steady_partition(&gpu, 16), 4);
-        assert_eq!(steady_partition(&gpu, 2), 2);
-        assert_eq!(steady_partition(&gpu, 1), 1);
+        assert_eq!(partition_size(&gpu, 16), 4);
+        assert_eq!(partition_size(&gpu, 2), 2);
+        assert_eq!(partition_size(&gpu, 1), 1);
         let slot = gpu.alloc(600).unwrap();
         gpu.free(slot);
-        assert_eq!(steady_partition(&gpu, 16), 1, "one peak fits, two do not");
+        assert_eq!(partition_size(&gpu, 16), 1, "one peak fits, two do not");
     }
 
     #[test]

@@ -251,6 +251,37 @@ readme_does_not_grow() {
     fi
 }
 
+# The code ledger: per crate and in total, the lines of `crates/*/src` above
+# each file's first top-level `#[cfg(test)]`, less the files a crate's
+# `lib.rs` declares under `#[cfg(test)]` (test-only oracles). Like README,
+# the total may shrink, never grow: lower the cap when it shrinks.
+code_ledger() {
+    local cap=20634 lib skip=() ledger total
+    for lib in crates/*/src/lib.rs; do
+        while IFS= read -r name; do
+            skip+=("$(dirname "$lib")/$name.rs" "$(dirname "$lib")/$name/mod.rs")
+        done < <(awk '/^#\[cfg\(test\)\]/ { t = 1; next }
+            t && /^mod [A-Za-z0-9_]+;/ { sub(/^mod /, ""); sub(/;.*/, ""); print }
+            { t = 0 }' "$lib")
+    done
+    ledger=$(find crates/*/src -name '*.rs' | sort | grep -vxF -f <(printf '%s\n' "${skip[@]}") |
+        xargs awk '
+            FNR == 1 { crate = FILENAME; sub(/^crates\//, "", crate); sub(/\/.*/, "", crate); done = 0 }
+            /^#\[cfg\(test\)\]/ { done = 1 }
+            !done { lines[crate]++; total++ }
+            END {
+                for (c in lines) printf "%-10s %6d\n", c, lines[c] | "sort"
+                close("sort")
+                printf "%-10s %6d\n", "total", total
+            }')
+    echo "$ledger (cap $cap)"
+    total=$(awk '$1 == "total" { print $2 }' <<< "$ledger")
+    if ((total > cap)); then
+        echo "ERROR: crates/*/src holds $total lines of non-test code, over its cap of $cap" >&2
+        return 1
+    fi
+}
+
 # The examples are the only end-to-end runs through the facade's re-exports;
 # the workspace test run has already built them.
 examples_run() {
@@ -272,6 +303,7 @@ gate graph_capture_has_one_home
 gate one_backward_per_shard
 gate extensions_name_a_result
 gate readme_does_not_grow
+gate code_ledger
 gate cargo build --release
 gate cargo fmt --check
 gate cargo clippy --workspace --all-targets -- -D warnings

@@ -302,18 +302,16 @@ fn traced_scopes(gpu: &Gpu) -> Vec<TracedScope> {
 /// for the optimiser step. Both phases
 /// stage across frames: a frame's first `mgpu_prep` starts before the
 /// previous frame's sweeps have finished, and not before those of the
-/// frame before that. No steady frame stages before the steady phase
-/// begins, where its partition size is read off the one-slot profile.
+/// frame before that. Both phases stage a shard-frame in partitions of
+/// `S_PER` slots. No steady frame stages before the steady phase begins,
+/// where its partition size is read off the last preparing epoch's peak.
 ///
-/// A steady epoch takes at most half the last preparing epoch. Now that
-/// both phases replay graphs and stage under their predecessor, that
-/// ratio prices partition staging: it reads 2.93x (EvolveGCN, four
-/// devices) to 4.13x (T-GCN, four), and 1.39x to 1.62x with steady frames
-/// staged slot by slot. (It was 4x while preparing frames launched
-/// eagerly at 5 µs a kernel, and 3.75x to 5.47x while they joined every
-/// lane per frame.) Staging with one buffer, so no frame under its
-/// predecessor, reads 3.65x to 4.37x; the `mgpu_prep` order below is
-/// what catches that.
+/// A steady epoch takes at most half the last preparing epoch. Both phases
+/// replay graphs, stage under their predecessor and stage by partition, so
+/// that ratio prices the preparing phase's eager captures: it reads 2.11x
+/// (EvolveGCN, four devices) to 3.16x (T-GCN, one). Staging with one
+/// buffer, so no frame under its predecessor, is what the `mgpu_prep`
+/// order below catches.
 #[test]
 fn steady_epochs_replay_and_pipeline() {
     let g = graph();
@@ -399,8 +397,8 @@ fn steady_epochs_replay_and_pipeline() {
 
                 // Over the whole run: a frame's sweeps end with the last
                 // kernel ahead of its optimiser step, and its staging is one
-                // loader op per shard and slot while preparing, per shard
-                // and partition of `S_PER` slots once steady.
+                // loader op per shard and partition of `S_PER` slots, in
+                // preparing and steady epochs alike.
                 let kernels: Vec<&TraceEvent> = events
                     .iter()
                     .filter(|e| e.kind == TraceKind::Kernel)
@@ -414,19 +412,14 @@ fn steady_epochs_replay_and_pipeline() {
                 // free of the epoch boundary.)
                 let preps: Vec<&TraceEvent> =
                     events.iter().filter(|e| e.name == "mgpu_prep").collect();
-                let slot_preps = frames * cfg.preparing_epochs * shards as usize * cfg.window;
-                let (by_slot, by_partition) = preps.split_at(slot_preps);
-                let frame_starts = |preps: &[&TraceEvent], units: usize| {
-                    let firsts = preps.iter().step_by(shards as usize * units);
-                    firsts.map(|e| e.ts).collect::<Vec<_>>()
-                };
-                let mut staging_start = frame_starts(by_slot, cfg.window);
-                staging_start.extend(frame_starts(by_partition, cfg.window.div_ceil(S_PER)));
+                let per_frame = shards as usize * cfg.window.div_ceil(S_PER);
                 assert_eq!(
-                    by_partition.len() as u64,
-                    shards * steady_frames * cfg.window.div_ceil(S_PER) as u64,
+                    preps.len(),
+                    per_frame * frames * cfg.epochs,
                     "{what}: partitions staged"
                 );
+                let staging_start: Vec<_> = preps.iter().step_by(per_frame).map(|e| e.ts).collect();
+                let steady_preps = &preps[per_frame * frames * cfg.preparing_epochs..];
                 assert_eq!(sweeps_end.len(), frames * cfg.epochs, "{what}");
                 assert_eq!(staging_start.len(), frames * cfg.epochs, "{what}");
                 // Both phases stage a frame under its predecessor: every frame
@@ -448,9 +441,10 @@ fn steady_epochs_replay_and_pipeline() {
                         f - 2
                     );
                 }
-                // The steady partition size is read off the one-slot profile
-                // at the steady phase's start: no steady staging precedes it.
-                if let Some(e) = by_partition.iter().find(|e| e.ts < steady_t0) {
+                // The steady partition size is read off the last preparing
+                // epoch's peak at the steady phase's start: no steady staging
+                // precedes it.
+                if let Some(e) = steady_preps.iter().find(|e| e.ts < steady_t0) {
                     panic!(
                         "{what}: a steady frame staged at {}, before the steady phase at {steady_t0}",
                         e.ts
