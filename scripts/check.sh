@@ -252,23 +252,26 @@ readme_does_not_grow() {
 }
 
 # The code ledger: per crate and in total, the lines of `crates/*/src` above
-# each file's first top-level `#[cfg(test)]`, less the files a crate's
-# `lib.rs` declares under `#[cfg(test)]` (test-only oracles). Like README,
-# the total may shrink, never grow: lower the cap when it shrinks.
+# each file's first top-level `#[cfg(test)]` item other than a `mod name;`
+# declaration, less those declarations and the files a crate's `lib.rs`
+# declares under `#[cfg(test)]` (test-only oracles). Like README, the total
+# may shrink, never grow: lower the cap when it shrinks.
 code_ledger() {
-    local cap=20634 lib skip=() ledger total
+    local cap=20637 lib skip=() ledger total
     for lib in crates/*/src/lib.rs; do
         while IFS= read -r name; do
-            skip+=("$(dirname "$lib")/$name.rs" "$(dirname "$lib")/$name/mod.rs")
+            skip+=("$(dirname "$lib")/$name.rs")
         done < <(awk '/^#\[cfg\(test\)\]/ { t = 1; next }
             t && /^mod [A-Za-z0-9_]+;/ { sub(/^mod /, ""); sub(/;.*/, ""); print }
             { t = 0 }' "$lib")
     done
     ledger=$(find crates/*/src -name '*.rs' | sort | grep -vxF -f <(printf '%s\n' "${skip[@]}") |
         xargs awk '
-            FNR == 1 { crate = FILENAME; sub(/^crates\//, "", crate); sub(/\/.*/, "", crate); done = 0 }
-            /^#\[cfg\(test\)\]/ { done = 1 }
-            !done { lines[crate]++; total++ }
+            FNR == 1 { crate = FILENAME; sub(/^crates\//, "", crate); sub(/\/.*/, "", crate); done = held = 0 }
+            done { next }
+            held { held = 0; if (/^mod [A-Za-z0-9_]+;/) next; done = 1; next }
+            /^#\[cfg\(test\)\]/ { held = 1; next }
+            { lines[crate]++; total++ }
             END {
                 for (c in lines) printf "%-10s %6d\n", c, lines[c] | "sort"
                 close("sort")
