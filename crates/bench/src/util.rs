@@ -5,7 +5,7 @@ use pipad::{train_pipad, GraphAnalyzer, PartitionCatalog, PipadConfig, PipadExec
 use pipad_autograd::Tape;
 use pipad_baselines::{train_baseline, BaselineExecutor, BaselineKind};
 use pipad_dyngraph::{DatasetId, DynamicGraph, Scale};
-use pipad_gpu_sim::{Breakdown, DeviceConfig, Gpu, SimNanos};
+use pipad_gpu_sim::{Breakdown, DeviceConfig, Gpu, OomError, SimNanos};
 use pipad_kernels::DeviceMatrix;
 use pipad_models::{GnnExecutor, ModelKind, TrainReport, TrainingConfig};
 use pipad_pool::with_threads;
@@ -174,8 +174,8 @@ pub enum Staging {
 
 /// One GCN layer over every snapshot of `graph` through the executor a
 /// trainer runs: stage the snapshots as one frame the way that trainer
-/// does, synchronize, then run `aggregate_inputs` on a tape and — given a
-/// weight and a bias, resident beforehand like a model's — `update`.
+/// does, synchronize, then run PiPAD's layer-1 pass, `aggregate_inputs` on
+/// a tape and — given a weight and a bias, resident beforehand — `update`.
 /// Returns the device time of that computation and the profiler window
 /// over it; staging lies outside both.
 pub fn run_gnn_frame(
@@ -205,7 +205,7 @@ pub fn run_gnn_frame(
                 &mut gpu, &analyzer, &catalog, &feats, 0, opts, None, compute, copy,
             )
             .expect(fits);
-            let measured = gnn_layer(&mut gpu, &mut exec, update);
+            let measured = gnn_layer(&mut gpu, &mut exec, update, PipadExecutor::aggregate_misses);
             exec.finish(&mut gpu);
             measured
         }
@@ -219,7 +219,7 @@ pub fn run_gnn_frame(
             let opts = kind.stage_options(false);
             let mut exec =
                 BaselineExecutor::stage(&mut gpu, &frame, opts, None, compute, copy).expect(fits);
-            let measured = gnn_layer(&mut gpu, &mut exec, update);
+            let measured = gnn_layer(&mut gpu, &mut exec, update, |_, _| Ok(()));
             exec.finish(&mut gpu);
             measured
         }
@@ -228,11 +228,12 @@ pub fn run_gnn_frame(
     measured
 }
 
-/// The measured part of [`run_gnn_frame`], on a staged executor.
-fn gnn_layer(
+/// The measured part of [`run_gnn_frame`], on a staged executor, from `pass`.
+fn gnn_layer<E: GnnExecutor>(
     gpu: &mut Gpu,
-    exec: &mut impl GnnExecutor,
+    exec: &mut E,
     update: Option<(&Matrix, &Matrix)>,
+    pass: impl FnOnce(&mut E, &mut Gpu) -> Result<(), OomError>,
 ) -> (SimNanos, Breakdown) {
     let fits = "the layer fits the device";
     let mut tape = Tape::new(gpu.default_stream());
@@ -243,6 +244,7 @@ fn gnn_layer(
     });
     let t0 = gpu.synchronize();
     let snap = gpu.profiler().snapshot();
+    pass(exec, gpu).expect(fits);
     let xs = exec.aggregate_inputs(gpu, &mut tape).expect(fits);
     if let Some((w, b)) = params {
         exec.update(gpu, &mut tape, &xs, w, b).expect(fits);

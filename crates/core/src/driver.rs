@@ -85,6 +85,23 @@ pub(crate) fn train_step(
     Ok(loss)
 }
 
+/// Run `f` on `stream` as CUDA graph `key` (§4.2): `Some(true)` replays it,
+/// `Some(false)` captures a new key eagerly or replays a known one, `None`
+/// launches eagerly.
+pub(crate) fn scope<R, E>(
+    gpu: &mut Gpu,
+    stream: StreamId,
+    steady: Option<bool>,
+    key: u64,
+    f: impl FnOnce(&mut Gpu) -> Result<R, E>,
+) -> Result<R, E> {
+    match steady {
+        None => f(gpu),
+        Some(false) => gpu.capture_or_replay(stream, key, f),
+        Some(true) => gpu.graph_scope(stream, key, f),
+    }
+}
+
 /// What one trainer contributes to [`run_epochs`].
 pub trait EpochPolicy {
     /// Trainer name — lands in the report and the run fingerprint, so a

@@ -7,10 +7,11 @@
 //!   per-snapshot exclusives (and only the features that are not already
 //!   covered by a reuse hit), asynchronously from pinned memory, as the
 //!   **one** buffer the host assembled for the partition: one copy;
-//! * layer-1 aggregation runs as **one** `spmm_sliced_parallel` launch over
-//!   the coalescent feature matrix (all members side by side), plus one
-//!   tiny launch per exclusive part; the results are summed, normalized per
-//!   member, split apart, and deposited in the reuse caches;
+//! * a layer-1 pass ahead of the step aggregates each partition reuse did
+//!   not serve as **one** `spmm_sliced_parallel` launch over the coalescent
+//!   feature matrix (all members side by side), plus one tiny launch per
+//!   exclusive part; the results are summed, normalized per member, split
+//!   apart, deposited in the reuse caches and handed to the step as hits;
 //! * the FC update stacks all frame slots row-wise and multiplies once with
 //!   the weight tile resident (locality-optimized weight reuse) — unless
 //!   the model's weights evolve per snapshot (EvolveGCN).
@@ -31,10 +32,10 @@ use std::rc::Rc;
 struct SlotState {
     global: usize,
     inv_deg: Rc<Vec<f32>>,
-    /// Raw features on device (absent when a reuse hit covers this slot).
+    /// Raw features on device until the layer-1 pass (absent on a hit).
     features: Option<DeviceMatrix>,
-    /// Cached layer-1 aggregation shipped with the partition.
-    shipped_agg: Option<DeviceMatrix>,
+    /// Layer-1 aggregation: a CPU-tier hit's upload, or the pass's result.
+    agg: Option<DeviceMatrix>,
     /// Cached layer-1 aggregation that was device-resident already.
     resident_agg: Option<SharedParam>,
 }
@@ -102,13 +103,13 @@ impl PartitionState {
                 global,
                 inv_deg: Rc::clone(&snap.norm.inv_deg),
                 features: None,
-                shipped_agg: None,
+                agg: None,
                 resident_agg: None,
             };
             match cached {
                 Some(Cached::Device(p)) => slot.resident_agg = Some(p),
                 Some(Cached::Host(a)) => {
-                    slot.shipped_agg = Some(DeviceMatrix::alloc_labeled(gpu, a, "cpu_agg_upload")?)
+                    slot.agg = Some(DeviceMatrix::alloc_labeled(gpu, a, "cpu_agg_upload")?)
                 }
                 None => {
                     let f = DeviceMatrix::alloc_labeled(gpu, feats.clone_in(), "feature_upload")?;
@@ -118,6 +119,12 @@ impl PartitionState {
             self.slots.push(slot);
         }
         Ok(())
+    }
+
+    /// Which exclusive parts of a partition with an overlap split are empty.
+    fn empty(&self) -> Option<Vec<bool>> {
+        let empty = self.exclusives.iter().map(|e| e.nnz() == 0);
+        self.overlap.as_ref().map(|_| empty.collect())
     }
 
     /// Release the adjacency allocations and unconsumed staging.
@@ -132,7 +139,7 @@ impl PartitionState {
             if let Some(f) = slot.features {
                 f.release(gpu);
             }
-            if let Some(c) = slot.shipped_agg {
+            if let Some(c) = slot.agg {
                 c.release(gpu);
             }
         }
@@ -279,17 +286,60 @@ impl<'r> PipadExecutor<'r> {
         })
     }
 
-    /// The key of the frame's CUDA graph: a hash of exactly the staged facts
+    /// The key of the frame's step graph: a hash of exactly the staged facts
     /// its kernel sequence follows from — the options, each partition's size
-    /// and `layer1_cached` flag, and which exclusive parts of a partition
-    /// with an overlap split are empty (those launch no exclusive pass).
+    /// and, where the step aggregates hidden features, which exclusive parts
+    /// of a partition with an overlap split are empty (those launch no
+    /// exclusive pass). Reuse hits are not among them.
     pub fn graph_key(&self) -> u64 {
-        let partitions = self.partitions.iter().map(|p| {
-            let empty = p.exclusives.iter().map(|e| e.nnz() == 0);
-            let empty: Option<Vec<bool>> = p.overlap.as_ref().map(|_| empty.collect());
-            (p.slots.len(), p.layer1_cached, empty)
-        });
+        let hidden = self.opts.needs_adjacency_when_cached;
+        let partitions = self.partitions.iter();
+        let partitions = partitions.map(|p| (p.slots.len(), p.empty().filter(|_| hidden)));
         graph_key(&(self.opts, partitions.collect::<Vec<_>>()))
+    }
+
+    /// The key of the frame's layer-1 graph: exactly what it launches, the
+    /// sizes and empty exclusive parts of the partitions reuse did not serve;
+    /// `None` when it served them all and the pass launches nothing.
+    pub fn layer1_key(&self) -> Option<u64> {
+        let missed = self.partitions.iter().filter(|p| !p.layer1_cached);
+        let missed: Vec<_> = missed.map(|p| (p.slots.len(), p.empty())).collect();
+        (!missed.is_empty()).then(|| graph_key(&(self.opts.use_sliced, missed)))
+    }
+
+    /// The layer-1 pass, ahead of the step as the graph [`Self::layer1_key`]
+    /// names: aggregate every partition reuse did not serve on a tape of its
+    /// own, deposit the results and stage them for the step as hits ship.
+    pub fn aggregate_misses(&mut self, gpu: &mut Gpu) -> Result<(), OomError> {
+        let mut tape = Tape::new(self.compute);
+        let mut aggs = Vec::new();
+        let partitions = self.partitions.iter_mut().enumerate();
+        for (pi, part) in partitions.filter(|(_, p)| !p.layer1_cached) {
+            gpu.wait_event(self.compute, part.ready);
+            let features = part.slots.iter_mut().map(|s| s.features.take());
+            let xs: Vec<Var> = features.map(|f| tape.input(f.expect("staged"))).collect();
+            aggs.extend(Self::aggregate_partition(gpu, &mut tape, part, &xs)?);
+            let done = gpu.record_event(self.compute).time();
+            let stage = ArgValue::Str("aggregate".to_string());
+            let args = vec![("stage", stage), ("partition", ArgValue::U64(pi as u64))];
+            gpu.trace_mut()
+                .instant("pipeline_stage", Lane::Control, done, args);
+        }
+        let values: Vec<Matrix> = aggs.iter().map(|&a| tape.host(a)).collect();
+        tape.finish(gpu);
+        let missed = self.partitions.iter_mut().filter(|p| !p.layer1_cached);
+        for (slot, agg) in missed.flat_map(|p| &mut p.slots).zip(values) {
+            if let Some(reuse) = self.reuse.as_mut() {
+                reuse.deposit(slot.global, || agg.clone_in());
+            }
+            slot.agg = Some(DeviceMatrix::alloc(gpu, agg)?);
+        }
+        Ok(())
+    }
+
+    /// Release the frame's adjacency allocations and unconsumed staging.
+    pub fn finish(self, gpu: &mut Gpu) {
+        self.partitions.into_iter().for_each(|p| p.free(gpu));
     }
 
     /// Parallel aggregation of one partition via the fused
@@ -341,49 +391,14 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
 
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
         let mut out = Vec::new();
-        for pi in 0..self.partitions.len() {
-            gpu.wait_event(self.compute, self.partitions[pi].ready);
-            if self.partitions[pi].layer1_cached {
-                // Every member covered by reuse: no aggregation kernels.
-                for slot in &mut self.partitions[pi].slots {
-                    if let Some(shared) = slot.resident_agg.take() {
-                        out.push(tape.input_shared(&shared));
-                    } else {
-                        let dm = slot.shipped_agg.take().expect("cached agg staged");
-                        out.push(tape.input(dm));
-                    }
-                }
-                continue;
+        for part in &mut self.partitions {
+            gpu.wait_event(self.compute, part.ready);
+            for slot in &mut part.slots {
+                out.push(match slot.resident_agg.take() {
+                    Some(shared) => tape.input_shared(&shared),
+                    None => tape.input(slot.agg.take().expect("layer 1 aggregated")),
+                });
             }
-            // Compute the whole partition in parallel.
-            let xs: Vec<Var> = self.partitions[pi]
-                .slots
-                .iter_mut()
-                .map(|slot| {
-                    let f = slot.features.take().expect("features staged");
-                    tape.input(f)
-                })
-                .collect();
-            let aggs = {
-                let part = &self.partitions[pi];
-                Self::aggregate_partition(gpu, tape, part, &xs)?
-            };
-            if let Some(reuse) = self.reuse.as_mut() {
-                for (slot, &a) in self.partitions[pi].slots.iter().zip(&aggs) {
-                    reuse.deposit(slot.global, || tape.host(a));
-                }
-            }
-            let done = gpu.record_event(self.compute).time();
-            gpu.trace_mut().instant(
-                "pipeline_stage",
-                Lane::Control,
-                done,
-                vec![
-                    ("stage", ArgValue::Str("aggregate".to_string())),
-                    ("partition", ArgValue::U64(pi as u64)),
-                ],
-            );
-            out.extend(aggs);
         }
         Ok(out)
     }
@@ -446,13 +461,6 @@ impl pipad_models::GnnExecutor for PipadExecutor<'_> {
             ],
         );
         Ok(out)
-    }
-}
-
-impl PipadExecutor<'_> {
-    /// Release the frame's adjacency allocations and unconsumed staging.
-    pub fn finish(self, gpu: &mut Gpu) {
-        self.partitions.into_iter().for_each(|p| p.free(gpu));
     }
 }
 
@@ -598,6 +606,7 @@ mod tests {
         )
         .unwrap();
         let mut tape = Tape::new(compute);
+        exec.aggregate_misses(&mut gpu).unwrap();
         let aggs = exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
 
         // Reference path
@@ -679,6 +688,7 @@ mod tests {
         )
         .unwrap();
         let mut tape = Tape::new(compute);
+        exec.aggregate_misses(&mut gpu).unwrap();
         let first = exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
         let first_vals: Vec<Matrix> = first.iter().map(|&v| tape.host(v)).collect();
         tape.finish(&mut gpu);
@@ -705,6 +715,7 @@ mod tests {
         )
         .unwrap();
         let mut tape = Tape::new(compute);
+        exec.aggregate_misses(&mut gpu).unwrap();
         let second = exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
         for (a, b) in second.iter().zip(&first_vals) {
             assert!(tape.host(*a).approx_eq(b, 1e-6));
@@ -757,6 +768,7 @@ mod tests {
         )
         .unwrap();
         let mut tape = Tape::new(compute);
+        exec.aggregate_misses(&mut gpu).unwrap();
         exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
         tape.finish(&mut gpu);
         exec.finish(&mut gpu);
@@ -815,6 +827,7 @@ mod tests {
         )
         .unwrap();
         let mut tape = Tape::new(compute);
+        exec.aggregate_misses(&mut gpu).unwrap();
         let xs = exec.aggregate_inputs(&mut gpu, &mut tape).unwrap();
         let d = graph.feature_dim();
         let w = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::eye(d)).unwrap());
@@ -866,6 +879,7 @@ mod tests {
             )
             .unwrap();
             let mut tape = Tape::new(compute);
+            exec.aggregate_misses(gpu).unwrap();
             exec.aggregate_inputs(gpu, &mut tape).unwrap();
             let txns = gpu.profiler().window(snap).gmem_transactions;
             tape.finish(gpu);

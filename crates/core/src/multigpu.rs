@@ -53,11 +53,13 @@
 //! epochs upload cached blocks over PCIe instead of re-aggregating (and,
 //! for input-only-aggregation models, move no input halo at all). Each
 //! frame looks every snapshot up once, over all its shards; the answer
-//! feeds the halo capture and every shard's staging.
+//! feeds the halo capture and every shard's staging. A shard aggregates
+//! the slots reuse did not serve in a layer-1 pass ahead of its forward,
+//! and its blocks reach the forward as cached ones do.
 //!
-//! A shard's forward with its backward above `H¹`, its backward below
-//! `H¹` and a device's optimiser step are each one CUDA graph, keyed by
-//! what fixes their kernel sequence.
+//! A shard's layer-1 pass, its forward with its backward above `H¹`, its
+//! backward below `H¹` and a device's optimiser step are each one CUDA
+//! graph, keyed by what fixes their kernel sequence.
 //! Both phases run one frame schedule: the loader stages frame f+1 under
 //! frame f, behind a per-device compute fence, and the allreduce is a
 //! barrier on the compute streams alone. A shard-frame is staged in
@@ -68,7 +70,7 @@
 //! key's first scope launches eagerly as its capture and every later one
 //! replays it; in steady epochs every scope replays.
 
-use pipad_autograd::{SharedParam, Tape, Var};
+use pipad_autograd::{Tape, Var};
 use pipad_dyngraph::{DynamicGraph, FrameIter};
 use pipad_gpu_sim::{
     export_chrome_trace, graph_key, ArgValue, DeviceConfig, Event, Gpu, KernelCategory, Lane,
@@ -80,11 +82,9 @@ use pipad_models::{
 };
 use pipad_sparse::{csr_row_work, partition_rows_balanced, SlicedCsr};
 use pipad_tensor::Matrix;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::driver::{close_epoch, EpochStart};
+use crate::driver::{close_epoch, scope, EpochStart};
 use crate::prep::S_PER_OPTIONS;
 use crate::reuse::{Cached, InterFrameReuse};
 use crate::tuner::DynamicTuner;
@@ -148,23 +148,14 @@ pub struct MultiTrainReport {
     pub traces: Vec<String>,
 }
 
-/// Where one slot's normalized layer-1 aggregation block comes from.
-enum AggSource {
-    /// Cached block from the reuse store (PCIe upload, no recompute;
-    /// consumed exactly once by `aggregate_inputs`).
-    Cached(Option<Matrix>),
-    /// Fresh aggregation: the rectangular local adjacency slice × the full
-    /// feature matrix, resident once per device.
-    Compute(SharedParam),
-}
-
 /// Per-frame executor over one vertex range: a virtual shard's, or the
 /// whole graph's for the halo capture.
 struct ShardExecutor<'a> {
     shard: usize,
     shard_ranges: &'a [(usize, usize)],
-    /// Per slot: the range's operators and its layer-1 block's source.
-    slots: Vec<(&'a ShardNorm, AggSource)>,
+    /// Per slot: the range's operators and its normalized layer-1 block,
+    /// cached or from the layer-1 pass, consumed once by `aggregate_inputs`.
+    slots: Vec<(&'a ShardNorm, Option<Matrix>)>,
     /// The halo capture's `H¹` per slot (full vertex set); empty when unused.
     captured: &'a [Matrix],
     /// `halo_leaves[producer][k] = (slot, leaf)`: gradient-carrying leaf
@@ -172,8 +163,6 @@ struct ShardExecutor<'a> {
     halo_leaves: Vec<Vec<(usize, Var)>>,
     /// This shard's own `H¹` vars — where the peers' halo gradients join.
     hidden_vars: Vec<Var>,
-    /// Freshly computed aggregation blocks for the reuse store.
-    computed_aggs: Vec<(usize, Matrix)>,
     ready: Event,
     compute: StreamId,
 }
@@ -182,7 +171,7 @@ impl<'a> ShardExecutor<'a> {
     fn new(
         shard: usize,
         shard_ranges: &'a [(usize, usize)],
-        slots: Vec<(&'a ShardNorm, AggSource)>,
+        slots: Vec<(&'a ShardNorm, Option<Matrix>)>,
         captured: &'a [Matrix],
         ready: Event,
         compute: StreamId,
@@ -194,7 +183,6 @@ impl<'a> ShardExecutor<'a> {
             captured,
             halo_leaves: shard_ranges.iter().map(|_| Vec::new()).collect(),
             hidden_vars: Vec::new(),
-            computed_aggs: Vec::new(),
             ready,
             compute,
         }
@@ -217,23 +205,9 @@ impl GnnExecutor for ShardExecutor<'_> {
     fn aggregate_inputs(&mut self, gpu: &mut Gpu, tape: &mut Tape) -> Result<Vec<Var>, OomError> {
         gpu.wait_event(self.compute, self.ready);
         let mut out = Vec::with_capacity(self.slots.len());
-        for (i, (sn, source)) in self.slots.iter_mut().enumerate() {
-            let v = match source {
-                AggSource::Cached(m) => {
-                    let m = m.take().expect("aggregation slot consumed once");
-                    tape.input(DeviceMatrix::alloc(gpu, m)?)
-                }
-                AggSource::Compute(x) => {
-                    // x carries no gradient: the rectangular slice needs
-                    // no transpose.
-                    let xv = tape.input_shared(x);
-                    let agg = tape.spmm_sliced(gpu, Rc::clone(&sn.sliced), None, xv, 1)?;
-                    let norm = tape.row_scale(gpu, agg, Rc::clone(&sn.inv_deg))?;
-                    self.computed_aggs.push((i, tape.host(norm)));
-                    norm
-                }
-            };
-            out.push(v);
+        for (_, block) in &mut self.slots {
+            let m = block.take().expect("aggregation slot consumed once");
+            out.push(tape.input(DeviceMatrix::alloc(gpu, m)?));
         }
         Ok(out)
     }
@@ -295,29 +269,28 @@ struct ShardNorm {
     halo_cols: u64,
 }
 
-/// Free a device matrix the frame's tapes shared, once they are finished.
-fn release_shared(gpu: &mut Gpu, x: SharedParam) {
-    match Rc::try_unwrap(x) {
-        Ok(cell) => cell.into_inner().release(gpu),
-        Err(_) => unreachable!("tapes finished; shared X uniquely owned"),
-    }
-}
-
-/// Run `f` on `stream` as CUDA graph `key` (§4.2). A steady scope replays
-/// it; a preparing scope captures a new key launch by launch and replays a
-/// known one.
-fn replay<R, E>(
+/// The layer-1 pass over the slots reuse did not serve, once `ready`: each
+/// slot's features `x`, resident for the pass, through its range's
+/// rectangular adjacency slice, normalized, on a tape of its own. Returns
+/// the blocks in order.
+fn layer1_pass(
     gpu: &mut Gpu,
     stream: StreamId,
-    steady: bool,
-    key: u64,
-    f: impl FnOnce(&mut Gpu) -> Result<R, E>,
-) -> Result<R, E> {
-    if steady {
-        gpu.graph_scope(stream, key, f)
-    } else {
-        gpu.capture_or_replay(stream, key, f)
+    ready: Event,
+    missed: &[(&ShardNorm, &Matrix)],
+) -> Result<Vec<Matrix>, OomError> {
+    gpu.wait_event(stream, ready);
+    let mut tape = Tape::new(stream);
+    let mut blocks = Vec::with_capacity(missed.len());
+    for &(sn, x) in missed {
+        // x carries no gradient: the rectangular slice needs no transpose.
+        let xv = tape.input(DeviceMatrix::alloc(gpu, x.clone_in())?);
+        let agg = tape.spmm_sliced(gpu, Rc::clone(&sn.sliced), None, xv, 1)?;
+        let norm = tape.row_scale(gpu, agg, Rc::clone(&sn.inv_deg))?;
+        blocks.push(tape.host(norm));
     }
+    tape.finish(gpu);
+    Ok(blocks)
 }
 
 /// Snapshots per staged partition of a shard-frame on `gpu`: the largest
@@ -531,36 +504,29 @@ pub fn train_data_parallel_devices(
             let mut captured = Vec::new();
             if let Some(sg) = scratch.as_mut() {
                 let stream = sg.default_stream();
+                let ready = sg.record_event(stream);
                 let mut slots = Vec::with_capacity(nslots);
                 for (i, found) in cached.iter().enumerate() {
                     let g_idx = frame.global_index(i);
-                    let source = match found {
+                    let sn = &full_norms[g_idx];
+                    let block = match found {
                         Some(found) => {
                             let parts: Vec<&Matrix> = found.as_slice().iter().collect();
-                            AggSource::Cached(Some(Matrix::concat_rows(&parts)))
+                            Matrix::concat_rows(&parts)
                         }
                         None => {
-                            let x = graph.snapshots[g_idx].features.clone_in();
-                            AggSource::Compute(Rc::new(RefCell::new(DeviceMatrix::alloc(sg, x)?)))
+                            let x = &graph.snapshots[g_idx].features;
+                            layer1_pass(sg, stream, ready, &[(sn, x)])?.remove(0)
                         }
                     };
-                    slots.push((&full_norms[g_idx], source));
+                    slots.push((sn, Some(block)));
                 }
-                let ready = sg.record_event(stream);
                 let mut exec = ShardExecutor::new(0, &whole_graph, slots, &[], ready, stream);
                 let mut tape = Tape::new(stream);
                 let h1 = models[0].hidden_activations(sg, &mut tape, &mut exec)?;
                 let h1 = h1.expect("a model that aggregates hidden features returns its H1");
                 captured = h1.iter().map(|&h| tape.host(h)).collect();
                 tape.finish(sg);
-                for (_, m) in exec.computed_aggs {
-                    m.recycle();
-                }
-                for (_, source) in exec.slots {
-                    if let AggSource::Compute(x) = source {
-                        release_shared(sg, x);
-                    }
-                }
             }
 
             // --- staging: uploads + halo spans, per-shard ready events ----
@@ -568,8 +534,6 @@ pub fn train_data_parallel_devices(
             // forward (gated only on its own `ready` event) overlaps shard
             // k+1's transfers.
             let mut execs: Vec<Option<ShardExecutor>> = (0..shards).map(|_| None).collect();
-            let mut x_shared: Vec<BTreeMap<usize, SharedParam>> =
-                (0..parts).map(|_| BTreeMap::new()).collect();
             let mut frame_halo = 0u64;
             for s in 0..shards {
                 let p = owner[s];
@@ -611,9 +575,8 @@ pub fn train_data_parallel_devices(
                         gpu.h2d(copy, bytes, true);
                         gpu.free(staging);
                     }
-                    let agg = if let Some(block) = blocks[i].take() {
-                        AggSource::Cached(Some(block))
-                    } else {
+                    let block = blocks[i].take();
+                    if block.is_none() {
                         // halo feature rows arrive over the P2P link
                         let bytes = sn.halo_cols * feat_dim as u64 * 4;
                         if bytes > 0 {
@@ -622,19 +585,8 @@ pub fn train_data_parallel_devices(
                             gpu.stream_wait_host(copy, he);
                             frame_halo += bytes;
                         }
-                        let x = match x_shared[p].entry(i) {
-                            std::collections::btree_map::Entry::Occupied(e) => Rc::clone(e.get()),
-                            std::collections::btree_map::Entry::Vacant(e) => {
-                                let dm = DeviceMatrix::alloc(
-                                    gpu,
-                                    graph.snapshots[g_idx].features.clone_in(),
-                                )?;
-                                Rc::clone(e.insert(Rc::new(RefCell::new(dm))))
-                            }
-                        };
-                        AggSource::Compute(x)
-                    };
-                    slots.push((sn, agg));
+                    }
+                    slots.push((sn, block));
                     if hidden_agg {
                         // forward gather of peer H1 rows over P2P
                         let hbytes = sn.halo_cols * hidden as u64 * 4;
@@ -659,18 +611,32 @@ pub fn train_data_parallel_devices(
             // Per shard, when its backward above H¹ ends: what its halo
             // gradients wait on.
             let mut swept = Vec::with_capacity(shards);
-            // Which slots reuse serves fixes a shard-frame's kernel sequence.
-            let slots_cached: Vec<bool> = cached.iter().map(Option::is_some).collect();
+            let missed: Vec<usize> = (0..nslots).filter(|&i| cached[i].is_none()).collect();
             for s in 0..shards {
                 let p = owner[s];
                 let (compute, _) = streams[p];
                 let gpu = &mut gpus[p];
                 let mut exec = execs[s].take().unwrap();
+                // The layer-1 pass, keyed by exactly what it launches; its
+                // blocks are deposited and reach the forward as cached ones.
+                if !missed.is_empty() {
+                    let x = |i| &graph.snapshots[frame.global_index(i)].features;
+                    let pass: Vec<_> = missed.iter().map(|&i| (exec.slots[i].0, x(i))).collect();
+                    let (key, ready) = (graph_key(&("layer1", pass.len())), exec.ready);
+                    let blocks = scope(gpu, compute, Some(steady), key, |gpu| {
+                        layer1_pass(gpu, compute, ready, &pass)
+                    })?;
+                    for (&i, block) in missed.iter().zip(blocks) {
+                        let key = shard_key(frame.global_index(i), s, shards);
+                        store.deposit(key, || block.clone_in());
+                        exec.slots[i].1 = Some(block);
+                    }
+                }
                 let mut tape = Tape::new(compute);
                 let (lo, hi) = shard_ranges[s];
                 let t_local = target_full.slice_rows(lo, hi);
-                let key = graph_key(&("forward", s, &slots_cached));
-                let (out, sse) = replay(gpu, compute, steady, key, |gpu| -> Result<_, OomError> {
+                let key = graph_key(&("forward", s));
+                let (out, sse) = scope(gpu, compute, Some(steady), key, |gpu| {
                     let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
                     let floor = exec.floor();
                     tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u, floor)?;
@@ -680,9 +646,6 @@ pub fn train_data_parallel_devices(
                 frame_sse += sse;
                 swept.push(gpu.record_event(compute).time());
                 t_local.recycle();
-                for (slot, m) in exec.computed_aggs.drain(..) {
-                    store.deposit(shard_key(frame.global_index(slot), s, shards), || m);
-                }
                 tapes.push(tape);
                 binders.push(out.binder);
                 execs[s] = Some(exec);
@@ -736,7 +699,7 @@ pub fn train_data_parallel_devices(
                         .floor()
                         .expect("a shard with peers");
                     let key = graph_key(&("halo", q, seeded));
-                    replay(gpu, compute, steady, key, |gpu| {
+                    scope(gpu, compute, Some(steady), key, |gpu| {
                         let seeds = seeds
                             .into_iter()
                             .map(|(h1, seed)| DeviceMatrix::alloc(gpu, seed).map(|dm| (h1, dm)));
@@ -810,7 +773,7 @@ pub fn train_data_parallel_devices(
                         summed[k].as_ref().map(|g| (&*param.value, g))
                     })
                     .collect();
-                replay(gpu, compute, steady, graph_key(&"sgd_step"), |gpu| {
+                scope(gpu, compute, Some(steady), graph_key(&"sgd_step"), |gpu| {
                     sgd_step(gpu, compute, &pairs, cfg.lr, frame_sse.is_finite());
                     Ok::<_, OomError>(())
                 })?;
@@ -834,11 +797,6 @@ pub fn train_data_parallel_devices(
             }
             drop(binders);
             execs.clear();
-            for (p, map) in x_shared.iter_mut().enumerate() {
-                while let Some((_, x)) = map.pop_first() {
-                    release_shared(&mut gpus[p], x);
-                }
-            }
             for m in captured {
                 m.recycle();
             }

@@ -24,9 +24,11 @@
 //!
 //! Like a steady `train_pipad` frame, a served forward is a CUDA-graph
 //! replay (§4.2) through [`Gpu::capture_or_replay`], keyed by the frame's
-//! start and [`PipadExecutor::graph_key`]. A key's first forward runs
-//! eagerly and is its capture (none when it returns `Err`); the device
-//! checks every later one against it.
+//! start and [`PipadExecutor::graph_key`]; where reuse missed, the
+//! layer-1 pass runs ahead of it the same way, keyed by the frame's start
+//! and [`PipadExecutor::layer1_key`]. A key's first scope runs eagerly and
+//! is its capture (none when it returns `Err`); the device checks every
+//! later one against it.
 //! A replayed forward still allocates inside the graph, as the trainer's
 //! frames do; a real CUDA graph fixes its addresses at capture.
 //!
@@ -205,6 +207,9 @@ impl<'g> ServeEngine<'g> {
             self.compute,
             self.copy,
         )?;
+        if let Some(key) = exec.layer1_key().map(|k| graph_key(&(frame_start, k))) {
+            gpu.capture_or_replay(self.compute, key, |gpu| exec.aggregate_misses(gpu))?;
+        }
         let key = graph_key(&(frame_start, exec.graph_key()));
         let mut tape = Tape::new(self.compute);
         let model = self.model.as_ref();
@@ -321,12 +326,12 @@ mod tests {
         assert_eq!(extracted, engine.catalog.len());
     }
 
-    /// Purging a frame's snapshots makes its partitions aggregate again:
-    /// a new plan, captured eagerly with the aggregation kernels on top of
-    /// the all-cached plan's launches. That forward deposits them again, so
-    /// the next one finds every partition cached and replays that plan.
+    /// Purging a frame's snapshots makes its partitions aggregate again, in
+    /// a layer-1 pass captured eagerly ahead of the forward, which replays
+    /// the plan it had: no graph key holds a reuse hit. The pass deposits
+    /// them again, so the next forward runs no pass and replays that plan.
     #[test]
-    fn a_purged_frame_is_captured_anew_then_replays_its_cached_plan() {
+    fn a_purged_frame_captures_its_layer_1_pass_and_replays_its_plan() {
         let graph = DatasetId::Covid19England.gen_config(Scale::Tiny).generate();
         let (mut gpu, mut engine) = restored(ModelKind::TGcn, &graph, "plans");
 
@@ -348,12 +353,13 @@ mod tests {
 
         engine.reuse.purge(&mut gpu, frame..frame + engine.window());
         let computed = forward(&mut engine, &mut gpu);
-        assert_eq!(computed.eager_launches, computed.launches, "a new plan");
-        assert!(
-            computed.launches > cached.launches,
-            "{computed:?} vs {cached:?}"
+        assert!(computed.eager_launches > 0, "the pass is captured");
+        assert_eq!(
+            computed.launches - computed.eager_launches,
+            cached.launches,
+            "the plan replays: {computed:?} vs {cached:?}"
         );
-        assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (2, 0));
+        assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (2, 1));
 
         let snap = gpu.profiler().snapshot();
         let replayed = forward(&mut engine, &mut gpu);
@@ -369,6 +375,6 @@ mod tests {
             "an all-cached replay ships nothing: {host_ops:?}"
         );
         assert_eq!(replayed.launches, cached.launches);
-        assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (2, 1));
+        assert_eq!((gpu.graph_captures(), gpu.graph_replays()), (2, 2));
     }
 }

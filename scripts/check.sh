@@ -257,7 +257,7 @@ readme_does_not_grow() {
 # declares under `#[cfg(test)]` (test-only oracles). Like README, the total
 # may shrink, never grow: lower the cap when it shrinks.
 code_ledger() {
-    local cap=20637 lib skip=() ledger total
+    local cap=20625 lib skip=() ledger total
     for lib in crates/*/src/lib.rs; do
         while IFS= read -r name; do
             skip+=("$(dirname "$lib")/$name.rs")

@@ -109,6 +109,8 @@ fn reference_forward(
         copy,
     )
     .expect("stage reference frame");
+    exec.aggregate_misses(&mut gpu)
+        .expect("reference layer-1 pass");
     let mut tape = Tape::new(compute);
     let out = m
         .forward_frame(&mut gpu, &mut tape, &mut exec)
